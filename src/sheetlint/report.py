@@ -11,7 +11,6 @@ from .graph import CellGraphClass, DependencyGraph, build_graph, classify_graph,
 from .layout import SheetLayout, analyze_sheet
 from .model import (
     CellAddress,
-    CellKind,
     NumericCellClass,
     Workbook,
     classify_cells,
@@ -26,7 +25,7 @@ from .rules import (
     readability_score,
     run_rules,
 )
-from .simplify import nest_candidates, simplify
+from .simplify import nest_candidates, simplify_workbook
 
 
 @dataclass
@@ -74,18 +73,15 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
                                   min_block_cells=config.min_block_cells)
         for sheet in workbook.sheets
     }
-    simp = SimplifierResults()
-    for sheet in workbook.sheets:
-        for addr, cell in sheet.populated():
-            if cell.content.kind is CellKind.FORMULA and cell.content.ast is not None:
-                suggestion = simplify(cell.content.ast, addr, graph)
-                if suggestion is not None:
-                    simp.suggestions[addr] = suggestion
-    simp.nest = nest_candidates(graph, workbook, max_len=config.nest_max_len)
-
-    diagnostics, skipped = run_rules(workbook, graph, layouts, simp, config)
-
+    simp = SimplifierResults(
+        suggestions=simplify_workbook(workbook),
+        nest=nest_candidates(graph, workbook, max_len=config.nest_max_len))
+    classes = classify_graph(graph, config)
     cell_classes = classify_cells(workbook, graph)
+
+    diagnostics, skipped = run_rules(workbook, graph, layouts, simp, config,
+                                     classes=classes, cell_classes=cell_classes)
+
     try:
         score = readability_score(diagnostics, numeric_cell_count(cell_classes))
     except EmptyWorkbookError:
@@ -127,7 +123,6 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
         counts=counts,
         notices=list(workbook.load_notices),
     )
-    classes = classify_graph(graph, config)
     return AuditResult(report, workbook, graph, classes)
 
 

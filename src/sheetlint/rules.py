@@ -147,13 +147,18 @@ assert tuple(CATALOG) == ALL_RULE_IDS
 
 def run_rules(workbook: Workbook, graph: DependencyGraph,
               layouts: dict[str, SheetLayout], simp: SimplifierResults,
-              config: AuditConfig) -> tuple[list[Diagnostic], list[SkippedRule]]:
+              config: AuditConfig, *,
+              classes: dict[CellAddress, CellGraphClass] | None = None,
+              cell_classes: dict[CellAddress, NumericCellClass] | None = None,
+              ) -> tuple[list[Diagnostic], list[SkippedRule]]:
     """Evaluate every enabled rule; diagnostics come back deterministically ordered.
 
     Rules never abort the run: a rule that cannot execute on a sheet (no
     format data, for instance) contributes a skipped-rule notice instead.
+    ``classes`` and ``cell_classes`` are the results of ``classify_graph``
+    and ``classify_cells`` for this workbook, computed here when omitted.
     """
-    ctx = _Context(workbook, graph, layouts, simp, config)
+    ctx = _Context(workbook, graph, layouts, simp, config, classes, cell_classes)
     diagnostics: list[Diagnostic] = []
     skipped: list[SkippedRule] = []
     for rule_id, impl in _RULE_IMPLS.items():
@@ -182,15 +187,17 @@ def run_rules(workbook: Workbook, graph: DependencyGraph,
 class _Context:
     def __init__(self, workbook: Workbook, graph: DependencyGraph,
                  layouts: dict[str, SheetLayout], simp: SimplifierResults,
-                 config: AuditConfig) -> None:
+                 config: AuditConfig,
+                 classes: dict[CellAddress, CellGraphClass] | None,
+                 cell_classes: dict[CellAddress, NumericCellClass] | None) -> None:
         self.workbook = workbook
         self.graph = graph
         self.layouts = layouts
         self.simp = simp
         self.config = config
-        self.classes: dict[CellAddress, CellGraphClass] = classify_graph(graph, config)
-        self.cell_classes: dict[CellAddress, NumericCellClass] = (
-            classify_cells(workbook, graph))
+        self.classes = classes if classes is not None else classify_graph(graph, config)
+        self.cell_classes = (cell_classes if cell_classes is not None
+                             else classify_cells(workbook, graph))
         self.cycles = find_cycles(graph)
         self.on_cycle = {addr for cycle in self.cycles for addr in cycle}
         self.flow_exempt = set()

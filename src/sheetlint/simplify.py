@@ -5,6 +5,11 @@ multiply chains, drop written parentheses, factor a common multiplicand out
 of a sum, and collapse a grouped sum of contiguous cells into SUM(range).
 Every emitted suggestion is checked by random evaluation before it leaves
 this module; files are never modified.
+
+``simplify_workbook`` does this for a whole workbook once per copy class
+(formulas equal up to translation) instead of once per cell: the rewrite is
+translated to each copy, and verification runs once per class and alias
+pattern, which gives every copy the verdict it would get on its own.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .formula import (
     print_formula,
     referenced_cells,
     strip_parens,
+    translate,
 )
 from .graph import DependencyGraph
 from .model import CellAddress, CellKind, Workbook
@@ -351,6 +357,86 @@ _STAGES = (
 _MAX_PASSES = 8
 
 
+def _rewrite(ast: FormulaAst) -> tuple[FormulaAst, frozenset[RewriteKind]]:
+    """Apply the stages to a fixpoint; the final AST and the kinds that fired.
+
+    A stage counts as firing only when it changes the printed text, so a
+    stage that reshapes the tree without changing the text adds no kind.
+    """
+    current, current_text = ast, print_formula(ast)
+    kinds: set[RewriteKind] = set()
+    for _ in range(_MAX_PASSES):
+        before = current_text
+        for kind, stage in _STAGES:
+            candidate = stage(current)
+            candidate_text = print_formula(candidate)
+            if candidate_text != current_text:
+                kinds.add(kind)
+                current, current_text = candidate, candidate_text
+        if current_text == before:
+            break
+    return current, frozenset(kinds)
+
+
+def _alias_pattern(original: FormulaAst, rewritten: FormulaAst,
+                   sheet: str) -> tuple:
+    """Which reference slots of the pair name the same cell, and range shapes.
+
+    The slots are the cells of ``original`` then of ``rewritten``, ranges
+    expanded, in the order ``verify_equivalence`` assigns them values; each
+    slot maps to the index of the first slot naming the same cell. Two
+    translated copies of one formula pair with equal patterns get the same
+    random values in corresponding cells, so they get the same verdict.
+    """
+    first: dict[CellAddress, int] = {}
+    slots: list[int] = []
+    shapes: list[tuple[int, int]] = []
+    for ast in (original, rewritten):
+        for ref, _ in extract_references(ast):
+            if isinstance(ref, RangeRef):
+                shapes.append(ref.shape)
+                cells = ref.cells(sheet)
+            else:
+                cells = (ref.resolve(sheet),)
+            for addr in cells:
+                slots.append(first.setdefault(addr, len(slots)))
+    return tuple(slots), tuple(shapes)
+
+
+def _finish(ast: FormulaAst, host: CellAddress, rewritten: FormulaAst,
+            kinds: frozenset[RewriteKind], trials: int,
+            verdicts: dict[tuple, bool] | None = None) -> RewriteSuggestion | None:
+    """Print, re-parse and verify a rewrite of ``host``'s formula.
+
+    With ``verdicts``, verification results are shared between copies of
+    one formula that have the same alias pattern.
+    """
+    original_text = print_formula(ast)
+    suggested_text = print_formula(rewritten)
+    try:
+        parse_formula(suggested_text)
+    except Exception:
+        return None
+    if verdicts is None:
+        verified = verify_equivalence(ast, rewritten, trials=trials, sheet=host.sheet)
+    else:
+        pattern = _alias_pattern(ast, rewritten, host.sheet)
+        verified = verdicts.get(pattern)
+        if verified is None:
+            verified = verdicts[pattern] = verify_equivalence(
+                ast, rewritten, trials=trials, sheet=host.sheet)
+    if not verified:
+        return None
+    return RewriteSuggestion(
+        cell=host,
+        original=original_text,
+        suggested=suggested_text,
+        kinds=kinds,
+        verified=True,
+        char_delta=len(suggested_text) - len(original_text),
+    )
+
+
 def simplify(ast: FormulaAst, host: CellAddress,
              graph: DependencyGraph | None = None,
              trials: int = 100) -> RewriteSuggestion | None:
@@ -359,35 +445,43 @@ def simplify(ast: FormulaAst, host: CellAddress,
     Returns only verified suggestions: the rewritten formula must agree with
     the original on random environments (or be structurally identical).
     """
-    original_text = print_formula(ast)
-    current = ast
-    kinds: set[RewriteKind] = set()
-    for _ in range(_MAX_PASSES):
-        before = print_formula(current)
-        for kind, stage in _STAGES:
-            candidate = stage(current)
-            if print_formula(candidate) != print_formula(current):
-                kinds.add(kind)
-                current = candidate
-        if print_formula(current) == before:
-            break
+    rewritten, kinds = _rewrite(ast)
     if not kinds:
         return None
-    suggested_text = print_formula(current)
-    try:
-        parse_formula(suggested_text)
-    except Exception:
-        return None
-    if not verify_equivalence(ast, current, trials=trials, sheet=host.sheet):
-        return None
-    return RewriteSuggestion(
-        cell=host,
-        original=original_text,
-        suggested=suggested_text,
-        kinds=frozenset(kinds),
-        verified=True,
-        char_delta=len(suggested_text) - len(original_text),
-    )
+    return _finish(ast, host, rewritten, kinds, trials)
+
+
+def simplify_workbook(workbook: Workbook,
+                      trials: int = 100) -> dict[CellAddress, RewriteSuggestion]:
+    """``simplify`` for every formula cell, rewriting once per copy class.
+
+    A copy class is the formulas of one sheet that are equal once their
+    relative references are made host-relative. The rewrite runs on the
+    first member and is translated to the others; each member is still
+    printed and re-parsed, and verified once per alias pattern in its class.
+    The result equals calling ``simplify`` on every cell.
+    """
+    classes: dict[tuple, tuple | None] = {}
+    out: dict[CellAddress, RewriteSuggestion] = {}
+    for sheet in workbook.sheets:
+        for addr, cell in sheet.populated():
+            ast = cell.content.ast
+            if cell.content.kind is not CellKind.FORMULA or ast is None:
+                continue
+            key = (translate(ast, -addr.row, -addr.col), addr.sheet)
+            if key not in classes:
+                rewritten, kinds = _rewrite(ast)
+                classes[key] = ((translate(rewritten, -addr.row, -addr.col), kinds, {})
+                                if kinds else None)
+            entry = classes[key]
+            if entry is None:
+                continue
+            shape, kinds, verdicts = entry
+            suggestion = _finish(ast, addr, translate(shape, addr.row, addr.col),
+                                 kinds, trials, verdicts)
+            if suggestion is not None:
+                out[addr] = suggestion
+    return out
 
 
 # --- nesting -------------------------------------------------------------------
