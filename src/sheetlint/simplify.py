@@ -404,12 +404,12 @@ def _alias_pattern(original: FormulaAst, rewritten: FormulaAst,
 
 
 def _finish(ast: FormulaAst, host: CellAddress, rewritten: FormulaAst,
-            kinds: frozenset[RewriteKind], trials: int,
-            verdicts: dict[tuple, bool] | None = None) -> RewriteSuggestion | None:
+            kinds: frozenset[RewriteKind], verdicts: dict[tuple, bool],
+            trials: int = 100) -> RewriteSuggestion | None:
     """Print, re-parse and verify a rewrite of ``host``'s formula.
 
-    With ``verdicts``, verification results are shared between copies of
-    one formula that have the same alias pattern.
+    ``verdicts`` holds verification results by alias pattern; copies of one
+    formula share it, so each pattern is verified once.
     """
     original_text = print_formula(ast)
     suggested_text = print_formula(rewritten)
@@ -417,14 +417,11 @@ def _finish(ast: FormulaAst, host: CellAddress, rewritten: FormulaAst,
         parse_formula(suggested_text)
     except Exception:
         return None
-    if verdicts is None:
-        verified = verify_equivalence(ast, rewritten, trials=trials, sheet=host.sheet)
-    else:
-        pattern = _alias_pattern(ast, rewritten, host.sheet)
-        verified = verdicts.get(pattern)
-        if verified is None:
-            verified = verdicts[pattern] = verify_equivalence(
-                ast, rewritten, trials=trials, sheet=host.sheet)
+    pattern = _alias_pattern(ast, rewritten, host.sheet)
+    verified = verdicts.get(pattern)
+    if verified is None:
+        verified = verdicts[pattern] = verify_equivalence(
+            ast, rewritten, trials=trials, sheet=host.sheet)
     if not verified:
         return None
     return RewriteSuggestion(
@@ -448,11 +445,10 @@ def simplify(ast: FormulaAst, host: CellAddress,
     rewritten, kinds = _rewrite(ast)
     if not kinds:
         return None
-    return _finish(ast, host, rewritten, kinds, trials)
+    return _finish(ast, host, rewritten, kinds, {}, trials)
 
 
-def simplify_workbook(workbook: Workbook,
-                      trials: int = 100) -> dict[CellAddress, RewriteSuggestion]:
+def simplify_workbook(workbook: Workbook) -> dict[CellAddress, RewriteSuggestion]:
     """``simplify`` for every formula cell, rewriting once per copy class.
 
     A copy class is the formulas of one sheet that are equal once their
@@ -476,9 +472,9 @@ def simplify_workbook(workbook: Workbook,
             entry = classes[key]
             if entry is None:
                 continue
-            shape, kinds, verdicts = entry
-            suggestion = _finish(ast, addr, translate(shape, addr.row, addr.col),
-                                 kinds, trials, verdicts)
+            relative, kinds, verdicts = entry
+            suggestion = _finish(ast, addr, translate(relative, addr.row, addr.col),
+                                 kinds, verdicts)
             if suggestion is not None:
                 out[addr] = suggestion
     return out
