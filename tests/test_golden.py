@@ -1,7 +1,8 @@
-"""Byte-for-byte JSON reports for every bundled fixture.
+"""Byte-for-byte JSON, DOT and text reports for every bundled fixture.
 
-The golden files under tests/golden/ pin ``render_json`` output, so a change
-meant to keep behaviour (a refactor or a speed-up) cannot move the report.
+The golden files under tests/golden/ pin ``render_json``, ``render_dot`` and
+``render_text`` output, so a change meant to keep behaviour (a refactor or a
+speed-up) cannot move the report.
 Each fixture is audited with the configuration scripts/audit_fixtures.py
 gives it, and the default configuration otherwise.
 
@@ -18,7 +19,7 @@ import pytest
 
 from sheetlint.config import AuditConfig
 from sheetlint.loaders import load_workbook
-from sheetlint.report import audit_workbook, render_json
+from sheetlint.report import audit_workbook, render_dot, render_json, render_text
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -36,23 +37,47 @@ def _stage_configs() -> dict[str, AuditConfig]:
 
 CONFIGS = _stage_configs()
 NAMES = sorted(p.name for p in FIXTURES.glob("*.wb") if p.name not in SKIP)
+# format -> (golden file suffix, renderer of an AuditResult)
+FORMATS = {
+    "json": (".json", lambda result: render_json([result.report])),
+    "dot": (".dot", render_dot),
+    "text": (".txt", lambda result: render_text(result.report)),
+}
 
 
-def render(name: str) -> str:
+def render(name: str, fmt: str) -> str:
     config = CONFIGS.get(name, AuditConfig())
     result = audit_workbook(load_workbook(FIXTURES / name), config,
                             input_path=name)
-    return render_json([result.report])
+    return FORMATS[fmt][1](result)
+
+
+def golden_path(name: str, fmt: str) -> Path:
+    return GOLDEN / (Path(name).stem + FORMATS[fmt][0])
+
+
+def check(name: str, fmt: str) -> None:
+    assert render(name, fmt) == golden_path(name, fmt).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_json_matches_golden(name):
-    golden = GOLDEN / (Path(name).stem + ".json")
-    assert render(name) == golden.read_text(encoding="utf-8")
+    check(name, "json")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_dot_matches_golden(name):
+    check(name, "dot")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_text_matches_golden(name):
+    check(name, "text")
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for fixture in NAMES:
-        (GOLDEN / (Path(fixture).stem + ".json")).write_text(
-            render(fixture), encoding="utf-8")
+        for fmt in FORMATS:
+            golden_path(fixture, fmt).write_text(render(fixture, fmt),
+                                                 encoding="utf-8")
