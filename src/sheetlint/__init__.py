@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .config import AuditConfig, Severity
 from .loaders import LoadError, load_text, load_workbook, load_xlsx
-from .model import CellAddress, Workbook, parse_a1, print_a1
+from .model import CellAddress, Workbook, parse_a1
 from .report import audit_workbook, render_json, render_text
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "load_workbook",
     "load_xlsx",
     "parse_a1",
-    "print_a1",
     "render_json",
     "render_text",
 ]

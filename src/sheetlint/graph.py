@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import AuditConfig
 from .formula import (
@@ -20,10 +20,6 @@ from .formula import (
 from .model import CellAddress, CellKind, Workbook, parse_a1
 
 MAX_RANGE_CELLS = 100_000  # refuse to expand anything larger
-
-
-class NoSuchCell(KeyError):
-    """The requested cell is not a node of the graph."""
 
 
 @dataclass
@@ -51,25 +47,40 @@ class CellGraphClass:
 
 
 class DependencyGraph:
-    """Directed graph with arcs precedent -> dependent, ranges expanded."""
+    """Directed graph with arcs precedent -> dependent, ranges expanded.
+
+    Each arc is stored once, in ``dependent -> {precedent: origin}``; the
+    origin is the range or name text the arc came through (the first one
+    seen), or None for a direct reference. ``_dependents`` is the reverse
+    adjacency. ``cycles`` is set by ``build_graph``.
+    """
 
     def __init__(self, sheet_order: list[str],
                  defined_names: dict[str, object]) -> None:
         self.sheet_order = sheet_order
+        self._sheet_index: dict[str, int] = {}
+        for i, name in enumerate(sheet_order):
+            self._sheet_index.setdefault(name.lower(), i)
         self.defined_names = {k.upper(): v for k, v in defined_names.items()}
         self.nodes: dict[CellAddress, NodeInfo] = {}
-        self.arcs: set[tuple[CellAddress, CellAddress]] = set()
-        self._precedents: dict[CellAddress, list[CellAddress]] = {}
+        self._precedents: dict[CellAddress, dict[CellAddress, str | None]] = {}
         self._dependents: dict[CellAddress, list[CellAddress]] = {}
-        self.range_origin: dict[tuple[CellAddress, CellAddress], str | None] = {}
         self.unresolved: dict[CellAddress, list[str]] = {}
+        self.cycles: list[list[CellAddress]] = []
+
+    @property
+    def arcs(self) -> set[tuple[CellAddress, CellAddress]]:
+        """Every arc as ``(precedent, dependent)``; built on each access."""
+        return {(p, d) for d, incoming in self._precedents.items() for p in incoming}
+
+    @property
+    def range_origin(self) -> dict[tuple[CellAddress, CellAddress], str | None]:
+        """Origin of every arc keyed by ``(precedent, dependent)``; built on each access."""
+        return {(p, d): origin for d, incoming in self._precedents.items()
+                for p, origin in incoming.items()}
 
     def sheet_index(self, name: str) -> int:
-        low = name.lower()
-        for i, s in enumerate(self.sheet_order):
-            if s.lower() == low:
-                return i
-        return len(self.sheet_order)
+        return self._sheet_index.get(name.lower(), len(self.sheet_order))
 
     def addr_key(self, addr: CellAddress) -> tuple[int, int, int]:
         return (self.sheet_index(addr.sheet), addr.row, addr.col)
@@ -79,14 +90,15 @@ class DependencyGraph:
 
     def add_arc(self, precedent: CellAddress, dependent: CellAddress,
                 origin: str | None = None) -> None:
-        if (precedent, dependent) not in self.arcs:
-            self.arcs.add((precedent, dependent))
-            self._precedents.setdefault(dependent, []).append(precedent)
+        incoming = self._precedents.setdefault(dependent, {})
+        if precedent not in incoming:
+            incoming[precedent] = origin
             self._dependents.setdefault(precedent, []).append(dependent)
-        self.range_origin.setdefault((precedent, dependent), origin)
 
-    def precedents_of(self, addr: CellAddress) -> list[CellAddress]:
-        return self._precedents.get(addr, [])
+    def precedents_of(self, addr: CellAddress) -> dict[CellAddress, str | None]:
+        """Precedents of ``addr`` in the order first linked, each mapped to its
+        origin. The graph's own map: read it, do not change it."""
+        return self._precedents.get(addr, {})
 
     def dependents_of(self, addr: CellAddress) -> list[CellAddress]:
         return self._dependents.get(addr, [])
@@ -150,64 +162,55 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                 info.interpreted_output_shape = _interpreted_output_shape(cell.content.ast)
             graph.add_node(addr, info)
 
-    sheet_names = {s.name.lower(): s for s in workbook.sheets}
-
-    def target_exists(target: CellAddress) -> bool:
-        sheet = sheet_names.get(target.sheet.lower())
-        if sheet is None:
-            return False
-        return not sheet.content_at(target.row, target.col).is_empty
+    sheet_names = {s.name.lower() for s in workbook.sheets}
 
     def link(target: CellAddress, dependent: CellAddress, origin: str | None) -> None:
         if target not in graph.nodes:
             graph.add_node(target, NodeInfo(kind=CellKind.EMPTY, blank=True))
         graph.add_arc(target, dependent, origin)
 
-    for sheet in workbook.sheets:
-        for addr, cell in sheet.populated():
-            if cell.content.kind is not CellKind.FORMULA or cell.content.ast is None:
-                continue
-            ast = cell.content.ast
-            problems: list[str] = []
-            for ref, _ in extract_references(ast):
-                if isinstance(ref, RangeRef):
-                    ref_sheet = ref.start.sheet if ref.start.sheet is not None else sheet.name
-                    if ref_sheet.lower() not in sheet_names:
-                        problems.append(f"unknown sheet {ref_sheet!r}")
-                        continue
-                    if ref.size > MAX_RANGE_CELLS:
-                        problems.append(f"range too large to expand "
-                                        f"({ref.size} cells)")
-                        continue
-                    origin = print_formula(ref, leading_eq=False)
-                    for target in ref.cells(sheet.name):
-                        link(target, addr, origin)
-                else:
-                    target = ref.resolve(sheet.name)
-                    if target.sheet.lower() not in sheet_names:
-                        problems.append(f"unknown sheet {target.sheet!r}")
-                        continue
-                    link(target, addr, None)
-            for node in iter_nodes(ast):
-                if isinstance(node, NameRef):
-                    resolved = graph.defined_names.get(node.name.upper())
-                    if resolved is None:
-                        problems.append(f"unknown name {node.name!r}")
-                    elif isinstance(resolved, CellAddress):
-                        link(resolved, addr, node.name)
-                    elif isinstance(resolved, tuple):
-                        start, end = resolved
-                        for row in range(start.row, end.row + 1):
-                            for col in range(start.col, end.col + 1):
-                                link(CellAddress(start.sheet, row, col), addr, node.name)
-            if problems:
-                graph.unresolved[addr] = problems
+    for addr, ast in workbook.formula_asts():
+        problems: list[str] = []
+        for ref, _ in extract_references(ast):
+            if isinstance(ref, RangeRef):
+                ref_sheet = ref.start.sheet if ref.start.sheet is not None else addr.sheet
+                if ref_sheet.lower() not in sheet_names:
+                    problems.append(f"unknown sheet {ref_sheet!r}")
+                    continue
+                if ref.size > MAX_RANGE_CELLS:
+                    problems.append(f"range too large to expand "
+                                    f"({ref.size} cells)")
+                    continue
+                origin = print_formula(ref, leading_eq=False)
+                for target in ref.cells(addr.sheet):
+                    link(target, addr, origin)
+            else:
+                target = ref.resolve(addr.sheet)
+                if target.sheet.lower() not in sheet_names:
+                    problems.append(f"unknown sheet {target.sheet!r}")
+                    continue
+                link(target, addr, None)
+        for node in iter_nodes(ast):
+            if isinstance(node, NameRef):
+                resolved = graph.defined_names.get(node.name.upper())
+                if resolved is None:
+                    problems.append(f"unknown name {node.name!r}")
+                elif isinstance(resolved, CellAddress):
+                    link(resolved, addr, node.name)
+                elif isinstance(resolved, tuple):
+                    start, end = resolved
+                    for row in range(start.row, end.row + 1):
+                        for col in range(start.col, end.col + 1):
+                            link(CellAddress(start.sheet, row, col), addr, node.name)
+        if problems:
+            graph.unresolved[addr] = problems
 
-            bare = strip_parens(ast)
-            if isinstance(bare, CellRef):
-                target = bare.resolve(sheet.name)
-                if target != addr and target.sheet.lower() in sheet_names:
-                    graph.nodes[addr].bare_ref = target
+        bare = strip_parens(ast)
+        if isinstance(bare, CellRef):
+            target = bare.resolve(addr.sheet)
+            if target != addr and target.sheet.lower() in sheet_names:
+                graph.nodes[addr].bare_ref = target
+    graph.cycles = find_cycles(graph)
     return graph
 
 
@@ -265,7 +268,7 @@ def find_cycles(graph: DependencyGraph) -> list[list[CellAddress]]:
                     comp.append(w)
                     if w == v:
                         break
-                if len(comp) > 1 or (v, v) in graph.arcs:
+                if len(comp) > 1 or v in graph.precedents_of(v):
                     comp.sort(key=graph.addr_key)
                     sccs.append(comp)
     sccs.sort(key=lambda c: graph.addr_key(c[0]))
@@ -345,11 +348,9 @@ def classify_graph(graph: DependencyGraph,
     """
     classes = {addr: CellGraphClass() for addr in graph.nodes}
 
-    on_cycle: set[CellAddress] = set()
-    for cycle in find_cycles(graph):
-        on_cycle.update(cycle)
-    for addr in on_cycle:
-        classes[addr].on_cycle = True
+    for cycle in graph.cycles:
+        for addr in cycle:
+            classes[addr].on_cycle = True
 
     bottom = resolve_bottom_line(graph, config)
     for addr in bottom:
@@ -403,48 +404,10 @@ def classify_graph(graph: DependencyGraph,
     return classes
 
 
-@dataclass
-class PrecedenceNode:
-    cell: CellAddress
-    arc_length: int | None = None  # Chebyshev from the dependent; None cross-sheet
-    cycle: bool = False
-    children: list["PrecedenceNode"] = field(default_factory=list)
-
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-
 def arc_chebyshev(a: CellAddress, b: CellAddress) -> int | None:
     if a.sheet.lower() != b.sheet.lower():
         return None
     return max(abs(a.row - b.row), abs(a.col - b.col))
-
-
-def precedence_tree(graph: DependencyGraph, root: CellAddress,
-                    depth: int | None = None) -> PrecedenceNode:
-    """Transitive precedents of ``root`` as a tree; cycles cut with a marker."""
-    if root not in graph.nodes:
-        raise NoSuchCell(root.qualified())
-
-    def build(addr: CellAddress, path: set[CellAddress],
-              remaining: int | None) -> PrecedenceNode:
-        node = PrecedenceNode(addr)
-        if remaining is not None and remaining <= 0:
-            return node
-        for p in sorted(graph.precedents_of(addr), key=graph.addr_key):
-            if p in path:
-                node.children.append(
-                    PrecedenceNode(p, arc_length=arc_chebyshev(p, addr), cycle=True))
-                continue
-            child = build(p, path | {p},
-                          None if remaining is None else remaining - 1)
-            child.arc_length = arc_chebyshev(p, addr)
-            node.children.append(child)
-        return node
-
-    return build(root, {root}, depth)
 
 
 def _dot_id(addr: CellAddress) -> str:
@@ -470,7 +433,8 @@ def export_dot(graph: DependencyGraph,
     dashed.
     """
     classes = classes or {}
-    participating = {a for arc in graph.arcs for a in arc}
+    arcs = graph.arcs
+    participating = {a for arc in arcs for a in arc}
     for addr, cls in classes.items():
         if cls.any_flag:
             participating.add(addr)
@@ -490,7 +454,7 @@ def export_dot(graph: DependencyGraph,
             if cls.bottom_line:
                 attrs.append('shape="doubleoctagon"')
         lines.append(f'  "{_dot_id(addr)}" [{", ".join(attrs)}];')
-    for precedent, dependent in sorted(graph.arcs,
+    for precedent, dependent in sorted(arcs,
                                        key=lambda pd: (graph.addr_key(pd[0]),
                                                        graph.addr_key(pd[1]))):
         attrs = ""

@@ -87,6 +87,19 @@ def _parse_fmt(spec: str, base: CellFormat, path: str, lineno: int) -> CellForma
     return fmt
 
 
+def _set_declared_extent(sheet: Sheet, declared: CellAddress | None) -> None:
+    """The declared extent, grown to cover every stored cell of the sheet."""
+    extent = full_extent(sheet)
+    if declared is None:
+        sheet.declared_extent = extent
+    elif extent is None:
+        sheet.declared_extent = declared
+    else:
+        sheet.declared_extent = CellAddress(
+            sheet.name, max(declared.row, extent.row),
+            max(declared.col, extent.col))
+
+
 def load_text_string(text: str, path: str = "<string>") -> Workbook:
     """Parse the fixture grammar from a string; see load_text."""
     workbook = Workbook()
@@ -175,16 +188,7 @@ def load_text_string(text: str, path: str = "<string>") -> Workbook:
     finish_sheet()
 
     for sheet in workbook.sheets:
-        declared = dimensions.get(sheet.name)
-        extent = full_extent(sheet)
-        if declared is None:
-            sheet.declared_extent = extent
-        elif extent is None:
-            sheet.declared_extent = declared
-        else:
-            sheet.declared_extent = CellAddress(
-                sheet.name, max(declared.row, extent.row),
-                max(declared.col, extent.col))
+        _set_declared_extent(sheet, dimensions.get(sheet.name))
     return workbook
 
 
@@ -424,7 +428,7 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
     shared: dict[str, tuple[object, int, int]] = {}
     data = root.find(_tag("sheetData"))
     if data is None:
-        sheet.declared_extent = declared or full_extent(sheet)
+        _set_declared_extent(sheet, declared)
         return
     for row_el in data.findall(_tag("row")):
         if row_el.get("hidden") in ("1", "true"):
@@ -499,15 +503,7 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
             elif not fmt.is_default():
                 sheet.merge_format(addr.row, addr.col, fmt)
 
-    extent = full_extent(sheet)
-    if declared is None:
-        sheet.declared_extent = extent
-    elif extent is None:
-        sheet.declared_extent = declared
-    else:
-        sheet.declared_extent = CellAddress(
-            sheet.name, max(declared.row, extent.row),
-            max(declared.col, extent.col))
+    _set_declared_extent(sheet, declared)
 
 
 def load_workbook(path: str | Path, input_format: str = "auto") -> Workbook:

@@ -96,11 +96,6 @@ def parse_a1(text: str, default_sheet: str = "") -> CellAddress:
     return CellAddress(sheet, row, col)
 
 
-def print_a1(addr: CellAddress) -> str:
-    """Inverse of :func:`parse_a1`: qualified when the address names a sheet."""
-    return addr.qualified()
-
-
 class CellKind(Enum):
     EMPTY = "empty"
     NUMBER = "number"
@@ -250,12 +245,12 @@ class Workbook:
                 return sheet
         return None
 
-    def sheet_index(self, name: str) -> int:
-        low = name.lower()
-        for i, sheet in enumerate(self.sheets):
-            if sheet.name.lower() == low:
-                return i
-        return -1
+    def formula_asts(self) -> Iterator[tuple[CellAddress, object]]:
+        """``(address, ast)`` of every parsed formula, by sheet then row-major."""
+        for sheet in self.sheets:
+            for addr, cell in sheet.populated():
+                if cell.content.kind is CellKind.FORMULA and cell.content.ast is not None:
+                    yield addr, cell.content.ast
 
     def add_sheet(self, name: str) -> Sheet:
         if not name:

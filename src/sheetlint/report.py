@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -14,7 +15,6 @@ from .model import (
     NumericCellClass,
     Workbook,
     classify_cells,
-    content_extent,
     numeric_cell_count,
 )
 from .rules import (
@@ -87,14 +87,15 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
     except EmptyWorkbookError:
         score = None
 
+    per_sheet: dict[str, Counter[NumericCellClass]] = {
+        sheet.name: Counter() for sheet in workbook.sheets}
+    for addr, cls in cell_classes.items():
+        per_sheet[addr.sheet][cls] += 1
     summaries = []
     for sheet in workbook.sheets:
-        per_class = {cls: 0 for cls in NumericCellClass}
-        for addr, cls in cell_classes.items():
-            if addr.sheet == sheet.name:
-                per_class[cls] += 1
-        extent = content_extent(sheet)
+        per_class = per_sheet[sheet.name]
         layout = layouts[sheet.name]
+        extent = layout.relics.content_extent
         summaries.append(SheetSummary(
             name=sheet.name,
             numeric_formulas=per_class[NumericCellClass.NUMERIC_FORMULA],

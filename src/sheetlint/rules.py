@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import ALL_RULE_IDS, AuditConfig, Severity
@@ -20,7 +21,6 @@ from .graph import (
     DependencyGraph,
     arc_chebyshev,
     classify_graph,
-    find_cycles,
     is_backward,
 )
 from .layout import SheetLayout, Stacking
@@ -198,8 +198,7 @@ class _Context:
         self.classes = classes if classes is not None else classify_graph(graph, config)
         self.cell_classes = (cell_classes if cell_classes is not None
                              else classify_cells(workbook, graph))
-        self.cycles = find_cycles(graph)
-        self.on_cycle = {addr for cycle in self.cycles for addr in cycle}
+        self.on_cycle = {addr for cycle in graph.cycles for addr in cycle}
         self.flow_exempt = set()
         for entry in config.flow_exempt:
             addr = parse_a1(entry)
@@ -229,18 +228,10 @@ class _Context:
             guideline=info.guideline,
         )
 
-    def formula_cells_with_ast(self):
-        for sheet in self.workbook.sheets:
-            for addr, cell in sheet.populated():
-                if (cell.content.kind is CellKind.FORMULA
-                        and cell.content.ast is not None):
-                    yield sheet, addr, cell.content.ast
-
     def grouped_precedents(self, dependent: CellAddress):
         """Precedents grouped by originating range so messages stay readable."""
         groups: dict[str | None, list[CellAddress]] = {}
-        for p in self.graph.precedents_of(dependent):
-            origin = self.graph.range_origin.get((p, dependent))
+        for p, origin in self.graph.precedents_of(dependent).items():
             groups.setdefault(origin, []).append(p)
         return groups
 
@@ -287,7 +278,8 @@ def _r02_long_arc(ctx: _Context, sheets) -> list[Diagnostic]:
     limit = ctx.config.long_arc_distance
     for addr in ctx.graph.formula_cells():
         worst: tuple[int, CellAddress] | None = None
-        for p in ctx.graph.precedents_of(addr):
+        precedents = ctx.graph.precedents_of(addr)
+        for p in precedents:
             d = arc_chebyshev(p, addr)
             if d is None or d <= limit:
                 continue
@@ -296,7 +288,7 @@ def _r02_long_arc(ctx: _Context, sheets) -> list[Diagnostic]:
         if worst is None:
             continue
         distance, p = worst
-        origin = ctx.graph.range_origin.get((p, addr))
+        origin = precedents[p]
         source = origin if origin else p.qualified()
         out.append(ctx.emit(
             "R02", addr.sheet, addr,
@@ -382,7 +374,7 @@ def _r06_perverse(ctx: _Context, sheets) -> list[Diagnostic]:
 def _r07_constants(ctx: _Context, sheets) -> list[Diagnostic]:
     out = []
     allow = ctx.config.constant_allowlist
-    for sheet, addr, ast in ctx.formula_cells_with_ast():
+    for addr, ast in ctx.workbook.formula_asts():
         if not extract_references(ast):
             continue
         literals = [n for n in iter_nodes(ast)
@@ -425,7 +417,7 @@ def _r08_relics(ctx: _Context, sheets) -> list[Diagnostic]:
 
 def _r09_cycles(ctx: _Context, sheets) -> list[Diagnostic]:
     out = []
-    for cycle in ctx.cycles:
+    for cycle in ctx.graph.cycles:
         path = " -> ".join(c.qualified() for c in cycle + [cycle[0]])
         out.append(ctx.emit(
             "R09", cycle[0].sheet, cycle[0],
@@ -640,7 +632,7 @@ def _r20_simplifiable(ctx: _Context, sheets) -> list[Diagnostic]:
 
 def _r21_label_formula(ctx: _Context, sheets) -> list[Diagnostic]:
     out = []
-    for sheet, addr, ast in ctx.formula_cells_with_ast():
+    for addr, ast in ctx.workbook.formula_asts():
         if _produces_text(ast):
             out.append(ctx.emit(
                 "R21", addr.sheet, addr,
@@ -680,36 +672,36 @@ def _r22_blank_space(ctx: _Context, sheets) -> list[Diagnostic]:
 
 def _r23_formula_refs(ctx: _Context, sheets) -> list[Diagnostic]:
     out = []
-    formulas = {addr for addr, info in ctx.graph.nodes.items()
-                if info.kind is CellKind.FORMULA}
+    nodes = ctx.graph.nodes
+    total: Counter[str] = Counter()
+    into_formulas: Counter[str] = Counter()
+    for d in nodes:
+        precedents = ctx.graph.precedents_of(d)
+        if precedents:
+            total[d.sheet.lower()] += len(precedents)
+            into_formulas[d.sheet.lower()] += sum(
+                1 for p in precedents if nodes[p].kind is CellKind.FORMULA)
     for sheet in ctx.workbook.sheets:
-        total = 0
-        into_formulas = 0
-        for p, d in ctx.graph.arcs:
-            if d.sheet.lower() != sheet.name.lower():
-                continue
-            total += 1
-            if p in formulas:
-                into_formulas += 1
-        if total and into_formulas:
+        key = sheet.name.lower()
+        if total[key] and into_formulas[key]:
             out.append(ctx.emit(
                 "R23", sheet.name, None,
-                f"{into_formulas / total:.0%} of references target formula "
+                f"{into_formulas[key] / total[key]:.0%} of references target formula "
                 f"cells rather than constants"))
     return out
 
 
 def _r24_ref_order(ctx: _Context, sheets) -> list[Diagnostic]:
     out = []
-    for sheet, addr, ast in ctx.formula_cells_with_ast():
+    for addr, ast in ctx.workbook.formula_asts():
         keys = []
         for ref, _ in extract_references(ast):
             start = ref.start if isinstance(ref, RangeRef) else ref
-            target_sheet = start.sheet if start.sheet is not None else sheet.name
+            target_sheet = start.sheet if start.sheet is not None else addr.sheet
             keys.append((ctx.graph.sheet_index(target_sheet), start.row, start.col))
         if any(b < a for a, b in zip(keys, keys[1:])):
             listed = ", ".join(
-                (r.start if isinstance(r, RangeRef) else r).resolve(sheet.name).a1()
+                (r.start if isinstance(r, RangeRef) else r).resolve(addr.sheet).a1()
                 for r, _ in extract_references(ast)[:6])
             out.append(ctx.emit(
                 "R24", addr.sheet, addr,

@@ -41,7 +41,7 @@ from .formula import (
     translate,
 )
 from .graph import DependencyGraph
-from .model import CellAddress, CellKind, Workbook
+from .model import CellAddress, Workbook
 
 
 class RewriteKind(str, Enum):
@@ -459,24 +459,20 @@ def simplify_workbook(workbook: Workbook) -> dict[CellAddress, RewriteSuggestion
     """
     classes: dict[tuple, tuple | None] = {}
     out: dict[CellAddress, RewriteSuggestion] = {}
-    for sheet in workbook.sheets:
-        for addr, cell in sheet.populated():
-            ast = cell.content.ast
-            if cell.content.kind is not CellKind.FORMULA or ast is None:
-                continue
-            key = (translate(ast, -addr.row, -addr.col), addr.sheet)
-            if key not in classes:
-                rewritten, kinds = _rewrite(ast)
-                classes[key] = ((translate(rewritten, -addr.row, -addr.col), kinds, {})
-                                if kinds else None)
-            entry = classes[key]
-            if entry is None:
-                continue
-            relative, kinds, verdicts = entry
-            suggestion = _finish(ast, addr, translate(relative, addr.row, addr.col),
-                                 kinds, verdicts)
-            if suggestion is not None:
-                out[addr] = suggestion
+    for addr, ast in workbook.formula_asts():
+        key = (translate(ast, -addr.row, -addr.col), addr.sheet)
+        if key not in classes:
+            rewritten, kinds = _rewrite(ast)
+            classes[key] = ((translate(rewritten, -addr.row, -addr.col), kinds, {})
+                            if kinds else None)
+        entry = classes[key]
+        if entry is None:
+            continue
+        relative, kinds, verdicts = entry
+        suggestion = _finish(ast, addr, translate(relative, addr.row, addr.col),
+                             kinds, verdicts)
+        if suggestion is not None:
+            out[addr] = suggestion
     return out
 
 
@@ -612,12 +608,7 @@ def nest_candidates(graph: DependencyGraph, workbook: Workbook,
     ``max_len`` characters, or that are referenced through a range, are
     dropped.
     """
-    asts: dict[CellAddress, FormulaAst] = {}
-    for sheet in workbook.sheets:
-        for addr, cell in sheet.populated():
-            if cell.content.kind is CellKind.FORMULA and cell.content.ast is not None:
-                asts[addr] = cell.content.ast
-
+    asts = dict(workbook.formula_asts())
     out: list[NestCandidate] = []
     for source in graph.formula_cells():
         dependents = sorted(set(graph.dependents_of(source)), key=graph.addr_key)
@@ -655,12 +646,7 @@ def plan_nesting(workbook: Workbook, graph: DependencyGraph,
     SUMPRODUCT terms, and the length gate applies to the tidied text, so long
     intermediate states that collapse back down are allowed through.
     """
-    asts: dict[CellAddress, FormulaAst] = {}
-    sheets = {s.name: s for s in workbook.sheets}
-    for sheet in workbook.sheets:
-        for addr, cell in sheet.populated():
-            if cell.content.kind is CellKind.FORMULA and cell.content.ast is not None:
-                asts[addr] = cell.content.ast
+    asts = dict(workbook.formula_asts())
 
     def dependents_map() -> dict[CellAddress, set[CellAddress]]:
         deps: dict[CellAddress, set[CellAddress]] = {}

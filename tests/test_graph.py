@@ -1,6 +1,6 @@
 import random
+import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,16 +8,16 @@ from helpers import assert_valid_dot, brute_force_classify, gen_workbook
 
 from sheetlint.config import AuditConfig
 from sheetlint.graph import (
-    NoSuchCell,
     build_graph,
     classify_graph,
     export_dot,
     find_cycles,
     is_backward,
-    precedence_tree,
 )
 from sheetlint.loaders import load_text_string
 from sheetlint.model import CellAddress, Workbook
+from sheetlint.report import audit_workbook
+from sheetlint.rules import SimplifierResults, _Context
 
 
 def wb_from(text):
@@ -225,66 +225,6 @@ def test_acyclic_graph_no_cycles():
     assert find_cycles(build_graph(wb_from(text))) == []
 
 
-def test_precedence_tree_constant_leaves():
-    text = """[sheet S]
-A1 num 1
-A2 num 2
-B1 formula =A1+A2
-C1 formula =B1*2
-"""
-    graph = build_graph(wb_from(text))
-    tree = precedence_tree(graph, addr("S", "C1"))
-    leaves = [n.cell.a1() for n in tree.walk() if not n.children and not n.cycle]
-    assert sorted(leaves) == ["A1", "A2"]
-
-
-def test_precedence_tree_single_node():
-    graph = build_graph(wb_from("[sheet S]\nA1 num 5\nB1 formula =A1\n"))
-    tree = precedence_tree(graph, addr("S", "A1"))
-    assert tree.children == []
-
-
-def test_precedence_tree_cycle_marker():
-    graph = build_graph(wb_from("[sheet S]\nA1 formula =B1\nB1 formula =A1\n"))
-    tree = precedence_tree(graph, addr("S", "A1"))
-    marks = [n for n in tree.walk() if n.cycle]
-    assert marks and marks[0].cell.a1() == "A1"
-    depths = {n.cell.a1() for n in tree.walk()}
-    assert depths == {"A1", "B1"}
-
-
-def test_precedence_tree_depth_limit():
-    text = "[sheet S]\nA1 num 1\nB1 formula =A1\nC1 formula =B1\n"
-    graph = build_graph(wb_from(text))
-    tree = precedence_tree(graph, addr("S", "C1"), depth=1)
-    cells = {n.cell.a1() for n in tree.walk()}
-    assert cells == {"C1", "B1"}
-
-
-def test_precedence_tree_matches_reverse_bfs():
-    rng = random.Random(11)
-    wb, _ = gen_workbook(rng)
-    graph = build_graph(wb)
-    for root in graph.formula_cells()[:5]:
-        tree = precedence_tree(graph, root)
-        tree_cells = {n.cell for n in tree.walk()}
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            current = frontier.pop()
-            for p in graph.precedents_of(current):
-                if p not in seen:
-                    seen.add(p)
-                    frontier.append(p)
-        assert tree_cells == seen
-
-
-def test_precedence_tree_unknown_root():
-    graph = build_graph(wb_from("[sheet S]\nA1 num 1\n"))
-    with pytest.raises(NoSuchCell):
-        precedence_tree(graph, addr("S", "Z99"))
-
-
 def test_export_dot_two_nodes():
     graph = build_graph(wb_from("[sheet Model]\nA1 num 1\nB2 formula =A1\n"))
     dot = export_dot(graph, classify_graph(graph, AuditConfig()))
@@ -331,6 +271,40 @@ def test_classification_matches_brute_force(seed):
         assert got.dangling == expected["dangling"], (row, col)
     blanks = {(a.row, a.col) for a in graph.blank_nodes()}
     assert blanks == perverse
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=60)
+def test_arc_views_and_origin_groups_agree(seed):
+    wb, _ = gen_workbook(random.Random(seed))
+    graph = build_graph(wb)
+    origins = graph.range_origin
+    assert set(origins) == graph.arcs
+    assert graph.cycles == find_cycles(graph)
+    ctx = _Context(wb, graph, {}, SimplifierResults(), AuditConfig(), None, None)
+    for dependent in graph.nodes:
+        precedents = list(graph.precedents_of(dependent))
+        groups = ctx.grouped_precedents(dependent)
+        assert sum(len(g) for g in groups.values()) == len(precedents)
+        for origin, group in groups.items():
+            assert group == [p for p in precedents
+                             if origins[(p, dependent)] == origin]
+
+
+def test_audit_finds_cycles_once(monkeypatch):
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return find_cycles(graph)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sheetlint") and hasattr(module, "find_cycles"):
+            monkeypatch.setattr(module, "find_cycles", counting)
+    wb = wb_from("[sheet S]\nA1 formula =B1+1\nB1 formula =A1\nC1 formula =C1\n")
+    result = audit_workbook(wb)
+    assert len(calls) == 1
+    assert sum(d.rule == "R09" for d in result.report.diagnostics) == 2
 
 
 def test_spurious_and_dangling_conjunction():

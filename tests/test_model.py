@@ -16,7 +16,6 @@ from sheetlint.model import (
     col_number,
     content_extent,
     parse_a1,
-    print_a1,
 )
 
 
@@ -66,7 +65,7 @@ def test_col_bounds():
        st.sampled_from(["", "Model", "My Sheet", "Data_2"]))
 def test_address_round_trip(row, col, sheet):
     addr = CellAddress(sheet, row, col)
-    assert parse_a1(print_a1(addr)) == addr
+    assert parse_a1(addr.qualified()) == addr
 
 
 def _sheet_with(cells):
