@@ -149,9 +149,23 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     References to cells that hold nothing become flagged blank nodes;
     references that cannot be resolved at all (missing sheets, unknown
     names, oversized ranges) are recorded per formula, never raised.
+    Sheet names in references match case-insensitively; every node carries
+    the workbook's own spelling of its sheet name.
     """
-    graph = DependencyGraph([s.name for s in workbook.sheets],
-                            dict(workbook.defined_names))
+    spelling = {s.name.lower(): s.name for s in workbook.sheets}
+
+    def respell(addr: CellAddress) -> CellAddress:
+        sheet = spelling.get(addr.sheet.lower(), addr.sheet)
+        return addr if sheet == addr.sheet else CellAddress(sheet, addr.row, addr.col)
+
+    names: dict[str, object] = {}
+    for name, target in workbook.defined_names.items():
+        if isinstance(target, CellAddress):
+            target = respell(target)
+        elif isinstance(target, tuple):
+            target = tuple(map(respell, target))
+        names[name] = target
+    graph = DependencyGraph([s.name for s in workbook.sheets], names)
     for sheet in workbook.sheets:
         for addr, cell in sheet.populated():
             info = NodeInfo(kind=cell.content.kind)
@@ -162,34 +176,33 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                 info.interpreted_output_shape = _interpreted_output_shape(cell.content.ast)
             graph.add_node(addr, info)
 
-    sheet_names = {s.name.lower() for s in workbook.sheets}
-
     def link(target: CellAddress, dependent: CellAddress, origin: str | None) -> None:
         if target not in graph.nodes:
             graph.add_node(target, NodeInfo(kind=CellKind.EMPTY, blank=True))
         graph.add_arc(target, dependent, origin)
 
+    def link_box(sheet: str, start: CellAddress | CellRef, end: CellAddress | CellRef,
+                 dependent: CellAddress, origin: str) -> None:
+        for row in range(start.row, end.row + 1):
+            for col in range(start.col, end.col + 1):
+                link(CellAddress(sheet, row, col), dependent, origin)
+
     for addr, ast in workbook.formula_asts():
         problems: list[str] = []
         for ref, _ in extract_references(ast):
-            if isinstance(ref, RangeRef):
-                ref_sheet = ref.start.sheet if ref.start.sheet is not None else addr.sheet
-                if ref_sheet.lower() not in sheet_names:
-                    problems.append(f"unknown sheet {ref_sheet!r}")
-                    continue
-                if ref.size > MAX_RANGE_CELLS:
-                    problems.append(f"range too large to expand "
-                                    f"({ref.size} cells)")
-                    continue
-                origin = print_formula(ref, leading_eq=False)
-                for target in ref.cells(addr.sheet):
-                    link(target, addr, origin)
+            first = ref.start if isinstance(ref, RangeRef) else ref
+            ref_sheet = first.sheet if first.sheet is not None else addr.sheet
+            sheet = spelling.get(ref_sheet.lower())
+            if sheet is None:
+                problems.append(f"unknown sheet {ref_sheet!r}")
+            elif isinstance(ref, CellRef):
+                link(CellAddress(sheet, ref.row, ref.col), addr, None)
+            elif ref.size > MAX_RANGE_CELLS:
+                problems.append(f"range too large to expand "
+                                f"({ref.size} cells)")
             else:
-                target = ref.resolve(addr.sheet)
-                if target.sheet.lower() not in sheet_names:
-                    problems.append(f"unknown sheet {target.sheet!r}")
-                    continue
-                link(target, addr, None)
+                link_box(sheet, ref.start, ref.end, addr,
+                         print_formula(ref, leading_eq=False))
         for node in iter_nodes(ast):
             if isinstance(node, NameRef):
                 resolved = graph.defined_names.get(node.name.upper())
@@ -199,16 +212,16 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                     link(resolved, addr, node.name)
                 elif isinstance(resolved, tuple):
                     start, end = resolved
-                    for row in range(start.row, end.row + 1):
-                        for col in range(start.col, end.col + 1):
-                            link(CellAddress(start.sheet, row, col), addr, node.name)
+                    link_box(start.sheet, start, end, addr, node.name)
         if problems:
             graph.unresolved[addr] = problems
 
         bare = strip_parens(ast)
         if isinstance(bare, CellRef):
-            target = bare.resolve(addr.sheet)
-            if target != addr and target.sheet.lower() in sheet_names:
+            sheet = spelling.get((bare.sheet if bare.sheet is not None
+                                  else addr.sheet).lower())
+            target = CellAddress(sheet, bare.row, bare.col) if sheet else None
+            if target is not None and target != addr:
                 graph.nodes[addr].bare_ref = target
     graph.cycles = find_cycles(graph)
     return graph
@@ -430,16 +443,29 @@ def export_dot(graph: DependencyGraph,
 
     Only cells on at least one arc plus flagged cells appear. Spurious cells
     are orange, dangling red, blank targets grey dashed; backward arcs are
-    dashed.
+    dashed. Nodes come in workbook order (sheet, row, column) and arcs by
+    precedent then dependent in that order. A node whose id is already taken
+    by an earlier node gets the suffix ``_2``, ``_3``, ...
     """
     classes = classes or {}
-    arcs = graph.arcs
-    participating = {a for arc in arcs for a in arc}
-    for addr, cls in classes.items():
-        if cls.any_flag:
-            participating.add(addr)
+    participating = set(graph._precedents)
+    participating.update(graph._dependents)
+    participating.update(addr for addr, cls in classes.items() if cls.any_flag)
+    order = sorted(participating,
+                   key=lambda a: (graph.sheet_index(a.sheet), a.row, a.col, a.sheet))
+    rank: dict[CellAddress, int] = {}
+    ids: dict[CellAddress, str] = {}
+    taken: set[str] = set()
     lines = ["digraph sheetlint {"]
-    for addr in sorted(participating, key=graph.addr_key):
+    for addr in order:
+        rank[addr] = len(rank)
+        node_id = base = _dot_id(addr)
+        suffix = 1
+        while node_id in taken:
+            suffix += 1
+            node_id = f"{base}_{suffix}"
+        taken.add(node_id)
+        ids[addr] = node_id
         attrs = [f'label="{addr.sheet}!{addr.a1()}"' if addr.sheet
                  else f'label="{addr.a1()}"']
         cls = classes.get(addr)
@@ -453,13 +479,14 @@ def export_dot(graph: DependencyGraph,
                 attrs.append('color="grey"')
             if cls.bottom_line:
                 attrs.append('shape="doubleoctagon"')
-        lines.append(f'  "{_dot_id(addr)}" [{", ".join(attrs)}];')
-    for precedent, dependent in sorted(arcs,
-                                       key=lambda pd: (graph.addr_key(pd[0]),
-                                                       graph.addr_key(pd[1]))):
-        attrs = ""
-        if is_backward(precedent, dependent):
-            attrs = ' [style="dashed"]'
-        lines.append(f'  "{_dot_id(precedent)}" -> "{_dot_id(dependent)}"{attrs};')
+        lines.append(f'  "{node_id}" [{", ".join(attrs)}];')
+    for precedent in order:
+        dependents = graph.dependents_of(precedent)
+        if not dependents:
+            continue
+        head = f'  "{ids[precedent]}" -> "'
+        for dependent in sorted(dependents, key=rank.__getitem__):
+            attrs = ' [style="dashed"]' if is_backward(precedent, dependent) else ""
+            lines.append(f'{head}{ids[dependent]}"{attrs};')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -104,6 +104,21 @@ def test_dot_output(tmp_path):
     assert '"Model_C51"' in text
 
 
+def test_dot_independent_of_hash_seed_with_sheet_case_mismatch(tmp_path):
+    book = tmp_path / "case.wb"
+    book.write_text("[sheet Sheet1]\nA1 num 3\nB1 formula =sheet1!A1+Sheet1!A1\n")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sheetlint", "--format", "dot", str(book)],
+            capture_output=True, text=True, env=env, cwd=ROOT)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert "sheet1" not in outputs[0]
+
+
 def test_rules_subset_restricts_output():
     proc = run_cli(fixture_path("assign_v2.wb"), "--rules", "R05")
     rules = {line.split("[")[1].split()[0]

@@ -8,6 +8,9 @@ from helpers import assert_valid_dot, brute_force_classify, gen_workbook
 
 from sheetlint.config import AuditConfig
 from sheetlint.graph import (
+    DependencyGraph,
+    NodeInfo,
+    _dot_id,
     build_graph,
     classify_graph,
     export_dot,
@@ -15,7 +18,7 @@ from sheetlint.graph import (
     is_backward,
 )
 from sheetlint.loaders import load_text_string
-from sheetlint.model import CellAddress, Workbook
+from sheetlint.model import CellAddress, CellKind, Workbook
 from sheetlint.report import audit_workbook
 from sheetlint.rules import SimplifierResults, _Context
 
@@ -244,6 +247,111 @@ def test_export_dot_empty_graph():
     dot = export_dot(build_graph(Workbook()), {})
     assert dot == "digraph sheetlint {\n}\n"
     assert_valid_dot(dot)
+
+
+def test_export_dot_colliding_ids_get_suffixes():
+    text = ("[sheet Sheet 1]\nA1 num 1\nB1 formula =A1*2\n"
+            "[sheet Sheet_1]\nA1 num 5\nB1 formula =A1*3\n")
+    graph = build_graph(wb_from(text))
+    dot = export_dot(graph, classify_graph(graph, AuditConfig()))
+    assert '"Sheet_1_A1" [label="Sheet 1!A1"];' in dot
+    assert '"Sheet_1_A1_2" [label="Sheet_1!A1"];' in dot
+    assert '"Sheet_1_A1" -> "Sheet_1_B1";' in dot
+    assert '"Sheet_1_A1_2" -> "Sheet_1_B1_2";' in dot
+    assert dot.count(" -> ") == 2
+    assert_valid_dot(dot)
+
+
+def test_export_dot_third_collision_counts_on():
+    text = "".join(f"[sheet {name}]\nA1 num 1\nB1 formula =A1\n"
+                   for name in ("a b", "a-b", "a_b"))
+    dot = export_dot(build_graph(wb_from(text)), {})
+    ids = [line.split('"')[1] for line in dot.splitlines() if "label=" in line]
+    assert ids == ["a_b_A1", "a_b_B1", "a_b_A1_2", "a_b_B1_2", "a_b_A1_3", "a_b_B1_3"]
+
+
+def test_reference_sheet_case_uses_workbook_spelling():
+    text = "[sheet Sheet1]\nA1 num 3\nB1 formula =sheet1!A1+Sheet1!A1\n"
+    wb = wb_from(text)
+    graph = build_graph(wb)
+    assert graph.arcs == {(addr("Sheet1", "A1"), addr("Sheet1", "B1"))}
+    assert graph.blank_nodes() == []
+    report = audit_workbook(wb, AuditConfig(), input_path="case.wb").report
+    assert not [d for d in report.diagnostics if d.rule == "R06"]
+
+
+def test_range_and_name_sheet_case_use_workbook_spelling():
+    wb = wb_from("[sheet Data]\nA1 num 1\nA2 num 2\n"
+                 "[sheet Calc]\nA1 formula =SUM(DATA!A1:A2)+rate+Span\n")
+    wb.defined_names["Rate"] = CellAddress("data", 1, 1)
+    wb.defined_names["Span"] = (CellAddress("DATA", 1, 1), CellAddress("DATA", 2, 1))
+    graph = build_graph(wb)
+    assert set(graph.precedents_of(addr("Calc", "A1"))) == {
+        addr("Data", "A1"), addr("Data", "A2")}
+    assert graph.blank_nodes() == []
+    assert graph.defined_names["RATE"] == addr("Data", "A1")
+
+
+def test_bare_reference_sheet_case_is_self_reference():
+    graph = build_graph(wb_from("[sheet S]\nA1 formula =s!A1\n"))
+    assert graph.cycles == [[addr("S", "A1")]]
+    assert graph.nodes[addr("S", "A1")].bare_ref is None
+
+
+def _reference_export_dot(graph, classes=None):
+    """The exporter as it was before the one-pass rewrite: one ``_dot_id`` per
+    arc end, arcs sorted by the ``addr_key`` of both ends."""
+    classes = classes or {}
+    arcs = graph.arcs
+    participating = {a for arc in arcs for a in arc}
+    for a, cls in classes.items():
+        if cls.any_flag:
+            participating.add(a)
+    lines = ["digraph sheetlint {"]
+    for a in sorted(participating, key=graph.addr_key):
+        attrs = [f'label="{a.sheet}!{a.a1()}"' if a.sheet else f'label="{a.a1()}"']
+        cls = classes.get(a)
+        if cls is not None:
+            if cls.spurious:
+                attrs.append('color="orange"')
+            if cls.dangling:
+                attrs.append('color="red"')
+            if cls.perverse_target or (a in graph.nodes and graph.nodes[a].blank):
+                attrs.append('style="dashed"')
+                attrs.append('color="grey"')
+            if cls.bottom_line:
+                attrs.append('shape="doubleoctagon"')
+        lines.append(f'  "{_dot_id(a)}" [{", ".join(attrs)}];')
+    for p, d in sorted(arcs, key=lambda pd: (graph.addr_key(pd[0]),
+                                             graph.addr_key(pd[1]))):
+        attrs = ' [style="dashed"]' if is_backward(p, d) else ""
+        lines.append(f'  "{_dot_id(p)}" -> "{_dot_id(d)}"{attrs};')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_export_dot_orders_arcs_added_out_of_order():
+    graph = DependencyGraph(["S"], {})
+    cells = [addr("S", a1) for a1 in ("A1", "C3", "B2", "A2")]
+    for cell in cells:
+        graph.add_node(cell, NodeInfo(kind=CellKind.NUMBER))
+    for precedent, dependent in ((0, 1), (3, 1), (0, 2), (2, 1), (0, 3)):
+        graph.add_arc(cells[precedent], cells[dependent])
+    edges = [line for line in export_dot(graph).splitlines() if "->" in line]
+    assert edges == ['  "S_A1" -> "S_A2";', '  "S_A1" -> "S_B2";',
+                     '  "S_A1" -> "S_C3";', '  "S_A2" -> "S_C3";',
+                     '  "S_B2" -> "S_C3";']
+    assert export_dot(graph) == _reference_export_dot(graph)
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=60)
+def test_export_dot_matches_per_arc_reference(seed):
+    wb, _ = gen_workbook(random.Random(seed))
+    graph = build_graph(wb)
+    classes = classify_graph(graph, AuditConfig())
+    assert export_dot(graph, classes) == _reference_export_dot(graph, classes)
+    assert export_dot(graph) == _reference_export_dot(graph)
 
 
 # --- randomized equivalence against ground truth -----------------------------------
