@@ -219,14 +219,26 @@ _BUILTIN_NUMFMTS = {
 }
 
 
+MAX_PART_BYTES = 256 * 1024 * 1024  # refuse larger decompressed xlsx parts
+
+
 def _parse_part(archive: zipfile.ZipFile, name: str,
-                path: str) -> ElementTree.Element:
+                path: str) -> tuple[ElementTree.Element, bytes]:
+    """The parsed XML of one part, and its bytes.
+
+    The declared size is checked before anything is read, and reading stops
+    at the declared size, so a part cannot decompress past the cap.
+    """
     try:
-        data = archive.read(name)
+        info = archive.getinfo(name)
     except KeyError:
         raise LoadError(path, 0, 0, f"missing part {name}")
+    if info.file_size > MAX_PART_BYTES:
+        raise LoadError(path, 0, 0, f"part {name} is too large "
+                        f"({info.file_size} bytes, limit {MAX_PART_BYTES})")
+    data = archive.read(info)
     try:
-        return ElementTree.fromstring(data)
+        return ElementTree.fromstring(data), data
     except ElementTree.ParseError as exc:
         raise LoadError(path, 0, 0, f"malformed XML in {name}: {exc}")
 
@@ -234,7 +246,7 @@ def _parse_part(archive: zipfile.ZipFile, name: str,
 def _shared_strings(archive: zipfile.ZipFile, path: str) -> list[str]:
     if "xl/sharedStrings.xml" not in archive.namelist():
         return []
-    root = _parse_part(archive, "xl/sharedStrings.xml", path)
+    root, _ = _parse_part(archive, "xl/sharedStrings.xml", path)
     strings = []
     for si in root.findall(_tag("si")):
         parts = [t.text or "" for t in si.iter(_tag("t"))]
@@ -245,7 +257,7 @@ def _shared_strings(archive: zipfile.ZipFile, path: str) -> list[str]:
 def _styles(archive: zipfile.ZipFile, path: str) -> list[CellFormat]:
     if "xl/styles.xml" not in archive.namelist():
         return [CellFormat()]
-    root = _parse_part(archive, "xl/styles.xml", path)
+    root, _ = _parse_part(archive, "xl/styles.xml", path)
 
     numfmts = dict(_BUILTIN_NUMFMTS)
     numfmts_el = root.find(_tag("numFmts"))
@@ -362,8 +374,8 @@ def load_xlsx(path: str | Path) -> Workbook:
         raise LoadError(spath, 0, 0, f"not a readable xlsx/zip file: {exc}")
     with archive:
         names = set(archive.namelist())
-        wb_root = _parse_part(archive, "xl/workbook.xml", spath)
-        rels_root = _parse_part(archive, "xl/_rels/workbook.xml.rels", spath)
+        wb_root, _ = _parse_part(archive, "xl/workbook.xml", spath)
+        rels_root, _ = _parse_part(archive, "xl/_rels/workbook.xml.rels", spath)
         rels = {}
         for rel in rels_root.iter(f"{{{_NS_PKG_REL}}}Relationship"):
             target = rel.get("Target", "")
@@ -394,16 +406,18 @@ def load_xlsx(path: str | Path) -> Workbook:
                 raise LoadError(spath, 0, 0, f"missing worksheet part for {name!r}")
             sheet = workbook.add_sheet(name)
             sheet.hidden = sheet_el.get("state") in ("hidden", "veryHidden")
-            _load_sheet_part(archive, part, sheet, strings, formats, spath)
-            if b"<sheetProtection" in archive.read(part):
+            if _load_sheet_part(archive, part, sheet, strings, formats, spath):
                 workbook.protection = True
     return workbook
 
 
 def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                      strings: list[str], formats: list[CellFormat],
-                     path: str) -> None:
-    root = _parse_part(archive, part, path)
+                     path: str) -> bool:
+    """Fill ``sheet`` from its worksheet part; True when the part protects it."""
+    root, raw = _parse_part(archive, part, path)
+    protected = b"<sheetProtection" in raw
+    del raw  # only the tree is read from here on
 
     declared: CellAddress | None = None
     dim = root.find(_tag("dimension"))
@@ -429,7 +443,7 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
     data = root.find(_tag("sheetData"))
     if data is None:
         _set_declared_extent(sheet, declared)
-        return
+        return protected
     for row_el in data.findall(_tag("row")):
         if row_el.get("hidden") in ("1", "true"):
             sheet.row_heights[int(row_el.get("r", "0") or 0)] = 0.0
@@ -504,6 +518,7 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                 sheet.merge_format(addr.row, addr.col, fmt)
 
     _set_declared_extent(sheet, declared)
+    return protected
 
 
 def load_workbook(path: str | Path, input_format: str = "auto") -> Workbook:

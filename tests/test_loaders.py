@@ -10,6 +10,7 @@ from helpers import (
     build_xlsx,
 )
 
+from sheetlint import loaders
 from sheetlint.graph import build_graph
 from sheetlint.loaders import LoadError, load_text, load_text_string, load_workbook, load_xlsx
 from sheetlint.model import CellAddress, CellKind
@@ -226,6 +227,54 @@ def test_xlsx_missing_workbook_part(tmp_path):
     with pytest.raises(LoadError) as err:
         load_xlsx(path)
     assert "workbook" in str(err.value)
+
+
+def _add_sheet_protection(path):
+    import zipfile
+    with zipfile.ZipFile(path) as zf:
+        parts = {name: zf.read(name) for name in zf.namelist()}
+    sheet = parts["xl/worksheets/sheet1.xml"]
+    parts["xl/worksheets/sheet1.xml"] = sheet.replace(
+        b"</sheetData>", b'</sheetData><sheetProtection sheet="1"/>')
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in parts.items():
+            zf.writestr(name, data)
+
+
+def test_xlsx_sheet_protection_from_one_read(tmp_path, monkeypatch):
+    import zipfile
+    plain = build_xlsx(tmp_path / "plain.xlsx", {"S": {"A1": {"n": "1"}}})
+    protected = build_xlsx(tmp_path / "locked.xlsx", {"S": {"A1": {"n": "1"}}})
+    _add_sheet_protection(protected)
+    reads = []
+    real_read = zipfile.ZipFile.read
+
+    def counting_read(self, name, pwd=None):
+        reads.append(getattr(name, "filename", name))
+        return real_read(self, name, pwd)
+
+    monkeypatch.setattr(zipfile.ZipFile, "read", counting_read)
+    assert not load_xlsx(plain).protection
+    assert load_xlsx(protected).protection
+    assert reads.count("xl/worksheets/sheet1.xml") == 2  # once per file
+
+
+def test_xlsx_part_over_size_cap_refused(tmp_path, monkeypatch):
+    import zipfile
+    cells = {f"A{row}": {"n": str(row)} for row in range(1, 200)}
+    path = build_xlsx(tmp_path / "big.xlsx", {"S": cells})
+    with zipfile.ZipFile(path) as zf:
+        sizes = {info.filename: info.file_size for info in zf.infolist()}
+    sheet_size = sizes.pop("xl/worksheets/sheet1.xml")
+    cap = max(sizes.values())
+    assert cap < sheet_size
+    monkeypatch.setattr(loaders, "MAX_PART_BYTES", cap)
+    with pytest.raises(LoadError) as err:
+        load_xlsx(path)
+    assert str(err.value).startswith(f"{path}:0:0: ")
+    assert "xl/worksheets/sheet1.xml" in str(err.value)
+    monkeypatch.setattr(loaders, "MAX_PART_BYTES", sheet_size)
+    assert load_xlsx(path).sheets[0].content_at(199, 1).number == Decimal(199)
 
 
 def test_load_workbook_dispatch(tmp_path):
