@@ -451,14 +451,15 @@ def export_dot(graph: DependencyGraph,
     participating = set(graph._precedents)
     participating.update(graph._dependents)
     participating.update(addr for addr, cls in classes.items() if cls.any_flag)
+    # The sheet name only orders cells on sheets the workbook lacks, which
+    # defined names can point at; they all share one sheet index.
     order = sorted(participating,
                    key=lambda a: (graph.sheet_index(a.sheet), a.row, a.col, a.sheet))
-    rank: dict[CellAddress, int] = {}
+    rank = {addr: i for i, addr in enumerate(order)}
     ids: dict[CellAddress, str] = {}
     taken: set[str] = set()
     lines = ["digraph sheetlint {"]
     for addr in order:
-        rank[addr] = len(rank)
         node_id = base = _dot_id(addr)
         suffix = 1
         while node_id in taken:
@@ -481,12 +482,8 @@ def export_dot(graph: DependencyGraph,
                 attrs.append('shape="doubleoctagon"')
         lines.append(f'  "{node_id}" [{", ".join(attrs)}];')
     for precedent in order:
-        dependents = graph.dependents_of(precedent)
-        if not dependents:
-            continue
-        head = f'  "{ids[precedent]}" -> "'
-        for dependent in sorted(dependents, key=rank.__getitem__):
+        for dependent in sorted(graph.dependents_of(precedent), key=rank.__getitem__):
             attrs = ' [style="dashed"]' if is_backward(precedent, dependent) else ""
-            lines.append(f'{head}{ids[dependent]}"{attrs};')
+            lines.append(f'  "{ids[precedent]}" -> "{ids[dependent]}"{attrs};')
     lines.append("}")
     return "\n".join(lines) + "\n"
