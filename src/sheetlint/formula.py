@@ -10,7 +10,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from decimal import Decimal
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .model import MAX_COL, MAX_ROW, CellAddress, col_letters, col_number, quote_sheet
 
@@ -475,6 +475,49 @@ def iter_nodes(ast: FormulaAst) -> Iterator[FormulaAst]:
         yield from iter_nodes(ast.inner)
 
 
+class FormulaFacts(NamedTuple):
+    """What the rules and stages read from one formula, each in source order."""
+
+    refs: tuple[CellRef | RangeRef, ...]
+    names: tuple[NameRef, ...]
+    numbers: tuple[NumberLit, ...]
+
+
+def formula_facts(ast: FormulaAst) -> FormulaFacts:
+    """Gather a formula's references, defined names and numbers in one walk."""
+    refs, names, numbers = [], [], []
+    for node in iter_nodes(ast):
+        if isinstance(node, (CellRef, RangeRef)):
+            refs.append(node)
+        elif isinstance(node, NameRef):
+            names.append(node)
+        elif isinstance(node, NumberLit):
+            numbers.append(node)
+    return FormulaFacts(tuple(refs), tuple(names), tuple(numbers))
+
+
+def unwrap(ast: FormulaAst) -> FormulaAst:
+    """The node under any outer parentheses; the tree below is not rebuilt."""
+    while isinstance(ast, Paren):
+        ast = ast.inner
+    return ast
+
+
+def produces_text(ast: FormulaAst) -> bool:
+    """True for a string literal, any ``&``, TEXT, CONCATENATE or CONCAT, a
+    ``+`` with a text operand, or an IF with such a branch (nested IFs too)."""
+    node = unwrap(ast)
+    if isinstance(node, BinaryOp):
+        if node.op == "+":
+            return produces_text(node.left) or produces_text(node.right)
+        return node.op == "&"
+    if isinstance(node, FunctionCall):
+        if node.name == "IF":
+            return any(produces_text(arg) for arg in node.args[1:3])
+        return node.name in ("TEXT", "CONCATENATE", "CONCAT")
+    return isinstance(node, StringLit)
+
+
 def extract_references(ast: FormulaAst) -> list[tuple[CellRef | RangeRef, int]]:
     """All cell and range references in source order, duplicates preserved."""
     refs = [n for n in iter_nodes(ast) if isinstance(n, (CellRef, RangeRef))]
@@ -585,7 +628,7 @@ def evaluate(ast: FormulaAst, env: dict[CellAddress, float],
     def flat(args: tuple) -> list[float]:
         values: list[float] = []
         for arg in args:
-            inner = strip_parens(arg)
+            inner = unwrap(arg)
             if isinstance(inner, RangeRef):
                 values.extend(_range_values(inner, env, sheet))
             else:
@@ -603,7 +646,7 @@ def evaluate(ast: FormulaAst, env: dict[CellAddress, float],
                 raise EvalDomainError("SUMPRODUCT needs arguments")
             grids = []
             for arg in node.args:
-                inner = strip_parens(arg)
+                inner = unwrap(arg)
                 if not isinstance(inner, RangeRef):
                     raise EvalUnsupported("SUMPRODUCT over non-range")
                 grids.append((inner.shape, _range_values(inner, env, sheet)))

@@ -7,15 +7,11 @@ from dataclasses import dataclass
 from .config import AuditConfig
 from .formula import (
     CellRef,
-    NameRef,
-    RangeRef,
-    extract_references,
-    iter_nodes,
-    print_formula,
-    strip_parens,
-    BinaryOp,
     FunctionCall,
-    StringLit,
+    RangeRef,
+    print_formula,
+    produces_text,
+    unwrap,
 )
 from .model import CellAddress, CellKind, Workbook, parse_a1
 
@@ -123,24 +119,6 @@ class DependencyGraph:
         return sorted(out, key=self.addr_key)
 
 
-def _texty(node: object) -> bool:
-    node = strip_parens(node)
-    if isinstance(node, StringLit):
-        return True
-    if isinstance(node, BinaryOp) and node.op in ("&", "+"):
-        return _texty(node.left) or _texty(node.right)
-    if isinstance(node, FunctionCall) and node.name in ("TEXT", "CONCATENATE", "CONCAT"):
-        return True
-    return False
-
-
-def _interpreted_output_shape(ast: object) -> bool:
-    """The punch-line-repeater: IF whose branches build display strings."""
-    top = strip_parens(ast)
-    if not (isinstance(top, FunctionCall) and top.name == "IF" and len(top.args) >= 2):
-        return False
-    branches = top.args[1:3]
-    return any(_texty(b) for b in branches) and bool(extract_references(ast))
 
 
 def build_graph(workbook: Workbook) -> DependencyGraph:
@@ -170,10 +148,15 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
         for addr, cell in sheet.populated():
             info = NodeInfo(kind=cell.content.kind)
             if cell.content.kind is CellKind.FORMULA and cell.content.ast is not None:
-                top = strip_parens(cell.content.ast)
+                top = unwrap(cell.content.ast)
                 if isinstance(top, FunctionCall):
                     info.top_function = top.name
-                info.interpreted_output_shape = _interpreted_output_shape(cell.content.ast)
+                    info.interpreted_output_shape = (  # the punch-line repeater
+                        top.name == "IF" and produces_text(top) and bool(cell.content.facts.refs))
+                elif isinstance(top, CellRef):
+                    home = spelling.get((addr.sheet if top.sheet is None else top.sheet).lower())
+                    if home and (target := CellAddress(home, top.row, top.col)) != addr:
+                        info.bare_ref = target
             graph.add_node(addr, info)
 
     def link(target: CellAddress, dependent: CellAddress, origin: str | None) -> None:
@@ -187,9 +170,9 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             for col in range(start.col, end.col + 1):
                 link(CellAddress(sheet, row, col), dependent, origin)
 
-    for addr, ast in workbook.formula_asts():
+    for addr, content in workbook.formulas():
         problems: list[str] = []
-        for ref, _ in extract_references(ast):
+        for ref in content.facts.refs:
             first = ref.start if isinstance(ref, RangeRef) else ref
             ref_sheet = first.sheet if first.sheet is not None else addr.sheet
             sheet = spelling.get(ref_sheet.lower())
@@ -203,26 +186,17 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             else:
                 link_box(sheet, ref.start, ref.end, addr,
                          print_formula(ref, leading_eq=False))
-        for node in iter_nodes(ast):
-            if isinstance(node, NameRef):
-                resolved = graph.defined_names.get(node.name.upper())
-                if resolved is None:
-                    problems.append(f"unknown name {node.name!r}")
-                elif isinstance(resolved, CellAddress):
-                    link(resolved, addr, node.name)
-                elif isinstance(resolved, tuple):
-                    start, end = resolved
-                    link_box(start.sheet, start, end, addr, node.name)
+        for node in content.facts.names:
+            resolved = graph.defined_names.get(node.name.upper())
+            if resolved is None:
+                problems.append(f"unknown name {node.name!r}")
+            elif isinstance(resolved, CellAddress):
+                link(resolved, addr, node.name)
+            elif isinstance(resolved, tuple):
+                start, end = resolved
+                link_box(start.sheet, start, end, addr, node.name)
         if problems:
             graph.unresolved[addr] = problems
-
-        bare = strip_parens(ast)
-        if isinstance(bare, CellRef):
-            sheet = spelling.get((bare.sheet if bare.sheet is not None
-                                  else addr.sheet).lower())
-            target = CellAddress(sheet, bare.row, bare.col) if sheet else None
-            if target is not None and target != addr:
-                graph.nodes[addr].bare_ref = target
     graph.cycles = find_cycles(graph)
     return graph
 

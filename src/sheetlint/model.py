@@ -6,9 +6,11 @@ import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
+    from .formula import FormulaFacts
     from .graph import DependencyGraph
 
 MAX_ROW = 1_048_576
@@ -146,6 +148,12 @@ class CellContent:
     def is_empty(self) -> bool:
         return self.kind is CellKind.EMPTY
 
+    @cached_property
+    def facts(self) -> "FormulaFacts":
+        """``formula_facts(ast)``, computed once; the content is frozen."""
+        from .formula import formula_facts
+        return formula_facts(self.ast)
+
 
 @dataclass(frozen=True)
 class CellFormat:
@@ -245,12 +253,12 @@ class Workbook:
                 return sheet
         return None
 
-    def formula_asts(self) -> Iterator[tuple[CellAddress, object]]:
-        """``(address, ast)`` of every parsed formula, by sheet then row-major."""
+    def formulas(self) -> Iterator[tuple[CellAddress, CellContent]]:
+        """``(address, content)`` of every parsed formula, by sheet then row-major."""
         for sheet in self.sheets:
             for addr, cell in sheet.populated():
                 if cell.content.kind is CellKind.FORMULA and cell.content.ast is not None:
-                    yield addr, cell.content.ast
+                    yield addr, cell.content
 
     def add_sheet(self, name: str) -> Sheet:
         if not name:

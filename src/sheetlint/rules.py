@@ -6,16 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import ALL_RULE_IDS, AuditConfig, Severity
-from .formula import (
-    BinaryOp,
-    FunctionCall,
-    NumberLit,
-    RangeRef,
-    StringLit,
-    extract_references,
-    iter_nodes,
-    strip_parens,
-)
+from .formula import RangeRef, produces_text
 from .graph import (
     CellGraphClass,
     DependencyGraph,
@@ -374,11 +365,10 @@ def _r06_perverse(ctx: _Context, sheets) -> list[Diagnostic]:
 def _r07_constants(ctx: _Context, sheets) -> list[Diagnostic]:
     out = []
     allow = ctx.config.constant_allowlist
-    for addr, ast in ctx.workbook.formula_asts():
-        if not extract_references(ast):
+    for addr, content in ctx.workbook.formulas():
+        if not content.facts.refs:
             continue
-        literals = [n for n in iter_nodes(ast)
-                    if isinstance(n, NumberLit) and n.value not in allow]
+        literals = [n for n in content.facts.numbers if n.value not in allow]
         if not literals:
             continue
         shown = ", ".join(lit.text for lit in literals[:4])
@@ -632,30 +622,12 @@ def _r20_simplifiable(ctx: _Context, sheets) -> list[Diagnostic]:
 
 def _r21_label_formula(ctx: _Context, sheets) -> list[Diagnostic]:
     out = []
-    for addr, ast in ctx.workbook.formula_asts():
-        if _produces_text(ast):
+    for addr, content in ctx.workbook.formulas():
+        if produces_text(content.ast):
             out.append(ctx.emit(
                 "R21", addr.sheet, addr,
                 "formula produces text used as a label; prefer constant text"))
     return out
-
-
-def _produces_text(ast) -> bool:
-    node = strip_parens(ast)
-    if isinstance(node, StringLit):
-        return True
-    if isinstance(node, BinaryOp):
-        if node.op == "&":
-            return True
-        if node.op == "+":
-            return _produces_text(node.left) or _produces_text(node.right)
-        return False
-    if isinstance(node, FunctionCall):
-        if node.name in ("TEXT", "CONCATENATE", "CONCAT"):
-            return True
-        if node.name == "IF" and len(node.args) >= 2:
-            return any(_produces_text(arg) for arg in node.args[1:3])
-    return False
 
 
 def _r22_blank_space(ctx: _Context, sheets) -> list[Diagnostic]:
@@ -693,16 +665,12 @@ def _r23_formula_refs(ctx: _Context, sheets) -> list[Diagnostic]:
 
 def _r24_ref_order(ctx: _Context, sheets) -> list[Diagnostic]:
     out = []
-    for addr, ast in ctx.workbook.formula_asts():
-        keys = []
-        for ref, _ in extract_references(ast):
-            start = ref.start if isinstance(ref, RangeRef) else ref
-            target_sheet = start.sheet if start.sheet is not None else addr.sheet
-            keys.append((ctx.graph.sheet_index(target_sheet), start.row, start.col))
+    for addr, content in ctx.workbook.formulas():
+        starts = [r.start if isinstance(r, RangeRef) else r for r in content.facts.refs]
+        keys = [(ctx.graph.sheet_index(s.sheet if s.sheet is not None else addr.sheet),
+                 s.row, s.col) for s in starts]
         if any(b < a for a, b in zip(keys, keys[1:])):
-            listed = ", ".join(
-                (r.start if isinstance(r, RangeRef) else r).resolve(addr.sheet).a1()
-                for r, _ in extract_references(ast)[:6])
+            listed = ", ".join(s.resolve(addr.sheet).a1() for s in starts[:6])
             out.append(ctx.emit(
                 "R24", addr.sheet, addr,
                 f"references are not in reading order: {listed}"))

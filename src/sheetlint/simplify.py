@@ -33,12 +33,14 @@ from .formula import (
     ast_equal,
     evaluate,
     extract_references,
+    formula_facts,
     map_refs,
     parse_formula,
     print_formula,
     referenced_cells,
     strip_parens,
     translate,
+    unwrap,
 )
 from .graph import DependencyGraph
 from .model import CellAddress, Workbook
@@ -226,7 +228,7 @@ def _common_factor(ast: FormulaAst) -> FormulaAst:
             if (len(terms) >= 2 and all(f is not None for f in factors)
                     and any(len(f) >= 2 for f in factors)):  # type: ignore[arg-type]
                 for candidate in factors[0]:  # type: ignore[index]
-                    stripped = strip_parens(candidate)
+                    stripped = unwrap(candidate)
                     if not isinstance(stripped, (CellRef, NumberLit)):
                         continue
                     if all(any(ast_equal(f, candidate) for f in fs)  # type: ignore[union-attr]
@@ -244,7 +246,7 @@ def _common_factor(ast: FormulaAst) -> FormulaAst:
                             for f in rest[1:]:
                                 product = BinaryOp("*", product, f)
                             remainders.append(product)
-                        return BinaryOp("*", strip_parens(candidate),
+                        return BinaryOp("*", stripped,
                                         _chain_of_plus(remainders))
             return _rebuild(node, walk)
         return _rebuild(node, walk)
@@ -255,7 +257,7 @@ def _common_factor(ast: FormulaAst) -> FormulaAst:
 def _contiguous_sum_range(terms: list[FormulaAst]) -> RangeRef | None:
     refs = []
     for term in terms:
-        t = strip_parens(term)
+        t = unwrap(term)
         if not isinstance(t, CellRef) or t.row_abs or t.col_abs:
             return None
         refs.append(t)
@@ -459,7 +461,8 @@ def simplify_workbook(workbook: Workbook) -> dict[CellAddress, RewriteSuggestion
     """
     classes: dict[tuple, tuple | None] = {}
     out: dict[CellAddress, RewriteSuggestion] = {}
-    for addr, ast in workbook.formula_asts():
+    for addr, content in workbook.formulas():
+        ast = content.ast
         key = (translate(ast, -addr.row, -addr.col), addr.sheet)
         if key not in classes:
             rewritten, kinds = _rewrite(ast)
@@ -518,8 +521,8 @@ def _substitute(target_ast: FormulaAst, target_sheet: str,
     return map_refs(target_ast, swap)
 
 
-def _covered_by_range(ast: FormulaAst, sheet: str, target: CellAddress) -> bool:
-    for ref, _ in extract_references(ast):
+def _covered_by_range(refs, sheet: str, target: CellAddress) -> bool:
+    for ref in refs:
         if isinstance(ref, RangeRef):
             ref_sheet = ref.start.sheet if ref.start.sheet is not None else sheet
             if (ref_sheet.lower() == target.sheet.lower()
@@ -546,8 +549,8 @@ def _merge_pair(a: FunctionCall, b: FunctionCall) -> FunctionCall | None:
         return None
     if len(a.args) != len(b.args) or not a.args:
         return None
-    a_ranges = [strip_parens(arg) for arg in a.args]
-    b_ranges = [strip_parens(arg) for arg in b.args]
+    a_ranges = [unwrap(arg) for arg in a.args]
+    b_ranges = [unwrap(arg) for arg in b.args]
     if not all(isinstance(r, RangeRef) for r in a_ranges + b_ranges):
         return None
     for direction in ("v", "h"):
@@ -578,11 +581,11 @@ def merge_sumproducts(ast: FormulaAst) -> FormulaAst:
             while changed:
                 changed = False
                 for i in range(len(terms)):
-                    a = strip_parens(terms[i])
+                    a = unwrap(terms[i])
                     if not isinstance(a, FunctionCall):
                         continue
                     for j in range(i + 1, len(terms)):
-                        b = strip_parens(terms[j])
+                        b = unwrap(terms[j])
                         if not isinstance(b, FunctionCall):
                             continue
                         merged = _merge_pair(a, b)
@@ -608,18 +611,19 @@ def nest_candidates(graph: DependencyGraph, workbook: Workbook,
     ``max_len`` characters, or that are referenced through a range, are
     dropped.
     """
-    asts = dict(workbook.formula_asts())
+    contents = dict(workbook.formulas())
     out: list[NestCandidate] = []
     for source in graph.formula_cells():
         dependents = sorted(set(graph.dependents_of(source)), key=graph.addr_key)
         if len(dependents) != 1:
             continue
         target = dependents[0]
-        if target == source or target not in asts or source not in asts:
+        if target == source or target not in contents or source not in contents:
             continue
-        if _covered_by_range(asts[target], target.sheet, source):
+        if _covered_by_range(contents[target].facts.refs, target.sheet, source):
             continue
-        combined = _substitute(asts[target], target.sheet, source, asts[source])
+        combined = _substitute(contents[target].ast, target.sheet, source,
+                               contents[source].ast)
         text = print_formula(combined)
         if len(text) > max_len:
             continue
@@ -646,7 +650,7 @@ def plan_nesting(workbook: Workbook, graph: DependencyGraph,
     SUMPRODUCT terms, and the length gate applies to the tidied text, so long
     intermediate states that collapse back down are allowed through.
     """
-    asts = dict(workbook.formula_asts())
+    asts = {addr: content.ast for addr, content in workbook.formulas()}
 
     def dependents_map() -> dict[CellAddress, set[CellAddress]]:
         deps: dict[CellAddress, set[CellAddress]] = {}
@@ -667,7 +671,7 @@ def plan_nesting(workbook: Workbook, graph: DependencyGraph,
             target = next(iter(dependents))
             if target not in asts:
                 continue
-            if _covered_by_range(asts[target], target.sheet, source):
+            if _covered_by_range(formula_facts(asts[target]).refs, target.sheet, source):
                 continue
             combined = merge_sumproducts(
                 _substitute(asts[target], target.sheet, source, asts[source]))
