@@ -419,7 +419,8 @@ def export_dot(graph: DependencyGraph,
     are orange, dangling red, blank targets grey dashed; backward arcs are
     dashed. Nodes come in workbook order (sheet, row, column) and arcs by
     precedent then dependent in that order. A node whose id is already taken
-    by an earlier node gets the suffix ``_2``, ``_3``, ...
+    by an earlier node gets the suffix ``_2``, ``_3``, ... Labels escape
+    ``\\`` and ``"`` with a backslash.
     """
     classes = classes or {}
     participating = set(graph._precedents)
@@ -441,8 +442,9 @@ def export_dot(graph: DependencyGraph,
             node_id = f"{base}_{suffix}"
         taken.add(node_id)
         ids[addr] = node_id
-        attrs = [f'label="{addr.sheet}!{addr.a1()}"' if addr.sheet
-                 else f'label="{addr.a1()}"']
+        label = f"{addr.sheet}!{addr.a1()}" if addr.sheet else addr.a1()
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
+        attrs = [f'label="{label}"']
         cls = classes.get(addr)
         if cls is not None:
             if cls.spurious:

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 from hypothesis import given, settings
@@ -268,6 +269,23 @@ def test_export_dot_third_collision_counts_on():
     dot = export_dot(build_graph(wb_from(text)), {})
     ids = [line.split('"')[1] for line in dot.splitlines() if "label=" in line]
     assert ids == ["a_b_A1", "a_b_B1", "a_b_A1_2", "a_b_B1_2", "a_b_A1_3", "a_b_B1_3"]
+
+
+_DOT_ATTR = r'[a-z]+="(?:[^"\\]|\\.)*"'
+_DOT_LINE_RE = re.compile(
+    rf'  "\w+"(?: -> "\w+")?(?: \[{_DOT_ATTR}(?:, {_DOT_ATTR})*\])?;')
+
+
+def test_export_dot_escapes_quotes_and_backslashes_in_labels():
+    wb = wb_from('[sheet Q1 "draft"]\nA1 num 1\nB1 formula =A1*2\n'
+                 "[sheet back\\slash]\nA1 formula ='Q1 \"draft\"'!B1+1\n")
+    dot = export_dot(build_graph(wb))
+    lines = dot.splitlines()
+    assert lines[0] == "digraph sheetlint {" and lines[-1] == "}"
+    for line in lines[1:-1]:
+        assert _DOT_LINE_RE.fullmatch(line), line
+    assert '[label="Q1 \\"draft\\"!A1"]' in dot
+    assert '[label="back\\\\slash!A1"]' in dot
 
 
 def test_reference_sheet_case_uses_workbook_spelling():
