@@ -71,10 +71,10 @@ def main(argv: list[str] | None = None) -> int:
     for path in args.paths:
         try:
             workbook = load_workbook(path, args.input_format)
-        except LoadError as exc:
+            results.append(audit_workbook(workbook, config, input_path=str(path)))
+        except (LoadError, ConfigError) as exc:
             print(f"sheetlint: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        results.append(audit_workbook(workbook, config, input_path=str(path)))
 
     if args.format == "json":
         body = render_json([r.report for r in results])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import AuditConfig
+from .config import AuditConfig, ConfigError
 from .formula import (
     CellRef,
     FunctionCall,
@@ -13,7 +13,7 @@ from .formula import (
     produces_text,
     unwrap,
 )
-from .model import CellAddress, CellKind, Workbook, parse_a1
+from .model import AddressParseError, CellAddress, CellKind, Workbook, parse_a1
 
 MAX_RANGE_CELLS = 100_000  # refuse to expand anything larger
 
@@ -268,7 +268,9 @@ def resolve_bottom_line(graph: DependencyGraph,
 
     Order: explicit addresses and defined names from the config; then
     solver-objective names (WBMAX/WBMIN); then any sink formula whose
-    precedence tree covers at least half of the numeric cells.
+    precedence tree covers at least half of the numeric cells. An explicit
+    address's sheet matches case-insensitively; an entry that is neither a
+    defined name nor an address raises ConfigError.
     """
     resolved: set[CellAddress] = set()
     for entry in config.bottom_line:
@@ -282,8 +284,15 @@ def resolve_bottom_line(graph: DependencyGraph,
         if isinstance(target, tuple):
             resolved.add(target[0])
             continue
-        addr = parse_a1(name)
+        try:
+            addr = parse_a1(name)
+        except AddressParseError:
+            raise ConfigError(f"bottom line {name!r} is neither a defined name "
+                              f"nor a cell address") from None
         if addr.sheet:
+            i = graph.sheet_index(addr.sheet)
+            if i < len(graph.sheet_order):
+                addr = CellAddress(graph.sheet_order[i], addr.row, addr.col)
             resolved.add(addr)
         else:
             for sheet in graph.sheet_order:

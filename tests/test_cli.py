@@ -6,6 +6,7 @@ import sys
 from conftest import ROOT, fixture_path
 from helpers import assert_valid_dot
 
+from sheetlint import cli
 from sheetlint.cli import main
 
 
@@ -171,3 +172,21 @@ def test_main_entry_callable_in_process(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "score 100/100" in captured.out
+
+def test_bottom_line_sheet_case_matches_workbook_spelling(capsys):
+    path = str(fixture_path("assign_v4.wb"))
+    outputs = []
+    for spelling in ("Model!C51", "model!C51"):
+        main([path, "--bottom-line", spelling])
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "37 warnings" in outputs[1]
+
+
+def test_bottom_line_neither_name_nor_address_exits_two(capsys):
+    code = main([str(fixture_path("assign_v4.wb")), "--bottom-line", "no such"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("sheetlint: ") and err.count("\n") == 1
+    assert "'no such'" in err
+

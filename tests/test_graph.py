@@ -2,12 +2,13 @@ import random
 import re
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_valid_dot, brute_force_classify, gen_workbook
 
-from sheetlint.config import AuditConfig
+from sheetlint.config import AuditConfig, ConfigError
 from sheetlint.graph import (
     DependencyGraph,
     NodeInfo,
@@ -170,6 +171,21 @@ D3 num 1
     classes = classify_graph(graph, AuditConfig(bottom_line=("S!D49",)))
     assert classes[addr("S", "D50")].dangling
     assert classes[addr("S", "D50")].dangling_kind == "interpreted-output"
+
+
+def test_bottom_line_address_sheet_case_uses_workbook_spelling():
+    text = "[sheet Model]\nA1 num 1\nB1 formula =A1*2\nC1 formula =A1*3\n"
+    graph = build_graph(wb_from(text))
+    classes = classify_graph(graph, AuditConfig(bottom_line=("model!B1",)))
+    assert classes[addr("Model", "B1")].bottom_line
+    assert not classes[addr("Model", "B1")].dangling
+    assert classes[addr("Model", "C1")].dangling
+
+
+def test_bottom_line_neither_name_nor_address_is_config_error():
+    graph = build_graph(wb_from("[sheet S]\nA1 num 1\nB1 formula =A1*2\n"))
+    with pytest.raises(ConfigError, match="no such"):
+        classify_graph(graph, AuditConfig(bottom_line=("no such",)))
 
 
 def test_blank_reference_becomes_perverse_node():
