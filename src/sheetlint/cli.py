@@ -12,6 +12,7 @@ from .report import AuditResult, audit_workbook, render_dot, render_json, render
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -75,6 +76,10 @@ def main(argv: list[str] | None = None) -> int:
         except (LoadError, ConfigError) as exc:
             print(f"sheetlint: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        except Exception as exc:  # a defect, not a finding: keep exit 1 meaning findings
+            print(f"sheetlint: {path}: internal error: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return EXIT_INTERNAL
 
     if args.format == "json":
         body = render_json([r.report for r in results])

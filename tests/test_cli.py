@@ -173,6 +173,7 @@ def test_main_entry_callable_in_process(capsys):
     assert code == 0
     assert "score 100/100" in captured.out
 
+
 def test_bottom_line_sheet_case_matches_workbook_spelling(capsys):
     path = str(fixture_path("assign_v4.wb"))
     outputs = []
@@ -190,3 +191,16 @@ def test_bottom_line_neither_name_nor_address_exits_two(capsys):
     assert err.startswith("sheetlint: ") and err.count("\n") == 1
     assert "'no such'" in err
 
+
+def test_unexpected_exception_exits_three_with_one_line(monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "audit_workbook", crash)
+    path = str(fixture_path("clean_small.wb"))
+    code = main([path])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 3
+    assert captured.err == (f"sheetlint: {path}: internal error: RecursionError: "
+                            "maximum recursion depth exceeded\n")
+    assert captured.out == ""
