@@ -23,10 +23,14 @@ from sheetlint.formula import (
     ast_equal,
     evaluate,
     extract_references,
+    formula_facts,
+    iter_nodes,
     parse_formula,
     print_formula,
+    produces_text,
     referenced_cells,
     strip_parens,
+    unwrap,
 )
 from sheetlint.model import CellAddress
 
@@ -292,3 +296,56 @@ def test_printer_paren_minimality(seed):
         except FormulaParseError:
             continue
         assert not ast_equal(ast, reparsed), (printed, mutated)
+
+
+def _reference_produces_text(ast):
+    """The R21 text predicate as it stood before R05 shared it; the reference."""
+    node = strip_parens(ast)
+    if isinstance(node, StringLit):
+        return True
+    if isinstance(node, BinaryOp):
+        if node.op == "&":
+            return True
+        if node.op == "+":
+            return _reference_produces_text(node.left) or _reference_produces_text(node.right)
+        return False
+    if isinstance(node, FunctionCall):
+        if node.name in ("TEXT", "CONCATENATE", "CONCAT"):
+            return True
+        if node.name == "IF" and len(node.args) >= 2:
+            return any(_reference_produces_text(arg) for arg in node.args[1:3])
+    return False
+
+
+_FACT_TEXTS = (
+    "=IF(C1>0,A1&B1,0)",
+    '=IF(A1>0,IF(B1>0,"up","down"),0)',
+    '=IF(A1,IF(B1,1,2),"x")',
+    "=Rate*B2+SUM(Sheet2!A1:B3)-(((C4)))*1.5",
+    '=(("a")+B1)&TEXT(C1,0)',
+    "=CONCAT(A1,Tax)+2%",
+    '=WB(A1,"<=",Cap)',
+    "=IF(A1)",
+    "=((A1))",
+    "=7",
+)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(_FACT_TEXTS))
+@settings(max_examples=150)
+def test_formula_facts_and_produces_text_match_reference_walks(seed, text):
+    rng = random.Random(seed)
+    generated = gen_ast(rng, text_ops=True)
+    branchy = Paren(FunctionCall("IF", (gen_ast(rng, 2), gen_ast(rng, 2, text_ops=True),
+                                        gen_ast(rng, 2, text_ops=True))))
+    for ast in (generated, branchy, parse_formula(print_formula(generated)),
+                parse_formula(text)):
+        facts = formula_facts(ast)
+        nodes = list(iter_nodes(ast))
+        assert facts.refs == tuple(ref for ref, _ in extract_references(ast))
+        assert facts.names == tuple(n for n in nodes if isinstance(n, NameRef))
+        assert facts.numbers == tuple(n for n in nodes if isinstance(n, NumberLit))
+        assert produces_text(ast) == _reference_produces_text(ast), print_formula(ast)
+        top = unwrap(ast)
+        assert not isinstance(top, Paren)
+        assert strip_parens(top) == strip_parens(ast)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture_path
 from helpers import assert_valid_dot, brute_force_classify, gen_workbook
 
+from sheetlint import formula
 from sheetlint.config import AuditConfig, ConfigError
 from sheetlint.graph import (
     DependencyGraph,
@@ -19,7 +21,7 @@ from sheetlint.graph import (
     find_cycles,
     is_backward,
 )
-from sheetlint.loaders import load_text_string
+from sheetlint.loaders import load_text, load_text_string
 from sheetlint.model import CellAddress, CellKind, Workbook
 from sheetlint.report import audit_workbook
 from sheetlint.rules import SimplifierResults, _Context
@@ -447,6 +449,28 @@ def test_audit_finds_cycles_once(monkeypatch):
     result = audit_workbook(wb)
     assert len(calls) == 1
     assert sum(d.rule == "R09" for d in result.report.diagnostics) == 2
+
+
+def test_audit_gathers_formula_facts_once_per_formula(monkeypatch):
+    calls = []
+    real = formula.formula_facts
+
+    def counting(ast):
+        calls.append(ast)
+        return real(ast)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sheetlint") and hasattr(module, "formula_facts"):
+            monkeypatch.setattr(module, "formula_facts", counting)
+    wb = load_text(fixture_path("assign_v4.wb"))
+    formula_cells = [cell.content for sheet in wb.sheets for cell in sheet.cells.values()
+                     if cell.content.kind is CellKind.FORMULA]
+    audit_workbook(wb)
+    assert len(calls) == len(formula_cells) > 0
+    assert {id(ast) for ast in calls} == {id(content.ast) for content in formula_cells}
+    calls.clear()
+    audit_workbook(wb)
+    assert calls == []
 
 
 def test_spurious_and_dangling_conjunction():

@@ -99,6 +99,23 @@ C1 formula =A1*3
     assert cells_of(found) == ["C1"]
 
 
+@pytest.mark.parametrize("branch_formula", [
+    "=IF(C1>0,A1&B1,0)",                     # concatenation with no string literal
+    '=IF(A1>0,IF(B1>0,"up","down"),0)',      # a nested IF with text branches
+])
+def test_r05_text_building_if_branch_is_interpreted_output(branch_formula):
+    text = f"""[sheet S]
+A1 num 1
+B1 num 2
+C1 num 3
+D1 formula {branch_formula}
+E1 formula =A1+B1+C1
+"""
+    found = diags(text, AuditConfig(bottom_line=("S!E1",)), rule="R05")
+    assert cells_of(found) == ["D1"]
+    assert "(interpreted-output)" in found[0].message
+
+
 def test_r06_blank_single_reference():
     found = diags("[sheet S]\nB1 formula =A9*2\n", rule="R06")
     assert cells_of(found) == ["B1"]
