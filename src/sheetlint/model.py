@@ -151,7 +151,7 @@ class CellContent:
     @cached_property
     def facts(self) -> "FormulaFacts":
         """``formula_facts(ast)``, computed once; the content is frozen."""
-        from .formula import formula_facts
+        from .formula import formula_facts  # formula imports this module
         return formula_facts(self.ast)
 
 

@@ -521,7 +521,7 @@ def _substitute(target_ast: FormulaAst, target_sheet: str,
     return map_refs(target_ast, swap)
 
 
-def _covered_by_range(refs, sheet: str, target: CellAddress) -> bool:
+def _covered_by_range(refs: tuple, sheet: str, target: CellAddress) -> bool:
     for ref in refs:
         if isinstance(ref, RangeRef):
             ref_sheet = ref.start.sheet if ref.start.sheet is not None else sheet
