@@ -1,7 +1,10 @@
 """Formula lexer, parser, printer, reference extraction and numeric evaluation.
 
 Operator tiers, tightest first: postfix % > ^ > unary +/- > * / > + - > &
-> comparisons. All binary operators associate left.
+> comparisons. All binary operators associate left. A sign binds looser
+than ^ (-A1^2 is -(A1^2)), except on an exponent, where it takes only the
+operand after it (A1^-2^3 is (A1^-2)^3). ``_PREC`` holds these tiers for
+both the parser and the printer.
 """
 
 from __future__ import annotations
@@ -161,6 +164,11 @@ def _tokenize(text: str) -> list[_Token]:
 _REF_SPLIT_RE = re.compile(r"([A-Za-z]{1,3})([0-9]+)?\Z")
 
 
+_ATOM_PREC = 8
+_PREC = {"%": 7, "^": 6, "u": 5, "*": 4, "/": 4, "+": 3, "-": 3, "&": 2}
+_PREC.update({op: 1 for op in COMPARISONS})
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
@@ -188,59 +196,34 @@ class _Parser:
             tok = self.peek()
             raise FormulaParseError(tok.pos, expected or repr(text), tok.text)
 
-    # grammar, loosest binding first
+    # grammar
     def parse(self) -> FormulaAst:
-        node = self.comparison()
+        node = self.expr()
         tok = self.peek()
         if tok.kind != "eof":
             raise FormulaParseError(tok.pos, "end of formula", tok.text)
         return node
 
-    def comparison(self) -> FormulaAst:
-        node = self.concat()
-        while self.peek().kind == "op" and self.peek().text in COMPARISONS:
-            op = self.advance().text
-            node = BinaryOp(op, node, self.concat())
-        return node
-
-    def concat(self) -> FormulaAst:
-        node = self.addsub()
-        while self.eat("&"):
-            node = BinaryOp("&", node, self.addsub())
-        return node
-
-    def addsub(self) -> FormulaAst:
-        node = self.muldiv()
-        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
-            op = self.advance().text
-            node = BinaryOp(op, node, self.muldiv())
-        return node
-
-    def muldiv(self) -> FormulaAst:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in ("*", "/"):
-            op = self.advance().text
-            node = BinaryOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> FormulaAst:
-        if self.peek().kind == "op" and self.peek().text in ("-", "+"):
-            op = self.advance().text
-            return UnaryOp(op, self.unary())
-        return self.power()
-
-    def power(self) -> FormulaAst:
-        node = self.postfix()
-        while self.eat("^"):
-            node = BinaryOp("^", node, self._power_operand())
-        return node
-
-    def _power_operand(self) -> FormulaAst:
-        # Allow signs on the exponent without making ^ right-associative.
-        if self.peek().kind == "op" and self.peek().text in ("-", "+"):
-            op = self.advance().text
-            return UnaryOp(op, self._power_operand())
-        return self.postfix()
+    def expr(self, min_prec: int = 1) -> FormulaAst:
+        """Operators binding at least as tightly as ``min_prec``, by precedence
+        climbing over ``_PREC``; a right operand climbs one level higher, so
+        every binary operator associates left."""
+        signs = []
+        while self.peek().kind == "op" and self.peek().text in ("-", "+"):
+            signs.append(self.advance().text)
+        if signs:
+            node = self.expr(max(min_prec, _PREC["u"]))
+            for op in reversed(signs):
+                node = UnaryOp(op, node)
+        else:
+            node = self.postfix()
+        while True:
+            tok = self.peek()
+            prec = _PREC.get(tok.text, 0) if tok.kind == "op" and tok.text != "%" else 0
+            if prec < min_prec:
+                return node
+            self.advance()
+            node = BinaryOp(tok.text, node, self.expr(prec + 1))
 
     def postfix(self) -> FormulaAst:
         node = self.primary()
@@ -258,7 +241,7 @@ class _Parser:
             return StringLit(tok.text[1:-1].replace('""', '"'))
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            inner = self.comparison()
+            inner = self.expr()
             self.expect(")", "')'")
             return Paren(inner, explicit=True)
         if tok.kind == "qsheet":
@@ -282,9 +265,9 @@ class _Parser:
             self.advance()
             args: list[FormulaAst] = []
             if not self.eat(")"):
-                args.append(self.comparison())
+                args.append(self.expr())
                 while self.eat(","):
-                    args.append(self.comparison())
+                    args.append(self.expr())
                 self.expect(")", "')' or ','")
             return FunctionCall(tok.text.upper(), tuple(args))
         mark = self.i
@@ -371,10 +354,6 @@ def parse_formula(text: str) -> FormulaAst:
 
 # --- printer -----------------------------------------------------------------
 
-_ATOM_PREC = 8
-_PREC = {"%": 7, "^": 6, "u": 5, "*": 4, "/": 4, "+": 3, "-": 3, "&": 2}
-_PREC.update({op: 1 for op in COMPARISONS})
-
 
 def _prec(node: FormulaAst) -> int:
     if isinstance(node, BinaryOp):
@@ -442,17 +421,36 @@ def print_formula(ast: FormulaAst, leading_eq: bool = True,
     return "=" + out if leading_eq else out
 
 
+def children(node: FormulaAst) -> tuple:
+    """The child nodes of ``node`` in source order; empty for a leaf."""
+    if isinstance(node, FunctionCall):
+        return node.args
+    if isinstance(node, BinaryOp):
+        return (node.left, node.right)
+    if isinstance(node, UnaryOp):
+        return (node.operand,)
+    if isinstance(node, Paren):
+        return (node.inner,)
+    return ()
+
+
+def rebuild(node: FormulaAst, fn: Callable[[FormulaAst], FormulaAst]) -> FormulaAst:
+    """``node`` with each child replaced by ``fn(child)``, called in source
+    order; a leaf is returned as it is."""
+    if isinstance(node, FunctionCall):
+        return FunctionCall(node.name, tuple(fn(a) for a in node.args))
+    if isinstance(node, BinaryOp):
+        return BinaryOp(node.op, fn(node.left), fn(node.right))
+    if isinstance(node, UnaryOp):
+        return UnaryOp(node.op, fn(node.operand))
+    if isinstance(node, Paren):
+        return Paren(fn(node.inner), node.explicit)
+    return node
+
+
 def strip_parens(ast: FormulaAst) -> FormulaAst:
     """Remove every Paren node; used for structural comparisons."""
-    if isinstance(ast, Paren):
-        return strip_parens(ast.inner)
-    if isinstance(ast, FunctionCall):
-        return FunctionCall(ast.name, tuple(strip_parens(a) for a in ast.args))
-    if isinstance(ast, BinaryOp):
-        return BinaryOp(ast.op, strip_parens(ast.left), strip_parens(ast.right))
-    if isinstance(ast, UnaryOp):
-        return UnaryOp(ast.op, strip_parens(ast.operand))
-    return ast
+    return rebuild(unwrap(ast), strip_parens)
 
 
 def ast_equal(a: FormulaAst, b: FormulaAst) -> bool:
@@ -461,18 +459,12 @@ def ast_equal(a: FormulaAst, b: FormulaAst) -> bool:
 
 
 def iter_nodes(ast: FormulaAst) -> Iterator[FormulaAst]:
-    """Depth-first, left-to-right source order."""
-    yield ast
-    if isinstance(ast, FunctionCall):
-        for arg in ast.args:
-            yield from iter_nodes(arg)
-    elif isinstance(ast, BinaryOp):
-        yield from iter_nodes(ast.left)
-        yield from iter_nodes(ast.right)
-    elif isinstance(ast, UnaryOp):
-        yield from iter_nodes(ast.operand)
-    elif isinstance(ast, Paren):
-        yield from iter_nodes(ast.inner)
+    """Depth-first, left-to-right source order, without recursion."""
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 class FormulaFacts(NamedTuple):
@@ -520,24 +512,20 @@ def produces_text(ast: FormulaAst) -> bool:
 
 def extract_references(ast: FormulaAst) -> list[tuple[CellRef | RangeRef, int]]:
     """All cell and range references in source order, duplicates preserved."""
-    refs = [n for n in iter_nodes(ast) if isinstance(n, (CellRef, RangeRef))]
+    refs = formula_facts(ast).refs
     return list(zip(refs, range(len(refs))))
 
 
 def map_refs(ast: FormulaAst,
              fn: Callable[[CellRef | RangeRef], FormulaAst]) -> FormulaAst:
     """Rebuild the tree with every reference node passed through ``fn``."""
-    if isinstance(ast, (CellRef, RangeRef)):
-        return fn(ast)
-    if isinstance(ast, FunctionCall):
-        return FunctionCall(ast.name, tuple(map_refs(a, fn) for a in ast.args))
-    if isinstance(ast, BinaryOp):
-        return BinaryOp(ast.op, map_refs(ast.left, fn), map_refs(ast.right, fn))
-    if isinstance(ast, UnaryOp):
-        return UnaryOp(ast.op, map_refs(ast.operand, fn))
-    if isinstance(ast, Paren):
-        return Paren(map_refs(ast.inner, fn), ast.explicit)
-    return ast
+
+    def walk(node: FormulaAst) -> FormulaAst:
+        if isinstance(node, (CellRef, RangeRef)):
+            return fn(node)
+        return rebuild(node, walk)
+
+    return walk(ast)
 
 
 def translate(ast: FormulaAst, drow: int, dcol: int) -> FormulaAst:
@@ -688,7 +676,7 @@ def _compare(op: str, a: float, b: float) -> bool:
 def referenced_cells(ast: FormulaAst, sheet: str = "") -> list[CellAddress]:
     """Every individual cell the formula touches, ranges expanded, deduplicated."""
     seen: dict[CellAddress, None] = {}
-    for ref, _ in extract_references(ast):
+    for ref in formula_facts(ast).refs:
         if isinstance(ref, RangeRef):
             for addr in ref.cells(sheet):
                 seen.setdefault(addr)

@@ -20,6 +20,7 @@ from decimal import Decimal
 from enum import Enum
 
 from .formula import (
+    _PREC,
     BinaryOp,
     CellRef,
     FormulaAst,
@@ -37,6 +38,7 @@ from .formula import (
     map_refs,
     parse_formula,
     print_formula,
+    rebuild,
     referenced_cells,
     strip_parens,
     translate,
@@ -146,8 +148,6 @@ def _division_last(ast: FormulaAst) -> FormulaAst:
     """
 
     def walk(node: FormulaAst, chain_root: bool) -> FormulaAst:
-        if isinstance(node, Paren):
-            return Paren(walk(node.inner, True), node.explicit)
         if _is_muldiv(node):
             if chain_root:
                 seq: list[tuple[FormulaAst, bool]] = []
@@ -166,23 +166,10 @@ def _division_last(ast: FormulaAst) -> FormulaAst:
                         rebuilt = BinaryOp("/", rebuilt, factor)
                     return rebuilt
             # interior of a chain, or a chain left alone: keep its shape
-            return BinaryOp(node.op, walk(node.left, False),
-                            walk(node.right, False))
-        return _rebuild(node, lambda child: walk(child, True))
+            return rebuild(node, lambda child: walk(child, False))
+        return rebuild(node, lambda child: walk(child, True))
 
     return walk(ast, True)
-
-
-def _rebuild(node: FormulaAst, fn) -> FormulaAst:
-    if isinstance(node, FunctionCall):
-        return FunctionCall(node.name, tuple(fn(a) for a in node.args))
-    if isinstance(node, BinaryOp):
-        return BinaryOp(node.op, fn(node.left), fn(node.right))
-    if isinstance(node, UnaryOp):
-        return UnaryOp(node.op, fn(node.operand))
-    if isinstance(node, Paren):
-        return Paren(fn(node.inner), node.explicit)
-    return node
 
 
 def _is_plus_chain(node: FormulaAst) -> bool:
@@ -248,8 +235,7 @@ def _common_factor(ast: FormulaAst) -> FormulaAst:
                             remainders.append(product)
                         return BinaryOp("*", stripped,
                                         _chain_of_plus(remainders))
-            return _rebuild(node, walk)
-        return _rebuild(node, walk)
+        return rebuild(node, walk)
 
     return walk(ast)
 
@@ -291,10 +277,6 @@ def _contiguous_sum_range(terms: list[FormulaAst]) -> RangeRef | None:
     return None
 
 
-_PLUS_PREC = 3
-_GROUPING_OPS = {"*": 4, "/": 4, "^": 6, "&": 2, "-": 3}
-
-
 def _range_collapse(ast: FormulaAst) -> FormulaAst:
     """(A4+A5+A6) and friends become SUM(A4:A6) when the sum sits grouped.
 
@@ -310,41 +292,29 @@ def _range_collapse(ast: FormulaAst) -> FormulaAst:
             return None
         return FunctionCall("SUM", (rng,))
 
-    def grouped_child(parent: FormulaAst, child: FormulaAst, right: bool) -> bool:
-        if isinstance(parent, Paren):
-            return True
+    def grouped(parent: FormulaAst, right: bool) -> bool:
         if isinstance(parent, UnaryOp):
             return True
-        if isinstance(parent, BinaryOp):
-            prec = _GROUPING_OPS.get(parent.op)
-            if prec is None:
-                return False
-            if prec > _PLUS_PREC:
-                return True
-            # same precedence: only a right-hand sum needs its parens
-            return right and parent.op == "-"
-        return False
+        # same precedence: only a right-hand sum needs its parens
+        return isinstance(parent, BinaryOp) and (
+            _PREC[parent.op] > _PREC["+"] or right and parent.op == "-")
 
     def walk(node: FormulaAst) -> FormulaAst:
-        if isinstance(node, Paren):
-            if _is_plus_chain(node.inner):
-                collapsed = collapse(node.inner)
-                if collapsed is not None:
-                    return collapsed  # the written parens go with the sum
-            return Paren(walk(node.inner), node.explicit)
-        if isinstance(node, (BinaryOp, UnaryOp)):
-            def child_walk(child: FormulaAst, right: bool) -> FormulaAst:
-                if _is_plus_chain(child) and grouped_child(node, child, right):
-                    collapsed = collapse(child)
-                    if collapsed is not None:
-                        return collapsed
-                return walk(child)
+        if isinstance(node, Paren) and _is_plus_chain(node.inner):
+            collapsed = collapse(node.inner)
+            if collapsed is not None:
+                return collapsed  # the written parens go with the sum
+        sides = iter((False, True))  # rebuild passes a BinaryOp's left side first
 
-            if isinstance(node, BinaryOp):
-                return BinaryOp(node.op, child_walk(node.left, False),
-                                child_walk(node.right, True))
-            return UnaryOp(node.op, child_walk(node.operand, True))
-        return _rebuild(node, walk)
+        def child_walk(child: FormulaAst) -> FormulaAst:
+            right = next(sides, True)
+            if _is_plus_chain(child) and grouped(node, right):
+                collapsed = collapse(child)
+                if collapsed is not None:
+                    return collapsed
+            return walk(child)
+
+        return rebuild(node, child_walk)
 
     return walk(ast)
 
@@ -597,7 +567,7 @@ def merge_sumproducts(ast: FormulaAst) -> FormulaAst:
                     if changed:
                         break
             return _chain_of_plus(terms)
-        return _rebuild(node, walk)
+        return rebuild(node, walk)
 
     return walk(ast)
 
