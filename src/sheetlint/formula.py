@@ -355,6 +355,10 @@ def parse_formula(text: str) -> FormulaAst:
 # --- printer -----------------------------------------------------------------
 
 
+def _is_sign(node: FormulaAst) -> bool:
+    return isinstance(node, UnaryOp) and node.op != "%"
+
+
 def _prec(node: FormulaAst) -> int:
     if isinstance(node, BinaryOp):
         return _PREC[node.op]
@@ -374,7 +378,7 @@ def print_formula(ast: FormulaAst, leading_eq: bool = True,
     """Print canonically: uppercase names, no spaces, only needed or explicit parens."""
     ref_text = ref_printer or ref_a1_text
 
-    def emit(node: FormulaAst) -> str:
+    def emit(node: FormulaAst, exponent: bool = False) -> str:
         if isinstance(node, NumberLit):
             return node.text
         if isinstance(node, StringLit):
@@ -391,31 +395,26 @@ def print_formula(ast: FormulaAst, leading_eq: bool = True,
             return "(" + emit(node.inner) + ")"
         if isinstance(node, UnaryOp):
             if node.op == "%":
-                body = emit(node.operand)
-                if _prec(node.operand) < _PREC["%"]:
-                    body = "(" + body + ")"
-                return body + "%"
-            body = emit(node.operand)
-            if _prec(node.operand) < _PREC["u"]:
-                body = "(" + body + ")"
-            return node.op + body
+                return wrap(node.operand, _PREC["%"]) + "%"
+            # On an exponent a sign takes only the operand after it; stacked
+            # signs pass that on.
+            if exponent and not _is_sign(node.operand):
+                return node.op + wrap(node.operand, _PREC["%"])
+            return node.op + wrap(node.operand, _PREC["u"], exponent)
         if isinstance(node, BinaryOp):
             my = _PREC[node.op]
-            left = emit(node.left)
-            if _prec(node.left) < my:
-                left = "(" + left + ")"
-            right = emit(node.right)
-            rp = _prec(node.right)
-            # Left association: an equal-precedence right child needs parens.
+            left = wrap(node.left, my)
             # A signed exponent binds itself, so "A^-B" stays paren-free.
-            need = rp <= my
-            if (node.op == "^" and isinstance(node.right, UnaryOp)
-                    and node.right.op in ("-", "+")):
-                need = False
-            if need:
-                right = "(" + right + ")"
-            return left + node.op + right
+            if node.op == "^" and _is_sign(node.right):
+                return left + "^" + emit(node.right, exponent=True)
+            # Left association: an equal-precedence right child needs parens.
+            return left + node.op + wrap(node.right, my + 1)
         raise TypeError(f"not an AST node: {node!r}")
+
+    def wrap(node: FormulaAst, floor: int, exponent: bool = False) -> str:
+        """``node`` printed, in parentheses when it binds looser than ``floor``."""
+        text = emit(node, exponent)
+        return text if _prec(node) >= floor else "(" + text + ")"
 
     out = emit(ast)
     return "=" + out if leading_eq else out
