@@ -4,7 +4,8 @@ Operator tiers, tightest first: postfix % > ^ > unary +/- > * / > + - > &
 > comparisons. All binary operators associate left. A sign binds looser
 than ^ (-A1^2 is -(A1^2)), except on an exponent, where it takes only the
 operand after it (A1^-2^3 is (A1^-2)^3). ``_PREC`` holds these tiers for
-both the parser and the printer.
+both the parser and the printer. Parentheses, function calls and prefix
+signs nest at most ``MAX_NESTING`` levels deep.
 """
 
 from __future__ import annotations
@@ -168,12 +169,15 @@ _ATOM_PREC = 8
 _PREC = {"%": 7, "^": 6, "u": 5, "*": 4, "/": 4, "+": 3, "-": 3, "&": 2}
 _PREC.update({op: 1 for op in COMPARISONS})
 
+MAX_NESTING = 64  # Excel's limit on nested functions
+
 
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     # token plumbing
     def peek(self, ahead: int = 0) -> _Token:
@@ -196,6 +200,13 @@ class _Parser:
             tok = self.peek()
             raise FormulaParseError(tok.pos, expected or repr(text), tok.text)
 
+    def open_level(self, tok: _Token) -> None:
+        """Enter one nesting level for ``tok``: a '(', a call or a prefix sign."""
+        if self.depth == MAX_NESTING:
+            raise FormulaParseError(tok.pos, f"at most {MAX_NESTING} nested levels",
+                                    tok.text)
+        self.depth += 1
+
     # grammar
     def parse(self) -> FormulaAst:
         node = self.expr()
@@ -210,11 +221,13 @@ class _Parser:
         every binary operator associates left."""
         signs = []
         while self.peek().kind == "op" and self.peek().text in ("-", "+"):
+            self.open_level(self.peek())
             signs.append(self.advance().text)
         if signs:
             node = self.expr(max(min_prec, _PREC["u"]))
             for op in reversed(signs):
                 node = UnaryOp(op, node)
+            self.depth -= len(signs)
         else:
             node = self.postfix()
         while True:
@@ -240,9 +253,11 @@ class _Parser:
             self.advance()
             return StringLit(tok.text[1:-1].replace('""', '"'))
         if tok.kind == "op" and tok.text == "(":
+            self.open_level(tok)
             self.advance()
             inner = self.expr()
             self.expect(")", "')'")
+            self.depth -= 1
             return Paren(inner, explicit=True)
         if tok.kind == "qsheet":
             self.advance()
@@ -262,6 +277,7 @@ class _Parser:
             self.advance()
             return self._reference(tok.text)
         if nxt.kind == "op" and nxt.text == "(":
+            self.open_level(tok)
             self.advance()
             args: list[FormulaAst] = []
             if not self.eat(")"):
@@ -269,6 +285,7 @@ class _Parser:
                 while self.eat(","):
                     args.append(self.expr())
                 self.expect(")", "')' or ','")
+            self.depth -= 1
             return FunctionCall(tok.text.upper(), tuple(args))
         mark = self.i
         ref = self._ref_from_ident(tok, col_abs=False)

@@ -204,3 +204,19 @@ def test_unexpected_exception_exits_three_with_one_line(monkeypatch, capsys):
     assert captured.err == (f"sheetlint: {path}: internal error: RecursionError: "
                             "maximum recursion depth exceeded\n")
     assert captured.out == ""
+
+
+def _one_line_usage_error(code, err, where):
+    assert code == cli.EXIT_USAGE
+    assert err.startswith(f"sheetlint: {where}") and err.count("\n") == 1, err
+
+
+def test_formula_nested_past_the_limit_exits_two(tmp_path, capsys):
+    for name, body in (("parens", "(" * 400 + "1" + ")" * 400),
+                       ("signs", "-" * 1200 + "A1")):
+        path = tmp_path / f"{name}.wb"
+        path.write_text(f"[sheet S]\nA1 num 1\nB1 formula ={body}\n", encoding="utf-8")
+        code = main([str(path)])
+        err = capsys.readouterr().err
+        _one_line_usage_error(code, err, f"{path}:3:")
+        assert "at most 64 nested levels" in err

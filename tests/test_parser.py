@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheetlint.formula import (
+    MAX_NESTING,
     BinaryOp,
     CellRef,
     FormulaParseError,
@@ -159,3 +160,28 @@ def test_iter_nodes_and_facts_on_a_deep_chain():
     facts = formula_facts(node)
     assert facts.refs == (CellRef(1, 1),)
     assert [n.text for n in facts.numbers] == [str(i) for i in range(depth)]
+
+
+# --- nesting limit -------------------------------------------------------------------
+
+# opener, its closer, the levels one opener opens, the token named on failure
+_NESTERS = (("(", ")", 1, "("), ("SUM(", ")", 1, "SUM"), ("-", "", 1, "-"),
+            ("-(", ")", 2, "-"))
+
+
+@pytest.mark.parametrize("opener,closer,levels,found", _NESTERS)
+def test_nesting_limit(opener, closer, levels, found):
+    fits = MAX_NESTING // levels
+    text = "=" + opener * fits + "A1" + closer * fits
+    assert print_formula(parse_formula(text)) == text
+    with pytest.raises(FormulaParseError) as err:
+        parse_formula("=" + opener * (fits + 1) + "A1" + closer * (fits + 1))
+    assert err.value.offset == len(opener) * fits
+    assert err.value.found == found
+    assert str(err.value).endswith(f"expected at most {MAX_NESTING} nested levels, "
+                                   f"found {found!r}")
+
+
+def test_nesting_counts_open_levels_not_total():
+    text = "=" + "+".join(["-(A1)"] * (MAX_NESTING * 3))
+    assert len(formula_facts(parse_formula(text)).refs) == MAX_NESTING * 3
