@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from enum import IntEnum
 from pathlib import Path
+
+from .model import AddressParseError, parse_a1
 
 
 class Severity(IntEnum):
@@ -66,6 +68,12 @@ class AuditConfig:
                 raise ConfigError(f"{name} must be positive")
         if not (0.0 < self.blank_ratio_warn <= 1.0):
             raise ConfigError("blank_ratio_warn must be in (0, 1]")
+        for entry in self.flow_exempt:
+            try:
+                parse_a1(entry)
+            except AddressParseError:
+                raise ConfigError(f"flow_exempt entry {entry!r} is not a cell "
+                                  f"address") from None
 
     def severity_for(self, rule: str, default: Severity) -> Severity:
         for r, sev in self.severity_overrides:
@@ -97,7 +105,12 @@ def load_config(path: str | Path) -> AuditConfig:
     """
     values: dict[str, object] = {}
     overrides: list[tuple[str, Severity]] = []
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data[:exc.start].count(b"\n") + 1
+        raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -106,28 +119,36 @@ def load_config(path: str | Path) -> AuditConfig:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key.startswith("severity_"):
-            overrides.append((key[len("severity_"):].upper(),
-                              Severity.from_label(value)))
-        elif key == "enabled_rules":
-            values[key] = parse_rule_list(value)
-        elif key == "constant_allowlist":
-            values[key] = frozenset(Decimal(v.strip()) for v in value.split(",")
-                                    if v.strip())
-        elif key == "solver_functions":
-            values[key] = frozenset(v.strip().upper() for v in value.split(",")
-                                    if v.strip())
-        elif key in _LIST_KEYS:
-            values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key in _INT_KEYS:
-            values[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if key.startswith("severity_"):
+                overrides.append((key[len("severity_"):].upper(),
+                                  Severity.from_label(value)))
+            elif key == "enabled_rules":
+                values[key] = parse_rule_list(value)
+            elif key == "constant_allowlist":
+                values[key] = frozenset(Decimal(v.strip()) for v in value.split(",")
+                                        if v.strip())
+            elif key == "solver_functions":
+                values[key] = frozenset(v.strip().upper() for v in value.split(",")
+                                        if v.strip())
+            elif key in _LIST_KEYS:
+                values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
+            elif key in _INT_KEYS:
+                values[key] = int(value)
+            elif key in _FLOAT_KEYS:
+                values[key] = float(value)
+            else:
+                raise ConfigError(f"unknown key {key!r}")
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        except (ValueError, InvalidOperation):
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     if overrides:
         values["severity_overrides"] = tuple(overrides)
-    return AuditConfig(**values)  # type: ignore[arg-type]
+    try:
+        return AuditConfig(**values)  # type: ignore[arg-type]
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def save_config(config: AuditConfig, path: str | Path) -> None:

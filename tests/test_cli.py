@@ -220,3 +220,21 @@ def test_formula_nested_past_the_limit_exits_two(tmp_path, capsys):
         err = capsys.readouterr().err
         _one_line_usage_error(code, err, f"{path}:3:")
         assert "at most 64 nested levels" in err
+
+
+def test_malformed_config_exits_two_with_one_line(tmp_path, capsys):
+    wb = str(fixture_path("clean_small.wb"))
+    cases = (
+        (b"long_arc_distance=abc\n", ":1: bad value for long_arc_distance: 'abc'"),
+        (b"constant_allowlist=x\n", ":1: bad value for constant_allowlist: 'x'"),
+        (b"# thresholds\nblank_ratio_warn=0.5x\n",
+         ":2: bad value for blank_ratio_warn: '0.5x'"),
+        (b"long_arc_distance=3\n# caf\xe9\n", ":2: not UTF-8 text"),
+        (b"flow_exempt=no such\n", ": flow_exempt entry 'no such' is not a cell address"),
+    )
+    for i, (content, message) in enumerate(cases):
+        path = tmp_path / f"bad{i}.cfg"
+        path.write_bytes(content)
+        code = main([wb, "--config", str(path)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"sheetlint: {path}{message}\n"
