@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import math
 import re
 import zipfile
 from decimal import Decimal, InvalidOperation
+from functools import partial
 from pathlib import Path
 from posixpath import normpath
 from xml.etree import ElementTree
 
 from .formula import FormulaParseError, parse_formula, translate, print_formula
 from .model import (
+    MAX_COL,
     CellAddress,
     CellContent,
     CellFormat,
@@ -243,6 +246,18 @@ def _parse_part(archive: zipfile.ZipFile, name: str,
         raise LoadError(path, 0, 0, f"malformed XML in {name}: {exc}")
 
 
+def _xml_number(path: str, part: str, convert: type, text: str | None, what: str):
+    """``convert(text)`` for an index, count or size read from an xlsx part;
+    a malformed, negative or infinite value raises LoadError."""
+    try:
+        value = convert(text)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise LoadError(path, 0, 0, f"{part}: bad {what} {text!r}")
+    return value
+
+
 def _shared_strings(archive: zipfile.ZipFile, path: str) -> list[str]:
     if "xl/sharedStrings.xml" not in archive.namelist():
         return []
@@ -257,13 +272,16 @@ def _shared_strings(archive: zipfile.ZipFile, path: str) -> list[str]:
 def _styles(archive: zipfile.ZipFile, path: str) -> list[CellFormat]:
     if "xl/styles.xml" not in archive.namelist():
         return [CellFormat()]
-    root, _ = _parse_part(archive, "xl/styles.xml", path)
+    part = "xl/styles.xml"
+    root, _ = _parse_part(archive, part, path)
+    number = partial(_xml_number, path, part)
 
     numfmts = dict(_BUILTIN_NUMFMTS)
     numfmts_el = root.find(_tag("numFmts"))
     if numfmts_el is not None:
         for el in numfmts_el.findall(_tag("numFmt")):
-            numfmts[int(el.get("numFmtId", "0"))] = el.get("formatCode", "")
+            numfmts[number(int, el.get("numFmtId", "0"), "numFmtId")] = \
+                el.get("formatCode", "")
 
     fonts = []
     fonts_el = root.find(_tag("fonts"))
@@ -272,7 +290,8 @@ def _styles(archive: zipfile.ZipFile, path: str) -> list[CellFormat]:
             sz = font.find(_tag("sz"))
             color = font.find(_tag("color"))
             fonts.append({
-                "size": float(sz.get("val")) if sz is not None and sz.get("val") else None,
+                "size": (number(float, sz.get("val"), "font size")
+                         if sz is not None and sz.get("val") else None),
                 "bold": font.find(_tag("b")) is not None,
                 "italic": font.find(_tag("i")) is not None,
                 "underline": font.find(_tag("u")) is not None,
@@ -303,10 +322,9 @@ def _styles(archive: zipfile.ZipFile, path: str) -> list[CellFormat]:
         return [CellFormat()]
     default_font = fonts[0] if fonts else None
     for i, xf in enumerate(xfs_el.findall(_tag("xf"))):
-        font_id = int(xf.get("fontId", "0"))
-        fill_id = int(xf.get("fillId", "0"))
-        border_id = int(xf.get("borderId", "0"))
-        numfmt_id = int(xf.get("numFmtId", "0"))
+        font_id, fill_id, border_id, numfmt_id = (
+            number(int, xf.get(attr, "0"), attr)
+            for attr in ("fontId", "fillId", "borderId", "numFmtId"))
         font = fonts[font_id] if font_id < len(fonts) else None
         hidden = locked = False
         protection = xf.find(_tag("protection"))
@@ -429,13 +447,17 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
         except AddressParseError:
             declared = None
 
+    number = partial(_xml_number, path, part)
     cols = root.find(_tag("cols"))
     if cols is not None:
         for col in cols.findall(_tag("col")):
-            lo = int(col.get("min", "1"))
-            hi = int(col.get("max", "1"))
+            lo = number(int, col.get("min", "1"), "column min")
+            hi = number(int, col.get("max", "1"), "column max")
+            if hi > MAX_COL:
+                raise LoadError(path, 0, 0, f"{part}: column {hi} out of range")
             hidden = col.get("hidden") in ("1", "true")
-            width = 0.0 if hidden else float(col.get("width", "8.43"))
+            width = 0.0 if hidden else number(float, col.get("width", "8.43"),
+                                              "column width")
             for c in range(lo, hi + 1):
                 sheet.column_widths[c] = width
 
@@ -445,10 +467,11 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
         _set_declared_extent(sheet, declared)
         return protected
     for row_el in data.findall(_tag("row")):
-        if row_el.get("hidden") in ("1", "true"):
-            sheet.row_heights[int(row_el.get("r", "0") or 0)] = 0.0
-        elif row_el.get("ht"):
-            sheet.row_heights[int(row_el.get("r", "0") or 0)] = float(row_el.get("ht"))
+        hidden = row_el.get("hidden") in ("1", "true")
+        if hidden or row_el.get("ht"):
+            row = number(int, row_el.get("r") or "0", "row number")
+            sheet.row_heights[row] = 0.0 if hidden else number(
+                float, row_el.get("ht"), "row height")
         for c_el in row_el.findall(_tag("c")):
             ref = c_el.get("r")
             if not ref:
@@ -457,7 +480,7 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                 addr = parse_a1(ref, default_sheet=sheet.name)
             except AddressParseError:
                 raise LoadError(path, 0, 0, f"bad cell reference {ref!r} in {part}")
-            style_id = int(c_el.get("s", "0"))
+            style_id = number(int, c_el.get("s", "0"), f"style id of cell {ref}")
             fmt = formats[style_id] if style_id < len(formats) else CellFormat()
             ctype = c_el.get("t", "n")
             v_el = c_el.find(_tag("v"))
@@ -490,7 +513,7 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                         raise LoadError(path, 0, 0, f"cell {ref}: bad formula: {exc}")
                     content = CellContent.formula("=" + ftext, ast)
             elif ctype == "s" and v_el is not None and v_el.text is not None:
-                index = int(v_el.text)
+                index = number(int, v_el.text, f"shared string index of cell {ref}")
                 if index >= len(strings):
                     raise LoadError(path, 0, 0, f"cell {ref}: shared string "
                                                 f"{index} out of range")

@@ -313,3 +313,41 @@ C9 label DAYS REQD:
         return diag, skips, report.score
 
     assert signature(wb_text) == signature(wb_xlsx)
+
+
+_SHEET = "xl/worksheets/sheet1.xml"
+_STYLES_PART = "xl/styles.xml"
+_MALFORMED_NUMBERS = (
+    (_SHEET, b' s="1"', b' s="x"', "bad style id of cell A1 'x'"),
+    (_SHEET, b' s="1"', b' s="-1"', "bad style id of cell A1 '-1'"),
+    (_SHEET, b'min="1"', b'min="first"', "bad column min 'first'"),
+    (_SHEET, b'max="1"', b'max="1.5"', "bad column max '1.5'"),
+    (_SHEET, b'max="1"', b'max="2000000000"', "column 2000000000 out of range"),
+    (_SHEET, b'width="12.0"', b'width="wide"', "bad column width 'wide'"),
+    (_SHEET, b'<row r="1">', b'<row r="1" ht="tall">', "bad row height 'tall'"),
+    (_SHEET, b'<row r="1">', b'<row r="one" ht="20">', "bad row number 'one'"),
+    (_SHEET, b"<v>0</v>", b"<v>zero</v>", "bad shared string index of cell A2 'zero'"),
+    (_STYLES_PART, b'fontId="1"', b'fontId="bold"', "bad fontId 'bold'"),
+    (_STYLES_PART, b'fillId="2"', b'fillId="-2"', "bad fillId '-2'"),
+    (_STYLES_PART, b'<sz val="14"/>', b'<sz val="big"/>', "bad font size 'big'"),
+    (_STYLES_PART, b'<sz val="14"/>', b'<sz val="nan"/>', "bad font size 'nan'"),
+)
+
+
+@pytest.mark.parametrize("part,old,new,message", _MALFORMED_NUMBERS)
+def test_xlsx_malformed_number_is_load_error(tmp_path, part, old, new, message):
+    import zipfile
+    path = build_xlsx(tmp_path / "t.xlsx",
+                      {"S": {"A1": {"n": "5", "style": XLSX_STYLE_GREY},
+                             "A2": {"s": "label"}}},
+                      col_widths={"S": {1: 12.0}})
+    with zipfile.ZipFile(path) as zf:
+        parts = {name: zf.read(name) for name in zf.namelist()}
+    assert parts[part].count(old) == 1
+    parts[part] = parts[part].replace(old, new)
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in parts.items():
+            zf.writestr(name, data)
+    with pytest.raises(LoadError) as err:
+        load_xlsx(path)
+    assert str(err.value) == f"{path}:0:0: {part}: {message}"
