@@ -7,7 +7,7 @@ import sys
 
 from .config import AuditConfig, ConfigError, Severity, load_config, parse_rule_list
 from .loaders import LoadError, load_workbook
-from .report import AuditResult, audit_workbook, render_dot, render_json, render_text
+from .report import Report, audit_workbook, render_dot, render_json, render_text
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -68,11 +68,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     threshold = Severity.from_label(args.severity_threshold)
-    results: list[AuditResult] = []
+    # Keep each input's report (and DOT text) only, and free its workbook and
+    # graph before the next input is loaded, so memory follows the largest input.
+    reports: list[Report] = []
+    dots: list[str] = []
     for path in args.paths:
         try:
             workbook = load_workbook(path, args.input_format)
-            results.append(audit_workbook(workbook, config, input_path=str(path)))
+            result = audit_workbook(workbook, config, input_path=str(path))
+            reports.append(result.report)
+            if args.format == "dot":
+                dots.append(render_dot(result))
+            del workbook, result
         except (LoadError, ConfigError) as exc:
             print(f"sheetlint: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -82,15 +89,15 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_INTERNAL
 
     if args.format == "json":
-        body = render_json([r.report for r in results])
+        body = render_json(reports)
     elif args.format == "dot":
-        body = "".join(render_dot(r) for r in results)
+        body = "".join(dots)
     else:
         chunks = []
-        for result in results:
-            if len(results) > 1:
-                chunks.append(f"== {result.report.input} ==\n")
-            chunks.append(render_text(result.report))
+        for report in reports:
+            if len(reports) > 1:
+                chunks.append(f"== {report.input} ==\n")
+            chunks.append(render_text(report))
         body = "".join(chunks)
 
     if args.output:
@@ -104,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(body)
 
     flagged = any(d.severity >= threshold
-                  for r in results for d in r.report.diagnostics)
+                  for r in reports for d in r.diagnostics)
     return EXIT_FINDINGS if flagged else EXIT_CLEAN
 
 

@@ -238,3 +238,28 @@ def test_malformed_config_exits_two_with_one_line(tmp_path, capsys):
         code = main([wb, "--config", str(path)])
         assert code == cli.EXIT_USAGE
         assert capsys.readouterr().err == f"sheetlint: {path}{message}\n"
+
+
+def test_each_workbook_is_freed_before_the_next_load(monkeypatch, capsys):
+    import gc
+    import weakref
+
+    real_load = cli.load_workbook
+    loaded, alive_at_load = [], []
+
+    def tracking_load(path, input_format):
+        gc.collect()
+        alive_at_load.append(sum(ref() is not None for ref in loaded))
+        workbook = real_load(path, input_format)
+        loaded.append(weakref.ref(workbook))
+        return workbook
+
+    monkeypatch.setattr(cli, "load_workbook", tracking_load)
+    paths = [str(fixture_path(name)) for name in ("clean_small.wb", "assign_v2.wb",
+                                                  "assign_v4.wb")]
+    for fmt in ("text", "dot"):
+        loaded.clear()
+        alive_at_load.clear()
+        main(["--format", fmt, *paths])
+        assert capsys.readouterr().out
+        assert alive_at_load == [0, 0, 0]
