@@ -147,29 +147,32 @@ def _division_last(ast: FormulaAst) -> FormulaAst:
     nothing the writer said.
     """
 
-    def walk(node: FormulaAst, chain_root: bool) -> FormulaAst:
+    def walk(node: FormulaAst) -> FormulaAst:
+        """``node`` as the root of any */ chain it starts."""
         if _is_muldiv(node):
-            if chain_root:
-                seq: list[tuple[FormulaAst, bool]] = []
-                _flatten_muldiv(node, False, seq)
-                fire = any(inv and not seq[j][1]
-                           for i, (_, inv) in enumerate(seq)
-                           for j in range(i + 1, len(seq)))
-                if fire:
-                    factors = [(walk(f, True), inv) for f, inv in seq]
-                    numerators = [f for f, inv in factors if not inv]
-                    denominators = [f for f, inv in factors if inv]
-                    rebuilt = numerators[0]
-                    for factor in numerators[1:]:
-                        rebuilt = BinaryOp("*", rebuilt, factor)
-                    for factor in denominators:
-                        rebuilt = BinaryOp("/", rebuilt, factor)
-                    return rebuilt
-            # interior of a chain, or a chain left alone: keep its shape
-            return rebuild(node, lambda child: walk(child, False))
-        return rebuild(node, lambda child: walk(child, True))
+            seq: list[tuple[FormulaAst, bool]] = []
+            _flatten_muldiv(node, False, seq)
+            fire = any(inv and not seq[j][1]
+                       for i, (_, inv) in enumerate(seq)
+                       for j in range(i + 1, len(seq)))
+            if fire:
+                factors = [(walk(f), inv) for f, inv in seq]
+                numerators = [f for f, inv in factors if not inv]
+                denominators = [f for f, inv in factors if inv]
+                rebuilt = numerators[0]
+                for factor in numerators[1:]:
+                    rebuilt = BinaryOp("*", rebuilt, factor)
+                for factor in denominators:
+                    rebuilt = BinaryOp("/", rebuilt, factor)
+                return rebuilt
+            return rebuild(node, interior)
+        return rebuild(node, walk)
 
-    return walk(ast, True)
+    def interior(node: FormulaAst) -> FormulaAst:
+        # interior of a chain, or a chain left alone: keep its shape
+        return rebuild(node, interior) if _is_muldiv(node) else walk(node)
+
+    return walk(ast)
 
 
 def _is_plus_chain(node: FormulaAst) -> bool:
@@ -292,29 +295,29 @@ def _range_collapse(ast: FormulaAst) -> FormulaAst:
             return None
         return FunctionCall("SUM", (rng,))
 
-    def grouped(parent: FormulaAst, right: bool) -> bool:
+    def grouped(parent: BinaryOp | UnaryOp, right: bool) -> bool:
         if isinstance(parent, UnaryOp):
             return True
         # same precedence: only a right-hand sum needs its parens
-        return isinstance(parent, BinaryOp) and (
-            _PREC[parent.op] > _PREC["+"] or right and parent.op == "-")
+        return _PREC[parent.op] > _PREC["+"] or right and parent.op == "-"
 
     def walk(node: FormulaAst) -> FormulaAst:
         if isinstance(node, Paren) and _is_plus_chain(node.inner):
             collapsed = collapse(node.inner)
             if collapsed is not None:
                 return collapsed  # the written parens go with the sum
-        sides = iter((False, True))  # rebuild passes a BinaryOp's left side first
+        if isinstance(node, (BinaryOp, UnaryOp)):
+            parent = node
+            sides = iter((False, True))  # rebuild passes a BinaryOp's left side first
 
-        def child_walk(child: FormulaAst) -> FormulaAst:
-            right = next(sides, True)
-            if _is_plus_chain(child) and grouped(node, right):
-                collapsed = collapse(child)
-                if collapsed is not None:
-                    return collapsed
-            return walk(child)
+            def collapse_grouped(child: FormulaAst) -> FormulaAst:
+                right = next(sides)
+                if _is_plus_chain(child) and grouped(parent, right):
+                    return collapse(child) or child
+                return child
 
-        return rebuild(node, child_walk)
+            node = rebuild(node, collapse_grouped)
+        return rebuild(node, walk)
 
     return walk(ast)
 

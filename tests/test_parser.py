@@ -185,3 +185,13 @@ def test_nesting_limit(opener, closer, levels, found):
 def test_nesting_counts_open_levels_not_total():
     text = "=" + "+".join(["-(A1)"] * (MAX_NESTING * 3))
     assert len(formula_facts(parse_formula(text)).refs) == MAX_NESTING * 3
+
+
+@pytest.mark.parametrize("op", ["+", "*", "-", "&"])
+def test_audit_of_a_400_term_chain(op):
+    from sheetlint.loaders import load_text_string
+    from sheetlint.report import audit_workbook, render_dot
+
+    text = "[sheet S]\nA1 num 1\nA2 num 2\nB1 formula =" + op.join(["A1", "A2"] * 200)
+    result = audit_workbook(load_text_string(text))
+    assert render_dot(result).count("->") == 2
