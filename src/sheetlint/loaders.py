@@ -52,7 +52,7 @@ class LoadError(ValueError):
 _STMT_RE = re.compile(r"^(\S+)\s+(num|label|formula|fmt)(?: (.*))?$")
 _SHEET_RE = re.compile(r"^\[sheet (.+)\]\s*$")
 _DIM_RE = re.compile(r"^\[dimension\s+(\S+)\]\s*$")
-_COL_RE = re.compile(r"^col\s+([A-Za-z]{1,3})\s+width=([0-9.]+)\s*$")
+_COL_RE = re.compile(r"^col\s+([A-Za-z]{1,3})\s+width=([0-9]+(?:\.[0-9]*)?|\.[0-9]+)\s*$")
 
 _FMT_KEYS = ("bg", "color", "size", "bold", "italic", "underline",
              "hidden", "locked", "numfmt")

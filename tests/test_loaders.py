@@ -351,3 +351,11 @@ def test_xlsx_malformed_number_is_load_error(tmp_path, part, old, new, message):
     with pytest.raises(LoadError) as err:
         load_xlsx(path)
     assert str(err.value) == f"{path}:0:0: {part}: {message}"
+
+
+@pytest.mark.parametrize("width", ["1.2.3", "."])
+def test_text_malformed_column_width_is_load_error(width):
+    with pytest.raises(LoadError) as err:
+        load_text_string(f"[sheet S]\ncol B width={width}\n", "w.wb")
+    assert str(err.value).startswith("w.wb:2:1: unrecognized statement")
+    assert load_text_string("[sheet S]\ncol B width=.5\n").sheets[0].column_widths == {2: 0.5}
