@@ -74,12 +74,12 @@ def main(argv: list[str] | None = None) -> int:
     dots: list[str] = []
     for path in args.paths:
         try:
-            workbook = load_workbook(path, args.input_format)
-            result = audit_workbook(workbook, config, input_path=str(path))
+            result = audit_workbook(load_workbook(path, args.input_format), config,
+                                    input_path=str(path))
             reports.append(result.report)
             if args.format == "dot":
                 dots.append(render_dot(result))
-            del workbook, result
+            del result
         except (LoadError, ConfigError) as exc:
             print(f"sheetlint: {exc}", file=sys.stderr)
             return EXIT_USAGE

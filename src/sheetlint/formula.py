@@ -232,7 +232,8 @@ class _Parser:
             node = self.postfix()
         while True:
             tok = self.peek()
-            prec = _PREC.get(tok.text, 0) if tok.kind == "op" and tok.text != "%" else 0
+            # postfix has eaten every '%', so only binary operators match here
+            prec = _PREC.get(tok.text, 0) if tok.kind == "op" else 0
             if prec < min_prec:
                 return node
             self.advance()
