@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Iterator, NamedTuple
 
@@ -413,26 +413,31 @@ def print_formula(ast: FormulaAst, leading_eq: bool = True,
             return "(" + emit(node.inner) + ")"
         if isinstance(node, UnaryOp):
             if node.op == "%":
-                return wrap(node.operand, _PREC["%"]) + "%"
-            # On an exponent a sign takes only the operand after it; stacked
-            # signs pass that on.
-            if exponent and not _is_sign(node.operand):
-                return node.op + wrap(node.operand, _PREC["%"])
-            return node.op + wrap(node.operand, _PREC["u"], exponent)
+                floor, exponent = _PREC["%"], False
+            elif exponent and not _is_sign(node.operand):
+                # On an exponent a sign takes only the operand after it;
+                # stacked signs pass that on.
+                floor = _PREC["%"]
+            else:
+                floor = _PREC["u"]
+            body = emit(node.operand, exponent)
+            if _prec(node.operand) < floor:
+                body = "(" + body + ")"
+            return body + "%" if node.op == "%" else node.op + body
         if isinstance(node, BinaryOp):
             my = _PREC[node.op]
-            left = wrap(node.left, my)
+            left = emit(node.left)
+            if _prec(node.left) < my:
+                left = "(" + left + ")"
             # A signed exponent binds itself, so "A^-B" stays paren-free.
             if node.op == "^" and _is_sign(node.right):
-                return left + "^" + emit(node.right, exponent=True)
+                return left + "^" + emit(node.right, True)
+            right = emit(node.right)
             # Left association: an equal-precedence right child needs parens.
-            return left + node.op + wrap(node.right, my + 1)
+            if _prec(node.right) <= my:
+                right = "(" + right + ")"
+            return left + node.op + right
         raise TypeError(f"not an AST node: {node!r}")
-
-    def wrap(node: FormulaAst, floor: int, exponent: bool = False) -> str:
-        """``node`` printed, in parentheses when it binds looser than ``floor``."""
-        text = emit(node, exponent)
-        return text if _prec(node) >= floor else "(" + text + ")"
 
     out = emit(ast)
     return "=" + out if leading_eq else out
@@ -551,9 +556,9 @@ def translate(ast: FormulaAst, drow: int, dcol: int) -> FormulaAst:
     def shift(ref: CellRef | RangeRef) -> FormulaAst:
         if isinstance(ref, RangeRef):
             return RangeRef(shift(ref.start), shift(ref.end))  # type: ignore[arg-type]
-        return replace(ref,
-                       row=ref.row if ref.row_abs else ref.row + drow,
-                       col=ref.col if ref.col_abs else ref.col + dcol)
+        return CellRef(ref.row if ref.row_abs else ref.row + drow,
+                       ref.col if ref.col_abs else ref.col + dcol,
+                       ref.sheet, ref.row_abs, ref.col_abs)
 
     return map_refs(ast, shift)
 

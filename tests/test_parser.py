@@ -26,7 +26,9 @@ from sheetlint.formula import (
     print_formula,
     strip_parens,
 )
+from sheetlint.loaders import load_text_string
 from sheetlint.model import CellAddress
+from sheetlint.report import audit_workbook, render_dot
 from sheetlint.simplify import simplify
 
 
@@ -189,9 +191,6 @@ def test_nesting_counts_open_levels_not_total():
 
 @pytest.mark.parametrize("op", ["+", "*", "-", "&"])
 def test_audit_of_a_400_term_chain(op):
-    from sheetlint.loaders import load_text_string
-    from sheetlint.report import audit_workbook, render_dot
-
     text = "[sheet S]\nA1 num 1\nA2 num 2\nB1 formula =" + op.join(["A1", "A2"] * 200)
     result = audit_workbook(load_text_string(text))
     assert render_dot(result).count("->") == 2
