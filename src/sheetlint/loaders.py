@@ -109,7 +109,7 @@ def load_text_string(text: str, path: str = "<string>") -> Workbook:
     sheet: Sheet | None = None
     dimension: CellAddress | None = None
     dimensions: dict[str, CellAddress] = {}
-    defined: set[tuple[str, int, int]] = set()
+    defined: set[CellAddress] = set()
 
     def finish_sheet() -> None:
         nonlocal dimension
@@ -157,7 +157,6 @@ def load_text_string(text: str, path: str = "<string>") -> Workbook:
         if addr.sheet != sheet.name:
             raise LoadError(path, lineno, 1,
                             "cell statements may not carry a sheet prefix")
-        key = (sheet.name, addr.row, addr.col)
         if keyword == "fmt":
             if payload is None:
                 raise LoadError(path, lineno, 1, "fmt needs at least one key")
@@ -165,10 +164,10 @@ def load_text_string(text: str, path: str = "<string>") -> Workbook:
                              path, lineno)
             sheet.merge_format(addr.row, addr.col, fmt)
             continue
-        if key in defined:
+        if addr in defined:
             raise LoadError(path, lineno, 1,
                             f"duplicate definition of {addr_text}")
-        defined.add(key)
+        defined.add(addr)
         if keyword == "num":
             if payload is None:
                 raise LoadError(path, lineno, 1, "num needs a value")
@@ -184,7 +183,8 @@ def load_text_string(text: str, path: str = "<string>") -> Workbook:
             try:
                 ast = parse_formula(payload)
             except FormulaParseError as exc:
-                raise LoadError(path, lineno, exc.offset + 1, str(exc))
+                # the offset counts from after the '=' at m.start(3)
+                raise LoadError(path, lineno, m.start(3) + exc.offset + 2, str(exc))
             content = CellContent.formula(payload, ast)
         fmt = sheet.fmt_at(addr.row, addr.col)
         sheet.set_cell(addr.row, addr.col, content, fmt)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .formula import FormulaFacts
@@ -55,9 +55,14 @@ def quote_sheet(name: str) -> str:
     return "'" + name.replace("'", "''") + "'"
 
 
-@dataclass(frozen=True)
-class CellAddress:
-    """A 1-based (sheet, row, col) grid position."""
+class CellAddress(NamedTuple):
+    """A 1-based (sheet, row, col) grid position.
+
+    A tuple, so hashing, equality and construction run in C. It equals a
+    plain ``(sheet, row, col)`` tuple, so code that also holds tuples (a
+    range-bound defined name is a pair of addresses) tests for
+    ``CellAddress`` first.
+    """
 
     sheet: str
     row: int

@@ -383,20 +383,22 @@ def _finish(ast: FormulaAst, host: CellAddress, rewritten: FormulaAst,
             trials: int = 100) -> RewriteSuggestion | None:
     """Print, re-parse and verify a rewrite of ``host``'s formula.
 
-    ``verdicts`` holds verification results by alias pattern; copies of one
-    formula share it, so each pattern is verified once.
+    The re-parse of the printed text is what gets verified, so a printer
+    and parser that disagree yield no suggestion. ``verdicts`` holds
+    verification results by alias pattern; copies of one formula share it,
+    so each pattern is verified once.
     """
     original_text = print_formula(ast)
     suggested_text = print_formula(rewritten)
     try:
-        parse_formula(suggested_text)
+        printed = parse_formula(suggested_text)
     except Exception:
         return None
-    pattern = _alias_pattern(ast, rewritten, host.sheet)
+    pattern = _alias_pattern(ast, printed, host.sheet)
     verified = verdicts.get(pattern)
     if verified is None:
         verified = verdicts[pattern] = verify_equivalence(
-            ast, rewritten, trials=trials, sheet=host.sheet)
+            ast, printed, trials=trials, sheet=host.sheet)
     if not verified:
         return None
     return RewriteSuggestion(

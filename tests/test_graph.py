@@ -20,6 +20,7 @@ from sheetlint.graph import (
     export_dot,
     find_cycles,
     is_backward,
+    resolve_bottom_line,
 )
 from sheetlint.loaders import load_text, load_text_string
 from sheetlint.model import CellAddress, CellKind, Workbook
@@ -211,6 +212,23 @@ def test_defined_name_resolves_to_arc():
     wb.defined_names["Rate"] = addr("S", "A1")
     graph = build_graph(wb)
     assert (addr("S", "A1"), addr("S", "B1")) in graph.arcs
+
+
+def test_defined_names_bound_to_cell_and_range_link_and_resolve():
+    # an address is a tuple too: the dispatch must test CellAddress first
+    wb = wb_from("[sheet S]\nA1 num 1\nA2 num 2\nA3 num 3\n"
+                 "B1 formula =Rate*2\nB2 formula =SUM(Span)\n")
+    wb.defined_names["Rate"] = CellAddress("s", 1, 1)
+    wb.defined_names["Span"] = (CellAddress("s", 2, 1), CellAddress("s", 3, 1))
+    graph = build_graph(wb)
+    assert graph.precedents_of(addr("S", "B1")) == {addr("S", "A1"): "Rate"}
+    assert graph.precedents_of(addr("S", "B2")) == {
+        addr("S", "A2"): "Span", addr("S", "A3"): "Span"}
+    assert graph.blank_nodes() == []
+    assert resolve_bottom_line(graph, AuditConfig(bottom_line=("Rate",))) == {
+        addr("S", "A1")}
+    assert resolve_bottom_line(graph, AuditConfig(bottom_line=("span",))) == {
+        addr("S", "A2")}
 
 
 def test_self_reference_is_cycle_not_spurious():

@@ -11,6 +11,7 @@ from helpers import (
 )
 
 from sheetlint import loaders
+from sheetlint.formula import MAX_NESTING
 from sheetlint.graph import build_graph
 from sheetlint.loaders import LoadError, load_text, load_text_string, load_workbook, load_xlsx
 from sheetlint.model import CellAddress, CellKind
@@ -90,6 +91,24 @@ def test_bad_formula_reports_offset():
     with pytest.raises(LoadError) as err:
         load_text_string("[sheet S]\nA1 formula =1+\n")
     assert "expected" in str(err.value)
+
+
+def test_formula_error_column_counts_from_line_start():
+    line = "B1 formula =A1+*2"
+    with pytest.raises(LoadError) as err:
+        load_text_string(f"[sheet S]\n{line}\n", path="f.wb")
+    assert str(err.value).startswith("f.wb:2:16: ")
+    assert line[err.value.col - 1] == "*"
+
+
+def test_nesting_error_column_counts_from_line_start():
+    line = "A1 formula =" + "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(LoadError) as err:
+        load_text_string(f"[sheet S]\n# deep\n{line}\n", path="f.wb")
+    assert err.value.line == 3
+    # the opener one past the limit
+    assert line[:err.value.col].count("(") == MAX_NESTING + 1
+    assert line[err.value.col - 1] == "("
 
 
 def test_comments_and_blanks_ignored():

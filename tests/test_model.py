@@ -1,8 +1,10 @@
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sheetlint.formula import parse_formula
+from sheetlint.formula import CellRef, parse_formula
 from sheetlint.graph import build_graph
 from sheetlint.model import (
     AddressParseError,
@@ -16,6 +18,7 @@ from sheetlint.model import (
     col_number,
     content_extent,
     parse_a1,
+    quote_sheet,
 )
 
 
@@ -66,6 +69,70 @@ def test_col_bounds():
 def test_address_round_trip(row, col, sheet):
     addr = CellAddress(sheet, row, col)
     assert parse_a1(addr.qualified()) == addr
+
+
+@dataclass(frozen=True)
+class _DataclassAddress:
+    """CellAddress as the frozen dataclass it used to be (reference)."""
+
+    sheet: str
+    row: int
+    col: int
+
+    def a1(self) -> str:
+        return f"{col_letters(self.col)}{self.row}"
+
+    def qualified(self) -> str:
+        if not self.sheet:
+            return self.a1()
+        return f"{quote_sheet(self.sheet)}!{self.a1()}"
+
+    def __str__(self) -> str:
+        return self.qualified()
+
+
+_DataclassAddress.__qualname__ = "CellAddress"  # the dataclass repr prints it
+
+# few values often, so that equal pairs are common
+_fields = st.tuples(
+    st.sampled_from(["", "S", "s", "My Sheet", "O'Brien"]) | st.text(max_size=6),
+    st.integers(min_value=1, max_value=3) | st.integers(min_value=1, max_value=1_048_576),
+    st.integers(min_value=1, max_value=3) | st.integers(min_value=1, max_value=16_384),
+)
+
+
+@given(st.lists(_fields, min_size=1, max_size=12))
+def test_address_matches_frozen_dataclass(cells):
+    new = [CellAddress(*f) for f in cells]
+    old = [_DataclassAddress(*f) for f in cells]
+    for a, ref in zip(new, old):
+        assert hash(a) == hash(ref)
+        assert (repr(a), str(a), a.a1(), a.qualified()) == (
+            repr(ref), str(ref), ref.a1(), ref.qualified())
+        for b, ref_b in zip(new, old):
+            assert (a == b) == (ref == ref_b)
+            assert (a != b) == (ref != ref_b)
+    # equal hashes and insertion order give the same set order, so output
+    # that iterates a set of addresses does not change
+    assert ([(a.sheet, a.row, a.col) for a in set(new)]
+            == [(a.sheet, a.row, a.col) for a in set(old)])
+
+
+def test_address_is_immutable():
+    addr = CellAddress("S", 1, 2)
+    with pytest.raises(AttributeError):
+        addr.row = 5
+    with pytest.raises(AttributeError):
+        addr.extra = 1
+    assert addr == CellAddress("S", 1, 2)
+
+
+def test_address_equals_plain_tuple_never_cell_ref():
+    addr = CellAddress("S", 1, 2)
+    ref = CellRef(1, 2, sheet="S")
+    assert addr == ("S", 1, 2)
+    assert addr != ref and ref != addr
+    assert {addr: 1}.get(ref) is None
 
 
 def _sheet_with(cells):

@@ -8,6 +8,7 @@ from helpers import gen_ast
 from sheetlint.formula import ast_equal, parse_formula, print_formula
 from sheetlint.graph import build_graph
 from sheetlint.loaders import load_text_string
+from sheetlint import simplify as simplify_module
 from sheetlint.model import CellAddress
 from sheetlint.simplify import (
     RewriteKind,
@@ -41,6 +42,17 @@ def test_worked_rewrite_division_last():
     assert suggestion.suggested == "=C7*A7/A8"
     assert suggestion.kinds == frozenset((RewriteKind.DIVISION_LAST,))
     assert suggestion.verified
+
+
+def test_suggestion_verified_as_printed_and_reparsed(monkeypatch):
+    # a printer/parser disagreement must not pass as a verified rewrite
+    assert simp("=(C7/A8)*A7").suggested == "=C7*A7/A8"
+
+    def misparse(text):
+        return parse_formula("=C7*A7/A9" if text == "=C7*A7/A8" else text)
+
+    monkeypatch.setattr(simplify_module, "parse_formula", misparse)
+    assert simp("=(C7/A8)*A7") is None
 
 
 def test_already_minimal_sum():
