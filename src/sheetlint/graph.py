@@ -63,6 +63,7 @@ class DependencyGraph:
         self._dependents: dict[CellAddress, list[CellAddress]] = {}
         self.unresolved: dict[CellAddress, list[str]] = {}
         self.cycles: list[list[CellAddress]] = []
+        self._formula_order: list[CellAddress] | None = None
 
     @property
     def arcs(self) -> set[tuple[CellAddress, CellAddress]]:
@@ -82,7 +83,9 @@ class DependencyGraph:
         return (self.sheet_index(addr.sheet), addr.row, addr.col)
 
     def add_node(self, addr: CellAddress, info: NodeInfo) -> None:
-        self.nodes.setdefault(addr, info)
+        if addr not in self.nodes:
+            self.nodes[addr] = info
+            self._formula_order = None
 
     def add_arc(self, precedent: CellAddress, dependent: CellAddress,
                 origin: str | None = None) -> None:
@@ -100,8 +103,12 @@ class DependencyGraph:
         return self._dependents.get(addr, [])
 
     def formula_cells(self) -> list[CellAddress]:
-        return sorted((a for a, n in self.nodes.items()
-                       if n.kind is CellKind.FORMULA), key=self.addr_key)
+        """Formula nodes in workbook reading order; sorted once, returned as a copy."""
+        if self._formula_order is None:
+            self._formula_order = sorted((a for a, n in self.nodes.items()
+                                          if n.kind is CellKind.FORMULA),
+                                         key=self.addr_key)
+        return list(self._formula_order)
 
     def blank_nodes(self) -> list[CellAddress]:
         return sorted((a for a, n in self.nodes.items() if n.blank),
@@ -205,7 +212,8 @@ def find_cycles(graph: DependencyGraph) -> list[list[CellAddress]]:
     """Strongly connected components with >= 2 nodes, plus self-loops.
 
     Iterative Tarjan; each cycle is rotated to start at its smallest cell and
-    the list is ordered by that cell.
+    the list is ordered by that cell. The components do not depend on the
+    order roots are taken in, so nodes are visited in insertion order.
     """
     index: dict[CellAddress, int] = {}
     lowlink: dict[CellAddress, int] = {}
@@ -214,12 +222,10 @@ def find_cycles(graph: DependencyGraph) -> list[list[CellAddress]]:
     counter = [0]
     sccs: list[list[CellAddress]] = []
 
-    ordered = sorted(graph.nodes, key=graph.addr_key)
-
     def successors(v: CellAddress) -> list[CellAddress]:
         return graph.dependents_of(v)
 
-    for root in ordered:
+    for root in graph.nodes:
         if root in index:
             continue
         work = [(root, iter(successors(root)))]
@@ -262,27 +268,26 @@ def find_cycles(graph: DependencyGraph) -> list[list[CellAddress]]:
     return sccs
 
 
-def resolve_bottom_line(graph: DependencyGraph,
-                        config: AuditConfig) -> set[CellAddress]:
-    """Resolve the configured bottom line, or fall back to conventions.
+def explicit_bottom_line(graph: DependencyGraph,
+                         config: AuditConfig) -> dict[str, set[CellAddress]]:
+    """The cells each configured bottom-line entry names, keyed by the entry.
 
-    Order: explicit addresses and defined names from the config; then
-    solver-objective names (WBMAX/WBMIN); then any sink formula whose
-    precedence tree covers at least half of the numeric cells. An explicit
-    address's sheet matches case-insensitively; an entry that is neither a
-    defined name nor an address raises ConfigError.
+    An entry is a defined name or an A1 address. An address's sheet matches
+    case-insensitively; an address without a sheet names that cell on every
+    sheet where it is a node. An entry that is neither raises ConfigError.
     """
-    resolved: set[CellAddress] = set()
+    out: dict[str, set[CellAddress]] = {}
     for entry in config.bottom_line:
         name = entry.strip()
         if not name:
             continue
+        cells = out.setdefault(name, set())
         target = graph.defined_names.get(name.upper())
         if isinstance(target, CellAddress):
-            resolved.add(target)
+            cells.add(target)
             continue
         if isinstance(target, tuple):
-            resolved.add(target[0])
+            cells.add(target[0])
             continue
         try:
             addr = parse_a1(name)
@@ -293,12 +298,27 @@ def resolve_bottom_line(graph: DependencyGraph,
             i = graph.sheet_index(addr.sheet)
             if i < len(graph.sheet_order):
                 addr = CellAddress(graph.sheet_order[i], addr.row, addr.col)
-            resolved.add(addr)
+            cells.add(addr)
         else:
             for sheet in graph.sheet_order:
                 candidate = CellAddress(sheet, addr.row, addr.col)
                 if candidate in graph.nodes:
-                    resolved.add(candidate)
+                    cells.add(candidate)
+    return out
+
+
+def resolve_bottom_line(graph: DependencyGraph,
+                        config: AuditConfig) -> set[CellAddress]:
+    """Resolve the configured bottom line, or fall back to conventions.
+
+    Order: explicit addresses and defined names from the config (see
+    ``explicit_bottom_line``); then solver-objective names (WBMAX/WBMIN);
+    then any sink formula whose precedence tree covers at least half of the
+    numeric cells.
+    """
+    resolved: set[CellAddress] = set()
+    for cells in explicit_bottom_line(graph, config).values():
+        resolved |= cells
     if resolved:
         return resolved
 

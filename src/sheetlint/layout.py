@@ -51,11 +51,11 @@ _NEIGHBOURS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1,
 
 def detect_blocks(sheet: Sheet) -> list[Block]:
     """Flood-fill populated cells into blocks, ordered by top-left corner."""
-    populated = {pos for pos, cell in sheet.cells.items()
-                 if not cell.content.is_empty}
+    kinds = {(addr.row, addr.col): cell.content.kind
+             for addr, cell in sheet.populated()}  # in reading order
     seen: set[tuple[int, int]] = set()
     blocks: list[Block] = []
-    for start in sorted(populated):
+    for start in kinds:
         if start in seen:
             continue
         member = [start]
@@ -65,7 +65,7 @@ def detect_blocks(sheet: Sheet) -> list[Block]:
             row, col = frontier.pop()
             for drow, dcol in _NEIGHBOURS:
                 nxt = (row + drow, col + dcol)
-                if nxt in populated and nxt not in seen:
+                if nxt in kinds and nxt not in seen:
                     seen.add(nxt)
                     member.append(nxt)
                     frontier.append(nxt)
@@ -78,8 +78,8 @@ def detect_blocks(sheet: Sheet) -> list[Block]:
             right=max(c for _, c in member),
             cells=member,
         )
-        for row, col in member:
-            kind = sheet.content_at(row, col).kind
+        for pos in member:
+            kind = kinds[pos]
             if kind is CellKind.FORMULA:
                 block.n_formulas += 1
             elif kind in (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR):
@@ -202,15 +202,23 @@ def copy_pattern_breaks(sheet: Sheet, min_run: int = 3) -> list[CopyRun]:
     column; cells whose relative form differs from the run's majority are
     breaks.
     """
-    formulas = {pos: cell.content.ast for pos, cell in sheet.cells.items()
+    formulas = {(addr.row, addr.col): cell.content.ast
+                for addr, cell in sheet.populated()
                 if cell.content.kind is CellKind.FORMULA
                 and cell.content.ast is not None}
     runs: list[CopyRun] = []
+    printed: dict[tuple[int, int], str] = {}  # a cell can be in a row and a column run
+
+    def form_at(pos: tuple[int, int]) -> str:
+        form = printed.get(pos)
+        if form is None:
+            form = printed[pos] = r1c1_form(formulas[pos], pos[0], pos[1])
+        return form
 
     def scan(positions: list[tuple[int, int]], orientation: str) -> None:
         if len(positions) < min_run:
             return
-        forms = [r1c1_form(formulas[pos], pos[0], pos[1]) for pos in positions]
+        forms = [form_at(pos) for pos in positions]
         counts = Counter(forms)
         top_count = counts.most_common(1)[0][1]
         majority = next(f for f in forms if counts[f] == top_count)
@@ -221,12 +229,11 @@ def copy_pattern_breaks(sheet: Sheet, min_run: int = 3) -> list[CopyRun]:
 
     by_row: dict[int, list[int]] = {}
     by_col: dict[int, list[int]] = {}
-    for row, col in formulas:
+    for row, col in formulas:  # row-major, so each list comes sorted
         by_row.setdefault(row, []).append(col)
         by_col.setdefault(col, []).append(row)
 
-    for row in sorted(by_row):
-        cols = sorted(by_row[row])
+    for row, cols in by_row.items():
         streak = [cols[0]]
         for col in cols[1:]:
             if col == streak[-1] + 1:
@@ -236,7 +243,7 @@ def copy_pattern_breaks(sheet: Sheet, min_run: int = 3) -> list[CopyRun]:
                 streak = [col]
         scan([(row, c) for c in streak], "h")
     for col in sorted(by_col):
-        rows = sorted(by_col[col])
+        rows = by_col[col]
         streak = [rows[0]]
         for row in rows[1:]:
             if row == streak[-1] + 1:
@@ -280,10 +287,10 @@ def label_overflows(sheet: Sheet,
     its right neighbour is populated or is a blank-looking format-only cell.
     """
     out: list[LabelOverflow] = []
-    for (row, col) in sorted(sheet.cells):
-        cell = sheet.cells[(row, col)]
+    for addr, cell in sheet.populated():
         if cell.content.kind is not CellKind.LABEL or cell.content.text is None:
             continue
+        row, col = addr.row, addr.col
         width = sheet.column_widths.get(col, default_width)
         text_width = len(cell.content.text)
         if text_width <= width:
@@ -297,7 +304,7 @@ def label_overflows(sheet: Sheet,
             state = "blank-looking"
         else:
             continue
-        out.append(LabelOverflow(sheet.address(row, col), text_width, width,
+        out.append(LabelOverflow(addr, text_width, width,
                                  sheet.address(row, col + 1), state))
     return out
 

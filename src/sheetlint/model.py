@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
@@ -37,8 +37,9 @@ def col_number(letters: str) -> int:
     return n
 
 
+@lru_cache(maxsize=MAX_COL)
 def col_letters(n: int) -> str:
-    """Convert a 1-based column number back to letters."""
+    """Convert a 1-based column number back to letters; cached per column."""
     if n < 1:
         raise ValueError(f"column number must be >= 1, got {n}")
     out = []
@@ -193,7 +194,12 @@ class Cell:
 
 @dataclass
 class Sheet:
-    """A sparse grid of cells plus sheet-level geometry."""
+    """A sparse grid of cells plus sheet-level geometry.
+
+    The sheet keeps its cells in reading order, sorted on first use and
+    dropped when a cell is added or replaced; change ``cells`` through
+    ``set_cell`` and ``merge_format`` only.
+    """
 
     name: str
     cells: dict[tuple[int, int], Cell] = field(default_factory=dict)
@@ -201,6 +207,8 @@ class Sheet:
     row_heights: dict[int, float] = field(default_factory=dict)
     declared_extent: CellAddress | None = None
     hidden: bool = False
+    _order: list[tuple[CellAddress, Cell]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def address(self, row: int, col: int) -> CellAddress:
         return CellAddress(self.name, row, col)
@@ -208,11 +216,13 @@ class Sheet:
     def set_cell(self, row: int, col: int, content: CellContent,
                  fmt: CellFormat = DEFAULT_FORMAT) -> None:
         self.cells[(row, col)] = Cell(content, fmt)
+        self._order = None
 
     def merge_format(self, row: int, col: int, fmt: CellFormat) -> None:
         cell = self.cells.get((row, col))
         if cell is None:
             self.cells[(row, col)] = Cell(CellContent.empty(), fmt)
+            self._order = None
         else:
             cell.fmt = fmt
 
@@ -224,19 +234,25 @@ class Sheet:
         cell = self.cells.get((row, col))
         return cell.fmt if cell else DEFAULT_FORMAT
 
+    def _reading_order(self) -> list[tuple[CellAddress, Cell]]:
+        """Every stored cell in row-major order; the sheet's own list."""
+        if self._order is None:
+            name = self.name
+            self._order = [(CellAddress(name, row, col), cell)
+                           for (row, col), cell in sorted(self.cells.items())]
+        return self._order
+
     def populated(self) -> Iterator[tuple[CellAddress, Cell]]:
         """Cells bearing content, in row-major order."""
-        for (row, col) in sorted(self.cells):
-            cell = self.cells[(row, col)]
+        for addr, cell in self._reading_order():
             if not cell.content.is_empty:
-                yield self.address(row, col), cell
+                yield addr, cell
 
     def format_only(self) -> Iterator[tuple[CellAddress, Cell]]:
         """Empty cells kept alive by a non-default format (how relics exist)."""
-        for (row, col) in sorted(self.cells):
-            cell = self.cells[(row, col)]
+        for addr, cell in self._reading_order():
             if cell.content.is_empty and not cell.fmt.is_default():
-                yield self.address(row, col), cell
+                yield addr, cell
 
     def has_format_data(self) -> bool:
         if self.column_widths or self.row_heights:
@@ -261,9 +277,10 @@ class Workbook:
     def formulas(self) -> Iterator[tuple[CellAddress, CellContent]]:
         """``(address, content)`` of every parsed formula, by sheet then row-major."""
         for sheet in self.sheets:
-            for addr, cell in sheet.populated():
-                if cell.content.kind is CellKind.FORMULA and cell.content.ast is not None:
-                    yield addr, cell.content
+            for addr, cell in sheet._reading_order():
+                content = cell.content
+                if content.kind is CellKind.FORMULA and content.ast is not None:
+                    yield addr, content
 
     def add_sheet(self, name: str) -> Sheet:
         if not name:

@@ -8,7 +8,14 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .config import AuditConfig, Severity
-from .graph import CellGraphClass, DependencyGraph, build_graph, classify_graph, export_dot
+from .graph import (
+    CellGraphClass,
+    DependencyGraph,
+    build_graph,
+    classify_graph,
+    explicit_bottom_line,
+    export_dot,
+)
 from .layout import SheetLayout, analyze_sheet
 from .model import (
     CellAddress,
@@ -78,6 +85,10 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
         nest=nest_candidates(graph, workbook, max_len=config.nest_max_len))
     classes = classify_graph(graph, config)
     cell_classes = classify_cells(workbook, graph)
+    notices = list(workbook.load_notices)
+    for entry, cells in explicit_bottom_line(graph, config).items():
+        if not any(addr in graph.nodes for addr in cells):
+            notices.append(f"bottom line {entry!r} resolves to no cell")
 
     diagnostics, skipped = run_rules(workbook, graph, layouts, simp, config,
                                      classes=classes, cell_classes=cell_classes)
@@ -122,7 +133,7 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
         skipped=skipped,
         score=score,
         counts=counts,
-        notices=list(workbook.load_notices),
+        notices=notices,
     )
     return AuditResult(report, workbook, graph, classes)
 

@@ -184,6 +184,23 @@ def test_bottom_line_sheet_case_matches_workbook_spelling(capsys):
     assert "37 warnings" in outputs[1]
 
 
+def test_bottom_line_on_no_cell_gives_a_notice(capsys):
+    path = str(fixture_path("assign_v4.wb"))
+    note = "bottom line 'Nosheet!C51' resolves to no cell"
+    main([path, "--bottom-line", "Nosheet!C51"])
+    assert f"note: {note}\n" in capsys.readouterr().out
+    main([path, "--bottom-line", "Nosheet!C51", "--format", "json"])
+    assert json.loads(capsys.readouterr().out)[0]["notices"] == [note]
+
+
+def test_bottom_line_on_a_cell_gives_no_notice(capsys):
+    path = str(fixture_path("assign_v4.wb"))
+    main([path, "--bottom-line", "Model!C51"])
+    assert "resolves to no cell" not in capsys.readouterr().out
+    main([path, "--bottom-line", "Model!C51", "--format", "json"])
+    assert json.loads(capsys.readouterr().out)[0]["notices"] == []
+
+
 def test_bottom_line_neither_name_nor_address_exits_two(capsys):
     code = main([str(fixture_path("assign_v4.wb")), "--bottom-line", "no such"])
     err = capsys.readouterr().err

@@ -511,3 +511,56 @@ def test_classify_deterministic():
     first = classify_graph(graph, AuditConfig())
     second = classify_graph(build_graph(wb), AuditConfig())
     assert first == second
+
+
+# --- reading order: formula_cells sorted once, cycles independent of node order ---
+
+def test_formula_cells_in_reading_order_for_a_hand_built_graph():
+    graph = DependencyGraph(["A", "B"], {})
+    for a1, kind in (("B!A1", CellKind.FORMULA), ("A!A2", CellKind.FORMULA),
+                     ("A!C1", CellKind.NUMBER), ("A!B1", CellKind.FORMULA)):
+        sheet, cell = a1.split("!")
+        graph.add_node(addr(sheet, cell), NodeInfo(kind=kind))
+    first = graph.formula_cells()
+    assert first == [addr("A", "B1"), addr("A", "A2"), addr("B", "A1")]
+    first.clear()  # a copy: the graph's own order is untouched
+    graph.add_node(addr("A", "A1"), NodeInfo(kind=CellKind.FORMULA))
+    graph.add_node(addr("A", "B1"), NodeInfo(kind=CellKind.NUMBER))  # already a node
+    assert graph.formula_cells() == [addr("A", "A1"), addr("A", "B1"),
+                                     addr("A", "A2"), addr("B", "A1")]
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=60)
+def test_cycles_do_not_depend_on_insertion_order(seed):
+    rng = random.Random(seed)
+    wb, _ = gen_workbook(rng)
+    graph = build_graph(wb)
+    formulas = graph.formula_cells()
+    for _ in range(rng.randint(0, 6)):  # extra arcs between formulas close cycles
+        graph.add_arc(rng.choice(formulas), rng.choice(formulas))
+    arcs = list(graph.range_origin.items())
+    nodes = list(graph.nodes.items())
+    rng.shuffle(arcs)
+    rng.shuffle(nodes)
+    shuffled = DependencyGraph(graph.sheet_order, graph.defined_names)
+    for node, info in nodes:
+        shuffled.add_node(node, info)
+    for (precedent, dependent), origin in arcs:
+        shuffled.add_arc(precedent, dependent, origin)
+
+    cycles = find_cycles(graph)
+    assert find_cycles(shuffled) == cycles
+    # oracle: a node is on a cycle exactly when it reaches itself
+    def reaches_itself(start):
+        seen, frontier = set(), list(graph.dependents_of(start))
+        while frontier:
+            node = frontier.pop()
+            if node == start:
+                return True
+            if node not in seen:
+                seen.add(node)
+                frontier.extend(graph.dependents_of(node))
+        return False
+    assert {n for cycle in cycles for n in cycle} == {
+        n for n in graph.nodes if reaches_itself(n)}

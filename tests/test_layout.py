@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import fixture_path
 
+from sheetlint import layout
 from sheetlint.formula import parse_formula, print_formula, translate
 from sheetlint.layout import (
     EmptySheetError,
@@ -169,6 +171,28 @@ B3 formula =A3*2
         == r1c1_form(sheet.content_at(3, 2).ast, 3, 2)
     assert r1c1_form(sheet.content_at(2, 2).ast, 2, 2) \
         != runs[0].majority_form
+
+
+def test_copy_runs_print_each_formula_once(monkeypatch):
+    # a 3x3 block of copies: every cell is in a row run and a column run
+    wb = Workbook()
+    sheet = wb.add_sheet("S")
+    for row in range(2, 5):
+        for col in range(2, 5):
+            shifted = translate(parse_formula("=A1*2"), row - 2, col - 2)
+            sheet.set_cell(row, col, CellContent.formula(print_formula(shifted), shifted))
+    printed = Counter()
+    real = layout.r1c1_form
+
+    def counting(ast, host_row, host_col):
+        printed[(host_row, host_col)] += 1
+        return real(ast, host_row, host_col)
+
+    monkeypatch.setattr(layout, "r1c1_form", counting)
+    runs = copy_pattern_breaks(sheet)
+    assert sorted(r.orientation for r in runs) == ["h"] * 3 + ["v"] * 3
+    assert all(r.breaks == [] for r in runs)
+    assert printed == Counter({(r, c): 1 for r in range(2, 5) for c in range(2, 5)})
 
 
 def test_constants_do_not_form_runs():

@@ -1,7 +1,7 @@
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheetlint.formula import CellRef, parse_formula
@@ -11,7 +11,9 @@ from sheetlint.model import (
     CellAddress,
     CellContent,
     CellFormat,
+    CellKind,
     NumericCellClass,
+    Sheet,
     Workbook,
     classify_cells,
     col_letters,
@@ -232,3 +234,87 @@ def test_duplicate_sheet_names_rejected():
     wb.add_sheet("A")
     with pytest.raises(ValueError):
         wb.add_sheet("a".upper())
+
+
+# --- the cached reading order ----------------------------------------------------
+
+def _sorted_populated(sheet):
+    """Reference: the sort-on-every-call ``Sheet.populated``."""
+    for (row, col) in sorted(sheet.cells):
+        cell = sheet.cells[(row, col)]
+        if not cell.content.is_empty:
+            yield sheet.address(row, col), cell
+
+
+def _sorted_format_only(sheet):
+    """Reference: the sort-on-every-call ``Sheet.format_only``."""
+    for (row, col) in sorted(sheet.cells):
+        cell = sheet.cells[(row, col)]
+        if cell.content.is_empty and not cell.fmt.is_default():
+            yield sheet.address(row, col), cell
+
+
+def _sorted_formulas(workbook):
+    """Reference: ``Workbook.formulas`` over the reference ``populated``."""
+    for sheet in workbook.sheets:
+        for addr, cell in _sorted_populated(sheet):
+            if cell.content.kind is CellKind.FORMULA and cell.content.ast is not None:
+                yield addr, cell.content
+
+
+def _same(got, expected):
+    got, expected = list(got), list(expected)
+    return ([a for a, _ in got] == [a for a, _ in expected]
+            and all(x is y for (_, x), (_, y) in zip(got, expected)))
+
+
+_CONTENTS = (
+    CellContent.empty(),
+    CellContent.of_number(1),
+    CellContent.label("x"),
+    CellContent.formula("=A1", parse_formula("=A1")),
+    CellContent.formula("=(", None),  # a formula that did not parse
+)
+_FORMATS = (CellFormat(), CellFormat(bold=True), CellFormat(font_color="FF0000"))
+_steps = st.lists(st.tuples(
+    st.sampled_from(("set", "fmt", "check")),
+    st.integers(0, 1),                       # sheet
+    st.integers(1, 4), st.integers(1, 4),    # row, col
+    st.integers(0, len(_CONTENTS) - 1),
+    st.integers(0, len(_FORMATS) - 1),
+), max_size=40)
+
+
+@given(_steps)
+@settings(max_examples=150)
+def test_reading_order_follows_every_write(steps):
+    wb = Workbook()
+    sheets = [wb.add_sheet("B"), wb.add_sheet("A")]
+
+    def check():
+        for sheet in sheets:
+            assert _same(sheet.populated(), _sorted_populated(sheet))
+            assert _same(sheet.format_only(), _sorted_format_only(sheet))
+        assert _same(wb.formulas(), _sorted_formulas(wb))
+
+    for op, i, row, col, content, fmt in steps:
+        if op == "set":
+            sheets[i].set_cell(row, col, _CONTENTS[content], _FORMATS[fmt])
+        elif op == "fmt":
+            sheets[i].merge_format(row, col, _FORMATS[fmt])
+        else:
+            check()
+    check()
+
+
+def test_reading_order_cache_is_not_in_repr_or_equality():
+    def build():
+        sheet = Sheet("S")
+        sheet.set_cell(2, 1, CellContent.of_number(1))
+        sheet.set_cell(1, 2, CellContent.label("x"))
+        return sheet
+
+    used, fresh = build(), build()
+    assert [a.a1() for a, _ in used.populated()] == ["B1", "A2"]
+    assert used == fresh
+    assert repr(used) == repr(fresh)
