@@ -14,9 +14,12 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .model import MAX_COL, MAX_ROW, CellAddress, col_letters, col_number, quote_sheet
+
+if TYPE_CHECKING:
+    from .model import CellContent
 
 
 class FormulaParseError(ValueError):
@@ -563,6 +566,83 @@ def translate(ast: FormulaAst, drow: int, dcol: int) -> FormulaAst:
     return map_refs(ast, shift)
 
 
+def r1c1_form(ast: FormulaAst, host_row: int, host_col: int) -> str:
+    """Print a formula with references relative to the host cell.
+
+    Two cells whose formulas are copies of one another produce the same text.
+    """
+
+    def ref_text(ref: CellRef) -> str:
+        sheet = "" if ref.sheet is None else f"{ref.sheet}!"
+        row = f"R{ref.row}" if ref.row_abs else f"R[{ref.row - host_row}]"
+        col = f"C{ref.col}" if ref.col_abs else f"C[{ref.col - host_col}]"
+        return f"{sheet}{row}{col}"
+
+    return print_formula(ast, leading_eq=False, ref_printer=ref_text)
+
+
+# --- copy classes ------------------------------------------------------------
+
+class CopyClass:
+    """The formulas of one sheet that are equal once made host-relative.
+
+    ``relative`` is ``translate(ast, -row, -col)`` of any member at
+    ``(row, col)``, the form by which ExceLint groups copy regions. A table
+    holds one instance per class, so a class hashes by identity and serves
+    as a dict key at the cost of a pointer.
+    """
+
+    __slots__ = ("relative", "sheet", "_r1c1")
+
+    def __init__(self, relative: FormulaAst, sheet: str) -> None:
+        self.relative = relative
+        self.sheet = sheet
+        self._r1c1: str | None = None
+
+    @property
+    def r1c1(self) -> str:
+        """Every member's ``r1c1_form`` at its own cell; printed on first use."""
+        if self._r1c1 is None:
+            self._r1c1 = r1c1_form(self.relative, 0, 0)
+        return self._r1c1
+
+
+def copy_classes(formulas: Iterable[tuple[CellAddress, CellContent]]
+                 ) -> dict[CellAddress, CopyClass]:
+    """Map each formula cell to its copy class, one instance per class.
+
+    A content whose ``copy_seed`` is anchored at its own cell brings its
+    host-relative form with it (the xlsx loader gives one to every member
+    of a shared-formula group), and seeds are interned by identity, so a
+    group costs one hash of its form, not a translate and a hash per
+    member. Other contents are translated here.
+    """
+    interned: dict[tuple, CopyClass] = {}
+    seeded: dict[tuple[int, str], CopyClass] = {}
+    out: dict[CellAddress, CopyClass] = {}
+    for addr, content in formulas:
+        seed = content.copy_seed
+        if seed is not None and seed[1] == addr.row and seed[2] == addr.col:
+            ident = (id(seed[0]), addr.sheet)
+            cls = seeded.get(ident)
+            if cls is None:
+                cls = seeded[ident] = _intern(interned, seed[0], addr.sheet)
+        else:
+            cls = _intern(interned, translate(content.ast, -addr.row, -addr.col),
+                          addr.sheet)
+        out[addr] = cls
+    return out
+
+
+def _intern(interned: dict[tuple, CopyClass], relative: FormulaAst,
+            sheet: str) -> CopyClass:
+    key = (relative, sheet)
+    cls = interned.get(key)
+    if cls is None:
+        cls = interned[key] = CopyClass(relative, sheet)
+    return cls
+
+
 # --- numeric evaluation ------------------------------------------------------
 
 _EVAL_FUNCTIONS = ("SUM", "SUMPRODUCT", "IF", "MIN", "MAX", "ABS")
@@ -668,10 +748,11 @@ def evaluate(ast: FormulaAst, env: dict[CellAddress, float],
             if len(node.args) != 3:
                 raise EvalUnsupported("IF arity")
             return ev(node.args[1]) if ev(node.args[0]) != 0 else ev(node.args[2])
-        if name == "MIN":
-            return min(flat(node.args))
-        if name == "MAX":
-            return max(flat(node.args))
+        if name in ("MIN", "MAX"):
+            values = flat(node.args)
+            if not values:  # no arguments, or a range translated inside out
+                raise EvalUnsupported(f"{name} of no values")
+            return min(values) if name == "MIN" else max(values)
         if name == "ABS":
             if len(node.args) != 1:
                 raise EvalUnsupported("ABS arity")

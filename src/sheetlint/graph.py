@@ -421,7 +421,12 @@ def classify_graph(graph: DependencyGraph,
 
 
 def arc_chebyshev(a: CellAddress, b: CellAddress) -> int | None:
-    if a.sheet.lower() != b.sheet.lower():
+    """Chebyshev distance between two graph nodes; None across sheets.
+
+    Takes nodes of a graph from ``build_graph``, whose sheet names are
+    spelled as the workbook spells them, so the names compare exactly.
+    """
+    if a.sheet != b.sheet:
         return None
     return max(abs(a.row - b.row), abs(a.col - b.col))
 
@@ -432,8 +437,11 @@ def _dot_id(addr: CellAddress) -> str:
 
 
 def is_backward(precedent: CellAddress, dependent: CellAddress) -> bool:
-    """True when the precedent does not come earlier in row-major reading order."""
-    if precedent.sheet.lower() != dependent.sheet.lower():
+    """True when the precedent does not come earlier in row-major reading order.
+
+    Takes nodes of a graph from ``build_graph``, like ``arc_chebyshev``.
+    """
+    if precedent.sheet != dependent.sheet:
         return False  # cross-sheet arcs are a different defect, not a flow one
     if precedent.row != dependent.row:
         return precedent.row > dependent.row

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .formula import CellRef, print_formula
+from .formula import CopyClass, r1c1_form
 from .model import CellAddress, CellKind, Sheet, content_extent, full_extent
 
 DEFAULT_COLUMN_WIDTH = 8.43  # characters, the spreadsheet default
@@ -172,21 +172,6 @@ def relic_scan(sheet: Sheet) -> RelicScan:
     return RelicScan(extent, declared, relic_cells, relic_columns, relic_rows)
 
 
-def r1c1_form(ast: object, host_row: int, host_col: int) -> str:
-    """Print a formula with references relative to the host cell.
-
-    Two cells whose formulas are copies of one another produce the same text.
-    """
-
-    def ref_text(ref: CellRef) -> str:
-        sheet = "" if ref.sheet is None else f"{ref.sheet}!"
-        row = f"R{ref.row}" if ref.row_abs else f"R[{ref.row - host_row}]"
-        col = f"C{ref.col}" if ref.col_abs else f"C[{ref.col - host_col}]"
-        return f"{sheet}{row}{col}"
-
-    return print_formula(ast, leading_eq=False, ref_printer=ref_text)
-
-
 @dataclass
 class CopyRun:
     cells: list[CellAddress]
@@ -195,25 +180,35 @@ class CopyRun:
     breaks: list[CellAddress]
 
 
-def copy_pattern_breaks(sheet: Sheet, min_run: int = 3) -> list[CopyRun]:
+def copy_pattern_breaks(sheet: Sheet, min_run: int = 3,
+                        copy_table: dict[CellAddress, CopyClass] | None = None
+                        ) -> list[CopyRun]:
     """Check every run of adjacent formula cells against its majority copy shape.
 
     A run is at least ``min_run`` consecutive formula cells in one row or one
     column; cells whose relative form differs from the run's majority are
-    breaks.
+    breaks. Forms are R1C1 texts: with ``copy_table`` (``copy_classes`` over
+    the workbook) each class is printed once, without it each formula in a
+    run is printed once at its own cell.
     """
-    formulas = {(addr.row, addr.col): cell.content.ast
-                for addr, cell in sheet.populated()
-                if cell.content.kind is CellKind.FORMULA
-                and cell.content.ast is not None}
-    runs: list[CopyRun] = []
-    printed: dict[tuple[int, int], str] = {}  # a cell can be in a row and a column run
+    if copy_table is None:
+        formulas = {(addr.row, addr.col): content.ast
+                    for addr, content in sheet.formulas()}
+        printed: dict[tuple[int, int], str] = {}  # a cell can be in two runs
 
-    def form_at(pos: tuple[int, int]) -> str:
-        form = printed.get(pos)
-        if form is None:
-            form = printed[pos] = r1c1_form(formulas[pos], pos[0], pos[1])
-        return form
+        def form_at(pos: tuple[int, int]) -> str:
+            form = printed.get(pos)
+            if form is None:
+                form = printed[pos] = r1c1_form(formulas[pos], pos[0], pos[1])
+            return form
+    else:
+        formulas = {(addr.row, addr.col): copy_table[addr]
+                    for addr, _ in sheet.formulas()}
+
+        def form_at(pos: tuple[int, int]) -> str:
+            return formulas[pos].r1c1
+
+    runs: list[CopyRun] = []
 
     def scan(positions: list[tuple[int, int]], orientation: str) -> None:
         if len(positions) < min_run:
@@ -322,11 +317,14 @@ class SheetLayout:
 
 
 def analyze_sheet(sheet: Sheet, *, copy_run_min: int = 3,
-                  min_block_cells: int = 2) -> SheetLayout:
+                  min_block_cells: int = 2,
+                  copy_table: dict[CellAddress, CopyClass] | None = None
+                  ) -> SheetLayout:
     """Run every layout analysis over one sheet.
 
     Blocks below ``min_block_cells`` (stray labels, titles) are ignored when
-    judging stacking, not when reporting blocks.
+    judging stacking, not when reporting blocks. ``copy_table`` goes to
+    ``copy_pattern_breaks``.
     """
     blocks = detect_blocks(sheet)
     significant = [b for b in blocks if b.size >= min_block_cells]
@@ -338,7 +336,8 @@ def analyze_sheet(sheet: Sheet, *, copy_run_min: int = 3,
         blocks=blocks,
         stacking=bulletin_board_score(significant),
         relics=relic_scan(sheet),
-        copy_runs=copy_pattern_breaks(sheet, min_run=copy_run_min),
+        copy_runs=copy_pattern_breaks(sheet, min_run=copy_run_min,
+                                      copy_table=copy_table),
         blank_ratio=ratio,
         overflows=label_overflows(sheet),
     )

@@ -382,8 +382,9 @@ def load_xlsx(path: str | Path) -> Workbook:
     """Load the xlsx subset: cells, formulas, dimension, styles, names, widths.
 
     Cached formula strings are used verbatim; stored results are ignored.
-    Shared formulas are expanded to per-cell text. Charts, pivots and other
-    unsupported parts are ignored with a notice on the workbook.
+    Shared formulas are expanded to per-cell text, and every member gets
+    its group's one host-relative form as ``copy_seed``. Charts, pivots and
+    other unsupported parts are ignored with a notice on the workbook.
     """
     spath = str(path)
     try:
@@ -461,7 +462,9 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
             for c in range(lo, hi + 1):
                 sheet.column_widths[c] = width
 
-    shared: dict[str, tuple[object, int, int]] = {}
+    # si -> (master ast, master row, master col, host-relative form); every
+    # member's copy seed holds the one host-relative form of its group
+    shared: dict[str, tuple[object, int, int, object]] = {}
     data = root.find(_tag("sheetData"))
     if data is None:
         _set_declared_extent(sheet, declared)
@@ -496,7 +499,8 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                         except FormulaParseError as exc:
                             raise LoadError(path, 0, 0,
                                             f"cell {ref}: bad formula: {exc}")
-                        shared[si] = (ast, addr.row, addr.col)
+                        relative = translate(ast, -addr.row, -addr.col)
+                        shared[si] = (ast, addr.row, addr.col, relative)
                     else:
                         master = shared.get(si)
                         if master is None:
@@ -505,7 +509,9 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                                             f"{si!r} has no master")
                         ast = translate(master[0], addr.row - master[1],
                                         addr.col - master[2])
-                    content = CellContent.formula(print_formula(ast), ast)
+                        relative = master[3]
+                    content = CellContent.formula(
+                        print_formula(ast), ast, (relative, addr.row, addr.col))
                 else:
                     try:
                         ast = parse_formula("=" + ftext)

@@ -124,6 +124,10 @@ class CellContent:
     ast: object | None = None
     error_code: str | None = None
     bool_value: bool | None = None
+    # (translate(ast, -row, -col), row, col): the formula's copy-class form,
+    # given by a loader that knows it; used only at the anchor (row, col).
+    copy_seed: tuple[object, int, int] | None = field(
+        default=None, compare=False, repr=False)
 
     @classmethod
     def empty(cls) -> "CellContent":
@@ -139,8 +143,10 @@ class CellContent:
         return cls(CellKind.LABEL, text=text)
 
     @classmethod
-    def formula(cls, formula_text: str, ast: object) -> "CellContent":
-        return cls(CellKind.FORMULA, formula_text=formula_text, ast=ast)
+    def formula(cls, formula_text: str, ast: object,
+                copy_seed: tuple[object, int, int] | None = None) -> "CellContent":
+        return cls(CellKind.FORMULA, formula_text=formula_text, ast=ast,
+                   copy_seed=copy_seed)
 
     @classmethod
     def boolean(cls, value: bool) -> "CellContent":
@@ -254,6 +260,13 @@ class Sheet:
             if cell.content.is_empty and not cell.fmt.is_default():
                 yield addr, cell
 
+    def formulas(self) -> Iterator[tuple[CellAddress, CellContent]]:
+        """``(address, content)`` of every parsed formula, in row-major order."""
+        for addr, cell in self._reading_order():
+            content = cell.content
+            if content.kind is CellKind.FORMULA and content.ast is not None:
+                yield addr, content
+
     def has_format_data(self) -> bool:
         if self.column_widths or self.row_heights:
             return True
@@ -277,10 +290,7 @@ class Workbook:
     def formulas(self) -> Iterator[tuple[CellAddress, CellContent]]:
         """``(address, content)`` of every parsed formula, by sheet then row-major."""
         for sheet in self.sheets:
-            for addr, cell in sheet._reading_order():
-                content = cell.content
-                if content.kind is CellKind.FORMULA and content.ast is not None:
-                    yield addr, content
+            yield from sheet.formulas()
 
     def add_sheet(self, name: str) -> Sheet:
         if not name:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .config import AuditConfig, Severity
+from .formula import copy_classes
 from .graph import (
     CellGraphClass,
     DependencyGraph,
@@ -74,14 +76,16 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
     """Run the whole pipeline: graph, layout, simplifier, rules, score."""
     config = config or AuditConfig()
     graph = build_graph(workbook)
+    copy_table = copy_classes(workbook.formulas())
     layouts: dict[str, SheetLayout] = {
         sheet.name: analyze_sheet(sheet,
                                   copy_run_min=config.copy_run_min,
-                                  min_block_cells=config.min_block_cells)
+                                  min_block_cells=config.min_block_cells,
+                                  copy_table=copy_table)
         for sheet in workbook.sheets
     }
     simp = SimplifierResults(
-        suggestions=simplify_workbook(workbook),
+        suggestions=simplify_workbook(workbook, copy_table),
         nest=nest_candidates(graph, workbook, max_len=config.nest_max_len))
     classes = classify_graph(graph, config)
     cell_classes = classify_cells(workbook, graph)
@@ -91,7 +95,8 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
             notices.append(f"bottom line {entry!r} resolves to no cell")
 
     diagnostics, skipped = run_rules(workbook, graph, layouts, simp, config,
-                                     classes=classes, cell_classes=cell_classes)
+                                     classes=classes, cell_classes=cell_classes,
+                                     copy_table=copy_table)
 
     try:
         score = readability_score(diagnostics, numeric_cell_count(cell_classes))
@@ -138,62 +143,110 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
     return AuditResult(report, workbook, graph, classes)
 
 
-def _suggestion_json(diag: Diagnostic) -> dict | None:
-    if diag.suggestion is None:
-        return None
-    s = diag.suggestion
-    return {
-        "original": s.original,
-        "suggested": s.suggested,
-        "kinds": sorted(k.value for k in s.kinds),
-        "verified": s.verified,
-        "char_delta": s.char_delta,
-    }
+# render_json writes the indent-2 layout of json.dumps(..., indent=2) itself:
+# each container opens on its key's line, holds one item per line two spaces
+# deeper and closes at the key's indent; an empty one is [] or {}.
+
+_str = encode_basestring_ascii  # a string as json.dumps writes it (ASCII only)
 
 
-def report_to_dict(report: Report) -> dict:
-    return {
-        "tool": report.tool,
-        "version": report.version,
-        "input": report.input,
-        "sheets": [{
-            "name": s.name,
-            "cells": {
-                "numeric_formulas": s.numeric_formulas,
-                "numeric_constants": s.numeric_constants,
-                "labels": s.labels,
-                "format_only_blanks": s.format_only_blanks,
-            },
-            "content_extent": s.content_extent,
-            "declared_extent": s.declared_extent,
-            "blank_ratio": s.blank_ratio,
-            "stacking": s.stacking,
-        } for s in report.sheets],
-        "diagnostics": [{
-            "rule": d.rule,
-            "severity": d.severity.label(),
-            "sheet": d.sheet,
-            "cell": d.cell.a1() if d.cell else None,
-            "location": d.location(),
-            "message": d.message,
-            "related": [r.qualified() for r in d.related],
-            "suggestion": _suggestion_json(d),
-            "guideline": d.guideline,
-        } for d in report.diagnostics],
-        "skipped_rules": [{
-            "rule": s.rule,
-            "sheet": s.sheet,
-            "reason": s.reason,
-        } for s in report.skipped],
-        "notices": report.notices,
-        "score": report.score,
-        "counts": report.counts,
-    }
+def _opt(text: str | None) -> str:
+    return "null" if text is None else _str(text)
+
+
+def _num(value: float | None) -> str:
+    """A number as json.dumps writes it, NaN and the infinities included."""
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return int.__repr__(value)
+
+
+def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """Rendered items (array values or ``"key": value`` fields) in a
+    container that closes at ``indent``."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _sheet_json(s: SheetSummary) -> str:
+    cells = _block([f'"numeric_formulas": {s.numeric_formulas}',
+                    f'"numeric_constants": {s.numeric_constants}',
+                    f'"labels": {s.labels}',
+                    f'"format_only_blanks": {s.format_only_blanks}'],
+                   " " * 8, "{}")
+    return _block([f'"name": {_str(s.name)}',
+                   f'"cells": {cells}',
+                   f'"content_extent": {_opt(s.content_extent)}',
+                   f'"declared_extent": {_opt(s.declared_extent)}',
+                   f'"blank_ratio": {_num(s.blank_ratio)}',
+                   f'"stacking": {_str(s.stacking)}'],
+                  " " * 6, "{}")
+
+
+def _diagnostic_json(d: Diagnostic) -> str:
+    s = d.suggestion
+    if s is None:
+        suggestion = "null"
+    else:
+        kinds = _block([_str(k) for k in sorted(k.value for k in s.kinds)], " " * 10)
+        suggestion = _block([f'"original": {_str(s.original)}',
+                             f'"suggested": {_str(s.suggested)}',
+                             f'"kinds": {kinds}',
+                             f'"verified": {"true" if s.verified else "false"}',
+                             f'"char_delta": {_num(s.char_delta)}'],
+                            " " * 8, "{}")
+    related = _block([_str(r.qualified()) for r in d.related], " " * 8)
+    cell = "null" if d.cell is None else _str(d.cell.a1())
+    return ("{\n"
+            f'        "rule": {_str(d.rule)},\n'
+            f'        "severity": {_str(d.severity.label())},\n'
+            f'        "sheet": {_opt(d.sheet)},\n'
+            f'        "cell": {cell},\n'
+            f'        "location": {_str(d.location())},\n'
+            f'        "message": {_str(d.message)},\n'
+            f'        "related": {related},\n'
+            f'        "suggestion": {suggestion},\n'
+            f'        "guideline": {_opt(d.guideline)}\n'
+            "      }")
+
+
+def _report_json(report: Report) -> str:
+    ind = " " * 4
+    skipped = [_block([f'"rule": {_str(s.rule)}',
+                       f'"sheet": {_opt(s.sheet)}',
+                       f'"reason": {_str(s.reason)}'], " " * 6, "{}")
+               for s in report.skipped]
+    counts = [f"{_str(key)}: {_num(n)}" for key, n in report.counts.items()]
+    return _block([
+        f'"tool": {_str(report.tool)}',
+        f'"version": {_str(report.version)}',
+        f'"input": {_str(report.input)}',
+        f'"sheets": {_block([_sheet_json(s) for s in report.sheets], ind)}',
+        f'"diagnostics": {_block([_diagnostic_json(d) for d in report.diagnostics], ind)}',
+        f'"skipped_rules": {_block(skipped, ind)}',
+        f'"notices": {_block([_str(n) for n in report.notices], ind)}',
+        f'"score": {_num(report.score)}',
+        f'"counts": {_block(counts, ind, "{}")}',
+    ], "  ", "{}")
 
 
 def render_json(reports: list[Report]) -> str:
-    """One report object per input, always wrapped in a JSON array."""
-    return json.dumps([report_to_dict(r) for r in reports], indent=2)
+    """One report object per input, always wrapped in a JSON array.
+
+    The text is what ``json.dumps(..., indent=2)`` writes for the fields of
+    docs/report-schema.md, written straight from the report objects.
+    """
+    return _block([_report_json(r) for r in reports], "")
 
 
 def _format_score(score: float | None) -> str:

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import ALL_RULE_IDS, AuditConfig, Severity
-from .formula import RangeRef, produces_text
+from .formula import CopyClass, RangeRef, copy_classes, produces_text
 from .graph import (
     CellGraphClass,
     DependencyGraph,
@@ -141,15 +141,18 @@ def run_rules(workbook: Workbook, graph: DependencyGraph,
               config: AuditConfig, *,
               classes: dict[CellAddress, CellGraphClass] | None = None,
               cell_classes: dict[CellAddress, NumericCellClass] | None = None,
+              copy_table: dict[CellAddress, CopyClass] | None = None,
               ) -> tuple[list[Diagnostic], list[SkippedRule]]:
     """Evaluate every enabled rule; diagnostics come back deterministically ordered.
 
     Rules never abort the run: a rule that cannot execute on a sheet (no
     format data, for instance) contributes a skipped-rule notice instead.
-    ``classes`` and ``cell_classes`` are the results of ``classify_graph``
-    and ``classify_cells`` for this workbook, computed here when omitted.
+    ``classes``, ``cell_classes`` and ``copy_table`` are the results of
+    ``classify_graph``, ``classify_cells`` and ``copy_classes`` for this
+    workbook, computed here when omitted (the table only if a rule reads it).
     """
-    ctx = _Context(workbook, graph, layouts, simp, config, classes, cell_classes)
+    ctx = _Context(workbook, graph, layouts, simp, config, classes, cell_classes,
+                   copy_table)
     diagnostics: list[Diagnostic] = []
     skipped: list[SkippedRule] = []
     for rule_id, impl in _RULE_IMPLS.items():
@@ -180,7 +183,8 @@ class _Context:
                  layouts: dict[str, SheetLayout], simp: SimplifierResults,
                  config: AuditConfig,
                  classes: dict[CellAddress, CellGraphClass] | None,
-                 cell_classes: dict[CellAddress, NumericCellClass] | None) -> None:
+                 cell_classes: dict[CellAddress, NumericCellClass] | None,
+                 copy_table: dict[CellAddress, CopyClass] | None = None) -> None:
         self.workbook = workbook
         self.graph = graph
         self.layouts = layouts
@@ -189,6 +193,7 @@ class _Context:
         self.classes = classes if classes is not None else classify_graph(graph, config)
         self.cell_classes = (cell_classes if cell_classes is not None
                              else classify_cells(workbook, graph))
+        self._copy_table = copy_table
         self.on_cycle = {addr for cycle in graph.cycles for addr in cycle}
         self.flow_exempt = set()
         for entry in config.flow_exempt:
@@ -198,6 +203,12 @@ class _Context:
             else:
                 for sheet in workbook.sheets:
                     self.flow_exempt.add(CellAddress(sheet.name, addr.row, addr.col))
+
+    @property
+    def copy_table(self) -> dict[CellAddress, CopyClass]:
+        if self._copy_table is None:
+            self._copy_table = copy_classes(self.workbook.formulas())
+        return self._copy_table
 
     def sheet_index(self, name: str | None) -> int:
         if name is None:
@@ -294,7 +305,7 @@ def _r03_cross_sheet(ctx: _Context, sheets) -> list[Diagnostic]:
     for addr in ctx.graph.formula_cells():
         offenders = sorted(
             {p for p in ctx.graph.precedents_of(addr)
-             if p.sheet.lower() != addr.sheet.lower()},
+             if p.sheet != addr.sheet},
             key=ctx.graph.addr_key)
         if offenders:
             out.append(ctx.emit(
@@ -363,18 +374,27 @@ def _r06_perverse(ctx: _Context, sheets) -> list[Diagnostic]:
 
 
 def _r07_constants(ctx: _Context, sheets) -> list[Diagnostic]:
+    # Whether a formula has references, and its numbers, are the same in
+    # every copy, so the message is built once per copy class.
     out = []
     allow = ctx.config.constant_allowlist
+    table = ctx.copy_table
+    messages: dict[CopyClass, str | None] = {}
     for addr, content in ctx.workbook.formulas():
-        if not content.facts.refs:
-            continue
-        literals = [n for n in content.facts.numbers if n.value not in allow]
-        if not literals:
-            continue
-        shown = ", ".join(lit.text for lit in literals[:4])
-        out.append(ctx.emit(
-            "R07", addr.sheet, addr,
-            f"constant {shown} embedded in formula; move it to its own cell"))
+        cls = table[addr]
+        if cls in messages:
+            message = messages[cls]
+        else:
+            message = None
+            if content.facts.refs:
+                literals = [n for n in content.facts.numbers if n.value not in allow]
+                if literals:
+                    shown = ", ".join(lit.text for lit in literals[:4])
+                    message = (f"constant {shown} embedded in formula; "
+                               f"move it to its own cell")
+            messages[cls] = message
+        if message is not None:
+            out.append(ctx.emit("R07", addr.sheet, addr, message))
     return out
 
 
@@ -643,6 +663,8 @@ def _r22_blank_space(ctx: _Context, sheets) -> list[Diagnostic]:
 
 
 def _r23_formula_refs(ctx: _Context, sheets) -> list[Diagnostic]:
+    # A node with precedents is a formula, so its sheet is spelled as the
+    # workbook spells it.
     out = []
     nodes = ctx.graph.nodes
     total: Counter[str] = Counter()
@@ -650,11 +672,11 @@ def _r23_formula_refs(ctx: _Context, sheets) -> list[Diagnostic]:
     for d in nodes:
         precedents = ctx.graph.precedents_of(d)
         if precedents:
-            total[d.sheet.lower()] += len(precedents)
-            into_formulas[d.sheet.lower()] += sum(
+            total[d.sheet] += len(precedents)
+            into_formulas[d.sheet] += sum(
                 1 for p in precedents if nodes[p].kind is CellKind.FORMULA)
     for sheet in ctx.workbook.sheets:
-        key = sheet.name.lower()
+        key = sheet.name
         if total[key] and into_formulas[key]:
             out.append(ctx.emit(
                 "R23", sheet.name, None,
@@ -664,12 +686,25 @@ def _r23_formula_refs(ctx: _Context, sheets) -> list[Diagnostic]:
 
 
 def _r24_ref_order(ctx: _Context, sheets) -> list[Diagnostic]:
+    # Shifting every reference alike keeps their order, so a copy class
+    # whose references are all relative is checked once; one with a `$`
+    # reference is checked per cell.
     out = []
+    table = ctx.copy_table
+    verdicts: dict[CopyClass, bool] = {}
     for addr, content in ctx.workbook.formulas():
+        cls = table[addr]
+        disordered = verdicts.get(cls)
+        if disordered is False:
+            continue
         starts = [r.start if isinstance(r, RangeRef) else r for r in content.facts.refs]
-        keys = [(ctx.graph.sheet_index(s.sheet if s.sheet is not None else addr.sheet),
-                 s.row, s.col) for s in starts]
-        if any(b < a for a, b in zip(keys, keys[1:])):
+        if disordered is None:
+            keys = [(ctx.graph.sheet_index(s.sheet if s.sheet is not None else addr.sheet),
+                     s.row, s.col) for s in starts]
+            disordered = any(b < a for a, b in zip(keys, keys[1:]))
+            if not any(s.row_abs or s.col_abs for s in starts):
+                verdicts[cls] = disordered
+        if disordered:
             listed = ", ".join(s.resolve(addr.sheet).a1() for s in starts[:6])
             out.append(ctx.emit(
                 "R24", addr.sheet, addr,

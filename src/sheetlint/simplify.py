@@ -23,6 +23,7 @@ from .formula import (
     _PREC,
     BinaryOp,
     CellRef,
+    CopyClass,
     FormulaAst,
     FunctionCall,
     NumberLit,
@@ -32,6 +33,7 @@ from .formula import (
     EvalDomainError,
     EvalUnsupported,
     ast_equal,
+    copy_classes,
     evaluate,
     extract_references,
     formula_facts,
@@ -425,29 +427,33 @@ def simplify(ast: FormulaAst, host: CellAddress,
     return _finish(ast, host, rewritten, kinds, {}, trials)
 
 
-def simplify_workbook(workbook: Workbook) -> dict[CellAddress, RewriteSuggestion]:
+def simplify_workbook(workbook: Workbook,
+                      copy_table: dict[CellAddress, CopyClass] | None = None
+                      ) -> dict[CellAddress, RewriteSuggestion]:
     """``simplify`` for every formula cell, rewriting once per copy class.
 
-    A copy class is the formulas of one sheet that are equal once their
-    relative references are made host-relative. The rewrite runs on the
-    first member and is translated to the others; each member is still
-    printed and re-parsed, and verified once per alias pattern in its class.
-    The result equals calling ``simplify`` on every cell.
+    ``copy_table`` is ``copy_classes`` over the workbook's formulas, built
+    here when omitted. The rewrite runs on the first member of a class and
+    is translated to the others; each member is still printed and
+    re-parsed, and verified once per alias pattern in its class. The
+    result equals calling ``simplify`` on every cell.
     """
-    classes: dict[tuple, tuple | None] = {}
+    if copy_table is None:
+        copy_table = copy_classes(workbook.formulas())
+    rewrites: dict[CopyClass, tuple | None] = {}
     out: dict[CellAddress, RewriteSuggestion] = {}
     for addr, content in workbook.formulas():
-        ast = content.ast
-        key = (translate(ast, -addr.row, -addr.col), addr.sheet)
-        if key not in classes:
-            rewritten, kinds = _rewrite(ast)
-            classes[key] = ((translate(rewritten, -addr.row, -addr.col), kinds, {})
-                            if kinds else None)
-        entry = classes[key]
+        cls = copy_table[addr]
+        if cls not in rewrites:
+            rewritten, kinds = _rewrite(content.ast)
+            rewrites[cls] = ((translate(rewritten, -addr.row, -addr.col), kinds, {})
+                             if kinds else None)
+        entry = rewrites[cls]
         if entry is None:
             continue
         relative, kinds, verdicts = entry
-        suggestion = _finish(ast, addr, translate(relative, addr.row, addr.col),
+        suggestion = _finish(content.ast, addr,
+                             translate(relative, addr.row, addr.col),
                              kinds, verdicts)
         if suggestion is not None:
             out[addr] = suggestion

@@ -15,6 +15,7 @@ from sheetlint.graph import (
     DependencyGraph,
     NodeInfo,
     _dot_id,
+    arc_chebyshev,
     build_graph,
     classify_graph,
     export_dot,
@@ -564,3 +565,23 @@ def test_cycles_do_not_depend_on_insertion_order(seed):
         return False
     assert {n for cycle in cycles for n in cycle} == {
         n for n in graph.nodes if reaches_itself(n)}
+
+
+def test_defined_name_on_missing_sheet_is_cross_sheet_only():
+    # A name may point at a sheet the workbook lacks; that node keeps the
+    # name's spelling, and its arcs are cross-sheet (R03), never backward
+    # (R01) or long (R02). R23 counts by the dependent's sheet.
+    wb = wb_from("[sheet Model]\nA1 num 1\nB2 formula =Gone+A1\nC3 formula =model!B2*2\n")
+    wb.defined_names["Gone"] = CellAddress("Elsewhere", 90, 90)
+    graph = build_graph(wb)
+    far = CellAddress("Elsewhere", 90, 90)
+    assert graph.precedents_of(addr("Model", "B2")) == {far: "Gone", addr("Model", "A1"): None}
+    assert not is_backward(far, addr("Model", "B2"))
+    assert arc_chebyshev(far, addr("Model", "B2")) is None
+    config = AuditConfig(enabled_rules=frozenset(("R01", "R02", "R03", "R23")),
+                         long_arc_distance=5)
+    report = audit_workbook(wb, config).report
+    assert [(d.rule, d.location(), d.message) for d in report.diagnostics] == [
+        ("R23", "Model", "33% of references target formula cells rather than constants"),
+        ("R03", "Model!B2", "cross-sheet reference: depends on Elsewhere!CL90"),
+    ]

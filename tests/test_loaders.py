@@ -1,3 +1,4 @@
+from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -10,12 +11,20 @@ from helpers import (
     build_xlsx,
 )
 
+from sheetlint import formula as formula_module
 from sheetlint import loaders
-from sheetlint.formula import MAX_NESTING
+from sheetlint.formula import (
+    MAX_NESTING,
+    copy_classes,
+    parse_formula,
+    print_formula,
+    r1c1_form,
+    translate,
+)
 from sheetlint.graph import build_graph
 from sheetlint.loaders import LoadError, load_text, load_text_string, load_workbook, load_xlsx
-from sheetlint.model import CellAddress, CellKind
-from sheetlint.report import audit_workbook
+from sheetlint.model import CellAddress, CellKind, parse_a1
+from sheetlint.report import audit_workbook, render_json
 
 
 def test_formula_statement():
@@ -378,3 +387,103 @@ def test_text_malformed_column_width_is_load_error(width):
         load_text_string(f"[sheet S]\ncol B width={width}\n", "w.wb")
     assert str(err.value).startswith("w.wb:2:1: unrecognized statement")
     assert load_text_string("[sheet S]\ncol B width=.5\n").sheets[0].column_widths == {2: 0.5}
+
+
+# Shared-formula groups (si, master cell, master text, member cells), and
+# plain formulas, one of which (S!B7) is a copy of group 0 written out.
+_SHARED_GROUPS = {
+    "S": [(0, "B1", "A1*2+$A$1", ["B2", "B3", "B4", "B5", "B6"]),
+          (1, "C1", "(B1+A1)*1.05", ["C2", "C3", "C4", "C5", "C6"]),
+          (2, "A8", "A1+A2+A3", ["B8", "C8", "D8", "E8", "F8"])],
+    "T": [(0, "A1", "S!A1*3", ["A2", "A3", "A4"])],
+}
+_PLAIN = {"S": {"B7": "A7*2+$A$1", "H1": "SUM(A1:A6)*2"}, "T": {}}
+
+
+def _copy_model_xlsx(path, shared: bool):
+    """The copy model written with shared formulas, or as plain formulas."""
+    sheets = {"S": {f"A{row}": {"n": str(row)} for row in range(1, 8)}, "T": {}}
+    for name, groups in _SHARED_GROUPS.items():
+        for si, master, text, members in groups:
+            anchor = parse_a1(master)
+            ast = parse_formula("=" + text)
+            sheets[name][master] = ({"fs": (si, text, f"{master}:{members[-1]}")}
+                                    if shared else {"f": text})
+            for ref in members:
+                cell = parse_a1(ref)
+                copy = translate(ast, cell.row - anchor.row, cell.col - anchor.col)
+                sheets[name][ref] = ({"fs": (si, None, None)} if shared
+                                     else {"f": print_formula(copy, leading_eq=False)})
+        for ref, text in _PLAIN[name].items():
+            sheets[name][ref] = {"f": text}
+    return build_xlsx(path, sheets)
+
+
+def _classes_by_cells(table) -> set[frozenset]:
+    groups: dict = {}
+    for addr, cls in table.items():
+        groups.setdefault(id(cls), set()).add(addr)
+    return {frozenset(cells) for cells in groups.values()}
+
+
+def test_xlsx_shared_formulas_give_plain_formula_reports_and_classes(tmp_path):
+    shared = load_xlsx(_copy_model_xlsx(tmp_path / "shared.xlsx", True))
+    plain = load_xlsx(_copy_model_xlsx(tmp_path / "plain.xlsx", False))
+    assert all(content.copy_seed is not None for addr, content in shared.formulas()
+               if addr.a1() not in _PLAIN[addr.sheet])
+    assert all(content.copy_seed is None for _, content in plain.formulas())
+    assert list(shared.formulas()) == list(plain.formulas())  # the seed is not compared
+    shared_table = copy_classes(shared.formulas())
+    assert _classes_by_cells(shared_table) == _classes_by_cells(copy_classes(plain.formulas()))
+    b1 = shared_table[CellAddress("S", 1, 2)]
+    assert shared_table[CellAddress("S", 7, 2)] is b1  # the written-out copy joins group 0
+    assert render_json([audit_workbook(shared, input_path="m").report]) \
+        == render_json([audit_workbook(plain, input_path="m").report])
+
+
+def test_copy_class_keys_cost_one_translate_per_group(tmp_path, monkeypatch):
+    path = _copy_model_xlsx(tmp_path / "shared.xlsx", True)
+    calls = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[module.__name__, name] += 1
+            if name == "r1c1_form":
+                calls["printed", id(args[0])] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(loaders, "translate")
+    counting(formula_module, "translate")
+    wb = load_xlsx(path)
+    groups = sum(len(g) for g in _SHARED_GROUPS.values())
+    members = sum(len(g[3]) for gs in _SHARED_GROUPS.values() for g in gs)
+    # one host-relative form per group, plus each member's own formula
+    assert calls["sheetlint.loaders", "translate"] == groups + members
+    table = copy_classes(wb.formulas())
+    # seeded members cost no translate; each plain formula one
+    assert calls["sheetlint.formula", "translate"] == sum(map(len, _PLAIN.values()))
+    counting(formula_module, "r1c1_form")
+    audit_workbook(wb)
+    printed = [n for key, n in calls.items() if key[0] == "printed"]
+    # every class but H1's lies in a copy run; each is printed once
+    assert printed == [1] * (len(set(map(id, table.values()))) - 1)
+
+
+def test_seeded_content_placed_elsewhere_is_classed_by_its_own_translation(tmp_path):
+    wb = load_xlsx(_copy_model_xlsx(tmp_path / "shared.xlsx", True))
+    s, t = wb.sheets
+    content = s.content_at(3, 2)  # group 0, anchored at B3
+    s.set_cell(10, 5, content)
+    t.set_cell(3, 2, content)
+    table = copy_classes(wb.formulas())
+    group = table[CellAddress("S", 3, 2)]
+    moved = table[CellAddress("S", 10, 5)]
+    assert moved is not group
+    assert moved.relative == translate(content.ast, -10, -5)
+    assert moved.r1c1 == r1c1_form(content.ast, 10, 5) != group.r1c1
+    other_sheet = table[CellAddress("T", 3, 2)]
+    assert other_sheet is not group and other_sheet.sheet == "T"
+    assert other_sheet.relative == group.relative

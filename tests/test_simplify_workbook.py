@@ -1,6 +1,7 @@
 """simplify_workbook: once per copy class, equal to simplify on every cell."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -9,8 +10,21 @@ from hypothesis import strategies as st
 from helpers import gen_ast
 
 import sheetlint.simplify as simplify_module
-from sheetlint.formula import CellRef, RangeRef, map_refs, parse_formula, print_formula, translate
+from sheetlint.config import AuditConfig
+from sheetlint.formula import (
+    CellRef,
+    RangeRef,
+    copy_classes,
+    map_refs,
+    parse_formula,
+    print_formula,
+    r1c1_form,
+    translate,
+)
+from sheetlint.graph import build_graph
+from sheetlint.layout import CopyRun, copy_pattern_breaks
 from sheetlint.model import CellContent, CellKind, Workbook
+from sheetlint.rules import SimplifierResults, run_rules
 from sheetlint.simplify import simplify, simplify_workbook
 
 SHEETS = ("S", "T")
@@ -132,3 +146,123 @@ def test_same_pattern_other_range_shape_is_verified_again():
 
 def test_unchanged_class_gives_no_suggestions():
     assert simplify_workbook(_row_of_copies("=A1+B1", 4)) == {}
+
+
+# --- the copy-class table ------------------------------------------------------
+
+def _partition(groups) -> set[frozenset]:
+    return {frozenset(members) for members in groups}
+
+
+def _table_partition(table) -> set[frozenset]:
+    by_class: dict = {}
+    for addr, cls in table.items():
+        by_class.setdefault(id(cls), []).append(addr)
+    return _partition(by_class.values())
+
+
+@settings(max_examples=60)
+@given(copy_workbooks())
+def test_copy_table_partition_and_r1c1_match_per_cell_keys(wb):
+    table = copy_classes(wb.formulas())
+    groups: dict = {}
+    for addr, content in wb.formulas():
+        groups.setdefault((translate(content.ast, -addr.row, -addr.col), addr.sheet),
+                          []).append(addr)
+    assert list(table) == [addr for addr, _ in wb.formulas()]
+    assert _table_partition(table) == _partition(groups.values())
+    for addr, content in wb.formulas():
+        assert table[addr].r1c1 == r1c1_form(content.ast, addr.row, addr.col)
+        assert table[addr].sheet == addr.sheet
+
+
+def _copy_runs_per_cell(sheet, min_run):
+    """The copy-run scan as it was before the table: one print per cell."""
+    formulas = {(addr.row, addr.col): content.ast for addr, content in sheet.formulas()}
+    runs = []
+
+    def scan(positions, orientation):
+        if len(positions) < min_run:
+            return
+        forms = [r1c1_form(formulas[pos], *pos) for pos in positions]
+        counts = Counter(forms)
+        top = counts.most_common(1)[0][1]
+        majority = next(f for f in forms if counts[f] == top)
+        runs.append(CopyRun([sheet.address(*pos) for pos in positions], orientation,
+                            majority, [sheet.address(*pos) for pos, form
+                                       in zip(positions, forms) if form != majority]))
+
+    for orientation, key in (("h", lambda p: (p[0], p[1])), ("v", lambda p: (p[1], p[0]))):
+        lines: dict = {}
+        for pos in sorted(formulas, key=key):
+            lines.setdefault(key(pos)[0], []).append(pos)
+        for line in lines.values():
+            streak = [line[0]]
+            for pos in line[1:]:
+                if key(pos)[1] == key(streak[-1])[1] + 1:
+                    streak.append(pos)
+                else:
+                    scan(streak, orientation)
+                    streak = [pos]
+            scan(streak, orientation)
+    return runs
+
+
+@settings(max_examples=60)
+@given(copy_workbooks(), st.integers(2, 4))
+def test_copy_pattern_breaks_with_and_without_table_match_per_cell(wb, min_run):
+    table = copy_classes(wb.formulas())
+    for sheet in wb.sheets:
+        expected = _copy_runs_per_cell(sheet, min_run)
+        assert copy_pattern_breaks(sheet, min_run) == expected
+        assert copy_pattern_breaks(sheet, min_run, copy_table=table) == expected
+
+
+def _r07_r24_per_cell(wb, graph, config):
+    """R07 and R24 messages computed cell by cell, as before the table."""
+    out = []
+    for addr, content in wb.formulas():
+        literals = [n for n in content.facts.numbers if n.value not in config.constant_allowlist]
+        if content.facts.refs and literals:
+            shown = ", ".join(lit.text for lit in literals[:4])
+            out.append(("R07", addr, f"constant {shown} embedded in formula; "
+                                     f"move it to its own cell"))
+        starts = [r.start if isinstance(r, RangeRef) else r for r in content.facts.refs]
+        keys = [(graph.sheet_index(s.sheet if s.sheet is not None else addr.sheet),
+                 s.row, s.col) for s in starts]
+        if any(b < a for a, b in zip(keys, keys[1:])):
+            listed = ", ".join(s.resolve(addr.sheet).a1() for s in starts[:6])
+            out.append(("R24", addr, f"references are not in reading order: {listed}"))
+    return sorted(out, key=lambda d: (graph.addr_key(d[1]), d[0]))
+
+
+@settings(max_examples=60)
+@given(copy_workbooks())
+def test_r07_and_r24_per_class_match_per_cell(wb):
+    graph = build_graph(wb)
+    config = AuditConfig(enabled_rules=frozenset(("R07", "R24")))
+    expected = _r07_r24_per_cell(wb, graph, config)
+    for table in (None, copy_classes(wb.formulas())):
+        diagnostics, _ = run_rules(wb, graph, {}, SimplifierResults(), config,
+                                   copy_table=table)
+        assert [(d.rule, d.cell, d.message) for d in diagnostics] == expected
+
+
+@settings(max_examples=30)
+@given(copy_workbooks())
+def test_simplify_workbook_with_passed_table(wb):
+    assert simplify_workbook(wb, copy_classes(wb.formulas())) == per_cell(wb)
+
+
+def test_r24_class_with_absolute_reference_checked_per_cell():
+    # =B$3+A1 copied down: B$3 stays while A1 moves, so one copy class is
+    # out of order in rows 1-3 (B3 before A1..A3) and in order in row 4.
+    wb = Workbook()
+    sheet = wb.add_sheet("S")
+    template = parse_formula("=B$3+A1")
+    for row in (1, 2, 3, 4):
+        ast = translate(template, row - 1, 2)
+        sheet.set_cell(row, 3, CellContent.formula(print_formula(ast), ast))
+    config = AuditConfig(enabled_rules=frozenset(("R24",)))
+    diagnostics, _ = run_rules(wb, build_graph(wb), {}, SimplifierResults(), config)
+    assert [d.cell.a1() for d in diagnostics] == ["C1", "C2", "C3"]
