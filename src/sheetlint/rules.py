@@ -754,12 +754,18 @@ _RULE_IMPLS = {
 assert tuple(_RULE_IMPLS) == ALL_RULE_IDS
 
 
-_SEVERITY_WEIGHTS = {Severity.ERROR: 1.0, Severity.WARNING: 0.5, Severity.INFO: 0.1}
+_SEVERITY_TENTHS = {Severity.ERROR: 10, Severity.WARNING: 5, Severity.INFO: 1}
 
 
 def readability_score(diagnostics: list[Diagnostic], numeric_cells: int) -> float:
-    """100 * (1 - min(1, weighted diagnostics per numeric cell))."""
-    if numeric_cells < 1:
+    """100 * (1 - min(1, weighted diagnostics per numeric cell)).
+
+    Weights are 1, 1/2 and 1/10 for errors, warnings and infos. The sum is
+    kept in integer tenths, so the score is one correctly rounded division
+    and the same on every Python version.
+    """
+    n = numeric_cells
+    if n < 1:
         raise EmptyWorkbookError("no numeric cells to score against")
-    burden = sum(_SEVERITY_WEIGHTS[d.severity] for d in diagnostics) / numeric_cells
-    return 100.0 * (1.0 - min(1.0, burden))
+    tenths = sum(_SEVERITY_TENTHS[d.severity] for d in diagnostics)
+    return 10 * max(0, 10 * n - tenths) / n

@@ -1,4 +1,8 @@
+import math
+import operator
 import random
+from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +14,7 @@ from helpers import gen_topological_workbook
 from sheetlint.config import AuditConfig, ConfigError, Severity, load_config, save_config
 from sheetlint.loaders import load_text, load_text_string
 from sheetlint.report import audit_workbook
-from sheetlint.rules import EmptyWorkbookError, readability_score
+from sheetlint.rules import Diagnostic, EmptyWorkbookError, readability_score
 
 
 def diags(text, config=None, rule=None):
@@ -514,3 +518,22 @@ def test_config_unknown_key_rejected(tmp_path):
     path.write_text("no_such_option=1\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_score_is_one_rounded_division_of_integer_counts():
+    # Eight infos on one numeric cell: adding 0.1 eight times gives
+    # 0.7999999999999999 (score 20.000000000000007), a compensated sum
+    # 0.8 (score 19.999999999999996); the score must be exactly 20.
+    def info(k):
+        return Diagnostic("R24", Severity.INFO, "S", None, f"m{k}")
+
+    infos = [info(k) for k in range(8)]
+    assert reduce(operator.add, [0.1] * 8) != math.fsum([0.1] * 8)  # the orders disagree
+    assert readability_score(infos, 1) == 20.0
+    assert readability_score([info(k) for k in range(10)], 1) == 0.0
+    for errors, warnings, n_infos, n in ((0, 3, 7, 9), (2, 3, 2, 7), (1, 1, 13, 23)):
+        found = ([Diagnostic("R01", Severity.ERROR, "S", None, "e")] * errors
+                 + [Diagnostic("R02", Severity.WARNING, "S", None, "w")] * warnings
+                 + [info(k) for k in range(n_infos)])
+        tenths = 10 * errors + 5 * warnings + n_infos
+        assert readability_score(found, n) == float(Fraction(10 * (10 * n - tenths), n))
