@@ -158,15 +158,11 @@ def _num(value: float | None) -> str:
     """A number as json.dumps writes it, NaN and the infinities included."""
     if value is None:
         return "null"
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    return int.__repr__(value)
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return repr(value)
 
 
 def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
@@ -203,7 +199,7 @@ def _diagnostic_json(d: Diagnostic) -> str:
                              f'"suggested": {_str(s.suggested)}',
                              f'"kinds": {kinds}',
                              f'"verified": {"true" if s.verified else "false"}',
-                             f'"char_delta": {_num(s.char_delta)}'],
+                             f'"char_delta": {s.char_delta}'],
                             " " * 8, "{}")
     related = _block([_str(r.qualified()) for r in d.related], " " * 8)
     cell = "null" if d.cell is None else _str(d.cell.a1())
@@ -226,7 +222,7 @@ def _report_json(report: Report) -> str:
                        f'"sheet": {_opt(s.sheet)}',
                        f'"reason": {_str(s.reason)}'], " " * 6, "{}")
                for s in report.skipped]
-    counts = [f"{_str(key)}: {_num(n)}" for key, n in report.counts.items()]
+    counts = [f"{_str(key)}: {n}" for key, n in report.counts.items()]
     return _block([
         f'"tool": {_str(report.tool)}',
         f'"version": {_str(report.version)}',
