@@ -676,11 +676,11 @@ def _r23_formula_refs(ctx: _Context, sheets) -> list[Diagnostic]:
             into_formulas[d.sheet] += sum(
                 1 for p in precedents if nodes[p].kind is CellKind.FORMULA)
     for sheet in ctx.workbook.sheets:
-        key = sheet.name
-        if total[key] and into_formulas[key]:
+        name = sheet.name
+        if total[name] and into_formulas[name]:
             out.append(ctx.emit(
-                "R23", sheet.name, None,
-                f"{into_formulas[key] / total[key]:.0%} of references target formula "
+                "R23", name, None,
+                f"{into_formulas[name] / total[name]:.0%} of references target formula "
                 f"cells rather than constants"))
     return out
 

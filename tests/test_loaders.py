@@ -464,9 +464,11 @@ def test_copy_class_keys_cost_one_translate_per_group(tmp_path, monkeypatch):
     assert calls["sheetlint.loaders", "translate"] == groups + members
     table = copy_classes(wb.formulas())
     # seeded members cost no translate; each plain formula one
-    assert calls["sheetlint.formula", "translate"] == sum(map(len, _PLAIN.values()))
+    plain = sum(map(len, _PLAIN.values()))
+    assert calls["sheetlint.formula", "translate"] == plain
     counting(formula_module, "r1c1_form")
     audit_workbook(wb)
+    assert calls["sheetlint.formula", "translate"] == 2 * plain  # one table per audit
     printed = [n for key, n in calls.items() if key[0] == "printed"]
     # every class but H1's lies in a copy run; each is printed once
     assert printed == [1] * (len(set(map(id, table.values()))) - 1)
