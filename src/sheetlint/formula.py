@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 from .model import MAX_COL, MAX_ROW, CellAddress, col_letters, col_number, quote_sheet
 
 if TYPE_CHECKING:
-    from .model import CellContent
+    from .model import CellContent, Sheet
 
 
 class FormulaParseError(ValueError):
@@ -632,6 +632,15 @@ def copy_classes(formulas: Iterable[tuple[CellAddress, CellContent]]
                           addr.sheet)
         out[addr] = cls
     return out
+
+
+def classed_formulas(sheets: Iterable[Sheet]
+                     ) -> Iterator[tuple[CellAddress, CellContent, CopyClass]]:
+    """``(address, content, copy class)`` of every formula, by sheet then row-major."""
+    for sheet in sheets:
+        table = sheet.copy_classes()
+        for addr, content in sheet.formulas():
+            yield addr, content, table[addr]
 
 
 def _intern(interned: dict[tuple, CopyClass], relative: FormulaAst,

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .formula import CopyClass, r1c1_form
+from .formula import r1c1_form  # noqa: F401 -- re-exported for callers of layout
 from .model import CellAddress, CellKind, Sheet, content_extent, full_extent
 
 DEFAULT_COLUMN_WIDTH = 8.43  # characters, the spreadsheet default
@@ -180,40 +180,21 @@ class CopyRun:
     breaks: list[CellAddress]
 
 
-def copy_pattern_breaks(sheet: Sheet, min_run: int = 3,
-                        copy_table: dict[CellAddress, CopyClass] | None = None
-                        ) -> list[CopyRun]:
+def copy_pattern_breaks(sheet: Sheet, min_run: int = 3) -> list[CopyRun]:
     """Check every run of adjacent formula cells against its majority copy shape.
 
     A run is at least ``min_run`` consecutive formula cells in one row or one
     column; cells whose relative form differs from the run's majority are
-    breaks. Forms are R1C1 texts: with ``copy_table`` (``copy_classes`` over
-    the workbook) each class is printed once, without it each formula in a
-    run is printed once at its own cell.
+    breaks. Forms are R1C1 texts, printed once per copy class of the sheet.
     """
-    if copy_table is None:
-        formulas = {(addr.row, addr.col): content.ast
-                    for addr, content in sheet.formulas()}
-        printed: dict[tuple[int, int], str] = {}  # a cell can be in two runs
-
-        def form_at(pos: tuple[int, int]) -> str:
-            form = printed.get(pos)
-            if form is None:
-                form = printed[pos] = r1c1_form(formulas[pos], pos[0], pos[1])
-            return form
-    else:
-        formulas = {(addr.row, addr.col): copy_table[addr]
-                    for addr, _ in sheet.formulas()}
-
-        def form_at(pos: tuple[int, int]) -> str:
-            return formulas[pos].r1c1
-
+    formulas = {(addr.row, addr.col): cls
+                for addr, cls in sheet.copy_classes().items()}
     runs: list[CopyRun] = []
 
     def scan(positions: list[tuple[int, int]], orientation: str) -> None:
         if len(positions) < min_run:
             return
-        forms = [form_at(pos) for pos in positions]
+        forms = [formulas[pos].r1c1 for pos in positions]
         counts = Counter(forms)
         top_count = counts.most_common(1)[0][1]
         majority = next(f for f in forms if counts[f] == top_count)
@@ -317,14 +298,11 @@ class SheetLayout:
 
 
 def analyze_sheet(sheet: Sheet, *, copy_run_min: int = 3,
-                  min_block_cells: int = 2,
-                  copy_table: dict[CellAddress, CopyClass] | None = None
-                  ) -> SheetLayout:
+                  min_block_cells: int = 2) -> SheetLayout:
     """Run every layout analysis over one sheet.
 
     Blocks below ``min_block_cells`` (stray labels, titles) are ignored when
-    judging stacking, not when reporting blocks. ``copy_table`` goes to
-    ``copy_pattern_breaks``.
+    judging stacking, not when reporting blocks.
     """
     blocks = detect_blocks(sheet)
     significant = [b for b in blocks if b.size >= min_block_cells]
@@ -336,8 +314,7 @@ def analyze_sheet(sheet: Sheet, *, copy_run_min: int = 3,
         blocks=blocks,
         stacking=bulletin_board_score(significant),
         relics=relic_scan(sheet),
-        copy_runs=copy_pattern_breaks(sheet, min_run=copy_run_min,
-                                      copy_table=copy_table),
+        copy_runs=copy_pattern_breaks(sheet, min_run=copy_run_min),
         blank_ratio=ratio,
         overflows=label_overflows(sheet),
     )

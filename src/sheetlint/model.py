@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
-    from .formula import FormulaFacts
+    from .formula import CopyClass, FormulaFacts
     from .graph import DependencyGraph
 
 MAX_ROW = 1_048_576
@@ -202,9 +202,10 @@ class Cell:
 class Sheet:
     """A sparse grid of cells plus sheet-level geometry.
 
-    The sheet keeps its cells in reading order, sorted on first use and
-    dropped when a cell is added or replaced; change ``cells`` through
-    ``set_cell`` and ``merge_format`` only.
+    The sheet keeps its cells in reading order and its formulas' copy
+    classes, each built on first use and dropped when a cell is added or
+    replaced; change ``cells`` through ``set_cell`` and ``merge_format``
+    only.
     """
 
     name: str
@@ -215,6 +216,8 @@ class Sheet:
     hidden: bool = False
     _order: list[tuple[CellAddress, Cell]] | None = field(
         default=None, init=False, repr=False, compare=False)
+    _copy: dict[CellAddress, CopyClass] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def address(self, row: int, col: int) -> CellAddress:
         return CellAddress(self.name, row, col)
@@ -222,13 +225,13 @@ class Sheet:
     def set_cell(self, row: int, col: int, content: CellContent,
                  fmt: CellFormat = DEFAULT_FORMAT) -> None:
         self.cells[(row, col)] = Cell(content, fmt)
-        self._order = None
+        self._order = self._copy = None
 
     def merge_format(self, row: int, col: int, fmt: CellFormat) -> None:
         cell = self.cells.get((row, col))
         if cell is None:
             self.cells[(row, col)] = Cell(CellContent.empty(), fmt)
-            self._order = None
+            self._order = self._copy = None
         else:
             cell.fmt = fmt
 
@@ -266,6 +269,13 @@ class Sheet:
             content = cell.content
             if content.kind is CellKind.FORMULA and content.ast is not None:
                 yield addr, content
+
+    def copy_classes(self) -> dict[CellAddress, CopyClass]:
+        """``formula.copy_classes`` over this sheet's formulas; the sheet's own table."""
+        if self._copy is None:
+            from .formula import copy_classes  # formula imports this module
+            self._copy = copy_classes(self.formulas())
+        return self._copy
 
     def has_format_data(self) -> bool:
         if self.column_widths or self.row_heights:

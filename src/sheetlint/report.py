@@ -9,7 +9,6 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .config import AuditConfig, Severity
-from .formula import copy_classes
 from .graph import (
     CellGraphClass,
     DependencyGraph,
@@ -76,16 +75,14 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
     """Run the whole pipeline: graph, layout, simplifier, rules, score."""
     config = config or AuditConfig()
     graph = build_graph(workbook)
-    copy_table = copy_classes(workbook.formulas())
     layouts: dict[str, SheetLayout] = {
         sheet.name: analyze_sheet(sheet,
                                   copy_run_min=config.copy_run_min,
-                                  min_block_cells=config.min_block_cells,
-                                  copy_table=copy_table)
+                                  min_block_cells=config.min_block_cells)
         for sheet in workbook.sheets
     }
     simp = SimplifierResults(
-        suggestions=simplify_workbook(workbook, copy_table),
+        suggestions=simplify_workbook(workbook),
         nest=nest_candidates(graph, workbook, max_len=config.nest_max_len))
     classes = classify_graph(graph, config)
     cell_classes = classify_cells(workbook, graph)
@@ -95,8 +92,7 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
             notices.append(f"bottom line {entry!r} resolves to no cell")
 
     diagnostics, skipped = run_rules(workbook, graph, layouts, simp, config,
-                                     classes=classes, cell_classes=cell_classes,
-                                     copy_table=copy_table)
+                                     classes=classes, cell_classes=cell_classes)
 
     try:
         score = readability_score(diagnostics, numeric_cell_count(cell_classes))

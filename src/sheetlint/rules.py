@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import ALL_RULE_IDS, AuditConfig, Severity
-from .formula import CopyClass, RangeRef, copy_classes, produces_text
+from .formula import CopyClass, RangeRef, classed_formulas, produces_text
 from .graph import (
     CellGraphClass,
     DependencyGraph,
@@ -141,18 +141,15 @@ def run_rules(workbook: Workbook, graph: DependencyGraph,
               config: AuditConfig, *,
               classes: dict[CellAddress, CellGraphClass] | None = None,
               cell_classes: dict[CellAddress, NumericCellClass] | None = None,
-              copy_table: dict[CellAddress, CopyClass] | None = None,
               ) -> tuple[list[Diagnostic], list[SkippedRule]]:
     """Evaluate every enabled rule; diagnostics come back deterministically ordered.
 
     Rules never abort the run: a rule that cannot execute on a sheet (no
     format data, for instance) contributes a skipped-rule notice instead.
-    ``classes``, ``cell_classes`` and ``copy_table`` are the results of
-    ``classify_graph``, ``classify_cells`` and ``copy_classes`` for this
-    workbook, computed here when omitted (the table only if a rule reads it).
+    ``classes`` and ``cell_classes`` are the results of ``classify_graph``
+    and ``classify_cells`` for this workbook, computed here when omitted.
     """
-    ctx = _Context(workbook, graph, layouts, simp, config, classes, cell_classes,
-                   copy_table)
+    ctx = _Context(workbook, graph, layouts, simp, config, classes, cell_classes)
     diagnostics: list[Diagnostic] = []
     skipped: list[SkippedRule] = []
     for rule_id, impl in _RULE_IMPLS.items():
@@ -183,8 +180,7 @@ class _Context:
                  layouts: dict[str, SheetLayout], simp: SimplifierResults,
                  config: AuditConfig,
                  classes: dict[CellAddress, CellGraphClass] | None,
-                 cell_classes: dict[CellAddress, NumericCellClass] | None,
-                 copy_table: dict[CellAddress, CopyClass] | None = None) -> None:
+                 cell_classes: dict[CellAddress, NumericCellClass] | None) -> None:
         self.workbook = workbook
         self.graph = graph
         self.layouts = layouts
@@ -193,7 +189,6 @@ class _Context:
         self.classes = classes if classes is not None else classify_graph(graph, config)
         self.cell_classes = (cell_classes if cell_classes is not None
                              else classify_cells(workbook, graph))
-        self._copy_table = copy_table
         self.on_cycle = {addr for cycle in graph.cycles for addr in cycle}
         self.flow_exempt = set()
         for entry in config.flow_exempt:
@@ -203,12 +198,6 @@ class _Context:
             else:
                 for sheet in workbook.sheets:
                     self.flow_exempt.add(CellAddress(sheet.name, addr.row, addr.col))
-
-    @property
-    def copy_table(self) -> dict[CellAddress, CopyClass]:
-        if self._copy_table is None:
-            self._copy_table = copy_classes(self.workbook.formulas())
-        return self._copy_table
 
     def sheet_index(self, name: str | None) -> int:
         if name is None:
@@ -378,10 +367,8 @@ def _r07_constants(ctx: _Context, sheets) -> list[Diagnostic]:
     # every copy, so the message is built once per copy class.
     out = []
     allow = ctx.config.constant_allowlist
-    table = ctx.copy_table
     messages: dict[CopyClass, str | None] = {}
-    for addr, content in ctx.workbook.formulas():
-        cls = table[addr]
+    for addr, content, cls in classed_formulas(sheets):
         if cls in messages:
             message = messages[cls]
         else:
@@ -690,10 +677,8 @@ def _r24_ref_order(ctx: _Context, sheets) -> list[Diagnostic]:
     # whose references are all relative is checked once; one with a `$`
     # reference is checked per cell.
     out = []
-    table = ctx.copy_table
     verdicts: dict[CopyClass, bool] = {}
-    for addr, content in ctx.workbook.formulas():
-        cls = table[addr]
+    for addr, content, cls in classed_formulas(sheets):
         disordered = verdicts.get(cls)
         if disordered is False:
             continue

@@ -33,7 +33,7 @@ from .formula import (
     EvalDomainError,
     EvalUnsupported,
     ast_equal,
-    copy_classes,
+    classed_formulas,
     evaluate,
     extract_references,
     formula_facts,
@@ -427,23 +427,17 @@ def simplify(ast: FormulaAst, host: CellAddress,
     return _finish(ast, host, rewritten, kinds, {}, trials)
 
 
-def simplify_workbook(workbook: Workbook,
-                      copy_table: dict[CellAddress, CopyClass] | None = None
-                      ) -> dict[CellAddress, RewriteSuggestion]:
+def simplify_workbook(workbook: Workbook) -> dict[CellAddress, RewriteSuggestion]:
     """``simplify`` for every formula cell, rewriting once per copy class.
 
-    ``copy_table`` is ``copy_classes`` over the workbook's formulas, built
-    here when omitted. The rewrite runs on the first member of a class and
-    is translated to the others; each member is still printed and
-    re-parsed, and verified once per alias pattern in its class. The
-    result equals calling ``simplify`` on every cell.
+    The rewrite runs on the first member of a class and is translated to
+    the others; each member is still printed and re-parsed, and verified
+    once per alias pattern in its class. The result equals calling
+    ``simplify`` on every cell.
     """
-    if copy_table is None:
-        copy_table = copy_classes(workbook.formulas())
     rewrites: dict[CopyClass, tuple | None] = {}
     out: dict[CellAddress, RewriteSuggestion] = {}
-    for addr, content in workbook.formulas():
-        cls = copy_table[addr]
+    for addr, content, cls in classed_formulas(workbook.sheets):
         if cls not in rewrites:
             rewritten, kinds = _rewrite(content.ast)
             rewrites[cls] = ((translate(rewritten, -addr.row, -addr.col), kinds, {})

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import fixture_path
 
-from sheetlint import layout
+import sheetlint.formula as formula_module
 from sheetlint.formula import parse_formula, print_formula, translate
 from sheetlint.layout import (
     EmptySheetError,
@@ -173,26 +172,27 @@ B3 formula =A3*2
         != runs[0].majority_form
 
 
-def test_copy_runs_print_each_formula_once(monkeypatch):
-    # a 3x3 block of copies: every cell is in a row run and a column run
+def test_copy_runs_print_each_class_once(monkeypatch):
+    # a 3x3 block of copies: every cell is in a row run and a column run,
+    # and all nine are one copy class, printed in R1C1 once
     wb = Workbook()
     sheet = wb.add_sheet("S")
     for row in range(2, 5):
         for col in range(2, 5):
             shifted = translate(parse_formula("=A1*2"), row - 2, col - 2)
             sheet.set_cell(row, col, CellContent.formula(print_formula(shifted), shifted))
-    printed = Counter()
-    real = layout.r1c1_form
+    printed = []
+    real = formula_module.r1c1_form
 
     def counting(ast, host_row, host_col):
-        printed[(host_row, host_col)] += 1
-        return real(ast, host_row, host_col)
+        printed.append(real(ast, host_row, host_col))
+        return printed[-1]
 
-    monkeypatch.setattr(layout, "r1c1_form", counting)
+    monkeypatch.setattr(formula_module, "r1c1_form", counting)
     runs = copy_pattern_breaks(sheet)
     assert sorted(r.orientation for r in runs) == ["h"] * 3 + ["v"] * 3
-    assert all(r.breaks == [] for r in runs)
-    assert printed == Counter({(r, c): 1 for r in range(2, 5) for c in range(2, 5)})
+    assert all(r.breaks == [] and r.majority_form == "R[-1]C[-1]*2" for r in runs)
+    assert printed == ["R[-1]C[-1]*2"]
 
 
 def test_constants_do_not_form_runs():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheetlint.formula import CellRef, parse_formula
+from sheetlint.formula import CellRef, copy_classes, parse_formula
 from sheetlint.graph import build_graph
 from sheetlint.model import (
     AddressParseError,
@@ -318,3 +318,64 @@ def test_reading_order_cache_is_not_in_repr_or_equality():
     assert [a.a1() for a, _ in used.populated()] == ["B1", "A2"]
     assert used == fresh
     assert repr(used) == repr(fresh)
+
+
+# --- the cached copy-class table ---------------------------------------------------
+
+def _table_view(table):
+    """Each formula cell with its class's sheet and form, classes numbered by first use."""
+    number = {}
+    return [(addr, cls.sheet, cls.r1c1, number.setdefault(id(cls), len(number)))
+            for addr, cls in table.items()]
+
+
+_COPY_CONTENTS = (
+    CellContent.label("x"),
+    CellContent.formula("=A1*2", parse_formula("=A1*2")),
+    CellContent.formula("=$A$1*2", parse_formula("=$A$1*2")),
+    CellContent.formula("=B2+A$1", parse_formula("=B2+A$1")),
+)
+_copy_steps = st.lists(st.tuples(
+    st.sampled_from(("set", "fmt", "check")),
+    st.integers(0, 1),                       # sheet
+    st.integers(1, 4), st.integers(1, 4),    # row, col
+    st.integers(0, len(_COPY_CONTENTS) - 1),
+), max_size=40)
+
+
+@given(_copy_steps)
+@settings(max_examples=150)
+def test_copy_classes_follow_every_write(steps):
+    wb = Workbook()
+    sheets = [wb.add_sheet("B"), wb.add_sheet("A")]
+
+    def check():
+        for sheet in sheets:
+            table = sheet.copy_classes()
+            assert _table_view(table) == _table_view(copy_classes(sheet.formulas()))
+            assert sheet.copy_classes() is table
+
+    for op, i, row, col, content in steps:
+        if op == "set":
+            sheets[i].set_cell(row, col, _COPY_CONTENTS[content])
+        elif op == "fmt":
+            sheets[i].merge_format(row, col, CellFormat(bold=True))
+        else:
+            check()
+    check()
+
+
+def test_copy_classes_dropped_by_set_cell_and_new_format_key():
+    sheet = Sheet("S")
+    for row in (1, 2, 3):
+        sheet.set_cell(row, 2, CellContent.formula(f"=A{row}", parse_formula(f"=A{row}")))
+    before = sheet.copy_classes()
+    assert len({id(cls) for cls in before.values()}) == 1
+    sheet.merge_format(2, 2, CellFormat(bold=True))  # an existing key keeps the table
+    assert sheet.copy_classes() is before
+    sheet.set_cell(2, 2, CellContent.formula("=B2", parse_formula("=B2")))
+    after = sheet.copy_classes()
+    assert _table_view(after) == _table_view(copy_classes(sheet.formulas()))
+    assert len({id(cls) for cls in after.values()}) == 2
+    sheet.merge_format(4, 2, CellFormat(bold=True))
+    assert _table_view(sheet.copy_classes()) == _table_view(after)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import gen_ast
 
+import sheetlint.formula as formula_module
 import sheetlint.simplify as simplify_module
 from sheetlint.config import AuditConfig
 from sheetlint.formula import (
@@ -22,8 +23,9 @@ from sheetlint.formula import (
     translate,
 )
 from sheetlint.graph import build_graph
-from sheetlint.layout import CopyRun, copy_pattern_breaks
+from sheetlint.layout import CopyRun, analyze_sheet, copy_pattern_breaks
 from sheetlint.model import CellContent, CellKind, Workbook
+from sheetlint.report import audit_workbook
 from sheetlint.rules import SimplifierResults, run_rules
 from sheetlint.simplify import simplify, simplify_workbook
 
@@ -176,6 +178,34 @@ def test_copy_table_partition_and_r1c1_match_per_cell_keys(wb):
         assert table[addr].sheet == addr.sheet
 
 
+def test_one_copy_class_table_per_sheet_per_audit(monkeypatch):
+    wb = Workbook()
+    for name in ("S", "T", "Empty"):
+        sheet = wb.add_sheet(name)
+        if name != "Empty":
+            template = parse_formula("=A1*2+$B$1")
+            for k in range(4):
+                ast = translate(template, k, 0)
+                sheet.set_cell(1 + k, 3, CellContent.formula(print_formula(ast), ast))
+    built = []
+    real = formula_module.copy_classes
+
+    def counting(formulas):
+        table = real(formulas)
+        built.append(table)
+        return table
+
+    monkeypatch.setattr(formula_module, "copy_classes", counting)
+    result = audit_workbook(wb)
+    assert len(built) == len(wb.sheets)
+    config = AuditConfig(enabled_rules=frozenset(("R07", "R24")))
+    for sheet in wb.sheets:
+        analyze_sheet(sheet)
+    run_rules(wb, result.graph, {}, SimplifierResults(), config)
+    simplify_workbook(wb)
+    assert len(built) == len(wb.sheets)
+
+
 def _copy_runs_per_cell(sheet, min_run):
     """The copy-run scan as it was before the table: one print per cell."""
     formulas = {(addr.row, addr.col): content.ast for addr, content in sheet.formulas()}
@@ -210,12 +240,9 @@ def _copy_runs_per_cell(sheet, min_run):
 
 @settings(max_examples=60)
 @given(copy_workbooks(), st.integers(2, 4))
-def test_copy_pattern_breaks_with_and_without_table_match_per_cell(wb, min_run):
-    table = copy_classes(wb.formulas())
+def test_copy_pattern_breaks_matches_per_cell(wb, min_run):
     for sheet in wb.sheets:
-        expected = _copy_runs_per_cell(sheet, min_run)
-        assert copy_pattern_breaks(sheet, min_run) == expected
-        assert copy_pattern_breaks(sheet, min_run, copy_table=table) == expected
+        assert copy_pattern_breaks(sheet, min_run) == _copy_runs_per_cell(sheet, min_run)
 
 
 def _r07_r24_per_cell(wb, graph, config):
@@ -242,16 +269,8 @@ def test_r07_and_r24_per_class_match_per_cell(wb):
     graph = build_graph(wb)
     config = AuditConfig(enabled_rules=frozenset(("R07", "R24")))
     expected = _r07_r24_per_cell(wb, graph, config)
-    for table in (None, copy_classes(wb.formulas())):
-        diagnostics, _ = run_rules(wb, graph, {}, SimplifierResults(), config,
-                                   copy_table=table)
-        assert [(d.rule, d.cell, d.message) for d in diagnostics] == expected
-
-
-@settings(max_examples=30)
-@given(copy_workbooks())
-def test_simplify_workbook_with_passed_table(wb):
-    assert simplify_workbook(wb, copy_classes(wb.formulas())) == per_cell(wb)
+    diagnostics, _ = run_rules(wb, graph, {}, SimplifierResults(), config)
+    assert [(d.rule, d.cell, d.message) for d in diagnostics] == expected
 
 
 def test_r24_class_with_absolute_reference_checked_per_cell():
