@@ -72,21 +72,31 @@ class RangeRef:
     start: CellRef
     end: CellRef
 
+    @property
+    def box(self) -> tuple[int, int, int, int]:
+        """``(top, left, bottom, right)``. ``translate`` can leave the corners
+        inside out (``A1:A$3`` filled down to row 4 is ``A4:A$3``), so the
+        cells are always read from the ordered box."""
+        s, e = self.start, self.end
+        return (min(s.row, e.row), min(s.col, e.col),
+                max(s.row, e.row), max(s.col, e.col))
+
     def cells(self, default_sheet: str) -> Iterator[CellAddress]:
         sheet = self.start.sheet if self.start.sheet is not None else default_sheet
-        for row in range(self.start.row, self.end.row + 1):
-            for col in range(self.start.col, self.end.col + 1):
+        top, left, bottom, right = self.box
+        for row in range(top, bottom + 1):
+            for col in range(left, right + 1):
                 yield CellAddress(sheet, row, col)
 
     @property
     def size(self) -> int:
-        return ((self.end.row - self.start.row + 1)
-                * (self.end.col - self.start.col + 1))
+        rows, cols = self.shape
+        return rows * cols
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.end.row - self.start.row + 1,
-                self.end.col - self.start.col + 1)
+        top, left, bottom, right = self.box
+        return (bottom - top + 1, right - left + 1)
 
 
 @dataclass(frozen=True)

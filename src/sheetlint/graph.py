@@ -171,10 +171,10 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             graph.add_node(target, NodeInfo(kind=CellKind.EMPTY, blank=True))
         graph.add_arc(target, dependent, origin)
 
-    def link_box(sheet: str, start: CellAddress | CellRef, end: CellAddress | CellRef,
+    def link_box(sheet: str, top: int, left: int, bottom: int, right: int,
                  dependent: CellAddress, origin: str) -> None:
-        for row in range(start.row, end.row + 1):
-            for col in range(start.col, end.col + 1):
+        for row in range(top, bottom + 1):
+            for col in range(left, right + 1):
                 link(CellAddress(sheet, row, col), dependent, origin)
 
     for addr, content in workbook.formulas():
@@ -191,8 +191,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                 problems.append(f"range too large to expand "
                                 f"({ref.size} cells)")
             else:
-                link_box(sheet, ref.start, ref.end, addr,
-                         print_formula(ref, leading_eq=False))
+                link_box(sheet, *ref.box, addr, print_formula(ref, leading_eq=False))
         for node in content.facts.names:
             resolved = graph.defined_names.get(node.name.upper())
             if resolved is None:
@@ -201,7 +200,8 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                 link(resolved, addr, node.name)
             elif isinstance(resolved, tuple):
                 start, end = resolved
-                link_box(start.sheet, start, end, addr, node.name)
+                link_box(start.sheet, start.row, start.col, end.row, end.col,
+                         addr, node.name)
         if problems:
             graph.unresolved[addr] = problems
     graph.cycles = find_cycles(graph)

@@ -500,9 +500,9 @@ def _covered_by_range(refs: tuple, sheet: str, target: CellAddress) -> bool:
     for ref in refs:
         if isinstance(ref, RangeRef):
             ref_sheet = ref.start.sheet if ref.start.sheet is not None else sheet
+            top, left, bottom, right = ref.box
             if (ref_sheet.lower() == target.sheet.lower()
-                    and ref.start.row <= target.row <= ref.end.row
-                    and ref.start.col <= target.col <= ref.end.col):
+                    and top <= target.row <= bottom and left <= target.col <= right):
                 return True
     return False
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
-from helpers import assert_valid_dot, brute_force_classify, gen_workbook
+from helpers import assert_valid_dot, brute_force_classify, build_xlsx, gen_workbook
 
 from sheetlint import formula
 from sheetlint.config import AuditConfig, ConfigError
@@ -23,7 +23,7 @@ from sheetlint.graph import (
     is_backward,
     resolve_bottom_line,
 )
-from sheetlint.loaders import load_text, load_text_string
+from sheetlint.loaders import load_text, load_text_string, load_xlsx
 from sheetlint.model import CellAddress, CellKind, Workbook
 from sheetlint.report import audit_workbook
 from sheetlint.rules import SimplifierResults, _Context
@@ -585,3 +585,20 @@ def test_defined_name_on_missing_sheet_is_cross_sheet_only():
         ("R23", "Model", "33% of references target formula cells rather than constants"),
         ("R03", "Model!B2", "cross-sheet reference: depends on Elsewhere!CL90"),
     ]
+
+
+def test_translated_range_read_from_its_ordered_box(tmp_path):
+    # The shared formula =SUM(A1:A$3) filled down gives A4:A$3 at row 4 and
+    # A5:A$3 at row 5; those read A3:A4 and A3:A5, as written the other way.
+    cells = {f"A{row}": {"n": str(row)} for row in range(1, 6)}
+    cells["B1"] = {"fs": (0, "SUM(A1:A$3)", "B1:B5")}
+    cells.update({f"B{row}": {"fs": (0, None, None)} for row in range(2, 6)})
+    wb = load_xlsx(build_xlsx(tmp_path / "t.xlsx", {"S": cells}))
+    graph = build_graph(wb)
+    assert [len(graph.precedents_of(addr("S", f"B{row}"))) for row in range(1, 6)] \
+        == [3, 2, 1, 2, 3]
+    assert sorted(a.row for a in graph.precedents_of(addr("S", "B4"))) == [3, 4]
+    ref = formula.unwrap(wb.sheets[0].content_at(5, 2).ast).args[0]
+    assert (ref.start.row, ref.end.row) == (5, 3)  # translate keeps the corners
+    assert ref.box == (3, 1, 5, 1) and ref.shape == (3, 1) and ref.size == 3
+    assert [a.row for a in ref.cells("S")] == [3, 4, 5]
