@@ -769,7 +769,7 @@ def evaluate(ast: FormulaAst, env: dict[CellAddress, float],
             return ev(node.args[1]) if ev(node.args[0]) != 0 else ev(node.args[2])
         if name in ("MIN", "MAX"):
             values = flat(node.args)
-            if not values:  # no arguments, or a range translated inside out
+            if not values:
                 raise EvalUnsupported(f"{name} of no values")
             return min(values) if name == "MIN" else max(values)
         if name == "ABS":

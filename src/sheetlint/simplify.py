@@ -37,6 +37,7 @@ from .formula import (
     evaluate,
     extract_references,
     formula_facts,
+    iter_nodes,
     map_refs,
     parse_formula,
     print_formula,
@@ -89,11 +90,14 @@ def verify_equivalence(original: FormulaAst, rewritten: FormulaAst,
     """True when both formulas agree on ``trials`` random environments.
 
     Agreement is within 1e-9 relative tolerance. If either side falls outside
-    the numeric-evaluation subset, structural identity is required instead.
+    the numeric-evaluation subset, or has a SUMPRODUCT over ranges of unlike
+    shapes (which no environment evaluates), structural identity is required
+    instead.
     """
     if ast_equal(original, rewritten):
         return True
-    if trials <= 0:
+    if trials <= 0 or _sumproduct_shapes_differ(original) \
+            or _sumproduct_shapes_differ(rewritten):
         return False
     cells = referenced_cells(original, sheet)
     for addr in referenced_cells(rewritten, sheet):
@@ -118,6 +122,15 @@ def verify_equivalence(original: FormulaAst, rewritten: FormulaAst,
             return False
         done += 1
     return True
+
+
+def _sumproduct_shapes_differ(ast: FormulaAst) -> bool:
+    for node in iter_nodes(ast):
+        if isinstance(node, FunctionCall) and node.name == "SUMPRODUCT":
+            ranges = [unwrap(arg) for arg in node.args]
+            if len({r.shape for r in ranges if isinstance(r, RangeRef)}) > 1:
+                return True
+    return False
 
 
 # --- individual rewrites -------------------------------------------------------

@@ -131,6 +131,37 @@ def test_verify_unsupported_requires_structural_identity():
     assert verify_equivalence(a, parse_formula('=(WB(A1,"<=",B1))'), trials=10)
 
 
+def _counting_evaluate(monkeypatch):
+    calls = []
+    real = simplify_module.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simplify_module, "evaluate", counting)
+    return calls
+
+
+def test_sumproduct_shape_mismatch_is_not_verified_without_sampling(monkeypatch):
+    # 2x3 against 3x2: no environment evaluates either side
+    calls = _counting_evaluate(monkeypatch)
+    text = "=SUMPRODUCT(B2:D3,E2:F4)*(H4+H5+H6)"
+    assert not verify_equivalence(parse_formula(text),
+                                  parse_formula("=SUMPRODUCT(B2:D3,E2:F4)*SUM(H4:H6)"))
+    assert simp(text) is None
+    assert calls == []
+
+
+def test_sumproduct_shape_mismatch_in_if_branch_is_not_verified(monkeypatch):
+    # draws with A1 <= 0 skip the SUMPRODUCT and agree; that is no verdict
+    calls = _counting_evaluate(monkeypatch)
+    assert not verify_equivalence(
+        parse_formula("=IF(A1>0,SUMPRODUCT(B2:D3,E2:F4),A1+A2)"),
+        parse_formula("=IF(A1>0,SUMPRODUCT(B2:D3,E2:F4),A2+A1)"))
+    assert calls == []
+
+
 @given(st.integers(0, 5000))
 @settings(max_examples=60)
 def test_random_suggestions_always_verified(seed):
