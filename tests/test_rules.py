@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import fixture_path
 from helpers import gen_topological_workbook
+from test_golden import CONFIGS as GOLDEN_CONFIGS, NAMES as GOLDEN_NAMES
 
-from sheetlint.config import AuditConfig, ConfigError, Severity, load_config, save_config
+from sheetlint.config import ALL_RULE_IDS, AuditConfig, ConfigError, Severity, load_config, save_config
 from sheetlint.loaders import load_text, load_text_string
 from sheetlint.report import audit_workbook
 from sheetlint.rules import Diagnostic, EmptyWorkbookError, readability_score
@@ -537,3 +539,18 @@ def test_score_is_one_rounded_division_of_integer_counts():
                  + [info(k) for k in range(n_infos)])
         tenths = 10 * errors + 5 * warnings + n_infos
         assert readability_score(found, n) == float(Fraction(10 * (10 * n - tenths), n))
+
+
+# --- rule subsets ------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_each_rule_alone_equals_the_full_run_filtered(name):
+    # a rule reads the facts it needs (copy classes, layouts, graph classes)
+    # the same way whether or not the other rules run
+    config = GOLDEN_CONFIGS.get(name, AuditConfig())
+    full = audit_workbook(load_text(fixture_path(name)), config).report
+    for rule in ALL_RULE_IDS:
+        alone = audit_workbook(load_text(fixture_path(name)),
+                               replace(config, enabled_rules=frozenset((rule,)))).report
+        assert alone.diagnostics == [d for d in full.diagnostics if d.rule == rule], rule
+        assert alone.skipped == [s for s in full.skipped if s.rule == rule], rule
