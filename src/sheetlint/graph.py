@@ -114,16 +114,12 @@ class DependencyGraph:
         return sorted((a for a, n in self.nodes.items() if n.blank),
                       key=self.addr_key)
 
-    def numeric_cells(self) -> list[CellAddress]:
+    def numeric_cells(self) -> set[CellAddress]:
         """Formulas plus constants that something depends on."""
-        out = []
-        for addr, info in self.nodes.items():
-            if info.kind is CellKind.FORMULA:
-                out.append(addr)
-            elif (info.kind in (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR)
-                  and self.dependents_of(addr)):
-                out.append(addr)
-        return sorted(out, key=self.addr_key)
+        return {addr for addr, info in self.nodes.items()
+                if info.kind is CellKind.FORMULA
+                or (info.kind in (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR)
+                    and self.dependents_of(addr))}
 
 
 
@@ -331,7 +327,7 @@ def resolve_bottom_line(graph: DependencyGraph,
     if resolved:
         return resolved
 
-    numeric = set(graph.numeric_cells())
+    numeric = graph.numeric_cells()
     if not numeric:
         return resolved
     for addr in graph.formula_cells():

@@ -374,10 +374,3 @@ def classify_cells(workbook: Workbook,
             else:
                 out[addr] = NumericCellClass.BLANK
     return out
-
-
-def numeric_cell_count(classes: dict[CellAddress, NumericCellClass]) -> int:
-    return sum(
-        1 for c in classes.values()
-        if c in (NumericCellClass.NUMERIC_FORMULA, NumericCellClass.NUMERIC_CONSTANT)
-    )

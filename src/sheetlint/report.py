@@ -23,7 +23,6 @@ from .model import (
     NumericCellClass,
     Workbook,
     classify_cells,
-    numeric_cell_count,
 )
 from .rules import (
     Diagnostic,
@@ -94,15 +93,17 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
     diagnostics, skipped = run_rules(workbook, graph, layouts, simp, config,
                                      classes=classes, cell_classes=cell_classes)
 
-    try:
-        score = readability_score(diagnostics, numeric_cell_count(cell_classes))
-    except EmptyWorkbookError:
-        score = None
-
     per_sheet: dict[str, Counter[NumericCellClass]] = {
         sheet.name: Counter() for sheet in workbook.sheets}
     for addr, cls in cell_classes.items():
         per_sheet[addr.sheet][cls] += 1
+    numeric_cells = sum(per_class[NumericCellClass.NUMERIC_FORMULA]
+                        + per_class[NumericCellClass.NUMERIC_CONSTANT]
+                        for per_class in per_sheet.values())
+    try:
+        score = readability_score(diagnostics, numeric_cells)
+    except EmptyWorkbookError:
+        score = None
     summaries = []
     for sheet in workbook.sheets:
         per_class = per_sheet[sheet.name]
