@@ -167,10 +167,12 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             graph.add_node(target, NodeInfo(kind=CellKind.EMPTY, blank=True))
         graph.add_arc(target, dependent, origin)
 
-    def link_box(sheet: str, top: int, left: int, bottom: int, right: int,
+    def link_box(sheet: str, a: CellAddress | CellRef, b: CellAddress | CellRef,
                  dependent: CellAddress, origin: str) -> None:
-        for row in range(top, bottom + 1):
-            for col in range(left, right + 1):
+        # a and b are opposite corners in either order; a translated range
+        # or a defined name can name the bottom one first
+        for row in range(min(a.row, b.row), max(a.row, b.row) + 1):
+            for col in range(min(a.col, b.col), max(a.col, b.col) + 1):
                 link(CellAddress(sheet, row, col), dependent, origin)
 
     for addr, content in workbook.formulas():
@@ -187,7 +189,8 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                 problems.append(f"range too large to expand "
                                 f"({ref.size} cells)")
             else:
-                link_box(sheet, *ref.box, addr, print_formula(ref, leading_eq=False))
+                link_box(sheet, ref.start, ref.end, addr,
+                         print_formula(ref, leading_eq=False))
         for node in content.facts.names:
             resolved = graph.defined_names.get(node.name.upper())
             if resolved is None:
@@ -196,8 +199,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                 link(resolved, addr, node.name)
             elif isinstance(resolved, tuple):
                 start, end = resolved
-                link_box(start.sheet, start.row, start.col, end.row, end.col,
-                         addr, node.name)
+                link_box(start.sheet, start, end, addr, node.name)
         if problems:
             graph.unresolved[addr] = problems
     graph.cycles = find_cycles(graph)

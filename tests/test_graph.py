@@ -602,3 +602,15 @@ def test_translated_range_read_from_its_ordered_box(tmp_path):
     assert (ref.start.row, ref.end.row) == (5, 3)  # translate keeps the corners
     assert ref.box == (3, 1, 5, 1) and ref.shape == (3, 1) and ref.size == 3
     assert [a.row for a in ref.cells("S")] == [3, 4, 5]
+
+
+def test_defined_name_range_read_from_its_ordered_corners(tmp_path):
+    cells = {f"A{row}": {"n": str(row)} for row in range(1, 4)}
+    cells["B1"] = {"f": "SUM(Up)"}
+    cells["B2"] = {"f": "SUM(Down)"}
+    wb = load_xlsx(build_xlsx(tmp_path / "t.xlsx", {"S": cells},
+                              defined_names={"Up": "S!$A$3:$A$1", "Down": "S!$A$1:$A$3"}))
+    graph = build_graph(wb)
+    assert sorted(a.row for a in graph.precedents_of(addr("S", "B1"))) == [1, 2, 3]
+    assert graph.precedents_of(addr("S", "B1")) == {
+        a: "Up" for a in graph.precedents_of(addr("S", "B2"))}
