@@ -14,12 +14,9 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .model import MAX_COL, MAX_ROW, CellAddress, col_letters, col_number, quote_sheet
-
-if TYPE_CHECKING:
-    from .model import CellContent, Sheet
 
 
 class FormulaParseError(ValueError):
@@ -597,9 +594,10 @@ class CopyClass:
     """The formulas of one sheet that are equal once made host-relative.
 
     ``relative`` is ``translate(ast, -row, -col)`` of any member at
-    ``(row, col)``, the form by which ExceLint groups copy regions. A table
-    holds one instance per class, so a class hashes by identity and serves
-    as a dict key at the cost of a pointer.
+    ``(row, col)``, the form by which ExceLint groups copy regions. A sheet
+    interns one instance per class (``Sheet.copy_class``) and stores it on
+    each member's cell, so a class hashes by identity and serves as a dict
+    key at the cost of a pointer.
     """
 
     __slots__ = ("relative", "sheet", "_r1c1")
@@ -615,51 +613,6 @@ class CopyClass:
         if self._r1c1 is None:
             self._r1c1 = r1c1_form(self.relative, 0, 0)
         return self._r1c1
-
-
-def copy_classes(formulas: Iterable[tuple[CellAddress, CellContent]]
-                 ) -> dict[CellAddress, CopyClass]:
-    """Map each formula cell to its copy class, one instance per class.
-
-    A content whose ``copy_seed`` is anchored at its own cell brings its
-    host-relative form with it (the xlsx loader gives one to every member
-    of a shared-formula group), and seeds are interned by identity, so a
-    group costs one hash of its form, not a translate and a hash per
-    member. Other contents are translated here.
-    """
-    interned: dict[tuple, CopyClass] = {}
-    seeded: dict[tuple[int, str], CopyClass] = {}
-    out: dict[CellAddress, CopyClass] = {}
-    for addr, content in formulas:
-        seed = content.copy_seed
-        if seed is not None and seed[1] == addr.row and seed[2] == addr.col:
-            ident = (id(seed[0]), addr.sheet)
-            cls = seeded.get(ident)
-            if cls is None:
-                cls = seeded[ident] = _intern(interned, seed[0], addr.sheet)
-        else:
-            cls = _intern(interned, translate(content.ast, -addr.row, -addr.col),
-                          addr.sheet)
-        out[addr] = cls
-    return out
-
-
-def classed_formulas(sheets: Iterable[Sheet]
-                     ) -> Iterator[tuple[CellAddress, CellContent, CopyClass]]:
-    """``(address, content, copy class)`` of every formula, by sheet then row-major."""
-    for sheet in sheets:
-        table = sheet.copy_classes()
-        for addr, content in sheet.formulas():
-            yield addr, content, table[addr]
-
-
-def _intern(interned: dict[tuple, CopyClass], relative: FormulaAst,
-            sheet: str) -> CopyClass:
-    key = (relative, sheet)
-    cls = interned.get(key)
-    if cls is None:
-        cls = interned[key] = CopyClass(relative, sheet)
-    return cls
 
 
 # --- numeric evaluation ------------------------------------------------------

@@ -188,7 +188,7 @@ def copy_pattern_breaks(sheet: Sheet, min_run: int = 3) -> list[CopyRun]:
     breaks. Forms are R1C1 texts, printed once per copy class of the sheet.
     """
     formulas = {(addr.row, addr.col): cls
-                for addr, cls in sheet.copy_classes().items()}
+                for addr, _, cls in sheet.classed_formulas()}
     runs: list[CopyRun] = []
 
     def scan(positions: list[tuple[int, int]], orientation: str) -> None:

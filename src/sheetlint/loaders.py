@@ -11,7 +11,7 @@ from pathlib import Path
 from posixpath import normpath
 from xml.etree import ElementTree
 
-from .formula import FormulaParseError, parse_formula, translate, print_formula
+from .formula import CopyClass, FormulaParseError, parse_formula, translate, print_formula
 from .model import (
     MAX_COL,
     CellAddress,
@@ -382,9 +382,10 @@ def load_xlsx(path: str | Path) -> Workbook:
     """Load the xlsx subset: cells, formulas, dimension, styles, names, widths.
 
     Cached formula strings are used verbatim; stored results are ignored.
-    Shared formulas are expanded to per-cell text, and every member gets
-    its group's one host-relative form as ``copy_seed``. Charts, pivots and
-    other unsupported parts are ignored with a notice on the workbook.
+    Shared formulas are expanded to per-cell text; a group's copy class is
+    interned once, at its master, and every member is stored with it.
+    Charts, pivots and other unsupported parts are ignored with a notice on
+    the workbook.
     """
     spath = str(path)
     try:
@@ -462,9 +463,8 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
             for c in range(lo, hi + 1):
                 sheet.column_widths[c] = width
 
-    # si -> (master ast, master row, master col, host-relative form); every
-    # member's copy seed holds the one host-relative form of its group
-    shared: dict[str, tuple[object, int, int, object]] = {}
+    # si -> (master ast, master row, master col, the group's copy class)
+    shared: dict[str, tuple[object, int, int, CopyClass]] = {}
     data = root.find(_tag("sheetData"))
     if data is None:
         _set_declared_extent(sheet, declared)
@@ -488,7 +488,7 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
             ctype = c_el.get("t", "n")
             v_el = c_el.find(_tag("v"))
             f_el = c_el.find(_tag("f"))
-            content = None
+            content = copy_class = None
             if f_el is not None:
                 ftext = f_el.text or ""
                 if f_el.get("t") == "shared":
@@ -499,8 +499,9 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                         except FormulaParseError as exc:
                             raise LoadError(path, 0, 0,
                                             f"cell {ref}: bad formula: {exc}")
-                        relative = translate(ast, -addr.row, -addr.col)
-                        shared[si] = (ast, addr.row, addr.col, relative)
+                        copy_class = sheet.copy_class(
+                            translate(ast, -addr.row, -addr.col))
+                        shared[si] = (ast, addr.row, addr.col, copy_class)
                     else:
                         master = shared.get(si)
                         if master is None:
@@ -509,9 +510,8 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                                             f"{si!r} has no master")
                         ast = translate(master[0], addr.row - master[1],
                                         addr.col - master[2])
-                        relative = master[3]
-                    content = CellContent.formula(
-                        print_formula(ast), ast, (relative, addr.row, addr.col))
+                        copy_class = master[3]
+                    content = CellContent.formula(print_formula(ast), ast)
                 else:
                     try:
                         ast = parse_formula("=" + ftext)
@@ -542,7 +542,7 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                     raise LoadError(path, 0, 0, f"cell {ref}: bad number "
                                                 f"{v_el.text!r}")
             if content is not None:
-                sheet.set_cell(addr.row, addr.col, content, fmt)
+                sheet.set_cell(addr.row, addr.col, content, fmt, copy_class)
             elif not fmt.is_default():
                 sheet.merge_format(addr.row, addr.col, fmt)
 

@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
-    from .formula import CopyClass, FormulaFacts
+    from .formula import FormulaAst, FormulaFacts
     from .graph import DependencyGraph
 
 MAX_ROW = 1_048_576
@@ -124,10 +124,6 @@ class CellContent:
     ast: object | None = None
     error_code: str | None = None
     bool_value: bool | None = None
-    # (translate(ast, -row, -col), row, col): the formula's copy-class form,
-    # given by a loader that knows it; used only at the anchor (row, col).
-    copy_seed: tuple[object, int, int] | None = field(
-        default=None, compare=False, repr=False)
 
     @classmethod
     def empty(cls) -> "CellContent":
@@ -143,10 +139,8 @@ class CellContent:
         return cls(CellKind.LABEL, text=text)
 
     @classmethod
-    def formula(cls, formula_text: str, ast: object,
-                copy_seed: tuple[object, int, int] | None = None) -> "CellContent":
-        return cls(CellKind.FORMULA, formula_text=formula_text, ast=ast,
-                   copy_seed=copy_seed)
+    def formula(cls, formula_text: str, ast: object) -> "CellContent":
+        return cls(CellKind.FORMULA, formula_text=formula_text, ast=ast)
 
     @classmethod
     def boolean(cls, value: bool) -> "CellContent":
@@ -163,7 +157,6 @@ class CellContent:
     @cached_property
     def facts(self) -> "FormulaFacts":
         """``formula_facts(ast)``, computed once; the content is frozen."""
-        from .formula import formula_facts  # formula imports this module
         return formula_facts(self.ast)
 
 
@@ -196,16 +189,17 @@ DEFAULT_FORMAT = CellFormat()
 class Cell:
     content: CellContent
     fmt: CellFormat = DEFAULT_FORMAT
+    # a parsed formula's class among the sheet's formulas, set by Sheet.set_cell
+    copy_class: CopyClass | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class Sheet:
     """A sparse grid of cells plus sheet-level geometry.
 
-    The sheet keeps its cells in reading order and its formulas' copy
-    classes, each built on first use and dropped when a cell is added or
-    replaced; change ``cells`` through ``set_cell`` and ``merge_format``
-    only.
+    ``set_cell`` fixes each parsed formula's copy class, interned per sheet.
+    The reading order is built on first use and dropped when a cell is
+    added; change ``cells`` through ``set_cell`` and ``merge_format`` only.
     """
 
     name: str
@@ -216,22 +210,34 @@ class Sheet:
     hidden: bool = False
     _order: list[tuple[CellAddress, Cell]] | None = field(
         default=None, init=False, repr=False, compare=False)
-    _copy: dict[CellAddress, CopyClass] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _classes: dict[FormulaAst, CopyClass] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def address(self, row: int, col: int) -> CellAddress:
         return CellAddress(self.name, row, col)
 
     def set_cell(self, row: int, col: int, content: CellContent,
-                 fmt: CellFormat = DEFAULT_FORMAT) -> None:
-        self.cells[(row, col)] = Cell(content, fmt)
-        self._order = self._copy = None
+                 fmt: CellFormat = DEFAULT_FORMAT,
+                 copy_class: CopyClass | None = None) -> None:
+        """Store a cell, classing a parsed formula by its host-relative form
+        unless ``copy_class`` is given (xlsx shared-formula members)."""
+        if copy_class is None and content.ast is not None:
+            copy_class = self.copy_class(translate(content.ast, -row, -col))
+        self.cells[(row, col)] = Cell(content, fmt, copy_class)
+        self._order = None
+
+    def copy_class(self, relative: FormulaAst) -> CopyClass:
+        """The sheet's one class for the host-relative form ``relative``."""
+        cls = self._classes.get(relative)
+        if cls is None:
+            cls = self._classes[relative] = CopyClass(relative, self.name)
+        return cls
 
     def merge_format(self, row: int, col: int, fmt: CellFormat) -> None:
         cell = self.cells.get((row, col))
         if cell is None:
             self.cells[(row, col)] = Cell(CellContent.empty(), fmt)
-            self._order = self._copy = None
+            self._order = None
         else:
             cell.fmt = fmt
 
@@ -270,12 +276,11 @@ class Sheet:
             if content.kind is CellKind.FORMULA and content.ast is not None:
                 yield addr, content
 
-    def copy_classes(self) -> dict[CellAddress, CopyClass]:
-        """``formula.copy_classes`` over this sheet's formulas; the sheet's own table."""
-        if self._copy is None:
-            from .formula import copy_classes  # formula imports this module
-            self._copy = copy_classes(self.formulas())
-        return self._copy
+    def classed_formulas(self) -> Iterator[tuple[CellAddress, CellContent, CopyClass]]:
+        """``(address, content, copy class)`` of every parsed formula, in row-major order."""
+        for addr, cell in self._reading_order():
+            if cell.copy_class is not None:
+                yield addr, cell.content, cell.copy_class
 
     def has_format_data(self) -> bool:
         if self.column_widths or self.row_heights:
@@ -374,3 +379,7 @@ def classify_cells(workbook: Workbook,
             else:
                 out[addr] = NumericCellClass.BLANK
     return out
+
+
+# formula imports this module, so its names are bound once this one is complete
+from .formula import CopyClass, formula_facts, translate  # noqa: E402

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .config import ALL_RULE_IDS, AuditConfig, Severity
-from .formula import CopyClass, RangeRef, classed_formulas, produces_text
+from .formula import CopyClass, RangeRef, produces_text
 from .graph import (
     CellGraphClass,
     DependencyGraph,
@@ -368,7 +369,7 @@ def _r07_constants(ctx: _Context, sheets) -> list[Diagnostic]:
     out = []
     allow = ctx.config.constant_allowlist
     messages: dict[CopyClass, str | None] = {}
-    for addr, content, cls in classed_formulas(sheets):
+    for addr, content, cls in chain.from_iterable(s.classed_formulas() for s in sheets):
         if cls in messages:
             message = messages[cls]
         else:
@@ -678,7 +679,7 @@ def _r24_ref_order(ctx: _Context, sheets) -> list[Diagnostic]:
     # reference is checked per cell.
     out = []
     verdicts: dict[CopyClass, bool] = {}
-    for addr, content, cls in classed_formulas(sheets):
+    for addr, content, cls in chain.from_iterable(s.classed_formulas() for s in sheets):
         disordered = verdicts.get(cls)
         if disordered is False:
             continue

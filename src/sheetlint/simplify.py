@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from itertools import chain
 
 from .formula import (
     _PREC,
@@ -33,7 +34,6 @@ from .formula import (
     EvalDomainError,
     EvalUnsupported,
     ast_equal,
-    classed_formulas,
     evaluate,
     extract_references,
     formula_facts,
@@ -450,7 +450,8 @@ def simplify_workbook(workbook: Workbook) -> dict[CellAddress, RewriteSuggestion
     """
     rewrites: dict[CopyClass, tuple | None] = {}
     out: dict[CellAddress, RewriteSuggestion] = {}
-    for addr, content, cls in classed_formulas(workbook.sheets):
+    for addr, content, cls in chain.from_iterable(
+            s.classed_formulas() for s in workbook.sheets):
         if cls not in rewrites:
             rewritten, kinds = _rewrite(content.ast)
             rewrites[cls] = ((translate(rewritten, -addr.row, -addr.col), kinds, {})

@@ -13,9 +13,9 @@ from helpers import (
 
 from sheetlint import formula as formula_module
 from sheetlint import loaders
+from sheetlint import model as model_module
 from sheetlint.formula import (
     MAX_NESTING,
-    copy_classes,
     parse_formula,
     print_formula,
     r1c1_form,
@@ -419,6 +419,10 @@ def _copy_model_xlsx(path, shared: bool):
     return build_xlsx(path, sheets)
 
 
+def _classes(wb):
+    return {addr: cls for sheet in wb.sheets for addr, _, cls in sheet.classed_formulas()}
+
+
 def _classes_by_cells(table) -> set[frozenset]:
     groups: dict = {}
     for addr, cls in table.items():
@@ -429,12 +433,9 @@ def _classes_by_cells(table) -> set[frozenset]:
 def test_xlsx_shared_formulas_give_plain_formula_reports_and_classes(tmp_path):
     shared = load_xlsx(_copy_model_xlsx(tmp_path / "shared.xlsx", True))
     plain = load_xlsx(_copy_model_xlsx(tmp_path / "plain.xlsx", False))
-    assert all(content.copy_seed is not None for addr, content in shared.formulas()
-               if addr.a1() not in _PLAIN[addr.sheet])
-    assert all(content.copy_seed is None for _, content in plain.formulas())
-    assert list(shared.formulas()) == list(plain.formulas())  # the seed is not compared
-    shared_table = copy_classes(shared.formulas())
-    assert _classes_by_cells(shared_table) == _classes_by_cells(copy_classes(plain.formulas()))
+    assert list(shared.formulas()) == list(plain.formulas())
+    shared_table = _classes(shared)
+    assert _classes_by_cells(shared_table) == _classes_by_cells(_classes(plain))
     b1 = shared_table[CellAddress("S", 1, 2)]
     assert shared_table[CellAddress("S", 7, 2)] is b1  # the written-out copy joins group 0
     assert render_json([audit_workbook(shared, input_path="m").report]) \
@@ -456,19 +457,19 @@ def test_copy_class_keys_cost_one_translate_per_group(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(loaders, "translate")
-    counting(formula_module, "translate")
+    counting(model_module, "translate")
     wb = load_xlsx(path)
     groups = sum(len(g) for g in _SHARED_GROUPS.values())
     members = sum(len(g[3]) for gs in _SHARED_GROUPS.values() for g in gs)
     # one host-relative form per group, plus each member's own formula
     assert calls["sheetlint.loaders", "translate"] == groups + members
-    table = copy_classes(wb.formulas())
-    # seeded members cost no translate; each plain formula one
+    # shared members cost set_cell no translate; each plain formula one
     plain = sum(map(len, _PLAIN.values()))
-    assert calls["sheetlint.formula", "translate"] == plain
+    assert calls["sheetlint.model", "translate"] == plain
+    table = _classes(wb)
     counting(formula_module, "r1c1_form")
     audit_workbook(wb)
-    assert calls["sheetlint.formula", "translate"] == 2 * plain  # one table per audit
+    assert calls["sheetlint.model", "translate"] == plain  # the audit classes nothing
     printed = [n for key, n in calls.items() if key[0] == "printed"]
     # every class but H1's lies in a copy run; each is printed once
     assert printed == [1] * (len(set(map(id, table.values()))) - 1)
@@ -480,7 +481,7 @@ def test_seeded_content_placed_elsewhere_is_classed_by_its_own_translation(tmp_p
     content = s.content_at(3, 2)  # group 0, anchored at B3
     s.set_cell(10, 5, content)
     t.set_cell(3, 2, content)
-    table = copy_classes(wb.formulas())
+    table = _classes(wb)
     group = table[CellAddress("S", 3, 2)]
     moved = table[CellAddress("S", 10, 5)]
     assert moved is not group

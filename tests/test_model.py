@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheetlint.formula import CellRef, copy_classes, parse_formula
+from sheetlint.formula import CellRef, parse_formula, r1c1_form, translate
 from sheetlint.graph import build_graph
 from sheetlint.model import (
     AddressParseError,
@@ -320,13 +320,25 @@ def test_reading_order_cache_is_not_in_repr_or_equality():
     assert repr(used) == repr(fresh)
 
 
-# --- the cached copy-class table ---------------------------------------------------
+# --- copy classes fixed by set_cell ---------------------------------------------------
 
-def _table_view(table):
+def _classes(sheet):
+    return {addr: cls for addr, _, cls in sheet.classed_formulas()}
+
+
+def _table_view(sheet):
     """Each formula cell with its class's sheet and form, classes numbered by first use."""
     number = {}
     return [(addr, cls.sheet, cls.r1c1, number.setdefault(id(cls), len(number)))
-            for addr, cls in table.items()]
+            for addr, cls in _classes(sheet).items()]
+
+
+def _translated_view(sheet):
+    """The same view with classes keyed by each cell's own host-relative form."""
+    number = {}
+    return [(addr, sheet.name, r1c1_form(content.ast, addr.row, addr.col),
+             number.setdefault(translate(content.ast, -addr.row, -addr.col), len(number)))
+            for addr, content in sheet.formulas()]
 
 
 _COPY_CONTENTS = (
@@ -351,9 +363,7 @@ def test_copy_classes_follow_every_write(steps):
 
     def check():
         for sheet in sheets:
-            table = sheet.copy_classes()
-            assert _table_view(table) == _table_view(copy_classes(sheet.formulas()))
-            assert sheet.copy_classes() is table
+            assert _table_view(sheet) == _translated_view(sheet)
 
     for op, i, row, col, content in steps:
         if op == "set":
@@ -369,13 +379,14 @@ def test_copy_classes_dropped_by_set_cell_and_new_format_key():
     sheet = Sheet("S")
     for row in (1, 2, 3):
         sheet.set_cell(row, 2, CellContent.formula(f"=A{row}", parse_formula(f"=A{row}")))
-    before = sheet.copy_classes()
+    before = _classes(sheet)
     assert len({id(cls) for cls in before.values()}) == 1
-    sheet.merge_format(2, 2, CellFormat(bold=True))  # an existing key keeps the table
-    assert sheet.copy_classes() is before
+    sheet.merge_format(2, 2, CellFormat(bold=True))  # an existing key keeps its class
+    assert _classes(sheet) == before  # CopyClass compares by identity
     sheet.set_cell(2, 2, CellContent.formula("=B2", parse_formula("=B2")))
-    after = sheet.copy_classes()
-    assert _table_view(after) == _table_view(copy_classes(sheet.formulas()))
+    after = _classes(sheet)
+    assert _table_view(sheet) == _translated_view(sheet)
     assert len({id(cls) for cls in after.values()}) == 2
+    assert after[sheet.address(1, 2)] is before[sheet.address(1, 2)]
     sheet.merge_format(4, 2, CellFormat(bold=True))
-    assert _table_view(sheet.copy_classes()) == _table_view(after)
+    assert _classes(sheet) == after

@@ -1,13 +1,16 @@
 """simplify_workbook: once per copy class, equal to simplify on every cell."""
 
 import random
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from xml.sax.saxutils import escape
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gen_ast
+from helpers import build_xlsx, gen_ast
 
 import sheetlint.formula as formula_module
 import sheetlint.simplify as simplify_module
@@ -15,7 +18,6 @@ from sheetlint.config import AuditConfig
 from sheetlint.formula import (
     CellRef,
     RangeRef,
-    copy_classes,
     map_refs,
     parse_formula,
     print_formula,
@@ -24,7 +26,8 @@ from sheetlint.formula import (
 )
 from sheetlint.graph import build_graph
 from sheetlint.layout import CopyRun, analyze_sheet, copy_pattern_breaks
-from sheetlint.model import CellContent, CellKind, Workbook
+from sheetlint.loaders import load_xlsx
+from sheetlint.model import CellContent, CellFormat, CellKind, Workbook
 from sheetlint.report import audit_workbook
 from sheetlint.rules import SimplifierResults, run_rules
 from sheetlint.simplify import simplify, simplify_workbook
@@ -163,10 +166,12 @@ def _table_partition(table) -> set[frozenset]:
     return _partition(by_class.values())
 
 
-@settings(max_examples=60)
-@given(copy_workbooks())
-def test_copy_table_partition_and_r1c1_match_per_cell_keys(wb):
-    table = copy_classes(wb.formulas())
+def _classes(wb):
+    return {addr: cls for sheet in wb.sheets for addr, _, cls in sheet.classed_formulas()}
+
+
+def _assert_classes_match_per_cell_keys(wb):
+    table = _classes(wb)
     groups: dict = {}
     for addr, content in wb.formulas():
         groups.setdefault((translate(content.ast, -addr.row, -addr.col), addr.sheet),
@@ -178,7 +183,66 @@ def test_copy_table_partition_and_r1c1_match_per_cell_keys(wb):
         assert table[addr].sheet == addr.sheet
 
 
+@settings(max_examples=60)
+@given(copy_workbooks())
+def test_copy_table_partition_and_r1c1_match_per_cell_keys(wb):
+    _assert_classes_match_per_cell_keys(wb)
+
+
+def _as_xlsx(path: Path, wb: Workbook, shared: bool) -> Path:
+    """``wb``'s formulas as an xlsx: one shared formula per copy class,
+    mastered at its first cell, or every formula written out."""
+    sheets = {}
+    for sheet in wb.sheets:
+        cells, masters = {}, {}
+        for addr, content in sheet.formulas():
+            text = escape(content.formula_text[1:])
+            if not shared:
+                cells[addr.a1()] = {"f": text}
+                continue
+            key = translate(content.ast, -addr.row, -addr.col)
+            if key in masters:
+                cells[addr.a1()] = {"fs": (masters[key], None, None)}
+            else:
+                masters[key] = len(masters)
+                cells[addr.a1()] = {"fs": (masters[key], text, None)}
+        sheets[sheet.name] = cells
+    return build_xlsx(path, sheets)
+
+
+_write_steps = st.lists(st.tuples(
+    st.sampled_from(("set", "fmt")),
+    st.integers(0, len(SHEETS) - 1),
+    st.integers(1, 8), st.integers(1, 8),    # row, col
+    st.integers(0, 10**6),                   # which content to write
+), max_size=12)
+
+
+@settings(max_examples=40)
+@given(copy_workbooks(), _write_steps)
+def test_classes_follow_writes_after_each_loader(wb, steps):
+    # every formula's class is its own host-relative form, whether the
+    # workbook was built cell by cell, loaded from shared formulas or
+    # loaded from written-out ones, and stays so through later writes
+    with tempfile.TemporaryDirectory() as tmp:
+        books = [wb] + [load_xlsx(_as_xlsx(Path(tmp) / f"{shared}.xlsx", wb, shared))
+                        for shared in (True, False)]
+    cells = [addr for addr, _ in wb.formulas()]
+    for book in books:
+        assert [addr for addr, _ in book.formulas()] == cells
+        _assert_classes_match_per_cell_keys(book)
+        contents = [content for _, content in book.formulas()] + [CellContent.label("x")]
+        for op, i, row, col, pick in steps:
+            sheet = book.sheets[i]
+            if op == "set":
+                sheet.set_cell(row, col, contents[pick % len(contents)])
+            else:
+                sheet.merge_format(row, col, CellFormat(bold=True))
+            _assert_classes_match_per_cell_keys(book)
+
+
 def test_one_copy_class_table_per_sheet_per_audit(monkeypatch):
+    # classes are fixed when cells are stored; no audit step makes one
     wb = Workbook()
     for name in ("S", "T", "Empty"):
         sheet = wb.add_sheet(name)
@@ -187,23 +251,22 @@ def test_one_copy_class_table_per_sheet_per_audit(monkeypatch):
             for k in range(4):
                 ast = translate(template, k, 0)
                 sheet.set_cell(1 + k, 3, CellContent.formula(print_formula(ast), ast))
+    assert len(set(_classes(wb).values())) == 2
     built = []
-    real = formula_module.copy_classes
+    real = formula_module.CopyClass.__init__
 
-    def counting(formulas):
-        table = real(formulas)
-        built.append(table)
-        return table
+    def counting(self, *args):
+        built.append(self)
+        real(self, *args)
 
-    monkeypatch.setattr(formula_module, "copy_classes", counting)
+    monkeypatch.setattr(formula_module.CopyClass, "__init__", counting)
     result = audit_workbook(wb)
-    assert len(built) == len(wb.sheets)
     config = AuditConfig(enabled_rules=frozenset(("R07", "R24")))
     for sheet in wb.sheets:
         analyze_sheet(sheet)
     run_rules(wb, result.graph, {}, SimplifierResults(), config)
     simplify_workbook(wb)
-    assert len(built) == len(wb.sheets)
+    assert built == []
 
 
 def _copy_runs_per_cell(sheet, min_run):
