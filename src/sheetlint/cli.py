@@ -68,8 +68,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     threshold = Severity.from_label(args.severity_threshold)
-    # Keep each input's report (and DOT text) only, and free its workbook and
-    # graph before the next input is loaded, so memory follows the largest input.
+    # Keep each input's report (and DOT text) only: the workbook is freed when
+    # audit_workbook returns and the graph once rendered, so memory follows
+    # the largest input.
     reports: list[Report] = []
     dots: list[str] = []
     for path in args.paths:

@@ -64,7 +64,6 @@ class Report:
 @dataclass
 class AuditResult:
     report: Report
-    workbook: Workbook
     graph: DependencyGraph
     graph_classes: dict[CellAddress, CellGraphClass]
 
@@ -137,7 +136,7 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
         counts=counts,
         notices=notices,
     )
-    return AuditResult(report, workbook, graph, classes)
+    return AuditResult(report, graph, classes)
 
 
 # render_json writes the indent-2 layout of json.dumps(..., indent=2) itself:

@@ -673,25 +673,35 @@ def _r23_formula_refs(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
+def _anchored(ref) -> bool:
+    """Whether a cell reference, or either corner of a range, has a `$`."""
+    if isinstance(ref, RangeRef):
+        return _anchored(ref.start) or _anchored(ref.end)
+    return ref.row_abs or ref.col_abs
+
+
 def _r24_ref_order(ctx: _Context, sheets) -> list[Diagnostic]:
-    # Shifting every reference alike keeps their order, so a copy class
-    # whose references are all relative is checked once; one with a `$`
-    # reference is checked per cell.
+    # A range is read from the top-left corner of its box: translated, it
+    # can name its bottom corner first. Shifting every reference alike
+    # keeps their order, so a copy class without a `$` is checked once;
+    # one with a `$` is checked per cell.
     out = []
     verdicts: dict[CopyClass, bool] = {}
     for addr, content, cls in chain.from_iterable(s.classed_formulas() for s in sheets):
         disordered = verdicts.get(cls)
         if disordered is False:
             continue
-        starts = [r.start if isinstance(r, RangeRef) else r for r in content.facts.refs]
+        refs = content.facts.refs
+        corners = [(r.start.sheet, *r.box[:2]) if isinstance(r, RangeRef)
+                   else (r.sheet, r.row, r.col) for r in refs]
         if disordered is None:
-            keys = [(ctx.graph.sheet_index(s.sheet if s.sheet is not None else addr.sheet),
-                     s.row, s.col) for s in starts]
+            keys = [(ctx.graph.sheet_index(sheet if sheet is not None else addr.sheet),
+                     row, col) for sheet, row, col in corners]
             disordered = any(b < a for a, b in zip(keys, keys[1:]))
-            if not any(s.row_abs or s.col_abs for s in starts):
+            if not any(map(_anchored, refs)):
                 verdicts[cls] = disordered
         if disordered:
-            listed = ", ".join(s.resolve(addr.sheet).a1() for s in starts[:6])
+            listed = ", ".join(f"{col_letters(col)}{row}" for _, row, col in corners[:6])
             out.append(ctx.emit(
                 "R24", addr.sheet, addr,
                 f"references are not in reading order: {listed}"))

@@ -15,7 +15,7 @@ pattern, which gives every copy the verdict it would get on its own.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from enum import Enum
 from itertools import chain
@@ -521,16 +521,20 @@ def _covered_by_range(refs: tuple, sheet: str, target: CellAddress) -> bool:
     return False
 
 
-def _ranges_stack(a: RangeRef, b: RangeRef, direction: str) -> bool:
-    a_sheet = a.start.sheet or ""
-    b_sheet = b.start.sheet or ""
-    if a_sheet.lower() != b_sheet.lower():
-        return False
+def _stack(a: RangeRef, b: RangeRef, direction: str) -> RangeRef | None:
+    """One range over ``a`` then ``b`` when ``b``'s box continues ``a``'s
+    with the same span, below it ("v") or to its right ("h"); else None."""
+    if (a.start.sheet or "").lower() != (b.start.sheet or "").lower():
+        return None
+    a_top, a_left, a_bottom, a_right = a.box
+    b_top, b_left, b_bottom, b_right = b.box
     if direction == "v":
-        return (a.start.col == b.start.col and a.end.col == b.end.col
-                and b.start.row == a.end.row + 1)
-    return (a.start.row == b.start.row and a.end.row == b.end.row
-            and b.start.col == a.end.col + 1)
+        stacked = a_left == b_left and a_right == b_right and b_top == a_bottom + 1
+    else:
+        stacked = a_top == b_top and a_bottom == b_bottom and b_left == a_right + 1
+    if not stacked:
+        return None
+    return RangeRef(replace(a.start, row=a_top, col=a_left), CellRef(b_bottom, b_right))
 
 
 def _merge_pair(a: FunctionCall, b: FunctionCall) -> FunctionCall | None:
@@ -543,18 +547,10 @@ def _merge_pair(a: FunctionCall, b: FunctionCall) -> FunctionCall | None:
     if not all(isinstance(r, RangeRef) for r in a_ranges + b_ranges):
         return None
     for direction in ("v", "h"):
-        if all(_ranges_stack(x, y, direction)
-               for x, y in zip(a_ranges, b_ranges)):
-            merged = tuple(
-                RangeRef(x.start, CellRef(y.end.row, y.end.col))
-                for x, y in zip(a_ranges, b_ranges))
-            return FunctionCall("SUMPRODUCT", merged)
-        if all(_ranges_stack(y, x, direction)
-               for x, y in zip(a_ranges, b_ranges)):
-            merged = tuple(
-                RangeRef(y.start, CellRef(x.end.row, x.end.col))
-                for x, y in zip(a_ranges, b_ranges))
-            return FunctionCall("SUMPRODUCT", merged)
+        for first, second in ((a_ranges, b_ranges), (b_ranges, a_ranges)):
+            merged = [_stack(x, y, direction) for x, y in zip(first, second)]
+            if all(merged):
+                return FunctionCall("SUMPRODUCT", tuple(merged))
     return None
 
 

@@ -280,3 +280,34 @@ def test_each_workbook_is_freed_before_the_next_load(monkeypatch, capsys):
         main(["--format", fmt, *paths])
         assert capsys.readouterr().out
         assert alive_at_load == [0, 0, 0]
+
+
+def test_audit_result_keeps_no_workbook():
+    import gc
+    import weakref
+
+    from sheetlint.loaders import load_workbook
+    from sheetlint.report import audit_workbook
+
+    wb = load_workbook(fixture_path("assign_v4.wb"))
+    alive = weakref.ref(wb)
+    result = audit_workbook(wb)
+    del wb
+    gc.collect()
+    assert alive() is None
+    assert result.report.diagnostics
+
+
+def test_deep_formula_exits_three_with_one_line(tmp_path):
+    # a 1,500-term sum is too deep for the recursive tree walks; it must
+    # still end as one line, not a traceback
+    terms = range(1, 1501)
+    lines = ["[sheet S]", *(f"A{i} num {i}" for i in terms),
+             "B1 formula =" + "+".join(f"A{i}" for i in terms)]
+    path = tmp_path / "deep.wb"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = run_cli(path)
+    assert proc.returncode == cli.EXIT_INTERNAL == 3
+    assert proc.stderr.startswith(f"sheetlint: {path}: internal error: RecursionError")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

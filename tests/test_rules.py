@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
-from helpers import gen_topological_workbook
+from helpers import build_xlsx, gen_topological_workbook
 from test_golden import CONFIGS as GOLDEN_CONFIGS, NAMES as GOLDEN_NAMES
 
 from sheetlint.config import ALL_RULE_IDS, AuditConfig, ConfigError, Severity, load_config, save_config
-from sheetlint.loaders import load_text, load_text_string
+from sheetlint.formula import parse_formula, print_formula, translate
+from sheetlint.loaders import load_text, load_text_string, load_xlsx
 from sheetlint.report import audit_workbook
 from sheetlint.rules import Diagnostic, EmptyWorkbookError, readability_score
 
@@ -403,6 +404,27 @@ B6 num 2
 B7 formula =PMT(B5,B6)
 """
     assert diags(ordered, rule="R24") == []
+
+
+def test_r24_reads_a_translated_range_from_its_top_left_cell(tmp_path):
+    # =A1+SUM(A2:A$3) filled down B1:B5: at B4 the range is A5:A$3 as the
+    # shared formula translates it, A$3:A5 as text parses it; either way it
+    # is read from A3, before A4
+    text = "A1+SUM(A2:A$3)"
+    shared = {"B1": {"fs": (0, text, "B1:B5")},
+              **{f"B{row}": {"fs": (0, None, None)} for row in range(2, 6)}}
+    xlsx = load_xlsx(build_xlsx(tmp_path / "fill.xlsx", {"S": shared}))
+    template = parse_formula("=" + text)
+    written = load_text_string("[sheet S]\n" + "".join(
+        f"B{row} formula {print_formula(translate(template, row - 1, 0))}\n"
+        for row in range(1, 6)))
+    config = AuditConfig(enabled_rules=frozenset({"R24"}))
+    found = [[(d.cell, d.message) for d in audit_workbook(wb, config).report.diagnostics]
+             for wb in (xlsx, written)]
+    assert found[0] == found[1]
+    assert [(cell.a1(), message) for cell, message in found[0]] == [
+        ("B4", "references are not in reading order: A4, A3"),
+        ("B5", "references are not in reading order: A5, A3")]
 
 
 def test_r25_sheet_count():

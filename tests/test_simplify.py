@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 
 from helpers import gen_ast
 
-from sheetlint.formula import ast_equal, parse_formula, print_formula
+from sheetlint.formula import (
+    BinaryOp,
+    CellRef,
+    FunctionCall,
+    RangeRef,
+    ast_equal,
+    parse_formula,
+    print_formula,
+)
 from sheetlint.graph import build_graph
 from sheetlint.loaders import load_text_string
 from sheetlint import simplify as simplify_module
@@ -262,6 +270,21 @@ def test_merge_sumproducts_keeps_unrelated_terms():
         "=SUMPRODUCT(C4:I4,C7:I7)+X1+SUMPRODUCT(C5:I5,C8:I8)")
     merged = merge_sumproducts(ast)
     assert print_formula(merged) == "=SUMPRODUCT(C4:I5,C7:I8)+X1"
+
+
+def test_merge_sumproducts_reads_ranges_from_their_boxes():
+    # A3:A$1, as translate can leave a range, is the box A1:A3: it overlaps
+    # A1:A2 and must not merge with it; A4:A$3 is A3:A4 and stacks below
+    def sum_of_sumproducts(first, second):
+        return BinaryOp("+", FunctionCall("SUMPRODUCT", (first,)),
+                        FunctionCall("SUMPRODUCT", (second,)))
+
+    top = RangeRef(CellRef(1, 1), CellRef(2, 1))
+    overlapping = sum_of_sumproducts(top, RangeRef(CellRef(3, 1), CellRef(1, 1, row_abs=True)))
+    assert print_formula(merge_sumproducts(overlapping)) \
+        == "=SUMPRODUCT(A1:A2)+SUMPRODUCT(A3:A$1)"
+    below = sum_of_sumproducts(top, RangeRef(CellRef(4, 1), CellRef(3, 1, row_abs=True)))
+    assert print_formula(merge_sumproducts(below)) == "=SUMPRODUCT(A1:A4)"
 
 
 def test_plan_nesting_chain():

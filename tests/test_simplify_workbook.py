@@ -317,7 +317,9 @@ def _r07_r24_per_cell(wb, graph, config):
             shown = ", ".join(lit.text for lit in literals[:4])
             out.append(("R07", addr, f"constant {shown} embedded in formula; "
                                      f"move it to its own cell"))
-        starts = [r.start if isinstance(r, RangeRef) else r for r in content.facts.refs]
+        # a range is read from its box's top-left cell, whichever corner names it
+        starts = [CellRef(*r.box[:2], r.start.sheet) if isinstance(r, RangeRef) else r
+                  for r in content.facts.refs]
         keys = [(graph.sheet_index(s.sheet if s.sheet is not None else addr.sheet),
                  s.row, s.col) for s in starts]
         if any(b < a for a, b in zip(keys, keys[1:])):
