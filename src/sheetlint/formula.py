@@ -14,9 +14,11 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
-from .model import MAX_COL, MAX_ROW, CellAddress, col_letters, col_number, quote_sheet
+from .model import (CELL_PATTERN, MAX_COL, MAX_ROW, CellAddress, col_letters,
+                    col_number, quote_sheet)
 
 
 class FormulaParseError(ValueError):
@@ -143,15 +145,16 @@ _TOKEN_RE = re.compile(
   | (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
   | (?P<string>"(?:[^"]|"")*")
   | (?P<qsheet>'(?:[^']|'')*')
+  | (?P<ref>""" + CELL_PATTERN + r""")(?![A-Za-z0-9_.])
   | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
   | (?P<op><=|>=|<>|[=<>+\-*/^&%(),!:$])
     """,
     re.VERBOSE,
 )
+_CELL_RE = re.compile(CELL_PATTERN)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -172,7 +175,15 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-_REF_SPLIT_RE = re.compile(r"([A-Za-z]{1,3})([0-9]+)?\Z")
+@lru_cache(maxsize=4096)
+def _ref_of(text: str) -> CellRef | None:
+    """A ``ref`` token's sheetless reference; None when it is out of bounds.
+    Cached: copied formulas repeat the same reference texts."""
+    cabs, letters, rabs, digits = _CELL_RE.match(text).groups()  # type: ignore[union-attr]
+    row, col = int(digits), col_number(letters)
+    if 1 <= row <= MAX_ROW and col <= MAX_COL:
+        return CellRef(row, col, row_abs=rabs == "$", col_abs=cabs == "$")
+    return None
 
 
 _ATOM_PREC = 8
@@ -190,8 +201,8 @@ class _Parser:
         self.depth = 0
 
     # token plumbing
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.i]
@@ -256,113 +267,62 @@ class _Parser:
         return node
 
     def primary(self) -> FormulaAst:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
+        tok = self.advance()
+        kind = tok.kind
+        if kind == "number":
             return NumberLit(Decimal(tok.text), tok.text)
-        if tok.kind == "string":
-            self.advance()
+        if kind == "string":
             return StringLit(tok.text[1:-1].replace('""', '"'))
-        if tok.kind == "op" and tok.text == "(":
+        if kind == "op" and tok.text == "(":
             self.open_level(tok)
-            self.advance()
             inner = self.expr()
             self.expect(")", "')'")
             self.depth -= 1
             return Paren(inner, explicit=True)
-        if tok.kind == "qsheet":
-            self.advance()
-            sheet = tok.text[1:-1].replace("''", "'")
+        if kind == "qsheet":
             self.expect("!", "'!' after quoted sheet name")
-            return self._reference(sheet)
-        if tok.kind == "ident":
-            return self._ident_start()
-        if tok.kind == "op" and tok.text == "$":
-            return self._reference(None)
+            return self._reference(self.advance(), tok.text[1:-1].replace("''", "'"))
+        if kind == "ident" or kind == "ref":
+            nxt = self.peek()
+            # a name before '!' or '(' is a sheet or a function, even AB1 or LOG10
+            if nxt.kind == "op" and "$" not in tok.text:
+                if nxt.text == "!":
+                    self.advance()
+                    return self._reference(self.advance(), tok.text)
+                if nxt.text == "(":
+                    self.open_level(tok)
+                    self.advance()
+                    args: list[FormulaAst] = []
+                    if not self.eat(")"):
+                        args.append(self.expr())
+                        while self.eat(","):
+                            args.append(self.expr())
+                        self.expect(")", "')' or ','")
+                    self.depth -= 1
+                    return FunctionCall(tok.text.upper(), tuple(args))
+            # XFE1 or A0, out of bounds with no '$', is a defined name
+            if kind == "ref" and ("$" in tok.text or _ref_of(tok.text) is not None):
+                return self._reference(tok, None)
+            return NameRef(tok.text)
         raise FormulaParseError(tok.pos, "a value, reference or '('", tok.text)
 
-    def _ident_start(self) -> FormulaAst:
-        tok = self.advance()
-        nxt = self.peek()
-        if nxt.kind == "op" and nxt.text == "!":
-            self.advance()
-            return self._reference(tok.text)
-        if nxt.kind == "op" and nxt.text == "(":
-            self.open_level(tok)
-            self.advance()
-            args: list[FormulaAst] = []
-            if not self.eat(")"):
-                args.append(self.expr())
-                while self.eat(","):
-                    args.append(self.expr())
-                self.expect(")", "')' or ','")
-            self.depth -= 1
-            return FunctionCall(tok.text.upper(), tuple(args))
-        mark = self.i
-        ref = self._ref_from_ident(tok, col_abs=False)
-        if ref is None:
-            self.i = mark  # undo any '$'/row tokens consumed while probing
-            return NameRef(tok.text)
-        return self._maybe_range(ref)
-
-    def _reference(self, sheet: str | None) -> FormulaAst:
-        ref = self._cell_ref(sheet)
-        return self._maybe_range(ref)
-
-    def _cell_ref(self, sheet: str | None) -> CellRef:
-        col_abs = self.eat("$")
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise FormulaParseError(tok.pos, "column letters", tok.text)
-        self.advance()
-        ref = self._ref_from_ident(tok, col_abs=col_abs, sheet=sheet, required=True)
-        assert ref is not None
-        return ref
-
-    def _ref_from_ident(self, tok: _Token, col_abs: bool,
-                        sheet: str | None = None,
-                        required: bool = False) -> CellRef | None:
-        def fail(expected: str) -> CellRef | None:
-            if required:
-                nxt = self.peek()
-                raise FormulaParseError(nxt.pos, expected, nxt.text)
-            return None
-
-        m = _REF_SPLIT_RE.match(tok.text)
-        if m is None:
-            return fail("a cell reference")
-        letters, digits = m.group(1), m.group(2)
-        if digits is not None:
-            if col_abs is False and sheet is None and not self._plausible(letters, digits):
-                return None
-            row, row_abs = int(digits), False
-        else:
-            row_abs = self.eat("$")
-            nxt = self.peek()
-            if nxt.kind != "number" or not nxt.text.isdigit():
-                if row_abs:
-                    return fail("a row number")
-                # bare letters with no row: a defined name, not a reference
-                return fail("a row number") if required else None
-            self.advance()
-            row, digits = int(nxt.text), nxt.text
-        col = col_number(letters)
-        if not (1 <= row <= MAX_ROW and col <= MAX_COL):
-            return fail("an in-bounds cell reference")
-        return CellRef(row, col, sheet=sheet, row_abs=row_abs, col_abs=col_abs)
+    def _reference(self, tok: _Token, sheet: str | None) -> CellRef | RangeRef:
+        """The reference at ``tok``, and the range it starts if ':' follows."""
+        start = self._cell(tok, sheet)
+        if not self.eat(":"):
+            return start
+        return normalize_range(start, self._cell(self.advance(), None))
 
     @staticmethod
-    def _plausible(letters: str, digits: str) -> bool:
-        # "AAAA1" or row/col out of bounds reads as a defined name instead.
-        return (len(letters) <= 3 and col_number(letters) <= MAX_COL
-                and int(digits) <= MAX_ROW)
-
-    def _maybe_range(self, start: CellRef) -> FormulaAst:
-        if not (self.peek().kind == "op" and self.peek().text == ":"):
-            return start
-        self.advance()
-        end = self._cell_ref(None)
-        return normalize_range(start, end)
+    def _cell(tok: _Token, sheet: str | None) -> CellRef:
+        if tok.kind != "ref":
+            raise FormulaParseError(tok.pos, "a cell reference", tok.text)
+        ref = _ref_of(tok.text)
+        if ref is None:
+            raise FormulaParseError(tok.pos, "an in-bounds cell reference", tok.text)
+        if sheet is None:
+            return ref
+        return CellRef(ref.row, ref.col, sheet, ref.row_abs, ref.col_abs)
 
 
 def normalize_range(a: CellRef, b: CellRef) -> RangeRef:

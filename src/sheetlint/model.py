@@ -17,9 +17,11 @@ MAX_ROW = 1_048_576
 MAX_COL = 16_384  # column XFD
 
 _BARE_SHEET_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# One cell in A1 notation, as addresses and formula references write it
+CELL_PATTERN = r"(?P<cabs>\$?)(?P<col>[A-Za-z]{1,3})(?P<rabs>\$?)(?P<row>[0-9]+)"
 _A1_RE = re.compile(
     r"(?:(?:'(?P<qsheet>(?:[^']|'')+)'|(?P<sheet>[A-Za-z_][A-Za-z0-9_.]*))!)?"
-    r"(?P<cabs>\$?)(?P<col>[A-Za-z]{1,3})(?P<rabs>\$?)(?P<row>[0-9]+)\Z"
+    + CELL_PATTERN + r"\Z"
 )
 
 

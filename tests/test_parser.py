@@ -26,7 +26,7 @@ from sheetlint.formula import (
     print_formula,
     strip_parens,
 )
-from sheetlint.loaders import load_text_string
+from sheetlint.loaders import LoadError, load_text_string
 from sheetlint.model import CellAddress
 from sheetlint.report import audit_workbook, render_dot
 from sheetlint.simplify import simplify
@@ -194,3 +194,16 @@ def test_audit_of_a_400_term_chain(op):
     text = "[sheet S]\nA1 num 1\nA2 num 2\nB1 formula =" + op.join(["A1", "A2"] * 200)
     result = audit_workbook(load_text_string(text))
     assert render_dot(result).count("->") == 2
+
+
+# --- a reference is one token ------------------------------------------------------
+
+@pytest.mark.parametrize("text,col", [("=A 1", 15), ("=$ A1", 13), ("=A $1", 15)])
+def test_whitespace_inside_a_reference_is_an_error(text, col):
+    # In Excel a space between two references is the intersection operator,
+    # so a space never joins the pieces of one reference.
+    with pytest.raises(FormulaParseError):
+        parse_formula(text)
+    with pytest.raises(LoadError) as err:
+        load_text_string(f"[sheet S]\nA1 num 1\nB1 formula {text}\n", path="ws.wb")
+    assert str(err.value).startswith(f"ws.wb:3:{col}: ")
