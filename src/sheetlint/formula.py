@@ -533,6 +533,12 @@ def translate(ast: FormulaAst, drow: int, dcol: int) -> FormulaAst:
     return map_refs(ast, shift)
 
 
+def order_ranges(ast: FormulaAst) -> FormulaAst:
+    """Order each range's corners as the parser does; ``translate`` keeps them."""
+    return map_refs(ast, lambda ref: normalize_range(ref.start, ref.end)
+                    if isinstance(ref, RangeRef) else ref)
+
+
 def r1c1_form(ast: FormulaAst, host_row: int, host_col: int) -> str:
     """Print a formula with references relative to the host cell.
 

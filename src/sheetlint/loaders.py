@@ -11,7 +11,8 @@ from pathlib import Path
 from posixpath import normpath
 from xml.etree import ElementTree
 
-from .formula import CopyClass, FormulaParseError, parse_formula, translate, print_formula
+from .formula import (CopyClass, FormulaParseError, RangeRef, formula_facts, order_ranges,
+                      parse_formula, print_formula, translate)
 from .model import (
     MAX_COL,
     CellAddress,
@@ -463,8 +464,9 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
             for c in range(lo, hi + 1):
                 sheet.column_widths[c] = width
 
-    # si -> (master ast, master row, master col, the group's copy class)
-    shared: dict[str, tuple[object, int, int, CopyClass]] = {}
+    # si -> (master ast, master row, master col, the group's copy class,
+    # whether a range has '$' on one corner of an axis only)
+    shared: dict[str, tuple[object, int, int, CopyClass, bool]] = {}
     data = root.find(_tag("sheetData"))
     if data is None:
         _set_declared_extent(sheet, declared)
@@ -501,7 +503,12 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                                             f"cell {ref}: bad formula: {exc}")
                         copy_class = sheet.copy_class(
                             translate(ast, -addr.row, -addr.col))
-                        shared[si] = (ast, addr.row, addr.col, copy_class)
+                        one_sided = any(
+                            isinstance(r, RangeRef)
+                            and (r.start.row_abs != r.end.row_abs
+                                 or r.start.col_abs != r.end.col_abs)
+                            for r in formula_facts(ast).refs)
+                        shared[si] = (ast, addr.row, addr.col, copy_class, one_sided)
                     else:
                         master = shared.get(si)
                         if master is None:
@@ -511,6 +518,13 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                         ast = translate(master[0], addr.row - master[1],
                                         addr.col - master[2])
                         copy_class = master[3]
+                        if master[4]:
+                            # a relative corner that passes an absolute one
+                            # turns the range inside out; store it ordered, as
+                            # Excel shows it, and class it by its own form
+                            ordered = order_ranges(ast)
+                            if ordered != ast:
+                                ast, copy_class = ordered, None
                     content = CellContent.formula(print_formula(ast), ast)
                 else:
                     try:

@@ -599,9 +599,38 @@ def test_translated_range_read_from_its_ordered_box(tmp_path):
         == [3, 2, 1, 2, 3]
     assert sorted(a.row for a in graph.precedents_of(addr("S", "B4"))) == [3, 4]
     ref = formula.unwrap(wb.sheets[0].content_at(5, 2).ast).args[0]
-    assert (ref.start.row, ref.end.row) == (5, 3)  # translate keeps the corners
+    assert (ref.start.row, ref.end.row) == (3, 5)  # the loader orders the corners
     assert ref.box == (3, 1, 5, 1) and ref.shape == (3, 1) and ref.size == 3
     assert [a.row for a in ref.cells("S")] == [3, 4, 5]
+
+
+def test_shared_fill_classes_as_the_same_formulas_written_as_text(tmp_path):
+    # =A1+SUM(A2:A$3) filled down B1:B5 turns its range inside out from B3 on;
+    # the loader stores those members ordered, as the text parser reads them.
+    cells = {f"A{row}": {"n": str(row)} for row in range(1, 7)}
+    cells["B1"] = {"fs": (0, "A1+SUM(A2:A$3)", "B1:B5")}
+    cells.update({f"B{row}": {"fs": (0, None, None)} for row in range(2, 6)})
+    from_xlsx = load_xlsx(build_xlsx(tmp_path / "t.xlsx", {"S": cells}))
+    texts = ["=A1+SUM(A2:A$3)", "=A2+SUM(A3:A$3)", "=A3+SUM(A$3:A4)",
+             "=A4+SUM(A$3:A5)", "=A5+SUM(A$3:A6)"]
+    from_text = wb_from("[sheet S]\n" + "".join(f"A{row} num {row}\n" for row in range(1, 7))
+                        + "".join(f"B{row} formula {t}\n" for row, t in enumerate(texts, 1)))
+
+    def shapes(wb):
+        cells = [wb.sheets[0].cells[(row, 2)] for row in range(1, 6)]
+        first_seen = {}
+        return [(c.content.formula_text, c.copy_class.r1c1,
+                 first_seen.setdefault(id(c.copy_class), len(first_seen))) for c in cells]
+
+    def diagnostics(wb):
+        config = AuditConfig(enabled_rules=frozenset(("R18", "R24")))
+        return [(d.rule, d.location(), d.message)
+                for d in audit_workbook(wb, config).report.diagnostics]
+
+    assert shapes(from_xlsx) == shapes(from_text)
+    assert [cls for _, _, cls in shapes(from_text)] == [0, 0, 1, 1, 1]
+    assert diagnostics(from_xlsx) == diagnostics(from_text)
+    assert any("2 of 5 differ" in message for _, _, message in diagnostics(from_text))
 
 
 def test_defined_name_range_read_from_its_ordered_corners(tmp_path):
