@@ -14,7 +14,6 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from .model import (CELL_PATTERN, MAX_COL, MAX_ROW, CellAddress, col_letters,
@@ -175,14 +174,12 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-@lru_cache(maxsize=4096)
-def _ref_of(text: str) -> CellRef | None:
-    """A ``ref`` token's sheetless reference; None when it is out of bounds.
-    Cached: copied formulas repeat the same reference texts."""
+def _ref_of(text: str, sheet: str | None = None) -> CellRef | None:
+    """A ``ref`` token's reference; None when it is out of bounds."""
     cabs, letters, rabs, digits = _CELL_RE.match(text).groups()  # type: ignore[union-attr]
     row, col = int(digits), col_number(letters)
     if 1 <= row <= MAX_ROW and col <= MAX_COL:
-        return CellRef(row, col, row_abs=rabs == "$", col_abs=cabs == "$")
+        return CellRef(row, col, sheet, rabs == "$", cabs == "$")
     return None
 
 
@@ -281,14 +278,15 @@ class _Parser:
             return Paren(inner, explicit=True)
         if kind == "qsheet":
             self.expect("!", "'!' after quoted sheet name")
-            return self._reference(self.advance(), tok.text[1:-1].replace("''", "'"))
+            sheet = tok.text[1:-1].replace("''", "'")
+            return self._range(self._cell(self.advance(), sheet))
         if kind == "ident" or kind == "ref":
             nxt = self.peek()
             # a name before '!' or '(' is a sheet or a function, even AB1 or LOG10
             if nxt.kind == "op" and "$" not in tok.text:
                 if nxt.text == "!":
                     self.advance()
-                    return self._reference(self.advance(), tok.text)
+                    return self._range(self._cell(self.advance(), tok.text))
                 if nxt.text == "(":
                     self.open_level(tok)
                     self.advance()
@@ -300,29 +298,27 @@ class _Parser:
                         self.expect(")", "')' or ','")
                     self.depth -= 1
                     return FunctionCall(tok.text.upper(), tuple(args))
-            # XFE1 or A0, out of bounds with no '$', is a defined name
-            if kind == "ref" and ("$" in tok.text or _ref_of(tok.text) is not None):
-                return self._reference(tok, None)
-            return NameRef(tok.text)
+            ref = _ref_of(tok.text) if kind == "ref" else None
+            if ref is None and "$" not in tok.text:
+                return NameRef(tok.text)  # an identifier, or XFE1 or A0 out of bounds
+            return self._range(ref or self._cell(tok, None))  # _cell raises on $XFE1
         raise FormulaParseError(tok.pos, "a value, reference or '('", tok.text)
 
-    def _reference(self, tok: _Token, sheet: str | None) -> CellRef | RangeRef:
-        """The reference at ``tok``, and the range it starts if ':' follows."""
-        start = self._cell(tok, sheet)
+    def _range(self, start: CellRef) -> CellRef | RangeRef:
+        """``start``, or the range it begins if ':' follows."""
         if not self.eat(":"):
             return start
         return normalize_range(start, self._cell(self.advance(), None))
 
     @staticmethod
     def _cell(tok: _Token, sheet: str | None) -> CellRef:
+        """``tok``, which must be an in-bounds ``ref`` token, on ``sheet``."""
         if tok.kind != "ref":
             raise FormulaParseError(tok.pos, "a cell reference", tok.text)
-        ref = _ref_of(tok.text)
+        ref = _ref_of(tok.text, sheet)
         if ref is None:
             raise FormulaParseError(tok.pos, "an in-bounds cell reference", tok.text)
-        if sheet is None:
-            return ref
-        return CellRef(ref.row, ref.col, sheet, ref.row_abs, ref.col_abs)
+        return ref
 
 
 def normalize_range(a: CellRef, b: CellRef) -> RangeRef:
