@@ -357,8 +357,8 @@ def classify_graph(graph: DependencyGraph,
     """Set the per-node flags: spurious, dangling, perverse target, cycle, bottom line.
 
     Solver-constraint calls (default: WB) are never dangling; the solver
-    reads them even though no cell does. Constants whose every downstream
-    formula is itself dangling are flagged as unused input.
+    reads them even though no cell does. Referenced constants whose every
+    dependent is a dangling formula are flagged as unused input.
     """
     classes = {addr: CellGraphClass() for addr in graph.nodes}
 
@@ -391,30 +391,14 @@ def classify_graph(graph: DependencyGraph,
                                        if info.interpreted_output_shape
                                        else "intermediate")
 
-    # Transitively unused constants: every forward path dies in dangling cells.
-    alive = {addr for addr, info in graph.nodes.items()
-             if info.kind is CellKind.FORMULA and not classes[addr].dangling}
+    # Unused inputs: a dangling formula has no dependents, so a constant's
+    # dependents are as far forward as any of its paths goes.
     for addr, info in graph.nodes.items():
-        if info.kind not in (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR):
-            continue
-        deps = graph.dependents_of(addr)
-        if not deps:
-            continue  # no dependents at all: a label, not a numeric cell
-        seen = set(deps)
-        frontier = list(deps)
-        reaches_alive = False
-        while frontier and not reaches_alive:
-            current = frontier.pop()
-            if current in alive:
-                reaches_alive = True
-                break
-            for d in graph.dependents_of(current):
-                if d not in seen:
-                    seen.add(d)
-                    frontier.append(d)
-        if not reaches_alive:
-            classes[addr].dangling = True
-            classes[addr].dangling_kind = "unused-input"
+        if info.kind in (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR):
+            deps = graph.dependents_of(addr)
+            if deps and all(classes[d].dangling for d in deps):
+                classes[addr].dangling = True
+                classes[addr].dangling_kind = "unused-input"
     return classes
 
 

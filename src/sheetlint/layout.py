@@ -203,31 +203,23 @@ def copy_pattern_breaks(sheet: Sheet, min_run: int = 3) -> list[CopyRun]:
         runs.append(CopyRun([sheet.address(*pos) for pos in positions],
                             orientation, majority, breaks))
 
-    by_row: dict[int, list[int]] = {}
-    by_col: dict[int, list[int]] = {}
-    for row, col in formulas:  # row-major, so each list comes sorted
-        by_row.setdefault(row, []).append(col)
-        by_col.setdefault(col, []).append(row)
-
-    for row, cols in by_row.items():
-        streak = [cols[0]]
-        for col in cols[1:]:
-            if col == streak[-1] + 1:
-                streak.append(col)
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for pos in formulas:  # row-major, so each list comes sorted
+        by_row.setdefault(pos[0], []).append(pos)
+        by_col.setdefault(pos[1], []).append(pos)
+    # a row's streaks step along axis 1 (columns), a column's along axis 0
+    lines = [(cells, 1, "h") for cells in by_row.values()]
+    lines += [(by_col[col], 0, "v") for col in sorted(by_col)]
+    for cells, axis, orientation in lines:
+        streak = [cells[0]]
+        for pos in cells[1:]:
+            if pos[axis] == streak[-1][axis] + 1:
+                streak.append(pos)
             else:
-                scan([(row, c) for c in streak], "h")
-                streak = [col]
-        scan([(row, c) for c in streak], "h")
-    for col in sorted(by_col):
-        rows = by_col[col]
-        streak = [rows[0]]
-        for row in rows[1:]:
-            if row == streak[-1] + 1:
-                streak.append(row)
-            else:
-                scan([(r, col) for r in streak], "v")
-                streak = [row]
-        scan([(r, col) for r in streak], "v")
+                scan(streak, orientation)
+                streak = [pos]
+        scan(streak, orientation)
     return runs
 
 

@@ -108,23 +108,14 @@ def load_text_string(text: str, path: str = "<string>") -> Workbook:
     """Parse the fixture grammar from a string; see load_text."""
     workbook = Workbook()
     sheet: Sheet | None = None
-    dimension: CellAddress | None = None
     dimensions: dict[str, CellAddress] = {}
     defined: set[CellAddress] = set()
-
-    def finish_sheet() -> None:
-        nonlocal dimension
-        if sheet is not None and dimension is not None:
-            dimensions[sheet.name] = dimension
-        dimension = None
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         m = _SHEET_RE.match(line)
         if m:
-            finish_sheet()
             name = m.group(1).strip()
             if not name:
                 raise LoadError(path, lineno, 1, "empty sheet name")
@@ -141,7 +132,7 @@ def load_text_string(text: str, path: str = "<string>") -> Workbook:
                 addr = parse_a1(m.group(1), default_sheet=sheet.name)
             except AddressParseError as exc:
                 raise LoadError(path, lineno, 1, str(exc))
-            dimension = CellAddress(sheet.name, addr.row, addr.col)
+            dimensions[sheet.name] = CellAddress(sheet.name, addr.row, addr.col)
             continue
         m = _COL_RE.match(line)
         if m:
@@ -189,7 +180,6 @@ def load_text_string(text: str, path: str = "<string>") -> Workbook:
             content = CellContent.formula(payload, ast)
         fmt = sheet.fmt_at(addr.row, addr.col)
         sheet.set_cell(addr.row, addr.col, content, fmt)
-    finish_sheet()
 
     for sheet in workbook.sheets:
         _set_declared_extent(sheet, dimensions.get(sheet.name))

@@ -190,7 +190,6 @@ class _Context:
         self.classes = classes if classes is not None else classify_graph(graph, config)
         self.cell_classes = (cell_classes if cell_classes is not None
                              else classify_cells(workbook, graph))
-        self.on_cycle = {addr for cycle in graph.cycles for addr in cycle}
         self.flow_exempt = set()
         for entry in config.flow_exempt:
             addr = parse_a1(entry)
@@ -239,13 +238,13 @@ def _addr_list(cells, limit: int = 4) -> str:
 def _r01_backward(ctx: _Context, sheets) -> list[Diagnostic]:
     out = []
     for addr in ctx.graph.formula_cells():
-        if addr in ctx.flow_exempt or addr in ctx.on_cycle:
+        if addr in ctx.flow_exempt or ctx.classes[addr].on_cycle:
             continue
         offenders: list[CellAddress] = []
         origins: set[str] = set()
         for origin, precedents in ctx.grouped_precedents(addr).items():
             bad = [p for p in precedents
-                   if p != addr and is_backward(p, addr) and p not in ctx.on_cycle]
+                   if p != addr and is_backward(p, addr) and not ctx.classes[p].on_cycle]
             if not bad:
                 continue
             if origin is not None:

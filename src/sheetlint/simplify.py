@@ -172,14 +172,8 @@ def _division_last(ast: FormulaAst) -> FormulaAst:
                        for j in range(i + 1, len(seq)))
             if fire:
                 factors = [(walk(f), inv) for f, inv in seq]
-                numerators = [f for f, inv in factors if not inv]
-                denominators = [f for f, inv in factors if inv]
-                rebuilt = numerators[0]
-                for factor in numerators[1:]:
-                    rebuilt = BinaryOp("*", rebuilt, factor)
-                for factor in denominators:
-                    rebuilt = BinaryOp("/", rebuilt, factor)
-                return rebuilt
+                return _chain("/", [_chain("*", [f for f, inv in factors if not inv]),
+                                    *(f for f, inv in factors if inv)])
             return rebuild(node, interior)
         return rebuild(node, walk)
 
@@ -194,32 +188,36 @@ def _is_plus_chain(node: FormulaAst) -> bool:
     return isinstance(node, BinaryOp) and node.op == "+"
 
 
-def _flatten_plus(node: FormulaAst, out: list[FormulaAst]) -> None:
-    if _is_plus_chain(node):
-        _flatten_plus(node.left, out)
-        _flatten_plus(node.right, out)
-    else:
-        out.append(node)
+def _operands(node: FormulaAst, op: str) -> list[FormulaAst]:
+    """The operands of the ``op`` chain at ``node``, left to right. The left
+    spine is walked in a loop; a right operand that is an ``op`` node recurses."""
+    rights = []
+    while isinstance(node, BinaryOp) and node.op == op:
+        rights.append(node.right)
+        node = node.left
+    out = [node]
+    for right in reversed(rights):
+        if isinstance(right, BinaryOp) and right.op == op:
+            out.extend(_operands(right, op))
+        else:
+            out.append(right)
+    return out
 
 
-def _chain_of_plus(terms: list[FormulaAst]) -> FormulaAst:
-    node = terms[0]
-    for term in terms[1:]:
-        node = BinaryOp("+", node, term)
+def _chain(op: str, operands: list[FormulaAst]) -> FormulaAst:
+    """``operands`` joined by ``op``, folded to the left."""
+    node = operands[0]
+    for operand in operands[1:]:
+        node = BinaryOp(op, node, operand)
     return node
 
 
 def _mult_factors(node: FormulaAst) -> list[FormulaAst] | None:
     """Factor list of a pure multiplication chain; None if division involved."""
-    if isinstance(node, BinaryOp) and node.op == "*":
-        left = _mult_factors(node.left)
-        right = _mult_factors(node.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    if isinstance(node, BinaryOp) and node.op == "/":
+    factors = _operands(node, "*")
+    if any(isinstance(f, BinaryOp) and f.op == "/" for f in factors):
         return None
-    return [node]
+    return factors
 
 
 def _common_factor(ast: FormulaAst) -> FormulaAst:
@@ -227,8 +225,7 @@ def _common_factor(ast: FormulaAst) -> FormulaAst:
 
     def walk(node: FormulaAst) -> FormulaAst:
         if _is_plus_chain(node):
-            terms: list[FormulaAst] = []
-            _flatten_plus(node, terms)
+            terms = _operands(node, "+")
             factors = [_mult_factors(t) for t in terms]
             if (len(terms) >= 2 and all(f is not None for f in factors)
                     and any(len(f) >= 2 for f in factors)):  # type: ignore[arg-type]
@@ -245,14 +242,9 @@ def _common_factor(ast: FormulaAst) -> FormulaAst:
                                 if ast_equal(f, candidate):
                                     del rest[i]
                                     break
-                            if not rest:
-                                rest = [NumberLit(Decimal(1), "1")]
-                            product = rest[0]
-                            for f in rest[1:]:
-                                product = BinaryOp("*", product, f)
-                            remainders.append(product)
-                        return BinaryOp("*", stripped,
-                                        _chain_of_plus(remainders))
+                            remainders.append(
+                                _chain("*", rest or [NumberLit(Decimal(1), "1")]))
+                        return BinaryOp("*", stripped, _chain("+", remainders))
         return rebuild(node, walk)
 
     return walk(ast)
@@ -303,9 +295,7 @@ def _range_collapse(ast: FormulaAst) -> FormulaAst:
     """
 
     def collapse(chain: FormulaAst) -> FormulaAst | None:
-        terms: list[FormulaAst] = []
-        _flatten_plus(chain, terms)
-        rng = _contiguous_sum_range(terms)
+        rng = _contiguous_sum_range(_operands(chain, "+"))
         if rng is None:
             return None
         return FunctionCall("SUM", (rng,))
@@ -559,9 +549,7 @@ def merge_sumproducts(ast: FormulaAst) -> FormulaAst:
 
     def walk(node: FormulaAst) -> FormulaAst:
         if _is_plus_chain(node):
-            terms: list[FormulaAst] = []
-            _flatten_plus(node, terms)
-            terms = [walk(t) for t in terms]
+            terms = [walk(t) for t in _operands(node, "+")]
             changed = True
             while changed:
                 changed = False
@@ -581,7 +569,7 @@ def merge_sumproducts(ast: FormulaAst) -> FormulaAst:
                             break
                     if changed:
                         break
-            return _chain_of_plus(terms)
+            return _chain("+", terms)
         return rebuild(node, walk)
 
     return walk(ast)
