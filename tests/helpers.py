@@ -19,7 +19,7 @@ from sheetlint.formula import (
     UnaryOp,
     parse_formula,
 )
-from sheetlint.model import CellAddress, CellContent, Workbook, col_letters
+from sheetlint.model import CellAddress, CellContent, CellKind, Workbook, col_letters
 
 # --- random AST generation -------------------------------------------------------
 
@@ -266,6 +266,37 @@ def brute_force_classify(workbook: Workbook, coverage: float = 0.5):
     perverse = {ref for refs in precedents.values() for ref in refs
                 if ref not in populated}
     return flags, perverse
+
+
+def unused_inputs_by_forward_search(graph, classes) -> set[CellAddress]:
+    """Unused-input constants by one forward search per referenced constant.
+
+    The search looks for a formula that is not dangling anywhere downstream
+    of the constant; a constant from which none is reachable is unused.
+    Only the formulas' dangling flags are read from ``classes``.
+    """
+    alive = {addr for addr, info in graph.nodes.items()
+             if info.kind is CellKind.FORMULA and not classes[addr].dangling}
+    unused = set()
+    for addr, info in graph.nodes.items():
+        if info.kind not in (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR):
+            continue
+        deps = graph.dependents_of(addr)
+        if not deps:
+            continue
+        seen = set(deps)
+        frontier = list(deps)
+        while frontier:
+            current = frontier.pop()
+            if current in alive:
+                break
+            for d in graph.dependents_of(current):
+                if d not in seen:
+                    seen.add(d)
+                    frontier.append(d)
+        else:
+            unused.add(addr)
+    return unused
 
 
 # --- minimal xlsx writer ---------------------------------------------------------

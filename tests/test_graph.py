@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
-from helpers import assert_valid_dot, brute_force_classify, build_xlsx, gen_workbook
+from helpers import (
+    assert_valid_dot,
+    brute_force_classify,
+    build_xlsx,
+    gen_workbook,
+    unused_inputs_by_forward_search,
+)
 
 from sheetlint import formula
 from sheetlint.config import AuditConfig, ConfigError
@@ -163,6 +169,44 @@ B9 formula =A9*2
     assert classes[addr("S", "B9")].dangling
     assert classes[addr("S", "A9")].dangling
     assert classes[addr("S", "A9")].dangling_kind == "unused-input"
+
+
+# E1 and F1 are a live chain of their own, so no sink elsewhere can reach
+# half the numeric cells and become a heuristic bottom line
+_UNUSED_BASE = "[sheet S]\nA1 num 1\nE1 num 5\nF1 formula =E1*2\n"
+
+
+@pytest.mark.parametrize("cells, bottom, unused", [
+    # read only by dangling formulas
+    ("B1 formula =A1*2\nC1 formula =A1+1\n", "S!F1", True),
+    # one reader feeds a cycle, whose members have dependents
+    ("B1 formula =A1+C1\nC1 formula =B1*2\nD1 formula =A1*3\n", "S!F1", False),
+    # one reader starts a chain that ends in the bottom line
+    ("B1 formula =A1*2\nC1 formula =B1*2\nD1 formula =C1+F1\nG1 formula =A1\n",
+     "S!D1", False),
+    # read by nothing: a label-like constant, not an unused input
+    ("B1 formula =E1\n", "S!F1", False),
+])
+def test_unused_input_is_one_step(cells, bottom, unused):
+    graph = build_graph(wb_from(_UNUSED_BASE + cells))
+    classes = classify_graph(graph, AuditConfig(bottom_line=(bottom,)))
+    a1 = classes[addr("S", "A1")]
+    assert (a1.dangling_kind == "unused-input") is unused
+    assert a1.dangling is unused
+
+
+@given(st.integers(min_value=0, max_value=100_000), st.booleans())
+@settings(max_examples=60)
+def test_unused_inputs_match_forward_search(seed, explicit_bottom):
+    rng = random.Random(seed)
+    wb, _ = gen_workbook(rng)  # may contain cycles and blank references
+    graph = build_graph(wb)
+    config = AuditConfig()
+    if explicit_bottom and graph.formula_cells():
+        config = AuditConfig(bottom_line=(rng.choice(graph.formula_cells()).qualified(),))
+    classes = classify_graph(graph, config)
+    flagged = {a for a, cls in classes.items() if cls.dangling_kind == "unused-input"}
+    assert flagged == unused_inputs_by_forward_search(graph, classes)
 
 
 def test_interpreted_output_subcode():

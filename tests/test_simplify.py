@@ -182,6 +182,23 @@ def test_random_suggestions_always_verified(seed):
                                   trials=30, seed=seed + 1)
 
 
+def test_operands_flattens_a_long_parsed_sum_without_recursing():
+    # one frame per term would pass the default recursion limit of 1000
+    ast = parse_formula("=" + "+".join(f"A{i}" for i in range(1, 3001)))
+    terms = simplify_module._operands(ast, "+")
+    assert [(t.row, t.col) for t in terms] == [(i, 1) for i in range(1, 3001)]
+    assert simplify_module._operands(ast, "*") == [ast]
+
+
+def test_operands_flattens_a_right_operand_of_the_same_op():
+    a, b, c, d = (CellRef(1, col) for col in range(1, 5))
+    ast = BinaryOp("+", BinaryOp("+", a, BinaryOp("+", b, c)), d)
+    assert simplify_module._operands(ast, "+") == [a, b, c, d]
+    chained = simplify_module._chain("+", [a, b, c, d])
+    assert print_formula(chained) == "=A1+B1+C1+D1"
+    assert simplify_module._operands(chained, "+") == [a, b, c, d]
+
+
 # --- nesting ------------------------------------------------------------------
 
 def test_nest_candidate_single_dependent():
