@@ -79,6 +79,14 @@ class DependencyGraph:
     def sheet_index(self, name: str) -> int:
         return self._sheet_index.get(name.lower(), len(self.sheet_order))
 
+    def respell(self, addr: CellAddress) -> CellAddress:
+        """``addr`` on its sheet as the workbook spells it, matched
+        case-insensitively; unchanged when the workbook has no such sheet."""
+        i = self._sheet_index.get(addr.sheet.lower())
+        if i is None or self.sheet_order[i] == addr.sheet:
+            return addr
+        return CellAddress(self.sheet_order[i], addr.row, addr.col)
+
     def addr_key(self, addr: CellAddress) -> tuple[int, int, int]:
         return (self.sheet_index(addr.sheet), addr.row, addr.col)
 
@@ -134,19 +142,13 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     the workbook's own spelling of its sheet name.
     """
     spelling = {s.name.lower(): s.name for s in workbook.sheets}
-
-    def respell(addr: CellAddress) -> CellAddress:
-        sheet = spelling.get(addr.sheet.lower(), addr.sheet)
-        return addr if sheet == addr.sheet else CellAddress(sheet, addr.row, addr.col)
-
-    names: dict[str, object] = {}
+    graph = DependencyGraph([s.name for s in workbook.sheets], {})
     for name, target in workbook.defined_names.items():
         if isinstance(target, CellAddress):
-            target = respell(target)
+            target = graph.respell(target)
         elif isinstance(target, tuple):
-            target = tuple(map(respell, target))
-        names[name] = target
-    graph = DependencyGraph([s.name for s in workbook.sheets], names)
+            target = tuple(map(graph.respell, target))
+        graph.defined_names[name.upper()] = target
     for sheet in workbook.sheets:
         for addr, cell in sheet.populated():
             info = NodeInfo(kind=cell.content.kind)
@@ -293,10 +295,7 @@ def explicit_bottom_line(graph: DependencyGraph,
             raise ConfigError(f"bottom line {name!r} is neither a defined name "
                               f"nor a cell address") from None
         if addr.sheet:
-            i = graph.sheet_index(addr.sheet)
-            if i < len(graph.sheet_order):
-                addr = CellAddress(graph.sheet_order[i], addr.row, addr.col)
-            cells.add(addr)
+            cells.add(graph.respell(addr))
         else:
             for sheet in graph.sheet_order:
                 candidate = CellAddress(sheet, addr.row, addr.col)

@@ -136,7 +136,10 @@ def load_text_string(text: str, path: str = "<string>") -> Workbook:
             continue
         m = _COL_RE.match(line)
         if m:
-            sheet.column_widths[col_number(m.group(1))] = float(m.group(2))
+            col = col_number(m.group(1))
+            if col > MAX_COL:
+                raise LoadError(path, lineno, 1, f"column out of range in {m.group(1)!r}")
+            sheet.column_widths[col] = float(m.group(2))
             continue
         m = _STMT_RE.match(line)
         if m is None:

@@ -194,7 +194,7 @@ class _Context:
         for entry in config.flow_exempt:
             addr = parse_a1(entry)
             if addr.sheet:
-                self.flow_exempt.add(addr)
+                self.flow_exempt.add(graph.respell(addr))
             else:
                 for sheet in workbook.sheets:
                     self.flow_exempt.add(CellAddress(sheet.name, addr.row, addr.col))

@@ -389,6 +389,15 @@ def test_text_malformed_column_width_is_load_error(width):
     assert load_text_string("[sheet S]\ncol B width=.5\n").sheets[0].column_widths == {2: 0.5}
 
 
+@pytest.mark.parametrize("letters", ["XFE", "ZZZ", "xfe"])
+def test_text_column_width_past_xfd_is_load_error(letters):
+    with pytest.raises(LoadError) as err:
+        load_text_string(f"[sheet S]\nA1 num 1\ncol {letters} width=5\n", "w.wb")
+    assert str(err.value) == f"w.wb:3:1: column out of range in {letters!r}"
+    assert load_text_string("[sheet S]\ncol XFD width=5\n").sheets[0].column_widths \
+        == {16_384: 5.0}
+
+
 # Shared-formula groups (si, master cell, master text, member cells), and
 # plain formulas, one of which (S!B7) is a copy of group 0 written out.
 _SHARED_GROUPS = {

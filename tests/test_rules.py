@@ -54,6 +54,21 @@ def test_r01_flow_exempt_addresses():
     assert diags(text, config, rule="R01") == []
 
 
+def test_r01_flow_exempt_sheet_matches_case_insensitively():
+    text = "[sheet Model]\nA1 formula =B2\nB2 num 1\n"
+    for entry in ("Model!A1", "model!A1", "MODEL!$A$1"):
+        assert diags(text, AuditConfig(flow_exempt=(entry,)), rule="R01") == [], entry
+    assert cells_of(diags(text, AuditConfig(flow_exempt=("Other!A1",)), rule="R01")) == ["A1"]
+
+
+def test_r01_flow_exempt_without_sheet_covers_every_sheet():
+    text = ("[sheet S]\nA1 formula =B2\nB2 num 1\nA3 formula =B4\nB4 num 1\n"
+            "[sheet T]\nA1 formula =B2\nB2 num 1\n")
+    assert len(diags(text, rule="R01")) == 3
+    found = diags(text, AuditConfig(flow_exempt=("A1",)), rule="R01")
+    assert [d.cell.qualified() for d in found] == ["S!A3"]
+
+
 def test_r01_groups_range_origin():
     found = diags("""[sheet S]
 A1 formula =SUM(B2:B4)
