@@ -171,8 +171,7 @@ B9 formula =A9*2
     assert classes[addr("S", "A9")].dangling_kind == "unused-input"
 
 
-# E1 and F1 are a live chain of their own, so no sink elsewhere can reach
-# half the numeric cells and become a heuristic bottom line
+# F1, the bottom line in most cases below, reads E1 and nothing A1 feeds
 _UNUSED_BASE = "[sheet S]\nA1 num 1\nE1 num 5\nF1 formula =E1*2\n"
 
 
