@@ -20,23 +20,19 @@ class EmptySheetError(ValueError):
 class Block:
     """A connected component of populated cells under 8-neighbour adjacency."""
 
-    id: int
     top: int
     left: int
     bottom: int
     right: int
     cells: list[tuple[int, int]]
-    n_labels: int = 0
-    n_constants: int = 0
-    n_formulas: int = 0
 
     @property
     def size(self) -> int:
         return len(self.cells)
 
-    def box_a1(self, sheet_name: str = "") -> str:
-        top_left = CellAddress(sheet_name, self.top, self.left)
-        bottom_right = CellAddress(sheet_name, self.bottom, self.right)
+    def box_a1(self) -> str:
+        top_left = CellAddress("", self.top, self.left)
+        bottom_right = CellAddress("", self.bottom, self.right)
         return f"{top_left.a1()}:{bottom_right.a1()}"
 
     def col_overlap(self, other: "Block") -> bool:
@@ -51,11 +47,11 @@ _NEIGHBOURS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1,
 
 def detect_blocks(sheet: Sheet) -> list[Block]:
     """Flood-fill populated cells into blocks, ordered by top-left corner."""
-    kinds = {(addr.row, addr.col): cell.content.kind
-             for addr, cell in sheet.populated()}  # in reading order
+    populated = dict.fromkeys((addr.row, addr.col)
+                              for addr, _ in sheet.populated())  # in reading order
     seen: set[tuple[int, int]] = set()
     blocks: list[Block] = []
-    for start in kinds:
+    for start in populated:
         if start in seen:
             continue
         member = [start]
@@ -65,31 +61,19 @@ def detect_blocks(sheet: Sheet) -> list[Block]:
             row, col = frontier.pop()
             for drow, dcol in _NEIGHBOURS:
                 nxt = (row + drow, col + dcol)
-                if nxt in kinds and nxt not in seen:
+                if nxt in populated and nxt not in seen:
                     seen.add(nxt)
                     member.append(nxt)
                     frontier.append(nxt)
         member.sort()
-        block = Block(
-            id=len(blocks),
+        blocks.append(Block(
             top=min(r for r, _ in member),
             left=min(c for _, c in member),
             bottom=max(r for r, _ in member),
             right=max(c for _, c in member),
             cells=member,
-        )
-        for pos in member:
-            kind = kinds[pos]
-            if kind is CellKind.FORMULA:
-                block.n_formulas += 1
-            elif kind in (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR):
-                block.n_constants += 1
-            else:
-                block.n_labels += 1
-        blocks.append(block)
+        ))
     blocks.sort(key=lambda b: (b.top, b.left))
-    for i, block in enumerate(blocks):
-        block.id = i
     return blocks
 
 
@@ -281,7 +265,6 @@ def label_overflows(sheet: Sheet,
 class SheetLayout:
     """Everything the layout pass computes for one sheet, fed to the rules."""
 
-    blocks: list[Block]
     stacking: StackingReport
     relics: RelicScan
     copy_runs: list[CopyRun]
@@ -294,16 +277,14 @@ def analyze_sheet(sheet: Sheet, *, copy_run_min: int = 3,
     """Run every layout analysis over one sheet.
 
     Blocks below ``min_block_cells`` (stray labels, titles) are ignored when
-    judging stacking, not when reporting blocks.
+    judging stacking.
     """
-    blocks = detect_blocks(sheet)
-    significant = [b for b in blocks if b.size >= min_block_cells]
+    significant = [b for b in detect_blocks(sheet) if b.size >= min_block_cells]
     try:
         ratio: float | None = blank_space_ratio(sheet)
     except EmptySheetError:
         ratio = None
     return SheetLayout(
-        blocks=blocks,
         stacking=bulletin_board_score(significant),
         relics=relic_scan(sheet),
         copy_runs=copy_pattern_breaks(sheet, min_run=copy_run_min),

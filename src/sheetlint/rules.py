@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import Callable
 
 from .config import ALL_RULE_IDS, AuditConfig, Severity
 from .formula import CopyClass, RangeRef, produces_text
@@ -20,6 +21,7 @@ from .model import (
     CellAddress,
     CellKind,
     NumericCellClass,
+    Sheet,
     Workbook,
     classify_cells,
     col_letters,
@@ -64,79 +66,6 @@ class SimplifierResults:
     nest: list[NestCandidate] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class RuleInfo:
-    rule: str
-    severity: Severity
-    guideline: str
-    needs_format_data: bool = False
-
-
-CATALOG: dict[str, RuleInfo] = {r.rule: r for r in (
-    RuleInfo("R01", Severity.ERROR,
-             "Arrange cells so each formula depends only on cells above it, "
-             "or on its own row to the left."),
-    RuleInfo("R02", Severity.WARNING,
-             "Keep precedence arcs short: put a cell near the cells it uses."),
-    RuleInfo("R03", Severity.ERROR,
-             "Keep a model on one sheet where it fits; cross-sheet references "
-             "defeat visual auditing."),
-    RuleInfo("R04", Severity.WARNING,
-             "A cell that merely points at another cell is redundant; use the "
-             "original directly."),
-    RuleInfo("R05", Severity.WARNING,
-             "Erase calculations nothing depends on, other than the bottom line."),
-    RuleInfo("R06", Severity.ERROR,
-             "Formulas should never depend on blank cells."),
-    RuleInfo("R07", Severity.WARNING,
-             "Give a numeric constant its own cell instead of burying it in a "
-             "formula."),
-    RuleInfo("R08", Severity.WARNING,
-             "Delete leftover formatting and allocation beyond the real content."),
-    RuleInfo("R09", Severity.ERROR,
-             "Break circular references; no reading order can explain them."),
-    RuleInfo("R10", Severity.WARNING,
-             "Expose content: hidden cells are dependents the reader cannot see."),
-    RuleInfo("R11", Severity.WARNING,
-             "Format for description, not decoration: one font size, few colors.",
-             needs_format_data=True),
-    RuleInfo("R12", Severity.WARNING,
-             "Give constants and formulas visibly different formats.",
-             needs_format_data=True),
-    RuleInfo("R13", Severity.WARNING,
-             "Write labels in proper case; all-capitals text is harder to read."),
-    RuleInfo("R14", Severity.WARNING,
-             "Do not position a label with leading spaces; put it in the right "
-             "cell."),
-    RuleInfo("R15", Severity.WARNING,
-             "Keep a label inside its own cell; overlap hides where data lives.",
-             needs_format_data=True),
-    RuleInfo("R16", Severity.WARNING,
-             "Give columns about the same width, except a label column A.",
-             needs_format_data=True),
-    RuleInfo("R17", Severity.WARNING,
-             "Stack blocks vertically or horizontally, not both."),
-    RuleInfo("R18", Severity.WARNING,
-             "Design formula runs to be copies of one another."),
-    RuleInfo("R19", Severity.INFO,
-             "A formula with a single dependent can be nested into it and erased."),
-    RuleInfo("R20", Severity.INFO,
-             "Use the fewest characters that write the formula correctly."),
-    RuleInfo("R21", Severity.WARNING,
-             "Use constant text for documentation, not formulas that build labels."),
-    RuleInfo("R22", Severity.WARNING,
-             "Use a minimum of blank space, just enough to divide blocks."),
-    RuleInfo("R23", Severity.INFO,
-             "Prefer formulas that reference only constants."),
-    RuleInfo("R24", Severity.INFO,
-             "Order references in a formula the way the sheet reads."),
-    RuleInfo("R25", Severity.INFO,
-             "Consider putting the whole model on one sheet."),
-)}
-
-assert tuple(CATALOG) == ALL_RULE_IDS
-
-
 def run_rules(workbook: Workbook, graph: DependencyGraph,
               layouts: dict[str, SheetLayout], simp: SimplifierResults,
               config: AuditConfig, *,
@@ -153,23 +82,20 @@ def run_rules(workbook: Workbook, graph: DependencyGraph,
     ctx = _Context(workbook, graph, layouts, simp, config, classes, cell_classes)
     diagnostics: list[Diagnostic] = []
     skipped: list[SkippedRule] = []
-    for rule_id, impl in _RULE_IMPLS.items():
-        if rule_id not in config.enabled_rules:
+    formatted: list[Sheet] = []
+    unformatted: list[Sheet] = []
+    for sheet in workbook.sheets:
+        (formatted if sheet.has_format_data() else unformatted).append(sheet)
+    for info in CATALOG.values():
+        if info.rule not in config.enabled_rules:
             continue
-        info = CATALOG[rule_id]
-        if info.needs_format_data:
-            runnable_sheets = []
-            for sheet in workbook.sheets:
-                if sheet.has_format_data():
-                    runnable_sheets.append(sheet)
-                else:
-                    skipped.append(SkippedRule(rule_id, sheet.name,
-                                               "no format data in this sheet"))
-            if not runnable_sheets:
-                continue
-            diagnostics.extend(impl(ctx, runnable_sheets))
-        else:
-            diagnostics.extend(impl(ctx, workbook.sheets))
+        if not info.needs_format_data:
+            diagnostics.extend(info.check(ctx, workbook.sheets))
+            continue
+        skipped.extend(SkippedRule(info.rule, sheet.name, "no format data in this sheet")
+                       for sheet in unformatted)
+        if formatted:
+            diagnostics.extend(info.check(ctx, formatted))
     diagnostics.sort(key=lambda d: (
         ctx.sheet_index(d.sheet), d.cell.row if d.cell else 0,
         d.cell.col if d.cell else 0, d.rule, d.message))
@@ -718,35 +644,78 @@ def _r25_sheet_count(ctx: _Context, sheets) -> list[Diagnostic]:
     return []
 
 
-_RULE_IMPLS = {
-    "R01": _r01_backward,
-    "R02": _r02_long_arc,
-    "R03": _r03_cross_sheet,
-    "R04": _r04_spurious,
-    "R05": _r05_dangling,
-    "R06": _r06_perverse,
-    "R07": _r07_constants,
-    "R08": _r08_relics,
-    "R09": _r09_cycles,
-    "R10": _r10_hidden,
-    "R11": _r11_decoration,
-    "R12": _r12_indistinct,
-    "R13": _r13_all_caps,
-    "R14": _r14_leading_space,
-    "R15": _r15_overlap,
-    "R16": _r16_widths,
-    "R17": _r17_bulletin,
-    "R18": _r18_copy_breaks,
-    "R19": _r19_inline,
-    "R20": _r20_simplifiable,
-    "R21": _r21_label_formula,
-    "R22": _r22_blank_space,
-    "R23": _r23_formula_refs,
-    "R24": _r24_ref_order,
-    "R25": _r25_sheet_count,
-}
+@dataclass(frozen=True)
+class RuleInfo:
+    rule: str
+    severity: Severity
+    check: Callable[[_Context, list[Sheet]], list[Diagnostic]]
+    guideline: str
+    needs_format_data: bool = False
 
-assert tuple(_RULE_IMPLS) == ALL_RULE_IDS
+
+CATALOG: dict[str, RuleInfo] = {r.rule: r for r in (
+    RuleInfo("R01", Severity.ERROR, _r01_backward,
+             "Arrange cells so each formula depends only on cells above it, "
+             "or on its own row to the left."),
+    RuleInfo("R02", Severity.WARNING, _r02_long_arc,
+             "Keep precedence arcs short: put a cell near the cells it uses."),
+    RuleInfo("R03", Severity.ERROR, _r03_cross_sheet,
+             "Keep a model on one sheet where it fits; cross-sheet references "
+             "defeat visual auditing."),
+    RuleInfo("R04", Severity.WARNING, _r04_spurious,
+             "A cell that merely points at another cell is redundant; use the "
+             "original directly."),
+    RuleInfo("R05", Severity.WARNING, _r05_dangling,
+             "Erase calculations nothing depends on, other than the bottom line."),
+    RuleInfo("R06", Severity.ERROR, _r06_perverse,
+             "Formulas should never depend on blank cells."),
+    RuleInfo("R07", Severity.WARNING, _r07_constants,
+             "Give a numeric constant its own cell instead of burying it in a "
+             "formula."),
+    RuleInfo("R08", Severity.WARNING, _r08_relics,
+             "Delete leftover formatting and allocation beyond the real content."),
+    RuleInfo("R09", Severity.ERROR, _r09_cycles,
+             "Break circular references; no reading order can explain them."),
+    RuleInfo("R10", Severity.WARNING, _r10_hidden,
+             "Expose content: hidden cells are dependents the reader cannot see."),
+    RuleInfo("R11", Severity.WARNING, _r11_decoration,
+             "Format for description, not decoration: one font size, few colors.",
+             needs_format_data=True),
+    RuleInfo("R12", Severity.WARNING, _r12_indistinct,
+             "Give constants and formulas visibly different formats.",
+             needs_format_data=True),
+    RuleInfo("R13", Severity.WARNING, _r13_all_caps,
+             "Write labels in proper case; all-capitals text is harder to read."),
+    RuleInfo("R14", Severity.WARNING, _r14_leading_space,
+             "Do not position a label with leading spaces; put it in the right "
+             "cell."),
+    RuleInfo("R15", Severity.WARNING, _r15_overlap,
+             "Keep a label inside its own cell; overlap hides where data lives.",
+             needs_format_data=True),
+    RuleInfo("R16", Severity.WARNING, _r16_widths,
+             "Give columns about the same width, except a label column A.",
+             needs_format_data=True),
+    RuleInfo("R17", Severity.WARNING, _r17_bulletin,
+             "Stack blocks vertically or horizontally, not both."),
+    RuleInfo("R18", Severity.WARNING, _r18_copy_breaks,
+             "Design formula runs to be copies of one another."),
+    RuleInfo("R19", Severity.INFO, _r19_inline,
+             "A formula with a single dependent can be nested into it and erased."),
+    RuleInfo("R20", Severity.INFO, _r20_simplifiable,
+             "Use the fewest characters that write the formula correctly."),
+    RuleInfo("R21", Severity.WARNING, _r21_label_formula,
+             "Use constant text for documentation, not formulas that build labels."),
+    RuleInfo("R22", Severity.WARNING, _r22_blank_space,
+             "Use a minimum of blank space, just enough to divide blocks."),
+    RuleInfo("R23", Severity.INFO, _r23_formula_refs,
+             "Prefer formulas that reference only constants."),
+    RuleInfo("R24", Severity.INFO, _r24_ref_order,
+             "Order references in a formula the way the sheet reads."),
+    RuleInfo("R25", Severity.INFO, _r25_sheet_count,
+             "Consider putting the whole model on one sheet."),
+)}
+
+assert tuple(CATALOG) == ALL_RULE_IDS
 
 
 _SEVERITY_TENTHS = {Severity.ERROR: 10, Severity.WARNING: 5, Severity.INFO: 1}
