@@ -56,6 +56,9 @@ class AuditConfig:
     solver_functions: frozenset[str] = frozenset(("WB",))
 
     def __post_init__(self) -> None:
+        # the parser upper-cases function names, so the set is matched upper-cased
+        object.__setattr__(self, "solver_functions",
+                           frozenset(name.upper() for name in self.solver_functions))
         for rule in self.enabled_rules:
             if rule not in ALL_RULE_IDS:
                 raise ConfigError(f"unknown rule id {rule!r}")
@@ -129,7 +132,7 @@ def load_config(path: str | Path) -> AuditConfig:
                 values[key] = frozenset(Decimal(v.strip()) for v in value.split(",")
                                         if v.strip())
             elif key == "solver_functions":
-                values[key] = frozenset(v.strip().upper() for v in value.split(",")
+                values[key] = frozenset(v.strip() for v in value.split(",")
                                         if v.strip())
             elif key in _LIST_KEYS:
                 values[key] = tuple(v.strip() for v in value.split(",") if v.strip())

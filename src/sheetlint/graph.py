@@ -87,6 +87,16 @@ class DependencyGraph:
             return addr
         return CellAddress(self.sheet_order[i], addr.row, addr.col)
 
+    def named_cells(self, entry: str) -> set[CellAddress]:
+        """The cells an A1 entry names: with a sheet, that cell, its sheet
+        matched case-insensitively; without, that cell on every sheet where
+        it is a node. Raises AddressParseError if the entry is no address."""
+        addr = parse_a1(entry)
+        if addr.sheet:
+            return {self.respell(addr)}
+        return {cell for sheet in self.sheet_order
+                if (cell := CellAddress(sheet, addr.row, addr.col)) in self.nodes}
+
     def addr_key(self, addr: CellAddress) -> tuple[int, int, int]:
         return (self.sheet_index(addr.sheet), addr.row, addr.col)
 
@@ -170,11 +180,17 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
         graph.add_arc(target, dependent, origin)
 
     def link_box(sheet: str, a: CellAddress | CellRef, b: CellAddress | CellRef,
-                 dependent: CellAddress, origin: str) -> None:
+                 dependent: CellAddress, origin: str, problems: list[str]) -> None:
         # a and b are opposite corners in either order; a translated range
         # or a defined name can name the bottom one first
-        for row in range(min(a.row, b.row), max(a.row, b.row) + 1):
-            for col in range(min(a.col, b.col), max(a.col, b.col) + 1):
+        rows = range(min(a.row, b.row), max(a.row, b.row) + 1)
+        cols = range(min(a.col, b.col), max(a.col, b.col) + 1)
+        size = len(rows) * len(cols)
+        if size > MAX_RANGE_CELLS:
+            problems.append(f"range too large to expand ({size} cells)")
+            return
+        for row in rows:
+            for col in cols:
                 link(CellAddress(sheet, row, col), dependent, origin)
 
     for addr, content in workbook.formulas():
@@ -187,12 +203,9 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                 problems.append(f"unknown sheet {ref_sheet!r}")
             elif isinstance(ref, CellRef):
                 link(CellAddress(sheet, ref.row, ref.col), addr, None)
-            elif ref.size > MAX_RANGE_CELLS:
-                problems.append(f"range too large to expand "
-                                f"({ref.size} cells)")
             else:
                 link_box(sheet, ref.start, ref.end, addr,
-                         print_formula(ref, leading_eq=False))
+                         print_formula(ref, leading_eq=False), problems)
         for node in content.facts.names:
             resolved = graph.defined_names.get(node.name.upper())
             if resolved is None:
@@ -201,7 +214,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                 link(resolved, addr, node.name)
             elif isinstance(resolved, tuple):
                 start, end = resolved
-                link_box(start.sheet, start, end, addr, node.name)
+                link_box(start.sheet, start, end, addr, node.name, problems)
         if problems:
             graph.unresolved[addr] = problems
     graph.cycles = find_cycles(graph)
@@ -290,17 +303,10 @@ def explicit_bottom_line(graph: DependencyGraph,
             cells.add(target[0])
             continue
         try:
-            addr = parse_a1(name)
+            cells |= graph.named_cells(name)
         except AddressParseError:
             raise ConfigError(f"bottom line {name!r} is neither a defined name "
                               f"nor a cell address") from None
-        if addr.sheet:
-            cells.add(graph.respell(addr))
-        else:
-            for sheet in graph.sheet_order:
-                candidate = CellAddress(sheet, addr.row, addr.col)
-                if candidate in graph.nodes:
-                    cells.add(candidate)
     return out
 
 
@@ -335,7 +341,7 @@ def resolve_bottom_line(graph: DependencyGraph,
         if graph.dependents_of(addr):
             continue
         info = graph.nodes[addr]
-        if info.top_function and info.top_function.upper() in config.solver_functions:
+        if info.top_function in config.solver_functions:
             continue
         seen = {addr}
         frontier = [addr]
@@ -370,7 +376,6 @@ def classify_graph(graph: DependencyGraph,
         if addr in classes:
             classes[addr].bottom_line = True
 
-    solver = {name.upper() for name in config.solver_functions}
     for addr, info in graph.nodes.items():
         if info.blank and graph.dependents_of(addr):
             classes[addr].perverse_target = True
@@ -383,7 +388,7 @@ def classify_graph(graph: DependencyGraph,
             continue
         if addr in bottom:
             continue
-        if info.top_function and info.top_function.upper() in solver:
+        if info.top_function in config.solver_functions:
             continue
         classes[addr].dangling = True
         classes[addr].dangling_kind = ("interpreted-output"

@@ -85,9 +85,12 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
     classes = classify_graph(graph, config)
     cell_classes = classify_cells(workbook, graph)
     notices = list(workbook.load_notices)
-    for entry, cells in explicit_bottom_line(graph, config).items():
+    named = [("bottom line", entry, cells)
+             for entry, cells in explicit_bottom_line(graph, config).items()]
+    named += [("flow_exempt", entry, graph.named_cells(entry)) for entry in config.flow_exempt]
+    for what, entry, cells in named:
         if not any(addr in graph.nodes for addr in cells):
-            notices.append(f"bottom line {entry!r} resolves to no cell")
+            notices.append(f"{what} {entry!r} resolves to no cell")
 
     diagnostics, skipped = run_rules(workbook, graph, layouts, simp, config,
                                      classes=classes, cell_classes=cell_classes)

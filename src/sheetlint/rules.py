@@ -25,7 +25,6 @@ from .model import (
     Workbook,
     classify_cells,
     col_letters,
-    parse_a1,
 )
 from .simplify import NestCandidate, RewriteSuggestion
 
@@ -116,14 +115,7 @@ class _Context:
         self.classes = classes if classes is not None else classify_graph(graph, config)
         self.cell_classes = (cell_classes if cell_classes is not None
                              else classify_cells(workbook, graph))
-        self.flow_exempt = set()
-        for entry in config.flow_exempt:
-            addr = parse_a1(entry)
-            if addr.sheet:
-                self.flow_exempt.add(graph.respell(addr))
-            else:
-                for sheet in workbook.sheets:
-                    self.flow_exempt.add(CellAddress(sheet.name, addr.row, addr.col))
+        self.flow_exempt = set().union(*map(graph.named_cells, config.flow_exempt))
 
     def sheet_index(self, name: str | None) -> int:
         if name is None:

@@ -56,7 +56,6 @@ class RewriteKind(str, Enum):
     COMMON_FACTOR = "CommonFactor"
     RANGE_COLLAPSE = "RangeCollapse"
     DIVISION_LAST = "DivisionLast"
-    INLINE_NEST = "InlineNest"
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,32 @@ def test_bottom_line_on_a_cell_gives_no_notice(capsys):
     assert json.loads(capsys.readouterr().out)[0]["notices"] == []
 
 
+def _audit_with_flow_exempt(tmp_path, entry, *args):
+    path = tmp_path / "model.wb"
+    path.write_text("[sheet Model]\nA1 formula =B2\nB2 num 1\n", encoding="utf-8")
+    config = tmp_path / "audit.cfg"
+    config.write_text(f"flow_exempt={entry}\n", encoding="utf-8")
+    main([str(path), "--config", str(config), *args])
+
+
+def test_flow_exempt_on_no_cell_gives_a_notice(tmp_path, capsys):
+    note = "flow_exempt 'Nosheet!A1' resolves to no cell"
+    _audit_with_flow_exempt(tmp_path, "Nosheet!A1")
+    out = capsys.readouterr().out
+    assert f"note: {note}\n" in out and "Model!A1 [R01 error]" in out
+    _audit_with_flow_exempt(tmp_path, "Nosheet!A1", "--format", "json")
+    assert json.loads(capsys.readouterr().out)[0]["notices"] == [note]
+
+
+def test_flow_exempt_on_a_cell_gives_no_notice(tmp_path, capsys):
+    for entry in ("model!A1", "A1"):
+        _audit_with_flow_exempt(tmp_path, entry)
+        out = capsys.readouterr().out
+        assert "resolves to no cell" not in out and "R01" not in out, entry
+        _audit_with_flow_exempt(tmp_path, entry, "--format", "json")
+        assert json.loads(capsys.readouterr().out)[0]["notices"] == [], entry
+
+
 def test_bottom_line_neither_name_nor_address_exits_two(capsys):
     code = main([str(fixture_path("assign_v4.wb")), "--bottom-line", "no such"])
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,17 @@ B1 formula =WB(A1,"<=",1)
     graph = build_graph(wb_from(text))
     classes = classify_graph(graph, AuditConfig())
     assert not classes[addr("S", "B1")].dangling
+
+
+def test_solver_function_names_match_in_any_case():
+    # B1 is the one sink and reads every constant, so only its solver call
+    # keeps it from being the bottom line
+    graph = build_graph(wb_from("[sheet S]\nA1 num 1\nA2 num 2\nB1 formula =WB(A1+A2)\n"))
+    lower = AuditConfig(solver_functions=frozenset({"wb"}))
+    upper = AuditConfig(solver_functions=frozenset({"WB"}))
+    assert lower == upper
+    assert classify_graph(graph, lower) == classify_graph(graph, upper)
+    assert not classify_graph(graph, lower)[addr("S", "B1")].bottom_line
 
 
 def test_unused_input_subcode():
@@ -686,3 +698,14 @@ def test_defined_name_range_read_from_its_ordered_corners(tmp_path):
     assert sorted(a.row for a in graph.precedents_of(addr("S", "B1"))) == [1, 2, 3]
     assert graph.precedents_of(addr("S", "B1")) == {
         a: "Up" for a in graph.precedents_of(addr("S", "B2"))}
+
+
+def test_defined_name_past_the_range_cap_is_refused(tmp_path):
+    path = build_xlsx(tmp_path / "t.xlsx", {"S": {"A1": {"n": "1"}, "B2": {"f": "SUM(All)"}}},
+                      defined_names={"All": "S!$A$1:$XFD$1048576"})
+    started = time.perf_counter()
+    result = audit_workbook(load_xlsx(path), AuditConfig(enabled_rules=frozenset({"R06"})))
+    assert time.perf_counter() - started < 5
+    assert [(d.location(), d.message) for d in result.report.diagnostics] == [
+        ("S!B2", "unresolvable reference: range too large to expand (17179869184 cells)")]
+    assert result.graph.blank_nodes() == []

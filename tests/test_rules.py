@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -16,6 +17,7 @@ from test_golden import CONFIGS as GOLDEN_CONFIGS, NAMES as GOLDEN_NAMES
 from sheetlint.config import ALL_RULE_IDS, AuditConfig, ConfigError, Severity, load_config, save_config
 from sheetlint.formula import parse_formula, print_formula, translate
 from sheetlint.loaders import load_text, load_text_string, load_xlsx
+from sheetlint.model import Sheet
 from sheetlint.report import audit_workbook
 from sheetlint.rules import Diagnostic, EmptyWorkbookError, readability_score
 
@@ -261,6 +263,21 @@ B1 formula =A1*2
 B1 fmt bg=D9D9D9
 """
     assert diags(separated, rule="R12") == []
+
+
+def test_format_data_is_read_once_per_sheet(monkeypatch):
+    calls = Counter()
+    has_format_data = Sheet.has_format_data
+
+    def counted(sheet):
+        calls[sheet.name] += 1
+        return has_format_data(sheet)
+
+    monkeypatch.setattr(Sheet, "has_format_data", counted)
+    wb = load_text_string("[sheet S]\nA1 num 1\nB1 formula =A1\n[sheet T]\nA1 num 2\n")
+    report = audit_workbook(wb).report
+    assert len(report.skipped) == 8  # R11, R12, R15 and R16 on both sheets
+    assert set(calls) == {"S", "T"} and max(calls.values()) == 1
 
 
 def test_r12_skipped_without_format_data():
