@@ -1,18 +1,23 @@
 """Formula lexer, parser, printer, reference extraction and numeric evaluation.
 
 Operator tiers, tightest first: postfix % > ^ > unary +/- > * / > + - > &
-> comparisons. All binary operators associate left. A sign binds looser
+> comparisons. The operators of one tier that follow one another form one
+``OpRun`` node, read left to right: ``A1-A2+A3`` is one node, and so is
+``2^3^2``, which is (2^3)^2 as in Excel, and ``A1%%``. A sign binds looser
 than ^ (-A1^2 is -(A1^2)), except on an exponent, where it takes only the
 operand after it (A1^-2^3 is (A1^-2)^3). ``_PREC`` holds these tiers for
 both the parser and the printer. Parentheses, function calls and prefix
-signs nest at most ``MAX_NESTING`` levels deep.
+signs nest at most ``MAX_NESTING`` levels deep, which bounds a tree's depth
+however long its runs are. Walks recurse at most once per tree level;
+``==`` and ``hash`` do not recurse.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable, Iterator, NamedTuple
 
@@ -104,34 +109,94 @@ class NameRef:
     name: str
 
 
-@dataclass(frozen=True)
-class FunctionCall:
+@dataclass(eq=False, slots=True)
+class _Inner:
+    """An inner node, never changed once built; ``_parts()`` gives its own
+    fields, then its children. Its hash is computed once, from the children's,
+    and ``==`` compares two trees with an explicit stack: neither recurses."""
+
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._hash = hash(self._parts())  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Inner):
+            return NotImplemented
+        stack: list[tuple] = [(self, other)]  # pairs of inner nodes
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            (own_a, kids_a), (own_b, kids_b) = a._parts(), b._parts()  # type: ignore
+            if own_a != own_b or len(kids_a) != len(kids_b):
+                return False
+            for x, y in zip(kids_a, kids_b):
+                if isinstance(x, _Inner):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+
+@dataclass(eq=False, slots=True)
+class FunctionCall(_Inner):
     name: str
     args: tuple  # of AST nodes
 
-
-@dataclass(frozen=True)
-class BinaryOp:
-    op: str
-    left: object
-    right: object
+    def _parts(self) -> tuple[object, tuple]:
+        return self.name, self.args
 
 
-@dataclass(frozen=True)
-class UnaryOp:
-    op: str  # '-' or '+' prefix, '%' postfix
+@dataclass(eq=False, slots=True)
+class OpRun(_Inner):
+    """``operands[0] ops[0] operands[1] …``: a run of operators of one tier,
+    read left to right; a run of postfix '%' has one operand. A first operand
+    that is a run of the same tier is extended, not nested, so a built tree
+    has the parser's shape: ``OpRun((A1+B1, C1), ("-",))`` is ``A1+B1-C1``."""
+
+    operands: tuple
+    ops: tuple
+
+    def __post_init__(self) -> None:
+        operands, ops = tuple(self.operands), tuple(self.ops)
+        first = operands[0]
+        if isinstance(first, OpRun) and _PREC[first.ops[0]] == _PREC[ops[0]]:
+            operands, ops = first.operands + operands[1:], first.ops + ops
+        self.operands = operands
+        self.ops = ops = _ONE_OP[ops[0]] if len(ops) == 1 else ops
+        self._hash = hash((ops, operands))
+
+    def _parts(self) -> tuple[object, tuple]:
+        return self.ops, self.operands
+
+
+@dataclass(eq=False, slots=True)
+class UnaryOp(_Inner):
+    op: str  # '-' or '+'
     operand: object
 
+    def _parts(self) -> tuple[object, tuple]:
+        return self.op, (self.operand,)
 
-@dataclass(frozen=True)
-class Paren:
+
+@dataclass(eq=False, slots=True)
+class Paren(_Inner):
     """Parentheses as written. The printer keeps them; the simplifier counts them."""
 
     inner: object
     explicit: bool = True
 
+    def _parts(self) -> tuple[object, tuple]:
+        return self.explicit, (self.inner,)
 
-FormulaAst = object  # union of the node dataclasses above
+
+FormulaAst = object  # union of the node classes above
 
 COMPARISONS = ("=", "<>", "<=", ">=", "<", ">")
 
@@ -186,6 +251,7 @@ def _ref_of(text: str, sheet: str | None = None) -> CellRef | None:
 _ATOM_PREC = 8
 _PREC = {"%": 7, "^": 6, "u": 5, "*": 4, "/": 4, "+": 3, "-": 3, "&": 2}
 _PREC.update({op: 1 for op in COMPARISONS})
+_ONE_OP = {op: (op,) for op in _PREC}  # one shared ops tuple per operator
 
 MAX_NESTING = 64  # Excel's limit on nested functions
 
@@ -235,8 +301,8 @@ class _Parser:
 
     def expr(self, min_prec: int = 1) -> FormulaAst:
         """Operators binding at least as tightly as ``min_prec``, by precedence
-        climbing over ``_PREC``; a right operand climbs one level higher, so
-        every binary operator associates left."""
+        climbing over ``_PREC``. The operators of one tier that follow one
+        another make one run; each operand after one climbs a tier higher."""
         signs = []
         while self.peek().kind == "op" and self.peek().text in ("-", "+"):
             self.open_level(self.peek())
@@ -254,14 +320,18 @@ class _Parser:
             prec = _PREC.get(tok.text, 0) if tok.kind == "op" else 0
             if prec < min_prec:
                 return node
-            self.advance()
-            node = BinaryOp(tok.text, node, self.expr(prec + 1))
+            operands, ops = [node], []
+            while tok.kind == "op" and _PREC.get(tok.text) == prec:
+                ops.append(self.advance().text)
+                operands.append(self.expr(prec + 1))
+                tok = self.peek()
+            node = OpRun(operands, ops)
 
     def postfix(self) -> FormulaAst:
-        node = self.primary()
+        node, ops = self.primary(), []
         while self.eat("%"):
-            node = UnaryOp("%", node)
-        return node
+            ops.append("%")
+        return OpRun((node,), ops) if ops else node
 
     def primary(self) -> FormulaAst:
         tok = self.advance()
@@ -339,16 +409,10 @@ def parse_formula(text: str) -> FormulaAst:
 # --- printer -----------------------------------------------------------------
 
 
-def _is_sign(node: FormulaAst) -> bool:
-    return isinstance(node, UnaryOp) and node.op != "%"
-
-
 def _prec(node: FormulaAst) -> int:
-    if isinstance(node, BinaryOp):
-        return _PREC[node.op]
-    if isinstance(node, UnaryOp):
-        return _PREC["%"] if node.op == "%" else _PREC["u"]
-    return _ATOM_PREC
+    if isinstance(node, OpRun):
+        return _PREC[node.ops[0]]
+    return _PREC["u"] if isinstance(node, UnaryOp) else _ATOM_PREC
 
 
 def ref_a1_text(ref: CellRef) -> str:
@@ -374,35 +438,35 @@ def print_formula(ast: FormulaAst, leading_eq: bool = True,
         if isinstance(node, NameRef):
             return node.name
         if isinstance(node, FunctionCall):
-            return node.name.upper() + "(" + ",".join(emit(a) for a in node.args) + ")"
+            return node.name.upper() + "(" + ",".join(map(emit, node.args)) + ")"
         if isinstance(node, Paren):
             return "(" + emit(node.inner) + ")"
         if isinstance(node, UnaryOp):
-            if node.op == "%":
-                floor, exponent = _PREC["%"], False
-            elif exponent and not _is_sign(node.operand):
-                # On an exponent a sign takes only the operand after it;
-                # stacked signs pass that on.
-                floor = _PREC["%"]
-            else:
-                floor = _PREC["u"]
-            body = emit(node.operand, exponent)
-            if _prec(node.operand) < floor:
-                body = "(" + body + ")"
-            return body + "%" if node.op == "%" else node.op + body
-        if isinstance(node, BinaryOp):
-            my = _PREC[node.op]
-            left = emit(node.left)
-            if _prec(node.left) < my:
-                left = "(" + left + ")"
-            # A signed exponent binds itself, so "A^-B" stays paren-free.
-            if node.op == "^" and _is_sign(node.right):
-                return left + "^" + emit(node.right, True)
-            right = emit(node.right)
-            # Left association: an equal-precedence right child needs parens.
-            if _prec(node.right) <= my:
-                right = "(" + right + ")"
-            return left + node.op + right
+            # On an exponent a sign takes only the operand after it; stacked
+            # signs pass that on.
+            operand = node.operand
+            floor = _PREC["%"] if exponent and not isinstance(operand, UnaryOp) \
+                else _PREC["u"]
+            body = emit(operand, exponent)
+            return node.op + ("(" + body + ")" if _prec(operand) < floor else body)
+        if isinstance(node, OpRun):
+            my = _PREC[node.ops[0]]
+            text = emit(node.operands[0])
+            if _prec(node.operands[0]) < my:
+                text = "(" + text + ")"
+            if my == _PREC["%"]:
+                return text + "".join(node.ops)
+            for op, operand in zip(node.ops, node.operands[1:]):
+                # A signed exponent binds itself, so "A^-B" stays paren-free.
+                # Otherwise, as a run reads left to right, an operand of the
+                # run's tier or looser needs parens.
+                if op == "^" and isinstance(operand, UnaryOp):
+                    text += op + emit(operand, True)
+                elif _prec(operand) <= my:
+                    text += op + "(" + emit(operand) + ")"
+                else:
+                    text += op + emit(operand)
+            return text
         raise TypeError(f"not an AST node: {node!r}")
 
     out = emit(ast)
@@ -411,34 +475,29 @@ def print_formula(ast: FormulaAst, leading_eq: bool = True,
 
 def children(node: FormulaAst) -> tuple:
     """The child nodes of ``node`` in source order; empty for a leaf."""
-    if isinstance(node, FunctionCall):
-        return node.args
-    if isinstance(node, BinaryOp):
-        return (node.left, node.right)
-    if isinstance(node, UnaryOp):
-        return (node.operand,)
-    if isinstance(node, Paren):
-        return (node.inner,)
-    return ()
+    return node._parts()[1] if isinstance(node, _Inner) else ()
 
 
-def rebuild(node: FormulaAst, fn: Callable[[FormulaAst], FormulaAst]) -> FormulaAst:
-    """``node`` with each child replaced by ``fn(child)``, called in source
-    order; a leaf is returned as it is."""
+def rebuild(node: FormulaAst, kids: tuple) -> FormulaAst:
+    """``node`` with its children replaced by ``kids``, in source order; a
+    leaf, or a node whose children are all kept, is returned as it is."""
+    if all(map(operator.is_, kids, children(node))):
+        return node
+    if isinstance(node, OpRun):
+        return OpRun(kids, node.ops)
     if isinstance(node, FunctionCall):
-        return FunctionCall(node.name, tuple(fn(a) for a in node.args))
-    if isinstance(node, BinaryOp):
-        return BinaryOp(node.op, fn(node.left), fn(node.right))
+        return FunctionCall(node.name, kids)
     if isinstance(node, UnaryOp):
-        return UnaryOp(node.op, fn(node.operand))
+        return UnaryOp(node.op, kids[0])
     if isinstance(node, Paren):
-        return Paren(fn(node.inner), node.explicit)
+        return Paren(kids[0], node.explicit)
     return node
 
 
 def strip_parens(ast: FormulaAst) -> FormulaAst:
     """Remove every Paren node; used for structural comparisons."""
-    return rebuild(unwrap(ast), strip_parens)
+    node = unwrap(ast)
+    return rebuild(node, tuple(map(strip_parens, children(node))))
 
 
 def ast_equal(a: FormulaAst, b: FormulaAst) -> bool:
@@ -485,17 +544,22 @@ def unwrap(ast: FormulaAst) -> FormulaAst:
 
 def produces_text(ast: FormulaAst) -> bool:
     """True for a string literal, any ``&``, TEXT, CONCATENATE or CONCAT, a
-    ``+`` with a text operand, or an IF with such a branch (nested IFs too)."""
-    node = unwrap(ast)
-    if isinstance(node, BinaryOp):
-        if node.op == "+":
-            return produces_text(node.left) or produces_text(node.right)
-        return node.op == "&"
-    if isinstance(node, FunctionCall):
-        if node.name == "IF":
-            return any(produces_text(arg) for arg in node.args[1:3])
-        return node.name in ("TEXT", "CONCATENATE", "CONCAT")
-    return isinstance(node, StringLit)
+    ``+`` with a text operand after the last ``-`` of its run (``"a"-A1+B1``
+    is ``("a"-A1)+B1``), or an IF with such a branch (nested IFs too)."""
+    stack = [ast]
+    while stack:
+        node = unwrap(stack.pop())
+        if isinstance(node, StringLit) or isinstance(node, OpRun) and node.ops[0] == "&" \
+                or isinstance(node, FunctionCall) and node.name in ("TEXT", "CONCATENATE",
+                                                                     "CONCAT"):
+            return True
+        if isinstance(node, OpRun) and node.ops[0] in ("+", "-"):
+            # only the operands added after the run's last '-' can make it text
+            after = len(node.ops) - node.ops[::-1].index("-") + 1 if "-" in node.ops else 0
+            stack.extend(node.operands[after:])
+        elif isinstance(node, FunctionCall) and node.name == "IF":
+            stack.extend(node.args[1:3])
+    return False
 
 
 def extract_references(ast: FormulaAst) -> list[tuple[CellRef | RangeRef, int]]:
@@ -511,7 +575,7 @@ def map_refs(ast: FormulaAst,
     def walk(node: FormulaAst) -> FormulaAst:
         if isinstance(node, (CellRef, RangeRef)):
             return fn(node)
-        return rebuild(node, walk)
+        return rebuild(node, tuple(map(walk, children(node))))
 
     return walk(ast)
 
@@ -580,6 +644,9 @@ class CopyClass:
 # --- numeric evaluation ------------------------------------------------------
 
 _EVAL_FUNCTIONS = ("SUM", "SUMPRODUCT", "IF", "MIN", "MAX", "ABS")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "=": operator.eq, "<>": operator.ne, "<": operator.lt, ">": operator.gt,
+           "<=": operator.le, ">=": operator.ge}
 
 
 def _range_values(node: RangeRef, env: dict[CellAddress, float],
@@ -599,7 +666,8 @@ def evaluate(ast: FormulaAst, env: dict[CellAddress, float],
     """Evaluate the arithmetic subset against cell values in ``env``.
 
     Raises EvalUnsupported on strings, concatenation, names or unknown
-    functions, and EvalDomainError on division by zero and similar.
+    functions, and EvalDomainError on division by zero and similar. IF
+    evaluates only the branch it takes. Each tree level costs one frame.
     """
 
     def ev(node: FormulaAst) -> float:
@@ -611,45 +679,41 @@ def evaluate(ast: FormulaAst, env: dict[CellAddress, float],
             return ev(node.inner)
         if isinstance(node, UnaryOp):
             v = ev(node.operand)
-            if node.op == "%":
-                return v / 100.0
             return -v if node.op == "-" else v
-        if isinstance(node, BinaryOp):
-            op = node.op
-            if op == "&":
+        if isinstance(node, OpRun):
+            if node.ops[0] == "&":
                 raise EvalUnsupported("text concatenation")
-            a, b = ev(node.left), ev(node.right)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0:
-                    raise EvalDomainError("division by zero")
-                return a / b
-            if op == "^":
-                if a == 0 and b < 0:
-                    raise EvalDomainError("zero to a negative power")
-                if a < 0 and b != int(b):
-                    raise EvalDomainError("negative base, fractional exponent")
-                try:
-                    result = math.pow(a, b)
-                except (OverflowError, ValueError) as exc:
-                    raise EvalDomainError(str(exc))
-                if math.isinf(result) or math.isnan(result):
-                    raise EvalDomainError("overflow")
-                return result
-            # comparisons
-            return 1.0 if _compare(op, a, b) else 0.0
-        if isinstance(node, FunctionCall):
-            return ev_call(node)
-        if isinstance(node, (StringLit, NameRef, RangeRef)):
-            raise EvalUnsupported(type(node).__name__)
-        raise EvalUnsupported(repr(node))
-
-    def flat(args: tuple) -> list[float]:
+            value = ev(node.operands[0])
+            if node.ops[0] == "%":
+                for _ in node.ops:
+                    value /= 100.0
+                return value
+            for op, operand in zip(node.ops, node.operands[1:]):
+                value = _apply(op, value, ev(operand))
+            return value
+        if not isinstance(node, FunctionCall) or node.name not in _EVAL_FUNCTIONS:
+            raise EvalUnsupported(getattr(node, "name", type(node).__name__))
+        name, args = node.name, node.args
+        if name == "IF":
+            if len(args) != 3:
+                raise EvalUnsupported("IF arity")
+            return ev(args[1]) if ev(args[0]) != 0 else ev(args[2])
+        if name == "ABS":
+            if len(args) != 1:
+                raise EvalUnsupported("ABS arity")
+            return abs(ev(args[0]))
+        if name == "SUMPRODUCT":
+            if not args:
+                raise EvalDomainError("SUMPRODUCT needs arguments")
+            grids = []
+            for arg in args:
+                inner = unwrap(arg)
+                if not isinstance(inner, RangeRef):
+                    raise EvalUnsupported("SUMPRODUCT over non-range")
+                grids.append((inner.shape, _range_values(inner, env, sheet)))
+            if any(g[0] != grids[0][0] for g in grids):
+                raise EvalDomainError("SUMPRODUCT shapes differ")
+            return sum(math.prod(vals) for vals in zip(*(g[1] for g in grids)))
         values: list[float] = []
         for arg in args:
             inner = unwrap(arg)
@@ -657,57 +721,32 @@ def evaluate(ast: FormulaAst, env: dict[CellAddress, float],
                 values.extend(_range_values(inner, env, sheet))
             else:
                 values.append(ev(arg))
-        return values
-
-    def ev_call(node: FunctionCall) -> float:
-        name = node.name
-        if name not in _EVAL_FUNCTIONS:
-            raise EvalUnsupported(f"function {name}")
         if name == "SUM":
-            return sum(flat(node.args))
-        if name == "SUMPRODUCT":
-            if not node.args:
-                raise EvalDomainError("SUMPRODUCT needs arguments")
-            grids = []
-            for arg in node.args:
-                inner = unwrap(arg)
-                if not isinstance(inner, RangeRef):
-                    raise EvalUnsupported("SUMPRODUCT over non-range")
-                grids.append((inner.shape, _range_values(inner, env, sheet)))
-            shape = grids[0][0]
-            if any(g[0] != shape for g in grids):
-                raise EvalDomainError("SUMPRODUCT shapes differ")
-            return sum(math.prod(vals) for vals in zip(*(g[1] for g in grids)))
-        if name == "IF":
-            if len(node.args) != 3:
-                raise EvalUnsupported("IF arity")
-            return ev(node.args[1]) if ev(node.args[0]) != 0 else ev(node.args[2])
-        if name in ("MIN", "MAX"):
-            values = flat(node.args)
-            if not values:
-                raise EvalUnsupported(f"{name} of no values")
-            return min(values) if name == "MIN" else max(values)
-        if name == "ABS":
-            if len(node.args) != 1:
-                raise EvalUnsupported("ABS arity")
-            return abs(ev(node.args[0]))
-        raise EvalUnsupported(name)
+            return sum(values)
+        if not values:
+            raise EvalUnsupported(f"{name} of no values")
+        return min(values) if name == "MIN" else max(values)
 
     return ev(ast)
 
 
-def _compare(op: str, a: float, b: float) -> bool:
-    if op == "=":
-        return a == b
-    if op == "<>":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == ">":
-        return a > b
-    if op == "<=":
-        return a <= b
-    return a >= b
+def _apply(op: str, a: float, b: float) -> float:
+    """``a op b`` for one binary operator other than ``&``."""
+    if op == "/" and b == 0:
+        raise EvalDomainError("division by zero")
+    if op != "^":
+        return float(_BINARY[op](a, b))
+    if a == 0 and b < 0:
+        raise EvalDomainError("zero to a negative power")
+    if a < 0 and b != int(b):
+        raise EvalDomainError("negative base, fractional exponent")
+    try:
+        result = math.pow(a, b)
+    except (OverflowError, ValueError) as exc:
+        raise EvalDomainError(str(exc))
+    if math.isinf(result) or math.isnan(result):
+        raise EvalDomainError("overflow")
+    return result
 
 
 def referenced_cells(ast: FormulaAst, sheet: str = "") -> list[CellAddress]:

@@ -349,7 +349,9 @@ def _styles(archive: zipfile.ZipFile, path: str) -> list[CellFormat]:
     return formats
 
 
-def _defined_names(root: ElementTree.Element, path: str) -> dict[str, object]:
+def _defined_names(root: ElementTree.Element, notices: list[str]) -> dict[str, object]:
+    """The names bound to one cell or range. Each other name, such as a
+    constant, a formula or a whole column, adds a notice to ``notices``."""
     names: dict[str, object] = {}
     container = root.find(_tag("definedNames"))
     if container is None:
@@ -357,7 +359,7 @@ def _defined_names(root: ElementTree.Element, path: str) -> dict[str, object]:
     for el in container.findall(_tag("definedName")):
         name = el.get("name")
         text = (el.text or "").strip()
-        if not name or not text:
+        if not name:
             continue
         try:
             if ":" in text.split("!")[-1]:
@@ -368,7 +370,7 @@ def _defined_names(root: ElementTree.Element, path: str) -> dict[str, object]:
             else:
                 names[name] = parse_a1(text.replace("$", ""))
         except AddressParseError:
-            continue  # names bound to formulas or constants are out of scope
+            notices.append(f"defined name {name!r} not read: {text!r} is not a cell or range")
     return names
 
 
@@ -402,7 +404,7 @@ def load_xlsx(path: str | Path) -> Workbook:
         formats = _styles(archive, spath)
 
         workbook = Workbook()
-        workbook.defined_names = _defined_names(wb_root, spath)
+        workbook.defined_names = _defined_names(wb_root, workbook.load_notices)
         for notice_dir, label in (("xl/charts/", "charts"),
                                   ("xl/pivotTables/", "pivot tables"),
                                   ("xl/drawings/", "drawings")):

@@ -1,7 +1,7 @@
 """Formula rewrites with verified equivalence, and the nest-and-erase pipeline.
 
 Rewrites applied to a fixpoint, in order: put division last in commutative
-multiply chains, drop written parentheses, factor a common multiplicand out
+multiply runs, drop written parentheses, factor a common multiplicand out
 of a sum, and collapse a grouped sum of contiguous cells into SUM(range).
 Every emitted suggestion is checked by random evaluation before it leaves
 this module; files are never modified.
@@ -18,22 +18,23 @@ import random
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from enum import Enum
-from itertools import chain
+from itertools import chain, combinations
 
 from .formula import (
     _PREC,
-    BinaryOp,
     CellRef,
     CopyClass,
     FormulaAst,
     FunctionCall,
     NumberLit,
+    OpRun,
     Paren,
     RangeRef,
     UnaryOp,
     EvalDomainError,
     EvalUnsupported,
     ast_equal,
+    children,
     evaluate,
     extract_references,
     formula_facts,
@@ -133,156 +134,122 @@ def _sumproduct_shapes_differ(ast: FormulaAst) -> bool:
 
 
 # --- individual rewrites -------------------------------------------------------
+# Each walk recurses once per tree level: ``map`` calls it on the children, so
+# no comprehension frame sits between two levels.
 
-def _is_muldiv(node: FormulaAst) -> bool:
-    return isinstance(node, BinaryOp) and node.op in ("*", "/")
+def _is_run(node: FormulaAst, op: str) -> bool:
+    """True for a run of ``op``'s tier."""
+    return isinstance(node, OpRun) and _PREC[node.ops[0]] == _PREC[op]
 
 
-def _flatten_muldiv(node: FormulaAst, inverted: bool,
-                    out: list[tuple[FormulaAst, bool]]) -> None:
-    if isinstance(node, Paren) and _is_muldiv(node.inner):
-        _flatten_muldiv(node.inner, inverted, out)
-    elif isinstance(node, BinaryOp) and node.op == "*":
-        _flatten_muldiv(node.left, inverted, out)
-        _flatten_muldiv(node.right, inverted, out)
-    elif isinstance(node, BinaryOp) and node.op == "/":
-        _flatten_muldiv(node.left, inverted, out)
-        _flatten_muldiv(node.right, not inverted, out)
-    else:
-        out.append((node, inverted))
+def _spread(node: FormulaAst, op: str) -> list[FormulaAst]:
+    """The operands of ``node`` if it is a run of ``op`` alone, each spread
+    the same way (``A1+(A2+A3)`` gives three); else ``[node]``."""
+    if not (isinstance(node, OpRun) and node.ops.count(op) == len(node.ops)):
+        return [node]
+    out = []
+    for operand in node.operands:
+        out += _spread(operand, op)
+    return out
 
 
 def _division_last(ast: FormulaAst) -> FormulaAst:
-    """Reorder each commutative */ chain so every division comes at the end.
+    """Reorder each commutative */ run so every division comes at the end.
 
-    A chain is only flattened (parens between its links dropped) when a
+    A run is only flattened (parens between its links dropped) when a
     reorder actually happens; C7/(A8*A7) keeps its written shape because the
     grouped factor sits in the denominator, where unwrapping would change
     nothing the writer said.
     """
 
     def walk(node: FormulaAst) -> FormulaAst:
-        """``node`` as the root of any */ chain it starts."""
-        if _is_muldiv(node):
-            seq: list[tuple[FormulaAst, bool]] = []
-            _flatten_muldiv(node, False, seq)
-            fire = any(inv and not seq[j][1]
-                       for i, (_, inv) in enumerate(seq)
-                       for j in range(i + 1, len(seq)))
-            if fire:
-                factors = [(walk(f), inv) for f, inv in seq]
-                return _chain("/", [_chain("*", [f for f, inv in factors if not inv]),
-                                    *(f for f, inv in factors if inv)])
-            return rebuild(node, interior)
-        return rebuild(node, walk)
-
-    def interior(node: FormulaAst) -> FormulaAst:
-        # interior of a chain, or a chain left alone: keep its shape
-        return rebuild(node, interior) if _is_muldiv(node) else walk(node)
+        if _is_run(node, "*"):
+            # factors with whether each divides, through nested */ runs and
+            # one level of written parens around one
+            factors: list[tuple[FormulaAst, bool]] = []
+            stack = [(node, False)]
+            while stack:
+                item, inverted = stack.pop()
+                run = item.inner if isinstance(item, Paren) else item
+                if _is_run(run, "*"):
+                    flags = (inverted, *(inverted != (op == "/") for op in run.ops))
+                    stack.extend(reversed(list(zip(run.operands, flags))))
+                else:
+                    factors.append((item, inverted))
+            flags = [inverted for _, inverted in factors]
+            if True in flags and False in flags[flags.index(True):]:
+                up = [f for f, inverted in factors if not inverted]
+                down = [f for f, inverted in factors if inverted]
+                return OpRun((*map(walk, up), *map(walk, down)),
+                             ("*",) * (len(up) - 1) + ("/",) * len(down))
+        return rebuild(node, tuple(map(walk, children(node))))
 
     return walk(ast)
-
-
-def _is_plus_chain(node: FormulaAst) -> bool:
-    return isinstance(node, BinaryOp) and node.op == "+"
-
-
-def _operands(node: FormulaAst, op: str) -> list[FormulaAst]:
-    """The operands of the ``op`` chain at ``node``, left to right. The left
-    spine is walked in a loop; a right operand that is an ``op`` node recurses."""
-    rights = []
-    while isinstance(node, BinaryOp) and node.op == op:
-        rights.append(node.right)
-        node = node.left
-    out = [node]
-    for right in reversed(rights):
-        if isinstance(right, BinaryOp) and right.op == op:
-            out.extend(_operands(right, op))
-        else:
-            out.append(right)
-    return out
-
-
-def _chain(op: str, operands: list[FormulaAst]) -> FormulaAst:
-    """``operands`` joined by ``op``, folded to the left."""
-    node = operands[0]
-    for operand in operands[1:]:
-        node = BinaryOp(op, node, operand)
-    return node
-
-
-def _mult_factors(node: FormulaAst) -> list[FormulaAst] | None:
-    """Factor list of a pure multiplication chain; None if division involved."""
-    factors = _operands(node, "*")
-    if any(isinstance(f, BinaryOp) and f.op == "/" for f in factors):
-        return None
-    return factors
 
 
 def _common_factor(ast: FormulaAst) -> FormulaAst:
-    """a*x + y*a + a*z  ->  a*(x + y + z), keeping the remainders in order."""
+    """a*x + y*a + a*z  ->  a*(x + y + z), keeping the remainders in order.
+
+    A sum is factored over the longest run of the terms it adds from its
+    first one on: ``A1*B1+A1*C1+D1`` becomes ``A1*(B1+C1)+D1``.
+    """
 
     def walk(node: FormulaAst) -> FormulaAst:
-        if _is_plus_chain(node):
-            terms = _operands(node, "+")
-            factors = [_mult_factors(t) for t in terms]
-            if (len(terms) >= 2 and all(f is not None for f in factors)
-                    and any(len(f) >= 2 for f in factors)):  # type: ignore[arg-type]
-                for candidate in factors[0]:  # type: ignore[index]
-                    stripped = unwrap(candidate)
-                    if not isinstance(stripped, (CellRef, NumberLit)):
-                        continue
-                    if all(any(ast_equal(f, candidate) for f in fs)  # type: ignore[union-attr]
-                           for fs in factors[1:]):
-                        remainders = []
-                        for fs in factors:
-                            rest = list(fs)  # type: ignore[arg-type]
-                            for i, f in enumerate(rest):
-                                if ast_equal(f, candidate):
-                                    del rest[i]
-                                    break
-                            remainders.append(
-                                _chain("*", rest or [NumberLit(Decimal(1), "1")]))
-                        return BinaryOp("*", stripped, _chain("+", remainders))
-        return rebuild(node, walk)
+        found = _is_run(node, "+") and _factored_prefix(node)
+        if found:
+            last, product = found
+            rest = node.operands[last + 1:]
+            return OpRun((product, *map(walk, rest)), node.ops[last:]) if rest else product
+        return rebuild(node, tuple(map(walk, children(node))))
 
     return walk(ast)
 
 
+def _factored_prefix(run: OpRun) -> tuple[int, FormulaAst] | None:
+    """``(last, product)``: the longest ``run.operands[:last + 1]``, with
+    ``last >= 1`` and no '-', as one product. Each term (runs of '+' spread)
+    is a product without division, and the factor is the first cell or
+    number of the first term that every term has. None if there is none."""
+    factors: list[list[FormulaAst]] = []
+    found = None
+    product = False
+    for i, operand in enumerate(run.operands):
+        terms = [_spread(term, "*") for term in _spread(operand, "+")]
+        if i and run.ops[i - 1] == "-" or any(_is_run(f, "*") for fs in terms for f in fs):
+            break  # a '-' ends the prefix; a '*' run left unspread divides
+        if i == 0:  # cells and numbers, so ast_equal(f, c) is unwrap(f) == c
+            common = [c for c in map(unwrap, terms[0]) if isinstance(c, (CellRef, NumberLit))]
+        common = [c for c in common if all(any(unwrap(f) == c for f in fs) for fs in terms)]
+        if not common:
+            break
+        factors += terms
+        product = product or any(len(fs) >= 2 for fs in terms)
+        if i and product:
+            found = (i, common[0], len(factors))
+    if found is None:
+        return None
+    last, factor, count = found
+    remainders = []
+    for fs in factors[:count]:
+        rest = list(fs)
+        del rest[next(k for k, f in enumerate(rest) if unwrap(f) == factor)]
+        rest = rest or [NumberLit(Decimal(1), "1")]
+        remainders.append(rest[0] if len(rest) == 1 else OpRun(rest, ("*",) * (len(rest) - 1)))
+    return last, OpRun((factor, OpRun(remainders, ("+",) * (len(remainders) - 1))), ("*",))
+
+
 def _contiguous_sum_range(terms: list[FormulaAst]) -> RangeRef | None:
-    refs = []
-    for term in terms:
-        t = unwrap(term)
-        if not isinstance(t, CellRef) or t.row_abs or t.col_abs:
-            return None
-        refs.append(t)
-    if len(refs) < 3:
+    """The range of three or more relative cells of one sheet that fill one
+    column or one row without a gap or a repeat; else None."""
+    refs = [unwrap(term) for term in terms]
+    if len(refs) < 3 or not all(isinstance(r, CellRef) and not r.row_abs and not r.col_abs
+                                for r in refs) or len({r.sheet for r in refs}) != 1:
         return None
-    sheets = {r.sheet for r in refs}
-    if len(sheets) != 1:
-        return None
-    cols = {r.col for r in refs}
-    rows = {r.row for r in refs}
-    if len(cols) == 1:
-        ordered = sorted(rows)
-        if len(ordered) != len(refs):
-            return None
-        if ordered != list(range(ordered[0], ordered[-1] + 1)):
-            return None
-        col = cols.pop()
-        sheet = sheets.pop()
-        return RangeRef(CellRef(ordered[0], col, sheet=sheet),
-                        CellRef(ordered[-1], col))
-    if len(rows) == 1:
-        ordered = sorted(cols)
-        if len(ordered) != len(refs):
-            return None
-        if ordered != list(range(ordered[0], ordered[-1] + 1)):
-            return None
-        row = rows.pop()
-        sheet = sheets.pop()
-        return RangeRef(CellRef(row, ordered[0], sheet=sheet),
-                        CellRef(row, ordered[-1]))
+    rows, cols = sorted(r.row for r in refs), sorted(r.col for r in refs)
+    if cols[0] == cols[-1] and rows == list(range(rows[0], rows[0] + len(refs))) \
+            or rows[0] == rows[-1] and cols == list(range(cols[0], cols[0] + len(refs))):
+        return RangeRef(CellRef(rows[0], cols[0], sheet=refs[0].sheet),
+                        CellRef(rows[-1], cols[-1]))
     return None
 
 
@@ -293,35 +260,24 @@ def _range_collapse(ast: FormulaAst) -> FormulaAst:
     collapsed; a bare top-level sum would grow, not shrink.
     """
 
-    def collapse(chain: FormulaAst) -> FormulaAst | None:
-        rng = _contiguous_sum_range(_operands(chain, "+"))
-        if rng is None:
-            return None
-        return FunctionCall("SUM", (rng,))
-
-    def grouped(parent: BinaryOp | UnaryOp, right: bool) -> bool:
-        if isinstance(parent, UnaryOp):
-            return True
-        # same precedence: only a right-hand sum needs its parens
-        return _PREC[parent.op] > _PREC["+"] or right and parent.op == "-"
+    def collapse(node: FormulaAst) -> FormulaAst:
+        rng = _contiguous_sum_range(_spread(node, "+"))
+        return node if rng is None else FunctionCall("SUM", (rng,))
 
     def walk(node: FormulaAst) -> FormulaAst:
-        if isinstance(node, Paren) and _is_plus_chain(node.inner):
+        kids = children(node)
+        if isinstance(node, Paren):
             collapsed = collapse(node.inner)
-            if collapsed is not None:
+            if collapsed is not node.inner:
                 return collapsed  # the written parens go with the sum
-        if isinstance(node, (BinaryOp, UnaryOp)):
-            parent = node
-            sides = iter((False, True))  # rebuild passes a BinaryOp's left side first
-
-            def collapse_grouped(child: FormulaAst) -> FormulaAst:
-                right = next(sides)
-                if _is_plus_chain(child) and grouped(parent, right):
-                    return collapse(child) or child
-                return child
-
-            node = rebuild(node, collapse_grouped)
-        return rebuild(node, walk)
+        elif isinstance(node, UnaryOp) or isinstance(node, OpRun) \
+                and _PREC[node.ops[0]] > _PREC["+"]:
+            kids = tuple(map(collapse, kids))
+        elif _is_run(node, "+"):
+            # in its own tier only a subtracted sum needs its parens
+            kids = tuple(collapse(k) if op == "-" else k
+                         for op, k in zip(("+",) + node.ops, kids))
+        return rebuild(node, tuple(map(walk, kids)))
 
     return walk(ast)
 
@@ -473,23 +429,15 @@ def _substitute(target_ast: FormulaAst, target_sheet: str,
     When the substitution crosses sheets, unqualified references inside the
     replacement gain the source sheet so they keep pointing at the same cells.
     """
-    cross_sheet = source.sheet.lower() != target_sheet.lower()
-    body = replacement
-    if cross_sheet:
-        def qualify(ref: CellRef | RangeRef) -> FormulaAst:
-            if isinstance(ref, RangeRef):
-                if ref.start.sheet is None:
-                    return RangeRef(CellRef(ref.start.row, ref.start.col,
-                                            sheet=source.sheet,
-                                            row_abs=ref.start.row_abs,
-                                            col_abs=ref.start.col_abs), ref.end)
-                return ref
-            if ref.sheet is None:
-                return CellRef(ref.row, ref.col, sheet=source.sheet,
-                               row_abs=ref.row_abs, col_abs=ref.col_abs)
-            return ref
+    def qualify(ref: CellRef | RangeRef) -> FormulaAst:
+        if isinstance(ref, RangeRef) and ref.start.sheet is None:
+            return RangeRef(replace(ref.start, sheet=source.sheet), ref.end)
+        if isinstance(ref, CellRef) and ref.sheet is None:
+            return replace(ref, sheet=source.sheet)
+        return ref
 
-        body = map_refs(replacement, qualify)
+    body = replacement if source.sheet.lower() == target_sheet.lower() \
+        else map_refs(replacement, qualify)
 
     def swap(ref: CellRef | RangeRef) -> FormulaAst:
         if isinstance(ref, CellRef) and ref.resolve(target_sheet) == source:
@@ -526,8 +474,9 @@ def _stack(a: RangeRef, b: RangeRef, direction: str) -> RangeRef | None:
     return RangeRef(replace(a.start, row=a_top, col=a_left), CellRef(b_bottom, b_right))
 
 
-def _merge_pair(a: FunctionCall, b: FunctionCall) -> FunctionCall | None:
-    if a.name != "SUMPRODUCT" or b.name != "SUMPRODUCT":
+def _merge_pair(a: FormulaAst, b: FormulaAst) -> FunctionCall | None:
+    if not (isinstance(a, FunctionCall) and isinstance(b, FunctionCall)
+            and a.name == b.name == "SUMPRODUCT"):
         return None
     if len(a.args) != len(b.args) or not a.args:
         return None
@@ -544,32 +493,37 @@ def _merge_pair(a: FunctionCall, b: FunctionCall) -> FunctionCall | None:
 
 
 def merge_sumproducts(ast: FormulaAst) -> FormulaAst:
-    """Fuse adjacent SUMPRODUCT terms of a sum over stacked equal-shape ranges."""
+    """Fuse adjacent SUMPRODUCT terms of a sum over stacked equal-shape ranges.
+
+    Terms added one after another fuse, the first pair that can first; a
+    subtracted term stays as it is and parts the added terms around it.
+    """
+
+    def fuse(terms: list[FormulaAst]) -> list[FormulaAst]:
+        while True:
+            for i, j in combinations(range(len(terms)), 2):
+                merged = _merge_pair(unwrap(terms[i]), unwrap(terms[j]))
+                if merged is not None:
+                    terms = terms[:i] + [merged] + terms[i + 1:j] + terms[j + 1:]
+                    break
+            else:
+                return terms
 
     def walk(node: FormulaAst) -> FormulaAst:
-        if _is_plus_chain(node):
-            terms = [walk(t) for t in _operands(node, "+")]
-            changed = True
-            while changed:
-                changed = False
-                for i in range(len(terms)):
-                    a = unwrap(terms[i])
-                    if not isinstance(a, FunctionCall):
-                        continue
-                    for j in range(i + 1, len(terms)):
-                        b = unwrap(terms[j])
-                        if not isinstance(b, FunctionCall):
-                            continue
-                        merged = _merge_pair(a, b)
-                        if merged is not None:
-                            terms[i] = merged
-                            del terms[j]
-                            changed = True
-                            break
-                    if changed:
-                        break
-            return _chain("+", terms)
-        return rebuild(node, walk)
+        if not _is_run(node, "+"):
+            return rebuild(node, tuple(map(walk, children(node))))
+        operands, ops, added = [], [], []
+        for op, operand in zip(("+",) + node.ops + ("-",), node.operands + (None,)):
+            if op == "+":
+                added += map(walk, _spread(operand, "+"))
+                continue
+            operands += fuse(added)
+            ops += ["+"] * (len(operands) - len(ops))
+            added = []
+            if operand is not None:
+                operands.append(walk(operand))
+                ops.append("-")
+        return operands[0] if len(operands) == 1 else OpRun(operands, ops[1:])
 
     return walk(ast)
 

@@ -7,12 +7,13 @@ import re
 import zipfile
 from decimal import Decimal
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 from sheetlint.formula import (
-    BinaryOp,
     CellRef,
     FunctionCall,
     NumberLit,
+    OpRun,
     Paren,
     RangeRef,
     StringLit,
@@ -36,8 +37,13 @@ def _leaf(rng: random.Random) -> object:
     return CellRef(rng.randint(1, 5), rng.randint(1, 5))
 
 
+def binop(op: str, left: object, right: object) -> OpRun:
+    """``left op right`` as a run; a left run of ``op``'s tier is extended."""
+    return OpRun((left, right), (op,))
+
+
 def gen_ast(rng: random.Random, depth: int = 3, text_ops: bool = False) -> object:
-    """A random AST over cells A1:E5.
+    """A random AST over cells A1:E5, built with the run constructor.
 
     The default subset is numeric-evaluable; ``text_ops`` mixes in string
     literals, concatenation and comparisons, for printer round-trip tests
@@ -51,25 +57,25 @@ def gen_ast(rng: random.Random, depth: int = 3, text_ops: bool = False) -> objec
         if inner < 0.4:
             return StringLit(rng.choice(('>=', 'a "quoted" bit', "plain", "")))
         if inner < 0.7:
-            return BinaryOp("&", gen_ast(rng, depth - 1, text_ops),
-                            gen_ast(rng, depth - 1, text_ops))
-        return BinaryOp(rng.choice(("<", ">", "<=", ">=", "=", "<>")),
-                        gen_ast(rng, depth - 1, text_ops),
-                        gen_ast(rng, depth - 1, text_ops))
+            return binop("&", gen_ast(rng, depth - 1, text_ops),
+                         gen_ast(rng, depth - 1, text_ops))
+        return binop(rng.choice(("<", ">", "<=", ">=", "=", "<>")),
+                     gen_ast(rng, depth - 1, text_ops),
+                     gen_ast(rng, depth - 1, text_ops))
     if roll < 0.18:
         return _leaf(rng)
     if roll < 0.30:
         op = rng.choice(("-", "+"))
         return UnaryOp(op, gen_ast(rng, depth - 1))
     if roll < 0.34:
-        return UnaryOp("%", gen_ast(rng, depth - 1))
+        return OpRun((gen_ast(rng, depth - 1),), ("%",))
     if roll < 0.42:
         return Paren(gen_ast(rng, depth - 1), explicit=True)
     if roll < 0.50:
         # keep exponents tiny integers so evaluation stays in-domain
         power = rng.randint(0, 3)
         exponent = NumberLit(Decimal(power), str(power))
-        return BinaryOp("^", gen_ast(rng, depth - 1), exponent)
+        return binop("^", gen_ast(rng, depth - 1), exponent)
     if roll < 0.60:
         name = rng.choice(_FUNCS)
         if rng.random() < 0.5:
@@ -81,11 +87,11 @@ def gen_ast(rng: random.Random, depth: int = 3, text_ops: bool = False) -> objec
         return FunctionCall(name, args)
     if roll < 0.66:
         return FunctionCall("IF", (
-            BinaryOp(rng.choice(("<", ">", "<=", ">=", "=", "<>")),
-                     gen_ast(rng, depth - 1), gen_ast(rng, depth - 1)),
+            binop(rng.choice(("<", ">", "<=", ">=", "=", "<>")),
+                  gen_ast(rng, depth - 1), gen_ast(rng, depth - 1)),
             gen_ast(rng, depth - 1), gen_ast(rng, depth - 1)))
     op = rng.choice(("+", "-", "*", "*", "/"))
-    return BinaryOp(op, gen_ast(rng, depth - 1), gen_ast(rng, depth - 1))
+    return binop(op, gen_ast(rng, depth - 1), gen_ast(rng, depth - 1))
 
 
 def gen_env(rng: random.Random, cells: list[CellAddress]) -> dict[CellAddress, float]:
@@ -345,7 +351,8 @@ def build_xlsx(path: Path, sheets: dict[str, dict[str, dict]],
     """Write a minimal xlsx. Cell specs: {"n": "5"} number, {"f": "A1*2"}
     formula, {"s": "text"} shared string, {"b": "1"} bool, {"e": "#REF!"}
     error, plus optional {"style": id}. {"style": id} alone makes a
-    format-only cell."""
+    format-only cell. Formula and defined-name text is XML-escaped, so it
+    may hold '<', '>' and '&'."""
     defined_names = defined_names or {}
     dimensions = dimensions or {}
     col_widths = col_widths or {}
@@ -368,10 +375,10 @@ def build_xlsx(path: Path, sheets: dict[str, dict[str, dict]],
                 fattrs = f' t="shared" si="{si}"'
                 if ref_range:
                     fattrs += f' ref="{ref_range}"'
-                body = f"<f{fattrs}>{ftext}</f>" if ftext else f"<f{fattrs}/>"
+                body = f"<f{fattrs}>{escape(ftext)}</f>" if ftext else f"<f{fattrs}/>"
                 cell = f'<c r="{ref}"{attrs}>{body}</c>'
             elif "f" in spec:
-                body = f"<f>{spec['f']}</f>"
+                body = f"<f>{escape(spec['f'])}</f>"
                 cell = f'<c r="{ref}"{attrs}>{body}</c>'
             elif "n" in spec:
                 cell = f'<c r="{ref}"{attrs}><v>{spec["n"]}</v></c>'
@@ -402,7 +409,7 @@ def build_xlsx(path: Path, sheets: dict[str, dict[str, dict]],
 
     names_el = ""
     if defined_names:
-        entries = "".join(f'<definedName name="{n}">{ref}</definedName>'
+        entries = "".join(f'<definedName name="{n}">{escape(ref)}</definedName>'
                           for n, ref in defined_names.items())
         names_el = f"<definedNames>{entries}</definedNames>"
     sheet_entries = []

@@ -5,6 +5,10 @@ one lexer token, kept verbatim as the reference for the differential test in
 This lexer splits ``$A$1`` into ``$``, ``A``, ``$`` and ``1`` and the parser
 puts the pieces back together, so it also reads a reference with whitespace
 inside it (``A 1``, ``$ A1``, ``A $1``) as that reference.
+
+It builds the binary tree of that time: one ``BinaryOp`` for each binary
+operator, folded to the left, and one ``UnaryOp("%")`` for each '%'.
+``to_binary`` turns a tree of runs into that shape, to compare the two.
 """
 
 from __future__ import annotations
@@ -16,19 +20,46 @@ from decimal import Decimal
 from sheetlint.formula import (
     _PREC,
     MAX_NESTING,
-    BinaryOp,
     CellRef,
     FormulaAst,
     FormulaParseError,
     FunctionCall,
     NameRef,
     NumberLit,
+    OpRun,
     Paren,
     StringLit,
     UnaryOp,
     normalize_range,
 )
 from sheetlint.model import MAX_COL, MAX_ROW, col_number
+
+
+@dataclass(frozen=True)
+class BinaryOp:
+    op: str
+    left: object
+    right: object
+
+
+def to_binary(node: FormulaAst) -> FormulaAst:
+    """``node`` in the old binary shape: each run folded to the left."""
+    if isinstance(node, OpRun):
+        out = to_binary(node.operands[0])
+        if node.ops[0] == "%":
+            for _ in node.ops:
+                out = UnaryOp("%", out)
+            return out
+        for op, operand in zip(node.ops, node.operands[1:]):
+            out = BinaryOp(op, out, to_binary(operand))
+        return out
+    if isinstance(node, FunctionCall):
+        return FunctionCall(node.name, tuple(to_binary(a) for a in node.args))
+    if isinstance(node, UnaryOp):
+        return UnaryOp(node.op, to_binary(node.operand))
+    if isinstance(node, Paren):
+        return Paren(to_binary(node.inner), node.explicit)
+    return node
 
 # --- verbatim from sheetlint.formula ---------------------------------------------------
 

@@ -3,8 +3,9 @@ import os
 import subprocess
 import sys
 
+import pytest
 from conftest import ROOT, fixture_path
-from helpers import assert_valid_dot
+from helpers import assert_valid_dot, build_xlsx
 
 from sheetlint import cli
 from sheetlint.cli import main
@@ -324,16 +325,102 @@ def test_audit_result_keeps_no_workbook():
     assert result.report.diagnostics
 
 
-def test_deep_formula_exits_three_with_one_line(tmp_path):
-    # a 1,500-term sum is too deep for the recursive tree walks; it must
-    # still end as one line, not a traceback
-    terms = range(1, 1501)
-    lines = ["[sheet S]", *(f"A{i} num {i}" for i in terms),
-             "B1 formula =" + "+".join(f"A{i}" for i in terms)]
-    path = tmp_path / "deep.wb"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    proc = run_cli(path)
-    assert proc.returncode == cli.EXIT_INTERNAL == 3
-    assert proc.stderr.startswith(f"sheetlint: {path}: internal error: RecursionError")
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+def _sum_of_cells(n):
+    lines = [f"A{i} num {i}" for i in range(1, n + 1)]
+    return lines, "=" + "+".join(f"A{i}" for i in range(1, n + 1))
+
+
+def _nested_tiers(levels):
+    """``A1=A2&A3+A4*A5^(…)%`` nested ``levels`` deep: seven tree levels for
+    each nesting level."""
+    inner = "A6"
+    for _ in range(levels):
+        inner = f"A1=A2&A3+A4*A5^({inner})%"
+    return [f"A{i} num {i}" for i in range(1, 7)], "=" + inner
+
+
+def _one_digit_sum():
+    # 4,096 one-digit terms: 8,192 characters, Excel's cap on a formula
+    text = "=" + "+".join(str(i % 9 + 1) for i in range(4096))
+    assert len(text) == 8192
+    return ["A1 num 1"], text
+
+
+# Formulas that are long or deep but within every limit of the parser: each
+# must give a report, whatever its depth in Python frames.
+_LONG_AND_DEEP = {
+    "sum_1600": _sum_of_cells(1600),
+    "one_digit_sum": _one_digit_sum(),
+    "tiers_63": _nested_tiers(63),
+    "tiers_64": _nested_tiers(64),
+    "percent_1200": (["A1 num 1"], "=A1" + "%" * 1200),
+}
+
+
+def _write_probe(path, cells, formula):
+    path.write_text("\n".join(["[sheet S]", *cells, f"B1 formula {formula}"]) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+def _assert_reports(outputs):
+    for fmt, (code, out) in outputs.items():
+        assert code in (0, 1), (fmt, code)
+        if fmt == "json":
+            assert json.loads(out)[0]["score"] is not None
+        elif fmt == "dot":
+            assert_valid_dot(out)
+        else:
+            assert "score " in out
+
+
+def test_deep_formula_gives_a_report(tmp_path):
+    # a 1,500-term sum is one node, which every walk reads as a list
+    path = _write_probe(tmp_path / "deep.wb", *_sum_of_cells(1500))
+    outputs = {}
+    for fmt in ("json", "text", "dot"):
+        proc = run_cli("--format", fmt, path)
+        assert proc.stderr == ""
+        outputs[fmt] = (proc.returncode, proc.stdout)
+    _assert_reports(outputs)
+
+
+@pytest.mark.parametrize("probe", sorted(_LONG_AND_DEEP))
+def test_long_and_deep_formulas_give_a_report(probe, tmp_path, capsys):
+    path = _write_probe(tmp_path / f"{probe}.wb", *_LONG_AND_DEEP[probe])
+    outputs = {}
+    for fmt in ("json", "text", "dot"):
+        code = main(["--format", fmt, str(path)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs[fmt] = (code, captured.out)
+    _assert_reports(outputs)
+
+
+@pytest.mark.parametrize("levels", [63, 64])
+def test_deeply_nested_tiers_through_xlsx(levels, tmp_path, capsys):
+    cells, formula = _nested_tiers(levels)
+    sheet = {line.split()[0]: {"n": line.split()[2]} for line in cells}
+    sheet["B1"] = {"f": formula[1:]}
+    path = build_xlsx(tmp_path / "tiers.xlsx", {"S": sheet})
+    assert main(["--format", "json", str(path)]) in (0, 1)
+    text_path = _write_probe(tmp_path / "tiers.wb", cells, formula)
+    from_xlsx = json.loads(capsys.readouterr().out)[0]
+    assert main(["--format", "json", str(text_path)]) in (0, 1)
+    from_text = json.loads(capsys.readouterr().out)[0]
+    del from_xlsx["input"], from_text["input"]
+    assert from_xlsx["diagnostics"] and from_xlsx == from_text
+
+
+def test_deepest_formula_audits_within_a_recursion_limit_of_700(tmp_path):
+    # The default limit is 1000. The parser takes about one frame per tree
+    # level, and so does every recursive walk after it, so 64 nesting levels
+    # of seven tiers fit in 700 with room for the CLI's own frames.
+    path = _write_probe(tmp_path / "tiers.wb", *_nested_tiers(64))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys; sys.setrecursionlimit(700); from sheetlint.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, "--format", "json", str(path)],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert json.loads(proc.stdout)[0]["score"] is not None

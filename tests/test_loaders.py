@@ -21,6 +21,7 @@ from sheetlint.formula import (
     r1c1_form,
     translate,
 )
+from sheetlint.config import AuditConfig
 from sheetlint.graph import build_graph
 from sheetlint.loaders import LoadError, load_text, load_text_string, load_workbook, load_xlsx
 from sheetlint.model import CellAddress, CellKind, parse_a1
@@ -207,6 +208,25 @@ def test_xlsx_defined_names(tmp_path):
                       defined_names={"WBMAX": "Model!$E$4"})
     wb = load_xlsx(path)
     assert wb.defined_names["WBMAX"] == CellAddress("Model", 4, 5)
+
+
+def test_xlsx_names_that_are_not_a_cell_or_range_add_a_notice(tmp_path):
+    path = build_xlsx(tmp_path / "t.xlsx",
+                      {"S": {"A1": {"n": "2"}, "B1": {"f": "Rate*A1"},
+                             "B2": {"f": "SUM(Col)"}, "B3": {"f": "Twice"}}},
+                      defined_names={"Rate": "0.05", "Col": "S!$A:$A",
+                                     "Twice": "S!$A$1*2"})
+    wb = load_xlsx(path)
+    assert wb.defined_names == {}
+    assert wb.load_notices == [
+        "defined name 'Rate' not read: '0.05' is not a cell or range",
+        "defined name 'Col' not read: 'S!$A:$A' is not a cell or range",
+        "defined name 'Twice' not read: 'S!$A$1*2' is not a cell or range"]
+    report = audit_workbook(wb, AuditConfig(enabled_rules=frozenset({"R06"}))).report
+    assert report.notices[:3] == wb.load_notices
+    # the names stay unresolved until the loader reads a name as a formula
+    assert sorted(d.cell for d in report.diagnostics if d.rule == "R06") == [
+        CellAddress("S", 1, 2), CellAddress("S", 2, 2), CellAddress("S", 3, 2)]
 
 
 def test_xlsx_hidden_sheet_flag(tmp_path):

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import binop
+
 from sheetlint.formula import (
     MAX_NESTING,
-    BinaryOp,
     CellRef,
     FormulaParseError,
     FunctionCall,
     NameRef,
     NumberLit,
+    OpRun,
     Paren,
     RangeRef,
     StringLit,
@@ -34,12 +36,15 @@ from sheetlint.simplify import simplify
 
 def _shape(node):
     """The parse tree with every operator grouped: () for operators, [] for
-    written parentheses, {} for call arguments."""
-    if isinstance(node, BinaryOp):
-        return f"({_shape(node.left)}{node.op}{_shape(node.right)})"
+    written parentheses, {} for call arguments. A run groups to the left."""
+    if isinstance(node, OpRun):
+        out = _shape(node.operands[0])
+        if node.ops[0] == "%":
+            return "(" * len(node.ops) + out + "%)" * len(node.ops)
+        for op, operand in zip(node.ops, node.operands[1:]):
+            out = f"({out}{op}{_shape(operand)})"
+        return out
     if isinstance(node, UnaryOp):
-        if node.op == "%":
-            return f"({_shape(node.operand)}%)"
         return f"({node.op}{_shape(node.operand)})"
     if isinstance(node, Paren):
         return f"[{_shape(node.inner)}]"
@@ -120,17 +125,17 @@ def _gen_signed(rng, depth):
     if roll < 0.25:
         return _signed(rng, _gen_signed(rng, depth - 1))
     if roll < 0.45:
-        return BinaryOp("^", _gen_signed(rng, depth - 1),
-                        _signed(rng, _gen_signed(rng, depth - 1)))
+        return binop("^", _gen_signed(rng, depth - 1),
+                     _signed(rng, _gen_signed(rng, depth - 1)))
     if roll < 0.52:
-        return UnaryOp("%", _gen_signed(rng, depth - 1))
+        return OpRun((_gen_signed(rng, depth - 1),), ("%",))
     if roll < 0.58:
         return Paren(_gen_signed(rng, depth - 1))
     if roll < 0.64:
         return FunctionCall("SUM", tuple(_gen_signed(rng, depth - 1)
                                          for _ in range(rng.randint(1, 3))))
-    return BinaryOp(rng.choice(_BINARY), _gen_signed(rng, depth - 1),
-                    _gen_signed(rng, depth - 1))
+    return binop(rng.choice(_BINARY), _gen_signed(rng, depth - 1),
+                 _gen_signed(rng, depth - 1))
 
 
 @given(st.integers(min_value=0, max_value=1_000_000))
@@ -152,13 +157,14 @@ def test_signed_exponent_keeps_parens_around_a_power():
 # --- deep trees ----------------------------------------------------------------------
 
 def test_iter_nodes_and_facts_on_a_deep_chain():
+    # a sign between two sums keeps them apart, so the tree is 10,000 deep
     depth = 5_000
     node = CellRef(1, 1)
     for i in range(depth):
-        node = BinaryOp("+", node, NumberLit(Decimal(i), str(i)))
+        node = UnaryOp("-", binop("+", node, NumberLit(Decimal(i), str(i))))
     nodes = list(iter_nodes(node))
-    assert len(nodes) == 2 * depth + 1
-    assert nodes[0] is node and nodes[depth] == CellRef(1, 1)
+    assert len(nodes) == 3 * depth + 1
+    assert nodes[0] is node and nodes[2 * depth] == CellRef(1, 1)
     facts = formula_facts(node)
     assert facts.refs == (CellRef(1, 1),)
     assert [n.text for n in facts.numbers] == [str(i) for i in range(depth)]

@@ -3,12 +3,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gen_ast
+from helpers import binop, gen_ast
 
 from sheetlint.formula import (
-    BinaryOp,
     CellRef,
     FunctionCall,
+    OpRun,
     RangeRef,
     ast_equal,
     parse_formula,
@@ -182,21 +182,30 @@ def test_random_suggestions_always_verified(seed):
                                   trials=30, seed=seed + 1)
 
 
-def test_operands_flattens_a_long_parsed_sum_without_recursing():
-    # one frame per term would pass the default recursion limit of 1000
-    ast = parse_formula("=" + "+".join(f"A{i}" for i in range(1, 3001)))
-    terms = simplify_module._operands(ast, "+")
-    assert [(t.row, t.col) for t in terms] == [(i, 1) for i in range(1, 3001)]
-    assert simplify_module._operands(ast, "*") == [ast]
+def test_a_long_parsed_sum_is_one_run():
+    # one node for 3,000 terms, which the simplifier reads as one list
+    text = "=" + "+".join(f"A{i}" for i in range(1, 3001))
+    ast = parse_formula(text)
+    assert isinstance(ast, OpRun) and ast.ops == ("+",) * 2999
+    assert [(t.row, t.col) for t in ast.operands] == [(i, 1) for i in range(1, 3001)]
+    assert print_formula(ast) == text
+    assert simplify_module._spread(ast, "+") == list(ast.operands)
+    assert simplify_module._spread(ast, "*") == [ast]
+    assert simp(text) is None
 
 
-def test_operands_flattens_a_right_operand_of_the_same_op():
+def test_run_constructor_extends_a_left_run_of_its_tier():
     a, b, c, d = (CellRef(1, col) for col in range(1, 5))
-    ast = BinaryOp("+", BinaryOp("+", a, BinaryOp("+", b, c)), d)
-    assert simplify_module._operands(ast, "+") == [a, b, c, d]
-    chained = simplify_module._chain("+", [a, b, c, d])
-    assert print_formula(chained) == "=A1+B1+C1+D1"
-    assert simplify_module._operands(chained, "+") == [a, b, c, d]
+    assert binop("-", binop("+", a, b), c) == parse_formula("=A1+B1-C1")
+    assert binop("-", binop("+", a, b), c).operands == (a, b, c)
+    # a right operand, or a left one of another tier, stays a node of its own
+    nested = binop("+", binop("+", a, binop("+", b, c)), d)
+    assert nested.operands == (a, binop("+", b, c), d)
+    assert print_formula(nested) == "=A1+(B1+C1)+D1"
+    assert simplify_module._spread(nested, "+") == [a, b, c, d]
+    assert binop("+", binop("*", a, b), c).operands == (binop("*", a, b), c)
+    assert binop("^", binop("^", a, b), c) == parse_formula("=A1^B1^C1")
+    assert OpRun((OpRun((a,), ("%",)),), ("%",)) == parse_formula("=A1%%")
 
 
 # --- nesting ------------------------------------------------------------------
@@ -293,8 +302,8 @@ def test_merge_sumproducts_reads_ranges_from_their_boxes():
     # A3:A$1, as translate can leave a range, is the box A1:A3: it overlaps
     # A1:A2 and must not merge with it; A4:A$3 is A3:A4 and stacks below
     def sum_of_sumproducts(first, second):
-        return BinaryOp("+", FunctionCall("SUMPRODUCT", (first,)),
-                        FunctionCall("SUMPRODUCT", (second,)))
+        return binop("+", FunctionCall("SUMPRODUCT", (first,)),
+                     FunctionCall("SUMPRODUCT", (second,)))
 
     top = RangeRef(CellRef(1, 1), CellRef(2, 1))
     overlapping = sum_of_sumproducts(top, RangeRef(CellRef(3, 1), CellRef(1, 1, row_abs=True)))

@@ -5,7 +5,6 @@ import tempfile
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,7 +195,7 @@ def _as_xlsx(path: Path, wb: Workbook, shared: bool) -> Path:
     for sheet in wb.sheets:
         cells, masters = {}, {}
         for addr, content in sheet.formulas():
-            text = escape(content.formula_text[1:])
+            text = content.formula_text[1:]
             if not shared:
                 cells[addr.a1()] = {"f": text}
                 continue
