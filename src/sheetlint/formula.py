@@ -580,17 +580,19 @@ def map_refs(ast: FormulaAst,
     return walk(ast)
 
 
+def shift_ref(ref: CellRef | RangeRef, drow: int, dcol: int) -> CellRef | RangeRef:
+    """``ref`` with its relative rows moved by ``drow`` and columns by ``dcol``."""
+    if isinstance(ref, RangeRef):
+        return RangeRef(shift_ref(ref.start, drow, dcol),  # type: ignore[arg-type]
+                        shift_ref(ref.end, drow, dcol))
+    return CellRef(ref.row if ref.row_abs else ref.row + drow,
+                   ref.col if ref.col_abs else ref.col + dcol,
+                   ref.sheet, ref.row_abs, ref.col_abs)
+
+
 def translate(ast: FormulaAst, drow: int, dcol: int) -> FormulaAst:
     """Shift relative references by an offset (shared-formula expansion)."""
-
-    def shift(ref: CellRef | RangeRef) -> FormulaAst:
-        if isinstance(ref, RangeRef):
-            return RangeRef(shift(ref.start), shift(ref.end))  # type: ignore[arg-type]
-        return CellRef(ref.row if ref.row_abs else ref.row + drow,
-                       ref.col if ref.col_abs else ref.col + dcol,
-                       ref.sheet, ref.row_abs, ref.col_abs)
-
-    return map_refs(ast, shift)
+    return map_refs(ast, lambda ref: shift_ref(ref, drow, dcol))
 
 
 def order_ranges(ast: FormulaAst) -> FormulaAst:
@@ -623,15 +625,22 @@ class CopyClass:
     ``(row, col)``, the form by which ExceLint groups copy regions. A sheet
     interns one instance per class (``Sheet.copy_class``) and stores it on
     each member's cell, so a class hashes by identity and serves as a dict
-    key at the cost of a pointer.
+    key at the cost of a pointer. What no translation changes is kept here
+    once for every member: the top node under outer parentheses, whether
+    the formula produces text, and, from first use, the R1C1 text and the
+    facts (a member's references are these shifted by its cell:
+    ``facts_at``).
     """
 
-    __slots__ = ("relative", "sheet", "_r1c1")
+    __slots__ = ("relative", "sheet", "top", "produces_text", "_r1c1", "_facts")
 
     def __init__(self, relative: FormulaAst, sheet: str) -> None:
         self.relative = relative
         self.sheet = sheet
+        self.top = unwrap(relative)
+        self.produces_text = produces_text(relative)
         self._r1c1: str | None = None
+        self._facts: FormulaFacts | None = None
 
     @property
     def r1c1(self) -> str:
@@ -639,6 +648,22 @@ class CopyClass:
         if self._r1c1 is None:
             self._r1c1 = r1c1_form(self.relative, 0, 0)
         return self._r1c1
+
+    @property
+    def facts(self) -> FormulaFacts:
+        """``formula_facts(relative)``, gathered on first use."""
+        if self._facts is None:
+            self._facts = formula_facts(self.relative)
+        return self._facts
+
+    def ast_at(self, row: int, col: int) -> FormulaAst:
+        """The tree of the member at ``(row, col)``."""
+        return translate(self.relative, row, col)
+
+    def facts_at(self, row: int, col: int) -> FormulaFacts:
+        """``formula_facts`` of the member at ``(row, col)``, with no tree built."""
+        facts = self.facts
+        return facts._replace(refs=tuple(shift_ref(ref, row, col) for ref in facts.refs))
 
 
 # --- numeric evaluation ------------------------------------------------------

@@ -10,12 +10,12 @@ from .formula import (
     FunctionCall,
     RangeRef,
     print_formula,
-    produces_text,
-    unwrap,
+    shift_ref,
 )
 from .model import AddressParseError, CellAddress, CellKind, Workbook, parse_a1
 
 MAX_RANGE_CELLS = 100_000  # refuse to expand anything larger
+MAX_EXPANDED_CELLS = 1_000_000  # range cells one build_graph expands, in all
 
 
 @dataclass
@@ -147,7 +147,8 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
 
     References to cells that hold nothing become flagged blank nodes;
     references that cannot be resolved at all (missing sheets, unknown
-    names, oversized ranges) are recorded per formula, never raised.
+    names, oversized ranges, ranges past the ``MAX_EXPANDED_CELLS`` that
+    one audit expands) are recorded per formula, never raised.
     Sheet names in references match case-insensitively; every node carries
     the workbook's own spelling of its sheet name.
     """
@@ -162,13 +163,15 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     for sheet in workbook.sheets:
         for addr, cell in sheet.populated():
             info = NodeInfo(kind=cell.content.kind)
-            if cell.content.kind is CellKind.FORMULA and cell.content.ast is not None:
-                top = unwrap(cell.content.ast)
+            cls = cell.copy_class
+            if cls is not None:
+                top = cls.top
                 if isinstance(top, FunctionCall):
                     info.top_function = top.name
                     info.interpreted_output_shape = (  # the punch-line repeater
-                        top.name == "IF" and produces_text(top) and bool(cell.content.facts.refs))
+                        top.name == "IF" and cls.produces_text and bool(cell.content.facts.refs))
                 elif isinstance(top, CellRef):
+                    top = shift_ref(top, addr.row, addr.col)
                     home = spelling.get((addr.sheet if top.sheet is None else top.sheet).lower())
                     if home and (target := CellAddress(home, top.row, top.col)) != addr:
                         info.bare_ref = target
@@ -179,8 +182,11 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             graph.add_node(target, NodeInfo(kind=CellKind.EMPTY, blank=True))
         graph.add_arc(target, dependent, origin)
 
+    budget = MAX_EXPANDED_CELLS  # spent in reading order, so the refusals are deterministic
+
     def link_box(sheet: str, a: CellAddress | CellRef, b: CellAddress | CellRef,
                  dependent: CellAddress, origin: str, problems: list[str]) -> None:
+        nonlocal budget
         # a and b are opposite corners in either order; a translated range
         # or a defined name can name the bottom one first
         rows = range(min(a.row, b.row), max(a.row, b.row) + 1)
@@ -189,6 +195,11 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
         if size > MAX_RANGE_CELLS:
             problems.append(f"range too large to expand ({size} cells)")
             return
+        if size > budget:
+            problems.append(f"range too large to expand ({size} cells; {budget} of the "
+                            f"audit's {MAX_EXPANDED_CELLS} left)")
+            return
+        budget -= size
         for row in rows:
             for col in cols:
                 link(CellAddress(sheet, row, col), dependent, origin)

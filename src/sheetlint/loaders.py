@@ -11,8 +11,8 @@ from pathlib import Path
 from posixpath import normpath
 from xml.etree import ElementTree
 
-from .formula import (CopyClass, FormulaParseError, RangeRef, formula_facts, order_ranges,
-                      parse_formula, print_formula, translate)
+from .formula import (CopyClass, FormulaParseError, RangeRef, order_ranges, parse_formula,
+                      print_formula, translate)
 from .model import (
     MAX_COL,
     CellAddress,
@@ -378,8 +378,11 @@ def load_xlsx(path: str | Path) -> Workbook:
     """Load the xlsx subset: cells, formulas, dimension, styles, names, widths.
 
     Cached formula strings are used verbatim; stored results are ignored.
-    Shared formulas are expanded to per-cell text; a group's copy class is
-    interned once, at its master, and every member is stored with it.
+    A shared formula's copy class is interned once, at its master, and each
+    member, the master too, is stored as a copy of it: no tree or text is
+    built until one is read (see ``CellContent``). A group with a range
+    that has ``$`` on one corner of an axis only is the exception: each
+    member's tree is built and its ranges ordered, as Excel shows them.
     Charts, pivots and other unsupported parts are ignored with a notice on
     the workbook.
     """
@@ -459,9 +462,9 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
             for c in range(lo, hi + 1):
                 sheet.column_widths[c] = width
 
-    # si -> (master ast, master row, master col, the group's copy class,
-    # whether a range has '$' on one corner of an axis only)
-    shared: dict[str, tuple[object, int, int, CopyClass, bool]] = {}
+    # si -> (the group's copy class, whether a range has '$' on one corner
+    # of an axis only)
+    shared: dict[str, tuple[CopyClass, bool]] = {}
     data = root.find(_tag("sheetData"))
     if data is None:
         _set_declared_extent(sheet, declared)
@@ -498,29 +501,24 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                                             f"cell {ref}: bad formula: {exc}")
                         copy_class = sheet.copy_class(
                             translate(ast, -addr.row, -addr.col))
-                        one_sided = any(
+                        shared[si] = copy_class, any(
                             isinstance(r, RangeRef)
                             and (r.start.row_abs != r.end.row_abs
                                  or r.start.col_abs != r.end.col_abs)
-                            for r in formula_facts(ast).refs)
-                        shared[si] = (ast, addr.row, addr.col, copy_class, one_sided)
-                    else:
-                        master = shared.get(si)
-                        if master is None:
-                            raise LoadError(path, 0, 0,
-                                            f"cell {ref}: shared formula "
-                                            f"{si!r} has no master")
-                        ast = translate(master[0], addr.row - master[1],
-                                        addr.col - master[2])
-                        copy_class = master[3]
-                        if master[4]:
-                            # a relative corner that passes an absolute one
-                            # turns the range inside out; store it ordered, as
-                            # Excel shows it, and class it by its own form
-                            ordered = order_ranges(ast)
-                            if ordered != ast:
-                                ast, copy_class = ordered, None
-                    content = CellContent.formula(print_formula(ast), ast)
+                            for r in copy_class.facts.refs)
+                    if si not in shared:
+                        raise LoadError(path, 0, 0, f"cell {ref}: shared formula "
+                                                    f"{si!r} has no master")
+                    copy_class, one_sided = shared[si]
+                    content = CellContent.copy_of(copy_class, addr.row, addr.col)
+                    if one_sided:
+                        # a relative corner that passes an absolute one turns
+                        # the range inside out; store it ordered, as Excel
+                        # shows it, and class it by its own form
+                        ast = order_ranges(content.ast)
+                        if ast != content.ast:
+                            content = CellContent.formula(print_formula(ast), ast)
+                            copy_class = None
                 else:
                     try:
                         ast = parse_formula("=" + ftext)

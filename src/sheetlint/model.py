@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .formula import FormulaAst, FormulaFacts
@@ -115,17 +115,51 @@ class CellKind(Enum):
     ERROR = "error"
 
 
+class _Copied:
+    """A formula field of ``CellContent`` that a copy makes with ``make`` on
+    first read and keeps. As a dataclass field's default, it is handed what
+    ``__init__`` gets."""
+
+    def __init__(self, make: Callable[["CellContent"], object]) -> None:
+        self.make = make
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.key = "_" + name
+
+    def __get__(self, content: "CellContent | None", owner: type | None = None) -> object:
+        if content is None:
+            return None  # the field's default
+        value = getattr(content, self.key)
+        if value is None and content.copy is not None:
+            value = self.make(content)
+            self.__set__(content, value)
+        return value
+
+    def __set__(self, content: "CellContent", value: object) -> None:
+        object.__setattr__(content, self.key, value)  # the content is frozen
+
+
 @dataclass(frozen=True)
 class CellContent:
-    """One cell's payload. Exactly one field matching ``kind`` is populated."""
+    """One cell's payload. Exactly one field matching ``kind`` is populated.
+
+    A formula is parsed, with its text and tree, or a copy: an xlsx
+    shared-formula member, which holds its cell's ``CopyClass`` and its
+    ``(row, col)`` in ``copy`` and no tree. A copy's ``ast`` is
+    ``translate(copy_class.relative, row, col)`` and its ``formula_text``
+    that tree printed, each made on first read; its ``facts`` come from the
+    class, with no tree. Equality, hash and repr read the fields, so a copy
+    equals the parsed formula it stands for.
+    """
 
     kind: CellKind
     number: Decimal | None = None
     text: str | None = None
-    formula_text: str | None = None
-    ast: object | None = None
+    formula_text: str | None = _Copied(lambda c: print_formula(c.ast))  # type: ignore
+    ast: object | None = _Copied(lambda c: c.copy[0].ast_at(*c.copy[1:]))  # type: ignore
     error_code: str | None = None
     bool_value: bool | None = None
+    copy: tuple[CopyClass, int, int] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def empty(cls) -> "CellContent":
@@ -145,6 +179,11 @@ class CellContent:
         return cls(CellKind.FORMULA, formula_text=formula_text, ast=ast)
 
     @classmethod
+    def copy_of(cls, copy_class: CopyClass, row: int, col: int) -> "CellContent":
+        """The member of ``copy_class`` at ``(row, col)``, with no tree built."""
+        return cls(CellKind.FORMULA, copy=(copy_class, row, col))
+
+    @classmethod
     def boolean(cls, value: bool) -> "CellContent":
         return cls(CellKind.BOOL, bool_value=value)
 
@@ -158,7 +197,10 @@ class CellContent:
 
     @cached_property
     def facts(self) -> "FormulaFacts":
-        """``formula_facts(ast)``, computed once; the content is frozen."""
+        """``formula_facts(ast)``, computed once (a copy's from its class,
+        with no tree); the content is frozen."""
+        if self.copy is not None:
+            return self.copy[0].facts_at(*self.copy[1:])
         return formula_facts(self.ast)
 
 
@@ -273,10 +315,8 @@ class Sheet:
 
     def formulas(self) -> Iterator[tuple[CellAddress, CellContent]]:
         """``(address, content)`` of every parsed formula, in row-major order."""
-        for addr, cell in self._reading_order():
-            content = cell.content
-            if content.kind is CellKind.FORMULA and content.ast is not None:
-                yield addr, content
+        for addr, content, _ in self.classed_formulas():
+            yield addr, content
 
     def classed_formulas(self) -> Iterator[tuple[CellAddress, CellContent, CopyClass]]:
         """``(address, content, copy class)`` of every parsed formula, in row-major order."""
@@ -384,4 +424,4 @@ def classify_cells(workbook: Workbook,
 
 
 # formula imports this module, so its names are bound once this one is complete
-from .formula import CopyClass, formula_facts, translate  # noqa: E402
+from .formula import CopyClass, formula_facts, print_formula, translate  # noqa: E402

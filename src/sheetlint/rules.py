@@ -8,7 +8,7 @@ from itertools import chain
 from typing import Callable
 
 from .config import ALL_RULE_IDS, AuditConfig, Severity
-from .formula import CopyClass, RangeRef, produces_text
+from .formula import CopyClass, RangeRef
 from .graph import (
     CellGraphClass,
     DependencyGraph,
@@ -547,8 +547,8 @@ def _r20_simplifiable(ctx: _Context, sheets) -> list[Diagnostic]:
 
 def _r21_label_formula(ctx: _Context, sheets) -> list[Diagnostic]:
     out = []
-    for addr, content in ctx.workbook.formulas():
-        if produces_text(content.ast):
+    for addr, _, cls in chain.from_iterable(s.classed_formulas() for s in ctx.workbook.sheets):
+        if cls.produces_text:
             out.append(ctx.emit(
                 "R21", addr.sheet, addr,
                 "formula produces text used as a label; prefer constant text"))

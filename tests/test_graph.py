@@ -17,6 +17,7 @@ from helpers import (
 )
 
 from sheetlint import formula
+from sheetlint import graph as graph_module
 from sheetlint.config import AuditConfig, ConfigError
 from sheetlint.graph import (
     DependencyGraph,
@@ -709,3 +710,28 @@ def test_defined_name_past_the_range_cap_is_refused(tmp_path):
     assert [(d.location(), d.message) for d in result.report.diagnostics] == [
         ("S!B2", "unresolvable reference: range too large to expand (17179869184 cells)")]
     assert result.graph.blank_nodes() == []
+
+
+def test_ranges_past_the_audit_budget_are_refused_in_reading_order(tmp_path, monkeypatch):
+    # each range fits under MAX_RANGE_CELLS; with a budget of 25 cells the
+    # first two ranges in reading order take 20, so the third (10 cells) and
+    # the name (10 cells) are refused while a later 5-cell range still fits
+    monkeypatch.setattr(graph_module, "MAX_EXPANDED_CELLS", 25)
+    cells = {f"A{row}": {"n": str(row)} for row in range(1, 11)}
+    cells.update({"C1": {"f": "SUM(A1:A10)"}, "B1": {"f": "SUM(A1:A10)"},
+                  "B2": {"f": "SUM(A1:A10)+A1"}, "B3": {"f": "SUM(Col)"},
+                  "B4": {"f": "SUM(A1:A5)"}})
+    path = build_xlsx(tmp_path / "t.xlsx", {"S": cells},
+                      defined_names={"Col": "S!$A$1:$A$10"})
+    result = audit_workbook(load_xlsx(path), AuditConfig(enabled_rules=frozenset({"R06"})))
+    assert [(d.location(), d.message) for d in result.report.diagnostics] == [
+        ("S!B2", "unresolvable reference: range too large to expand "
+                 "(10 cells; 5 of the audit's 25 left)"),
+        ("S!B3", "unresolvable reference: range too large to expand "
+                 "(10 cells; 5 of the audit's 25 left)")]
+    graph = result.graph
+    assert list(graph.precedents_of(addr("S", "B2"))) == [addr("S", "A1")]
+    assert len(graph.precedents_of(addr("S", "B4"))) == 5
+    assert len(graph.precedents_of(addr("S", "C1"))) == 10
+    monkeypatch.setattr(graph_module, "MAX_EXPANDED_CELLS", 45)
+    assert build_graph(load_xlsx(path)).unresolved == {}

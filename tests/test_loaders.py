@@ -489,9 +489,9 @@ def test_copy_class_keys_cost_one_translate_per_group(tmp_path, monkeypatch):
     counting(model_module, "translate")
     wb = load_xlsx(path)
     groups = sum(len(g) for g in _SHARED_GROUPS.values())
-    members = sum(len(g[3]) for gs in _SHARED_GROUPS.values() for g in gs)
-    # one host-relative form per group, plus each member's own formula
-    assert calls["sheetlint.loaders", "translate"] == groups + members
+    # one host-relative form per group; a member is stored as a copy of its
+    # group's class, so loading builds no member's tree
+    assert calls["sheetlint.loaders", "translate"] == groups
     # shared members cost set_cell no translate; each plain formula one
     plain = sum(map(len, _PLAIN.values()))
     assert calls["sheetlint.model", "translate"] == plain
@@ -502,6 +502,43 @@ def test_copy_class_keys_cost_one_translate_per_group(tmp_path, monkeypatch):
     printed = [n for key, n in calls.items() if key[0] == "printed"]
     # every class but H1's lies in a copy run; each is printed once
     assert printed == [1] * (len(set(map(id, table.values()))) - 1)
+
+
+def test_a_shared_group_loads_and_audits_without_building_member_trees(tmp_path, monkeypatch):
+    cells = {f"A{row}": {"n": str(row)} for row in range(1, 51)}
+    cells["B1"] = {"fs": (0, "A1*2+$A$1", "B1:B50")}
+    cells.update({f"B{row}": {"fs": (0, None, None)} for row in range(2, 51)})
+    cells["C1"] = {"s": "TOTALS"}
+    path = build_xlsx(tmp_path / "g.xlsx", {"S": cells})
+    built = Counter()
+
+    def counting(cls):
+        real = cls.__post_init__
+
+        def wrapper(self):
+            built[cls.__name__] += 1
+            real(self)
+        monkeypatch.setattr(cls, "__post_init__", wrapper)
+
+    counting(formula_module.OpRun)
+    trees = []
+    real_ast_at = formula_module.CopyClass.ast_at
+
+    def ast_at(cls, row, col):
+        trees.append((row, col))
+        return real_ast_at(cls, row, col)
+    monkeypatch.setattr(formula_module.CopyClass, "ast_at", ast_at)
+    wb = load_xlsx(path)
+    # the master's parse and its host-relative form: two runs each, not per member
+    assert built["OpRun"] == 4 and trees == []
+    contents = [content for _, content in wb.formulas()]
+    assert len(contents) == 50 and all(c.copy is not None for c in contents)
+    result = audit_workbook(wb, AuditConfig(enabled_rules=frozenset({"R13"})))
+    assert [(d.rule, d.location()) for d in result.report.diagnostics] == [("R13", "S!C1")]
+    # only the simplifier builds a tree, one per copy class: its first member's
+    assert trees == [(1, 2)]
+    assert result.graph.precedents_of(CellAddress("S", 50, 2)) == {
+        CellAddress("S", 50, 1): None, CellAddress("S", 1, 1): None}
 
 
 def test_seeded_content_placed_elsewhere_is_classed_by_its_own_translation(tmp_path):

@@ -17,6 +17,7 @@ from sheetlint.config import AuditConfig
 from sheetlint.formula import (
     CellRef,
     RangeRef,
+    formula_facts,
     map_refs,
     parse_formula,
     print_formula,
@@ -69,8 +70,8 @@ def _anchor_refs(ast, rng: random.Random):
 
 
 @st.composite
-def copy_workbooks(draw):
-    templates = list(TEMPLATES)
+def copy_workbooks(draw, extra: tuple = ()):
+    templates = list(TEMPLATES + extra)
     for seed in draw(st.lists(st.integers(0, 10**6), max_size=3)):
         rng = random.Random(seed)
         templates.append(print_formula(_anchor_refs(gen_ast(rng), rng)))
@@ -238,6 +239,32 @@ def test_classes_follow_writes_after_each_loader(wb, steps):
             else:
                 sheet.merge_format(row, col, CellFormat(bold=True))
             _assert_classes_match_per_cell_keys(book)
+
+
+# a relative corner that passes the absolute one turns the range inside out
+ONE_SIDED = ("=SUM(A1:A$3)*2+A1", "=SUM(B1:$C2)+SUM($A1:A$2)")
+
+
+@settings(max_examples=40)
+@given(copy_workbooks(ONE_SIDED))
+def test_shared_members_read_as_the_formulas_written_out(wb):
+    # a shared-formula member is stored as a copy of its class and builds its
+    # tree, text and facts on first read; they equal those of the formula
+    # written out, and so does the content. A range with '$' on one corner
+    # that turns inside out is stored ordered, as the parser reads the text.
+    with tempfile.TemporaryDirectory() as tmp:
+        shared, plain = (load_xlsx(_as_xlsx(Path(tmp) / f"{s}.xlsx", wb, s))
+                         for s in (True, False))
+        pairs = list(zip(shared.formulas(), plain.formulas()))
+    assert len(pairs) == len(list(wb.formulas()))
+    for (addr, lazy), (plain_addr, eager) in pairs:
+        assert addr == plain_addr
+        assert lazy.facts == formula_facts(eager.ast)  # before the tree is built
+        assert lazy.ast == eager.ast
+        assert lazy.formula_text == print_formula(eager.ast)
+        parsed = CellContent.formula(print_formula(eager.ast), eager.ast)
+        assert lazy == parsed and hash(lazy) == hash(parsed) and repr(lazy) == repr(parsed)
+    assert any(lazy.copy is not None for (_, lazy), _ in pairs)
 
 
 def test_one_copy_class_table_per_sheet_per_audit(monkeypatch):
