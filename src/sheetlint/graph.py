@@ -9,6 +9,7 @@ from .formula import (
     CellRef,
     FunctionCall,
     RangeRef,
+    formula_facts,
     print_formula,
     shift_ref,
 )
@@ -48,11 +49,12 @@ class DependencyGraph:
     Each arc is stored once, in ``dependent -> {precedent: origin}``; the
     origin is the range or name text the arc came through (the first one
     seen), or None for a direct reference. ``_dependents`` is the reverse
-    adjacency. ``cycles`` is set by ``build_graph``.
+    adjacency. ``defined_names`` maps each upper-cased name to the
+    references of its formula. ``cycles`` is set by ``build_graph``.
     """
 
     def __init__(self, sheet_order: list[str],
-                 defined_names: dict[str, object]) -> None:
+                 defined_names: dict[str, tuple[CellRef | RangeRef, ...]]) -> None:
         self.sheet_order = sheet_order
         self._sheet_index: dict[str, int] = {}
         for i, name in enumerate(sheet_order):
@@ -79,21 +81,28 @@ class DependencyGraph:
     def sheet_index(self, name: str) -> int:
         return self._sheet_index.get(name.lower(), len(self.sheet_order))
 
-    def respell(self, addr: CellAddress) -> CellAddress:
-        """``addr`` on its sheet as the workbook spells it, matched
-        case-insensitively; unchanged when the workbook has no such sheet."""
-        i = self._sheet_index.get(addr.sheet.lower())
-        if i is None or self.sheet_order[i] == addr.sheet:
-            return addr
-        return CellAddress(self.sheet_order[i], addr.row, addr.col)
+    def spelling(self, sheet: str) -> str | None:
+        """The workbook's spelling of ``sheet``, matched case-insensitively;
+        None when the workbook has no such sheet."""
+        i = self._sheet_index.get(sheet.lower())
+        return None if i is None else self.sheet_order[i]
 
     def named_cells(self, entry: str) -> set[CellAddress]:
-        """The cells an A1 entry names: with a sheet, that cell, its sheet
-        matched case-insensitively; without, that cell on every sheet where
-        it is a node. Raises AddressParseError if the entry is no address."""
-        addr = parse_a1(entry)
+        """The cells an entry names. A defined name names the top-left cell of
+        its formula's first reference, or none if it has no reference; else
+        the entry must be an A1 address (AddressParseError if not). With a
+        sheet, matched case-insensitively, that is one cell; without, that
+        cell on every sheet where it is a node."""
+        refs = self.defined_names.get(entry.upper())
+        if refs is None:
+            addr = parse_a1(entry)
+        elif not refs:
+            return set()
+        else:  # the parser orders a range's corners, so its start is top-left
+            first = refs[0].start if isinstance(refs[0], RangeRef) else refs[0]
+            addr = CellAddress(first.sheet or "", first.row, first.col)
         if addr.sheet:
-            return {self.respell(addr)}
+            return {CellAddress(self.spelling(addr.sheet) or addr.sheet, addr.row, addr.col)}
         return {cell for sheet in self.sheet_order
                 if (cell := CellAddress(sheet, addr.row, addr.col)) in self.nodes}
 
@@ -152,14 +161,9 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     Sheet names in references match case-insensitively; every node carries
     the workbook's own spelling of its sheet name.
     """
-    spelling = {s.name.lower(): s.name for s in workbook.sheets}
-    graph = DependencyGraph([s.name for s in workbook.sheets], {})
-    for name, target in workbook.defined_names.items():
-        if isinstance(target, CellAddress):
-            target = graph.respell(target)
-        elif isinstance(target, tuple):
-            target = tuple(map(graph.respell, target))
-        graph.defined_names[name.upper()] = target
+    graph = DependencyGraph([s.name for s in workbook.sheets],
+                            {name: formula_facts(ast).refs
+                             for name, ast in workbook.defined_names.items()})
     for sheet in workbook.sheets:
         for addr, cell in sheet.populated():
             info = NodeInfo(kind=cell.content.kind)
@@ -172,7 +176,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                         top.name == "IF" and cls.produces_text and bool(cell.content.facts.refs))
                 elif isinstance(top, CellRef):
                     top = shift_ref(top, addr.row, addr.col)
-                    home = spelling.get((addr.sheet if top.sheet is None else top.sheet).lower())
+                    home = graph.spelling(addr.sheet if top.sheet is None else top.sheet)
                     if home and (target := CellAddress(home, top.row, top.col)) != addr:
                         info.bare_ref = target
             graph.add_node(addr, info)
@@ -184,13 +188,11 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
 
     budget = MAX_EXPANDED_CELLS  # spent in reading order, so the refusals are deterministic
 
-    def link_box(sheet: str, a: CellAddress | CellRef, b: CellAddress | CellRef,
-                 dependent: CellAddress, origin: str, problems: list[str]) -> None:
+    def link_box(sheet: str, ref: RangeRef, dependent: CellAddress, origin: str,
+                 problems: list[str]) -> None:
         nonlocal budget
-        # a and b are opposite corners in either order; a translated range
-        # or a defined name can name the bottom one first
-        rows = range(min(a.row, b.row), max(a.row, b.row) + 1)
-        cols = range(min(a.col, b.col), max(a.col, b.col) + 1)
+        top, left, bottom, right = ref.box
+        rows, cols = range(top, bottom + 1), range(left, right + 1)
         size = len(rows) * len(cols)
         if size > MAX_RANGE_CELLS:
             problems.append(f"range too large to expand ({size} cells)")
@@ -204,28 +206,33 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             for col in cols:
                 link(CellAddress(sheet, row, col), dependent, origin)
 
-    for addr, content in workbook.formulas():
-        problems: list[str] = []
-        for ref in content.facts.refs:
+    def link_refs(refs: tuple[CellRef | RangeRef, ...], dependent: CellAddress,
+                  name: str | None, problems: list[str]) -> None:
+        """Link a formula's references, or the defined name ``name``'s (the arcs' origin)."""
+        for ref in refs:
             first = ref.start if isinstance(ref, RangeRef) else ref
-            ref_sheet = first.sheet if first.sheet is not None else addr.sheet
-            sheet = spelling.get(ref_sheet.lower())
-            if sheet is None:
+            ref_sheet = first.sheet if first.sheet is not None else dependent.sheet
+            # a name may point at a sheet the workbook lacks: its arcs go
+            # there, and so are cross-sheet only
+            sheet = graph.spelling(ref_sheet) or (name and ref_sheet)
+            if not sheet:
                 problems.append(f"unknown sheet {ref_sheet!r}")
             elif isinstance(ref, CellRef):
-                link(CellAddress(sheet, ref.row, ref.col), addr, None)
+                link(CellAddress(sheet, ref.row, ref.col), dependent, name)
             else:
-                link_box(sheet, ref.start, ref.end, addr,
-                         print_formula(ref, leading_eq=False), problems)
-        for node in content.facts.names:
-            resolved = graph.defined_names.get(node.name.upper())
-            if resolved is None:
+                link_box(sheet, ref, dependent, name or print_formula(ref, leading_eq=False),
+                         problems)
+
+    for addr, content in workbook.formulas():
+        problems: list[str] = []
+        facts = content.facts
+        link_refs(facts.refs, addr, None, problems)
+        for node in facts.names:  # after the formula's own, in budget order
+            refs = graph.defined_names.get(node.name.upper())
+            if refs is None:
                 problems.append(f"unknown name {node.name!r}")
-            elif isinstance(resolved, CellAddress):
-                link(resolved, addr, node.name)
-            elif isinstance(resolved, tuple):
-                start, end = resolved
-                link_box(start.sheet, start, end, addr, node.name, problems)
+            else:
+                link_refs(refs, addr, node.name, problems)
         if problems:
             graph.unresolved[addr] = problems
     graph.cycles = find_cycles(graph)
@@ -296,25 +303,17 @@ def explicit_bottom_line(graph: DependencyGraph,
                          config: AuditConfig) -> dict[str, set[CellAddress]]:
     """The cells each configured bottom-line entry names, keyed by the entry.
 
-    An entry is a defined name or an A1 address. An address's sheet matches
-    case-insensitively; an address without a sheet names that cell on every
-    sheet where it is a node. An entry that is neither raises ConfigError.
+    An entry is a defined name or an A1 address, read by
+    ``DependencyGraph.named_cells``. An entry that is neither raises
+    ConfigError.
     """
     out: dict[str, set[CellAddress]] = {}
     for entry in config.bottom_line:
         name = entry.strip()
         if not name:
             continue
-        cells = out.setdefault(name, set())
-        target = graph.defined_names.get(name.upper())
-        if isinstance(target, CellAddress):
-            cells.add(target)
-            continue
-        if isinstance(target, tuple):
-            cells.add(target[0])
-            continue
         try:
-            cells |= graph.named_cells(name)
+            out.setdefault(name, set()).update(graph.named_cells(name))
         except AddressParseError:
             raise ConfigError(f"bottom line {name!r} is neither a defined name "
                               f"nor a cell address") from None
@@ -337,11 +336,8 @@ def resolve_bottom_line(graph: DependencyGraph,
         return resolved
 
     for objective_name in ("WBMAX", "WBMIN"):
-        target = graph.defined_names.get(objective_name)
-        if isinstance(target, CellAddress):
-            resolved.add(target)
-        elif isinstance(target, tuple):
-            resolved.add(target[0])
+        if objective_name in graph.defined_names:
+            resolved |= graph.named_cells(objective_name)
     if resolved:
         return resolved
 

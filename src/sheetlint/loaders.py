@@ -11,8 +11,8 @@ from pathlib import Path
 from posixpath import normpath
 from xml.etree import ElementTree
 
-from .formula import (CopyClass, FormulaParseError, RangeRef, order_ranges, parse_formula,
-                      print_formula, translate)
+from .formula import (CopyClass, FormulaAst, FormulaParseError, RangeRef, formula_facts,
+                      order_ranges, parse_formula, print_formula, translate)
 from .model import (
     MAX_COL,
     CellAddress,
@@ -349,10 +349,12 @@ def _styles(archive: zipfile.ZipFile, path: str) -> list[CellFormat]:
     return formats
 
 
-def _defined_names(root: ElementTree.Element, notices: list[str]) -> dict[str, object]:
-    """The names bound to one cell or range. Each other name, such as a
-    constant, a formula or a whole column, adds a notice to ``notices``."""
-    names: dict[str, object] = {}
+def _defined_names(root: ElementTree.Element, notices: list[str]) -> dict[str, FormulaAst]:
+    """Each defined name's formula, parsed (a name's content is a formula,
+    ECMA-376 Part 1 §18.2.5). A name whose text does not parse, or whose
+    formula uses another defined name (names in names are not followed), is
+    left out and adds a notice to ``notices``."""
+    names: dict[str, FormulaAst] = {}
     container = root.find(_tag("definedNames"))
     if container is None:
         return names
@@ -362,15 +364,14 @@ def _defined_names(root: ElementTree.Element, notices: list[str]) -> dict[str, o
         if not name:
             continue
         try:
-            if ":" in text.split("!")[-1]:
-                left, right = text.rsplit(":", 1)
-                start = parse_a1(left.replace("$", ""))
-                end = parse_a1(right.replace("$", ""), default_sheet=start.sheet)
-                names[name] = (start, end)
-            else:
-                names[name] = parse_a1(text.replace("$", ""))
-        except AddressParseError:
-            notices.append(f"defined name {name!r} not read: {text!r} is not a cell or range")
+            ast = parse_formula(text)
+        except FormulaParseError:
+            notices.append(f"defined name {name!r} not read: {text!r} does not parse")
+            continue
+        if formula_facts(ast).names:
+            notices.append(f"defined name {name!r} not read: {text!r} uses a defined name")
+            continue
+        names[name] = ast
     return names
 
 
@@ -383,6 +384,7 @@ def load_xlsx(path: str | Path) -> Workbook:
     built until one is read (see ``CellContent``). A group with a range
     that has ``$`` on one corner of an axis only is the exception: each
     member's tree is built and its ranges ordered, as Excel shows them.
+    Each defined name is kept as its parsed formula (``_defined_names``).
     Charts, pivots and other unsupported parts are ignored with a notice on
     the workbook.
     """

@@ -61,10 +61,7 @@ def quote_sheet(name: str) -> str:
 class CellAddress(NamedTuple):
     """A 1-based (sheet, row, col) grid position.
 
-    A tuple, so hashing, equality and construction run in C. It equals a
-    plain ``(sheet, row, col)`` tuple, so code that also holds tuples (a
-    range-bound defined name is a pair of addresses) tests for
-    ``CellAddress`` first.
+    A tuple, so hashing, equality and construction run in C.
     """
 
     sheet: str
@@ -333,7 +330,9 @@ class Sheet:
 @dataclass
 class Workbook:
     sheets: list[Sheet] = field(default_factory=list)
-    defined_names: dict[str, object] = field(default_factory=dict)
+    # each name's formula, as the loader parsed it: a reference, a range, a
+    # constant or any other formula; a name is matched case-insensitively
+    defined_names: dict[str, FormulaAst] = field(default_factory=dict)
     protection: bool = False
     load_notices: list[str] = field(default_factory=list)
 

@@ -202,6 +202,14 @@ def test_bottom_line_on_a_cell_gives_no_notice(capsys):
     assert json.loads(capsys.readouterr().out)[0]["notices"] == []
 
 
+def test_bottom_line_on_a_constant_name_gives_a_notice(tmp_path, capsys):
+    path = build_xlsx(tmp_path / "model.xlsx", {"S": {"A1": {"n": "2"}, "B1": {"f": "Rate*A1"}}},
+                      defined_names={"Rate": "0.05"})
+    code = main([str(path), "--bottom-line", "Rate", "--format", "json"])
+    assert code != cli.EXIT_USAGE
+    assert json.loads(capsys.readouterr().out)[0]["notices"] == [
+        "bottom line 'Rate' resolves to no cell"]
+
 def _audit_with_flow_exempt(tmp_path, entry, *args):
     path = tmp_path / "model.wb"
     path.write_text("[sheet Model]\nA1 formula =B2\nB2 num 1\n", encoding="utf-8")

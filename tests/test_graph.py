@@ -1,7 +1,9 @@
 import random
 import re
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from helpers import (
     unused_inputs_by_forward_search,
 )
 
-from sheetlint import formula
+from sheetlint import formula, model
 from sheetlint import graph as graph_module
 from sheetlint.config import AuditConfig, ConfigError
 from sheetlint.graph import (
@@ -26,6 +28,7 @@ from sheetlint.graph import (
     arc_chebyshev,
     build_graph,
     classify_graph,
+    explicit_bottom_line,
     export_dot,
     find_cycles,
     is_backward,
@@ -266,17 +269,16 @@ def test_unknown_sheet_recorded_not_raised():
 
 def test_defined_name_resolves_to_arc():
     wb = wb_from("[sheet S]\nA1 num 5\nB1 formula =Rate*2\n")
-    wb.defined_names["Rate"] = addr("S", "A1")
+    wb.defined_names["Rate"] = formula.parse_formula("S!A1")
     graph = build_graph(wb)
     assert (addr("S", "A1"), addr("S", "B1")) in graph.arcs
 
 
 def test_defined_names_bound_to_cell_and_range_link_and_resolve():
-    # an address is a tuple too: the dispatch must test CellAddress first
     wb = wb_from("[sheet S]\nA1 num 1\nA2 num 2\nA3 num 3\n"
                  "B1 formula =Rate*2\nB2 formula =SUM(Span)\n")
-    wb.defined_names["Rate"] = CellAddress("s", 1, 1)
-    wb.defined_names["Span"] = (CellAddress("s", 2, 1), CellAddress("s", 3, 1))
+    wb.defined_names["Rate"] = formula.parse_formula("s!A1")
+    wb.defined_names["Span"] = formula.parse_formula("s!A2:A3")
     graph = build_graph(wb)
     assert graph.precedents_of(addr("S", "B1")) == {addr("S", "A1"): "Rate"}
     assert graph.precedents_of(addr("S", "B2")) == {
@@ -394,13 +396,13 @@ def test_reference_sheet_case_uses_workbook_spelling():
 def test_range_and_name_sheet_case_use_workbook_spelling():
     wb = wb_from("[sheet Data]\nA1 num 1\nA2 num 2\n"
                  "[sheet Calc]\nA1 formula =SUM(DATA!A1:A2)+rate+Span\n")
-    wb.defined_names["Rate"] = CellAddress("data", 1, 1)
-    wb.defined_names["Span"] = (CellAddress("DATA", 1, 1), CellAddress("DATA", 2, 1))
+    wb.defined_names["Rate"] = formula.parse_formula("data!A1")
+    wb.defined_names["Span"] = formula.parse_formula("DATA!A1:A2")
     graph = build_graph(wb)
     assert set(graph.precedents_of(addr("Calc", "A1"))) == {
         addr("Data", "A1"), addr("Data", "A2")}
     assert graph.blank_nodes() == []
-    assert graph.defined_names["RATE"] == addr("Data", "A1")
+    assert graph.named_cells("rate") == {addr("Data", "A1")}
 
 
 def test_bare_reference_sheet_case_is_self_reference():
@@ -628,7 +630,7 @@ def test_defined_name_on_missing_sheet_is_cross_sheet_only():
     # name's spelling, and its arcs are cross-sheet (R03), never backward
     # (R01) or long (R02). R23 counts by the dependent's sheet.
     wb = wb_from("[sheet Model]\nA1 num 1\nB2 formula =Gone+A1\nC3 formula =model!B2*2\n")
-    wb.defined_names["Gone"] = CellAddress("Elsewhere", 90, 90)
+    wb.defined_names["Gone"] = formula.parse_formula("Elsewhere!CL90")
     graph = build_graph(wb)
     far = CellAddress("Elsewhere", 90, 90)
     assert graph.precedents_of(addr("Model", "B2")) == {far: "Gone", addr("Model", "A1"): None}
@@ -699,6 +701,69 @@ def test_defined_name_range_read_from_its_ordered_corners(tmp_path):
     assert sorted(a.row for a in graph.precedents_of(addr("S", "B1"))) == [1, 2, 3]
     assert graph.precedents_of(addr("S", "B1")) == {
         a: "Up" for a in graph.precedents_of(addr("S", "B2"))}
+
+
+
+def test_bottom_up_range_name_as_bottom_line_gives_its_top_left_cell(tmp_path):
+    cells = {f"A{row}": {"n": str(row)} for row in range(1, 4)}
+    cells["B1"] = {"f": "SUM(A1:A3)"}
+    wb = load_xlsx(build_xlsx(tmp_path / "t.xlsx", {"S": cells},
+                              defined_names={"Up": "s!$A$3:$A$1", "WBMAX": "S!$A$3:$A$1"}))
+    graph = build_graph(wb)
+    assert explicit_bottom_line(graph, AuditConfig(bottom_line=("up",))) == {
+        "up": {addr("S", "A1")}}
+    assert resolve_bottom_line(graph, AuditConfig()) == {addr("S", "A1")}
+
+
+def test_name_on_a_sheet_with_a_dollar_in_its_name(tmp_path):
+    path = build_xlsx(tmp_path / "t.xlsx", {"Q$1": {"A1": {"n": "0.05"}, "B1": {"f": "Rate*2"}}},
+                      defined_names={"Rate": "'Q$1'!$A$1"})
+    result = audit_workbook(load_xlsx(path),
+                            AuditConfig(enabled_rules=frozenset({"R03", "R06"})))
+    assert result.report.diagnostics == []
+    assert result.graph.precedents_of(addr("Q$1", "B1")) == {addr("Q$1", "A1"): "Rate"}
+
+
+_NAME_SHEETS = ("Main", "Data", "My Sheet", "Q$1", "O'Neil")
+
+
+@st.composite
+def _references(draw):
+    """A1 text of a cell or range: mixed ``$``, corners in either order, and
+    no sheet or one of ``_NAME_SHEETS`` in any case, quoted when needed."""
+    corners = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3),
+                                      st.booleans(), st.booleans()), min_size=1, max_size=2))
+    text = ":".join(f"{'$' * col_abs}{model.col_letters(col)}{'$' * row_abs}{row}"
+                    for row, col, row_abs, col_abs in corners)
+    sheet = draw(st.sampled_from((None,) + _NAME_SHEETS))
+    if sheet is None:
+        return text
+    sheet = draw(st.sampled_from((sheet, sheet.lower(), sheet.upper())))
+    return f"{model.quote_sheet(sheet)}!{text}"
+
+
+@given(_references())
+@settings(max_examples=60, deadline=None)
+def test_a_name_links_what_its_reference_written_inline_links(ref):
+    # every other cell of each sheet holds a number, so single references and
+    # ranges land on blanks, on numbers and on both
+    sheets = {name: {f"{model.col_letters(col)}{row}": {"n": "1"}
+                     for row in range(1, 5) for col in range(1, 4) if (row + col) % 2}
+              for name in _NAME_SHEETS}
+    config = AuditConfig(enabled_rules=frozenset({"R03", "R06"}))
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for formula_text, names in (("SUM(Name)", {"Name": ref}), (f"SUM({ref})", {})):
+            sheets["Main"]["E1"] = {"f": formula_text}
+            path = build_xlsx(Path(tmp) / "t.xlsx", sheets, defined_names=names)
+            results.append(audit_workbook(load_xlsx(path), config))
+    named, inline = results
+    dependent = addr("Main", "E1")
+    assert named.graph.unresolved == inline.graph.unresolved == {}
+    assert set(named.graph.precedents_of(dependent)) == set(inline.graph.precedents_of(dependent))
+    assert set(named.graph.precedents_of(dependent).values()) == {"Name"}
+    assert [(d.rule, d.cell, d.message) for d in named.report.diagnostics] == [
+        (d.rule, d.cell, d.message) for d in inline.report.diagnostics]
 
 
 def test_defined_name_past_the_range_cap_is_refused(tmp_path):

@@ -16,6 +16,7 @@ from sheetlint import loaders
 from sheetlint import model as model_module
 from sheetlint.formula import (
     MAX_NESTING,
+    CellRef,
     parse_formula,
     print_formula,
     r1c1_form,
@@ -207,26 +208,32 @@ def test_xlsx_defined_names(tmp_path):
                                  "A1": {"n": "1"}, "A2": {"n": "2"}}},
                       defined_names={"WBMAX": "Model!$E$4"})
     wb = load_xlsx(path)
-    assert wb.defined_names["WBMAX"] == CellAddress("Model", 4, 5)
+    assert wb.defined_names["WBMAX"] == CellRef(4, 5, "Model", row_abs=True, col_abs=True)
 
 
-def test_xlsx_names_that_are_not_a_cell_or_range_add_a_notice(tmp_path):
+def test_xlsx_names_are_read_as_formulas(tmp_path):
     path = build_xlsx(tmp_path / "t.xlsx",
                       {"S": {"A1": {"n": "2"}, "B1": {"f": "Rate*A1"},
-                             "B2": {"f": "SUM(Col)"}, "B3": {"f": "Twice"}}},
+                             "B2": {"f": "SUM(Col)"}, "B3": {"f": "Twice"},
+                             "B4": {"f": "Chain+1"}}},
                       defined_names={"Rate": "0.05", "Col": "S!$A:$A",
-                                     "Twice": "S!$A$1*2"})
+                                     "Twice": "S!$A$1*2", "Chain": "Twice*2"})
     wb = load_xlsx(path)
-    assert wb.defined_names == {}
+    assert wb.defined_names == {"Rate": parse_formula("0.05"),
+                                "Twice": parse_formula("S!$A$1*2")}
+    # a whole column does not parse yet, and names in names are not followed
     assert wb.load_notices == [
-        "defined name 'Rate' not read: '0.05' is not a cell or range",
-        "defined name 'Col' not read: 'S!$A:$A' is not a cell or range",
-        "defined name 'Twice' not read: 'S!$A$1*2' is not a cell or range"]
-    report = audit_workbook(wb, AuditConfig(enabled_rules=frozenset({"R06"}))).report
-    assert report.notices[:3] == wb.load_notices
-    # the names stay unresolved until the loader reads a name as a formula
-    assert sorted(d.cell for d in report.diagnostics if d.rule == "R06") == [
-        CellAddress("S", 1, 2), CellAddress("S", 2, 2), CellAddress("S", 3, 2)]
+        "defined name 'Col' not read: 'S!$A:$A' does not parse",
+        "defined name 'Chain' not read: 'Twice*2' uses a defined name"]
+    result = audit_workbook(wb, AuditConfig(enabled_rules=frozenset({"R06"})))
+    assert result.report.notices[:2] == wb.load_notices
+    assert [(d.location(), d.message) for d in result.report.diagnostics] == [
+        ("S!B2", "unresolvable reference: unknown name 'Col'"),
+        ("S!B4", "unresolvable reference: unknown name 'Chain'")]
+    # a constant links nothing; a formula's references link with the name as origin
+    assert result.graph.precedents_of(CellAddress("S", 1, 2)) == {CellAddress("S", 1, 1): None}
+    assert result.graph.precedents_of(CellAddress("S", 3, 2)) == {
+        CellAddress("S", 1, 1): "Twice"}
 
 
 def test_xlsx_hidden_sheet_flag(tmp_path):
