@@ -58,6 +58,11 @@ class StringLit:
 
 
 @dataclass(frozen=True)
+class BoolLit:
+    value: bool  # TRUE or FALSE, written in any case and not called as a function
+
+
+@dataclass(frozen=True)
 class CellRef:
     row: int
     col: int
@@ -370,6 +375,8 @@ class _Parser:
                     return FunctionCall(tok.text.upper(), tuple(args))
             ref = _ref_of(tok.text) if kind == "ref" else None
             if ref is None and "$" not in tok.text:
+                if tok.text.upper() in ("TRUE", "FALSE"):
+                    return BoolLit(tok.text.upper() == "TRUE")
                 return NameRef(tok.text)  # an identifier, or XFE1 or A0 out of bounds
             return self._range(ref or self._cell(tok, None))  # _cell raises on $XFE1
         raise FormulaParseError(tok.pos, "a value, reference or '('", tok.text)
@@ -437,6 +444,8 @@ def print_formula(ast: FormulaAst, leading_eq: bool = True,
             return f"{ref_text(node.start)}:{ref_text(node.end)}"
         if isinstance(node, NameRef):
             return node.name
+        if isinstance(node, BoolLit):
+            return "TRUE" if node.value else "FALSE"
         if isinstance(node, FunctionCall):
             return node.name.upper() + "(" + ",".join(map(emit, node.args)) + ")"
         if isinstance(node, Paren):
@@ -690,8 +699,8 @@ def evaluate(ast: FormulaAst, env: dict[CellAddress, float],
              sheet: str = "") -> float:
     """Evaluate the arithmetic subset against cell values in ``env``.
 
-    Raises EvalUnsupported on strings, concatenation, names or unknown
-    functions, and EvalDomainError on division by zero and similar. IF
+    Raises EvalUnsupported on strings, booleans, concatenation, names or
+    unknown functions, and EvalDomainError on division by zero and similar. IF
     evaluates only the branch it takes. Each tree level costs one frame.
     """
 

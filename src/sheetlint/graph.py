@@ -149,8 +149,6 @@ class DependencyGraph:
                     and self.dependents_of(addr))}
 
 
-
-
 def build_graph(workbook: Workbook) -> DependencyGraph:
     """Construct the full arc set for a workbook whose formulas are parsed.
 
@@ -250,18 +248,12 @@ def find_cycles(graph: DependencyGraph) -> list[list[CellAddress]]:
     lowlink: dict[CellAddress, int] = {}
     on_stack: set[CellAddress] = set()
     stack: list[CellAddress] = []
-    counter = [0]
     sccs: list[list[CellAddress]] = []
-
-    def successors(v: CellAddress) -> list[CellAddress]:
-        return graph.dependents_of(v)
-
     for root in graph.nodes:
         if root in index:
             continue
-        work = [(root, iter(successors(root)))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
+        work = [(root, iter(graph.dependents_of(root)))]
+        index[root] = lowlink[root] = len(index)
         stack.append(root)
         on_stack.add(root)
         while work:
@@ -269,11 +261,10 @@ def find_cycles(graph: DependencyGraph) -> list[list[CellAddress]]:
             advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = lowlink[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(successors(w))))
+                    work.append((w, iter(graph.dependents_of(w))))
                     advanced = True
                     break
                 if w in on_stack:

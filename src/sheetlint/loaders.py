@@ -85,9 +85,7 @@ def _parse_fmt(spec: str, base: CellFormat, path: str, lineno: int) -> CellForma
             fmt = fmt.merged(number_format=value or None)
         else:
             flag = True if not value else value.lower() in _TRUE_WORDS
-            fmt = fmt.merged(**{{"bold": "bold", "italic": "italic",
-                                 "underline": "underline", "hidden": "hidden",
-                                 "locked": "locked"}[key]: flag})
+            fmt = fmt.merged(**{key: flag})  # bold, italic, underline, hidden, locked
     return fmt
 
 

@@ -413,14 +413,9 @@ def _r12_indistinct(ctx: _Context, sheets) -> list[Diagnostic]:
                 constants.append(cell.fmt)
         if not constants or not formulas:
             continue
-        separated = False
-        for attr in ("background_color", "bold", "border", "font_color", "italic"):
-            const_values = {getattr(f, attr) for f in constants}
-            formula_values = {getattr(f, attr) for f in formulas}
-            if not (const_values & formula_values):
-                separated = True
-                break
-        if not separated:
+        # no attribute whose values for constants and formulas are disjoint
+        if all({getattr(f, attr) for f in constants} & {getattr(f, attr) for f in formulas}
+               for attr in ("background_color", "bold", "border", "font_color", "italic")):
             out.append(ctx.emit(
                 "R12", sheet.name, None,
                 "constants and formulas share identical formatting; no "

@@ -6,10 +6,11 @@ of a sum, and collapse a grouped sum of contiguous cells into SUM(range).
 Every emitted suggestion is checked by random evaluation before it leaves
 this module; files are never modified.
 
-``simplify_workbook`` does this for a whole workbook once per copy class
-(formulas equal up to translation) instead of once per cell: the rewrite is
-translated to each copy, and verification runs once per class and alias
-pattern, which gives every copy the verdict it would get on its own.
+``simplify_workbook`` rewrites, prints and re-parses once per copy class
+(formulas equal up to translation). A member shifts the re-parse's
+references to its cell, is printed from the class's relative trees and is
+verified once per new alias pattern of its class, which gives every copy
+the verdict it would get on its own.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from enum import Enum
 from itertools import chain, combinations
+from typing import Iterable
 
 from .formula import (
     _PREC,
     CellRef,
-    CopyClass,
     FormulaAst,
+    FormulaParseError,
     FunctionCall,
     NumberLit,
     OpRun,
@@ -36,20 +38,21 @@ from .formula import (
     ast_equal,
     children,
     evaluate,
-    extract_references,
     formula_facts,
     iter_nodes,
     map_refs,
     parse_formula,
     print_formula,
     rebuild,
+    ref_a1_text,
     referenced_cells,
+    shift_ref,
     strip_parens,
     translate,
     unwrap,
 )
 from .graph import DependencyGraph
-from .model import CellAddress, Workbook
+from .model import MAX_COL, MAX_ROW, CellAddress, CellContent, CellKind, Workbook
 
 
 class RewriteKind(str, Enum):
@@ -99,17 +102,11 @@ def verify_equivalence(original: FormulaAst, rewritten: FormulaAst,
     if trials <= 0 or _sumproduct_shapes_differ(original) \
             or _sumproduct_shapes_differ(rewritten):
         return False
-    cells = referenced_cells(original, sheet)
-    for addr in referenced_cells(rewritten, sheet):
-        if addr not in cells:
-            cells.append(addr)
+    cells = list(dict.fromkeys(referenced_cells(original, sheet)
+                               + referenced_cells(rewritten, sheet)))
     rng = random.Random(seed)
     done = 0
-    attempts = 0
-    while done < trials:
-        attempts += 1
-        if attempts > trials * 100:
-            return False
+    for _ in range(trials * 100):
         env = {addr: _draw(rng) for addr in cells}
         try:
             a = evaluate(original, env, sheet)
@@ -121,7 +118,9 @@ def verify_equivalence(original: FormulaAst, rewritten: FormulaAst,
         if abs(a - b) > _REL_TOL * max(1.0, abs(a), abs(b)):
             return False
         done += 1
-    return True
+        if done == trials:
+            return True
+    return False
 
 
 def _sumproduct_shapes_differ(ast: FormulaAst) -> bool:
@@ -313,62 +312,82 @@ def _rewrite(ast: FormulaAst) -> tuple[FormulaAst, frozenset[RewriteKind]]:
     return current, frozenset(kinds)
 
 
-def _alias_pattern(original: FormulaAst, rewritten: FormulaAst,
-                   sheet: str) -> tuple:
-    """Which reference slots of the pair name the same cell, and range shapes.
+def _alias_pattern(refs: Iterable[CellRef | RangeRef], sheet: str) -> tuple:
+    """Which reference slots name the same cell, and the range shapes.
 
-    The slots are the cells of ``original`` then of ``rewritten``, ranges
-    expanded, in the order ``verify_equivalence`` assigns them values; each
-    slot maps to the index of the first slot naming the same cell. Two
+    The slots are the cells of ``refs``, the original's then the rewrite's,
+    ranges expanded, in the order ``verify_equivalence`` assigns them values;
+    each slot maps to the index of the first slot naming the same cell. Two
     translated copies of one formula pair with equal patterns get the same
     random values in corresponding cells, so they get the same verdict.
     """
     first: dict[CellAddress, int] = {}
     slots: list[int] = []
     shapes: list[tuple[int, int]] = []
-    for ast in (original, rewritten):
-        for ref, _ in extract_references(ast):
-            if isinstance(ref, RangeRef):
-                shapes.append(ref.shape)
-                cells = ref.cells(sheet)
-            else:
-                cells = (ref.resolve(sheet),)
-            for addr in cells:
-                slots.append(first.setdefault(addr, len(slots)))
+    for ref in refs:
+        if isinstance(ref, RangeRef):
+            shapes.append(ref.shape)
+            cells = ref.cells(sheet)
+        else:
+            cells = (ref.resolve(sheet),)
+        for addr in cells:
+            slots.append(first.setdefault(addr, len(slots)))
     return tuple(slots), tuple(shapes)
 
 
-def _finish(ast: FormulaAst, host: CellAddress, rewritten: FormulaAst,
-            kinds: frozenset[RewriteKind], verdicts: dict[tuple, bool],
-            trials: int = 100) -> RewriteSuggestion | None:
-    """Print, re-parse and verify a rewrite of ``host``'s formula.
+def _in_grid(refs: Iterable[CellRef | RangeRef]) -> bool:
+    """True when every cell and range corner of ``refs`` lies in A1:XFD1048576."""
+    return all(1 <= cell.row <= MAX_ROW and 1 <= cell.col <= MAX_COL for ref in refs
+               for cell in ((ref.start, ref.end) if isinstance(ref, RangeRef) else (ref,)))
 
-    The re-parse of the printed text is what gets verified, so a printer
-    and parser that disagree yield no suggestion. ``verdicts`` holds
-    verification results by alias pattern; copies of one formula share it,
-    so each pattern is verified once.
-    """
-    original_text = print_formula(ast)
-    suggested_text = print_formula(rewritten)
+
+def _class_rewrite(ast: FormulaAst, row: int, col: int) -> tuple | None:
+    """``(original, rewrite, re-parse, re-parse's refs, kinds, verdicts)``
+    for the formula ``ast`` at ``(row, col)``, each tree host-relative; None
+    when nothing fires or the printed rewrite does not parse."""
+    rewritten, kinds = _rewrite(ast)
+    if not kinds:
+        return None
     try:
-        printed = parse_formula(suggested_text)
-    except Exception:
+        printed = translate(parse_formula(print_formula(rewritten)), -row, -col)
+    except FormulaParseError:
         return None
-    pattern = _alias_pattern(ast, printed, host.sheet)
-    verified = verdicts.get(pattern)
-    if verified is None:
-        verified = verdicts[pattern] = verify_equivalence(
-            ast, printed, trials=trials, sheet=host.sheet)
-    if not verified:
-        return None
-    return RewriteSuggestion(
-        cell=host,
-        original=original_text,
-        suggested=suggested_text,
-        kinds=kinds,
-        verified=True,
-        char_delta=len(suggested_text) - len(original_text),
-    )
+    return (translate(ast, -row, -col), translate(rewritten, -row, -col), printed,
+            formula_facts(printed).refs, kinds, {})
+
+
+def _simplify_copies(members: Iterable[tuple[CellAddress, CellContent, object]],
+                     trials: int = 100) -> dict[CellAddress, RewriteSuggestion]:
+    """``simplify_workbook`` over ``(host, content, key)`` members, where
+    members with one key are copies of one formula."""
+    rewrites: dict[object, tuple | None] = {}
+    out: dict[CellAddress, RewriteSuggestion] = {}
+    for host, content, key in members:
+        # a member off the grid gets no suggestion and cannot stand for its key
+        if key not in rewrites and _in_grid(content.facts.refs):
+            rewrites[key] = _class_rewrite(content.ast, host.row, host.col)
+        entry = rewrites.get(key)
+        if entry is None:
+            continue
+        original, rewritten, printed, printed_refs, kinds, verdicts = entry
+        row, col = host.row, host.col
+        shifted = tuple(shift_ref(ref, row, col) for ref in printed_refs)
+        if not _in_grid(shifted):
+            continue  # its own re-parse names other cells, or fails
+        pattern = _alias_pattern(chain(content.facts.refs, shifted), host.sheet)
+        verified = verdicts.get(pattern)
+        if verified is None:
+            verified = verdicts[pattern] = verify_equivalence(
+                content.ast, translate(printed, row, col), trials=trials, sheet=host.sheet)
+        if verified:
+            def ref_text(ref: CellRef) -> str:
+                return ref_a1_text(shift_ref(ref, row, col))
+
+            before = print_formula(original, ref_printer=ref_text)
+            after = print_formula(rewritten, ref_printer=ref_text)
+            out[host] = RewriteSuggestion(host, before, after, kinds, True,
+                                          len(after) - len(before))
+    return out
 
 
 def simplify(ast: FormulaAst, host: CellAddress,
@@ -376,41 +395,28 @@ def simplify(ast: FormulaAst, host: CellAddress,
              trials: int = 100) -> RewriteSuggestion | None:
     """Rewrite ``host``'s formula to a fixpoint; None when nothing fires.
 
-    Returns only verified suggestions: the rewritten formula must agree with
-    the original on random environments (or be structurally identical).
+    Returns only verified suggestions: the re-parse of the printed rewrite
+    must agree with the original on random environments (or be structurally
+    identical). This is ``simplify_workbook`` on one cell.
     """
-    rewritten, kinds = _rewrite(ast)
-    if not kinds:
-        return None
-    return _finish(ast, host, rewritten, kinds, {}, trials)
+    content = CellContent(CellKind.FORMULA, ast=ast)
+    return _simplify_copies([(host, content, None)], trials).get(host)
 
 
 def simplify_workbook(workbook: Workbook) -> dict[CellAddress, RewriteSuggestion]:
-    """``simplify`` for every formula cell, rewriting once per copy class.
+    """``simplify`` for every formula cell, with the equal result.
 
-    The rewrite runs on the first member of a class and is translated to
-    the others; each member is still printed and re-parsed, and verified
-    once per alias pattern in its class. The result equals calling
-    ``simplify`` on every cell.
+    Per copy class, its first member in reading order whose references lie
+    in the grid is rewritten, and the rewrite printed and re-parsed; all
+    three trees are kept host-relative. Per member, the re-parse's
+    references are shifted to its cell: off the grid, the member gets no
+    suggestion, as its own re-parse would fail or name other cells. With
+    its own references they give its alias pattern, and only a pattern new
+    to its class builds the member's tree, to verify it. Both texts are
+    printed from the relative trees, each reference shifted as printed.
     """
-    rewrites: dict[CopyClass, tuple | None] = {}
-    out: dict[CellAddress, RewriteSuggestion] = {}
-    for addr, content, cls in chain.from_iterable(
-            s.classed_formulas() for s in workbook.sheets):
-        if cls not in rewrites:
-            rewritten, kinds = _rewrite(content.ast)
-            rewrites[cls] = ((translate(rewritten, -addr.row, -addr.col), kinds, {})
-                             if kinds else None)
-        entry = rewrites[cls]
-        if entry is None:
-            continue
-        relative, kinds, verdicts = entry
-        suggestion = _finish(content.ast, addr,
-                             translate(relative, addr.row, addr.col),
-                             kinds, verdicts)
-        if suggestion is not None:
-            out[addr] = suggestion
-    return out
+    return _simplify_copies(chain.from_iterable(
+        sheet.classed_formulas() for sheet in workbook.sheets))
 
 
 # --- nesting -------------------------------------------------------------------

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import build_xlsx, gen_ast
@@ -19,6 +19,7 @@ from sheetlint.formula import (
     RangeRef,
     formula_facts,
     map_refs,
+    order_ranges,
     parse_formula,
     print_formula,
     r1c1_form,
@@ -376,3 +377,82 @@ def test_r24_class_with_absolute_reference_checked_per_cell():
     config = AuditConfig(enabled_rules=frozenset(("R24",)))
     diagnostics, _ = run_rules(wb, build_graph(wb), {}, SimplifierResults(), config)
     assert [d.cell.a1() for d in diagnostics] == ["C1", "C2", "C3"]
+
+
+# --- shared-formula members: one print and one re-parse per class -------------
+
+@settings(max_examples=40)
+@given(copy_workbooks(ONE_SIDED))
+def test_per_class_equals_per_cell_on_shared_formulas(wb):
+    # the members of a loaded shared formula are copies of their class, with
+    # no tree, which is the case simplify_workbook works on per class
+    with tempfile.TemporaryDirectory() as tmp:
+        book = load_xlsx(_as_xlsx(Path(tmp) / "shared.xlsx", wb, True))
+    assert any(content.copy is not None for _, content in book.formulas())
+    assert simplify_workbook(book) == per_cell(book)
+
+
+def test_members_past_the_last_row_get_no_suggestion(tmp_path):
+    # filled down to the last row, the members from B1048574 on read cells
+    # past it; their rewrites name no cells, as their re-parses show
+    top = 1048570
+    cells = {f"B{row}": {"fs": (0, "(A1048571+A1048572+A1048573)*2" if row == top else None,
+                                f"B{top}:B1048576" if row == top else None)}
+             for row in range(top, 1048577)}
+    book = load_xlsx(build_xlsx(tmp_path / "edge.xlsx", {"S": cells}))
+    suggestions = simplify_workbook(book)
+    assert suggestions == per_cell(book)
+    assert [(s.cell.a1(), s.suggested) for s in suggestions.values()] == [
+        (f"B{row}", f"=SUM(A{row + 1}:A{row + 3})*2") for row in range(top, 1048574)]
+
+
+def test_one_reparse_and_one_member_tree_per_class(tmp_path, monkeypatch):
+    # 20 members with one alias pattern: the class's first member is rewritten,
+    # printed and re-parsed, and verified; the others build no tree
+    cells = {f"B{row}": {"fs": (0, "(A1+A2+A3)*2" if row == 1 else None,
+                                "B1:B20" if row == 1 else None)}
+             for row in range(1, 21)}
+    book = load_xlsx(build_xlsx(tmp_path / "copies.xlsx", {"S": cells}))
+    parses, trees = [], []
+    real_parse, real_ast_at = simplify_module.parse_formula, formula_module.CopyClass.ast_at
+
+    def parse(text):
+        parses.append(text)
+        return real_parse(text)
+
+    def ast_at(self, row, col):
+        trees.append((row, col))
+        return real_ast_at(self, row, col)
+
+    monkeypatch.setattr(simplify_module, "parse_formula", parse)
+    monkeypatch.setattr(formula_module.CopyClass, "ast_at", ast_at)
+    suggestions = simplify_workbook(book)
+    assert len(suggestions) == 20
+    assert parses == ["=SUM(A1:A3)*2"]
+    assert trees[0] == (1, 2) and len(trees) <= 2
+
+
+def _parser_ordered(ast) -> bool:
+    """True when each range's corners are as the parser orders them."""
+    return order_ranges(ast) == ast
+
+
+def _in_grid(ast) -> bool:
+    cells = [cell for ref in formula_facts(ast).refs
+             for cell in ((ref.start, ref.end) if isinstance(ref, RangeRef) else (ref,))]
+    return all(1 <= c.row <= 1048576 and 1 <= c.col <= 16384 for c in cells)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10**6), st.integers(-4, 1048576), st.integers(-4, 16384))
+def test_reparse_commutes_with_translation(seed, drow, dcol):
+    # what simplify_workbook relies on to re-parse once per class: within the
+    # grid, and with each range's corners as the parser orders them at both
+    # cells (as every member's are), a re-parse of a copy is the copy of the
+    # re-parse
+    rng = random.Random(seed)
+    tree = _anchor_refs(gen_ast(rng, text_ops=True), rng)
+    moved = translate(tree, drow, dcol)
+    assume(_in_grid(moved) and _parser_ordered(tree) and _parser_ordered(moved))
+    assert parse_formula(print_formula(moved)) == \
+        translate(parse_formula(print_formula(tree)), drow, dcol)
