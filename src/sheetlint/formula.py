@@ -399,9 +399,19 @@ class _Parser:
 
 
 def normalize_range(a: CellRef, b: CellRef) -> RangeRef:
-    """Order endpoints so start <= end on both axes, keeping $ flags with coords."""
-    (r1, ra1), (r2, ra2) = sorted([(a.row, a.row_abs), (b.row, b.row_abs)])
-    (c1, ca1), (c2, ca2) = sorted([(a.col, a.col_abs), (b.col, b.col_abs)])
+    """Order endpoints so start <= end on both axes, keeping $ flags with coords.
+
+    Each axis is sorted by its coordinate only. Where the corners share a
+    row or column, each corner keeps its own flag on that axis, and the
+    other axis says which corner comes first: ``B$2:C2`` and ``C2:B$2`` both
+    read ``B$2:C2``.
+    """
+    if (a.row == b.row and a.col > b.col) or (a.col == b.col and a.row > b.row):
+        a, b = b, a
+    (r1, ra1), (r2, ra2) = sorted([(a.row, a.row_abs), (b.row, b.row_abs)],
+                                  key=lambda axis: axis[0])
+    (c1, ca1), (c2, ca2) = sorted([(a.col, a.col_abs), (b.col, b.col_abs)],
+                                  key=lambda axis: axis[0])
     start = CellRef(r1, c1, sheet=a.sheet, row_abs=ra1, col_abs=ca1)
     end = CellRef(r2, c2, sheet=None, row_abs=ra2, col_abs=ca2)
     return RangeRef(start, end)

@@ -1,8 +1,12 @@
-"""Cell dependency graph: arcs of precedence, classification, cycles, DOT export."""
+"""Cell dependency graph: reference links, classification, cycles, DOT export."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from itertools import repeat
 from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 from .config import AuditConfig, ConfigError
 from .formula import (
@@ -17,6 +21,9 @@ from .model import AddressParseError, CellAddress, CellKind, Workbook, parse_a1
 
 MAX_RANGE_CELLS = 100_000  # refuse to expand anything larger
 MAX_EXPANDED_CELLS = 1_000_000  # range cells one build_graph expands, in all
+
+Box = tuple[int, int, int, int]  # (top, left, bottom, right), inclusive
+CONSTANT_KINDS = (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR)
 
 
 @dataclass
@@ -43,14 +50,130 @@ class CellGraphClass:
                 or self.on_cycle or self.bottom_line)
 
 
-class DependencyGraph:
-    """Directed graph with arcs precedent -> dependent, ranges expanded.
+class Link(NamedTuple):
+    """One reference of a dependent: every cell of ``box`` on ``sheet``.
 
-    Each arc is stored once, in ``dependent -> {precedent: origin}``; the
-    origin is the range or name text the arc came through (the first one
-    seen), or None for a direct reference. ``_dependents`` is the reverse
-    adjacency. ``defined_names`` maps each upper-cased name to the
-    references of its formula. ``cycles`` is set by ``build_graph``.
+    ``origin`` is the range or defined-name text the reference came
+    through, or None for a direct reference, which is one cell. A cell
+    keeps the origin of the first link of its dependent that covers it, so
+    ``pieces`` are the disjoint boxes that make up the cells of ``box`` no
+    earlier link of the same dependent covers.
+    """
+
+    origin: str | None
+    sheet: str
+    box: Box
+    pieces: tuple[Box, ...]
+
+
+def box_area(box: Box) -> int:
+    top, left, bottom, right = box
+    return (bottom - top + 1) * (right - left + 1)
+
+
+def box_cells(sheet: str, box: Box) -> Iterator[CellAddress]:
+    """The cells of ``box`` on ``sheet`` in reading order."""
+    top, left, bottom, right = box
+    for row in range(top, bottom + 1):
+        for col in range(left, right + 1):
+            yield CellAddress(sheet, row, col)
+
+
+def _minus(box: Box, cut: Box) -> list[Box]:
+    """The cells of ``box`` outside ``cut``, as at most four disjoint boxes."""
+    top, left, bottom, right = box
+    cut_top, cut_left, cut_bottom, cut_right = cut
+    if cut_top > bottom or cut_bottom < top or cut_left > right or cut_right < left:
+        return [box]
+    out = []
+    if cut_top > top:
+        out.append((top, left, cut_top - 1, right))
+    if cut_bottom < bottom:
+        out.append((cut_bottom + 1, left, bottom, right))
+    mid_top, mid_bottom = max(top, cut_top), min(bottom, cut_bottom)
+    if cut_left > left:
+        out.append((mid_top, left, mid_bottom, cut_left - 1))
+    if cut_right < right:
+        out.append((mid_top, cut_right + 1, mid_bottom, right))
+    return out
+
+
+def _runs(spans: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """Row spans ``(top, bottom)`` merged into the runs of rows they cover."""
+    spans.sort()
+    start, end = spans[0]
+    for top, bottom in spans:
+        if top > end + 1:
+            yield start, end
+            start = top
+        end = max(end, bottom)
+    yield start, end
+
+
+class _Columns:
+    """The rows of a set of cells, sorted per sheet and column, so the cells
+    of the set inside a box are counted and listed without visiting the
+    box's other cells."""
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, cells: Iterable[CellAddress]) -> None:
+        rows: dict[str, dict[int, list[int]]] = {}
+        for sheet, row, col in cells:
+            rows.setdefault(sheet, {}).setdefault(col, []).append(row)
+        for by_col in rows.values():
+            for col_rows in by_col.values():
+                col_rows.sort()
+        self.rows = rows
+        self.cols = {sheet: sorted(by_col) for sheet, by_col in rows.items()}
+
+    def columns(self, sheet: str, box: Box) -> list[tuple[int, list[int]]]:
+        """``(col, rows)`` for each column of ``box`` that holds a cell of the set."""
+        cols = self.cols.get(sheet)
+        if not cols:
+            return []
+        by_col = self.rows[sheet]
+        return [(col, by_col[col])
+                for col in cols[bisect_left(cols, box[1]):bisect_right(cols, box[3])]]
+
+    def count(self, sheet: str, box: Box) -> int:
+        top, left, bottom, right = box
+        cols = self.cols.get(sheet)
+        if not cols:
+            return 0
+        by_col = self.rows[sheet]
+        n = 0
+        for col in cols[bisect_left(cols, left):bisect_right(cols, right)]:
+            rows = by_col[col]
+            n += bisect_right(rows, bottom) - bisect_left(rows, top)
+        return n
+
+    def cells(self, sheet: str, box: Box) -> Iterator[CellAddress]:
+        """The cells of the set inside ``box``, column by column."""
+        top, bottom = box[0], box[2]
+        for col, rows in self.columns(sheet, box):
+            for row in rows[bisect_left(rows, top):bisect_right(rows, bottom)]:
+                yield CellAddress(sheet, row, col)
+
+
+class DependencyGraph:
+    """Directed graph of precedence, kept as each dependent's reference links.
+
+    ``links`` maps each dependent to its ``Link``s in the order they were
+    linked: a formula's own references in formula order, then those of the
+    defined names it uses. A range stays one link: its dependent depends on
+    every cell of the box, and every such cell is a node. A cell that an
+    earlier link of the same dependent already covers keeps that earlier
+    link's origin (the first-origin rule); each link's ``pieces`` hold the
+    cells that are new.
+
+    ``arcs``, ``range_origin``, ``precedents_of`` and ``dependents_of``
+    expand the links into cell arcs on each call; the audit reads the links.
+    What the audit derives from links and nodes (the cells something depends
+    on, the arcs between formulas, per-column indexes) is built on first use
+    and dropped when a node or link is added. ``defined_names`` maps each
+    upper-cased name to the references of its formula. ``cycles`` is set by
+    ``build_graph``.
     """
 
     def __init__(self, sheet_order: list[str],
@@ -61,22 +184,24 @@ class DependencyGraph:
             self._sheet_index.setdefault(name.lower(), i)
         self.defined_names = {k.upper(): v for k, v in defined_names.items()}
         self.nodes: dict[CellAddress, NodeInfo] = {}
-        self._precedents: dict[CellAddress, dict[CellAddress, str | None]] = {}
-        self._dependents: dict[CellAddress, list[CellAddress]] = {}
+        self.links: dict[CellAddress, list[Link]] = {}
         self.unresolved: dict[CellAddress, list[str]] = {}
         self.cycles: list[list[CellAddress]] = []
         self._formula_order: list[CellAddress] | None = None
+        self._columns: dict[str, _Columns] = {}  # over the populated nodes
+        self._derived: dict[str, object] = {}  # over all nodes and the links
 
     @property
     def arcs(self) -> set[tuple[CellAddress, CellAddress]]:
         """Every arc as ``(precedent, dependent)``; built on each access."""
-        return {(p, d) for d, incoming in self._precedents.items() for p in incoming}
+        return {(p, d) for d, links in self.links.items() for link in links
+                for piece in link.pieces for p in box_cells(link.sheet, piece)}
 
     @property
     def range_origin(self) -> dict[tuple[CellAddress, CellAddress], str | None]:
         """Origin of every arc keyed by ``(precedent, dependent)``; built on each access."""
-        return {(p, d): origin for d, incoming in self._precedents.items()
-                for p, origin in incoming.items()}
+        return {(p, d): link.origin for d, links in self.links.items() for link in links
+                for piece in link.pieces for p in box_cells(link.sheet, piece)}
 
     def sheet_index(self, name: str) -> int:
         return self._sheet_index.get(name.lower(), len(self.sheet_order))
@@ -113,21 +238,157 @@ class DependencyGraph:
         if addr not in self.nodes:
             self.nodes[addr] = info
             self._formula_order = None
+            if self._derived:
+                self._derived.clear()
+            if self._columns and not info.blank:
+                self._columns.clear()
 
     def add_arc(self, precedent: CellAddress, dependent: CellAddress,
                 origin: str | None = None) -> None:
-        incoming = self._precedents.setdefault(dependent, {})
-        if precedent not in incoming:
-            incoming[precedent] = origin
-            self._dependents.setdefault(precedent, []).append(dependent)
+        """Link ``precedent``, a node, to ``dependent`` as a one-cell box."""
+        row, col = precedent.row, precedent.col
+        self._extend(dependent, [(origin, precedent.sheet, (row, col, row, col))])
+
+    def _extend(self, dependent: CellAddress,
+                refs: Iterable[tuple[str | None, str, Box]]) -> None:
+        """Append ``(origin, sheet, box)`` links to ``dependent``'s, each with the
+        pieces of its box that no earlier link covers; one with none is dropped."""
+        links = self.links.get(dependent, [])
+        singles = {(link.sheet, link.box[0], link.box[1]) for link in links
+                   if box_area(link.box) == 1}
+        blocks = [link for link in links if box_area(link.box) > 1]
+        for origin, sheet, box in refs:
+            top, left, bottom, right = box
+            if top == bottom and left == right:
+                key = (sheet, top, left)
+                if key in singles or blocks and any(
+                        b.sheet == sheet and b.box[0] <= top <= b.box[2]
+                        and b.box[1] <= left <= b.box[3] for b in blocks):
+                    continue
+                singles.add(key)
+                links.append(Link(origin, sheet, box, (box,)))
+                continue
+            pieces = [box]
+            cuts = [b.box for b in blocks if b.sheet == sheet]
+            cuts += [(row, col, row, col) for s, row, col in singles
+                     if s == sheet and top <= row <= bottom and left <= col <= right]
+            for cut in cuts:
+                pieces = [part for piece in pieces for part in _minus(piece, cut)]
+            if pieces:
+                link = Link(origin, sheet, box, tuple(pieces))
+                links.append(link)
+                blocks.append(link)
+        if links:
+            self.links[dependent] = links
+        self._derived.clear()
 
     def precedents_of(self, addr: CellAddress) -> dict[CellAddress, str | None]:
         """Precedents of ``addr`` in the order first linked, each mapped to its
-        origin. The graph's own map: read it, do not change it."""
-        return self._precedents.get(addr, {})
+        origin; built on each call."""
+        out: dict[CellAddress, str | None] = {}
+        for link in self.links.get(addr, ()):
+            for cell in box_cells(link.sheet, link.box):
+                out.setdefault(cell, link.origin)
+        return out
 
     def dependents_of(self, addr: CellAddress) -> list[CellAddress]:
-        return self._dependents.get(addr, [])
+        """The dependents with a link that covers ``addr``, in the order they
+        were first linked; found on each call."""
+        if addr not in self.referenced():
+            return []
+        sheet, row, col = addr
+        return [d for d, links in self.links.items()
+                if any(link.sheet == sheet and link.box[0] <= row <= link.box[2]
+                       and link.box[1] <= col <= link.box[3] for link in links)]
+
+    def populated_count(self, sheet: str, box: Box) -> int:
+        """How many cells of ``box`` on ``sheet`` are nodes that are not blank."""
+        top, left, bottom, right = box
+        if top == bottom and left == right:
+            info = self.nodes.get((sheet, top, left))  # type: ignore[call-overload]
+            return int(info is not None and not info.blank)
+        index = self._columns.get("populated")
+        if index is None:  # blank nodes, which build_graph adds as it counts, stay out
+            index = self._columns["populated"] = _Columns(
+                a for a, info in self.nodes.items() if not info.blank)
+        return index.count(sheet, box)
+
+    def referenced(self) -> set[CellAddress]:
+        """The cells that something depends on, built on first use; read it,
+        do not change it."""
+        cells = self._derived.get("referenced")
+        if cells is None:
+            cells = self._derived["referenced"] = self.covered_by(self.links)
+        return cells  # type: ignore[return-value]
+
+    def has_dependents(self, addr: CellAddress) -> bool:
+        return addr in self.referenced()
+
+    def covered_by(self, dependents: Iterable[CellAddress]) -> set[CellAddress]:
+        """The cells that a link of one of ``dependents`` covers, as plain
+        ``(sheet, row, col)`` tuples, which equal and hash as their addresses.
+        Boxes are merged per column first, so each node is visited once."""
+        spans: dict[str, dict[int, list[tuple[int, int]]]] = {}  # per sheet and column
+        out: set[CellAddress] = set()
+        for d in dependents:
+            for link in self.links[d]:
+                sheet = link.sheet
+                top, left, bottom, right = link.box
+                if top == bottom and left == right:
+                    out.add((sheet, top, left))  # type: ignore[arg-type]
+                    continue
+                by_col = spans.setdefault(sheet, {})
+                for col in range(left, right + 1):
+                    by_col.setdefault(col, []).append((top, bottom))
+        if not spans:
+            return out
+        nodes = self._derived.get("nodes")
+        if nodes is None:
+            nodes = self._derived["nodes"] = _Columns(self.nodes)
+        for sheet, by_col in spans.items():
+            node_rows = nodes.rows.get(sheet, {})  # type: ignore[attr-defined]
+            for col, col_spans in by_col.items():
+                rows = node_rows.get(col)
+                if rows:
+                    for top, bottom in _runs(col_spans):
+                        out.update(zip(repeat(sheet),  # type: ignore[arg-type]
+                                       rows[bisect_left(rows, top):bisect_right(rows, bottom)],
+                                       repeat(col)))
+        return out
+
+    def formula_precedents(self) -> dict[CellAddress, list[CellAddress]]:
+        """Each dependent's precedents that are formulas or dependents
+        themselves: the arcs that chains and cycles of formulas run along.
+        Built on first use; read it, do not change it."""
+        out = self._derived.get("formula_precedents")
+        if out is None:
+            # each vertex keyed by itself, so a plain tuple finds the address
+            vertices = {a: a for a, info in self.nodes.items() if info.kind is CellKind.FORMULA}
+            vertices.update((d, d) for d in self.links)
+            index = _Columns(vertices)
+            out = {}
+            for d, links in self.links.items():
+                found = out[d] = []
+                for link in links:
+                    top, left, bottom, right = link.box
+                    if top == bottom and left == right:
+                        cell = vertices.get((link.sheet, top, left))
+                        if cell is not None:
+                            found.append(cell)
+                    else:
+                        for piece in link.pieces:
+                            found.extend(index.cells(link.sheet, piece))
+            self._derived["formula_precedents"] = out
+        return out  # type: ignore[return-value]
+
+    def formula_components(self) -> list[list[CellAddress]]:
+        """The strongly connected components of ``formula_precedents``, each
+        listed after every component it reaches. Built on first use; read
+        it, do not change it."""
+        out = self._derived.get("formula_components")
+        if out is None:
+            out = self._derived["formula_components"] = _components(self.formula_precedents())
+        return out  # type: ignore[return-value]
 
     def formula_cells(self) -> list[CellAddress]:
         """Formula nodes in workbook reading order; sorted once, returned as a copy."""
@@ -143,14 +404,14 @@ class DependencyGraph:
 
     def numeric_cells(self) -> set[CellAddress]:
         """Formulas plus constants that something depends on."""
+        referenced = self.referenced()
         return {addr for addr, info in self.nodes.items()
                 if info.kind is CellKind.FORMULA
-                or (info.kind in (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR)
-                    and self.dependents_of(addr))}
+                or (info.kind in CONSTANT_KINDS and addr in referenced)}
 
 
 def build_graph(workbook: Workbook) -> DependencyGraph:
-    """Construct the full arc set for a workbook whose formulas are parsed.
+    """Link every formula's references, one link per cell or range reference.
 
     References to cells that hold nothing become flagged blank nodes;
     references that cannot be resolved at all (missing sheets, unknown
@@ -179,80 +440,75 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                         info.bare_ref = target
             graph.add_node(addr, info)
 
-    def link(target: CellAddress, dependent: CellAddress, origin: str | None) -> None:
-        if target not in graph.nodes:
-            graph.add_node(target, NodeInfo(kind=CellKind.EMPTY, blank=True))
-        graph.add_arc(target, dependent, origin)
-
     budget = MAX_EXPANDED_CELLS  # spent in reading order, so the refusals are deterministic
 
-    def link_box(sheet: str, ref: RangeRef, dependent: CellAddress, origin: str,
-                 problems: list[str]) -> None:
+    def resolve(refs: tuple[CellRef | RangeRef, ...], dependent: CellAddress,
+                name: str | None, problems: list[str],
+                found: list[tuple[str | None, str, Box]]) -> None:
+        """Add a formula's references, or the defined name ``name``'s (the
+        links' origin), to ``found``, with a blank node for each cell that
+        holds nothing."""
         nonlocal budget
-        top, left, bottom, right = ref.box
-        rows, cols = range(top, bottom + 1), range(left, right + 1)
-        size = len(rows) * len(cols)
-        if size > MAX_RANGE_CELLS:
-            problems.append(f"range too large to expand ({size} cells)")
-            return
-        if size > budget:
-            problems.append(f"range too large to expand ({size} cells; {budget} of the "
-                            f"audit's {MAX_EXPANDED_CELLS} left)")
-            return
-        budget -= size
-        for row in rows:
-            for col in cols:
-                link(CellAddress(sheet, row, col), dependent, origin)
-
-    def link_refs(refs: tuple[CellRef | RangeRef, ...], dependent: CellAddress,
-                  name: str | None, problems: list[str]) -> None:
-        """Link a formula's references, or the defined name ``name``'s (the arcs' origin)."""
         for ref in refs:
             first = ref.start if isinstance(ref, RangeRef) else ref
             ref_sheet = first.sheet if first.sheet is not None else dependent.sheet
-            # a name may point at a sheet the workbook lacks: its arcs go
+            # a name may point at a sheet the workbook lacks: its links go
             # there, and so are cross-sheet only
             sheet = graph.spelling(ref_sheet) or (name and ref_sheet)
             if not sheet:
                 problems.append(f"unknown sheet {ref_sheet!r}")
-            elif isinstance(ref, CellRef):
-                link(CellAddress(sheet, ref.row, ref.col), dependent, name)
+                continue
+            if isinstance(ref, CellRef):
+                box, origin = (ref.row, ref.col, ref.row, ref.col), name
             else:
-                link_box(sheet, ref, dependent, name or print_formula(ref, leading_eq=False),
-                         problems)
+                box = ref.box
+                size = box_area(box)
+                if size > MAX_RANGE_CELLS:
+                    problems.append(f"range too large to expand ({size} cells)")
+                    continue
+                if size > budget:
+                    problems.append(f"range too large to expand ({size} cells; {budget} of "
+                                    f"the audit's {MAX_EXPANDED_CELLS} left)")
+                    continue
+                budget -= size
+                origin = name or print_formula(ref, leading_eq=False)
+            if graph.populated_count(sheet, box) < box_area(box):  # else no cell to visit
+                for cell in box_cells(sheet, box):
+                    if cell not in graph.nodes:
+                        graph.add_node(cell, NodeInfo(kind=CellKind.EMPTY, blank=True))
+            found.append((origin, sheet, box))
 
     for addr, content in workbook.formulas():
         problems: list[str] = []
+        found: list[tuple[str | None, str, Box]] = []
         facts = content.facts
-        link_refs(facts.refs, addr, None, problems)
+        resolve(facts.refs, addr, None, problems, found)
         for node in facts.names:  # after the formula's own, in budget order
             refs = graph.defined_names.get(node.name.upper())
             if refs is None:
                 problems.append(f"unknown name {node.name!r}")
             else:
-                link_refs(refs, addr, node.name, problems)
+                resolve(refs, addr, node.name, problems, found)
+        if found:
+            graph._extend(addr, found)
         if problems:
             graph.unresolved[addr] = problems
     graph.cycles = find_cycles(graph)
     return graph
 
 
-def find_cycles(graph: DependencyGraph) -> list[list[CellAddress]]:
-    """Strongly connected components with >= 2 nodes, plus self-loops.
-
-    Iterative Tarjan; each cycle is rotated to start at its smallest cell and
-    the list is ordered by that cell. The components do not depend on the
-    order roots are taken in, so nodes are visited in insertion order.
-    """
+def _components(succ: dict[CellAddress, list[CellAddress]]) -> list[list[CellAddress]]:
+    """Strongly connected components of the arcs ``v -> succ[v]`` (iterative
+    Tarjan), each listed after every component it reaches."""
     index: dict[CellAddress, int] = {}
     lowlink: dict[CellAddress, int] = {}
     on_stack: set[CellAddress] = set()
     stack: list[CellAddress] = []
-    sccs: list[list[CellAddress]] = []
-    for root in graph.nodes:
+    components: list[list[CellAddress]] = []
+    for root in succ:
         if root in index:
             continue
-        work = [(root, iter(graph.dependents_of(root)))]
+        work = [(root, iter(succ[root]))]
         index[root] = lowlink[root] = len(index)
         stack.append(root)
         on_stack.add(root)
@@ -264,7 +520,7 @@ def find_cycles(graph: DependencyGraph) -> list[list[CellAddress]]:
                     index[w] = lowlink[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(graph.dependents_of(w))))
+                    work.append((w, iter(succ.get(w, ()))))
                     advanced = True
                     break
                 if w in on_stack:
@@ -276,18 +532,31 @@ def find_cycles(graph: DependencyGraph) -> list[list[CellAddress]]:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[v])
             if lowlink[v] == index[v]:
-                comp = []
+                component = []
                 while True:
                     w = stack.pop()
                     on_stack.discard(w)
-                    comp.append(w)
+                    component.append(w)
                     if w == v:
                         break
-                if len(comp) > 1 or v in graph.precedents_of(v):
-                    comp.sort(key=graph.addr_key)
-                    sccs.append(comp)
-    sccs.sort(key=lambda c: graph.addr_key(c[0]))
-    return sccs
+                components.append(component)
+    return components
+
+
+def find_cycles(graph: DependencyGraph) -> list[list[CellAddress]]:
+    """Strongly connected components with >= 2 nodes, plus self-loops.
+
+    Iterative Tarjan over the arcs between formulas, as no other cell has
+    precedents; each cycle is rotated to start at its smallest cell and the
+    list is ordered by that cell.
+    """
+    succ = graph.formula_precedents()
+    cycles = []
+    for component in graph.formula_components():
+        if len(component) > 1 or component[0] in succ.get(component[0], ()):
+            cycles.append(sorted(component, key=graph.addr_key))
+    cycles.sort(key=lambda c: graph.addr_key(c[0]))
+    return cycles
 
 
 def explicit_bottom_line(graph: DependencyGraph,
@@ -308,6 +577,61 @@ def explicit_bottom_line(graph: DependencyGraph,
         except AddressParseError:
             raise ConfigError(f"bottom line {name!r} is neither a defined name "
                               f"nor a cell address") from None
+    return out
+
+
+def _sink_reach(graph: DependencyGraph, numeric: set[CellAddress]) -> dict[CellAddress, int]:
+    """For each cell on a chain of formulas that nothing depends on, how many
+    of ``numeric`` it reaches backwards, itself included.
+
+    One pass over the components of the formula arcs, precedents first. A
+    component's reach is a bitset over ``numeric``, numbered column by column
+    per sheet, so the numeric cells of one column of a box are one run of
+    bits. A bitset is dropped once every dependent has read it.
+    """
+    # per sheet and column: the numeric rows there, and the bit of the first
+    columns: dict[str, dict[int, tuple[list[int], int]]] = {}
+    n = 0
+    for sheet, by_col in _Columns(numeric).rows.items():
+        for col, rows in by_col.items():
+            columns.setdefault(sheet, {})[col] = rows, n
+            n += len(rows)
+
+    def bits(sheet: str, top: int, left: int, bottom: int, right: int) -> int:
+        by_col = columns.get(sheet, {})
+        mask = 0
+        for col in range(left, right + 1):
+            entry = by_col.get(col)
+            if entry is not None:
+                rows, first = entry
+                i, j = bisect_left(rows, top), bisect_right(rows, bottom)
+                if i < j:
+                    mask |= ((1 << (j - i)) - 1) << (first + i)
+        return mask
+
+    succ = graph.formula_precedents()
+    waiting = Counter(p for found in succ.values() for p in found)
+    reach: dict[CellAddress, int] = {}
+    out: dict[CellAddress, int] = {}
+    for component in graph.formula_components():
+        mask = 0
+        for v in component:
+            if v in numeric:
+                mask |= bits(v.sheet, v.row, v.col, v.row, v.col)
+            for link in graph.links.get(v, ()):
+                mask |= bits(link.sheet, *link.box)
+            for p in succ.get(v, ()):
+                mask |= reach.get(p, 0)
+        for v in component:
+            if waiting[v]:
+                reach[v] = mask
+            else:
+                out[v] = mask.bit_count()
+        for v in component:
+            for p in succ.get(v, ()):
+                waiting[p] -= 1
+                if not waiting[p]:
+                    del reach[p]
     return out
 
 
@@ -335,22 +659,15 @@ def resolve_bottom_line(graph: DependencyGraph,
     numeric = graph.numeric_cells()
     if not numeric:
         return resolved
+    reach = _sink_reach(graph, numeric)
+    referenced = graph.referenced()
     for addr in graph.formula_cells():
-        if graph.dependents_of(addr):
+        if addr in referenced:
             continue
-        info = graph.nodes[addr]
-        if info.top_function in config.solver_functions:
+        if graph.nodes[addr].top_function in config.solver_functions:
             continue
-        seen = {addr}
-        frontier = [addr]
-        while frontier:
-            current = frontier.pop()
-            for p in graph.precedents_of(current):
-                if p not in seen:
-                    seen.add(p)
-                    frontier.append(p)
-        coverage = len(seen & numeric) / len(numeric)
-        if coverage >= config.bottom_line_coverage:
+        # a formula with no links and no dependents reaches only itself
+        if reach.get(addr, 1) / len(numeric) >= config.bottom_line_coverage:
             resolved.add(addr)
     return resolved
 
@@ -374,15 +691,16 @@ def classify_graph(graph: DependencyGraph,
         if addr in classes:
             classes[addr].bottom_line = True
 
+    referenced = graph.referenced()
     for addr, info in graph.nodes.items():
-        if info.blank and graph.dependents_of(addr):
+        if info.blank and addr in referenced:
             classes[addr].perverse_target = True
         if info.kind is not CellKind.FORMULA:
             continue
         # self-references never set bare_ref, so 1-cycles stay unflagged here
         if info.bare_ref is not None:
             classes[addr].spurious = True
-        if graph.dependents_of(addr):
+        if addr in referenced:
             continue
         if addr in bottom:
             continue
@@ -394,11 +712,15 @@ def classify_graph(graph: DependencyGraph,
                                        else "intermediate")
 
     # Unused inputs: a dangling formula has no dependents, so a constant's
-    # dependents are as far forward as any of its paths goes.
-    for addr, info in graph.nodes.items():
-        if info.kind in (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR):
-            deps = graph.dependents_of(addr)
-            if deps and all(classes[d].dangling for d in deps):
+    # dependents are as far forward as any of its paths goes, and it is
+    # unused when links of dangling dependents cover it and no other does.
+    dead = graph.covered_by(d for d in graph.links if classes[d].dangling)
+    unused = [addr for addr, info in graph.nodes.items()
+              if addr in dead and info.kind in CONSTANT_KINDS]
+    if unused:
+        live = graph.covered_by(d for d in graph.links if not classes[d].dangling)
+        for addr in unused:
+            if addr not in live:
                 classes[addr].dangling = True
                 classes[addr].dangling_kind = "unused-input"
     return classes
@@ -413,6 +735,9 @@ def arc_chebyshev(a: CellAddress, b: CellAddress) -> int | None:
     if a.sheet != b.sheet:
         return None
     return max(abs(a.row - b.row), abs(a.col - b.col))
+
+
+_DASHED = ' [style="dashed"]'
 
 
 def _dot_id(addr: CellAddress) -> str:
@@ -434,7 +759,7 @@ def is_backward(precedent: CellAddress, dependent: CellAddress) -> bool:
 
 def export_dot(graph: DependencyGraph,
                classes: dict[CellAddress, CellGraphClass] | None = None) -> str:
-    """Render the precedence graph in DOT.
+    """Render the precedence graph in DOT, one edge per cell of each link.
 
     Only cells on at least one arc plus flagged cells appear. Spurious cells
     are orange, dangling red, blank targets grey dashed; backward arcs are
@@ -444,15 +769,15 @@ def export_dot(graph: DependencyGraph,
     ``\\`` and ``"`` with a backslash.
     """
     classes = classes or {}
-    participating = set(graph._precedents)
-    participating.update(graph._dependents)
+    participating = set(graph.links)
+    participating.update(map(CellAddress._make, graph.referenced()))
     participating.update(addr for addr, cls in classes.items() if cls.any_flag)
     # The sheet name only orders cells on sheets the workbook lacks, which
     # defined names can point at; they all share one sheet index.
     order = sorted(participating,
                    key=lambda a: (graph.sheet_index(a.sheet), a.row, a.col, a.sheet))
     rank = {addr: i for i, addr in enumerate(order)}
-    ids: dict[CellAddress, str] = {}
+    ids: list[str] = []
     taken: set[str] = set()
     lines = ["digraph sheetlint {"]
     for addr in order:
@@ -462,7 +787,7 @@ def export_dot(graph: DependencyGraph,
             suffix += 1
             node_id = f"{base}_{suffix}"
         taken.add(node_id)
-        ids[addr] = node_id
+        ids.append(node_id)
         label = f"{addr.sheet}!{addr.a1()}" if addr.sheet else addr.a1()
         label = label.replace("\\", "\\\\").replace('"', '\\"')
         attrs = [f'label="{label}"']
@@ -478,9 +803,28 @@ def export_dot(graph: DependencyGraph,
             if cls.bottom_line:
                 attrs.append('shape="doubleoctagon"')
         lines.append(f'  "{node_id}" [{", ".join(attrs)}];')
-    for precedent in order:
-        for dependent in sorted(graph.dependents_of(precedent), key=rank.__getitem__):
-            attrs = ' [style="dashed"]' if is_backward(precedent, dependent) else ""
-            lines.append(f'  "{ids[precedent]}" -> "{ids[dependent]}"{attrs};')
+    # Every cell of a link is a node here, and a column's nodes come in row
+    # order, so one column of a piece is one slice of ranks. The pieces of
+    # one dependent's links are disjoint, so no arc comes twice.
+    columns: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
+    for i, addr in enumerate(order):
+        rows, ranks = columns.setdefault((addr.sheet, addr.col), ([], []))
+        rows.append(addr.row)
+        ranks.append(i)
+    dependents: list[list[int]] = [[] for _ in order]  # by precedent rank
+    for dependent, links in graph.links.items():
+        d = rank[dependent]
+        for link in links:
+            for top, left, bottom, right in link.pieces:
+                for col in range(left, right + 1):
+                    rows, ranks = columns[link.sheet, col]
+                    for p in ranks[bisect_left(rows, top):bisect_right(rows, bottom)]:
+                        dependents[p].append(d)
+    for p, ds in enumerate(dependents):
+        ds.sort()
+        head, sheet = f'  "{ids[p]}" -> "', order[p].sheet
+        # within a sheet the ranks follow reading order, so d <= p is backward
+        lines.extend([f'{head}{ids[d]}"{_DASHED if d <= p and order[d].sheet == sheet else ""};'
+                      for d in ds])
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ from .formula import (CopyClass, FormulaAst, FormulaParseError, RangeRef, formul
                       order_ranges, parse_formula, print_formula, translate)
 from .model import (
     MAX_COL,
+    MAX_ROW,
     CellAddress,
     CellContent,
     CellFormat,
@@ -425,15 +426,27 @@ def load_xlsx(path: str | Path) -> Workbook:
                 raise LoadError(spath, 0, 0, f"missing worksheet part for {name!r}")
             sheet = workbook.add_sheet(name)
             sheet.hidden = sheet_el.get("state") in ("hidden", "veryHidden")
-            if _load_sheet_part(archive, part, sheet, strings, formats, spath):
+            if _load_sheet_part(archive, part, sheet, strings, formats, spath,
+                                workbook.load_notices):
                 workbook.protection = True
     return workbook
 
 
+def _on_grid(refs) -> bool:
+    """Whether every corner of every reference lies on the sheet's grid."""
+    return all(1 <= cell.row <= MAX_ROW and 1 <= cell.col <= MAX_COL
+               for ref in refs
+               for cell in ((ref.start, ref.end) if isinstance(ref, RangeRef) else (ref,)))
+
+
 def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                      strings: list[str], formats: list[CellFormat],
-                     path: str) -> bool:
-    """Fill ``sheet`` from its worksheet part; True when the part protects it."""
+                     path: str, notices: list[str]) -> bool:
+    """Fill ``sheet`` from its worksheet part; True when the part protects it.
+
+    A shared-formula member whose references the shift moves off the grid
+    is left out, with a notice in ``notices``.
+    """
     root, raw = _parse_part(archive, part, path)
     protected = b"<sheetProtection" in raw
     del raw  # only the tree is read from here on
@@ -511,7 +524,11 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                                                     f"{si!r} has no master")
                     copy_class, one_sided = shared[si]
                     content = CellContent.copy_of(copy_class, addr.row, addr.col)
-                    if one_sided:
+                    if not _on_grid(content.facts.refs):
+                        notices.append(f"cell {addr.qualified()} left out: its shared "
+                                       f"formula moves a reference off the grid")
+                        content = copy_class = None
+                    elif one_sided:
                         # a relative corner that passes an absolute one turns
                         # the range inside out; store it ordered, as Excel
                         # shows it, and class it by its own form

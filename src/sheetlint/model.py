@@ -402,6 +402,7 @@ def classify_cells(workbook: Workbook,
     not promote them).
     """
     out: dict[CellAddress, NumericCellClass] = {}
+    referenced = graph.referenced()
     for sheet in workbook.sheets:
         for (row, col), cell in sheet.cells.items():
             addr = sheet.address(row, col)
@@ -409,7 +410,7 @@ def classify_cells(workbook: Workbook,
             if kind is CellKind.FORMULA:
                 out[addr] = NumericCellClass.NUMERIC_FORMULA
             elif kind in (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR):
-                if graph.dependents_of(addr):
+                if addr in referenced:
                     out[addr] = NumericCellClass.NUMERIC_CONSTANT
                 else:
                     out[addr] = NumericCellClass.LABEL

@@ -5,16 +5,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable
+from typing import Callable, Iterator
 
 from .config import ALL_RULE_IDS, AuditConfig, Severity
 from .formula import CopyClass, RangeRef
 from .graph import (
+    Box,
     CellGraphClass,
     DependencyGraph,
-    arc_chebyshev,
+    box_area,
+    box_cells,
     classify_graph,
-    is_backward,
 )
 from .layout import SheetLayout, Stacking
 from .model import (
@@ -153,27 +154,44 @@ def _addr_list(cells, limit: int = 4) -> str:
 
 # --- flow and graph rules ------------------------------------------------------
 
+def _backward_cells(host: CellAddress, sheet: str, box: Box) -> Iterator[CellAddress]:
+    """The cells of ``box`` on ``host``'s sheet that do not come earlier than
+    ``host`` in reading order, ``host`` itself left out, in reading order."""
+    top, left, bottom, right = box
+    for row in range(max(top, host.row), bottom + 1):
+        for col in range(left if row > host.row else max(left, host.col), right + 1):
+            if row != host.row or col != host.col:
+                yield CellAddress(sheet, row, col)
+
+
 def _r01_backward(ctx: _Context, sheets) -> list[Diagnostic]:
+    # A direct reference's cell is an offender; of a range or name, only the
+    # first backward cell in reading order, so messages stay readable.
     out = []
+    classes = ctx.classes
     for addr in ctx.graph.formula_cells():
-        if addr in ctx.flow_exempt or ctx.classes[addr].on_cycle:
+        if addr in ctx.flow_exempt or classes[addr].on_cycle:
             continue
         offenders: list[CellAddress] = []
-        origins: set[str] = set()
-        for origin, precedents in ctx.grouped_precedents(addr).items():
-            bad = [p for p in precedents
-                   if p != addr and is_backward(p, addr) and not ctx.classes[p].on_cycle]
-            if not bad:
+        firsts: dict[str, CellAddress] = {}
+        for link in ctx.graph.links.get(addr, ()):
+            _, _, bottom, right = link.box
+            if (link.sheet != addr.sheet  # cross-sheet arcs are a different defect
+                    or bottom < addr.row or (bottom == addr.row and right < addr.col)):
                 continue
-            if origin is not None:
-                origins.add(origin)
-                offenders.append(min(bad, key=ctx.graph.addr_key))
-            else:
-                offenders.extend(bad)
+            for piece in link.pieces:
+                bad = (p for p in _backward_cells(addr, link.sheet, piece)
+                       if not classes[p].on_cycle)
+                if link.origin is None:
+                    offenders.extend(bad)
+                elif (first := next(bad, None)) is not None:
+                    if link.origin not in firsts or first < firsts[link.origin]:
+                        firsts[link.origin] = first
+        offenders.extend(firsts.values())
         if not offenders:
             continue
         offenders = sorted(set(offenders), key=ctx.graph.addr_key)
-        via = f" (via {', '.join(sorted(origins))})" if origins else ""
+        via = f" (via {', '.join(sorted(firsts))})" if firsts else ""
         out.append(ctx.emit(
             "R01", addr.sheet, addr,
             f"backward reference: depends on {_addr_list(offenders)}"
@@ -182,22 +200,39 @@ def _r01_backward(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
+def _farthest(host: CellAddress, box: Box) -> tuple[int, int, int]:
+    """``(distance, row, col)`` of the first cell of ``box`` in reading order
+    among those at the greatest Chebyshev distance from ``host``."""
+    top, left, bottom, right = box
+    distance = max(host.row - top, bottom - host.row, host.col - left, right - host.col)
+    cols = [c for c in (host.col - distance, host.col + distance) if left <= c <= right]
+    if not cols:  # a far row, read from its first cell
+        return distance, min(r for r in (host.row - distance, host.row + distance)
+                             if top <= r <= bottom), left
+    return distance, top, left if abs(top - host.row) == distance else cols[0]
+
+
 def _r02_long_arc(ctx: _Context, sheets) -> list[Diagnostic]:
+    # The first link to reach the greatest distance wins, and within a link
+    # the first such cell in reading order.
     out = []
     limit = ctx.config.long_arc_distance
     for addr in ctx.graph.formula_cells():
-        worst: tuple[int, CellAddress] | None = None
-        precedents = ctx.graph.precedents_of(addr)
-        for p in precedents:
-            d = arc_chebyshev(p, addr)
-            if d is None or d <= limit:
+        worst: tuple[int, CellAddress, str | None] | None = None
+        for link in ctx.graph.links.get(addr, ()):
+            top, left, bottom, right = link.box  # no piece reaches farther than its box
+            reach = max(addr.row - top, bottom - addr.row, addr.col - left, right - addr.col)
+            if (reach <= limit or (worst is not None and reach <= worst[0])
+                    or link.sheet != addr.sheet):
                 continue
-            if worst is None or d > worst[0]:
-                worst = (d, p)
+            far = [_farthest(addr, piece) for piece in link.pieces]
+            distance = max(d for d, _, _ in far)
+            if distance > limit and (worst is None or distance > worst[0]):
+                _, row, col = min(f for f in far if f[0] == distance)
+                worst = (distance, CellAddress(link.sheet, row, col), link.origin)
         if worst is None:
             continue
-        distance, p = worst
-        origin = precedents[p]
+        distance, p, origin = worst
         source = origin if origin else p.qualified()
         out.append(ctx.emit(
             "R02", addr.sheet, addr,
@@ -211,8 +246,8 @@ def _r03_cross_sheet(ctx: _Context, sheets) -> list[Diagnostic]:
     out = []
     for addr in ctx.graph.formula_cells():
         offenders = sorted(
-            {p for p in ctx.graph.precedents_of(addr)
-             if p.sheet != addr.sheet},
+            (p for link in ctx.graph.links.get(addr, ()) if link.sheet != addr.sheet
+             for piece in link.pieces for p in box_cells(link.sheet, piece)),
             key=ctx.graph.addr_key)
         if offenders:
             out.append(ctx.emit(
@@ -256,24 +291,31 @@ def _r05_dangling(ctx: _Context, sheets) -> list[Diagnostic]:
 
 
 def _r06_perverse(ctx: _Context, sheets) -> list[Diagnostic]:
+    # The cells of one origin are judged together: a range or name that is
+    # partly blank is conventional, not perverse.
     out = []
-    for addr in ctx.graph.formula_cells():
+    graph = ctx.graph
+    for addr in graph.formula_cells():
+        links = graph.links.get(addr, ())
         blanks: list[CellAddress] = []
-        for origin, precedents in ctx.grouped_precedents(addr).items():
-            blank = [p for p in precedents
-                     if p in ctx.graph.nodes and ctx.graph.nodes[p].blank]
-            if not blank:
-                continue
-            if origin is not None and len(blank) < len(precedents):
-                continue  # a partially blank range is conventional, not perverse
-            blanks.extend(blank)
+        if any(graph.populated_count(link.sheet, link.box) < box_area(link.box)
+               for link in links):
+            groups: dict[str | None, list[tuple[str, Box]]] = {}
+            for link in links:
+                groups.setdefault(link.origin, []).extend((link.sheet, p) for p in link.pieces)
+            for origin, pieces in groups.items():
+                size = sum(box_area(box) for _, box in pieces)
+                blank = size - sum(graph.populated_count(sheet, box) for sheet, box in pieces)
+                if blank and (origin is None or blank == size):
+                    blanks.extend(p for sheet, box in pieces for p in box_cells(sheet, box)
+                                  if graph.nodes[p].blank)
         if blanks:
-            blanks = sorted(set(blanks), key=ctx.graph.addr_key)
+            blanks.sort(key=graph.addr_key)
             out.append(ctx.emit(
                 "R06", addr.sheet, addr,
                 f"perverse reference: depends on blank {_addr_list(blanks)}",
                 related=tuple(blanks)))
-        for problem in ctx.graph.unresolved.get(addr, ()):
+        for problem in graph.unresolved.get(addr, ()):
             out.append(ctx.emit(
                 "R06", addr.sheet, addr,
                 f"unresolvable reference: {problem}"))
@@ -563,18 +605,18 @@ def _r22_blank_space(ctx: _Context, sheets) -> list[Diagnostic]:
 
 
 def _r23_formula_refs(ctx: _Context, sheets) -> list[Diagnostic]:
-    # A node with precedents is a formula, so its sheet is spelled as the
-    # workbook spells it.
+    # A dependent is a formula, so its sheet is spelled as the workbook
+    # spells it.
     out = []
-    nodes = ctx.graph.nodes
+    graph = ctx.graph
+    nodes = graph.nodes
     total: Counter[str] = Counter()
     into_formulas: Counter[str] = Counter()
-    for d in nodes:
-        precedents = ctx.graph.precedents_of(d)
-        if precedents:
-            total[d.sheet] += len(precedents)
-            into_formulas[d.sheet] += sum(
-                1 for p in precedents if nodes[p].kind is CellKind.FORMULA)
+    for d, precedents in graph.formula_precedents().items():
+        total[d.sheet] += sum(box_area(piece) for link in graph.links[d]
+                              for piece in link.pieces)
+        into_formulas[d.sheet] += sum(1 for p in precedents
+                                      if nodes[p].kind is CellKind.FORMULA)
     for sheet in ctx.workbook.sheets:
         name = sheet.name
         if total[name] and into_formulas[name]:

@@ -544,12 +544,15 @@ def nest_candidates(graph: DependencyGraph, workbook: Workbook,
     dropped.
     """
     contents = dict(workbook.formulas())
+    dependents: dict[CellAddress, list[CellAddress]] = {}
+    for dependent, precedents in graph.formula_precedents().items():
+        for precedent in precedents:
+            dependents.setdefault(precedent, []).append(dependent)
     out: list[NestCandidate] = []
     for source in graph.formula_cells():
-        dependents = sorted(set(graph.dependents_of(source)), key=graph.addr_key)
-        if len(dependents) != 1:
+        if len(dependents.get(source, ())) != 1:
             continue
-        target = dependents[0]
+        target = dependents[source][0]
         if target == source or target not in contents or source not in contents:
             continue
         if _covered_by_range(contents[target].facts.refs, target.sheet, source):

@@ -19,6 +19,7 @@ from sheetlint.formula import (
     StringLit,
     UnaryOp,
     parse_formula,
+    print_formula,
 )
 from sheetlint.model import CellAddress, CellContent, CellKind, Workbook, col_letters
 
@@ -303,6 +304,309 @@ def unused_inputs_by_forward_search(graph, classes) -> set[CellAddress]:
         else:
             unused.add(addr)
     return unused
+
+
+# --- workbooks of overlapping ranges, and the per-arc rule bodies ----------------
+
+_LINK_SHEETS = ("S", "T")
+
+
+def gen_linked_workbook(rng: random.Random) -> Workbook:
+    """Two sheets of constants and formulas whose references stress the
+    graph's links: several overlapping ranges per formula, a direct reference
+    inside a later range, ranges over their own host, ranges over wholly and
+    partly blank cells, cross-sheet ranges, defined names (one on a sheet
+    the workbook lacks) and, through all of these, cycles."""
+    wb = Workbook()
+    rows, cols = rng.randint(3, 7), rng.randint(3, 6)
+    for name in _LINK_SHEETS:
+        wb.add_sheet(name)
+
+    def cell(row, col, sheet=None):
+        text = f"{col_letters(col)}{row}"
+        return text if sheet is None else f"{sheet}!{text}"
+
+    def box(near=None):
+        # up to a row and a column past the filled area, so some cells are blank
+        if near is not None and rng.random() < 0.5:
+            r, c = near  # a box around a given cell
+            r1, c1 = max(1, r - rng.randint(0, 2)), max(1, c - rng.randint(0, 2))
+            return r1, c1, r + rng.randint(0, 2), c + rng.randint(0, 2)
+        r1, c1 = rng.randint(1, rows + 1), rng.randint(1, cols + 1)
+        return r1, c1, rng.randint(r1, rows + 2), rng.randint(c1, cols + 1)
+
+    def range_text(b, sheet=None):
+        r1, c1, r2, c2 = b
+        corners = [cell(r1, c1), cell(r2, c2)]
+        if rng.random() < 0.3:
+            corners.reverse()  # written bottom-up; the parser orders it
+        return (f"{sheet}!" if sheet else "") + ":".join(corners)
+
+    names = {"Data": f"T!{range_text(box())}", "Point": f"S!{cell(1, 1)}",
+             "Gone": f"Elsewhere!{range_text(box())}"}
+    for name, text in names.items():
+        wb.defined_names[name] = parse_formula(text)
+
+    for name in _LINK_SHEETS:
+        sheet = wb.sheet(name)
+        for row in range(1, rows + 1):
+            for col in range(1, cols + 1):
+                roll = rng.random()
+                if roll < 0.25:
+                    continue  # blank
+                if roll < 0.6:
+                    sheet.set_cell(row, col, CellContent.of_number(rng.randint(1, 9)))
+                    continue
+                if roll < 0.65:
+                    sheet.set_cell(row, col, CellContent.label("note"))
+                    continue
+                terms = []
+                for _ in range(rng.randint(1, 4)):
+                    kind = rng.random()
+                    if kind < 0.25:
+                        b = box(near=(row, col))  # may hold its own host
+                        terms.append(f"SUM({range_text(b)})")
+                    elif kind < 0.4 and terms:
+                        # a direct reference, then a range that holds it
+                        r, c = rng.randint(1, rows), rng.randint(1, cols)
+                        terms.append(cell(r, c))
+                        terms.append(f"SUM({range_text(box(near=(r, c)))})")
+                    elif kind < 0.55:
+                        terms.append(cell(rng.randint(1, rows + 1), rng.randint(1, cols)))
+                    elif kind < 0.65:
+                        other = rng.choice([s for s in _LINK_SHEETS if s != name])
+                        terms.append(f"SUM({range_text(box(), other)})")
+                    elif kind < 0.72:
+                        terms.append(cell(rng.randint(1, rows), rng.randint(1, cols),
+                                          rng.choice(_LINK_SHEETS)))
+                    elif kind < 0.85:
+                        terms.append(f"SUM({rng.choice(list(names))})")
+                    else:
+                        terms.append(f"SUM({range_text(box())})")
+                text = "=" + "+".join(terms)
+                sheet.set_cell(row, col, CellContent.formula(text, parse_formula(text)))
+    return wb
+
+
+def expanded_precedents(graph, dependent: CellAddress, content) -> dict:
+    """``dependent``'s precedents from its formula's references, expanded
+    cell by cell in link order, each cell keeping the first origin: what
+    ``DependencyGraph.precedents_of`` must give. ``content`` is the cell's
+    formula; unresolvable references are skipped as the graph skips them."""
+    out: dict = {}
+
+    def add(refs, name):
+        for ref in refs:
+            first = ref.start if isinstance(ref, RangeRef) else ref
+            ref_sheet = first.sheet if first.sheet is not None else dependent.sheet
+            sheet = graph.spelling(ref_sheet) or (name and ref_sheet)
+            if not sheet:
+                continue
+            if isinstance(ref, RangeRef):
+                origin = name or print_formula(ref, leading_eq=False)
+                for c in ref.cells(sheet):
+                    out.setdefault(c, origin)
+            else:
+                out.setdefault(CellAddress(sheet, ref.row, ref.col), name)
+
+    facts = content.facts
+    add(facts.refs, None)
+    for node in facts.names:
+        refs = graph.defined_names.get(node.name.upper())
+        if refs is not None:
+            add(refs, node.name)
+    return out
+
+
+def reference_r01(ctx, sheets):
+    """R01 as it was written per arc, reading the expanding views."""
+    from sheetlint.graph import is_backward
+    from sheetlint.rules import _addr_list
+    out = []
+    for addr in ctx.graph.formula_cells():
+        if addr in ctx.flow_exempt or ctx.classes[addr].on_cycle:
+            continue
+        offenders = []
+        origins = set()
+        for origin, precedents in ctx.grouped_precedents(addr).items():
+            bad = [p for p in precedents
+                   if p != addr and is_backward(p, addr) and not ctx.classes[p].on_cycle]
+            if not bad:
+                continue
+            if origin is not None:
+                origins.add(origin)
+                offenders.append(min(bad, key=ctx.graph.addr_key))
+            else:
+                offenders.extend(bad)
+        if not offenders:
+            continue
+        offenders = sorted(set(offenders), key=ctx.graph.addr_key)
+        via = f" (via {', '.join(sorted(origins))})" if origins else ""
+        out.append(ctx.emit(
+            "R01", addr.sheet, addr,
+            f"backward reference: depends on {_addr_list(offenders)}"
+            f"{via}, later in reading order",
+            related=tuple(offenders)))
+    return out
+
+
+def reference_r02(ctx, sheets):
+    from sheetlint.graph import arc_chebyshev
+    out = []
+    limit = ctx.config.long_arc_distance
+    for addr in ctx.graph.formula_cells():
+        worst = None
+        precedents = ctx.graph.precedents_of(addr)
+        for p in precedents:
+            d = arc_chebyshev(p, addr)
+            if d is None or d <= limit:
+                continue
+            if worst is None or d > worst[0]:
+                worst = (d, p)
+        if worst is None:
+            continue
+        distance, p = worst
+        origin = precedents[p]
+        source = origin if origin else p.qualified()
+        out.append(ctx.emit(
+            "R02", addr.sheet, addr,
+            f"long precedence arc: {source} is {distance} cells away "
+            f"(limit {limit})",
+            related=(p,)))
+    return out
+
+
+def reference_r03(ctx, sheets):
+    from sheetlint.rules import _addr_list
+    out = []
+    for addr in ctx.graph.formula_cells():
+        offenders = sorted(
+            {p for p in ctx.graph.precedents_of(addr) if p.sheet != addr.sheet},
+            key=ctx.graph.addr_key)
+        if offenders:
+            out.append(ctx.emit(
+                "R03", addr.sheet, addr,
+                f"cross-sheet reference: depends on {_addr_list(offenders)}",
+                related=tuple(offenders)))
+    return out
+
+
+def reference_r06(ctx, sheets):
+    from sheetlint.rules import _addr_list
+    out = []
+    for addr in ctx.graph.formula_cells():
+        blanks = []
+        for origin, precedents in ctx.grouped_precedents(addr).items():
+            blank = [p for p in precedents
+                     if p in ctx.graph.nodes and ctx.graph.nodes[p].blank]
+            if not blank:
+                continue
+            if origin is not None and len(blank) < len(precedents):
+                continue
+            blanks.extend(blank)
+        if blanks:
+            blanks = sorted(set(blanks), key=ctx.graph.addr_key)
+            out.append(ctx.emit(
+                "R06", addr.sheet, addr,
+                f"perverse reference: depends on blank {_addr_list(blanks)}",
+                related=tuple(blanks)))
+        for problem in ctx.graph.unresolved.get(addr, ()):
+            out.append(ctx.emit(
+                "R06", addr.sheet, addr,
+                f"unresolvable reference: {problem}"))
+    return out
+
+
+def reference_r23(ctx, sheets):
+    from collections import Counter
+    out = []
+    nodes = ctx.graph.nodes
+    total, into_formulas = Counter(), Counter()
+    for d in nodes:
+        precedents = ctx.graph.precedents_of(d)
+        if precedents:
+            total[d.sheet] += len(precedents)
+            into_formulas[d.sheet] += sum(
+                1 for p in precedents if nodes[p].kind is CellKind.FORMULA)
+    for sheet in ctx.workbook.sheets:
+        name = sheet.name
+        if total[name] and into_formulas[name]:
+            out.append(ctx.emit(
+                "R23", name, None,
+                f"{into_formulas[name] / total[name]:.0%} of references target formula "
+                f"cells rather than constants"))
+    return out
+
+
+def reference_find_cycles(graph):
+    """Tarjan over every node and its expanded dependents."""
+    index, lowlink, on_stack, stack, sccs = {}, {}, set(), [], []
+    for root in graph.nodes:
+        if root in index:
+            continue
+        work = [(root, iter(graph.dependents_of(root)))]
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = lowlink[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(graph.dependents_of(w))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                if len(comp) > 1 or v in graph.precedents_of(v):
+                    comp.sort(key=graph.addr_key)
+                    sccs.append(comp)
+    sccs.sort(key=lambda c: graph.addr_key(c[0]))
+    return sccs
+
+
+def reference_coverage_bottom_line(graph, config) -> set[CellAddress]:
+    """The coverage fallback of the bottom line: one backward search per sink."""
+    numeric = {addr for addr, info in graph.nodes.items()
+               if info.kind is CellKind.FORMULA
+               or (info.kind in (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR)
+                   and graph.dependents_of(addr))}
+    resolved = set()
+    if not numeric:
+        return resolved
+    for addr in graph.formula_cells():
+        if graph.dependents_of(addr):
+            continue
+        if graph.nodes[addr].top_function in config.solver_functions:
+            continue
+        seen = {addr}
+        frontier = [addr]
+        while frontier:
+            current = frontier.pop()
+            for p in graph.precedents_of(current):
+                if p not in seen:
+                    seen.add(p)
+                    frontier.append(p)
+        if len(seen & numeric) / len(numeric) >= config.bottom_line_coverage:
+            resolved.add(addr)
+    return resolved
 
 
 # --- minimal xlsx writer ---------------------------------------------------------

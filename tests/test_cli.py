@@ -258,6 +258,25 @@ def test_unexpected_exception_exits_three_with_one_line(monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("master, text, ref, member", [
+    ("B1", "A1*2+A1*3", "A1:B1", "A1"),  # shifted to column 0
+    ("A1", "B2+1", "A1:A2", "A2"),  # a range of members, none off the grid
+    ("A1048575", "B1048576+1", "A1048575:A1048576", "A1048576"),  # past row 1,048,576
+    ("XFC1", "XFD1*2", "XFC1:XFD1", "XFD1"),  # past column XFD
+])
+def test_shared_member_shifted_off_the_grid_is_left_out(master, text, ref, member,
+                                                        tmp_path, capsys):
+    cells = {master: {"fs": (0, text, ref)}, member: {"fs": (0, None, None)},
+             "C3": {"n": "4"}}
+    path = build_xlsx(tmp_path / "t.xlsx", {"S": cells})
+    code = main(["--format", "json", str(path)])
+    captured = capsys.readouterr()
+    assert code != cli.EXIT_INTERNAL and captured.err == ""
+    notices = json.loads(captured.out)[0]["notices"]
+    notice = f"cell S!{member} left out: its shared formula moves a reference off the grid"
+    assert notices == ([] if member == "A2" else [notice])
+
+
 def _one_line_usage_error(code, err, where):
     assert code == cli.EXIT_USAGE
     assert err.startswith(f"sheetlint: {where}") and err.count("\n") == 1, err

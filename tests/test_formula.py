@@ -102,6 +102,18 @@ def test_range_normalized():
     assert ast == RangeRef(CellRef(1, 1), CellRef(2, 2))
 
 
+@pytest.mark.parametrize("written, printed", [
+    ("=SUM(B$2:C2)", "=SUM(B$2:C2)"),
+    ("=SUM(C2:B$2)", "=SUM(B$2:C2)"),
+    ("=SUM(B2:C$2)", "=SUM(B2:C$2)"),
+    ("=SUM(B5:$B2)", "=SUM($B2:B5)"),
+    ("=SUM(A$1:$A1)", "=SUM(A$1:$A1)"),
+    ("=SUM(C5:$A$1)", "=SUM($A$1:C5)"),
+])
+def test_range_keeps_each_corners_flag_on_a_shared_row_or_column(written, printed):
+    assert print_formula(parse_formula(written)) == printed
+
+
 def test_bare_name_parses_as_name():
     assert parse_formula("=WBMAX") == NameRef("WBMAX")
     assert parse_formula("=Totals1x") == NameRef("Totals1x")

@@ -272,3 +272,21 @@ def test_label_fits_or_spills_into_nothing():
     sheet = sheet_of({(1, 1): "short", (2, 1): "a very long label indeed"},
                      widths={1: 8.0})
     assert label_overflows(sheet) == []
+
+
+def test_run_with_a_dollar_on_the_shared_row_is_one_copy_class():
+    # =SUM(B$2:C2) filled down D2:D5: the first member's corners share row 2,
+    # and each keeps its own flag, so the run prints as written and is whole
+    from sheetlint.config import AuditConfig
+    from sheetlint.formula import print_formula
+    from sheetlint.loaders import load_text_string
+    from sheetlint.report import audit_workbook
+    lines = ["[sheet S]"] + [f"{c}{r} num {r}" for r in range(2, 6) for c in "BC"]
+    lines += [f"D{r} formula =SUM(B$2:C{r})" for r in range(2, 6)]
+    wb = load_text_string("\n".join(lines) + "\n")
+    cells = [wb.sheets[0].cells[(row, 4)] for row in range(2, 6)]
+    assert [print_formula(c.content.ast) for c in cells] == [
+        f"=SUM(B$2:C{row})" for row in range(2, 6)]
+    assert len({id(c.copy_class) for c in cells}) == 1
+    config = AuditConfig(enabled_rules=frozenset({"R18"}))
+    assert audit_workbook(wb, config).report.diagnostics == []
