@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import repeat
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -17,16 +16,18 @@ from .formula import (
     print_formula,
     shift_ref,
 )
-from .model import AddressParseError, CellAddress, CellKind, Workbook, parse_a1
+from .model import MAX_ROW, AddressParseError, CellAddress, CellKind, Workbook, parse_a1
 
 MAX_RANGE_CELLS = 100_000  # refuse to expand anything larger
 MAX_EXPANDED_CELLS = 1_000_000  # range cells one build_graph expands, in all
 
 Box = tuple[int, int, int, int]  # (top, left, bottom, right), inclusive
-CONSTANT_KINDS = (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR)
+_SPAN = MAX_ROW.bit_length()
+_SPAN_MASK = (1 << _SPAN) - 1
+_CONSTANT_KINDS = (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR)
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeInfo:
     kind: CellKind
     blank: bool = False
@@ -35,7 +36,7 @@ class NodeInfo:
     interpreted_output_shape: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class CellGraphClass:
     spurious: bool = False
     dangling: bool = False
@@ -98,11 +99,14 @@ def _minus(box: Box, cut: Box) -> list[Box]:
     return out
 
 
-def _runs(spans: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """Row spans ``(top, bottom)`` merged into the runs of rows they cover."""
+def _runs(spans: list[int]) -> Iterator[tuple[int, int]]:
+    """Row spans, each ``top << _SPAN | bottom`` (an int, which sorts as the
+    pair would and is no object for the collector to track), merged into
+    the runs ``(top, bottom)`` of rows they cover."""
     spans.sort()
-    start, end = spans[0]
-    for top, bottom in spans:
+    start, end = spans[0] >> _SPAN, spans[0] & _SPAN_MASK
+    for span in spans:
+        top, bottom = span >> _SPAN, span & _SPAN_MASK
         if top > end + 1:
             yield start, end
             start = top
@@ -111,49 +115,51 @@ def _runs(spans: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
 
 
 class _Columns:
-    """The rows of a set of cells, sorted per sheet and column, so the cells
-    of the set inside a box are counted and listed without visiting the
-    box's other cells."""
+    """The cells of a set, sorted per sheet and column, so the cells of the
+    set inside a box are counted and listed without visiting the box's
+    other cells. ``rows`` holds each column's rows, ``cells_by_col`` its
+    addresses in the same order."""
 
-    __slots__ = ("rows", "cols")
+    __slots__ = ("rows", "cells_by_col", "cols")
 
     def __init__(self, cells: Iterable[CellAddress]) -> None:
-        rows: dict[str, dict[int, list[int]]] = {}
-        for sheet, row, col in cells:
-            rows.setdefault(sheet, {}).setdefault(col, []).append(row)
-        for by_col in rows.values():
-            for col_rows in by_col.values():
-                col_rows.sort()
-        self.rows = rows
-        self.cols = {sheet: sorted(by_col) for sheet, by_col in rows.items()}
+        by_col: dict[str, dict[int, list[CellAddress]]] = {}
+        for cell in cells:
+            by_col.setdefault(cell.sheet, {}).setdefault(cell.col, []).append(cell)
+        for columns in by_col.values():
+            for col_cells in columns.values():
+                col_cells.sort()
+        self.cells_by_col = by_col
+        self.rows = {sheet: {col: [cell.row for cell in col_cells]
+                             for col, col_cells in columns.items()}
+                     for sheet, columns in by_col.items()}
+        self.cols = {sheet: sorted(columns) for sheet, columns in by_col.items()}
 
-    def columns(self, sheet: str, box: Box) -> list[tuple[int, list[int]]]:
-        """``(col, rows)`` for each column of ``box`` that holds a cell of the set."""
-        cols = self.cols.get(sheet)
-        if not cols:
-            return []
-        by_col = self.rows[sheet]
-        return [(col, by_col[col])
-                for col in cols[bisect_left(cols, box[1]):bisect_right(cols, box[3])]]
+    def _cols_between(self, sheet: str, left: int, right: int) -> list[int]:
+        """The set's columns from ``left`` to ``right`` on ``sheet``."""
+        cols = self.cols.get(sheet, [])
+        return cols[bisect_left(cols, left):bisect_right(cols, right)]
 
     def count(self, sheet: str, box: Box) -> int:
+        """How many cells of the set are inside ``box``."""
         top, left, bottom, right = box
-        cols = self.cols.get(sheet)
-        if not cols:
-            return 0
-        by_col = self.rows[sheet]
+        by_col = self.rows.get(sheet, {})
         n = 0
-        for col in cols[bisect_left(cols, left):bisect_right(cols, right)]:
+        for col in self._cols_between(sheet, left, right):
             rows = by_col[col]
             n += bisect_right(rows, bottom) - bisect_left(rows, top)
         return n
 
-    def cells(self, sheet: str, box: Box) -> Iterator[CellAddress]:
+    def cells(self, sheet: str, box: Box) -> list[CellAddress]:
         """The cells of the set inside ``box``, column by column."""
-        top, bottom = box[0], box[2]
-        for col, rows in self.columns(sheet, box):
-            for row in rows[bisect_left(rows, top):bisect_right(rows, bottom)]:
-                yield CellAddress(sheet, row, col)
+        top, left, bottom, right = box
+        rows_by_col = self.rows.get(sheet, {})
+        cells_by_col = self.cells_by_col.get(sheet, {})
+        out: list[CellAddress] = []
+        for col in self._cols_between(sheet, left, right):
+            rows = rows_by_col[col]
+            out += cells_by_col[col][bisect_left(rows, top):bisect_right(rows, bottom)]
+        return out
 
 
 class DependencyGraph:
@@ -188,7 +194,7 @@ class DependencyGraph:
         self.unresolved: dict[CellAddress, list[str]] = {}
         self.cycles: list[list[CellAddress]] = []
         self._formula_order: list[CellAddress] | None = None
-        self._columns: dict[str, _Columns] = {}  # over the populated nodes
+        self._populated: _Columns | None = None  # kept while blank nodes are added
         self._derived: dict[str, object] = {}  # over all nodes and the links
 
     @property
@@ -240,8 +246,8 @@ class DependencyGraph:
             self._formula_order = None
             if self._derived:
                 self._derived.clear()
-            if self._columns and not info.blank:
-                self._columns.clear()
+            if not info.blank:
+                self._populated = None
 
     def add_arc(self, precedent: CellAddress, dependent: CellAddress,
                 origin: str | None = None) -> None:
@@ -307,28 +313,24 @@ class DependencyGraph:
         if top == bottom and left == right:
             info = self.nodes.get((sheet, top, left))  # type: ignore[call-overload]
             return int(info is not None and not info.blank)
-        index = self._columns.get("populated")
-        if index is None:  # blank nodes, which build_graph adds as it counts, stay out
-            index = self._columns["populated"] = _Columns(
-                a for a, info in self.nodes.items() if not info.blank)
-        return index.count(sheet, box)
+        if self._populated is None:  # blank nodes, which build_graph adds as it counts, stay out
+            self._populated = _Columns(a for a, info in self.nodes.items() if not info.blank)
+        return self._populated.count(sheet, box)
 
     def referenced(self) -> set[CellAddress]:
-        """The cells that something depends on, built on first use; read it,
-        do not change it."""
+        """The cells that something depends on, as ``covered_by`` gives them;
+        built on first use; read it, do not change it."""
         cells = self._derived.get("referenced")
         if cells is None:
             cells = self._derived["referenced"] = self.covered_by(self.links)
         return cells  # type: ignore[return-value]
 
-    def has_dependents(self, addr: CellAddress) -> bool:
-        return addr in self.referenced()
-
     def covered_by(self, dependents: Iterable[CellAddress]) -> set[CellAddress]:
-        """The cells that a link of one of ``dependents`` covers, as plain
-        ``(sheet, row, col)`` tuples, which equal and hash as their addresses.
-        Boxes are merged per column first, so each node is visited once."""
-        spans: dict[str, dict[int, list[tuple[int, int]]]] = {}  # per sheet and column
+        """The cells that a link of one of ``dependents`` covers; a one-cell
+        link's as a plain ``(sheet, row, col)`` tuple, which equals and hashes
+        as its address. Boxes are merged per column first, so each node is
+        visited once."""
+        spans: dict[str, dict[int, list[int]]] = {}  # per sheet and column, see _runs
         out: set[CellAddress] = set()
         for d in dependents:
             for link in self.links[d]:
@@ -339,7 +341,7 @@ class DependencyGraph:
                     continue
                 by_col = spans.setdefault(sheet, {})
                 for col in range(left, right + 1):
-                    by_col.setdefault(col, []).append((top, bottom))
+                    by_col.setdefault(col, []).append(top << _SPAN | bottom)
         if not spans:
             return out
         nodes = self._derived.get("nodes")
@@ -347,13 +349,13 @@ class DependencyGraph:
             nodes = self._derived["nodes"] = _Columns(self.nodes)
         for sheet, by_col in spans.items():
             node_rows = nodes.rows.get(sheet, {})  # type: ignore[attr-defined]
+            node_cells = nodes.cells_by_col.get(sheet, {})  # type: ignore[attr-defined]
             for col, col_spans in by_col.items():
                 rows = node_rows.get(col)
                 if rows:
                     for top, bottom in _runs(col_spans):
-                        out.update(zip(repeat(sheet),  # type: ignore[arg-type]
-                                       rows[bisect_left(rows, top):bisect_right(rows, bottom)],
-                                       repeat(col)))
+                        out.update(node_cells[col][bisect_left(rows, top):
+                                                   bisect_right(rows, bottom)])
         return out
 
     def formula_precedents(self) -> dict[CellAddress, list[CellAddress]]:
@@ -377,7 +379,7 @@ class DependencyGraph:
                             found.append(cell)
                     else:
                         for piece in link.pieces:
-                            found.extend(index.cells(link.sheet, piece))
+                            found += index.cells(link.sheet, piece)
             self._derived["formula_precedents"] = out
         return out  # type: ignore[return-value]
 
@@ -407,7 +409,7 @@ class DependencyGraph:
         referenced = self.referenced()
         return {addr for addr, info in self.nodes.items()
                 if info.kind is CellKind.FORMULA
-                or (info.kind in CONSTANT_KINDS and addr in referenced)}
+                or (info.kind in _CONSTANT_KINDS and addr in referenced)}
 
 
 def build_graph(workbook: Workbook) -> DependencyGraph:
@@ -581,8 +583,9 @@ def explicit_bottom_line(graph: DependencyGraph,
 
 
 def _sink_reach(graph: DependencyGraph, numeric: set[CellAddress]) -> dict[CellAddress, int]:
-    """For each cell on a chain of formulas that nothing depends on, how many
-    of ``numeric`` it reaches backwards, itself included.
+    """How many of ``numeric`` each formula that nothing depends on reaches
+    backwards, itself included; one with neither links nor dependents is
+    left out.
 
     One pass over the components of the formula arcs, precedents first. A
     component's reach is a bitset over ``numeric``, numbered column by column
@@ -617,7 +620,7 @@ def _sink_reach(graph: DependencyGraph, numeric: set[CellAddress]) -> dict[CellA
         mask = 0
         for v in component:
             if v in numeric:
-                mask |= bits(v.sheet, v.row, v.col, v.row, v.col)
+                mask |= bits(v.sheet, v.row, v.col, v.row, v.col)  # its own
             for link in graph.links.get(v, ()):
                 mask |= bits(link.sheet, *link.box)
             for p in succ.get(v, ()):
@@ -713,10 +716,14 @@ def classify_graph(graph: DependencyGraph,
 
     # Unused inputs: a dangling formula has no dependents, so a constant's
     # dependents are as far forward as any of its paths goes, and it is
-    # unused when links of dangling dependents cover it and no other does.
-    dead = graph.covered_by(d for d in graph.links if classes[d].dangling)
+    # unused when a dangling dependent's link covers it and no live one's
+    # does. When dangling dependents are the fewer, only what they cover
+    # can be unused, and the live ones are searched only if that is any.
+    dangling = [d for d in graph.links if classes[d].dangling]
+    candidates = graph.covered_by(dangling) if 2 * len(dangling) < len(graph.links) \
+        else referenced
     unused = [addr for addr, info in graph.nodes.items()
-              if addr in dead and info.kind in CONSTANT_KINDS]
+              if info.kind in _CONSTANT_KINDS and addr in candidates]
     if unused:
         live = graph.covered_by(d for d in graph.links if not classes[d].dangling)
         for addr in unused:

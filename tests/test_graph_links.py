@@ -67,8 +67,9 @@ def test_links_give_what_the_per_arc_bodies_gave(seed, coverage, limit):
         assert rule(ctx, wb.sheets) == reference(ctx, wb.sheets), rule.__name__
     unused = {a for a, cls in ctx.classes.items() if cls.dangling_kind == "unused-input"}
     assert unused == unused_inputs_by_forward_search(graph, ctx.classes)
+    referenced = graph.referenced()
     for addr in graph.nodes:
-        assert graph.has_dependents(addr) == bool(graph.dependents_of(addr))
+        assert (addr in referenced) == bool(graph.dependents_of(addr))
     edges = [line for line in export_dot(graph, ctx.classes).splitlines() if " -> " in line]
     assert len(edges) == len(graph.arcs)
 
