@@ -299,13 +299,19 @@ class DependencyGraph:
 
     def dependents_of(self, addr: CellAddress) -> list[CellAddress]:
         """The dependents with a link that covers ``addr``, in the order they
-        were first linked; found on each call."""
-        if addr not in self.referenced():
-            return []
+        were first linked; built on each call from an index of the links'
+        row spans per column, which is built on first use."""
+        spans = self._derived.get("link_spans")
+        if spans is None:
+            spans = self._derived["link_spans"] = {}
+            for d, links in self.links.items():
+                for link in links:
+                    top, left, bottom, right = link.box
+                    for col in range(left, right + 1):
+                        spans.setdefault((link.sheet, col), []).append((top, bottom, d))
         sheet, row, col = addr
-        return [d for d, links in self.links.items()
-                if any(link.sheet == sheet and link.box[0] <= row <= link.box[2]
-                       and link.box[1] <= col <= link.box[3] for link in links)]
+        return list(dict.fromkeys(d for top, bottom, d in spans.get((sheet, col), ())  # type: ignore[attr-defined]
+                                  if top <= row <= bottom))
 
     def populated_count(self, sheet: str, box: Box) -> int:
         """How many cells of ``box`` on ``sheet`` are nodes that are not blank."""
