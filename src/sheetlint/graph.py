@@ -57,14 +57,20 @@ class Link(NamedTuple):
     ``origin`` is the range or defined-name text the reference came
     through, or None for a direct reference, which is one cell. A cell
     keeps the origin of the first link of its dependent that covers it, so
-    ``pieces`` are the disjoint boxes that make up the cells of ``box`` no
-    earlier link of the same dependent covers.
+    ``parts`` are the disjoint boxes that make up the cells of ``box`` no
+    earlier link of the same dependent covers. Most links add their whole
+    box; only the others keep ``pieces``, so a link holds no tuple beyond
+    its box.
     """
 
     origin: str | None
     sheet: str
     box: Box
-    pieces: tuple[Box, ...]
+    pieces: tuple[Box, ...] = ()
+
+    @property
+    def parts(self) -> tuple[Box, ...]:
+        return self.pieces or (self.box,)
 
 
 def box_area(box: Box) -> int:
@@ -170,7 +176,7 @@ class DependencyGraph:
     defined names it uses. A range stays one link: its dependent depends on
     every cell of the box, and every such cell is a node. A cell that an
     earlier link of the same dependent already covers keeps that earlier
-    link's origin (the first-origin rule); each link's ``pieces`` hold the
+    link's origin (the first-origin rule); each link's ``parts`` hold the
     cells that are new.
 
     ``arcs``, ``range_origin``, ``precedents_of`` and ``dependents_of``
@@ -201,13 +207,13 @@ class DependencyGraph:
     def arcs(self) -> set[tuple[CellAddress, CellAddress]]:
         """Every arc as ``(precedent, dependent)``; built on each access."""
         return {(p, d) for d, links in self.links.items() for link in links
-                for piece in link.pieces for p in box_cells(link.sheet, piece)}
+                for piece in link.parts for p in box_cells(link.sheet, piece)}
 
     @property
     def range_origin(self) -> dict[tuple[CellAddress, CellAddress], str | None]:
         """Origin of every arc keyed by ``(precedent, dependent)``; built on each access."""
         return {(p, d): link.origin for d, links in self.links.items() for link in links
-                for piece in link.pieces for p in box_cells(link.sheet, piece)}
+                for piece in link.parts for p in box_cells(link.sheet, piece)}
 
     def sheet_index(self, name: str) -> int:
         return self._sheet_index.get(name.lower(), len(self.sheet_order))
@@ -252,36 +258,43 @@ class DependencyGraph:
     def add_arc(self, precedent: CellAddress, dependent: CellAddress,
                 origin: str | None = None) -> None:
         """Link ``precedent``, a node, to ``dependent`` as a one-cell box."""
-        row, col = precedent.row, precedent.col
-        self._extend(dependent, [(origin, precedent.sheet, (row, col, row, col))])
+        box = (precedent.row, precedent.col, precedent.row, precedent.col)
+        self._extend(dependent, [Link(origin, precedent.sheet, box)])
 
-    def _extend(self, dependent: CellAddress,
-                refs: Iterable[tuple[str | None, str, Box]]) -> None:
-        """Append ``(origin, sheet, box)`` links to ``dependent``'s, each with the
-        pieces of its box that no earlier link covers; one with none is dropped."""
+    def _extend(self, dependent: CellAddress, new: Iterable[Link]) -> None:
+        """Append ``new`` links, each with its whole box, to ``dependent``'s.
+        Each keeps the pieces of its box that no earlier link covers; one
+        with none is dropped."""
         links = self.links.get(dependent, [])
-        singles = {(link.sheet, link.box[0], link.box[1]) for link in links
-                   if box_area(link.box) == 1}
-        blocks = [link for link in links if box_area(link.box) > 1]
-        for origin, sheet, box in refs:
+        singles: dict[str, set[Box]] = {}  # the one-cell boxes, per sheet
+        blocks: list[Link] = []
+        for link in links:
+            if box_area(link.box) == 1:
+                singles.setdefault(link.sheet, set()).add(link.box)
+            else:
+                blocks.append(link)
+        for link in new:
+            sheet, box = link.sheet, link.box
             top, left, bottom, right = box
+            seen = singles.get(sheet)
+            if seen is None:
+                seen = singles[sheet] = set()
             if top == bottom and left == right:
-                key = (sheet, top, left)
-                if key in singles or blocks and any(
+                if box in seen or blocks and any(
                         b.sheet == sheet and b.box[0] <= top <= b.box[2]
                         and b.box[1] <= left <= b.box[3] for b in blocks):
                     continue
-                singles.add(key)
-                links.append(Link(origin, sheet, box, (box,)))
+                seen.add(box)
+                links.append(link)
                 continue
             pieces = [box]
             cuts = [b.box for b in blocks if b.sheet == sheet]
-            cuts += [(row, col, row, col) for s, row, col in singles
-                     if s == sheet and top <= row <= bottom and left <= col <= right]
+            cuts += [c for c in seen if top <= c[0] <= bottom and left <= c[1] <= right]
             for cut in cuts:
                 pieces = [part for piece in pieces for part in _minus(piece, cut)]
             if pieces:
-                link = Link(origin, sheet, box, tuple(pieces))
+                if pieces != [box]:
+                    link = link._replace(pieces=tuple(pieces))
                 links.append(link)
                 blocks.append(link)
         if links:
@@ -384,18 +397,9 @@ class DependencyGraph:
                         if cell is not None:
                             found.append(cell)
                     else:
-                        for piece in link.pieces:
+                        for piece in link.parts:
                             found += index.cells(link.sheet, piece)
             self._derived["formula_precedents"] = out
-        return out  # type: ignore[return-value]
-
-    def formula_components(self) -> list[list[CellAddress]]:
-        """The strongly connected components of ``formula_precedents``, each
-        listed after every component it reaches. Built on first use; read
-        it, do not change it."""
-        out = self._derived.get("formula_components")
-        if out is None:
-            out = self._derived["formula_components"] = _components(self.formula_precedents())
         return out  # type: ignore[return-value]
 
     def formula_cells(self) -> list[CellAddress]:
@@ -451,8 +455,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     budget = MAX_EXPANDED_CELLS  # spent in reading order, so the refusals are deterministic
 
     def resolve(refs: tuple[CellRef | RangeRef, ...], dependent: CellAddress,
-                name: str | None, problems: list[str],
-                found: list[tuple[str | None, str, Box]]) -> None:
+                name: str | None, problems: list[str], found: list[Link]) -> None:
         """Add a formula's references, or the defined name ``name``'s (the
         links' origin), to ``found``, with a blank node for each cell that
         holds nothing."""
@@ -484,11 +487,11 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                 for cell in box_cells(sheet, box):
                     if cell not in graph.nodes:
                         graph.add_node(cell, NodeInfo(kind=CellKind.EMPTY, blank=True))
-            found.append((origin, sheet, box))
+            found.append(Link(origin, sheet, box))
 
     for addr, content in workbook.formulas():
         problems: list[str] = []
-        found: list[tuple[str | None, str, Box]] = []
+        found: list[Link] = []
         facts = content.facts
         resolve(facts.refs, addr, None, problems, found)
         for node in facts.names:  # after the formula's own, in budget order
@@ -505,14 +508,13 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     return graph
 
 
-def _components(succ: dict[CellAddress, list[CellAddress]]) -> list[list[CellAddress]]:
+def _components(succ: dict[CellAddress, list[CellAddress]]) -> Iterator[list[CellAddress]]:
     """Strongly connected components of the arcs ``v -> succ[v]`` (iterative
-    Tarjan), each listed after every component it reaches."""
+    Tarjan), each given after every component it reaches."""
     index: dict[CellAddress, int] = {}
     lowlink: dict[CellAddress, int] = {}
     on_stack: set[CellAddress] = set()
     stack: list[CellAddress] = []
-    components: list[list[CellAddress]] = []
     for root in succ:
         if root in index:
             continue
@@ -547,8 +549,7 @@ def _components(succ: dict[CellAddress, list[CellAddress]]) -> list[list[CellAdd
                     component.append(w)
                     if w == v:
                         break
-                components.append(component)
-    return components
+                yield component
 
 
 def find_cycles(graph: DependencyGraph) -> list[list[CellAddress]]:
@@ -560,7 +561,7 @@ def find_cycles(graph: DependencyGraph) -> list[list[CellAddress]]:
     """
     succ = graph.formula_precedents()
     cycles = []
-    for component in graph.formula_components():
+    for component in _components(succ):
         if len(component) > 1 or component[0] in succ.get(component[0], ()):
             cycles.append(sorted(component, key=graph.addr_key))
     cycles.sort(key=lambda c: graph.addr_key(c[0]))
@@ -593,7 +594,8 @@ def _sink_reach(graph: DependencyGraph, numeric: set[CellAddress]) -> dict[CellA
     backwards, itself included; one with neither links nor dependents is
     left out.
 
-    One pass over the components of the formula arcs, precedents first. A
+    One pass over the components of the formula arcs, precedents first
+    (the order ``_components`` lists them in). A
     component's reach is a bitset over ``numeric``, numbered column by column
     per sheet, so the numeric cells of one column of a box are one run of
     bits. A bitset is dropped once every dependent has read it.
@@ -622,7 +624,7 @@ def _sink_reach(graph: DependencyGraph, numeric: set[CellAddress]) -> dict[CellA
     waiting = Counter(p for found in succ.values() for p in found)
     reach: dict[CellAddress, int] = {}
     out: dict[CellAddress, int] = {}
-    for component in graph.formula_components():
+    for component in _components(succ):
         mask = 0
         for v in component:
             if v in numeric:
@@ -828,7 +830,7 @@ def export_dot(graph: DependencyGraph,
     for dependent, links in graph.links.items():
         d = rank[dependent]
         for link in links:
-            for top, left, bottom, right in link.pieces:
+            for top, left, bottom, right in link.parts:
                 for col in range(left, right + 1):
                     rows, ranks = columns[link.sheet, col]
                     for p in ranks[bisect_left(rows, top):bisect_right(rows, bottom)]:

@@ -432,11 +432,16 @@ def load_xlsx(path: str | Path) -> Workbook:
     return workbook
 
 
-def _on_grid(refs) -> bool:
-    """Whether every corner of every reference lies on the sheet's grid."""
-    return all(1 <= cell.row <= MAX_ROW and 1 <= cell.col <= MAX_COL
-               for ref in refs
-               for cell in ((ref.start, ref.end) if isinstance(ref, RangeRef) else (ref,)))
+def _offsets(refs) -> tuple[int, int, int, int]:
+    """The least and greatest row, then column, offset among the relative
+    coordinates of host-relative references; 0 where there is none. A copy
+    at ``(row, col)`` stays on the grid when ``row`` plus each row offset and
+    ``col`` plus each column offset do; fixed coordinates are parsed ones."""
+    corners = [c for ref in refs
+               for c in ((ref.start, ref.end) if isinstance(ref, RangeRef) else (ref,))]
+    rows = [c.row for c in corners if not c.row_abs] or [0]
+    cols = [c.col for c in corners if not c.col_abs] or [0]
+    return min(rows), max(rows), min(cols), max(cols)
 
 
 def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
@@ -476,8 +481,8 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                 sheet.column_widths[c] = width
 
     # si -> (the group's copy class, whether a range has '$' on one corner
-    # of an axis only)
-    shared: dict[str, tuple[CopyClass, bool]] = {}
+    # of an axis only, the offsets of its relative coordinates)
+    shared: dict[str, tuple[CopyClass, bool, tuple[int, int, int, int]]] = {}
     data = root.find(_tag("sheetData"))
     if data is None:
         _set_declared_extent(sheet, declared)
@@ -518,13 +523,14 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                             isinstance(r, RangeRef)
                             and (r.start.row_abs != r.end.row_abs
                                  or r.start.col_abs != r.end.col_abs)
-                            for r in copy_class.facts.refs)
+                            for r in copy_class.facts.refs), _offsets(copy_class.facts.refs)
                     if si not in shared:
                         raise LoadError(path, 0, 0, f"cell {ref}: shared formula "
                                                     f"{si!r} has no master")
-                    copy_class, one_sided = shared[si]
+                    copy_class, one_sided, (top, bottom, left, right) = shared[si]
                     content = CellContent.copy_of(copy_class, addr.row, addr.col)
-                    if not _on_grid(content.facts.refs):
+                    if not (1 <= addr.row + top and addr.row + bottom <= MAX_ROW
+                            and 1 <= addr.col + left and addr.col + right <= MAX_COL):
                         notices.append(f"cell {addr.qualified()} left out: its shared "
                                        f"formula moves a reference off the grid")
                         content = copy_class = None

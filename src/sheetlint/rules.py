@@ -179,7 +179,7 @@ def _r01_backward(ctx: _Context, sheets) -> list[Diagnostic]:
             if (link.sheet != addr.sheet  # cross-sheet arcs are a different defect
                     or bottom < addr.row or (bottom == addr.row and right < addr.col)):
                 continue
-            for piece in link.pieces:
+            for piece in link.parts:
                 bad = (p for p in _backward_cells(addr, link.sheet, piece)
                        if not classes[p].on_cycle)
                 if link.origin is None:
@@ -225,7 +225,7 @@ def _r02_long_arc(ctx: _Context, sheets) -> list[Diagnostic]:
             if (reach <= limit or (worst is not None and reach <= worst[0])
                     or link.sheet != addr.sheet):
                 continue
-            far = [_farthest(addr, piece) for piece in link.pieces]
+            far = [_farthest(addr, piece) for piece in link.parts]
             distance = max(d for d, _, _ in far)
             if distance > limit and (worst is None or distance > worst[0]):
                 _, row, col = min(f for f in far if f[0] == distance)
@@ -247,7 +247,7 @@ def _r03_cross_sheet(ctx: _Context, sheets) -> list[Diagnostic]:
     for addr in ctx.graph.formula_cells():
         offenders = sorted(
             (p for link in ctx.graph.links.get(addr, ()) if link.sheet != addr.sheet
-             for piece in link.pieces for p in box_cells(link.sheet, piece)),
+             for piece in link.parts for p in box_cells(link.sheet, piece)),
             key=ctx.graph.addr_key)
         if offenders:
             out.append(ctx.emit(
@@ -302,7 +302,7 @@ def _r06_perverse(ctx: _Context, sheets) -> list[Diagnostic]:
                for link in links):
             groups: dict[str | None, list[tuple[str, Box]]] = {}
             for link in links:
-                groups.setdefault(link.origin, []).extend((link.sheet, p) for p in link.pieces)
+                groups.setdefault(link.origin, []).extend((link.sheet, p) for p in link.parts)
             for origin, pieces in groups.items():
                 size = sum(box_area(box) for _, box in pieces)
                 blank = size - sum(graph.populated_count(sheet, box) for sheet, box in pieces)
@@ -614,7 +614,7 @@ def _r23_formula_refs(ctx: _Context, sheets) -> list[Diagnostic]:
     into_formulas: Counter[str] = Counter()
     for d, precedents in graph.formula_precedents().items():
         total[d.sheet] += sum(box_area(piece) for link in graph.links[d]
-                              for piece in link.pieces)
+                              for piece in link.parts)
         into_formulas[d.sheet] += sum(1 for p in precedents
                                       if nodes[p].kind is CellKind.FORMULA)
     for sheet in ctx.workbook.sheets:

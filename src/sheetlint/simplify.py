@@ -544,15 +544,15 @@ def nest_candidates(graph: DependencyGraph, workbook: Workbook,
     dropped.
     """
     contents = dict(workbook.formulas())
-    dependents: dict[CellAddress, list[CellAddress]] = {}
+    only: dict[CellAddress, CellAddress | None] = {}  # a formula's one dependent, or None
     for dependent, precedents in graph.formula_precedents().items():
         for precedent in precedents:
-            dependents.setdefault(precedent, []).append(dependent)
+            only[precedent] = None if precedent in only else dependent
     out: list[NestCandidate] = []
     for source in graph.formula_cells():
-        if len(dependents.get(source, ())) != 1:
+        target = only.get(source)
+        if target is None:
             continue
-        target = dependents[source][0]
         if target == source or target not in contents or source not in contents:
             continue
         if _covered_by_range(contents[target].facts.refs, target.sheet, source):

@@ -82,7 +82,7 @@ def test_a_range_over_a_direct_reference_keeps_the_first_origin():
     cell = {row: CellAddress("S", row, 1) for row in range(1, 5)}
     assert graph.precedents_of(b5) == {cell[2]: None, cell[1]: "A1:A3", cell[3]: "A1:A3",
                                        cell[4]: "A2:A4"}
-    assert [link.pieces for link in graph.links[b5]] == [
+    assert [link.parts for link in graph.links[b5]] == [
         ((2, 1, 2, 1),), ((1, 1, 1, 1), (3, 1, 3, 1)), ((4, 1, 4, 1),)]
 
 
