@@ -345,27 +345,20 @@ class DependencyGraph:
         return cells  # type: ignore[return-value]
 
     def covered_by(self, dependents: Iterable[CellAddress]) -> set[CellAddress]:
-        """The cells that a link of one of ``dependents`` covers; a one-cell
-        link's as a plain ``(sheet, row, col)`` tuple, which equals and hashes
-        as its address. Boxes are merged per column first, so each node is
-        visited once."""
+        """The nodes that a link of one of ``dependents`` covers. The boxes
+        are merged per column first, so each node is visited once, and the
+        set holds the nodes' own addresses, so it makes no new objects."""
         spans: dict[str, dict[int, list[int]]] = {}  # per sheet and column, see _runs
-        out: set[CellAddress] = set()
         for d in dependents:
             for link in self.links[d]:
-                sheet = link.sheet
                 top, left, bottom, right = link.box
-                if top == bottom and left == right:
-                    out.add((sheet, top, left))  # type: ignore[arg-type]
-                    continue
-                by_col = spans.setdefault(sheet, {})
+                by_col = spans.setdefault(link.sheet, {})
                 for col in range(left, right + 1):
                     by_col.setdefault(col, []).append(top << _SPAN | bottom)
-        if not spans:
-            return out
         nodes = self._derived.get("nodes")
         if nodes is None:
             nodes = self._derived["nodes"] = _Columns(self.nodes)
+        out: set[CellAddress] = set()
         for sheet, by_col in spans.items():
             node_rows = nodes.rows.get(sheet, {})  # type: ignore[attr-defined]
             node_cells = nodes.cells_by_col.get(sheet, {})  # type: ignore[attr-defined]
