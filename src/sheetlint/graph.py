@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .config import AuditConfig, ConfigError
@@ -345,29 +346,40 @@ class DependencyGraph:
         return cells  # type: ignore[return-value]
 
     def covered_by(self, dependents: Iterable[CellAddress]) -> set[CellAddress]:
-        """The nodes that a link of one of ``dependents`` covers. The boxes
-        are merged per column first, so each node is visited once, and the
-        set holds the nodes' own addresses, so it makes no new objects."""
-        spans: dict[str, dict[int, list[int]]] = {}  # per sheet and column, see _runs
+        """The nodes that a link of one of ``dependents`` covers. Boxes of
+        more than one cell are merged per column first, so each node is
+        visited once, and the set holds the nodes' own addresses, so it
+        makes no new objects."""
+        own = self._derived.get("own")  # each node keyed by itself
+        if own is None:
+            own = self._derived["own"] = {a: a for a in self.nodes}
+        spans: dict[tuple[str, int], list[int]] = {}  # per sheet and column, see _runs
+        out: set[CellAddress] = set()
         for d in dependents:
             for link in self.links[d]:
+                sheet = link.sheet
                 top, left, bottom, right = link.box
-                by_col = spans.setdefault(link.sheet, {})
+                if top == bottom and left == right:
+                    out.add(own[sheet, top, left])  # type: ignore[index]
+                    continue
+                span = top << _SPAN | bottom
                 for col in range(left, right + 1):
-                    by_col.setdefault(col, []).append(top << _SPAN | bottom)
+                    col_spans = spans.get((sheet, col))
+                    if col_spans is None:
+                        spans[sheet, col] = [span]
+                    else:
+                        col_spans.append(span)
+        if not spans:
+            return out
         nodes = self._derived.get("nodes")
         if nodes is None:
             nodes = self._derived["nodes"] = _Columns(self.nodes)
-        out: set[CellAddress] = set()
-        for sheet, by_col in spans.items():
-            node_rows = nodes.rows.get(sheet, {})  # type: ignore[attr-defined]
-            node_cells = nodes.cells_by_col.get(sheet, {})  # type: ignore[attr-defined]
-            for col, col_spans in by_col.items():
-                rows = node_rows.get(col)
-                if rows:
-                    for top, bottom in _runs(col_spans):
-                        out.update(node_cells[col][bisect_left(rows, top):
-                                                   bisect_right(rows, bottom)])
+        for (sheet, col), col_spans in spans.items():
+            rows = nodes.rows.get(sheet, {}).get(col)  # type: ignore[attr-defined]
+            if rows:
+                cells = nodes.cells_by_col[sheet][col]  # type: ignore[attr-defined]
+                for top, bottom in _runs(col_spans):
+                    out.update(cells[bisect_left(rows, top):bisect_right(rows, bottom)])
         return out
 
     def formula_precedents(self) -> dict[CellAddress, list[CellAddress]]:
@@ -394,6 +406,24 @@ class DependencyGraph:
                             found += index.cells(link.sheet, piece)
             self._derived["formula_precedents"] = out
         return out  # type: ignore[return-value]
+
+    def formula_components(self) -> Iterator[list[CellAddress]]:
+        """The strongly connected components of ``formula_precedents``, each
+        after every component it reaches. They are kept as one list of
+        cells and one of sizes, built on first use."""
+        found = self._derived.get("components")
+        if found is None:
+            cells: list[CellAddress] = []
+            sizes: list[int] = []
+            for component in _components(self.formula_precedents()):
+                cells += component
+                sizes.append(len(component))
+            found = self._derived["components"] = cells, sizes
+        cells, sizes = found  # type: ignore[misc]
+        start = 0
+        for size in sizes:
+            yield cells[start:start + size]
+            start += size
 
     def formula_cells(self) -> list[CellAddress]:
         """Formula nodes in workbook reading order; sorted once, returned as a copy."""
@@ -554,7 +584,7 @@ def find_cycles(graph: DependencyGraph) -> list[list[CellAddress]]:
     """
     succ = graph.formula_precedents()
     cycles = []
-    for component in _components(succ):
+    for component in graph.formula_components():
         if len(component) > 1 or component[0] in succ.get(component[0], ()):
             cycles.append(sorted(component, key=graph.addr_key))
     cycles.sort(key=lambda c: graph.addr_key(c[0]))
@@ -587,25 +617,31 @@ def _sink_reach(graph: DependencyGraph, numeric: set[CellAddress]) -> dict[CellA
     backwards, itself included; one with neither links nor dependents is
     left out.
 
-    One pass over the components of the formula arcs, precedents first
-    (the order ``_components`` lists them in). A
+    One pass over ``DependencyGraph.formula_components``, precedents first. A
     component's reach is a bitset over ``numeric``, numbered column by column
     per sheet, so the numeric cells of one column of a box are one run of
     bits. A bitset is dropped once every dependent has read it.
     """
-    # per sheet and column: the numeric rows there, and the bit of the first
-    columns: dict[str, dict[int, tuple[list[int], int]]] = {}
-    n = 0
-    for sheet, by_col in _Columns(numeric).rows.items():
-        for col, rows in by_col.items():
-            columns.setdefault(sheet, {})[col] = rows, n
-            n += len(rows)
+    # each numeric cell's bit, column by column per sheet; per column, its
+    # numeric rows and the bit of the first
+    ordered = sorted(numeric, key=itemgetter(0, 2, 1))
+    bit_of = {cell: i for i, cell in enumerate(ordered)}
+    columns: dict[tuple[str, int], tuple[list[int], int]] = {}
+    for i, (sheet, row, col) in enumerate(ordered):
+        entry = columns.get((sheet, col))
+        if entry is None:
+            columns[sheet, col] = [row], i
+        else:
+            entry[0].append(row)
 
-    def bits(sheet: str, top: int, left: int, bottom: int, right: int) -> int:
-        by_col = columns.get(sheet, {})
+    def bits(sheet: str, box: Box) -> int:
+        top, left, bottom, right = box
+        if top == bottom and left == right:
+            i = bit_of.get((sheet, top, left))  # type: ignore[call-overload]
+            return 0 if i is None else 1 << i
         mask = 0
         for col in range(left, right + 1):
-            entry = by_col.get(col)
+            entry = columns.get((sheet, col))
             if entry is not None:
                 rows, first = entry
                 i, j = bisect_left(rows, top), bisect_right(rows, bottom)
@@ -617,17 +653,17 @@ def _sink_reach(graph: DependencyGraph, numeric: set[CellAddress]) -> dict[CellA
     waiting = Counter(p for found in succ.values() for p in found)
     reach: dict[CellAddress, int] = {}
     out: dict[CellAddress, int] = {}
-    for component in _components(succ):
+    for component in graph.formula_components():
         mask = 0
         for v in component:
-            if v in numeric:
-                mask |= bits(v.sheet, v.row, v.col, v.row, v.col)  # its own
+            if v in bit_of:
+                mask |= 1 << bit_of[v]
             for link in graph.links.get(v, ()):
-                mask |= bits(link.sheet, *link.box)
+                mask |= bits(link.sheet, link.box)
             for p in succ.get(v, ()):
                 mask |= reach.get(p, 0)
         for v in component:
-            if waiting[v]:
+            if waiting.get(v):
                 reach[v] = mask
             else:
                 out[v] = mask.bit_count()
