@@ -125,7 +125,7 @@ class _Columns:
     """The cells of a set, sorted per sheet and column, so the cells of the
     set inside a box are counted and listed without visiting the box's
     other cells. ``rows`` holds each column's rows, ``cells_by_col`` its
-    addresses in the same order."""
+    addresses in the same order, ``cols`` each sheet's columns in order."""
 
     __slots__ = ("rows", "cells_by_col", "cols")
 
@@ -142,30 +142,29 @@ class _Columns:
                      for sheet, columns in by_col.items()}
         self.cols = {sheet: sorted(columns) for sheet, columns in by_col.items()}
 
-    def _cols_between(self, sheet: str, left: int, right: int) -> list[int]:
-        """The set's columns from ``left`` to ``right`` on ``sheet``."""
-        cols = self.cols.get(sheet, [])
-        return cols[bisect_left(cols, left):bisect_right(cols, right)]
+    def slices(self, sheet: str, box: Box) -> Iterator[tuple[int, int, int]]:
+        """``(col, i, j)`` for each column of the set with cells inside
+        ``box`` on ``sheet``: those are the column's cells ``i:j``."""
+        top, left, bottom, right = box
+        cols = self.cols.get(sheet)
+        if cols is None:
+            return
+        rows_by_col = self.rows[sheet]
+        for col in cols[bisect_left(cols, left):bisect_right(cols, right)]:
+            rows = rows_by_col[col]
+            i, j = bisect_left(rows, top), bisect_right(rows, bottom)
+            if i < j:
+                yield col, i, j
 
     def count(self, sheet: str, box: Box) -> int:
         """How many cells of the set are inside ``box``."""
-        top, left, bottom, right = box
-        by_col = self.rows.get(sheet, {})
-        n = 0
-        for col in self._cols_between(sheet, left, right):
-            rows = by_col[col]
-            n += bisect_right(rows, bottom) - bisect_left(rows, top)
-        return n
+        return sum(j - i for _, i, j in self.slices(sheet, box))
 
     def cells(self, sheet: str, box: Box) -> list[CellAddress]:
         """The cells of the set inside ``box``, column by column."""
-        top, left, bottom, right = box
-        rows_by_col = self.rows.get(sheet, {})
-        cells_by_col = self.cells_by_col.get(sheet, {})
         out: list[CellAddress] = []
-        for col in self._cols_between(sheet, left, right):
-            rows = rows_by_col[col]
-            out += cells_by_col[col][bisect_left(rows, top):bisect_right(rows, bottom)]
+        for col, i, j in self.slices(sheet, box):
+            out += self.cells_by_col[sheet][col][i:j]
         return out
 
 
@@ -314,18 +313,31 @@ class DependencyGraph:
     def dependents_of(self, addr: CellAddress) -> list[CellAddress]:
         """The dependents with a link that covers ``addr``, in the order they
         were first linked; built on each call from an index of the links'
-        row spans per column, which is built on first use."""
-        spans = self._derived.get("link_spans")
-        if spans is None:
-            spans = self._derived["link_spans"] = {}
-            for d, links in self.links.items():
+        row spans per column, which is built on first use. A column's spans
+        are sorted by top, so a call reads only those whose top is at most
+        the column's tallest span above ``addr``."""
+        index = self._derived.get("link_spans")
+        if index is None:
+            spans: dict[tuple[str, int], list[tuple[int, int, int, CellAddress]]] = {}
+            for seq, (d, links) in enumerate(self.links.items()):
                 for link in links:
                     top, left, bottom, right = link.box
                     for col in range(left, right + 1):
-                        spans.setdefault((link.sheet, col), []).append((top, bottom, d))
-        sheet, row, col = addr
-        return list(dict.fromkeys(d for top, bottom, d in spans.get((sheet, col), ())  # type: ignore[attr-defined]
-                                  if top <= row <= bottom))
+                        spans.setdefault((link.sheet, col), []).append((top, bottom, seq, d))
+            index = self._derived["link_spans"] = {}
+            for key, col_spans in spans.items():
+                col_spans.sort(key=itemgetter(0))
+                height = max(bottom - top for top, bottom, _, _ in col_spans)
+                index[key] = [top for top, _, _, _ in col_spans], height, col_spans
+        entry = index.get((addr.sheet, addr.col))  # type: ignore[attr-defined]
+        if entry is None:
+            return []
+        tops, height, col_spans = entry
+        row = addr.row
+        found = {seq: d for _, bottom, seq, d in
+                 col_spans[bisect_left(tops, row - height):bisect_right(tops, row)]
+                 if bottom >= row}
+        return [found[seq] for seq in sorted(found)]
 
     def populated_count(self, sheet: str, box: Box) -> int:
         """How many cells of ``box`` on ``sheet`` are nodes that are not blank."""
@@ -622,17 +634,14 @@ def _sink_reach(graph: DependencyGraph, numeric: set[CellAddress]) -> dict[CellA
     per sheet, so the numeric cells of one column of a box are one run of
     bits. A bitset is dropped once every dependent has read it.
     """
-    # each numeric cell's bit, column by column per sheet; per column, its
-    # numeric rows and the bit of the first
-    ordered = sorted(numeric, key=itemgetter(0, 2, 1))
-    bit_of = {cell: i for i, cell in enumerate(ordered)}
-    columns: dict[tuple[str, int], tuple[list[int], int]] = {}
-    for i, (sheet, row, col) in enumerate(ordered):
-        entry = columns.get((sheet, col))
-        if entry is None:
-            columns[sheet, col] = [row], i
-        else:
-            entry[0].append(row)
+    index = _Columns(numeric)
+    bit_of: dict[CellAddress, int] = {}
+    first: dict[str, dict[int, int]] = {}  # each column's first bit, per sheet
+    for sheet, columns in index.cells_by_col.items():
+        first[sheet] = {}
+        for col, cells in columns.items():
+            first[sheet][col] = len(bit_of)
+            bit_of.update(zip(cells, range(len(bit_of), len(bit_of) + len(cells))))
 
     def bits(sheet: str, box: Box) -> int:
         top, left, bottom, right = box
@@ -640,13 +649,8 @@ def _sink_reach(graph: DependencyGraph, numeric: set[CellAddress]) -> dict[CellA
             i = bit_of.get((sheet, top, left))  # type: ignore[call-overload]
             return 0 if i is None else 1 << i
         mask = 0
-        for col in range(left, right + 1):
-            entry = columns.get((sheet, col))
-            if entry is not None:
-                rows, first = entry
-                i, j = bisect_left(rows, top), bisect_right(rows, bottom)
-                if i < j:
-                    mask |= ((1 << (j - i)) - 1) << (first + i)
+        for col, i, j in index.slices(sheet, box):
+            mask |= ((1 << (j - i)) - 1) << (first[sheet][col] + i)
         return mask
 
     succ = graph.formula_precedents()
@@ -753,14 +757,9 @@ def classify_graph(graph: DependencyGraph,
 
     # Unused inputs: a dangling formula has no dependents, so a constant's
     # dependents are as far forward as any of its paths goes, and it is
-    # unused when a dangling dependent's link covers it and no live one's
-    # does. When dangling dependents are the fewer, only what they cover
-    # can be unused, and the live ones are searched only if that is any.
-    dangling = [d for d in graph.links if classes[d].dangling]
-    candidates = graph.covered_by(dangling) if 2 * len(dangling) < len(graph.links) \
-        else referenced
+    # unused when something covers it and no live dependent's link does.
     unused = [addr for addr, info in graph.nodes.items()
-              if info.kind in _CONSTANT_KINDS and addr in candidates]
+              if info.kind in _CONSTANT_KINDS and addr in referenced]
     if unused:
         live = graph.covered_by(d for d in graph.links if not classes[d].dangling)
         for addr in unused:
@@ -814,7 +813,7 @@ def export_dot(graph: DependencyGraph,
     """
     classes = classes or {}
     participating = set(graph.links)
-    participating.update(map(CellAddress._make, graph.referenced()))
+    participating.update(graph.referenced())
     participating.update(addr for addr, cls in classes.items() if cls.any_flag)
     # The sheet name only orders cells on sheets the workbook lacks, which
     # defined names can point at; they all share one sheet index.
@@ -847,22 +846,20 @@ def export_dot(graph: DependencyGraph,
             if cls.bottom_line:
                 attrs.append('shape="doubleoctagon"')
         lines.append(f'  "{node_id}" [{", ".join(attrs)}];')
-    # Every cell of a link is a node here, and a column's nodes come in row
-    # order, so one column of a piece is one slice of ranks. The pieces of
-    # one dependent's links are disjoint, so no arc comes twice.
-    columns: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
-    for i, addr in enumerate(order):
-        rows, ranks = columns.setdefault((addr.sheet, addr.col), ([], []))
-        rows.append(addr.row)
-        ranks.append(i)
+    # Every cell of a link is a node here, so one column of a piece is one
+    # slice of the column's ranks. The pieces of one dependent's links are
+    # disjoint, so no arc comes twice.
+    index = _Columns(order)
+    ranks = {sheet: {col: [rank[cell] for cell in cells] for col, cells in columns.items()}
+             for sheet, columns in index.cells_by_col.items()}
     dependents: list[list[int]] = [[] for _ in order]  # by precedent rank
     for dependent, links in graph.links.items():
         d = rank[dependent]
         for link in links:
-            for top, left, bottom, right in link.parts:
-                for col in range(left, right + 1):
-                    rows, ranks = columns[link.sheet, col]
-                    for p in ranks[bisect_left(rows, top):bisect_right(rows, bottom)]:
+            col_ranks = ranks[link.sheet]
+            for piece in link.parts:
+                for col, i, j in index.slices(link.sheet, piece):
+                    for p in col_ranks[col][i:j]:
                         dependents[p].append(d)
     for p, ds in enumerate(dependents):
         ds.sort()

@@ -68,8 +68,11 @@ def test_links_give_what_the_per_arc_bodies_gave(seed, coverage, limit):
     unused = {a for a, cls in ctx.classes.items() if cls.dangling_kind == "unused-input"}
     assert unused == unused_inputs_by_forward_search(graph, ctx.classes)
     referenced = graph.referenced()
+    precedents = {d: graph.precedents_of(d) for d in graph.links}
     for addr in graph.nodes:
-        assert (addr in referenced) == bool(graph.dependents_of(addr))
+        dependents = graph.dependents_of(addr)
+        assert dependents == [d for d, found in precedents.items() if addr in found], addr
+        assert (addr in referenced) == bool(dependents)
     edges = [line for line in export_dot(graph, ctx.classes).splitlines() if " -> " in line]
     assert len(edges) == len(graph.arcs)
 
