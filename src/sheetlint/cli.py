@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+from typing import Iterable, Iterator
 
 from .config import AuditConfig, ConfigError, Severity, load_config, parse_rule_list
 from .loaders import LoadError, load_workbook
-from .report import Report, audit_workbook, render_dot, render_json, render_text
+from .report import Report, audit_workbook, render_dot, render_json_parts, render_text
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -59,6 +61,29 @@ def _assemble_config(args: argparse.Namespace) -> AuditConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the CLI with the cyclic garbage collector off.
+
+    An audit makes no reference cycles, so reference counting frees each
+    workbook and graph, and a collection would only walk live objects. The
+    caller's collector state is restored on every return, exceptions too.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _text_parts(reports: list[Report]) -> Iterator[str]:
+    for report in reports:
+        if len(reports) > 1:
+            yield f"== {report.input} ==\n"
+        yield render_text(report)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:
@@ -68,9 +93,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     threshold = Severity.from_label(args.severity_threshold)
-    # Keep each input's report (and DOT text) only: the workbook is freed when
-    # audit_workbook returns and the graph once rendered, so memory follows
-    # the largest input.
+    # Keep each input's report (and DOT text) only. Reference counting frees
+    # the workbook when audit_workbook returns and the graph once rendered,
+    # so memory follows the largest input. Nothing is written before every
+    # input is audited, so a LoadError leaves the output empty.
     reports: list[Report] = []
     dots: list[str] = []
     for path in args.paths:
@@ -89,27 +115,24 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return EXIT_INTERNAL
 
+    # the report is written in parts and never held whole
+    parts: Iterable[str]
     if args.format == "json":
-        body = render_json(reports)
+        parts = render_json_parts(reports)
     elif args.format == "dot":
-        body = "".join(dots)
+        parts = dots
     else:
-        chunks = []
-        for report in reports:
-            if len(reports) > 1:
-                chunks.append(f"== {report.input} ==\n")
-            chunks.append(render_text(report))
-        body = "".join(chunks)
+        parts = _text_parts(reports)
 
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(body)
+                handle.writelines(parts)
         except OSError as exc:
             print(f"sheetlint: cannot write {args.output}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        sys.stdout.write(body)
+        sys.stdout.writelines(parts)
 
     flagged = any(d.severity >= threshold
                   for r in reports for d in r.diagnostics)

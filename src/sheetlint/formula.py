@@ -9,7 +9,10 @@ operand after it (A1^-2^3 is (A1^-2)^3). ``_PREC`` holds these tiers for
 both the parser and the printer. Parentheses, function calls and prefix
 signs nest at most ``MAX_NESTING`` levels deep, which bounds a tree's depth
 however long its runs are. Walks recurse at most once per tree level;
-``==`` and ``hash`` do not recurse.
+``==`` and ``hash`` do not recurse. A recursive walk is a module function
+that takes its context as arguments: a nested function that calls itself is
+a reference cycle, which only the cyclic collector frees, and the CLI runs
+without it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
+from itertools import repeat
 from typing import Callable, Iterator, NamedTuple
 
 from .model import (CELL_PATTERN, MAX_COL, MAX_ROW, CellAddress, col_letters,
@@ -262,11 +266,12 @@ MAX_NESTING = 64  # Excel's limit on nested functions
 
 
 class _Parser:
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, ordered: bool) -> None:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.ordered = ordered
 
     # token plumbing
     def peek(self) -> _Token:
@@ -385,7 +390,8 @@ class _Parser:
         """``start``, or the range it begins if ':' follows."""
         if not self.eat(":"):
             return start
-        return normalize_range(start, self._cell(self.advance(), None))
+        end = self._cell(self.advance(), None)
+        return normalize_range(start, end) if self.ordered else RangeRef(start, end)
 
     @staticmethod
     def _cell(tok: _Token, sheet: str | None) -> CellRef:
@@ -404,23 +410,30 @@ def normalize_range(a: CellRef, b: CellRef) -> RangeRef:
     Each axis is sorted by its coordinate only. Where the corners share a
     row or column, each corner keeps its own flag on that axis, and the
     other axis says which corner comes first: ``B$2:C2`` and ``C2:B$2`` both
-    read ``B$2:C2``.
+    read ``B$2:C2``. The sheet is ``a``'s, the one written before the range.
     """
+    sheet = a.sheet
     if (a.row == b.row and a.col > b.col) or (a.col == b.col and a.row > b.row):
         a, b = b, a
     (r1, ra1), (r2, ra2) = sorted([(a.row, a.row_abs), (b.row, b.row_abs)],
                                   key=lambda axis: axis[0])
     (c1, ca1), (c2, ca2) = sorted([(a.col, a.col_abs), (b.col, b.col_abs)],
                                   key=lambda axis: axis[0])
-    start = CellRef(r1, c1, sheet=a.sheet, row_abs=ra1, col_abs=ca1)
+    start = CellRef(r1, c1, sheet=sheet, row_abs=ra1, col_abs=ca1)
     end = CellRef(r2, c2, sheet=None, row_abs=ra2, col_abs=ca2)
     return RangeRef(start, end)
 
 
-def parse_formula(text: str) -> FormulaAst:
-    """Parse formula text (leading '=' optional) into an AST."""
+def parse_formula(text: str, ordered: bool = True) -> FormulaAst:
+    """Parse formula text (leading '=' optional) into an AST.
+
+    Each range's corners are ordered by ``normalize_range``, unless
+    ``ordered`` is False: then they stay as written, which a shared formula's
+    members need, as each member shifts the written corners before ordering
+    them (``order_ranges``).
+    """
     body = text[1:] if text.startswith("=") else text
-    return _Parser(body).parse()
+    return _Parser(body, ordered).parse()
 
 
 # --- printer -----------------------------------------------------------------
@@ -441,55 +454,56 @@ def ref_a1_text(ref: CellRef) -> str:
 def print_formula(ast: FormulaAst, leading_eq: bool = True,
                   ref_printer: Callable[[CellRef], str] | None = None) -> str:
     """Print canonically: uppercase names, no spaces, only needed or explicit parens."""
-    ref_text = ref_printer or ref_a1_text
-
-    def emit(node: FormulaAst, exponent: bool = False) -> str:
-        if isinstance(node, NumberLit):
-            return node.text
-        if isinstance(node, StringLit):
-            return '"' + node.value.replace('"', '""') + '"'
-        if isinstance(node, CellRef):
-            return ref_text(node)
-        if isinstance(node, RangeRef):
-            return f"{ref_text(node.start)}:{ref_text(node.end)}"
-        if isinstance(node, NameRef):
-            return node.name
-        if isinstance(node, BoolLit):
-            return "TRUE" if node.value else "FALSE"
-        if isinstance(node, FunctionCall):
-            return node.name.upper() + "(" + ",".join(map(emit, node.args)) + ")"
-        if isinstance(node, Paren):
-            return "(" + emit(node.inner) + ")"
-        if isinstance(node, UnaryOp):
-            # On an exponent a sign takes only the operand after it; stacked
-            # signs pass that on.
-            operand = node.operand
-            floor = _PREC["%"] if exponent and not isinstance(operand, UnaryOp) \
-                else _PREC["u"]
-            body = emit(operand, exponent)
-            return node.op + ("(" + body + ")" if _prec(operand) < floor else body)
-        if isinstance(node, OpRun):
-            my = _PREC[node.ops[0]]
-            text = emit(node.operands[0])
-            if _prec(node.operands[0]) < my:
-                text = "(" + text + ")"
-            if my == _PREC["%"]:
-                return text + "".join(node.ops)
-            for op, operand in zip(node.ops, node.operands[1:]):
-                # A signed exponent binds itself, so "A^-B" stays paren-free.
-                # Otherwise, as a run reads left to right, an operand of the
-                # run's tier or looser needs parens.
-                if op == "^" and isinstance(operand, UnaryOp):
-                    text += op + emit(operand, True)
-                elif _prec(operand) <= my:
-                    text += op + "(" + emit(operand) + ")"
-                else:
-                    text += op + emit(operand)
-            return text
-        raise TypeError(f"not an AST node: {node!r}")
-
-    out = emit(ast)
+    out = _emit(ast, ref_printer or ref_a1_text)
     return "=" + out if leading_eq else out
+
+
+def _emit(node: FormulaAst, ref_text: Callable[[CellRef], str],
+          exponent: bool = False) -> str:
+    if isinstance(node, NumberLit):
+        return node.text
+    if isinstance(node, StringLit):
+        return '"' + node.value.replace('"', '""') + '"'
+    if isinstance(node, CellRef):
+        return ref_text(node)
+    if isinstance(node, RangeRef):
+        return f"{ref_text(node.start)}:{ref_text(node.end)}"
+    if isinstance(node, NameRef):
+        return node.name
+    if isinstance(node, BoolLit):
+        return "TRUE" if node.value else "FALSE"
+    if isinstance(node, FunctionCall):
+        return node.name.upper() + "(" + ",".join(map(_emit, node.args, repeat(ref_text))) \
+            + ")"
+    if isinstance(node, Paren):
+        return "(" + _emit(node.inner, ref_text) + ")"
+    if isinstance(node, UnaryOp):
+        # On an exponent a sign takes only the operand after it; stacked
+        # signs pass that on.
+        operand = node.operand
+        floor = _PREC["%"] if exponent and not isinstance(operand, UnaryOp) \
+            else _PREC["u"]
+        body = _emit(operand, ref_text, exponent)
+        return node.op + ("(" + body + ")" if _prec(operand) < floor else body)
+    if isinstance(node, OpRun):
+        my = _PREC[node.ops[0]]
+        text = _emit(node.operands[0], ref_text)
+        if _prec(node.operands[0]) < my:
+            text = "(" + text + ")"
+        if my == _PREC["%"]:
+            return text + "".join(node.ops)
+        for op, operand in zip(node.ops, node.operands[1:]):
+            # A signed exponent binds itself, so "A^-B" stays paren-free.
+            # Otherwise, as a run reads left to right, an operand of the
+            # run's tier or looser needs parens.
+            if op == "^" and isinstance(operand, UnaryOp):
+                text += op + _emit(operand, ref_text, True)
+            elif _prec(operand) <= my:
+                text += op + "(" + _emit(operand, ref_text) + ")"
+            else:
+                text += op + _emit(operand, ref_text)
+        return text
+    raise TypeError(f"not an AST node: {node!r}")
 
 
 def children(node: FormulaAst) -> tuple:
@@ -590,13 +604,9 @@ def extract_references(ast: FormulaAst) -> list[tuple[CellRef | RangeRef, int]]:
 def map_refs(ast: FormulaAst,
              fn: Callable[[CellRef | RangeRef], FormulaAst]) -> FormulaAst:
     """Rebuild the tree with every reference node passed through ``fn``."""
-
-    def walk(node: FormulaAst) -> FormulaAst:
-        if isinstance(node, (CellRef, RangeRef)):
-            return fn(node)
-        return rebuild(node, tuple(map(walk, children(node))))
-
-    return walk(ast)
+    if isinstance(ast, (CellRef, RangeRef)):
+        return fn(ast)
+    return rebuild(ast, tuple(map(map_refs, children(ast), repeat(fn))))
 
 
 def shift_ref(ref: CellRef | RangeRef, drow: int, dcol: int) -> CellRef | RangeRef:
@@ -713,65 +723,62 @@ def evaluate(ast: FormulaAst, env: dict[CellAddress, float],
     unknown functions, and EvalDomainError on division by zero and similar. IF
     evaluates only the branch it takes. Each tree level costs one frame.
     """
-
-    def ev(node: FormulaAst) -> float:
-        if isinstance(node, NumberLit):
-            return float(node.value)
-        if isinstance(node, CellRef):
-            return _cell_value(node.resolve(sheet), env)
-        if isinstance(node, Paren):
-            return ev(node.inner)
-        if isinstance(node, UnaryOp):
-            v = ev(node.operand)
-            return -v if node.op == "-" else v
-        if isinstance(node, OpRun):
-            if node.ops[0] == "&":
-                raise EvalUnsupported("text concatenation")
-            value = ev(node.operands[0])
-            if node.ops[0] == "%":
-                for _ in node.ops:
-                    value /= 100.0
-                return value
-            for op, operand in zip(node.ops, node.operands[1:]):
-                value = _apply(op, value, ev(operand))
+    if isinstance(ast, NumberLit):
+        return float(ast.value)
+    if isinstance(ast, CellRef):
+        return _cell_value(ast.resolve(sheet), env)
+    if isinstance(ast, Paren):
+        return evaluate(ast.inner, env, sheet)
+    if isinstance(ast, UnaryOp):
+        v = evaluate(ast.operand, env, sheet)
+        return -v if ast.op == "-" else v
+    if isinstance(ast, OpRun):
+        if ast.ops[0] == "&":
+            raise EvalUnsupported("text concatenation")
+        value = evaluate(ast.operands[0], env, sheet)
+        if ast.ops[0] == "%":
+            for _ in ast.ops:
+                value /= 100.0
             return value
-        if not isinstance(node, FunctionCall) or node.name not in _EVAL_FUNCTIONS:
-            raise EvalUnsupported(getattr(node, "name", type(node).__name__))
-        name, args = node.name, node.args
-        if name == "IF":
-            if len(args) != 3:
-                raise EvalUnsupported("IF arity")
-            return ev(args[1]) if ev(args[0]) != 0 else ev(args[2])
-        if name == "ABS":
-            if len(args) != 1:
-                raise EvalUnsupported("ABS arity")
-            return abs(ev(args[0]))
-        if name == "SUMPRODUCT":
-            if not args:
-                raise EvalDomainError("SUMPRODUCT needs arguments")
-            grids = []
-            for arg in args:
-                inner = unwrap(arg)
-                if not isinstance(inner, RangeRef):
-                    raise EvalUnsupported("SUMPRODUCT over non-range")
-                grids.append((inner.shape, _range_values(inner, env, sheet)))
-            if any(g[0] != grids[0][0] for g in grids):
-                raise EvalDomainError("SUMPRODUCT shapes differ")
-            return sum(math.prod(vals) for vals in zip(*(g[1] for g in grids)))
-        values: list[float] = []
+        for op, operand in zip(ast.ops, ast.operands[1:]):
+            value = _apply(op, value, evaluate(operand, env, sheet))
+        return value
+    if not isinstance(ast, FunctionCall) or ast.name not in _EVAL_FUNCTIONS:
+        raise EvalUnsupported(getattr(ast, "name", type(ast).__name__))
+    name, args = ast.name, ast.args
+    if name == "IF":
+        if len(args) != 3:
+            raise EvalUnsupported("IF arity")
+        return evaluate(args[1] if evaluate(args[0], env, sheet) != 0 else args[2],
+                        env, sheet)
+    if name == "ABS":
+        if len(args) != 1:
+            raise EvalUnsupported("ABS arity")
+        return abs(evaluate(args[0], env, sheet))
+    if name == "SUMPRODUCT":
+        if not args:
+            raise EvalDomainError("SUMPRODUCT needs arguments")
+        grids = []
         for arg in args:
             inner = unwrap(arg)
-            if isinstance(inner, RangeRef):
-                values.extend(_range_values(inner, env, sheet))
-            else:
-                values.append(ev(arg))
-        if name == "SUM":
-            return sum(values)
-        if not values:
-            raise EvalUnsupported(f"{name} of no values")
-        return min(values) if name == "MIN" else max(values)
-
-    return ev(ast)
+            if not isinstance(inner, RangeRef):
+                raise EvalUnsupported("SUMPRODUCT over non-range")
+            grids.append((inner.shape, _range_values(inner, env, sheet)))
+        if any(g[0] != grids[0][0] for g in grids):
+            raise EvalDomainError("SUMPRODUCT shapes differ")
+        return sum(math.prod(vals) for vals in zip(*(g[1] for g in grids)))
+    values: list[float] = []
+    for arg in args:
+        inner = unwrap(arg)
+        if isinstance(inner, RangeRef):
+            values.extend(_range_values(inner, env, sheet))
+        else:
+            values.append(evaluate(arg, env, sheet))
+    if name == "SUM":
+        return sum(values)
+    if not values:
+        raise EvalUnsupported(f"{name} of no values")
+    return min(values) if name == "MIN" else max(values)
 
 
 def _apply(op: str, a: float, b: float) -> float:

@@ -513,32 +513,38 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                     si = f_el.get("si", "")
                     if ftext:
                         try:
-                            ast = parse_formula("=" + ftext)
+                            written = parse_formula("=" + ftext, ordered=False)
                         except FormulaParseError as exc:
                             raise LoadError(path, 0, 0,
                                             f"cell {ref}: bad formula: {exc}")
                         copy_class = sheet.copy_class(
-                            translate(ast, -addr.row, -addr.col))
-                        shared[si] = copy_class, any(
+                            translate(order_ranges(written), -addr.row, -addr.col))
+                        one_sided = any(
                             isinstance(r, RangeRef)
                             and (r.start.row_abs != r.end.row_abs
                                  or r.start.col_abs != r.end.col_abs)
-                            for r in copy_class.facts.refs), _offsets(copy_class.facts.refs)
+                            for r in copy_class.facts.refs)
+                        shared[si] = (copy_class,
+                                      translate(written, -addr.row, -addr.col)
+                                      if one_sided else None,
+                                      _offsets(copy_class.facts.refs))
                     if si not in shared:
                         raise LoadError(path, 0, 0, f"cell {ref}: shared formula "
                                                     f"{si!r} has no master")
-                    copy_class, one_sided, (top, bottom, left, right) = shared[si]
+                    copy_class, written, (top, bottom, left, right) = shared[si]
                     content = CellContent.copy_of(copy_class, addr.row, addr.col)
                     if not (1 <= addr.row + top and addr.row + bottom <= MAX_ROW
                             and 1 <= addr.col + left and addr.col + right <= MAX_COL):
                         notices.append(f"cell {addr.qualified()} left out: its shared "
                                        f"formula moves a reference off the grid")
                         content = copy_class = None
-                    elif one_sided:
+                    elif written is not None:
                         # a relative corner that passes an absolute one turns
                         # the range inside out; store it ordered, as Excel
-                        # shows it, and class it by its own form
-                        ast = order_ranges(content.ast)
+                        # shows it, and class it by its own form. The corners
+                        # shift as written, then are ordered: ordering first
+                        # loses which corner carried which '$'.
+                        ast = order_ranges(translate(written, addr.row, addr.col))
                         if ast != content.ast:
                             content = CellContent.formula(print_formula(ast), ast)
                             copy_class = None

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator
 
 from . import __version__
 from .config import AuditConfig, Severity
@@ -167,10 +169,20 @@ def _num(value: float | None) -> str:
 def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
     """Rendered items (array values or ``"key": value`` fields) in a
     container that closes at ``indent``."""
-    if not items:
-        return brackets
+    return "".join(_block_parts(zip(items), indent, brackets))  # each item one part
+
+
+def _block_parts(items: Iterable[Iterable[str]], indent: str,
+                 brackets: str = "[]") -> Iterator[str]:
+    """``_block``'s text in parts, each item given in parts of its own."""
     inner = "\n" + indent + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+    sep = brackets[0] + inner
+    empty = True
+    for item in items:
+        yield sep
+        yield from item
+        sep, empty = "," + inner, False
+    yield brackets if empty else "\n" + indent + brackets[1]
 
 
 def _sheet_json(s: SheetSummary) -> str:
@@ -215,24 +227,32 @@ def _diagnostic_json(d: Diagnostic) -> str:
             "      }")
 
 
-def _report_json(report: Report) -> str:
+def _report_parts(report: Report) -> Iterator[str]:
+    """One report object, each diagnostic in a part of its own."""
     ind = " " * 4
     skipped = [_block([f'"rule": {_str(s.rule)}',
                        f'"sheet": {_opt(s.sheet)}',
                        f'"reason": {_str(s.reason)}'], " " * 6, "{}")
                for s in report.skipped]
     counts = [f"{_str(key)}: {n}" for key, n in report.counts.items()]
-    return _block([
-        f'"tool": {_str(report.tool)}',
-        f'"version": {_str(report.version)}',
-        f'"input": {_str(report.input)}',
-        f'"sheets": {_block([_sheet_json(s) for s in report.sheets], ind)}',
-        f'"diagnostics": {_block([_diagnostic_json(d) for d in report.diagnostics], ind)}',
-        f'"skipped_rules": {_block(skipped, ind)}',
-        f'"notices": {_block([_str(n) for n in report.notices], ind)}',
-        f'"score": {_num(report.score)}',
-        f'"counts": {_block(counts, ind, "{}")}',
+    diagnostics = _block_parts(zip(map(_diagnostic_json, report.diagnostics)), ind)
+    return _block_parts([
+        (f'"tool": {_str(report.tool)}',),
+        (f'"version": {_str(report.version)}',),
+        (f'"input": {_str(report.input)}',),
+        (f'"sheets": {_block([_sheet_json(s) for s in report.sheets], ind)}',),
+        chain(('"diagnostics": ',), diagnostics),
+        (f'"skipped_rules": {_block(skipped, ind)}',),
+        (f'"notices": {_block([_str(n) for n in report.notices], ind)}',),
+        (f'"score": {_num(report.score)}',),
+        (f'"counts": {_block(counts, ind, "{}")}',),
     ], "  ", "{}")
+
+
+def render_json_parts(reports: list[Report]) -> Iterator[str]:
+    """``render_json``'s text in parts, at most one diagnostic each, so the
+    CLI writes it without building it whole."""
+    yield from _block_parts(map(_report_parts, reports), "")
 
 
 def render_json(reports: list[Report]) -> str:
@@ -241,7 +261,7 @@ def render_json(reports: list[Report]) -> str:
     The text is what ``json.dumps(..., indent=2)`` writes for the fields of
     docs/report-schema.md, written straight from the report objects.
     """
-    return _block([_report_json(r) for r in reports], "")
+    return "".join(render_json_parts(reports))
 
 
 def _format_score(score: float | None) -> str:

@@ -133,8 +133,10 @@ def _sumproduct_shapes_differ(ast: FormulaAst) -> bool:
 
 
 # --- individual rewrites -------------------------------------------------------
-# Each walk recurses once per tree level: ``map`` calls it on the children, so
-# no comprehension frame sits between two levels.
+# Each rewrite recurses once per tree level: ``map`` calls it on the children,
+# so no comprehension frame sits between two levels. The rewrites are module
+# functions, not nested ones: a nested function that calls itself is a
+# reference cycle, which only the cyclic collector frees.
 
 def _is_run(node: FormulaAst, op: str) -> bool:
     """True for a run of ``op``'s tier."""
@@ -160,30 +162,26 @@ def _division_last(ast: FormulaAst) -> FormulaAst:
     grouped factor sits in the denominator, where unwrapping would change
     nothing the writer said.
     """
-
-    def walk(node: FormulaAst) -> FormulaAst:
-        if _is_run(node, "*"):
-            # factors with whether each divides, through nested */ runs and
-            # one level of written parens around one
-            factors: list[tuple[FormulaAst, bool]] = []
-            stack = [(node, False)]
-            while stack:
-                item, inverted = stack.pop()
-                run = item.inner if isinstance(item, Paren) else item
-                if _is_run(run, "*"):
-                    flags = (inverted, *(inverted != (op == "/") for op in run.ops))
-                    stack.extend(reversed(list(zip(run.operands, flags))))
-                else:
-                    factors.append((item, inverted))
-            flags = [inverted for _, inverted in factors]
-            if True in flags and False in flags[flags.index(True):]:
-                up = [f for f, inverted in factors if not inverted]
-                down = [f for f, inverted in factors if inverted]
-                return OpRun((*map(walk, up), *map(walk, down)),
-                             ("*",) * (len(up) - 1) + ("/",) * len(down))
-        return rebuild(node, tuple(map(walk, children(node))))
-
-    return walk(ast)
+    if _is_run(ast, "*"):
+        # factors with whether each divides, through nested */ runs and
+        # one level of written parens around one
+        factors: list[tuple[FormulaAst, bool]] = []
+        stack = [(ast, False)]
+        while stack:
+            item, inverted = stack.pop()
+            run = item.inner if isinstance(item, Paren) else item
+            if _is_run(run, "*"):
+                flags = (inverted, *(inverted != (op == "/") for op in run.ops))
+                stack.extend(reversed(list(zip(run.operands, flags))))
+            else:
+                factors.append((item, inverted))
+        flags = [inverted for _, inverted in factors]
+        if True in flags and False in flags[flags.index(True):]:
+            up = [f for f, inverted in factors if not inverted]
+            down = [f for f, inverted in factors if inverted]
+            return OpRun((*map(_division_last, up), *map(_division_last, down)),
+                         ("*",) * (len(up) - 1) + ("/",) * len(down))
+    return rebuild(ast, tuple(map(_division_last, children(ast))))
 
 
 def _common_factor(ast: FormulaAst) -> FormulaAst:
@@ -192,16 +190,13 @@ def _common_factor(ast: FormulaAst) -> FormulaAst:
     A sum is factored over the longest run of the terms it adds from its
     first one on: ``A1*B1+A1*C1+D1`` becomes ``A1*(B1+C1)+D1``.
     """
-
-    def walk(node: FormulaAst) -> FormulaAst:
-        found = _is_run(node, "+") and _factored_prefix(node)
-        if found:
-            last, product = found
-            rest = node.operands[last + 1:]
-            return OpRun((product, *map(walk, rest)), node.ops[last:]) if rest else product
-        return rebuild(node, tuple(map(walk, children(node))))
-
-    return walk(ast)
+    found = _is_run(ast, "+") and _factored_prefix(ast)
+    if found:
+        last, product = found
+        rest = ast.operands[last + 1:]
+        return OpRun((product, *map(_common_factor, rest)), ast.ops[last:]) if rest \
+            else product
+    return rebuild(ast, tuple(map(_common_factor, children(ast))))
 
 
 def _factored_prefix(run: OpRun) -> tuple[int, FormulaAst] | None:
@@ -258,27 +253,25 @@ def _range_collapse(ast: FormulaAst) -> FormulaAst:
     Only sums that carry parentheses (written, or forced by precedence) are
     collapsed; a bare top-level sum would grow, not shrink.
     """
+    kids = children(ast)
+    if isinstance(ast, Paren):
+        collapsed = _collapse(ast.inner)
+        if collapsed is not ast.inner:
+            return collapsed  # the written parens go with the sum
+    elif isinstance(ast, UnaryOp) or isinstance(ast, OpRun) \
+            and _PREC[ast.ops[0]] > _PREC["+"]:
+        kids = tuple(map(_collapse, kids))
+    elif _is_run(ast, "+"):
+        # in its own tier only a subtracted sum needs its parens
+        kids = tuple(_collapse(k) if op == "-" else k
+                     for op, k in zip(("+",) + ast.ops, kids))
+    return rebuild(ast, tuple(map(_range_collapse, kids)))
 
-    def collapse(node: FormulaAst) -> FormulaAst:
-        rng = _contiguous_sum_range(_spread(node, "+"))
-        return node if rng is None else FunctionCall("SUM", (rng,))
 
-    def walk(node: FormulaAst) -> FormulaAst:
-        kids = children(node)
-        if isinstance(node, Paren):
-            collapsed = collapse(node.inner)
-            if collapsed is not node.inner:
-                return collapsed  # the written parens go with the sum
-        elif isinstance(node, UnaryOp) or isinstance(node, OpRun) \
-                and _PREC[node.ops[0]] > _PREC["+"]:
-            kids = tuple(map(collapse, kids))
-        elif _is_run(node, "+"):
-            # in its own tier only a subtracted sum needs its parens
-            kids = tuple(collapse(k) if op == "-" else k
-                         for op, k in zip(("+",) + node.ops, kids))
-        return rebuild(node, tuple(map(walk, kids)))
-
-    return walk(ast)
+def _collapse(node: FormulaAst) -> FormulaAst:
+    """SUM over ``node``'s range when it adds the cells of one; else ``node``."""
+    rng = _contiguous_sum_range(_spread(node, "+"))
+    return node if rng is None else FunctionCall("SUM", (rng,))
 
 
 _STAGES = (
@@ -504,34 +497,33 @@ def merge_sumproducts(ast: FormulaAst) -> FormulaAst:
     Terms added one after another fuse, the first pair that can first; a
     subtracted term stays as it is and parts the added terms around it.
     """
+    if not _is_run(ast, "+"):
+        return rebuild(ast, tuple(map(merge_sumproducts, children(ast))))
+    operands, ops, added = [], [], []
+    for op, operand in zip(("+",) + ast.ops + ("-",), ast.operands + (None,)):
+        if op == "+":
+            added += map(merge_sumproducts, _spread(operand, "+"))
+            continue
+        operands += _fuse(added)
+        ops += ["+"] * (len(operands) - len(ops))
+        added = []
+        if operand is not None:
+            operands.append(merge_sumproducts(operand))
+            ops.append("-")
+    return operands[0] if len(operands) == 1 else OpRun(operands, ops[1:])
 
-    def fuse(terms: list[FormulaAst]) -> list[FormulaAst]:
-        while True:
-            for i, j in combinations(range(len(terms)), 2):
-                merged = _merge_pair(unwrap(terms[i]), unwrap(terms[j]))
-                if merged is not None:
-                    terms = terms[:i] + [merged] + terms[i + 1:j] + terms[j + 1:]
-                    break
-            else:
-                return terms
 
-    def walk(node: FormulaAst) -> FormulaAst:
-        if not _is_run(node, "+"):
-            return rebuild(node, tuple(map(walk, children(node))))
-        operands, ops, added = [], [], []
-        for op, operand in zip(("+",) + node.ops + ("-",), node.operands + (None,)):
-            if op == "+":
-                added += map(walk, _spread(operand, "+"))
-                continue
-            operands += fuse(added)
-            ops += ["+"] * (len(operands) - len(ops))
-            added = []
-            if operand is not None:
-                operands.append(walk(operand))
-                ops.append("-")
-        return operands[0] if len(operands) == 1 else OpRun(operands, ops[1:])
-
-    return walk(ast)
+def _fuse(terms: list[FormulaAst]) -> list[FormulaAst]:
+    """``terms`` with each pair that ``_merge_pair`` fuses made one, the
+    first such pair first, until none is left."""
+    while True:
+        for i, j in combinations(range(len(terms)), 2):
+            merged = _merge_pair(unwrap(terms[i]), unwrap(terms[j]))
+            if merged is not None:
+                terms = terms[:i] + [merged] + terms[i + 1:j] + terms[j + 1:]
+                break
+        else:
+            return terms
 
 
 def nest_candidates(graph: DependencyGraph, workbook: Workbook,

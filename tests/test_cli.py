@@ -312,14 +312,14 @@ def test_malformed_config_exits_two_with_one_line(tmp_path, capsys):
 
 
 def test_each_workbook_is_freed_before_the_next_load(monkeypatch, capsys):
-    import gc
+    # main runs with the cyclic collector off, so reference counting alone
+    # must free each workbook
     import weakref
 
     real_load = cli.load_workbook
     loaded, alive_at_load = [], []
 
     def tracking_load(path, input_format):
-        gc.collect()
         alive_at_load.append(sum(ref() is not None for ref in loaded))
         workbook = real_load(path, input_format)
         loaded.append(weakref.ref(workbook))
@@ -337,7 +337,7 @@ def test_each_workbook_is_freed_before_the_next_load(monkeypatch, capsys):
 
 
 def test_audit_result_keeps_no_workbook():
-    import gc
+    # freed by reference counting alone, with no collection
     import weakref
 
     from sheetlint.loaders import load_workbook
@@ -347,9 +347,38 @@ def test_audit_result_keeps_no_workbook():
     alive = weakref.ref(wb)
     result = audit_workbook(wb)
     del wb
-    gc.collect()
     assert alive() is None
     assert result.report.diagnostics
+
+
+@pytest.mark.parametrize("collector_on", [True, False])
+def test_main_restores_the_collector_state(collector_on, monkeypatch, tmp_path, capsys):
+    import gc
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    runs = {
+        cli.EXIT_CLEAN: [str(fixture_path("clean_small.wb"))],
+        cli.EXIT_FINDINGS: [str(fixture_path("assign_v4.wb"))],
+        cli.EXIT_USAGE: [str(fixture_path("corrupt.wb"))],
+    }
+    was = gc.isenabled()
+    try:
+        (gc.enable if collector_on else gc.disable)()
+        for code, argv in runs.items():
+            assert main(["--format", "json", *argv]) == code
+            assert gc.isenabled() is collector_on
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--no-such-flag"])
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert gc.isenabled() is collector_on
+        monkeypatch.setattr(cli, "audit_workbook", crash)
+        assert main(runs[cli.EXIT_CLEAN]) == cli.EXIT_INTERNAL
+        assert gc.isenabled() is collector_on
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
 
 
 def _sum_of_cells(n):

@@ -28,7 +28,7 @@ from sheetlint.formula import (
 from sheetlint.graph import build_graph
 from sheetlint.layout import CopyRun, analyze_sheet, copy_pattern_breaks
 from sheetlint.loaders import load_xlsx
-from sheetlint.model import CellContent, CellFormat, CellKind, Workbook
+from sheetlint.model import CellAddress, CellContent, CellFormat, CellKind, Workbook
 from sheetlint.report import audit_workbook
 from sheetlint.rules import SimplifierResults, run_rules
 from sheetlint.simplify import simplify, simplify_workbook
@@ -266,6 +266,19 @@ def test_shared_members_read_as_the_formulas_written_out(wb):
         parsed = CellContent.formula(print_formula(eager.ast), eager.ast)
         assert lazy == parsed and hash(lazy) == hash(parsed) and repr(lazy) == repr(parsed)
     assert any(lazy.copy is not None for (_, lazy), _ in pairs)
+
+
+def test_member_shifts_the_written_corners_before_ordering(tmp_path):
+    # the master's '$A3:B$2' parses as '$A$2:B3'; shifted to A4 that would
+    # give '$A$2:A4', but the member written out is '$A4:A$2', read 'A$2:$A4'
+    master = "SUM(C3:$C4)+SUM($A3:B$2)"
+    path = build_xlsx(tmp_path / "t.xlsx", {"T": {"B3": {"fs": (0, master, "A3:B4")},
+                                                  "A4": {"fs": (0, None, None)}}})
+    member = dict(load_xlsx(path).formulas())[CellAddress("T", 4, 1)]
+    written = parse_formula("=SUM(B4:$C5)+SUM($A4:A$2)")
+    assert member.facts == formula_facts(written)
+    assert member.ast == written
+    assert member.formula_text == "=SUM(B4:$C5)+SUM(A$2:$A4)"
 
 
 def test_one_copy_class_table_per_sheet_per_audit(monkeypatch):
