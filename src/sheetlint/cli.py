@@ -84,8 +84,9 @@ def _text_parts(reports: list[Report]) -> Iterator[str]:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = build_arg_parser().parse_args(argv)
+    # argparse leaves the parser in cycles: free them while the young generation is small
+    gc.collect(0)
     try:
         config = _assemble_config(args)
     except (ConfigError, OSError) as exc:

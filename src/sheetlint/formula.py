@@ -595,12 +595,6 @@ def produces_text(ast: FormulaAst) -> bool:
     return False
 
 
-def extract_references(ast: FormulaAst) -> list[tuple[CellRef | RangeRef, int]]:
-    """All cell and range references in source order, duplicates preserved."""
-    refs = formula_facts(ast).refs
-    return list(zip(refs, range(len(refs))))
-
-
 def map_refs(ast: FormulaAst,
              fn: Callable[[CellRef | RangeRef], FormulaAst]) -> FormulaAst:
     """Rebuild the tree with every reference node passed through ``fn``."""

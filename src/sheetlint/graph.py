@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -106,6 +107,40 @@ def _minus(box: Box, cut: Box) -> list[Box]:
     return out
 
 
+def disjoint_links(links: Iterable[Link]) -> list[Link]:
+    """One dependent's ``links`` in order, each keeping the pieces of its
+    box that no earlier link covers (the first-origin rule); a link with
+    none is dropped."""
+    out: list[Link] = []
+    singles: dict[str, set[Box]] = {}  # the one-cell boxes kept, per sheet
+    blocks: list[Link] = []
+    for link in links:
+        sheet, box = link.sheet, link.box
+        top, left, bottom, right = box
+        seen = singles.get(sheet)
+        if seen is None:
+            seen = singles[sheet] = set()
+        if top == bottom and left == right:
+            if box in seen or blocks and any(
+                    b.sheet == sheet and b.box[0] <= top <= b.box[2]
+                    and b.box[1] <= left <= b.box[3] for b in blocks):
+                continue
+            seen.add(box)
+            out.append(link)
+            continue
+        pieces = [box]
+        cuts = [b.box for b in blocks if b.sheet == sheet]
+        cuts += [c for c in seen if top <= c[0] <= bottom and left <= c[1] <= right]
+        for cut in cuts:
+            pieces = [part for piece in pieces for part in _minus(piece, cut)]
+        if pieces:
+            if pieces != [box]:
+                link = link._replace(pieces=tuple(pieces))
+            out.append(link)
+            blocks.append(link)
+    return out
+
+
 def _runs(spans: list[int]) -> Iterator[tuple[int, int]]:
     """Row spans, each ``top << _SPAN | bottom`` (an int, which sorts as the
     pair would and is no object for the collector to track), merged into
@@ -171,21 +206,19 @@ class _Columns:
 class DependencyGraph:
     """Directed graph of precedence, kept as each dependent's reference links.
 
-    ``links`` maps each dependent to its ``Link``s in the order they were
-    linked: a formula's own references in formula order, then those of the
-    defined names it uses. A range stays one link: its dependent depends on
-    every cell of the box, and every such cell is a node. A cell that an
-    earlier link of the same dependent already covers keeps that earlier
-    link's origin (the first-origin rule); each link's ``parts`` hold the
-    cells that are new.
+    ``build_graph`` fills ``nodes``, ``links`` and ``unresolved`` once;
+    nothing changes them after. ``links`` maps each dependent to its
+    ``Link``s in the order they were linked: a formula's own references in
+    formula order, then those of the defined names it uses. A range stays
+    one link, and every cell of its box is a node; ``disjoint_links`` keeps
+    the ``parts`` of one dependent's links disjoint. ``defined_names`` maps
+    each upper-cased name to the references of its formula.
 
     ``arcs``, ``range_origin``, ``precedents_of`` and ``dependents_of``
-    expand the links into cell arcs on each call; the audit reads the links.
-    What the audit derives from links and nodes (the cells something depends
-    on, the arcs between formulas, per-column indexes) is built on first use
-    and dropped when a node or link is added. ``defined_names`` maps each
-    upper-cased name to the references of its formula. ``cycles`` is set by
-    ``build_graph``.
+    expand the links into cell arcs on each read; the audit reads the links.
+    What it derives from links and nodes (the cycles, the cells something
+    depends on, the arcs between formulas, per-column indexes) is a cached
+    property, computed on first read and never invalidated.
     """
 
     def __init__(self, sheet_order: list[str],
@@ -198,16 +231,11 @@ class DependencyGraph:
         self.nodes: dict[CellAddress, NodeInfo] = {}
         self.links: dict[CellAddress, list[Link]] = {}
         self.unresolved: dict[CellAddress, list[str]] = {}
-        self.cycles: list[list[CellAddress]] = []
-        self._formula_order: list[CellAddress] | None = None
-        self._populated: _Columns | None = None  # kept while blank nodes are added
-        self._derived: dict[str, object] = {}  # over all nodes and the links
 
     @property
     def arcs(self) -> set[tuple[CellAddress, CellAddress]]:
         """Every arc as ``(precedent, dependent)``; built on each access."""
-        return {(p, d) for d, links in self.links.items() for link in links
-                for piece in link.parts for p in box_cells(link.sheet, piece)}
+        return set(self.range_origin)
 
     @property
     def range_origin(self) -> dict[tuple[CellAddress, CellAddress], str | None]:
@@ -246,61 +274,6 @@ class DependencyGraph:
     def addr_key(self, addr: CellAddress) -> tuple[int, int, int]:
         return (self.sheet_index(addr.sheet), addr.row, addr.col)
 
-    def add_node(self, addr: CellAddress, info: NodeInfo) -> None:
-        if addr not in self.nodes:
-            self.nodes[addr] = info
-            self._formula_order = None
-            if self._derived:
-                self._derived.clear()
-            if not info.blank:
-                self._populated = None
-
-    def add_arc(self, precedent: CellAddress, dependent: CellAddress,
-                origin: str | None = None) -> None:
-        """Link ``precedent``, a node, to ``dependent`` as a one-cell box."""
-        box = (precedent.row, precedent.col, precedent.row, precedent.col)
-        self._extend(dependent, [Link(origin, precedent.sheet, box)])
-
-    def _extend(self, dependent: CellAddress, new: Iterable[Link]) -> None:
-        """Append ``new`` links, each with its whole box, to ``dependent``'s.
-        Each keeps the pieces of its box that no earlier link covers; one
-        with none is dropped."""
-        links = self.links.get(dependent, [])
-        singles: dict[str, set[Box]] = {}  # the one-cell boxes, per sheet
-        blocks: list[Link] = []
-        for link in links:
-            if box_area(link.box) == 1:
-                singles.setdefault(link.sheet, set()).add(link.box)
-            else:
-                blocks.append(link)
-        for link in new:
-            sheet, box = link.sheet, link.box
-            top, left, bottom, right = box
-            seen = singles.get(sheet)
-            if seen is None:
-                seen = singles[sheet] = set()
-            if top == bottom and left == right:
-                if box in seen or blocks and any(
-                        b.sheet == sheet and b.box[0] <= top <= b.box[2]
-                        and b.box[1] <= left <= b.box[3] for b in blocks):
-                    continue
-                seen.add(box)
-                links.append(link)
-                continue
-            pieces = [box]
-            cuts = [b.box for b in blocks if b.sheet == sheet]
-            cuts += [c for c in seen if top <= c[0] <= bottom and left <= c[1] <= right]
-            for cut in cuts:
-                pieces = [part for piece in pieces for part in _minus(piece, cut)]
-            if pieces:
-                if pieces != [box]:
-                    link = link._replace(pieces=tuple(pieces))
-                links.append(link)
-                blocks.append(link)
-        if links:
-            self.links[dependent] = links
-        self._derived.clear()
-
     def precedents_of(self, addr: CellAddress) -> dict[CellAddress, str | None]:
         """Precedents of ``addr`` in the order first linked, each mapped to its
         origin; built on each call."""
@@ -310,26 +283,29 @@ class DependencyGraph:
                 out.setdefault(cell, link.origin)
         return out
 
+    @cached_property
+    def _link_spans(self) -> dict[tuple[str, int],
+                                  tuple[list[int], int, list[tuple[int, int, int, CellAddress]]]]:
+        """Per sheet and column: the tops of the links' row spans, the tallest
+        span's height, and the spans ``(top, bottom, seq, dependent)`` by top."""
+        spans: dict[tuple[str, int], list[tuple[int, int, int, CellAddress]]] = {}
+        for seq, (d, links) in enumerate(self.links.items()):
+            for link in links:
+                top, left, bottom, right = link.box
+                for col in range(left, right + 1):
+                    spans.setdefault((link.sheet, col), []).append((top, bottom, seq, d))
+        index = {}
+        for key, col_spans in spans.items():
+            col_spans.sort(key=itemgetter(0))
+            height = max(bottom - top for top, bottom, _, _ in col_spans)
+            index[key] = [top for top, _, _, _ in col_spans], height, col_spans
+        return index
+
     def dependents_of(self, addr: CellAddress) -> list[CellAddress]:
         """The dependents with a link that covers ``addr``, in the order they
-        were first linked; built on each call from an index of the links'
-        row spans per column, which is built on first use. A column's spans
-        are sorted by top, so a call reads only those whose top is at most
-        the column's tallest span above ``addr``."""
-        index = self._derived.get("link_spans")
-        if index is None:
-            spans: dict[tuple[str, int], list[tuple[int, int, int, CellAddress]]] = {}
-            for seq, (d, links) in enumerate(self.links.items()):
-                for link in links:
-                    top, left, bottom, right = link.box
-                    for col in range(left, right + 1):
-                        spans.setdefault((link.sheet, col), []).append((top, bottom, seq, d))
-            index = self._derived["link_spans"] = {}
-            for key, col_spans in spans.items():
-                col_spans.sort(key=itemgetter(0))
-                height = max(bottom - top for top, bottom, _, _ in col_spans)
-                index[key] = [top for top, _, _, _ in col_spans], height, col_spans
-        entry = index.get((addr.sheet, addr.col))  # type: ignore[attr-defined]
+        were first linked (``seq``); built on each call. A call reads only
+        the spans whose top is at most the column's tallest span above ``addr``."""
+        entry = self._link_spans.get((addr.sheet, addr.col))
         if entry is None:
             return []
         tops, height, col_spans = entry
@@ -339,32 +315,40 @@ class DependencyGraph:
                  if bottom >= row}
         return [found[seq] for seq in sorted(found)]
 
+    @cached_property
+    def _populated(self) -> _Columns:
+        """The nodes that are not blank, which ``build_graph`` reads before it adds blank ones."""
+        return _Columns(a for a, info in self.nodes.items() if not info.blank)
+
     def populated_count(self, sheet: str, box: Box) -> int:
         """How many cells of ``box`` on ``sheet`` are nodes that are not blank."""
         top, left, bottom, right = box
         if top == bottom and left == right:
             info = self.nodes.get((sheet, top, left))  # type: ignore[call-overload]
             return int(info is not None and not info.blank)
-        if self._populated is None:  # blank nodes, which build_graph adds as it counts, stay out
-            self._populated = _Columns(a for a, info in self.nodes.items() if not info.blank)
         return self._populated.count(sheet, box)
 
+    @cached_property
+    def _own(self) -> dict[CellAddress, CellAddress]:
+        """Each node keyed by itself, so a plain tuple finds the address."""
+        return {a: a for a in self.nodes}
+
+    @cached_property
+    def _node_columns(self) -> _Columns:
+        return _Columns(self.nodes)
+
+    @cached_property
     def referenced(self) -> set[CellAddress]:
         """The cells that something depends on, as ``covered_by`` gives them;
-        built on first use; read it, do not change it."""
-        cells = self._derived.get("referenced")
-        if cells is None:
-            cells = self._derived["referenced"] = self.covered_by(self.links)
-        return cells  # type: ignore[return-value]
+        read it, do not change it."""
+        return self.covered_by(self.links)
 
     def covered_by(self, dependents: Iterable[CellAddress]) -> set[CellAddress]:
         """The nodes that a link of one of ``dependents`` covers. Boxes of
         more than one cell are merged per column first, so each node is
         visited once, and the set holds the nodes' own addresses, so it
         makes no new objects."""
-        own = self._derived.get("own")  # each node keyed by itself
-        if own is None:
-            own = self._derived["own"] = {a: a for a in self.nodes}
+        own = self._own
         spans: dict[tuple[str, int], list[int]] = {}  # per sheet and column, see _runs
         out: set[CellAddress] = set()
         for d in dependents:
@@ -383,66 +367,67 @@ class DependencyGraph:
                         col_spans.append(span)
         if not spans:
             return out
-        nodes = self._derived.get("nodes")
-        if nodes is None:
-            nodes = self._derived["nodes"] = _Columns(self.nodes)
+        nodes = self._node_columns
         for (sheet, col), col_spans in spans.items():
-            rows = nodes.rows.get(sheet, {}).get(col)  # type: ignore[attr-defined]
+            rows = nodes.rows.get(sheet, {}).get(col)
             if rows:
-                cells = nodes.cells_by_col[sheet][col]  # type: ignore[attr-defined]
+                cells = nodes.cells_by_col[sheet][col]
                 for top, bottom in _runs(col_spans):
                     out.update(cells[bisect_left(rows, top):bisect_right(rows, bottom)])
         return out
 
+    @cached_property
     def formula_precedents(self) -> dict[CellAddress, list[CellAddress]]:
-        """Each dependent's precedents that are formulas or dependents
-        themselves: the arcs that chains and cycles of formulas run along.
-        Built on first use; read it, do not change it."""
-        out = self._derived.get("formula_precedents")
-        if out is None:
-            # each vertex keyed by itself, so a plain tuple finds the address
-            vertices = {a: a for a, info in self.nodes.items() if info.kind is CellKind.FORMULA}
-            vertices.update((d, d) for d in self.links)
-            index = _Columns(vertices)
-            out = {}
-            for d, links in self.links.items():
-                found = out[d] = []
-                for link in links:
-                    top, left, bottom, right = link.box
-                    if top == bottom and left == right:
-                        cell = vertices.get((link.sheet, top, left))
-                        if cell is not None:
-                            found.append(cell)
-                    else:
-                        for piece in link.parts:
-                            found += index.cells(link.sheet, piece)
-            self._derived["formula_precedents"] = out
-        return out  # type: ignore[return-value]
+        """Each dependent's precedents that are formulas: the arcs that chains
+        and cycles of formulas run along; read it, do not change it."""
+        # each vertex keyed by itself, so a plain tuple finds the address
+        vertices = {a: a for a, info in self.nodes.items() if info.kind is CellKind.FORMULA}
+        index = _Columns(vertices)
+        out: dict[CellAddress, list[CellAddress]] = {}
+        for d, links in self.links.items():
+            found = out[d] = []
+            for link in links:
+                top, left, bottom, right = link.box
+                if top == bottom and left == right:
+                    cell = vertices.get((link.sheet, top, left))
+                    if cell is not None:
+                        found.append(cell)
+                else:
+                    for piece in link.parts:
+                        found += index.cells(link.sheet, piece)
+        return out
+
+    @cached_property
+    def _component_cells(self) -> tuple[list[CellAddress], list[int]]:
+        """``formula_components`` as one list of cells and one of sizes."""
+        cells: list[CellAddress] = []
+        sizes: list[int] = []
+        for component in _components(self.formula_precedents):
+            cells += component
+            sizes.append(len(component))
+        return cells, sizes
 
     def formula_components(self) -> Iterator[list[CellAddress]]:
         """The strongly connected components of ``formula_precedents``, each
-        after every component it reaches. They are kept as one list of
-        cells and one of sizes, built on first use."""
-        found = self._derived.get("components")
-        if found is None:
-            cells: list[CellAddress] = []
-            sizes: list[int] = []
-            for component in _components(self.formula_precedents()):
-                cells += component
-                sizes.append(len(component))
-            found = self._derived["components"] = cells, sizes
-        cells, sizes = found  # type: ignore[misc]
+        after every component it reaches."""
+        cells, sizes = self._component_cells
         start = 0
         for size in sizes:
             yield cells[start:start + size]
             start += size
 
+    @cached_property
+    def cycles(self) -> list[list[CellAddress]]:
+        """``find_cycles`` of this graph."""
+        return find_cycles(self)
+
+    @cached_property
+    def _formula_order(self) -> list[CellAddress]:
+        return sorted((a for a, n in self.nodes.items() if n.kind is CellKind.FORMULA),
+                      key=self.addr_key)
+
     def formula_cells(self) -> list[CellAddress]:
         """Formula nodes in workbook reading order; sorted once, returned as a copy."""
-        if self._formula_order is None:
-            self._formula_order = sorted((a for a, n in self.nodes.items()
-                                          if n.kind is CellKind.FORMULA),
-                                         key=self.addr_key)
         return list(self._formula_order)
 
     def blank_nodes(self) -> list[CellAddress]:
@@ -451,10 +436,9 @@ class DependencyGraph:
 
     def numeric_cells(self) -> set[CellAddress]:
         """Formulas plus constants that something depends on."""
-        referenced = self.referenced()
         return {addr for addr, info in self.nodes.items()
                 if info.kind is CellKind.FORMULA
-                or (info.kind in _CONSTANT_KINDS and addr in referenced)}
+                or (info.kind in _CONSTANT_KINDS and addr in self.referenced)}
 
 
 def build_graph(workbook: Workbook) -> DependencyGraph:
@@ -485,7 +469,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                     home = graph.spelling(addr.sheet if top.sheet is None else top.sheet)
                     if home and (target := CellAddress(home, top.row, top.col)) != addr:
                         info.bare_ref = target
-            graph.add_node(addr, info)
+            graph.nodes[addr] = info
 
     budget = MAX_EXPANDED_CELLS  # spent in reading order, so the refusals are deterministic
 
@@ -521,7 +505,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             if graph.populated_count(sheet, box) < box_area(box):  # else no cell to visit
                 for cell in box_cells(sheet, box):
                     if cell not in graph.nodes:
-                        graph.add_node(cell, NodeInfo(kind=CellKind.EMPTY, blank=True))
+                        graph.nodes[cell] = NodeInfo(kind=CellKind.EMPTY, blank=True)
             found.append(Link(origin, sheet, box))
 
     for addr, content in workbook.formulas():
@@ -536,10 +520,10 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             else:
                 resolve(refs, addr, node.name, problems, found)
         if found:
-            graph._extend(addr, found)
+            graph.links[addr] = disjoint_links(found)
         if problems:
             graph.unresolved[addr] = problems
-    graph.cycles = find_cycles(graph)
+    graph.cycles  # found here, so that build_graph's time holds the cycle search
     return graph
 
 
@@ -594,7 +578,7 @@ def find_cycles(graph: DependencyGraph) -> list[list[CellAddress]]:
     precedents; each cycle is rotated to start at its smallest cell and the
     list is ordered by that cell.
     """
-    succ = graph.formula_precedents()
+    succ = graph.formula_precedents
     cycles = []
     for component in graph.formula_components():
         if len(component) > 1 or component[0] in succ.get(component[0], ()):
@@ -653,7 +637,7 @@ def _sink_reach(graph: DependencyGraph, numeric: set[CellAddress]) -> dict[CellA
             mask |= ((1 << (j - i)) - 1) << (first[sheet][col] + i)
         return mask
 
-    succ = graph.formula_precedents()
+    succ = graph.formula_precedents
     waiting = Counter(p for found in succ.values() for p in found)
     reach: dict[CellAddress, int] = {}
     out: dict[CellAddress, int] = {}
@@ -704,7 +688,7 @@ def resolve_bottom_line(graph: DependencyGraph,
     if not numeric:
         return resolved
     reach = _sink_reach(graph, numeric)
-    referenced = graph.referenced()
+    referenced = graph.referenced
     for addr in graph.formula_cells():
         if addr in referenced:
             continue
@@ -735,7 +719,7 @@ def classify_graph(graph: DependencyGraph,
         if addr in classes:
             classes[addr].bottom_line = True
 
-    referenced = graph.referenced()
+    referenced = graph.referenced
     for addr, info in graph.nodes.items():
         if info.blank and addr in referenced:
             classes[addr].perverse_target = True
@@ -813,7 +797,7 @@ def export_dot(graph: DependencyGraph,
     """
     classes = classes or {}
     participating = set(graph.links)
-    participating.update(graph.referenced())
+    participating.update(graph.referenced)
     participating.update(addr for addr, cls in classes.items() if cls.any_flag)
     # The sheet name only orders cells on sheets the workbook lacks, which
     # defined names can point at; they all share one sheet index.

@@ -402,7 +402,7 @@ def classify_cells(workbook: Workbook,
     not promote them).
     """
     out: dict[CellAddress, NumericCellClass] = {}
-    referenced = graph.referenced()
+    referenced = graph.referenced
     for sheet in workbook.sheets:
         for (row, col), cell in sheet.cells.items():
             addr = sheet.address(row, col)

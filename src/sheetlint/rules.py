@@ -138,13 +138,6 @@ class _Context:
             guideline=info.guideline,
         )
 
-    def grouped_precedents(self, dependent: CellAddress):
-        """Precedents grouped by originating range so messages stay readable."""
-        groups: dict[str | None, list[CellAddress]] = {}
-        for p, origin in self.graph.precedents_of(dependent).items():
-            groups.setdefault(origin, []).append(p)
-        return groups
-
 
 def _addr_list(cells, limit: int = 4) -> str:
     shown = [c.qualified() for c in cells[:limit]]
@@ -612,7 +605,7 @@ def _r23_formula_refs(ctx: _Context, sheets) -> list[Diagnostic]:
     nodes = graph.nodes
     total: Counter[str] = Counter()
     into_formulas: Counter[str] = Counter()
-    for d, precedents in graph.formula_precedents().items():
+    for d, precedents in graph.formula_precedents.items():
         total[d.sheet] += sum(box_area(piece) for link in graph.links[d]
                               for piece in link.parts)
         into_formulas[d.sheet] += sum(1 for p in precedents

@@ -446,17 +446,6 @@ def _substitute(target_ast: FormulaAst, target_sheet: str,
     return map_refs(target_ast, swap)
 
 
-def _covered_by_range(refs: tuple, sheet: str, target: CellAddress) -> bool:
-    for ref in refs:
-        if isinstance(ref, RangeRef):
-            ref_sheet = ref.start.sheet if ref.start.sheet is not None else sheet
-            top, left, bottom, right = ref.box
-            if (ref_sheet.lower() == target.sheet.lower()
-                    and top <= target.row <= bottom and left <= target.col <= right):
-                return True
-    return False
-
-
 def _stack(a: RangeRef, b: RangeRef, direction: str) -> RangeRef | None:
     """One range over ``a`` then ``b`` when ``b``'s box continues ``a``'s
     with the same span, below it ("v") or to its right ("h"); else None."""
@@ -526,6 +515,30 @@ def _fuse(terms: list[FormulaAst]) -> list[FormulaAst]:
             return terms
 
 
+def _nested_text(source: CellAddress, source_ast: FormulaAst, target: CellAddress,
+                 target_ast: FormulaAst, target_refs: tuple, max_len: int,
+                 tidy: bool = False) -> str | None:
+    """``target_ast`` with ``source``'s body for each direct reference to it,
+    tidied by ``merge_sumproducts`` if asked, as text; None when a range of
+    ``target_refs`` covers ``source``, or the text is over ``max_len`` or does not parse."""
+    for ref in target_refs:
+        if isinstance(ref, RangeRef):
+            top, left, bottom, right = ref.box
+            sheet = ref.start.sheet if ref.start.sheet is not None else target.sheet
+            if (sheet.lower() == source.sheet.lower()
+                    and top <= source.row <= bottom and left <= source.col <= right):
+                return None
+    combined = _substitute(target_ast, target.sheet, source, source_ast)
+    text = print_formula(merge_sumproducts(combined) if tidy else combined)
+    if len(text) > max_len:
+        return None
+    try:
+        parse_formula(text)
+    except Exception:
+        return None
+    return text
+
+
 def nest_candidates(graph: DependencyGraph, workbook: Workbook,
                     max_len: int = 120) -> list[NestCandidate]:
     """Formulas with exactly one dependent whose inlining stays readable.
@@ -537,7 +550,7 @@ def nest_candidates(graph: DependencyGraph, workbook: Workbook,
     """
     contents = dict(workbook.formulas())
     only: dict[CellAddress, CellAddress | None] = {}  # a formula's one dependent, or None
-    for dependent, precedents in graph.formula_precedents().items():
+    for dependent, precedents in graph.formula_precedents.items():
         for precedent in precedents:
             only[precedent] = None if precedent in only else dependent
     out: list[NestCandidate] = []
@@ -547,18 +560,10 @@ def nest_candidates(graph: DependencyGraph, workbook: Workbook,
             continue
         if target == source or target not in contents or source not in contents:
             continue
-        if _covered_by_range(contents[target].facts.refs, target.sheet, source):
-            continue
-        combined = _substitute(contents[target].ast, target.sheet, source,
-                               contents[source].ast)
-        text = print_formula(combined)
-        if len(text) > max_len:
-            continue
-        try:
-            parse_formula(text)
-        except Exception:
-            continue
-        out.append(NestCandidate(source, target, text))
+        text = _nested_text(source, contents[source].ast, target, contents[target].ast,
+                            contents[target].facts.refs, max_len)
+        if text is not None:
+            out.append(NestCandidate(source, target, text))
     return out
 
 
@@ -598,18 +603,11 @@ def plan_nesting(workbook: Workbook, graph: DependencyGraph,
             target = next(iter(dependents))
             if target not in asts:
                 continue
-            if _covered_by_range(formula_facts(asts[target]).refs, target.sheet, source):
+            text = _nested_text(source, asts[source], target, asts[target],
+                                formula_facts(asts[target]).refs, max_len, tidy=True)
+            if text is None:
                 continue
-            combined = merge_sumproducts(
-                _substitute(asts[target], target.sheet, source, asts[source]))
-            text = print_formula(combined)
-            if len(text) > max_len:
-                continue
-            try:
-                parse_formula(text)
-            except Exception:
-                continue
-            asts[target] = combined
+            asts[target] = parse_formula(text)
             del asts[source]
             removed.append(source)
             steps.append((source, target))

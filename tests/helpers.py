@@ -418,6 +418,15 @@ def expanded_precedents(graph, dependent: CellAddress, content) -> dict:
     return out
 
 
+def grouped_precedents(graph, dependent):
+    """Precedents of ``dependent`` grouped by origin, each group in the order
+    ``precedents_of`` gives them."""
+    groups = {}
+    for p, origin in graph.precedents_of(dependent).items():
+        groups.setdefault(origin, []).append(p)
+    return groups
+
+
 def reference_r01(ctx, sheets):
     """R01 as it was written per arc, reading the expanding views."""
     from sheetlint.graph import is_backward
@@ -428,7 +437,7 @@ def reference_r01(ctx, sheets):
             continue
         offenders = []
         origins = set()
-        for origin, precedents in ctx.grouped_precedents(addr).items():
+        for origin, precedents in grouped_precedents(ctx.graph, addr).items():
             bad = [p for p in precedents
                    if p != addr and is_backward(p, addr) and not ctx.classes[p].on_cycle]
             if not bad:
@@ -496,7 +505,7 @@ def reference_r06(ctx, sheets):
     out = []
     for addr in ctx.graph.formula_cells():
         blanks = []
-        for origin, precedents in ctx.grouped_precedents(addr).items():
+        for origin, precedents in grouped_precedents(ctx.graph, addr).items():
             blank = [p for p in precedents
                      if p in ctx.graph.nodes and ctx.graph.nodes[p].blank]
             if not blank:

@@ -351,6 +351,21 @@ def test_audit_result_keeps_no_workbook():
     assert result.report.diagnostics
 
 
+def test_main_leaves_no_reference_cycles(tmp_path):
+    import gc
+
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(3):
+            main(["--format", "json", "--output", str(tmp_path / "report.json"),
+                  str(fixture_path("assign_v4.wb"))])
+            assert gc.collect() == 0
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 @pytest.mark.parametrize("collector_on", [True, False])
 def test_main_restores_the_collector_state(collector_on, monkeypatch, tmp_path, capsys):
     import gc

@@ -22,7 +22,6 @@ from sheetlint.formula import (
     UnaryOp,
     ast_equal,
     evaluate,
-    extract_references,
     formula_facts,
     iter_nodes,
     parse_formula,
@@ -176,19 +175,18 @@ def test_print_number_literal_text_preserved():
     assert "0.07" in print_formula(ast)
 
 
-def test_extract_references_order_and_duplicates():
-    refs = [r for r, _ in extract_references(parse_formula("=C6*A4+A6*C6"))]
+def test_formula_facts_refs_order_and_duplicates():
+    refs = formula_facts(parse_formula("=C6*A4+A6*C6")).refs
     assert [print_formula(r, leading_eq=False) for r in refs] == \
         ["C6", "A4", "A6", "C6"]
 
 
-def test_extract_references_empty():
-    assert extract_references(parse_formula("=5+7")) == []
+def test_formula_facts_refs_empty():
+    assert formula_facts(parse_formula("=5+7")).refs == ()
 
 
-def test_extract_references_ranges_not_expanded():
-    refs = [r for r, _ in
-            extract_references(parse_formula("=SUMPRODUCT(C4:I6,C7:I9)"))]
+def test_formula_facts_refs_ranges_not_expanded():
+    refs = formula_facts(parse_formula("=SUMPRODUCT(C4:I6,C7:I9)")).refs
     assert all(isinstance(r, RangeRef) for r in refs)
     assert len(refs) == 2
 
@@ -365,7 +363,7 @@ def test_formula_facts_and_produces_text_match_reference_walks(seed, text):
                 parse_formula(text)):
         facts = formula_facts(ast)
         nodes = list(iter_nodes(ast))
-        assert facts.refs == tuple(ref for ref, _ in extract_references(ast))
+        assert facts.refs == tuple(n for n in nodes if isinstance(n, (CellRef, RangeRef)))
         assert facts.names == tuple(n for n in nodes if isinstance(n, NameRef))
         assert facts.numbers == tuple(n for n in nodes if isinstance(n, NumberLit))
         assert produces_text(ast) == _reference_produces_text(ast), print_formula(ast)

@@ -15,6 +15,7 @@ from helpers import (
     brute_force_classify,
     build_xlsx,
     gen_workbook,
+    grouped_precedents,
     unused_inputs_by_forward_search,
 )
 
@@ -22,8 +23,6 @@ from sheetlint import formula, model
 from sheetlint import graph as graph_module
 from sheetlint.config import AuditConfig, ConfigError
 from sheetlint.graph import (
-    DependencyGraph,
-    NodeInfo,
     _dot_id,
     arc_chebyshev,
     build_graph,
@@ -35,9 +34,8 @@ from sheetlint.graph import (
     resolve_bottom_line,
 )
 from sheetlint.loaders import load_text, load_text_string, load_xlsx
-from sheetlint.model import CellAddress, CellKind, Workbook
+from sheetlint.model import CellAddress, CellContent, CellKind, Workbook
 from sheetlint.report import audit_workbook
-from sheetlint.rules import SimplifierResults, _Context
 
 
 def wb_from(text):
@@ -444,12 +442,9 @@ def _reference_export_dot(graph, classes=None):
 
 
 def test_export_dot_orders_arcs_added_out_of_order():
-    graph = DependencyGraph(["S"], {})
-    cells = [addr("S", a1) for a1 in ("A1", "C3", "B2", "A2")]
-    for cell in cells:
-        graph.add_node(cell, NodeInfo(kind=CellKind.NUMBER))
-    for precedent, dependent in ((0, 1), (3, 1), (0, 2), (2, 1), (0, 3)):
-        graph.add_arc(cells[precedent], cells[dependent])
+    # C3 links its precedents last to first, after A2 and B2 link A1
+    graph = build_graph(wb_from("[sheet S]\nA1 num 1\nA2 formula =A1\nB2 formula =A1\n"
+                                "C3 formula =B2+A2+A1\n"))
     edges = [line for line in export_dot(graph).splitlines() if "->" in line]
     assert edges == ['  "S_A1" -> "S_A2";', '  "S_A1" -> "S_B2";',
                      '  "S_A1" -> "S_C3";', '  "S_A2" -> "S_C3";',
@@ -502,10 +497,9 @@ def test_arc_views_and_origin_groups_agree(seed):
     origins = graph.range_origin
     assert set(origins) == graph.arcs
     assert graph.cycles == find_cycles(graph)
-    ctx = _Context(wb, graph, {}, SimplifierResults(), AuditConfig(), None, None)
     for dependent in graph.nodes:
         precedents = list(graph.precedents_of(dependent))
-        groups = ctx.grouped_precedents(dependent)
+        groups = grouped_precedents(graph, dependent)
         assert sum(len(g) for g in groups.values()) == len(precedents)
         for origin, group in groups.items():
             assert group == [p for p in precedents
@@ -574,19 +568,13 @@ def test_classify_deterministic():
 
 # --- reading order: formula_cells sorted once, cycles independent of node order ---
 
-def test_formula_cells_in_reading_order_for_a_hand_built_graph():
-    graph = DependencyGraph(["A", "B"], {})
-    for a1, kind in (("B!A1", CellKind.FORMULA), ("A!A2", CellKind.FORMULA),
-                     ("A!C1", CellKind.NUMBER), ("A!B1", CellKind.FORMULA)):
-        sheet, cell = a1.split("!")
-        graph.add_node(addr(sheet, cell), NodeInfo(kind=kind))
+def test_formula_cells_in_reading_order_as_a_copy():
+    graph = build_graph(wb_from("[sheet A]\nA2 formula =1\nC1 num 1\nB1 formula =1\n"
+                                "[sheet B]\nA1 formula =1\n"))
     first = graph.formula_cells()
     assert first == [addr("A", "B1"), addr("A", "A2"), addr("B", "A1")]
     first.clear()  # a copy: the graph's own order is untouched
-    graph.add_node(addr("A", "A1"), NodeInfo(kind=CellKind.FORMULA))
-    graph.add_node(addr("A", "B1"), NodeInfo(kind=CellKind.NUMBER))  # already a node
-    assert graph.formula_cells() == [addr("A", "A1"), addr("A", "B1"),
-                                     addr("A", "A2"), addr("B", "A1")]
+    assert graph.formula_cells() == [addr("A", "B1"), addr("A", "A2"), addr("B", "A1")]
 
 
 @given(st.integers(min_value=0, max_value=100_000))
@@ -595,23 +583,38 @@ def test_formula_cells_in_reading_order_for_a_hand_built_graph():
 def test_cycles_do_not_depend_on_insertion_order(seed):
     rng = random.Random(seed)
     wb, _ = gen_workbook(rng)
-    graph = build_graph(wb)
-    formulas = graph.formula_cells()
+    built = build_graph(wb)
+    precedents = {a: list(built.precedents_of(a)) for a in built.formula_cells()}
+    formulas = list(precedents)
     extra = rng.randint(0, 6) if formulas else 0
     for _ in range(extra):  # extra arcs between formulas close cycles
-        graph.add_arc(rng.choice(formulas), rng.choice(formulas))
-    arcs = list(graph.range_origin.items())
-    nodes = list(graph.nodes.items())
-    rng.shuffle(arcs)
-    rng.shuffle(nodes)
-    shuffled = DependencyGraph(graph.sheet_order, graph.defined_names)
-    for node, info in nodes:
-        shuffled.add_node(node, info)
-    for (precedent, dependent), origin in arcs:
-        shuffled.add_arc(precedent, dependent, origin)
+        precedents[rng.choice(formulas)].append(rng.choice(formulas))
+    cells = list(built.nodes)
+    moved = cells[:]
+    rng.shuffle(moved)
 
+    def rebuilt(place, order):
+        # every node at place[node], each formula one direct reference per
+        # precedent, in order(list); build_graph then visits the nodes and
+        # links in the order of the places
+        book = Workbook()
+        sheet = book.add_sheet("S")
+        for cell, info in built.nodes.items():
+            row, col = place[cell].row, place[cell].col
+            if cell in precedents:
+                refs = [place[p].a1() for p in precedents[cell]]
+                order(refs)
+                text = "=" + "+".join(refs)
+                sheet.set_cell(row, col, CellContent.formula(text, formula.parse_formula(text)))
+            elif not info.blank:
+                sheet.set_cell(row, col, wb.sheets[0].content_at(cell.row, cell.col))
+        return build_graph(book)
+
+    graph = rebuilt({cell: cell for cell in cells}, lambda refs: None)
+    shuffled = rebuilt(dict(zip(cells, moved)), rng.shuffle)
+    back = dict(zip(moved, cells))
     cycles = find_cycles(graph)
-    assert find_cycles(shuffled) == cycles
+    assert sorted(sorted(back[c] for c in cycle) for cycle in find_cycles(shuffled)) == cycles
     # oracle: a node is on a cycle exactly when it reaches itself
     def reaches_itself(start):
         seen, frontier = set(), list(graph.dependents_of(start))

@@ -67,7 +67,7 @@ def test_links_give_what_the_per_arc_bodies_gave(seed, coverage, limit):
         assert rule(ctx, wb.sheets) == reference(ctx, wb.sheets), rule.__name__
     unused = {a for a, cls in ctx.classes.items() if cls.dangling_kind == "unused-input"}
     assert unused == unused_inputs_by_forward_search(graph, ctx.classes)
-    referenced = graph.referenced()
+    referenced = graph.referenced
     precedents = {d: graph.precedents_of(d) for d in graph.links}
     for addr in graph.nodes:
         dependents = graph.dependents_of(addr)
