@@ -191,10 +191,6 @@ class _Columns:
             if i < j:
                 yield col, i, j
 
-    def count(self, sheet: str, box: Box) -> int:
-        """How many cells of the set are inside ``box``."""
-        return sum(j - i for _, i, j in self.slices(sheet, box))
-
     def cells(self, sheet: str, box: Box) -> list[CellAddress]:
         """The cells of the set inside ``box``, column by column."""
         out: list[CellAddress] = []
@@ -326,7 +322,7 @@ class DependencyGraph:
         if top == bottom and left == right:
             info = self.nodes.get((sheet, top, left))  # type: ignore[call-overload]
             return int(info is not None and not info.blank)
-        return self._populated.count(sheet, box)
+        return sum(j - i for _, i, j in self._populated.slices(sheet, box))
 
     @cached_property
     def _own(self) -> dict[CellAddress, CellAddress]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from enum import Enum
 from itertools import chain, combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .formula import (
     _PREC,
@@ -515,12 +515,13 @@ def _fuse(terms: list[FormulaAst]) -> list[FormulaAst]:
             return terms
 
 
-def _nested_text(source: CellAddress, source_ast: FormulaAst, target: CellAddress,
-                 target_ast: FormulaAst, target_refs: tuple, max_len: int,
+def _nested_text(source: CellAddress, target: CellAddress, target_refs: tuple,
+                 ast_of: Callable[[CellAddress], FormulaAst], max_len: int,
                  tidy: bool = False) -> str | None:
-    """``target_ast`` with ``source``'s body for each direct reference to it,
-    tidied by ``merge_sumproducts`` if asked, as text; None when a range of
-    ``target_refs`` covers ``source``, or the text is over ``max_len`` or does not parse."""
+    """``target``'s tree with ``source``'s for each direct reference to it, tidied
+    by ``merge_sumproducts`` if asked, as text; None when a range of ``target_refs``
+    covers ``source`` (checked before ``ast_of`` is read: a copy member builds its
+    tree on first read), or the text is over ``max_len`` or does not parse."""
     for ref in target_refs:
         if isinstance(ref, RangeRef):
             top, left, bottom, right = ref.box
@@ -528,7 +529,7 @@ def _nested_text(source: CellAddress, source_ast: FormulaAst, target: CellAddres
             if (sheet.lower() == source.sheet.lower()
                     and top <= source.row <= bottom and left <= source.col <= right):
                 return None
-    combined = _substitute(target_ast, target.sheet, source, source_ast)
+    combined = _substitute(ast_of(target), target.sheet, source, ast_of(source))
     text = print_formula(merge_sumproducts(combined) if tidy else combined)
     if len(text) > max_len:
         return None
@@ -560,8 +561,8 @@ def nest_candidates(graph: DependencyGraph, workbook: Workbook,
             continue
         if target == source or target not in contents or source not in contents:
             continue
-        text = _nested_text(source, contents[source].ast, target, contents[target].ast,
-                            contents[target].facts.refs, max_len)
+        text = _nested_text(source, target, contents[target].facts.refs,
+                            lambda cell: contents[cell].ast, max_len)
         if text is not None:
             out.append(NestCandidate(source, target, text))
     return out
@@ -603,8 +604,8 @@ def plan_nesting(workbook: Workbook, graph: DependencyGraph,
             target = next(iter(dependents))
             if target not in asts:
                 continue
-            text = _nested_text(source, asts[source], target, asts[target],
-                                formula_facts(asts[target]).refs, max_len, tidy=True)
+            text = _nested_text(source, target, formula_facts(asts[target]).refs,
+                                asts.__getitem__, max_len, tidy=True)
             if text is None:
                 continue
             asts[target] = parse_formula(text)
