@@ -645,13 +645,14 @@ class CopyClass:
     """The formulas of one sheet that are equal once made host-relative.
 
     ``relative`` is ``translate(ast, -row, -col)`` of any member at
-    ``(row, col)``, the form by which ExceLint groups copy regions. A sheet
-    interns one instance per class (``Sheet.copy_class``) and stores it on
-    each member's cell, so a class hashes by identity and serves as a dict
-    key at the cost of a pointer. What no translation changes is kept here
-    once for every member: the top node under outer parentheses, whether
-    the formula produces text, and, from first use, the R1C1 text and the
-    facts (a member's references are these shifted by its cell:
+    ``(row, col)``, the form by which ExceLint groups copy regions. Every
+    formula cell holds its class and its ``(row, col)``, and no tree of its
+    own (``CellContent.copy_of``). A sheet interns one instance per class
+    (``Sheet.copy_class``), so a class hashes by identity and serves as a
+    dict key at the cost of a pointer. What no translation changes is kept
+    here once for every member: the top node under outer parentheses,
+    whether the formula produces text, and, from first use, the R1C1 text
+    and the facts (a member's references are these shifted by its cell:
     ``facts_at``).
     """
 

@@ -453,13 +453,13 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     for sheet in workbook.sheets:
         for addr, cell in sheet.populated():
             info = NodeInfo(kind=cell.content.kind)
-            cls = cell.copy_class
-            if cls is not None:
+            if cell.content.copy is not None:
+                cls = cell.content.copy[0]
                 top = cls.top
                 if isinstance(top, FunctionCall):
                     info.top_function = top.name
                     info.interpreted_output_shape = (  # the punch-line repeater
-                        top.name == "IF" and cls.produces_text and bool(cell.content.facts.refs))
+                        top.name == "IF" and cls.produces_text and bool(cls.facts.refs))
                 elif isinstance(top, CellRef):
                     top = shift_ref(top, addr.row, addr.col)
                     home = graph.spelling(addr.sheet if top.sheet is None else top.sheet)

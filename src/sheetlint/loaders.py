@@ -12,7 +12,7 @@ from posixpath import normpath
 from xml.etree import ElementTree
 
 from .formula import (CopyClass, FormulaAst, FormulaParseError, RangeRef, formula_facts,
-                      order_ranges, parse_formula, print_formula, translate)
+                      order_ranges, parse_formula, translate)
 from .model import (
     MAX_COL,
     MAX_ROW,
@@ -179,9 +179,9 @@ def load_text_string(text: str, path: str = "<string>") -> Workbook:
             except FormulaParseError as exc:
                 # the offset counts from after the '=' at m.start(3)
                 raise LoadError(path, lineno, m.start(3) + exc.offset + 2, str(exc))
-            content = CellContent.formula(payload, ast)
-        fmt = sheet.fmt_at(addr.row, addr.col)
-        sheet.set_cell(addr.row, addr.col, content, fmt)
+            sheet.set_formula(addr.row, addr.col, ast, sheet.fmt_at(addr.row, addr.col))
+            continue
+        sheet.set_cell(addr.row, addr.col, content, sheet.fmt_at(addr.row, addr.col))
 
     for sheet in workbook.sheets:
         _set_declared_extent(sheet, dimensions.get(sheet.name))
@@ -506,54 +506,52 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
             ctype = c_el.get("t", "n")
             v_el = c_el.find(_tag("v"))
             f_el = c_el.find(_tag("f"))
-            content = copy_class = None
+            content = None
             if f_el is not None:
                 ftext = f_el.text or ""
-                if f_el.get("t") == "shared":
-                    si = f_el.get("si", "")
-                    if ftext:
-                        try:
-                            written = parse_formula("=" + ftext, ordered=False)
-                        except FormulaParseError as exc:
-                            raise LoadError(path, 0, 0,
-                                            f"cell {ref}: bad formula: {exc}")
-                        copy_class = sheet.copy_class(
-                            translate(order_ranges(written), -addr.row, -addr.col))
-                        one_sided = any(
-                            isinstance(r, RangeRef)
-                            and (r.start.row_abs != r.end.row_abs
-                                 or r.start.col_abs != r.end.col_abs)
-                            for r in copy_class.facts.refs)
-                        shared[si] = (copy_class,
-                                      translate(written, -addr.row, -addr.col)
-                                      if one_sided else None,
-                                      _offsets(copy_class.facts.refs))
-                    if si not in shared:
-                        raise LoadError(path, 0, 0, f"cell {ref}: shared formula "
-                                                    f"{si!r} has no master")
-                    copy_class, written, (top, bottom, left, right) = shared[si]
-                    content = CellContent.copy_of(copy_class, addr.row, addr.col)
-                    if not (1 <= addr.row + top and addr.row + bottom <= MAX_ROW
-                            and 1 <= addr.col + left and addr.col + right <= MAX_COL):
-                        notices.append(f"cell {addr.qualified()} left out: its shared "
-                                       f"formula moves a reference off the grid")
-                        content = copy_class = None
-                    elif written is not None:
-                        # a relative corner that passes an absolute one turns
-                        # the range inside out; store it ordered, as Excel
-                        # shows it, and class it by its own form. The corners
-                        # shift as written, then are ordered: ordering first
-                        # loses which corner carried which '$'.
-                        ast = order_ranges(translate(written, addr.row, addr.col))
-                        if ast != content.ast:
-                            content = CellContent.formula(print_formula(ast), ast)
-                            copy_class = None
-                else:
+                if f_el.get("t") != "shared":
                     try:
                         ast = parse_formula("=" + ftext)
                     except FormulaParseError as exc:
                         raise LoadError(path, 0, 0, f"cell {ref}: bad formula: {exc}")
-                    content = CellContent.formula("=" + ftext, ast)
+                    sheet.set_formula(addr.row, addr.col, ast, fmt)
+                    continue
+                si = f_el.get("si", "")
+                if ftext:
+                    try:
+                        written = parse_formula("=" + ftext, ordered=False)
+                    except FormulaParseError as exc:
+                        raise LoadError(path, 0, 0, f"cell {ref}: bad formula: {exc}")
+                    copy_class = sheet.copy_class(
+                        translate(order_ranges(written), -addr.row, -addr.col))
+                    one_sided = any(
+                        isinstance(r, RangeRef)
+                        and (r.start.row_abs != r.end.row_abs
+                             or r.start.col_abs != r.end.col_abs)
+                        for r in copy_class.facts.refs)
+                    shared[si] = (copy_class,
+                                  translate(written, -addr.row, -addr.col)
+                                  if one_sided else None,
+                                  _offsets(copy_class.facts.refs))
+                if si not in shared:
+                    raise LoadError(path, 0, 0, f"cell {ref}: shared formula "
+                                                f"{si!r} has no master")
+                copy_class, written, (top, bottom, left, right) = shared[si]
+                if not (1 <= addr.row + top and addr.row + bottom <= MAX_ROW
+                        and 1 <= addr.col + left and addr.col + right <= MAX_COL):
+                    notices.append(f"cell {addr.qualified()} left out: its shared "
+                                   f"formula moves a reference off the grid")
+                elif written is not None:
+                    # a relative corner that passes an absolute one turns the
+                    # range inside out; store it ordered, as Excel shows it,
+                    # and class it by its own form (the group's class where
+                    # it is the same). The corners shift as written, then are
+                    # ordered: ordering first loses which corner had which '$'.
+                    sheet.set_formula(addr.row, addr.col, order_ranges(
+                        translate(written, addr.row, addr.col)), fmt)
+                    continue
+                else:
+                    content = CellContent.copy_of(copy_class, addr.row, addr.col)
             elif ctype == "s" and v_el is not None and v_el.text is not None:
                 index = number(int, v_el.text, f"shared string index of cell {ref}")
                 if index >= len(strings):
@@ -578,7 +576,7 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                     raise LoadError(path, 0, 0, f"cell {ref}: bad number "
                                                 f"{v_el.text!r}")
             if content is not None:
-                sheet.set_cell(addr.row, addr.col, content, fmt, copy_class)
+                sheet.set_cell(addr.row, addr.col, content, fmt)
             elif not fmt.is_default():
                 sheet.merge_format(addr.row, addr.col, fmt)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .formula import FormulaAst, FormulaFacts
@@ -112,51 +112,25 @@ class CellKind(Enum):
     ERROR = "error"
 
 
-class _Copied:
-    """A formula field of ``CellContent`` that a copy makes with ``make`` on
-    first read and keeps. As a dataclass field's default, it is handed what
-    ``__init__`` gets."""
-
-    def __init__(self, make: Callable[["CellContent"], object]) -> None:
-        self.make = make
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.key = "_" + name
-
-    def __get__(self, content: "CellContent | None", owner: type | None = None) -> object:
-        if content is None:
-            return None  # the field's default
-        value = getattr(content, self.key)
-        if value is None and content.copy is not None:
-            value = self.make(content)
-            self.__set__(content, value)
-        return value
-
-    def __set__(self, content: "CellContent", value: object) -> None:
-        object.__setattr__(content, self.key, value)  # the content is frozen
-
-
 @dataclass(frozen=True)
 class CellContent:
     """One cell's payload. Exactly one field matching ``kind`` is populated.
 
-    A formula is parsed, with its text and tree, or a copy: an xlsx
-    shared-formula member, which holds its cell's ``CopyClass`` and its
-    ``(row, col)`` in ``copy`` and no tree. A copy's ``ast`` is
-    ``translate(copy_class.relative, row, col)`` and its ``formula_text``
-    that tree printed, each made on first read; its ``facts`` come from the
-    class, with no tree. Equality, hash and repr read the fields, so a copy
-    equals the parsed formula it stands for.
+    A formula is a copy: its cell's ``CopyClass`` and its ``(row, col)`` in
+    ``copy``, made by ``copy_of`` (``Sheet.set_formula`` interns the class).
+    Its ``ast`` is ``copy_class.ast_at(row, col)`` and its ``formula_text``
+    that tree printed, each made on first read and kept; its ``facts`` come
+    from the class, with no tree. ``ast`` and ``formula_text`` are None for
+    every other kind. Equality and hash read the fields, so two copies are
+    equal when they are one class at one cell.
     """
 
     kind: CellKind
     number: Decimal | None = None
     text: str | None = None
-    formula_text: str | None = _Copied(lambda c: print_formula(c.ast))  # type: ignore
-    ast: object | None = _Copied(lambda c: c.copy[0].ast_at(*c.copy[1:]))  # type: ignore
     error_code: str | None = None
     bool_value: bool | None = None
-    copy: tuple[CopyClass, int, int] | None = field(default=None, compare=False, repr=False)
+    copy: tuple[CopyClass, int, int] | None = field(default=None, repr=False)
 
     @classmethod
     def empty(cls) -> "CellContent":
@@ -170,10 +144,6 @@ class CellContent:
     def label(cls, text: str) -> "CellContent":
         # Leading spaces are significant (the leading-space rule needs them).
         return cls(CellKind.LABEL, text=text)
-
-    @classmethod
-    def formula(cls, formula_text: str, ast: object) -> "CellContent":
-        return cls(CellKind.FORMULA, formula_text=formula_text, ast=ast)
 
     @classmethod
     def copy_of(cls, copy_class: CopyClass, row: int, col: int) -> "CellContent":
@@ -192,13 +162,20 @@ class CellContent:
     def is_empty(self) -> bool:
         return self.kind is CellKind.EMPTY
 
+    # cached_property writes the instance dict, which a frozen dataclass allows
+    @cached_property
+    def ast(self) -> "FormulaAst | None":
+        return None if self.copy is None else self.copy[0].ast_at(*self.copy[1:])
+
+    @cached_property
+    def formula_text(self) -> str | None:
+        return None if self.copy is None else print_formula(self.ast)
+
     @cached_property
     def facts(self) -> "FormulaFacts":
-        """``formula_facts(ast)``, computed once (a copy's from its class,
-        with no tree); the content is frozen."""
-        if self.copy is not None:
-            return self.copy[0].facts_at(*self.copy[1:])
-        return formula_facts(self.ast)
+        """A formula's ``formula_facts``, from its class, with no tree built."""
+        copy_class, row, col = self.copy
+        return copy_class.facts_at(row, col)
 
 
 @dataclass(frozen=True)
@@ -230,17 +207,16 @@ DEFAULT_FORMAT = CellFormat()
 class Cell:
     content: CellContent
     fmt: CellFormat = DEFAULT_FORMAT
-    # a parsed formula's class among the sheet's formulas, set by Sheet.set_cell
-    copy_class: CopyClass | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class Sheet:
     """A sparse grid of cells plus sheet-level geometry.
 
-    ``set_cell`` fixes each parsed formula's copy class, interned per sheet.
-    The reading order is built on first use and dropped when a cell is
-    added; change ``cells`` through ``set_cell`` and ``merge_format`` only.
+    A formula is stored as a copy of its class (``set_formula``), interned
+    per sheet by its host-relative form. The reading order is built on first
+    use and dropped when a cell is added; change ``cells`` through
+    ``set_cell``, ``set_formula`` and ``merge_format`` only.
     """
 
     name: str
@@ -258,14 +234,17 @@ class Sheet:
         return CellAddress(self.name, row, col)
 
     def set_cell(self, row: int, col: int, content: CellContent,
-                 fmt: CellFormat = DEFAULT_FORMAT,
-                 copy_class: CopyClass | None = None) -> None:
-        """Store a cell, classing a parsed formula by its host-relative form
-        unless ``copy_class`` is given (xlsx shared-formula members)."""
-        if copy_class is None and content.ast is not None:
-            copy_class = self.copy_class(translate(content.ast, -row, -col))
-        self.cells[(row, col)] = Cell(content, fmt, copy_class)
+                 fmt: CellFormat = DEFAULT_FORMAT) -> None:
+        """Store a cell; a formula content must be a copy made for this cell."""
+        self.cells[(row, col)] = Cell(content, fmt)
         self._order = None
+
+    def set_formula(self, row: int, col: int, ast: FormulaAst,
+                    fmt: CellFormat = DEFAULT_FORMAT) -> None:
+        """Store the formula ``ast`` as a copy of its class, which keeps its
+        host-relative form; the tree itself is not kept."""
+        cls = self.copy_class(translate(ast, -row, -col))
+        self.set_cell(row, col, CellContent.copy_of(cls, row, col), fmt)
 
     def copy_class(self, relative: FormulaAst) -> CopyClass:
         """The sheet's one class for the host-relative form ``relative``."""
@@ -310,16 +289,11 @@ class Sheet:
             if cell.content.is_empty and not cell.fmt.is_default():
                 yield addr, cell
 
-    def formulas(self) -> Iterator[tuple[CellAddress, CellContent]]:
-        """``(address, content)`` of every parsed formula, in row-major order."""
-        for addr, content, _ in self.classed_formulas():
-            yield addr, content
-
     def classed_formulas(self) -> Iterator[tuple[CellAddress, CellContent, CopyClass]]:
-        """``(address, content, copy class)`` of every parsed formula, in row-major order."""
+        """``(address, content, copy class)`` of every formula, in row-major order."""
         for addr, cell in self._reading_order():
-            if cell.copy_class is not None:
-                yield addr, cell.content, cell.copy_class
+            if cell.content.copy is not None:
+                yield addr, cell.content, cell.content.copy[0]
 
     def has_format_data(self) -> bool:
         if self.column_widths or self.row_heights:
@@ -344,9 +318,10 @@ class Workbook:
         return None
 
     def formulas(self) -> Iterator[tuple[CellAddress, CellContent]]:
-        """``(address, content)`` of every parsed formula, by sheet then row-major."""
+        """``(address, content)`` of every formula, by sheet then row-major."""
         for sheet in self.sheets:
-            yield from sheet.formulas()
+            for addr, content, _ in sheet.classed_formulas():
+                yield addr, content
 
     def add_sheet(self, name: str) -> Sheet:
         if not name:
@@ -424,4 +399,4 @@ def classify_cells(workbook: Workbook,
 
 
 # formula imports this module, so its names are bound once this one is complete
-from .formula import CopyClass, formula_facts, print_formula, translate  # noqa: E402
+from .formula import CopyClass, print_formula, translate  # noqa: E402

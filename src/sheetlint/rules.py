@@ -321,13 +321,13 @@ def _r07_constants(ctx: _Context, sheets) -> list[Diagnostic]:
     out = []
     allow = ctx.config.constant_allowlist
     messages: dict[CopyClass, str | None] = {}
-    for addr, content, cls in chain.from_iterable(s.classed_formulas() for s in sheets):
+    for addr, _, cls in chain.from_iterable(s.classed_formulas() for s in sheets):
         if cls in messages:
             message = messages[cls]
         else:
             message = None
-            if content.facts.refs:
-                literals = [n for n in content.facts.numbers if n.value not in allow]
+            if cls.facts.refs:
+                literals = [n for n in cls.facts.numbers if n.value not in allow]
                 if literals:
                     shown = ", ".join(lit.text for lit in literals[:4])
                     message = (f"constant {shown} embedded in formula; "

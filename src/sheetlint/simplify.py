@@ -25,6 +25,7 @@ from typing import Callable, Iterable
 from .formula import (
     _PREC,
     CellRef,
+    CopyClass,
     FormulaAst,
     FormulaParseError,
     FunctionCall,
@@ -52,7 +53,7 @@ from .formula import (
     unwrap,
 )
 from .graph import DependencyGraph
-from .model import MAX_COL, MAX_ROW, CellAddress, CellContent, CellKind, Workbook
+from .model import MAX_COL, MAX_ROW, CellAddress, CellContent, Workbook
 
 
 class RewriteKind(str, Enum):
@@ -334,36 +335,34 @@ def _in_grid(refs: Iterable[CellRef | RangeRef]) -> bool:
                for cell in ((ref.start, ref.end) if isinstance(ref, RangeRef) else (ref,)))
 
 
-def _class_rewrite(ast: FormulaAst, row: int, col: int) -> tuple | None:
-    """``(original, rewrite, re-parse, re-parse's refs, kinds, verdicts)``
-    for the formula ``ast`` at ``(row, col)``, each tree host-relative; None
-    when nothing fires or the printed rewrite does not parse."""
-    rewritten, kinds = _rewrite(ast)
+def _class_rewrite(cls: CopyClass, row: int, col: int) -> tuple | None:
+    """``(rewrite, re-parse, re-parse's refs, kinds, verdicts)`` for the
+    member of ``cls`` at ``(row, col)``, each tree host-relative; None when
+    nothing fires or the printed rewrite does not parse."""
+    rewritten, kinds = _rewrite(cls.ast_at(row, col))
     if not kinds:
         return None
     try:
         printed = translate(parse_formula(print_formula(rewritten)), -row, -col)
     except FormulaParseError:
         return None
-    return (translate(ast, -row, -col), translate(rewritten, -row, -col), printed,
-            formula_facts(printed).refs, kinds, {})
+    return translate(rewritten, -row, -col), printed, formula_facts(printed).refs, kinds, {}
 
 
-def _simplify_copies(members: Iterable[tuple[CellAddress, CellContent, object]],
+def _simplify_copies(members: Iterable[tuple[CellAddress, CellContent, CopyClass]],
                      trials: int = 100) -> dict[CellAddress, RewriteSuggestion]:
-    """``simplify_workbook`` over ``(host, content, key)`` members, where
-    members with one key are copies of one formula."""
-    rewrites: dict[object, tuple | None] = {}
+    """``simplify_workbook`` over ``(host, content, copy class)`` members."""
+    rewrites: dict[CopyClass, tuple | None] = {}
     out: dict[CellAddress, RewriteSuggestion] = {}
-    for host, content, key in members:
-        # a member off the grid gets no suggestion and cannot stand for its key
-        if key not in rewrites and _in_grid(content.facts.refs):
-            rewrites[key] = _class_rewrite(content.ast, host.row, host.col)
-        entry = rewrites.get(key)
+    for host, content, cls in members:
+        row, col = host.row, host.col
+        # a member off the grid gets no suggestion and cannot stand for its class
+        if cls not in rewrites and _in_grid(content.facts.refs):
+            rewrites[cls] = _class_rewrite(cls, row, col)
+        entry = rewrites.get(cls)
         if entry is None:
             continue
-        original, rewritten, printed, printed_refs, kinds, verdicts = entry
-        row, col = host.row, host.col
+        rewritten, printed, printed_refs, kinds, verdicts = entry
         shifted = tuple(shift_ref(ref, row, col) for ref in printed_refs)
         if not _in_grid(shifted):
             continue  # its own re-parse names other cells, or fails
@@ -371,12 +370,13 @@ def _simplify_copies(members: Iterable[tuple[CellAddress, CellContent, object]],
         verified = verdicts.get(pattern)
         if verified is None:
             verified = verdicts[pattern] = verify_equivalence(
-                content.ast, translate(printed, row, col), trials=trials, sheet=host.sheet)
+                cls.ast_at(row, col), translate(printed, row, col),
+                trials=trials, sheet=host.sheet)
         if verified:
             def ref_text(ref: CellRef) -> str:
                 return ref_a1_text(shift_ref(ref, row, col))
 
-            before = print_formula(original, ref_printer=ref_text)
+            before = print_formula(cls.relative, ref_printer=ref_text)
             after = print_formula(rewritten, ref_printer=ref_text)
             out[host] = RewriteSuggestion(host, before, after, kinds, True,
                                           len(after) - len(before))
@@ -392,8 +392,9 @@ def simplify(ast: FormulaAst, host: CellAddress,
     must agree with the original on random environments (or be structurally
     identical). This is ``simplify_workbook`` on one cell.
     """
-    content = CellContent(CellKind.FORMULA, ast=ast)
-    return _simplify_copies([(host, content, None)], trials).get(host)
+    cls = CopyClass(translate(ast, -host.row, -host.col), host.sheet)
+    return _simplify_copies([(host, CellContent.copy_of(cls, host.row, host.col), cls)],
+                            trials).get(host)
 
 
 def simplify_workbook(workbook: Workbook) -> dict[CellAddress, RewriteSuggestion]:

@@ -10,8 +10,10 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 from sheetlint.formula import (
+    BoolLit,
     CellRef,
     FunctionCall,
+    NameRef,
     NumberLit,
     OpRun,
     Paren,
@@ -164,7 +166,7 @@ def gen_workbook(rng: random.Random, max_rows: int = 10, max_cols: int = 10,
             text = "=" + "+".join(f"{col_letters(c)}{r}" for r, c in targets)
             for r, c in targets:
                 truth.add((CellAddress("S", r, c), host))
-        sheet.set_cell(row, col, CellContent.formula(text, parse_formula(text)))
+        sheet.set_formula(row, col, parse_formula(text))
     return wb, truth
 
 
@@ -184,10 +186,35 @@ def gen_topological_workbook(rng: random.Random, rows: int = 8, cols: int = 8):
                 n_refs = rng.randint(1, min(3, len(placed)))
                 targets = rng.sample(placed, n_refs)
                 text = "=" + "*".join(f"{col_letters(c)}{r}" for r, c in targets)
-                sheet.set_cell(row, col,
-                               CellContent.formula(text, parse_formula(text)))
+                sheet.set_formula(row, col, parse_formula(text))
             placed.append((row, col))
     return wb
+
+
+def as_text(workbook: Workbook) -> str:
+    """``workbook``'s numbers and formulas in the text grammar, each formula
+    its tree printed."""
+    lines = []
+    for sheet in workbook.sheets:
+        lines.append(f"[sheet {sheet.name}]")
+        for addr, cell in sheet.populated():
+            content = cell.content
+            if content.kind is CellKind.FORMULA:
+                lines.append(f"{addr.a1()} formula {print_formula(content.ast)}")
+            elif content.kind is CellKind.NUMBER:
+                lines.append(f"{addr.a1()} num {content.number}")
+    return "\n".join(lines) + "\n"
+
+
+_TREE_NODES = (BoolLit, CellRef, FunctionCall, NameRef, NumberLit, OpRun, Paren, RangeRef,
+               StringLit, UnaryOp)
+
+
+def built_trees(workbook: Workbook) -> list[CellAddress]:
+    """The formula cells whose content keeps a tree of its own, as ``ast``
+    does once read: it is built from the copy class and cached."""
+    return [addr for addr, content in workbook.formulas()
+            if any(isinstance(value, _TREE_NODES) for value in vars(content).values())]
 
 
 # --- independent classification oracle ------------------------------------------
@@ -384,7 +411,7 @@ def gen_linked_workbook(rng: random.Random) -> Workbook:
                     else:
                         terms.append(f"SUM({range_text(box())})")
                 text = "=" + "+".join(terms)
-                sheet.set_cell(row, col, CellContent.formula(text, parse_formula(text)))
+                sheet.set_formula(row, col, parse_formula(text))
     return wb
 
 

@@ -34,7 +34,7 @@ from sheetlint.graph import (
     resolve_bottom_line,
 )
 from sheetlint.loaders import load_text, load_text_string, load_xlsx
-from sheetlint.model import CellAddress, CellContent, CellKind, Workbook
+from sheetlint.model import CellAddress, Workbook
 from sheetlint.report import audit_workbook
 
 
@@ -522,7 +522,7 @@ def test_audit_finds_cycles_once(monkeypatch):
     assert sum(d.rule == "R09" for d in result.report.diagnostics) == 2
 
 
-def test_audit_gathers_formula_facts_once_per_formula(monkeypatch):
+def test_audit_gathers_formula_facts_once_per_copy_class(monkeypatch):
     calls = []
     real = formula.formula_facts
 
@@ -534,11 +534,11 @@ def test_audit_gathers_formula_facts_once_per_formula(monkeypatch):
         if name.startswith("sheetlint") and hasattr(module, "formula_facts"):
             monkeypatch.setattr(module, "formula_facts", counting)
     wb = load_text(fixture_path("assign_v4.wb"))
-    formula_cells = [cell.content for sheet in wb.sheets for cell in sheet.cells.values()
-                     if cell.content.kind is CellKind.FORMULA]
+    classes = {cls for sheet in wb.sheets for _, _, cls in sheet.classed_formulas()}
     audit_workbook(wb)
-    assert len(calls) == len(formula_cells) > 0
-    assert {id(ast) for ast in calls} == {id(content.ast) for content in formula_cells}
+    # a member's facts are its class's, shifted to its cell
+    assert 0 < len(calls) == len(classes) < len(list(wb.formulas()))
+    assert {id(ast) for ast in calls} == {id(cls.relative) for cls in classes}
     calls.clear()
     audit_workbook(wb)
     assert calls == []
@@ -605,7 +605,7 @@ def test_cycles_do_not_depend_on_insertion_order(seed):
                 refs = [place[p].a1() for p in precedents[cell]]
                 order(refs)
                 text = "=" + "+".join(refs)
-                sheet.set_cell(row, col, CellContent.formula(text, formula.parse_formula(text)))
+                sheet.set_formula(row, col, formula.parse_formula(text))
             elif not info.blank:
                 sheet.set_cell(row, col, wb.sheets[0].content_at(cell.row, cell.col))
         return build_graph(book)
@@ -682,8 +682,8 @@ def test_shared_fill_classes_as_the_same_formulas_written_as_text(tmp_path):
     def shapes(wb):
         cells = [wb.sheets[0].cells[(row, 2)] for row in range(1, 6)]
         first_seen = {}
-        return [(c.content.formula_text, c.copy_class.r1c1,
-                 first_seen.setdefault(id(c.copy_class), len(first_seen))) for c in cells]
+        return [(c.content.formula_text, c.content.copy[0].r1c1,
+                 first_seen.setdefault(id(c.content.copy[0]), len(first_seen))) for c in cells]
 
     def diagnostics(wb):
         config = AuditConfig(enabled_rules=frozenset(("R18", "R24")))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import fixture_path
 
 import sheetlint.formula as formula_module
-from sheetlint.formula import parse_formula, print_formula, translate
+from sheetlint.formula import parse_formula, translate
 from sheetlint.layout import (
     EmptySheetError,
     Stacking,
@@ -28,7 +28,7 @@ def sheet_of(cells, widths=None):
     sheet = wb.add_sheet("S")
     for (row, col), value in cells.items():
         if value == "f":
-            sheet.set_cell(row, col, CellContent.formula("=A1", parse_formula("=A1")))
+            sheet.set_formula(row, col, parse_formula("=A1"))
         elif isinstance(value, str):
             sheet.set_cell(row, col, CellContent.label(value))
         else:
@@ -179,8 +179,7 @@ def test_copy_runs_print_each_class_once(monkeypatch):
     sheet = wb.add_sheet("S")
     for row in range(2, 5):
         for col in range(2, 5):
-            shifted = translate(parse_formula("=A1*2"), row - 2, col - 2)
-            sheet.set_cell(row, col, CellContent.formula(print_formula(shifted), shifted))
+            sheet.set_formula(row, col, translate(parse_formula("=A1*2"), row - 2, col - 2))
     printed = []
     real = formula_module.r1c1_form
 
@@ -221,9 +220,7 @@ def test_simulated_copy_fill_has_no_breaks(seed):
     sheet = wb.add_sheet("S")
     length = rng.randint(3, 8)
     for i in range(length):
-        shifted = translate(base, i, 0)
-        sheet.set_cell(10 + i, 8, CellContent.formula(
-            print_formula(shifted), shifted))
+        sheet.set_formula(10 + i, 8, translate(base, i, 0))
     runs = copy_pattern_breaks(sheet)
     assert len(runs) == 1
     assert runs[0].breaks == []
@@ -287,6 +284,6 @@ def test_run_with_a_dollar_on_the_shared_row_is_one_copy_class():
     cells = [wb.sheets[0].cells[(row, 4)] for row in range(2, 6)]
     assert [print_formula(c.content.ast) for c in cells] == [
         f"=SUM(B$2:C{row})" for row in range(2, 6)]
-    assert len({id(c.copy_class) for c in cells}) == 1
+    assert len({id(c.content.copy[0]) for c in cells}) == 1
     config = AuditConfig(enabled_rules=frozenset({"R18"}))
     assert audit_workbook(wb, config).report.diagnostics == []

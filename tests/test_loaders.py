@@ -9,6 +9,7 @@ from helpers import (
     XLSX_STYLE_GREY,
     XLSX_STYLE_HIDDEN,
     build_xlsx,
+    built_trees,
 )
 
 from sheetlint import formula as formula_module
@@ -469,7 +470,8 @@ def _classes_by_cells(table) -> set[frozenset]:
 def test_xlsx_shared_formulas_give_plain_formula_reports_and_classes(tmp_path):
     shared = load_xlsx(_copy_model_xlsx(tmp_path / "shared.xlsx", True))
     plain = load_xlsx(_copy_model_xlsx(tmp_path / "plain.xlsx", False))
-    assert list(shared.formulas()) == list(plain.formulas())
+    assert [(a, c.ast) for a, c in shared.formulas()] \
+        == [(a, c.ast) for a, c in plain.formulas()]
     shared_table = _classes(shared)
     assert _classes_by_cells(shared_table) == _classes_by_cells(_classes(plain))
     b1 = shared_table[CellAddress("S", 1, 2)]
@@ -552,8 +554,8 @@ def test_seeded_content_placed_elsewhere_is_classed_by_its_own_translation(tmp_p
     wb = load_xlsx(_copy_model_xlsx(tmp_path / "shared.xlsx", True))
     s, t = wb.sheets
     content = s.content_at(3, 2)  # group 0, anchored at B3
-    s.set_cell(10, 5, content)
-    t.set_cell(3, 2, content)
+    s.set_formula(10, 5, content.ast)
+    t.set_formula(3, 2, content.ast)
     table = _classes(wb)
     group = table[CellAddress("S", 3, 2)]
     moved = table[CellAddress("S", 10, 5)]
@@ -563,3 +565,25 @@ def test_seeded_content_placed_elsewhere_is_classed_by_its_own_translation(tmp_p
     other_sheet = table[CellAddress("T", 3, 2)]
     assert other_sheet is not group and other_sheet.sheet == "T"
     assert other_sheet.relative == group.relative
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in fixture_path("").glob("*.wb")
+                                        if p.name != "corrupt.wb"))
+def test_load_text_keeps_no_formula_tree(name):
+    wb = load_text(fixture_path(name))
+    assert built_trees(wb) == []
+
+
+def test_one_sided_shared_members_keep_no_tree(tmp_path):
+    # SUM(A1:A$3) filled down B1:B6 turns inside out from B4 on; B1-B3 stay
+    # copies of the group's class and B4-B6 are classed by their own form
+    cells = {f"A{row}": {"n": str(row)} for row in range(1, 7)}
+    cells["B1"] = {"fs": (0, "SUM(A1:A$3)*2", "B1:B6")}
+    cells.update({f"B{row}": {"fs": (0, None, None)} for row in range(2, 7)})
+    wb = load_xlsx(build_xlsx(tmp_path / "t.xlsx", {"S": cells}))
+    assert built_trees(wb) == []
+    classes = [cls for _, _, cls in wb.sheets[0].classed_formulas()]
+    assert [classes.index(cls) for cls in classes] == [0, 0, 0, 3, 3, 3]
+    assert [content.formula_text for _, content in wb.formulas()] == [
+        "=SUM(A1:A$3)*2", "=SUM(A2:A$3)*2", "=SUM(A3:A$3)*2",
+        "=SUM(A$3:A4)*2", "=SUM(A$3:A5)*2", "=SUM(A$3:A6)*2"]

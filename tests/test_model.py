@@ -138,11 +138,19 @@ def test_address_equals_plain_tuple_never_cell_ref():
 
 
 def _sheet_with(cells):
+    """A workbook of one sheet; a cell given as a tree is a formula."""
     wb = Workbook()
     sheet = wb.add_sheet("Model")
     for (row, col), content in cells.items():
-        sheet.set_cell(row, col, content)
+        _write(sheet, row, col, content)
     return wb, sheet
+
+
+def _write(sheet, row, col, content, fmt=CellFormat()):
+    if isinstance(content, CellContent):
+        sheet.set_cell(row, col, content, fmt)
+    else:
+        sheet.set_formula(row, col, content, fmt)
 
 
 def test_content_extent_ignores_format_only():
@@ -181,7 +189,7 @@ def test_classify_referenced_constant_is_numeric():
     text = "=A1*2"
     wb, classes = _classified({
         (1, 1): CellContent.of_number(5),
-        (2, 1): CellContent.formula(text, parse_formula(text)),
+        (2, 1): parse_formula(text),
     })
     assert classes[CellAddress("Model", 1, 1)] is NumericCellClass.NUMERIC_CONSTANT
     assert classes[CellAddress("Model", 2, 1)] is NumericCellClass.NUMERIC_FORMULA
@@ -204,7 +212,7 @@ def test_classify_referenced_label_stays_label():
     text = "=A1&\"!\""
     wb, classes = _classified({
         (1, 1): CellContent.label("name"),
-        (2, 1): CellContent.formula(text, parse_formula(text)),
+        (2, 1): parse_formula(text),
     })
     assert classes[CellAddress("Model", 1, 1)] is NumericCellClass.LABEL
 
@@ -215,7 +223,7 @@ def test_classify_partitions_every_populated_cell():
         (1, 1): CellContent.of_number(1),
         (2, 1): CellContent.of_number(2),
         (3, 1): CellContent.label("x"),
-        (4, 1): CellContent.formula(text, parse_formula(text)),
+        (4, 1): parse_formula(text),
     })
     sheet = wb.sheets[0]
     populated = {addr for addr, _ in sheet.populated()}
@@ -258,7 +266,7 @@ def _sorted_formulas(workbook):
     """Reference: ``Workbook.formulas`` over the reference ``populated``."""
     for sheet in workbook.sheets:
         for addr, cell in _sorted_populated(sheet):
-            if cell.content.kind is CellKind.FORMULA and cell.content.ast is not None:
+            if cell.content.kind is CellKind.FORMULA:
                 yield addr, cell.content
 
 
@@ -272,8 +280,7 @@ _CONTENTS = (
     CellContent.empty(),
     CellContent.of_number(1),
     CellContent.label("x"),
-    CellContent.formula("=A1", parse_formula("=A1")),
-    CellContent.formula("=(", None),  # a formula that did not parse
+    parse_formula("=A1"),
 )
 _FORMATS = (CellFormat(), CellFormat(bold=True), CellFormat(font_color="FF0000"))
 _steps = st.lists(st.tuples(
@@ -299,7 +306,7 @@ def test_reading_order_follows_every_write(steps):
 
     for op, i, row, col, content, fmt in steps:
         if op == "set":
-            sheets[i].set_cell(row, col, _CONTENTS[content], _FORMATS[fmt])
+            _write(sheets[i], row, col, _CONTENTS[content], _FORMATS[fmt])
         elif op == "fmt":
             sheets[i].merge_format(row, col, _FORMATS[fmt])
         else:
@@ -320,7 +327,7 @@ def test_reading_order_cache_is_not_in_repr_or_equality():
     assert repr(used) == repr(fresh)
 
 
-# --- copy classes fixed by set_cell ---------------------------------------------------
+# --- copy classes fixed by set_formula -------------------------------------------
 
 def _classes(sheet):
     return {addr: cls for addr, _, cls in sheet.classed_formulas()}
@@ -338,14 +345,14 @@ def _translated_view(sheet):
     number = {}
     return [(addr, sheet.name, r1c1_form(content.ast, addr.row, addr.col),
              number.setdefault(translate(content.ast, -addr.row, -addr.col), len(number)))
-            for addr, content in sheet.formulas()]
+            for addr, content, _ in sheet.classed_formulas()]
 
 
 _COPY_CONTENTS = (
     CellContent.label("x"),
-    CellContent.formula("=A1*2", parse_formula("=A1*2")),
-    CellContent.formula("=$A$1*2", parse_formula("=$A$1*2")),
-    CellContent.formula("=B2+A$1", parse_formula("=B2+A$1")),
+    parse_formula("=A1*2"),
+    parse_formula("=$A$1*2"),
+    parse_formula("=B2+A$1"),
 )
 _copy_steps = st.lists(st.tuples(
     st.sampled_from(("set", "fmt", "check")),
@@ -367,7 +374,7 @@ def test_copy_classes_follow_every_write(steps):
 
     for op, i, row, col, content in steps:
         if op == "set":
-            sheets[i].set_cell(row, col, _COPY_CONTENTS[content])
+            _write(sheets[i], row, col, _COPY_CONTENTS[content])
         elif op == "fmt":
             sheets[i].merge_format(row, col, CellFormat(bold=True))
         else:
@@ -378,12 +385,12 @@ def test_copy_classes_follow_every_write(steps):
 def test_copy_classes_dropped_by_set_cell_and_new_format_key():
     sheet = Sheet("S")
     for row in (1, 2, 3):
-        sheet.set_cell(row, 2, CellContent.formula(f"=A{row}", parse_formula(f"=A{row}")))
+        sheet.set_formula(row, 2, parse_formula(f"=A{row}"))
     before = _classes(sheet)
     assert len({id(cls) for cls in before.values()}) == 1
     sheet.merge_format(2, 2, CellFormat(bold=True))  # an existing key keeps its class
     assert _classes(sheet) == before  # CopyClass compares by identity
-    sheet.set_cell(2, 2, CellContent.formula("=B2", parse_formula("=B2")))
+    sheet.set_formula(2, 2, parse_formula("=B2"))
     after = _classes(sheet)
     assert _table_view(sheet) == _translated_view(sheet)
     assert len({id(cls) for cls in after.values()}) == 2

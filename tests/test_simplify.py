@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import binop, build_xlsx, gen_ast
+from helpers import binop, build_xlsx, built_trees, gen_ast
 
 from sheetlint.formula import (
     CellRef,
@@ -269,17 +269,16 @@ A1 num 1
 
 
 def test_range_covered_member_builds_no_tree(tmp_path):
-    # an xlsx shared-formula member builds its tree on first read and keeps
-    # it, so a member whose one dependent reads it through a range is
-    # turned down before its tree, or its dependent's, is read
+    # a formula cell builds its tree on first read and keeps it, so a
+    # member whose one dependent reads it through a range is turned down
+    # before its tree, or its dependent's, is read
     cells = {f"A{row}": {"n": str(row)} for row in range(1, 6)}
     cells["B1"] = {"fs": (0, "A1*2", "B1:B5")}
     cells.update({f"B{row}": {"fs": (0, None, None)} for row in range(2, 6)})
     cells["C1"] = {"fs": (1, "SUM(B1:B5)", "C1:C1")}
     wb = load_xlsx(build_xlsx(tmp_path / "t.xlsx", {"S": cells}))
     assert nest_candidates(build_graph(wb), wb) == []
-    assert all(cell.content._ast is None for cell in wb.sheets[0].cells.values()
-               if cell.content.copy is not None)
+    assert built_trees(wb) == []
 
 
 def test_cross_sheet_nesting_requalifies_refs():

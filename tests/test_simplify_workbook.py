@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_xlsx, gen_ast
+from helpers import as_text, build_xlsx, gen_ast
 
 import sheetlint.formula as formula_module
 import sheetlint.simplify as simplify_module
@@ -27,9 +27,9 @@ from sheetlint.formula import (
 )
 from sheetlint.graph import build_graph
 from sheetlint.layout import CopyRun, analyze_sheet, copy_pattern_breaks
-from sheetlint.loaders import load_xlsx
+from sheetlint.loaders import load_text_string, load_xlsx
 from sheetlint.model import CellAddress, CellContent, CellFormat, CellKind, Workbook
-from sheetlint.report import audit_workbook
+from sheetlint.report import audit_workbook, render_json
 from sheetlint.rules import SimplifierResults, run_rules
 from sheetlint.simplify import simplify, simplify_workbook
 
@@ -85,9 +85,8 @@ def copy_workbooks(draw, extra: tuple = ()):
             down = draw(st.booleans())
             for k in range(draw(st.integers(1, 6))):
                 drow, dcol = (k, 0) if down else (0, k)
-                ast = translate(template, row - 1 + drow, col - 1 + dcol)
-                sheet.set_cell(row + drow, col + dcol,
-                               CellContent.formula(print_formula(ast), ast))
+                sheet.set_formula(row + drow, col + dcol,
+                                  translate(template, row - 1 + drow, col - 1 + dcol))
     return wb
 
 
@@ -113,8 +112,7 @@ def _row_of_copies(text: str, count: int) -> Workbook:
     sheet = wb.add_sheet("S")
     template = parse_formula(text)
     for k in range(count):
-        ast = translate(template, 0, k)
-        sheet.set_cell(1, 2 + k, CellContent.formula(print_formula(ast), ast))
+        sheet.set_formula(1, 2 + k, translate(template, 0, k))
     return wb
 
 
@@ -143,8 +141,7 @@ def test_same_pattern_other_range_shape_is_verified_again():
     sheet = wb.add_sheet("S")
     template = parse_formula("=SUMPRODUCT(B2:$D$3,E2:G3)*(H4+H5+H6)")
     for row, col in ((5, 5), (4, 6)):
-        ast = translate(template, row - 5, col - 5)
-        sheet.set_cell(row, col, CellContent.formula(print_formula(ast), ast))
+        sheet.set_formula(row, col, translate(template, row - 5, col - 5))
     suggestions = simplify_workbook(wb)
     assert suggestions == per_cell(wb)
     assert [addr.a1() for addr in suggestions] == ["E5"]
@@ -191,22 +188,21 @@ def test_copy_table_partition_and_r1c1_match_per_cell_keys(wb):
 
 
 def _as_xlsx(path: Path, wb: Workbook, shared: bool) -> Path:
-    """``wb``'s formulas as an xlsx: one shared formula per copy class,
-    mastered at its first cell, or every formula written out."""
+    """``wb``'s numbers and formulas as an xlsx: one shared formula per copy
+    class, mastered at its first cell, or every formula written out."""
     sheets = {}
     for sheet in wb.sheets:
         cells, masters = {}, {}
-        for addr, content in sheet.formulas():
-            text = content.formula_text[1:]
-            if not shared:
-                cells[addr.a1()] = {"f": text}
-                continue
-            key = translate(content.ast, -addr.row, -addr.col)
-            if key in masters:
-                cells[addr.a1()] = {"fs": (masters[key], None, None)}
+        for addr, cell in sheet.populated():
+            content, ref = cell.content, addr.a1()
+            if content.kind is CellKind.NUMBER:
+                cells[ref] = {"n": str(content.number)}
+            elif not shared:
+                cells[ref] = {"f": content.formula_text[1:]}
             else:
-                masters[key] = len(masters)
-                cells[addr.a1()] = {"fs": (masters[key], text, None)}
+                key = translate(content.ast, -addr.row, -addr.col)
+                text = None if key in masters else content.formula_text[1:]
+                cells[ref] = {"fs": (masters.setdefault(key, len(masters)), text, None)}
         sheets[sheet.name] = cells
     return build_xlsx(path, sheets)
 
@@ -232,11 +228,14 @@ def test_classes_follow_writes_after_each_loader(wb, steps):
     for book in books:
         assert [addr for addr, _ in book.formulas()] == cells
         _assert_classes_match_per_cell_keys(book)
-        contents = [content for _, content in book.formulas()] + [CellContent.label("x")]
+        writes = [content.ast for _, content in book.formulas()] + [CellContent.label("x")]
         for op, i, row, col, pick in steps:
             sheet = book.sheets[i]
-            if op == "set":
-                sheet.set_cell(row, col, contents[pick % len(contents)])
+            write = writes[pick % len(writes)]
+            if op == "set" and isinstance(write, CellContent):
+                sheet.set_cell(row, col, write)
+            elif op == "set":
+                sheet.set_formula(row, col, write)
             else:
                 sheet.merge_format(row, col, CellFormat(bold=True))
             _assert_classes_match_per_cell_keys(book)
@@ -244,6 +243,26 @@ def test_classes_follow_writes_after_each_loader(wb, steps):
 
 # a relative corner that passes the absolute one turns the range inside out
 ONE_SIDED = ("=SUM(A1:A$3)*2+A1", "=SUM(B1:$C2)+SUM($A1:A$2)")
+
+_constants = st.lists(st.tuples(st.sampled_from(SHEETS), st.integers(1, 8), st.integers(1, 8),
+                                st.integers(-9, 99)), max_size=8)
+
+
+@settings(max_examples=40)
+@given(copy_workbooks(ONE_SIDED), _constants)
+def test_one_workbook_three_encodings_one_report(wb, constants):
+    # written in the text grammar, as xlsx with every formula written out and
+    # as xlsx with one shared formula per copy class, a workbook reads the same
+    for name, row, col, value in constants:
+        if (row, col) not in wb.sheet(name).cells:
+            wb.sheet(name).set_cell(row, col, CellContent.of_number(value))
+    with tempfile.TemporaryDirectory() as tmp:
+        books = [load_text_string(as_text(wb))] + [
+            load_xlsx(_as_xlsx(Path(tmp) / f"{shared}.xlsx", wb, shared))
+            for shared in (False, True)]
+    text, plain, shared = (render_json([audit_workbook(book, input_path="book").report])
+                           for book in books)
+    assert plain == text and shared == text
 
 
 @settings(max_examples=40)
@@ -263,8 +282,6 @@ def test_shared_members_read_as_the_formulas_written_out(wb):
         assert lazy.facts == formula_facts(eager.ast)  # before the tree is built
         assert lazy.ast == eager.ast
         assert lazy.formula_text == print_formula(eager.ast)
-        parsed = CellContent.formula(print_formula(eager.ast), eager.ast)
-        assert lazy == parsed and hash(lazy) == hash(parsed) and repr(lazy) == repr(parsed)
     assert any(lazy.copy is not None for (_, lazy), _ in pairs)
 
 
@@ -289,8 +306,7 @@ def test_one_copy_class_table_per_sheet_per_audit(monkeypatch):
         if name != "Empty":
             template = parse_formula("=A1*2+$B$1")
             for k in range(4):
-                ast = translate(template, k, 0)
-                sheet.set_cell(1 + k, 3, CellContent.formula(print_formula(ast), ast))
+                sheet.set_formula(1 + k, 3, translate(template, k, 0))
     assert len(set(_classes(wb).values())) == 2
     built = []
     real = formula_module.CopyClass.__init__
@@ -311,7 +327,8 @@ def test_one_copy_class_table_per_sheet_per_audit(monkeypatch):
 
 def _copy_runs_per_cell(sheet, min_run):
     """The copy-run scan as it was before the table: one print per cell."""
-    formulas = {(addr.row, addr.col): content.ast for addr, content in sheet.formulas()}
+    formulas = {(addr.row, addr.col): content.ast
+                for addr, content, _ in sheet.classed_formulas()}
     runs = []
 
     def scan(positions, orientation):
@@ -385,8 +402,7 @@ def test_r24_class_with_absolute_reference_checked_per_cell():
     sheet = wb.add_sheet("S")
     template = parse_formula("=B$3+A1")
     for row in (1, 2, 3, 4):
-        ast = translate(template, row - 1, 2)
-        sheet.set_cell(row, 3, CellContent.formula(print_formula(ast), ast))
+        sheet.set_formula(row, 3, translate(template, row - 1, 2))
     config = AuditConfig(enabled_rules=frozenset(("R24",)))
     diagnostics, _ = run_rules(wb, build_graph(wb), {}, SimplifierResults(), config)
     assert [d.cell.a1() for d in diagnostics] == ["C1", "C2", "C3"]
