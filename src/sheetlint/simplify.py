@@ -44,6 +44,7 @@ from .formula import (
     map_refs,
     parse_formula,
     print_formula,
+    r1c1_form,
     rebuild,
     ref_a1_text,
     referenced_cells,
@@ -285,23 +286,32 @@ _STAGES = (
 _MAX_PASSES = 8
 
 
-def _rewrite(ast: FormulaAst) -> tuple[FormulaAst, frozenset[RewriteKind]]:
-    """Apply the stages to a fixpoint; the final AST and the kinds that fired.
+def _rewrite(relative: FormulaAst) -> tuple[FormulaAst, frozenset[RewriteKind]]:
+    """Apply the stages to a fixpoint on a host-relative tree; the final tree
+    and the kinds that fired.
 
     A stage counts as firing only when it changes the printed text, so a
     stage that reshapes the tree without changing the text adds no kind.
+    A stage that changes nothing returns its input, which is not printed.
+    Every stage commutes with translation (equal references stay equal, and
+    a range collapses only relative cells), so the tree is printed in R1C1
+    and the result holds for each member of its copy class.
     """
-    current, current_text = ast, print_formula(ast)
+    current, text = relative, None  # text: current's, once a stage has made a new tree
     kinds: set[RewriteKind] = set()
     for _ in range(_MAX_PASSES):
-        before = current_text
+        before, before_text = current, text
         for kind, stage in _STAGES:
             candidate = stage(current)
-            candidate_text = print_formula(candidate)
-            if candidate_text != current_text:
+            if candidate is current:
+                continue
+            if text is None:
+                text = before_text = r1c1_form(current, 0, 0)
+            candidate_text = r1c1_form(candidate, 0, 0)
+            if candidate_text != text:
                 kinds.add(kind)
-                current, current_text = candidate, candidate_text
-        if current_text == before:
+                current, text = candidate, candidate_text
+        if current is before or text == before_text:
             break
     return current, frozenset(kinds)
 
@@ -336,17 +346,19 @@ def _in_grid(refs: Iterable[CellRef | RangeRef]) -> bool:
 
 
 def _class_rewrite(cls: CopyClass, row: int, col: int) -> tuple | None:
-    """``(rewrite, re-parse, re-parse's refs, kinds, verdicts)`` for the
-    member of ``cls`` at ``(row, col)``, each tree host-relative; None when
-    nothing fires or the printed rewrite does not parse."""
-    rewritten, kinds = _rewrite(cls.ast_at(row, col))
+    """``(rewrite, re-parse, re-parse's refs, kinds, verdicts)`` for ``cls``,
+    the re-parse printed at its member ``(row, col)``, each tree
+    host-relative; None when nothing fires or the printed rewrite does not
+    parse."""
+    rewritten, kinds = _rewrite(cls.relative)
     if not kinds:
         return None
     try:
-        printed = translate(parse_formula(print_formula(rewritten)), -row, -col)
+        printed = parse_formula(print_formula(translate(rewritten, row, col)))
     except FormulaParseError:
         return None
-    return translate(rewritten, -row, -col), printed, formula_facts(printed).refs, kinds, {}
+    printed = translate(printed, -row, -col)
+    return rewritten, printed, formula_facts(printed).refs, kinds, {}
 
 
 def _simplify_copies(members: Iterable[tuple[CellAddress, CellContent, CopyClass]],
@@ -400,9 +412,9 @@ def simplify(ast: FormulaAst, host: CellAddress,
 def simplify_workbook(workbook: Workbook) -> dict[CellAddress, RewriteSuggestion]:
     """``simplify`` for every formula cell, with the equal result.
 
-    Per copy class, its first member in reading order whose references lie
-    in the grid is rewritten, and the rewrite printed and re-parsed; all
-    three trees are kept host-relative. Per member, the re-parse's
+    Per copy class, its host-relative form is rewritten, and the rewrite
+    printed and re-parsed at its first member in reading order whose
+    references lie in the grid; all three trees are kept host-relative. Per member, the re-parse's
     references are shifted to its cell: off the grid, the member gets no
     suggestion, as its own re-parse would fail or name other cells. With
     its own references they give its alias pattern, and only a pattern new

@@ -461,6 +461,35 @@ def test_one_reparse_and_one_member_tree_per_class(tmp_path, monkeypatch):
     assert trees[0] == (1, 2) and len(trees) <= 2
 
 
+def _rewrite_at(ast):
+    """Reference: the rewrite stages to a fixpoint on a tree at its own cells,
+    a stage firing when the A1 text changes; the final text and the kinds."""
+    text, kinds = print_formula(ast), set()
+    for _ in range(simplify_module._MAX_PASSES):
+        before = text
+        for kind, stage in simplify_module._STAGES:
+            candidate = stage(ast)
+            if print_formula(candidate) != text:
+                kinds.add(kind)
+                ast, text = candidate, print_formula(candidate)
+        if text == before:
+            break
+    return text, frozenset(kinds)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10**6), st.integers(0, 40), st.integers(0, 40),
+       st.integers(1, 60), st.integers(1, 60))
+def test_rewrite_of_the_relative_form_is_the_rewrite_at_each_cell(seed, drow, dcol, row, col):
+    # what simplify_workbook relies on to rewrite a copy class once, in its
+    # host-relative form: every stage commutes with translation
+    rng = random.Random(seed)
+    template = parse_formula(rng.choice(TEMPLATES)) if rng.random() < 0.3 else gen_ast(rng)
+    tree = translate(_anchor_refs(template, rng), drow, dcol)
+    rewritten, kinds = simplify_module._rewrite(translate(tree, -row, -col))
+    assert (print_formula(translate(rewritten, row, col)), kinds) == _rewrite_at(tree)
+
+
 def _parser_ordered(ast) -> bool:
     """True when each range's corners are as the parser orders them."""
     return order_ranges(ast) == ast
