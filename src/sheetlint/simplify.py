@@ -286,32 +286,27 @@ _STAGES = (
 _MAX_PASSES = 8
 
 
-def _rewrite(relative: FormulaAst) -> tuple[FormulaAst, frozenset[RewriteKind]]:
-    """Apply the stages to a fixpoint on a host-relative tree; the final tree
-    and the kinds that fired.
+def _rewrite(cls: CopyClass) -> tuple[FormulaAst, frozenset[RewriteKind]]:
+    """Apply the stages to a fixpoint on the host-relative tree of ``cls``;
+    the final tree and the kinds that fired.
 
     A stage counts as firing only when it changes the printed text, so a
-    stage that reshapes the tree without changing the text adds no kind.
-    A stage that changes nothing returns its input, which is not printed.
-    Every stage commutes with translation (equal references stay equal, and
-    a range collapses only relative cells), so the tree is printed in R1C1
-    and the result holds for each member of its copy class.
+    stage that reshapes the tree without changing the text adds no kind; one
+    that returns its input is not printed. Every stage commutes with
+    translation (equal references stay equal, and a range collapses only
+    relative cells), so the trees are printed in R1C1, starting from the
+    class's own text, and the result holds for each member.
     """
-    current, text = relative, None  # text: current's, once a stage has made a new tree
+    current, text = cls.relative, cls.r1c1
     kinds: set[RewriteKind] = set()
     for _ in range(_MAX_PASSES):
-        before, before_text = current, text
+        before = text
         for kind, stage in _STAGES:
             candidate = stage(current)
-            if candidate is current:
-                continue
-            if text is None:
-                text = before_text = r1c1_form(current, 0, 0)
-            candidate_text = r1c1_form(candidate, 0, 0)
-            if candidate_text != text:
+            if candidate is not current and (new := r1c1_form(candidate, 0, 0)) != text:
                 kinds.add(kind)
-                current, text = candidate, candidate_text
-        if current is before or text == before_text:
+                current, text = candidate, new
+        if text == before:
             break
     return current, frozenset(kinds)
 
@@ -350,7 +345,7 @@ def _class_rewrite(cls: CopyClass, row: int, col: int) -> tuple | None:
     the re-parse printed at its member ``(row, col)``, each tree
     host-relative; None when nothing fires or the printed rewrite does not
     parse."""
-    rewritten, kinds = _rewrite(cls.relative)
+    rewritten, kinds = _rewrite(cls)
     if not kinds:
         return None
     try:

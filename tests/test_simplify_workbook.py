@@ -16,6 +16,7 @@ import sheetlint.simplify as simplify_module
 from sheetlint.config import AuditConfig
 from sheetlint.formula import (
     CellRef,
+    CopyClass,
     RangeRef,
     formula_facts,
     map_refs,
@@ -486,7 +487,7 @@ def test_rewrite_of_the_relative_form_is_the_rewrite_at_each_cell(seed, drow, dc
     rng = random.Random(seed)
     template = parse_formula(rng.choice(TEMPLATES)) if rng.random() < 0.3 else gen_ast(rng)
     tree = translate(_anchor_refs(template, rng), drow, dcol)
-    rewritten, kinds = simplify_module._rewrite(translate(tree, -row, -col))
+    rewritten, kinds = simplify_module._rewrite(CopyClass(translate(tree, -row, -col), "S"))
     assert (print_formula(translate(rewritten, row, col)), kinds) == _rewrite_at(tree)
 
 
