@@ -648,7 +648,7 @@ class CopyClass:
     ``(row, col)``, the form by which ExceLint groups copy regions. Every
     formula cell holds its class and its ``(row, col)``, and no tree of its
     own (``CellContent.copy_of``). A sheet interns one instance per class
-    (``Sheet.copy_class``), so a class hashes by identity and serves as a
+    (``Sheet.set_formula``), so a class hashes by identity and serves as a
     dict key at the cost of a pointer. What no translation changes is kept
     here once for every member: the top node under outer parentheses,
     whether the formula produces text, and, from first use, the R1C1 text

@@ -471,11 +471,14 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
 
     def resolve(refs: tuple[CellRef | RangeRef, ...], dependent: CellAddress,
                 name: str | None, problems: list[str], found: list[Link]) -> None:
-        """Add a formula's references, or the defined name ``name``'s (the
+        """Add the references of the formula at ``dependent``, its copy
+        class's shifted to its cell, or the defined name ``name``'s (the
         links' origin), to ``found``, with a blank node for each cell that
         holds nothing."""
         nonlocal budget
+        drow, dcol = (0, 0) if name else (dependent.row, dependent.col)
         for ref in refs:
+            ref = shift_ref(ref, drow, dcol)
             first = ref.start if isinstance(ref, RangeRef) else ref
             ref_sheet = first.sheet if first.sheet is not None else dependent.sheet
             # a name may point at a sheet the workbook lacks: its links go
@@ -507,7 +510,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     for addr, content in workbook.formulas():
         problems: list[str] = []
         found: list[Link] = []
-        facts = content.facts
+        facts = content.copy[0].facts  # the class's, shifted by resolve
         resolve(facts.refs, addr, None, problems, found)
         for node in facts.names:  # after the formula's own, in budget order
             refs = graph.defined_names.get(node.name.upper())

@@ -522,8 +522,7 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                         written = parse_formula("=" + ftext, ordered=False)
                     except FormulaParseError as exc:
                         raise LoadError(path, 0, 0, f"cell {ref}: bad formula: {exc}")
-                    copy_class = sheet.copy_class(
-                        translate(order_ranges(written), -addr.row, -addr.col))
+                    copy_class = sheet.set_formula(addr.row, addr.col, order_ranges(written), fmt)
                     one_sided = any(
                         isinstance(r, RangeRef)
                         and (r.start.row_abs != r.end.row_abs
@@ -533,6 +532,7 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                                   translate(written, -addr.row, -addr.col)
                                   if one_sided else None,
                                   _offsets(copy_class.facts.refs))
+                    continue
                 if si not in shared:
                     raise LoadError(path, 0, 0, f"cell {ref}: shared formula "
                                                 f"{si!r} has no master")

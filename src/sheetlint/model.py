@@ -240,17 +240,14 @@ class Sheet:
         self._order = None
 
     def set_formula(self, row: int, col: int, ast: FormulaAst,
-                    fmt: CellFormat = DEFAULT_FORMAT) -> None:
-        """Store the formula ``ast`` as a copy of its class, which keeps its
-        host-relative form; the tree itself is not kept."""
-        cls = self.copy_class(translate(ast, -row, -col))
-        self.set_cell(row, col, CellContent.copy_of(cls, row, col), fmt)
-
-    def copy_class(self, relative: FormulaAst) -> CopyClass:
-        """The sheet's one class for the host-relative form ``relative``."""
+                    fmt: CellFormat = DEFAULT_FORMAT) -> CopyClass:
+        """Store the formula ``ast`` as a copy of the sheet's one class for its
+        host-relative form, and return the class; the tree itself is not kept."""
+        relative = translate(ast, -row, -col)
         cls = self._classes.get(relative)
         if cls is None:
             cls = self._classes[relative] = CopyClass(relative, self.name)
+        self.set_cell(row, col, CellContent.copy_of(cls, row, col), fmt)
         return cls
 
     def merge_format(self, row: int, col: int, fmt: CellFormat) -> None:

@@ -535,6 +535,8 @@ def test_audit_gathers_formula_facts_once_per_copy_class(monkeypatch):
             monkeypatch.setattr(module, "formula_facts", counting)
     wb = load_text(fixture_path("assign_v4.wb"))
     classes = {cls for sheet in wb.sheets for _, _, cls in sheet.classed_formulas()}
+    build_graph(wb)  # shifts each class's references to the member's cell as it reads them
+    assert not any("facts" in vars(content) for _, content in wb.formulas())
     audit_workbook(wb)
     # a member's facts are its class's, shifted to its cell
     assert 0 < len(calls) == len(classes) < len(list(wb.formulas()))

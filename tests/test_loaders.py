@@ -498,16 +498,16 @@ def test_copy_class_keys_cost_one_translate_per_group(tmp_path, monkeypatch):
     counting(model_module, "translate")
     wb = load_xlsx(path)
     groups = sum(len(g) for g in _SHARED_GROUPS.values())
-    # one host-relative form per group; a member is stored as a copy of its
+    # one host-relative form per group, made as set_formula stores its
+    # master, and one per plain formula; a member is stored as a copy of its
     # group's class, so loading builds no member's tree
-    assert calls["sheetlint.loaders", "translate"] == groups
-    # shared members cost set_cell no translate; each plain formula one
+    assert calls["sheetlint.loaders", "translate"] == 0
     plain = sum(map(len, _PLAIN.values()))
-    assert calls["sheetlint.model", "translate"] == plain
+    assert calls["sheetlint.model", "translate"] == groups + plain
     table = _classes(wb)
     counting(formula_module, "r1c1_form")
     audit_workbook(wb)
-    assert calls["sheetlint.model", "translate"] == plain  # the audit classes nothing
+    assert calls["sheetlint.model", "translate"] == groups + plain  # the audit classes nothing
     printed = [n for key, n in calls.items() if key[0] == "printed"]
     # each class is printed once, by the copy-run scan or, for H1's, which
     # lies in no run, by the simplifier, which starts from the class's text

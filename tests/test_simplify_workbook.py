@@ -437,8 +437,9 @@ def test_members_past_the_last_row_get_no_suggestion(tmp_path):
 
 
 def test_one_reparse_and_one_member_tree_per_class(tmp_path, monkeypatch):
-    # 20 members with one alias pattern: the class's first member is rewritten,
-    # printed and re-parsed, and verified; the others build no tree
+    # 20 members with one alias pattern: the class is rewritten once, printed
+    # and re-parsed at its first member, whose tree is built to verify it; the
+    # others build no tree
     cells = {f"B{row}": {"fs": (0, "(A1+A2+A3)*2" if row == 1 else None,
                                 "B1:B20" if row == 1 else None)}
              for row in range(1, 21)}
