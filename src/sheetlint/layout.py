@@ -209,17 +209,12 @@ def copy_pattern_breaks(sheet: Sheet, min_run: int = 3) -> list[CopyRun]:
 
 def blank_space_ratio(sheet: Sheet) -> float:
     """Blank cells inside the content bounding box over the box area."""
-    extent = content_extent(sheet)
-    if extent is None:
+    populated = [key for key, cell in sheet.cells.items() if not cell.content.is_empty]
+    if not populated:
         raise EmptySheetError(sheet.name)
-    min_row = min(r for (r, _), c in sheet.cells.items() if not c.content.is_empty)
-    min_col = min(cc for (_, cc), c in sheet.cells.items() if not c.content.is_empty)
-    area = (extent.row - min_row + 1) * (extent.col - min_col + 1)
-    populated = sum(
-        1 for (row, col), cell in sheet.cells.items()
-        if not cell.content.is_empty
-        and min_row <= row <= extent.row and min_col <= col <= extent.col)
-    return (area - populated) / area
+    rows, cols = zip(*populated)
+    area = (max(rows) - min(rows) + 1) * (max(cols) - min(cols) + 1)
+    return (area - len(populated)) / area
 
 
 @dataclass
