@@ -50,23 +50,23 @@ class EvalDomainError(Exception):
 
 # --- AST nodes ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumberLit:
     value: Decimal
     text: str  # the writer's literal, preserved for echoing in diagnostics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StringLit:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolLit:
     value: bool  # TRUE or FALSE, written in any case and not called as a function
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellRef:
     row: int
     col: int
@@ -79,7 +79,7 @@ class CellRef:
                            self.row, self.col)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RangeRef:
     start: CellRef
     end: CellRef
@@ -111,7 +111,7 @@ class RangeRef:
         return (bottom - top + 1, right - left + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NameRef:
     """A bare identifier: a defined name, resolved later against the workbook."""
 

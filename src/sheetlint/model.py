@@ -236,6 +236,8 @@ class Sheet:
     def set_cell(self, row: int, col: int, content: CellContent,
                  fmt: CellFormat = DEFAULT_FORMAT) -> None:
         """Store a cell; a formula content must be a copy made for this cell."""
+        if content.copy is not None and content.copy[1:] != (row, col):
+            raise ValueError(f"formula copy for {content.copy[1:]} stored at {(row, col)}")
         self.cells[(row, col)] = Cell(content, fmt)
         self._order = None
 

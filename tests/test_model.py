@@ -137,6 +137,24 @@ def test_address_equals_plain_tuple_never_cell_ref():
     assert {addr: 1}.get(ref) is None
 
 
+def test_cell_ref_has_no_instance_dict():
+    ref = CellRef(1, 2, sheet="S")
+    assert not hasattr(ref, "__dict__")
+    assert ref == CellRef(1, 2, sheet="S") and hash(ref) == hash(CellRef(1, 2, sheet="S"))
+    assert repr(ref) == "CellRef(row=1, col=2, sheet='S', row_abs=False, col_abs=False)"
+
+
+def test_set_cell_refuses_a_formula_copy_made_for_another_cell():
+    sheet = Sheet("S")
+    sheet.set_formula(1, 2, parse_formula("=A1*2"))
+    copy = sheet.content_at(1, 2)
+    with pytest.raises(ValueError):
+        sheet.set_cell(2, 2, copy)
+    assert sheet.content_at(2, 2).is_empty
+    sheet.set_cell(1, 2, copy)  # its own cell
+    assert sheet.content_at(1, 2) is copy
+
+
 def _sheet_with(cells):
     """A workbook of one sheet; a cell given as a tree is a formula."""
     wb = Workbook()
