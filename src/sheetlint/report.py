@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -11,30 +10,9 @@ from typing import Iterable, Iterator
 
 from . import __version__
 from .config import AuditConfig, Severity
-from .graph import (
-    CellGraphClass,
-    DependencyGraph,
-    build_graph,
-    classify_graph,
-    explicit_bottom_line,
-    export_dot,
-)
-from .layout import SheetLayout, analyze_sheet
-from .model import (
-    CellAddress,
-    NumericCellClass,
-    Workbook,
-    classify_cells,
-)
-from .rules import (
-    Diagnostic,
-    EmptyWorkbookError,
-    SimplifierResults,
-    SkippedRule,
-    readability_score,
-    run_rules,
-)
-from .simplify import nest_candidates, simplify_workbook
+from .graph import CellGraphClass, DependencyGraph, export_dot
+from .model import CellAddress, NumericCellClass, Workbook
+from .rules import Analysis, Diagnostic, SkippedRule
 
 
 @dataclass
@@ -73,45 +51,12 @@ class AuditResult:
 def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
                    input_path: str = "<workbook>") -> AuditResult:
     """Run the whole pipeline: graph, layout, simplifier, rules, score."""
-    config = config or AuditConfig()
-    graph = build_graph(workbook)
-    layouts: dict[str, SheetLayout] = {
-        sheet.name: analyze_sheet(sheet,
-                                  copy_run_min=config.copy_run_min,
-                                  min_block_cells=config.min_block_cells)
-        for sheet in workbook.sheets
-    }
-    simp = SimplifierResults(
-        suggestions=simplify_workbook(workbook),
-        nest=nest_candidates(graph, workbook, max_len=config.nest_max_len))
-    classes = classify_graph(graph, config)
-    cell_classes = classify_cells(workbook, graph)
-    notices = list(workbook.load_notices)
-    named = [("bottom line", entry, cells)
-             for entry, cells in explicit_bottom_line(graph, config).items()]
-    named += [("flow_exempt", entry, graph.named_cells(entry)) for entry in config.flow_exempt]
-    for what, entry, cells in named:
-        if not any(addr in graph.nodes for addr in cells):
-            notices.append(f"{what} {entry!r} resolves to no cell")
-
-    diagnostics, skipped = run_rules(workbook, graph, layouts, simp, config,
-                                     classes=classes, cell_classes=cell_classes)
-
-    per_sheet: dict[str, Counter[NumericCellClass]] = {
-        sheet.name: Counter() for sheet in workbook.sheets}
-    for addr, cls in cell_classes.items():
-        per_sheet[addr.sheet][cls] += 1
-    numeric_cells = sum(per_class[NumericCellClass.NUMERIC_FORMULA]
-                        + per_class[NumericCellClass.NUMERIC_CONSTANT]
-                        for per_class in per_sheet.values())
-    try:
-        score = readability_score(diagnostics, numeric_cells)
-    except EmptyWorkbookError:
-        score = None
+    analysis = Analysis(workbook, config or AuditConfig())
+    diagnostics, skipped = analysis.run_rules()
     summaries = []
     for sheet in workbook.sheets:
-        per_class = per_sheet[sheet.name]
-        layout = layouts[sheet.name]
+        per_class = analysis.class_counts[sheet.name]
+        layout = analysis.layouts[sheet.name]
         extent = layout.relics.content_extent
         summaries.append(SheetSummary(
             name=sheet.name,
@@ -137,11 +82,11 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
         sheets=summaries,
         diagnostics=diagnostics,
         skipped=skipped,
-        score=score,
+        score=analysis.score(diagnostics),
         counts=counts,
-        notices=notices,
+        notices=analysis.notices,
     )
-    return AuditResult(report, graph, classes)
+    return AuditResult(report, analysis.graph, analysis.classes)
 
 
 # render_json writes the indent-2 layout of json.dumps(..., indent=2) itself:

@@ -4,30 +4,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterator
 
 from .config import ALL_RULE_IDS, AuditConfig, Severity
 from .formula import CopyClass, RangeRef
-from .graph import (
-    Box,
-    CellGraphClass,
-    DependencyGraph,
-    box_area,
-    box_cells,
-    classify_graph,
-)
-from .layout import SheetLayout, Stacking
-from .model import (
-    CellAddress,
-    CellKind,
-    NumericCellClass,
-    Sheet,
-    Workbook,
-    classify_cells,
-    col_letters,
-)
-from .simplify import NestCandidate, RewriteSuggestion
+from .graph import (Box, CellGraphClass, DependencyGraph, box_area, box_cells, build_graph,
+                    classify_graph, explicit_bottom_line)
+from .layout import SheetLayout, Stacking, analyze_sheet
+from .model import (CellAddress, CellKind, NumericCellClass, Sheet, Workbook, classify_cells,
+                    col_letters)
+from .simplify import NestCandidate, RewriteSuggestion, nest_candidates, simplify_workbook
 
 
 class EmptyWorkbookError(ValueError):
@@ -68,55 +56,115 @@ class SimplifierResults:
 
 def run_rules(workbook: Workbook, graph: DependencyGraph,
               layouts: dict[str, SheetLayout], simp: SimplifierResults,
-              config: AuditConfig, *,
-              classes: dict[CellAddress, CellGraphClass] | None = None,
-              cell_classes: dict[CellAddress, NumericCellClass] | None = None,
-              ) -> tuple[list[Diagnostic], list[SkippedRule]]:
-    """Evaluate every enabled rule; diagnostics come back deterministically ordered.
+              config: AuditConfig) -> tuple[list[Diagnostic], list[SkippedRule]]:
+    """``Analysis.run_rules`` with the graph, the layouts and the simplifier's
+    results given; the other facts are computed as the rules read them."""
+    analysis = Analysis(workbook, config)
+    analysis.graph, analysis.layouts = graph, layouts
+    analysis.suggestions, analysis.nest = simp.suggestions, simp.nest
+    return analysis.run_rules()
 
-    Rules never abort the run: a rule that cannot execute on a sheet (no
-    format data, for instance) contributes a skipped-rule notice instead.
-    ``classes`` and ``cell_classes`` are the results of ``classify_graph``
-    and ``classify_cells`` for this workbook, computed here when omitted.
+
+class Analysis:
+    """The facts of one audit of ``workbook`` under ``config``.
+
+    Each fact is computed on first read and kept, so a rule subset costs
+    only the facts its rules read. A fact can also be given by assigning
+    it before its first read.
     """
-    ctx = _Context(workbook, graph, layouts, simp, config, classes, cell_classes)
-    diagnostics: list[Diagnostic] = []
-    skipped: list[SkippedRule] = []
-    formatted: list[Sheet] = []
-    unformatted: list[Sheet] = []
-    for sheet in workbook.sheets:
-        (formatted if sheet.has_format_data() else unformatted).append(sheet)
-    for info in CATALOG.values():
-        if info.rule not in config.enabled_rules:
-            continue
-        if not info.needs_format_data:
-            diagnostics.extend(info.check(ctx, workbook.sheets))
-            continue
-        skipped.extend(SkippedRule(info.rule, sheet.name, "no format data in this sheet")
-                       for sheet in unformatted)
-        if formatted:
-            diagnostics.extend(info.check(ctx, formatted))
-    diagnostics.sort(key=lambda d: (
-        ctx.sheet_index(d.sheet), d.cell.row if d.cell else 0,
-        d.cell.col if d.cell else 0, d.rule, d.message))
-    return diagnostics, skipped
 
-
-class _Context:
-    def __init__(self, workbook: Workbook, graph: DependencyGraph,
-                 layouts: dict[str, SheetLayout], simp: SimplifierResults,
-                 config: AuditConfig,
-                 classes: dict[CellAddress, CellGraphClass] | None,
-                 cell_classes: dict[CellAddress, NumericCellClass] | None) -> None:
+    def __init__(self, workbook: Workbook, config: AuditConfig) -> None:
         self.workbook = workbook
-        self.graph = graph
-        self.layouts = layouts
-        self.simp = simp
         self.config = config
-        self.classes = classes if classes is not None else classify_graph(graph, config)
-        self.cell_classes = (cell_classes if cell_classes is not None
-                             else classify_cells(workbook, graph))
-        self.flow_exempt = set().union(*map(graph.named_cells, config.flow_exempt))
+
+    @cached_property
+    def graph(self) -> DependencyGraph:
+        return build_graph(self.workbook)
+
+    @cached_property
+    def layouts(self) -> dict[str, SheetLayout]:
+        config = self.config
+        return {sheet.name: analyze_sheet(sheet, copy_run_min=config.copy_run_min,
+                                          min_block_cells=config.min_block_cells)
+                for sheet in self.workbook.sheets}
+
+    @cached_property
+    def classes(self) -> dict[CellAddress, CellGraphClass]:
+        return classify_graph(self.graph, self.config)
+
+    @cached_property
+    def cell_classes(self) -> dict[CellAddress, NumericCellClass]:
+        return classify_cells(self.workbook, self.graph)
+
+    @cached_property
+    def suggestions(self) -> dict[CellAddress, RewriteSuggestion]:
+        return simplify_workbook(self.workbook)
+
+    @cached_property
+    def nest(self) -> list[NestCandidate]:
+        return nest_candidates(self.graph, self.workbook, max_len=self.config.nest_max_len)
+
+    @cached_property
+    def flow_exempt(self) -> list[tuple[str, set[CellAddress]]]:
+        """Each ``flow_exempt`` entry with the cells it names."""
+        return [(entry, self.graph.named_cells(entry)) for entry in self.config.flow_exempt]
+
+    @cached_property
+    def notices(self) -> list[str]:
+        """The loader's notices, then one per bottom-line or ``flow_exempt``
+        entry that names no cell of the graph."""
+        named = [("bottom line", entry, cells)
+                 for entry, cells in explicit_bottom_line(self.graph, self.config).items()]
+        named += [("flow_exempt", entry, cells) for entry, cells in self.flow_exempt]
+        return self.workbook.load_notices + [
+            f"{what} {entry!r} resolves to no cell" for what, entry, cells in named
+            if not any(addr in self.graph.nodes for addr in cells)]
+
+    @cached_property
+    def class_counts(self) -> dict[str, Counter[NumericCellClass]]:
+        """Each sheet's cells counted by numeric class."""
+        per_sheet: dict[str, Counter[NumericCellClass]] = {
+            sheet.name: Counter() for sheet in self.workbook.sheets}
+        for addr, cls in self.cell_classes.items():
+            per_sheet[addr.sheet][cls] += 1
+        return per_sheet
+
+    def score(self, diagnostics: list[Diagnostic]) -> float | None:
+        """The readability score of ``diagnostics``; None with no numeric cell."""
+        numeric_cells = sum(per_class[NumericCellClass.NUMERIC_FORMULA]
+                            + per_class[NumericCellClass.NUMERIC_CONSTANT]
+                            for per_class in self.class_counts.values())
+        try:
+            return readability_score(diagnostics, numeric_cells)
+        except EmptyWorkbookError:
+            return None
+
+    def run_rules(self) -> tuple[list[Diagnostic], list[SkippedRule]]:
+        """Evaluate every enabled rule; diagnostics come back deterministically ordered.
+
+        Rules never abort the run: a rule that cannot execute on a sheet (no
+        format data, for instance) contributes a skipped-rule notice instead.
+        """
+        diagnostics: list[Diagnostic] = []
+        skipped: list[SkippedRule] = []
+        formatted: list[Sheet] = []
+        unformatted: list[Sheet] = []
+        for sheet in self.workbook.sheets:
+            (formatted if sheet.has_format_data() else unformatted).append(sheet)
+        for info in CATALOG.values():
+            if info.rule not in self.config.enabled_rules:
+                continue
+            if not info.needs_format_data:
+                diagnostics.extend(info.check(self, self.workbook.sheets))
+                continue
+            skipped.extend(SkippedRule(info.rule, sheet.name, "no format data in this sheet")
+                           for sheet in unformatted)
+            if formatted:
+                diagnostics.extend(info.check(self, formatted))
+        diagnostics.sort(key=lambda d: (
+            self.sheet_index(d.sheet), d.cell.row if d.cell else 0,
+            d.cell.col if d.cell else 0, d.rule, d.message))
+        return diagnostics, skipped
 
     def sheet_index(self, name: str | None) -> int:
         if name is None:
@@ -157,13 +205,14 @@ def _backward_cells(host: CellAddress, sheet: str, box: Box) -> Iterator[CellAdd
                 yield CellAddress(sheet, row, col)
 
 
-def _r01_backward(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r01_backward(ctx: Analysis, sheets) -> list[Diagnostic]:
     # A direct reference's cell is an offender; of a range or name, only the
     # first backward cell in reading order, so messages stay readable.
     out = []
     classes = ctx.classes
+    exempt = set().union(*(cells for _, cells in ctx.flow_exempt))
     for addr in ctx.graph.formula_cells():
-        if addr in ctx.flow_exempt or classes[addr].on_cycle:
+        if addr in exempt or classes[addr].on_cycle:
             continue
         offenders: list[CellAddress] = []
         firsts: dict[str, CellAddress] = {}
@@ -205,7 +254,7 @@ def _farthest(host: CellAddress, box: Box) -> tuple[int, int, int]:
     return distance, top, left if abs(top - host.row) == distance else cols[0]
 
 
-def _r02_long_arc(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r02_long_arc(ctx: Analysis, sheets) -> list[Diagnostic]:
     # The first link to reach the greatest distance wins, and within a link
     # the first such cell in reading order.
     out = []
@@ -235,7 +284,7 @@ def _r02_long_arc(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r03_cross_sheet(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r03_cross_sheet(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for addr in ctx.graph.formula_cells():
         offenders = sorted(
@@ -250,7 +299,7 @@ def _r03_cross_sheet(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r04_spurious(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r04_spurious(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for addr, cls in ctx.classes.items():
         if not cls.spurious:
@@ -271,7 +320,7 @@ _DANGLING_NOTES = {
 }
 
 
-def _r05_dangling(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r05_dangling(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for addr, cls in ctx.classes.items():
         if not cls.dangling:
@@ -283,7 +332,7 @@ def _r05_dangling(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r06_perverse(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r06_perverse(ctx: Analysis, sheets) -> list[Diagnostic]:
     # The cells of one origin are judged together: a range or name that is
     # partly blank is conventional, not perverse.
     out = []
@@ -315,7 +364,7 @@ def _r06_perverse(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r07_constants(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r07_constants(ctx: Analysis, sheets) -> list[Diagnostic]:
     # Whether a formula has references, and its numbers, are the same in
     # every copy, so the message is built once per copy class.
     out = []
@@ -338,7 +387,7 @@ def _r07_constants(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r08_relics(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r08_relics(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for sheet in sheets:
         layout = ctx.layouts[sheet.name]
@@ -365,7 +414,7 @@ def _r08_relics(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r09_cycles(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r09_cycles(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for cycle in ctx.graph.cycles:
         path = " -> ".join(c.qualified() for c in cycle + [cycle[0]])
@@ -378,7 +427,7 @@ def _r09_cycles(ctx: _Context, sheets) -> list[Diagnostic]:
 
 # --- format rules ----------------------------------------------------------------
 
-def _r10_hidden(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r10_hidden(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for sheet in ctx.workbook.sheets:
         populated = list(sheet.populated())
@@ -411,7 +460,7 @@ def _r10_hidden(ctx: _Context, sheets) -> list[Diagnostic]:
 _DEFAULT_FONT_SIZE = 11.0
 
 
-def _r11_decoration(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r11_decoration(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for sheet in sheets:
         sizes = set()
@@ -435,7 +484,7 @@ def _r11_decoration(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r12_indistinct(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r12_indistinct(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for sheet in sheets:
         constants = []
@@ -458,7 +507,7 @@ def _r12_indistinct(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r13_all_caps(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r13_all_caps(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     min_len = ctx.config.all_caps_min_len
     for sheet in ctx.workbook.sheets:
@@ -473,7 +522,7 @@ def _r13_all_caps(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r14_leading_space(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r14_leading_space(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for sheet in ctx.workbook.sheets:
         for addr, cell in sheet.populated():
@@ -489,7 +538,7 @@ def _r14_leading_space(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r15_overlap(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r15_overlap(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for sheet in sheets:
         for spill in ctx.layouts[sheet.name].overflows:
@@ -502,7 +551,7 @@ def _r15_overlap(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r16_widths(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r16_widths(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for sheet in sheets:
         widths = {col: w for col, w in sheet.column_widths.items()
@@ -520,7 +569,7 @@ def _r16_widths(ctx: _Context, sheets) -> list[Diagnostic]:
 
 # --- layout rules ----------------------------------------------------------------
 
-def _r17_bulletin(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r17_bulletin(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for sheet in ctx.workbook.sheets:
         report = ctx.layouts[sheet.name].stacking
@@ -537,7 +586,7 @@ def _r17_bulletin(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r18_copy_breaks(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r18_copy_breaks(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for sheet in ctx.workbook.sheets:
         for run in ctx.layouts[sheet.name].copy_runs:
@@ -552,9 +601,9 @@ def _r18_copy_breaks(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r19_inline(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r19_inline(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
-    for cand in ctx.simp.nest:
+    for cand in ctx.nest:
         out.append(ctx.emit(
             "R19", cand.source.sheet, cand.source,
             f"single-dependent formula could be nested into "
@@ -563,10 +612,10 @@ def _r19_inline(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r20_simplifiable(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r20_simplifiable(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
-    for addr in sorted(ctx.simp.suggestions, key=ctx.graph.addr_key):
-        suggestion = ctx.simp.suggestions[addr]
+    for addr in sorted(ctx.suggestions, key=ctx.graph.addr_key):
+        suggestion = ctx.suggestions[addr]
         kinds = ", ".join(sorted(k.value for k in suggestion.kinds))
         out.append(ctx.emit(
             "R20", addr.sheet, addr,
@@ -575,7 +624,7 @@ def _r20_simplifiable(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r21_label_formula(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r21_label_formula(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for addr, _, cls in chain.from_iterable(s.classed_formulas() for s in ctx.workbook.sheets):
         if cls.produces_text:
@@ -585,7 +634,7 @@ def _r21_label_formula(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r22_blank_space(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r22_blank_space(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     for sheet in ctx.workbook.sheets:
         ratio = ctx.layouts[sheet.name].blank_ratio
@@ -597,7 +646,7 @@ def _r22_blank_space(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r23_formula_refs(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r23_formula_refs(ctx: Analysis, sheets) -> list[Diagnostic]:
     # A dependent is a formula, so its sheet is spelled as the workbook
     # spells it.
     out = []
@@ -627,7 +676,7 @@ def _anchored(ref) -> bool:
     return ref.row_abs or ref.col_abs
 
 
-def _r24_ref_order(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r24_ref_order(ctx: Analysis, sheets) -> list[Diagnostic]:
     # A range is read from the top-left corner of its box: translated, it
     # can name its bottom corner first. Shifting every reference alike
     # keeps their order, so a copy class without a `$` is checked once;
@@ -655,7 +704,7 @@ def _r24_ref_order(ctx: _Context, sheets) -> list[Diagnostic]:
     return out
 
 
-def _r25_sheet_count(ctx: _Context, sheets) -> list[Diagnostic]:
+def _r25_sheet_count(ctx: Analysis, sheets) -> list[Diagnostic]:
     populated = [s.name for s in ctx.workbook.sheets
                  if any(True for _ in s.populated())]
     if len(populated) > 1:
@@ -670,7 +719,7 @@ def _r25_sheet_count(ctx: _Context, sheets) -> list[Diagnostic]:
 class RuleInfo:
     rule: str
     severity: Severity
-    check: Callable[[_Context, list[Sheet]], list[Diagnostic]]
+    check: Callable[[Analysis, list[Sheet]], list[Diagnostic]]
     guideline: str
     needs_format_data: bool = False
 

@@ -459,8 +459,9 @@ def reference_r01(ctx, sheets):
     from sheetlint.graph import is_backward
     from sheetlint.rules import _addr_list
     out = []
+    exempt = {cell for _, cells in ctx.flow_exempt for cell in cells}
     for addr in ctx.graph.formula_cells():
-        if addr in ctx.flow_exempt or ctx.classes[addr].on_cycle:
+        if addr in exempt or ctx.classes[addr].on_cycle:
             continue
         offenders = []
         origins = set()

@@ -36,8 +36,7 @@ from sheetlint.loaders import load_text, load_text_string
 from sheetlint.model import CellAddress, classify_cells
 from sheetlint.report import audit_workbook, render_json, render_text
 from sheetlint.rules import (
-    SimplifierResults,
-    _Context,
+    Analysis,
     _r01_backward,
     _r02_long_arc,
     _r03_cross_sheet,
@@ -60,9 +59,11 @@ def test_links_give_what_the_per_arc_bodies_gave(seed, coverage, limit):
         expected = expanded_precedents(graph, addr, content)
         assert list(graph.precedents_of(addr).items()) == list(expected.items()), addr
     assert graph.cycles == find_cycles(graph) == reference_find_cycles(graph)
-    config = AuditConfig(bottom_line_coverage=coverage, long_arc_distance=limit)
+    config = AuditConfig(bottom_line_coverage=coverage, long_arc_distance=limit,
+                         flow_exempt=("B2",))
     assert resolve_bottom_line(graph, config) == reference_coverage_bottom_line(graph, config)
-    ctx = _Context(wb, graph, {}, SimplifierResults(), config, None, None)
+    ctx = Analysis(wb, config)
+    ctx.graph = graph
     for rule, reference in _RULES:
         assert rule(ctx, wb.sheets) == reference(ctx, wb.sheets), rule.__name__
     unused = {a for a, cls in ctx.classes.items() if cls.dangling_kind == "unused-input"}

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
-from helpers import build_xlsx, gen_topological_workbook
+from helpers import build_xlsx, gen_linked_workbook, gen_topological_workbook
 from test_golden import CONFIGS as GOLDEN_CONFIGS, NAMES as GOLDEN_NAMES
 
 from sheetlint.config import ALL_RULE_IDS, AuditConfig, ConfigError, Severity, load_config, save_config
 from sheetlint.formula import parse_formula, print_formula, translate
 from sheetlint.loaders import load_text, load_text_string, load_xlsx
+from sheetlint import rules
 from sheetlint.model import Sheet
 from sheetlint.report import audit_workbook
 from sheetlint.rules import Diagnostic, EmptyWorkbookError, readability_score
@@ -597,14 +598,45 @@ def test_score_is_one_rounded_division_of_integer_counts():
 
 # --- rule subsets ------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_each_rule_alone_equals_the_full_run_filtered(name):
+def _assert_each_rule_alone_matches(load, config):
     # a rule reads the facts it needs (copy classes, layouts, graph classes)
-    # the same way whether or not the other rules run
-    config = GOLDEN_CONFIGS.get(name, AuditConfig())
-    full = audit_workbook(load_text(fixture_path(name)), config).report
+    # the same way whether or not the other rules run; the sheet summaries
+    # and the notices do not depend on the rules
+    config = replace(config, flow_exempt=config.flow_exempt + ("A1",),
+                     bottom_line=config.bottom_line + ("Nowhere!A1",))
+    full = audit_workbook(load(), config).report
+    assert "bottom line 'Nowhere!A1' resolves to no cell" in full.notices
     for rule in ALL_RULE_IDS:
-        alone = audit_workbook(load_text(fixture_path(name)),
-                               replace(config, enabled_rules=frozenset((rule,)))).report
+        alone = audit_workbook(load(), replace(config, enabled_rules=frozenset((rule,)))).report
         assert alone.diagnostics == [d for d in full.diagnostics if d.rule == rule], rule
         assert alone.skipped == [s for s in full.skipped if s.rule == rule], rule
+        assert alone.sheets == full.sheets, rule
+        assert alone.notices == full.notices, rule
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_each_rule_alone_equals_the_full_run_filtered(name):
+    _assert_each_rule_alone_matches(lambda: load_text(fixture_path(name)),
+                                    GOLDEN_CONFIGS.get(name, AuditConfig()))
+
+
+@given(st.integers(min_value=0, max_value=1_000_000))
+@settings(max_examples=20, deadline=None)
+def test_each_rule_alone_equals_the_full_run_filtered_on_linked_books(seed):
+    _assert_each_rule_alone_matches(lambda: gen_linked_workbook(random.Random(seed)),
+                                    AuditConfig(long_arc_distance=2))
+
+
+@pytest.mark.parametrize("rule, refused", [("R13", ("simplify_workbook", "nest_candidates")),
+                                           ("R19", ("simplify_workbook",)),
+                                           ("R20", ("nest_candidates",))])
+def test_a_rule_subset_computes_only_the_facts_it_reads(monkeypatch, rule, refused):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fact no enabled rule reads was computed")
+
+    for name in refused:
+        monkeypatch.setattr(rules, name, refuse)
+    config = AuditConfig(enabled_rules=frozenset((rule,)))
+    for name in GOLDEN_NAMES:
+        report = audit_workbook(load_text(fixture_path(name)), config).report
+        assert {d.rule for d in report.diagnostics} <= {rule}
