@@ -14,10 +14,10 @@ from conftest import fixture_path
 from helpers import build_xlsx, gen_linked_workbook, gen_topological_workbook
 from test_golden import CONFIGS as GOLDEN_CONFIGS, NAMES as GOLDEN_NAMES
 
+from sheetlint import rules
 from sheetlint.config import ALL_RULE_IDS, AuditConfig, ConfigError, Severity, load_config, save_config
 from sheetlint.formula import parse_formula, print_formula, translate
 from sheetlint.loaders import load_text, load_text_string, load_xlsx
-from sheetlint import rules
 from sheetlint.model import Sheet
 from sheetlint.report import audit_workbook
 from sheetlint.rules import Diagnostic, EmptyWorkbookError, readability_score
