@@ -14,8 +14,10 @@ checkout, on the pair's seed (the seeds are taken in turn), and the side that
 runs first switches from pair to pair. A ratio within a pair cancels the
 drift in machine speed that both of its runs share.
 
-The file written to ``--out`` holds the commits, seeds, Python version and
-raw results, and per workload and end-to-end metric of BENCHMARK.json: both
+The file written to ``--out`` holds the commits, seeds, Python version, the
+number of usable CPUs (the CLI audits several inputs in one worker process
+per CPU, so ``batch_small``'s ``cli_s`` depends on it) and raw results, and
+per workload and end-to-end metric of BENCHMARK.json: both
 medians and quartiles, the median per-pair ratio change/base with an exact
 sign-test 95% interval, the number of pairs that improved (ties count for
 neither), and a verdict against the metric's bound:
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import platform
 import shutil
 import statistics
@@ -123,6 +126,12 @@ def summarize_workload(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def machine() -> dict:
+    """What the runs' figures depend on besides the code: the Python version
+    and the CPUs this process may run on."""
+    return {"python": platform.python_version(), "cpus": len(os.sched_getaffinity(0))}
+
+
 def _parse_seeds(text: str) -> list[int]:
     low, _, high = text.partition("-")
     return list(range(int(low), int(high or low) + 1))
@@ -170,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         report = {
             "base": {"rev": args.base, "commit": commits["base"]},
             "change": {"rev": args.change, "commit": commits["change"]},
-            "python": platform.python_version(),
+            **machine(),
             "seconds": args.seconds,
             "seeds": seeds,
             "workloads": {},

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
-from typing import Iterable, Iterator
+import threading
+from functools import partial
+from itertools import chain
+from typing import Iterable
 
 from .config import AuditConfig, ConfigError, Severity, load_config, parse_rule_list
 from .loaders import LoadError, load_workbook
-from .report import Report, audit_workbook, render_dot, render_json_parts, render_text
+from .report import (audit_workbook, json_array_parts, render_dot, render_text,
+                     report_json_parts)
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -76,11 +81,58 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
-def _text_parts(reports: list[Report]) -> Iterator[str]:
-    for report in reports:
-        if len(reports) > 1:
-            yield f"== {report.input} ==\n"
-        yield render_text(report)
+def _internal_error(path: str, exc: Exception) -> str:
+    return f"sheetlint: {path}: internal error: {type(exc).__name__}: {exc}"
+
+
+def _audit_input(path: str, input_format: str, config: AuditConfig, fmt: str,
+                 threshold: Severity, several: bool) -> tuple[int, bool, Iterable[str] | str]:
+    """Load, audit and render one input: ``(status, flagged, body)``.
+
+    ``flagged`` says whether a diagnostic is at or above ``threshold``. When
+    ``status`` is ``EXIT_CLEAN``, ``body`` is the input's part of the report,
+    in parts; otherwise it is the one-line error message. One of several
+    inputs is rendered whole, a text report under its ``== path ==`` header,
+    so it can be sent back from a worker process. A lone input's JSON is
+    rendered while it is written, so it is never held whole.
+    """
+    try:
+        result = audit_workbook(load_workbook(path, input_format), config,
+                                input_path=str(path))
+        report = result.report
+        flagged = any(d.severity >= threshold for d in report.diagnostics)
+        body: Iterable[str]
+        if fmt == "dot":
+            body = (render_dot(result),)
+        elif fmt == "json":
+            body = report_json_parts(report)
+            if several:
+                body = ("".join(body),)
+        else:
+            body = (render_text(report),)
+            if several:
+                body = (f"== {path} ==\n", *body)
+    except (LoadError, ConfigError) as exc:
+        return EXIT_USAGE, False, f"sheetlint: {exc}"
+    except Exception as exc:  # a defect, not a finding: keep exit 1 meaning findings
+        return EXIT_INTERNAL, False, _internal_error(path, exc)
+    return EXIT_CLEAN, flagged, body
+
+
+def _gather(results: Iterable[tuple[int, bool, Iterable[str] | str]]
+            ) -> tuple[int, list[Iterable[str]]]:
+    """``(exit code, bodies)`` from each input's result, read in argument
+    order. The first input that failed stops the reading: its message is
+    printed and its status returned, with no bodies."""
+    code, bodies = EXIT_CLEAN, []
+    for status, flagged, body in results:
+        if status != EXIT_CLEAN:
+            print(body, file=sys.stderr)
+            return status, []
+        bodies.append(body)
+        if flagged:
+            code = EXIT_FINDINGS
+    return code, bodies
 
 
 def _run(argv: list[str] | None) -> int:
@@ -93,51 +145,54 @@ def _run(argv: list[str] | None) -> int:
         print(f"sheetlint: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    threshold = Severity.from_label(args.severity_threshold)
-    # Keep each input's report (and DOT text) only. Reference counting frees
-    # the workbook when audit_workbook returns and the graph once rendered,
-    # so memory follows the largest input. Nothing is written before every
-    # input is audited, so a LoadError leaves the output empty.
-    reports: list[Report] = []
-    dots: list[str] = []
-    for path in args.paths:
+    audit = partial(_audit_input, input_format=args.input_format, config=config,
+                    fmt=args.format, threshold=Severity.from_label(args.severity_threshold),
+                    several=len(args.paths) > 1)
+    workers = 1
+    if hasattr(os, "sched_getaffinity"):  # where it is (Linux), so is fork
+        workers = min(len(args.paths), len(os.sched_getaffinity(0)))
+    # Nothing is written before every input is audited, so a LoadError
+    # leaves the output empty. Inputs are independent: on several CPUs each
+    # is audited in a worker forked from this process, which has every
+    # module imported and no other thread, and only the rendered text comes
+    # back. Elsewhere reference counting frees each workbook when its
+    # audit returns, so memory follows the largest input.
+    if workers > 1 and threading.active_count() == 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        from multiprocessing import get_context
+
+        executor = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
         try:
-            result = audit_workbook(load_workbook(path, args.input_format), config,
-                                    input_path=str(path))
-            reports.append(result.report)
-            if args.format == "dot":
-                dots.append(render_dot(result))
-            del result
-        except (LoadError, ConfigError) as exc:
-            print(f"sheetlint: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except Exception as exc:  # a defect, not a finding: keep exit 1 meaning findings
-            print(f"sheetlint: {path}: internal error: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
+            code, bodies = _gather(executor.map(
+                audit, args.paths, chunksize=max(1, len(args.paths) // (8 * workers))))
+        except BrokenProcessPool as exc:
+            print(f"sheetlint: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_INTERNAL
+        finally:
+            executor.shutdown(cancel_futures=True)
+    else:
+        code, bodies = _gather(map(audit, args.paths))
+    if not bodies:  # an input failed, and its message is printed
+        return code
 
     # the report is written in parts and never held whole
-    parts: Iterable[str]
-    if args.format == "json":
-        parts = render_json_parts(reports)
-    elif args.format == "dot":
-        parts = dots
-    else:
-        parts = _text_parts(reports)
-
-    if args.output:
-        try:
+    parts = json_array_parts(bodies) if args.format == "json" else chain.from_iterable(bodies)
+    try:
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.writelines(parts)
-        except OSError as exc:
-            print(f"sheetlint: cannot write {args.output}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.writelines(parts)
-
-    flagged = any(d.severity >= threshold
-                  for r in reports for d in r.diagnostics)
-    return EXIT_FINDINGS if flagged else EXIT_CLEAN
+        else:
+            sys.stdout.writelines(parts)
+    except OSError as exc:
+        if not args.output:
+            raise
+        print(f"sheetlint: cannot write {args.output}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # a lone input's JSON is rendered while it is written
+        print(_internal_error(args.paths[0], exc), file=sys.stderr)
+        return EXIT_INTERNAL
+    return code
 
 
 if __name__ == "__main__":

@@ -172,7 +172,7 @@ def _diagnostic_json(d: Diagnostic) -> str:
             "      }")
 
 
-def _report_parts(report: Report) -> Iterator[str]:
+def report_json_parts(report: Report) -> Iterator[str]:
     """One report object, each diagnostic in a part of its own."""
     ind = " " * 4
     skipped = [_block([f'"rule": {_str(s.rule)}',
@@ -194,10 +194,11 @@ def _report_parts(report: Report) -> Iterator[str]:
     ], "  ", "{}")
 
 
-def render_json_parts(reports: list[Report]) -> Iterator[str]:
-    """``render_json``'s text in parts, at most one diagnostic each, so the
-    CLI writes it without building it whole."""
-    yield from _block_parts(map(_report_parts, reports), "")
+def json_array_parts(objects: Iterable[Iterable[str]]) -> Iterator[str]:
+    """``render_json``'s array in parts, each object given in parts of its
+    own (``report_json_parts``), so the CLI writes it without building it
+    whole."""
+    return _block_parts(objects, "")
 
 
 def render_json(reports: list[Report]) -> str:
@@ -206,7 +207,7 @@ def render_json(reports: list[Report]) -> str:
     The text is what ``json.dumps(..., indent=2)`` writes for the fields of
     docs/report-schema.md, written straight from the report objects.
     """
-    return "".join(render_json_parts(reports))
+    return "".join(json_array_parts(map(report_json_parts, reports)))
 
 
 def _format_score(score: float | None) -> str:

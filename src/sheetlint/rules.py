@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .config import ALL_RULE_IDS, AuditConfig, Severity
 from .formula import CopyClass, RangeRef
@@ -22,8 +22,10 @@ class EmptyWorkbookError(ValueError):
     """No numeric cells: the readability score is undefined."""
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
+    """One finding. A named tuple, which is built in half the time of a
+    frozen dataclass: one audit can emit tens of thousands."""
+
     rule: str
     severity: Severity
     sheet: str | None

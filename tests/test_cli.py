@@ -326,6 +326,8 @@ def test_each_workbook_is_freed_before_the_next_load(monkeypatch, capsys):
         return workbook
 
     monkeypatch.setattr(cli, "load_workbook", tracking_load)
+    # one usable CPU: the inputs are audited in this process, where the loads are seen
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     paths = [str(fixture_path(name)) for name in ("clean_small.wb", "assign_v2.wb",
                                                   "assign_v4.wb")]
     for fmt in ("text", "dot"):
@@ -495,3 +497,166 @@ def test_deepest_formula_audits_within_a_recursion_limit_of_700(tmp_path):
                           capture_output=True, text=True, env=env, cwd=ROOT)
     assert proc.returncode in (0, 1), proc.stderr
     assert json.loads(proc.stdout)[0]["score"] is not None
+
+
+# Several inputs are audited in worker processes, one per usable CPU. Each
+# test below sets the usable CPUs, so both paths run on any machine.
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _five_inputs(tmp_path):
+    xlsx = build_xlsx(tmp_path / "model.xlsx", {"Model": {
+        "A1": {"n": "5"},
+        "A2": {"n": "7"},
+        "B1": {"f": "A1*2"},
+        "B2": {"f": "A2*2"},
+        "B3": {"f": "SUM(B1:B2)*1.05"},
+    }})
+    names = ("clean_small.wb", "assign_v2.wb", None, "assign_v4.wb", "pmt_unfriendly.wb")
+    return [str(xlsx if name is None else fixture_path(name)) for name in names]
+
+
+def _main_on(monkeypatch, capsys, cpus, argv):
+    _usable_cpus(monkeypatch, cpus)
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _load_pids(monkeypatch, log):
+    """Make every load append its process id to ``log``."""
+    real_load = cli.load_workbook
+
+    def logging_load(path, input_format):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return real_load(path, input_format)
+
+    monkeypatch.setattr(cli, "load_workbook", logging_load)
+    return lambda: set(log.read_text(encoding="utf-8").split()) if log.exists() else set()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_one_and_two_workers_write_the_same_report(fmt, tmp_path, monkeypatch, capsys):
+    paths = _five_inputs(tmp_path)
+    pids = _load_pids(monkeypatch, tmp_path / "pids.txt")
+    one = _main_on(monkeypatch, capsys, 1, ["--format", fmt, *paths])
+    assert pids() == {str(os.getpid())}
+    (tmp_path / "pids.txt").unlink()
+    two = _main_on(monkeypatch, capsys, 2, ["--format", fmt, *paths])
+    workers = pids()
+    assert str(os.getpid()) not in workers and 1 <= len(workers) <= 2
+    assert one == two
+    assert one[0] == cli.EXIT_FINDINGS and one[1] and one[2] == ""
+
+
+def test_a_load_error_among_several_inputs_writes_nothing(tmp_path, monkeypatch, capsys):
+    paths = _five_inputs(tmp_path)
+    paths[2] = str(fixture_path("corrupt.wb"))
+    runs = [_main_on(monkeypatch, capsys, cpus, ["--format", "json", *paths])
+            for cpus in (1, 2)]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith(f"sheetlint: {paths[2]}:3:") and err.count("\n") == 1
+
+
+def test_the_first_failing_input_in_argument_order_is_reported(tmp_path, monkeypatch,
+                                                               capsys):
+    bad = tmp_path / "bad.wb"
+    bad.write_text("[sheet S]\nA1 formula =" + "(" * 400 + "1" + ")" * 400 + "\n",
+                   encoding="utf-8")
+    paths = [str(fixture_path("clean_small.wb")), str(bad), str(fixture_path("corrupt.wb"))]
+    code, out, err = _main_on(monkeypatch, capsys, 2, paths)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith(f"sheetlint: {bad}:2:") and err.count("\n") == 1
+
+
+def test_no_worker_outlives_main(tmp_path, monkeypatch, capsys):
+    import multiprocessing
+
+    paths = _five_inputs(tmp_path)
+    assert _main_on(monkeypatch, capsys, 2, paths)[0] == cli.EXIT_FINDINGS
+    assert multiprocessing.active_children() == []
+    paths[1] = str(fixture_path("corrupt.wb"))
+    assert _main_on(monkeypatch, capsys, 2, paths)[0] == cli.EXIT_USAGE
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["clean_small.wb"],
+    ["--format", "json", "clean_small.wb"],
+    ["clean_small.wb", "assign_v2.wb"],  # with one usable CPU
+])
+def test_the_in_process_path_imports_no_process_pool(argv):
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0}; "
+            "from sheetlint.cli import main; code = main(sys.argv[1:]); "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules), file=sys.stderr); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, cwd=ROOT / "tests" / "fixtures")
+    assert proc.returncode in (0, 1) and proc.stdout, proc.stderr
+    assert proc.stderr == "[]\n"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_rendering_error_of_several_inputs_exits_three(cpus, tmp_path, monkeypatch,
+                                                         capsys):
+    def crash(report):
+        raise RuntimeError(f"boom in {report.input}")
+
+    monkeypatch.setattr(cli, "render_text", crash)
+    paths = _five_inputs(tmp_path)
+    code, out, err = _main_on(monkeypatch, capsys, cpus, paths)
+    assert code == cli.EXIT_INTERNAL and out == ""
+    assert err == (f"sheetlint: {paths[0]}: internal error: RuntimeError: "
+                   f"boom in {paths[0]}\n")
+
+
+def test_a_rendering_error_of_one_input_exits_three(monkeypatch, capsys):
+    def crash(report):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "render_text", crash)
+    path = str(fixture_path("clean_small.wb"))
+    assert main([path]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sheetlint: {path}: internal error: RuntimeError: boom\n"
+
+
+def test_a_json_rendering_error_while_writing_exits_three(tmp_path, monkeypatch, capsys):
+    # a lone input's JSON is rendered while it is written
+    from sheetlint import report
+
+    def crash(diagnostic):
+        raise ValueError("cannot render")
+
+    monkeypatch.setattr(report, "_diagnostic_json", crash)
+    path = str(fixture_path("assign_v2.wb"))
+    out = tmp_path / "report.json"
+    assert main(["--format", "json", "--output", str(out), path]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err == (f"sheetlint: {path}: internal error: ValueError: "
+                                       "cannot render\n")
+
+
+def test_a_worker_that_dies_exits_three_with_one_line(tmp_path, monkeypatch, capsys):
+    import multiprocessing
+
+    real_audit = cli.audit_workbook
+    parent = os.getpid()
+
+    def dying_audit(workbook, config, input_path):
+        if os.getpid() != parent and input_path.endswith("assign_v4.wb"):
+            os._exit(70)
+        return real_audit(workbook, config, input_path=input_path)
+
+    monkeypatch.setattr(cli, "audit_workbook", dying_audit)
+    code, out, err = _main_on(monkeypatch, capsys, 2, _five_inputs(tmp_path))
+    assert code == cli.EXIT_INTERNAL and out == ""
+    assert err.startswith("sheetlint: internal error: BrokenProcessPool: ")
+    assert err.count("\n") == 1
+    assert multiprocessing.active_children() == []

@@ -84,3 +84,11 @@ def test_summarize_workload_reads_each_end_to_end_metric_of_both_sides():
     assert summary["audit_s"]["ratio_median"] == pytest.approx(0.8)
     assert summary["peak_rss_mb"]["change_median"] == 66.0
     assert summary["peak_rss_mb"]["bound"] == 0.1
+
+
+def test_the_output_names_the_python_version_and_the_usable_cpus(monkeypatch):
+    import os
+    import platform
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
+    assert paired_bench.machine() == {"python": platform.python_version(), "cpus": 2}
