@@ -149,7 +149,7 @@ def _run(argv: list[str] | None) -> int:
                     fmt=args.format, threshold=Severity.from_label(args.severity_threshold),
                     several=len(args.paths) > 1)
     workers = 1
-    if hasattr(os, "sched_getaffinity"):  # where it is (Linux), so is fork
+    if hasattr(os, "sched_getaffinity"):  # every platform that has it has fork
         workers = min(len(args.paths), len(os.sched_getaffinity(0)))
     # Nothing is written before every input is audited, so a LoadError
     # leaves the output empty. Inputs are independent: on several CPUs each
