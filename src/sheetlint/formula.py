@@ -224,37 +224,59 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-_CELL_RE = re.compile(CELL_PATTERN)
 
 
 class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
+    # a ``ref`` token's ``(row, col, row_abs, col_abs)``; None when out of bounds
+    ref: tuple[int, int, bool, bool] | None = None
 
 
-def _tokenize(text: str) -> list[_Token]:
+def tokenize(text: str, row: int = 0, col: int = 0) -> tuple[list[_Token], tuple | None]:
+    """The tokens of formula text without its '=', whitespace dropped, then
+    an ``eof`` token; and the formula's token key, as if written at
+    ``(row, col)``. Each ``ref`` token is decoded once, here.
+
+    The key is the tokens' texts, except that each in-bounds cell reference
+    is its row and column, each an offset from the host where it is
+    relative, and its two '$' marks. A reference token before '(' or '!'
+    keeps its text: it names a function or a sheet, or, with a '$', does
+    not parse. So does one out of bounds. Two formulas of one sheet with one
+    key parse to translations of each other, so they are one copy class.
+    The key is None when a range's corners differ in '$' on an axis:
+    ``normalize_range`` orders such a range by where it lies.
+    """
     tokens: list[_Token] = []
+    key: list = []
+    one_sided = False
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise FormulaParseError(pos, "a token", text[pos])
-        kind = m.lastgroup or ""
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), pos))
+        kind, word = m.lastgroup, m.group()
+        if kind == "ref":
+            cabs, letters, rabs, digits = m.group("cabs", "col", "rabs", "row")
+            r, c = int(digits), col_number(letters)
+            ref, entry = None, word
+            if 1 <= r <= MAX_ROW and c <= MAX_COL:
+                ref = (r, c, rabs == "$", cabs == "$")
+                entry = (r if rabs else r - row, c if cabs else c - col, rabs, cabs)
+                if len(tokens) > 1 and tokens[-1].text == ":":
+                    corner = tokens[-2].ref
+                    one_sided = one_sided or corner is not None and corner[2:] != ref[2:]
+            key.append(entry)
+            tokens.append(_Token(kind, word, pos, ref))
+        elif kind != "ws":
+            if (word == "(" or word == "!") and tokens and tokens[-1].ref is not None:
+                key[-1] = tokens[-1].text  # a function or sheet name
+            key.append(word)
+            tokens.append(_Token(kind, word, pos))
         pos = m.end()
     tokens.append(_Token("eof", "", len(text)))
-    return tokens
-
-
-def _ref_of(text: str, sheet: str | None = None) -> CellRef | None:
-    """A ``ref`` token's reference; None when it is out of bounds."""
-    cabs, letters, rabs, digits = _CELL_RE.match(text).groups()  # type: ignore[union-attr]
-    row, col = int(digits), col_number(letters)
-    if 1 <= row <= MAX_ROW and col <= MAX_COL:
-        return CellRef(row, col, sheet, rabs == "$", cabs == "$")
-    return None
+    return tokens, None if one_sided else tuple(key)
 
 
 _ATOM_PREC = 8
@@ -266,9 +288,8 @@ MAX_NESTING = 64  # Excel's limit on nested functions
 
 
 class _Parser:
-    def __init__(self, text: str, ordered: bool) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list[_Token], ordered: bool) -> None:
+        self.tokens = tokens
         self.i = 0
         self.depth = 0
         self.ordered = ordered
@@ -378,12 +399,11 @@ class _Parser:
                         self.expect(")", "')' or ','")
                     self.depth -= 1
                     return FunctionCall(tok.text.upper(), tuple(args))
-            ref = _ref_of(tok.text) if kind == "ref" else None
-            if ref is None and "$" not in tok.text:
+            if tok.ref is None and "$" not in tok.text:
                 if tok.text.upper() in ("TRUE", "FALSE"):
                     return BoolLit(tok.text.upper() == "TRUE")
                 return NameRef(tok.text)  # an identifier, or XFE1 or A0 out of bounds
-            return self._range(ref or self._cell(tok, None))  # _cell raises on $XFE1
+            return self._range(self._cell(tok, None))  # _cell raises on $XFE1
         raise FormulaParseError(tok.pos, "a value, reference or '('", tok.text)
 
     def _range(self, start: CellRef) -> CellRef | RangeRef:
@@ -398,10 +418,10 @@ class _Parser:
         """``tok``, which must be an in-bounds ``ref`` token, on ``sheet``."""
         if tok.kind != "ref":
             raise FormulaParseError(tok.pos, "a cell reference", tok.text)
-        ref = _ref_of(tok.text, sheet)
-        if ref is None:
+        if tok.ref is None:
             raise FormulaParseError(tok.pos, "an in-bounds cell reference", tok.text)
-        return ref
+        row, col, row_abs, col_abs = tok.ref
+        return CellRef(row, col, sheet, row_abs, col_abs)
 
 
 def normalize_range(a: CellRef, b: CellRef) -> RangeRef:
@@ -412,6 +432,8 @@ def normalize_range(a: CellRef, b: CellRef) -> RangeRef:
     other axis says which corner comes first: ``B$2:C2`` and ``C2:B$2`` both
     read ``B$2:C2``. The sheet is ``a``'s, the one written before the range.
     """
+    if a.row <= b.row and a.col <= b.col and b.sheet is None:
+        return RangeRef(a, b)  # already in order: the corners are kept
     sheet = a.sheet
     if (a.row == b.row and a.col > b.col) or (a.col == b.col and a.row > b.row):
         a, b = b, a
@@ -433,7 +455,12 @@ def parse_formula(text: str, ordered: bool = True) -> FormulaAst:
     them (``order_ranges``).
     """
     body = text[1:] if text.startswith("=") else text
-    return _Parser(body, ordered).parse()
+    return parse_tokens(tokenize(body)[0], ordered)
+
+
+def parse_tokens(tokens: list[_Token], ordered: bool = True) -> FormulaAst:
+    """``parse_formula`` of the text that ``tokenize`` made ``tokens`` of."""
+    return _Parser(tokens, ordered).parse()
 
 
 # --- printer -----------------------------------------------------------------

@@ -11,8 +11,9 @@ from pathlib import Path
 from posixpath import normpath
 from xml.etree import ElementTree
 
-from .formula import (CopyClass, FormulaAst, FormulaParseError, RangeRef, formula_facts,
-                      order_ranges, parse_formula, translate)
+from .formula import (CopyClass, FormulaAst, FormulaParseError, RangeRef,
+                      formula_facts, order_ranges, parse_formula, parse_tokens, tokenize,
+                      translate)
 from .model import (
     MAX_COL,
     MAX_ROW,
@@ -103,10 +104,31 @@ def _set_declared_extent(sheet: Sheet, declared: CellAddress | None) -> None:
             max(declared.col, extent.col))
 
 
+def _set_formula_text(sheet: Sheet, row: int, col: int, body: str, fmt: CellFormat,
+                      copies: dict[tuple, CopyClass]) -> None:
+    """Store the formula ``body`` (its text after the '=') at ``(row, col)``.
+
+    ``copies`` maps each token key (``tokenize``) met so far on ``sheet``
+    to its copy class. A formula whose key is there is stored as a copy of
+    that class, with no parse; any other is parsed from the same tokens and
+    interned by ``Sheet.set_formula``, which alone decides the classes.
+    Raises FormulaParseError, at an offset into ``body``.
+    """
+    tokens, key = tokenize(body, row, col)
+    cls = None if key is None else copies.get(key)
+    if cls is not None:
+        sheet.set_cell(row, col, CellContent.copy_of(cls, row, col), fmt)
+        return
+    cls = sheet.set_formula(row, col, parse_tokens(tokens), fmt)
+    if key is not None:
+        copies[key] = cls
+
+
 def load_text_string(text: str, path: str = "<string>") -> Workbook:
     """Parse the fixture grammar from a string; see load_text."""
     workbook = Workbook()
     sheet: Sheet | None = None
+    copies: dict[tuple, CopyClass] = {}  # the current sheet's, by token key
     dimensions: dict[str, CellAddress] = {}
     defined: set[CellAddress] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -121,6 +143,7 @@ def load_text_string(text: str, path: str = "<string>") -> Workbook:
             if workbook.sheet(name) is not None:
                 raise LoadError(path, lineno, 1, f"duplicate sheet {name!r}")
             sheet = workbook.add_sheet(name)
+            copies = {}
             continue
         if sheet is None:
             raise LoadError(path, lineno, 1,
@@ -175,11 +198,11 @@ def load_text_string(text: str, path: str = "<string>") -> Workbook:
             if payload is None or not payload.startswith("="):
                 raise LoadError(path, lineno, 1, "formula must start with '='")
             try:
-                ast = parse_formula(payload)
+                _set_formula_text(sheet, addr.row, addr.col, payload[1:],
+                                  sheet.fmt_at(addr.row, addr.col), copies)
             except FormulaParseError as exc:
                 # the offset counts from after the '=' at m.start(3)
                 raise LoadError(path, lineno, m.start(3) + exc.offset + 2, str(exc))
-            sheet.set_formula(addr.row, addr.col, ast, sheet.fmt_at(addr.row, addr.col))
             continue
         sheet.set_cell(addr.row, addr.col, content, sheet.fmt_at(addr.row, addr.col))
 
@@ -483,6 +506,7 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
     # si -> (the group's copy class, whether a range has '$' on one corner
     # of an axis only, the offsets of its relative coordinates)
     shared: dict[str, tuple[CopyClass, bool, tuple[int, int, int, int]]] = {}
+    copies: dict[tuple, CopyClass] = {}  # the plain formulas' classes, by token key
     data = root.find(_tag("sheetData"))
     if data is None:
         _set_declared_extent(sheet, declared)
@@ -511,10 +535,9 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                 ftext = f_el.text or ""
                 if f_el.get("t") != "shared":
                     try:
-                        ast = parse_formula("=" + ftext)
+                        _set_formula_text(sheet, addr.row, addr.col, ftext, fmt, copies)
                     except FormulaParseError as exc:
                         raise LoadError(path, 0, 0, f"cell {ref}: bad formula: {exc}")
-                    sheet.set_formula(addr.row, addr.col, ast, fmt)
                     continue
                 si = f_el.get("si", "")
                 if ftext:

@@ -23,7 +23,8 @@ from sheetlint.formula import (
     parse_formula,
     print_formula,
 )
-from sheetlint.model import CellAddress, CellContent, CellKind, Workbook, col_letters
+from sheetlint.model import (CellAddress, CellContent, CellKind, Workbook, col_letters,
+                             parse_a1)
 
 # --- random AST generation -------------------------------------------------------
 
@@ -204,6 +205,27 @@ def as_text(workbook: Workbook) -> str:
             elif content.kind is CellKind.NUMBER:
                 lines.append(f"{addr.a1()} num {content.number}")
     return "\n".join(lines) + "\n"
+
+
+def load_text_per_cell(text: str) -> Workbook:
+    """The reference path of the text loader, for books of ``[sheet ...]``,
+    ``num`` and ``formula`` lines such as ``as_text`` writes: each formula
+    is parsed on its own (``parse_formula``) and stored with
+    ``Sheet.set_formula``, which classes it by its host-relative tree. No
+    token key is made and no parse is skipped."""
+    workbook = Workbook()
+    sheet = None
+    for line in text.splitlines():
+        if line.startswith("[sheet "):
+            sheet = workbook.add_sheet(line[len("[sheet "):-1])
+            continue
+        ref, kind, payload = line.split(" ", 2)
+        addr = parse_a1(ref)
+        if kind == "formula":
+            sheet.set_formula(addr.row, addr.col, parse_formula(payload))
+        else:
+            sheet.set_cell(addr.row, addr.col, CellContent.of_number(payload))
+    return workbook
 
 
 _TREE_NODES = (BoolLit, CellRef, FunctionCall, NameRef, NumberLit, OpRun, Paren, RangeRef,

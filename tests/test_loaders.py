@@ -2,15 +2,19 @@ from collections import Counter
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import fixture_path
 from helpers import (
     XLSX_STYLE_BIGFONT,
     XLSX_STYLE_GREY,
     XLSX_STYLE_HIDDEN,
+    as_text,
     build_xlsx,
     built_trees,
+    load_text_per_cell,
 )
+from test_simplify_workbook import ONE_SIDED, copy_workbooks
 
 from sheetlint import formula as formula_module
 from sheetlint import loaders
@@ -101,8 +105,31 @@ def test_unknown_statement_location():
 
 def test_bad_formula_reports_offset():
     with pytest.raises(LoadError) as err:
-        load_text_string("[sheet S]\nA1 formula =1+\n")
-    assert "expected" in str(err.value)
+        load_text_string("[sheet S]\nA1 formula =1+\n", path="f.wb")
+    # the end of the formula, one past its last character
+    assert str(err.value) == "f.wb:2:15: offset 2: expected a value, reference or '('"
+
+
+def test_bad_formula_after_parsed_copies_reports_its_own_cell():
+    # B1 and B2 have one token key, so B2 is stored with no parse; B3 differs
+    # from them only after its reference, and is parsed and refused at its '*'
+    good = "A1 formula =B1+1\nA2 formula =B2+1\n"
+    with pytest.raises(LoadError) as err:
+        load_text_string(f"[sheet S]\n{good}A3 formula =B3+*1\n", path="f.wb")
+    assert str(err.value) == \
+        "f.wb:4:16: offset 3: expected a value, reference or '(', found '*'"
+    with pytest.raises(LoadError) as err:
+        load_text_string(f"[sheet S]\n{good}A3 formula =B3+ 1)\n", path="f.wb")
+    assert str(err.value) == "f.wb:4:18: offset 5: expected end of formula, found ')'"
+
+
+def test_bad_plain_xlsx_formula_after_copies_names_its_cell(tmp_path):
+    path = build_xlsx(tmp_path / "t.xlsx", {"S": {
+        "B1": {"f": "A1+1"}, "B2": {"f": "A2+1"}, "B3": {"f": "A3+*1"}}})
+    with pytest.raises(LoadError) as err:
+        load_xlsx(path)
+    assert str(err.value) == (f"{path}:0:0: cell B3: bad formula: offset 3: "
+                              "expected a value, reference or '(', found '*'")
 
 
 def test_formula_error_column_counts_from_line_start():
@@ -588,3 +615,90 @@ def test_one_sided_shared_members_keep_no_tree(tmp_path):
     assert [content.formula_text for _, content in wb.formulas()] == [
         "=SUM(A1:A$3)*2", "=SUM(A2:A$3)*2", "=SUM(A3:A$3)*2",
         "=SUM(A$3:A4)*2", "=SUM(A$3:A5)*2", "=SUM(A$3:A6)*2"]
+
+
+# --- one parse per token key -----------------------------------------------------
+
+def _assert_classes_as_parsed_per_cell(text: str) -> None:
+    """``load_text_string(text)`` has the class partition, and each class the
+    host-relative tree, of the reference path that parses every formula."""
+    cached, reference = load_text_string(text), load_text_per_cell(text)
+    table, expected = _classes(cached), _classes(reference)
+    assert list(table) == list(expected)
+    assert _classes_by_cells(table) == _classes_by_cells(expected)
+    for addr, cls in table.items():
+        assert cls.relative == expected[addr].relative
+        assert cls.sheet == addr.sheet
+
+
+@settings(max_examples=40)
+@given(copy_workbooks(ONE_SIDED))
+def test_token_keys_class_as_parsing_each_formula(wb):
+    _assert_classes_as_parsed_per_cell(as_text(wb))
+
+
+@pytest.mark.parametrize("template", [
+    "SUM(A$3:A{r})",        # corners differ in '$' on the row axis: no key
+    "SUM(A{r+1}:A$2)",
+    "SUM($A{r}:C{r})",      # and on the column axis
+    "XFE{r}+A{r}",          # XFE1 is out of bounds: a defined name, kept as text
+    "LOG10(B{r})",          # a function named like a cell
+    "LOG1{r}(B{r})",        # LOG11, LOG12, ...: not copies of one another
+    "AB1!A{r}",             # a sheet named like a cell
+    "AB{r}!A{r}",
+    '"A{r}"&A{r}',          # text that reads like a reference is text
+    "'S 2'!A{r}",
+    "$A$1+A{r} + B{r}",     # whitespace between tokens has no meaning
+])
+def test_token_keys_class_fixed_copies_as_parsing_each_formula(template):
+    lines = ["[sheet AB1]", "[sheet S 2]"]
+    for name in ("S", "T"):  # the same text on two sheets is two classes
+        lines.append(f"[sheet {name}]")
+        for r in range(1, 7):
+            formula = template.replace("{r+1}", str(r + 1)).replace("{r}", str(r))
+            # the same text at other column and row offsets
+            lines += [f"D{r} formula ={formula}", f"E{r} formula ={formula}",
+                      f"D{r + 8} formula ={formula}"]
+    _assert_classes_as_parsed_per_cell("\n".join(lines) + "\n")
+
+
+def test_token_keys_keep_dollar_marks():
+    # $C1 in D1 and H2 in E2 both have 3 as their column part: one is
+    # absolute and one the offset from its host; so do C$3 in F1 and D5 in
+    # G2 for the row. Filled along row 3, $D2:B2 turns inside out as its
+    # relative corner passes the absolute one.
+    _assert_classes_as_parsed_per_cell(
+        "[sheet S]\nD1 formula =$C1*2\nE2 formula =H2*2\n"
+        "F1 formula =C$3*2\nG2 formula =D5*2\n"
+        + "".join(f"{c}3 formula =SUM($D2:{c}2)\n" for c in "BCDEF"))
+
+
+def test_one_parse_per_token_key(tmp_path, monkeypatch):
+    parsed = Counter()
+    real = loaders.parse_tokens
+
+    def counting(tokens, *args):
+        parsed["parses"] += 1
+        return real(tokens, *args)
+    monkeypatch.setattr(loaders, "parse_tokens", counting)
+    rows = range(1, 21)
+    text = "\n".join(
+        ["[sheet S]"] + [f"A{r} num {r}" for r in rows]
+        + [f"B{r} formula =A{r}*2" for r in rows]
+        + [f"C{r} formula =B{r} + $A$1" for r in rows]
+        + [f"D{r} formula =SUM(A$1:A{r})" for r in rows]  # no key: one parse each
+        + ["[sheet T]"] + [f"B{r} formula =A{r}*2" for r in rows]  # S's B, on T
+        + [f"C{r} formula =S!B{r}*3" for r in rows]) + "\n"
+    wb = load_text_string(text)
+    assert parsed["parses"] == 1 + 1 + 20 + 1 + 1
+    table = _classes(wb)
+    assert len(table) == 100
+    # the D column is one class, though each of its cells was parsed; one
+    # sheet's keys never meet another's
+    assert len(set(table.values())) == 1 + 1 + 1 + 2
+    assert table[CellAddress("S", 1, 2)] is not table[CellAddress("T", 1, 2)]
+    parsed.clear()
+    # the copy model written out: one parse per group of copies, none for
+    # S!B7, a copy of group 0 on its own, and one for H1
+    load_xlsx(_copy_model_xlsx(tmp_path / "plain.xlsx", False))
+    assert parsed["parses"] == sum(map(len, _SHARED_GROUPS.values())) + 1

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import reference_parser
 from test_parser import _PINNED_ERRORS
 
-from sheetlint.formula import FormulaParseError, _tokenize, parse_formula
+from sheetlint.formula import FormulaParseError, parse_formula, tokenize
 
 _PIECES = (
     # references with '$', out of bounds, and reference-shaped names
@@ -81,8 +81,8 @@ def test_pinned_errors_read_as_before(text, message):
 
 
 def test_a_reference_is_one_token():
-    assert [tok.text for tok in _tokenize("$A$1:B2")] == ["$A$1", ":", "B2", ""]
-    assert [tok.kind for tok in _tokenize("A1.B+AB12C+A1_")] == [
+    assert [tok.text for tok in tokenize("$A$1:B2")[0]] == ["$A$1", ":", "B2", ""]
+    assert [tok.kind for tok in tokenize("A1.B+AB12C+A1_")[0]] == [
         "ident", "op", "ident", "op", "ident", "eof"]
 
 
