@@ -199,10 +199,9 @@ class Paren(_Inner):
     """Parentheses as written. The printer keeps them; the simplifier counts them."""
 
     inner: object
-    explicit: bool = True
 
     def _parts(self) -> tuple[object, tuple]:
-        return self.explicit, (self.inner,)
+        return (), (self.inner,)
 
 
 FormulaAst = object  # union of the node classes above
@@ -288,11 +287,10 @@ MAX_NESTING = 64  # Excel's limit on nested functions
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], ordered: bool) -> None:
+    def __init__(self, tokens: list[_Token]) -> None:
         self.tokens = tokens
         self.i = 0
         self.depth = 0
-        self.ordered = ordered
 
     # token plumbing
     def peek(self) -> _Token:
@@ -376,7 +374,7 @@ class _Parser:
             inner = self.expr()
             self.expect(")", "')'")
             self.depth -= 1
-            return Paren(inner, explicit=True)
+            return Paren(inner)
         if kind == "qsheet":
             self.expect("!", "'!' after quoted sheet name")
             sheet = tok.text[1:-1].replace("''", "'")
@@ -411,7 +409,7 @@ class _Parser:
         if not self.eat(":"):
             return start
         end = self._cell(self.advance(), None)
-        return normalize_range(start, end) if self.ordered else RangeRef(start, end)
+        return normalize_range(start, end)
 
     @staticmethod
     def _cell(tok: _Token, sheet: str | None) -> CellRef:
@@ -446,21 +444,32 @@ def normalize_range(a: CellRef, b: CellRef) -> RangeRef:
     return RangeRef(start, end)
 
 
-def parse_formula(text: str, ordered: bool = True) -> FormulaAst:
+def parse_formula(text: str) -> FormulaAst:
     """Parse formula text (leading '=' optional) into an AST.
 
-    Each range's corners are ordered by ``normalize_range``, unless
-    ``ordered`` is False: then they stay as written, which a shared formula's
-    members need, as each member shifts the written corners before ordering
-    them (``order_ranges``).
+    Each range's corners are ordered by ``normalize_range``.
     """
     body = text[1:] if text.startswith("=") else text
-    return parse_tokens(tokenize(body)[0], ordered)
+    return parse_tokens(tokenize(body)[0])
 
 
-def parse_tokens(tokens: list[_Token], ordered: bool = True) -> FormulaAst:
+def parse_tokens(tokens: list[_Token]) -> FormulaAst:
     """``parse_formula`` of the text that ``tokenize`` made ``tokens`` of."""
-    return _Parser(tokens, ordered).parse()
+    return _Parser(tokens).parse()
+
+
+def shift_tokens(tokens: list[_Token], drow: int, dcol: int) -> list[_Token]:
+    """``tokens`` with the relative rows of their references moved by
+    ``drow`` and columns by ``dcol``, as a shared formula's member moves its
+    master's written corners before the parser orders them."""
+    shifted = []
+    for tok in tokens:
+        if tok.ref is not None:
+            row, col, row_abs, col_abs = tok.ref
+            tok = tok._replace(ref=(row if row_abs else row + drow,
+                                    col if col_abs else col + dcol, row_abs, col_abs))
+        shifted.append(tok)
+    return shifted
 
 
 # --- printer -----------------------------------------------------------------
@@ -550,7 +559,7 @@ def rebuild(node: FormulaAst, kids: tuple) -> FormulaAst:
     if isinstance(node, UnaryOp):
         return UnaryOp(node.op, kids[0])
     if isinstance(node, Paren):
-        return Paren(kids[0], node.explicit)
+        return Paren(kids[0])
     return node
 
 
@@ -643,12 +652,6 @@ def shift_ref(ref: CellRef | RangeRef, drow: int, dcol: int) -> CellRef | RangeR
 def translate(ast: FormulaAst, drow: int, dcol: int) -> FormulaAst:
     """Shift relative references by an offset (shared-formula expansion)."""
     return map_refs(ast, lambda ref: shift_ref(ref, drow, dcol))
-
-
-def order_ranges(ast: FormulaAst) -> FormulaAst:
-    """Order each range's corners as the parser does; ``translate`` keeps them."""
-    return map_refs(ast, lambda ref: normalize_range(ref.start, ref.end)
-                    if isinstance(ref, RangeRef) else ref)
 
 
 def r1c1_form(ast: FormulaAst, host_row: int, host_col: int) -> str:

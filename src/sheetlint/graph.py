@@ -210,8 +210,8 @@ class DependencyGraph:
     the ``parts`` of one dependent's links disjoint. ``defined_names`` maps
     each upper-cased name to the references of its formula.
 
-    ``arcs``, ``range_origin``, ``precedents_of`` and ``dependents_of``
-    expand the links into cell arcs on each read; the audit reads the links.
+    ``arcs``, ``range_origin`` and ``dependents_of`` expand the links into
+    cell arcs on each read; the audit reads the links.
     What it derives from links and nodes (the cycles, the cells something
     depends on, the arcs between formulas, per-column indexes) is a cached
     property, computed on first read and never invalidated.
@@ -269,15 +269,6 @@ class DependencyGraph:
 
     def addr_key(self, addr: CellAddress) -> tuple[int, int, int]:
         return (self.sheet_index(addr.sheet), addr.row, addr.col)
-
-    def precedents_of(self, addr: CellAddress) -> dict[CellAddress, str | None]:
-        """Precedents of ``addr`` in the order first linked, each mapped to its
-        origin; built on each call."""
-        out: dict[CellAddress, str | None] = {}
-        for link in self.links.get(addr, ()):
-            for cell in box_cells(link.sheet, link.box):
-                out.setdefault(cell, link.origin)
-        return out
 
     @cached_property
     def _link_spans(self) -> dict[tuple[str, int],
@@ -752,35 +743,12 @@ def classify_graph(graph: DependencyGraph,
     return classes
 
 
-def arc_chebyshev(a: CellAddress, b: CellAddress) -> int | None:
-    """Chebyshev distance between two graph nodes; None across sheets.
-
-    Takes nodes of a graph from ``build_graph``, whose sheet names are
-    spelled as the workbook spells them, so the names compare exactly.
-    """
-    if a.sheet != b.sheet:
-        return None
-    return max(abs(a.row - b.row), abs(a.col - b.col))
-
-
 _DASHED = ' [style="dashed"]'
 
 
 def _dot_id(addr: CellAddress) -> str:
     raw = f"{addr.sheet}_{addr.a1()}" if addr.sheet else addr.a1()
     return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in raw)
-
-
-def is_backward(precedent: CellAddress, dependent: CellAddress) -> bool:
-    """True when the precedent does not come earlier in row-major reading order.
-
-    Takes nodes of a graph from ``build_graph``, like ``arc_chebyshev``.
-    """
-    if precedent.sheet != dependent.sheet:
-        return False  # cross-sheet arcs are a different defect, not a flow one
-    if precedent.row != dependent.row:
-        return precedent.row > dependent.row
-    return precedent.col >= dependent.col
 
 
 def export_dot(graph: DependencyGraph,

@@ -12,8 +12,7 @@ from posixpath import normpath
 from xml.etree import ElementTree
 
 from .formula import (CopyClass, FormulaAst, FormulaParseError, RangeRef,
-                      formula_facts, order_ranges, parse_formula, parse_tokens, tokenize,
-                      translate)
+                      formula_facts, parse_formula, parse_tokens, shift_tokens, tokenize)
 from .model import (
     MAX_COL,
     MAX_ROW,
@@ -105,8 +104,9 @@ def _set_declared_extent(sheet: Sheet, declared: CellAddress | None) -> None:
 
 
 def _set_formula_text(sheet: Sheet, row: int, col: int, body: str, fmt: CellFormat,
-                      copies: dict[tuple, CopyClass]) -> None:
-    """Store the formula ``body`` (its text after the '=') at ``(row, col)``.
+                      copies: dict[tuple, CopyClass]) -> tuple[CopyClass, list | None]:
+    """Store the formula ``body`` (its text after the '=') at ``(row, col)``;
+    return its copy class, and its tokens when its token key is None.
 
     ``copies`` maps each token key (``tokenize``) met so far on ``sheet``
     to its copy class. A formula whose key is there is stored as a copy of
@@ -118,10 +118,11 @@ def _set_formula_text(sheet: Sheet, row: int, col: int, body: str, fmt: CellForm
     cls = None if key is None else copies.get(key)
     if cls is not None:
         sheet.set_cell(row, col, CellContent.copy_of(cls, row, col), fmt)
-        return
+        return cls, None
     cls = sheet.set_formula(row, col, parse_tokens(tokens), fmt)
     if key is not None:
         copies[key] = cls
+    return cls, tokens if key is None else None
 
 
 def load_text_string(text: str, path: str = "<string>") -> Workbook:
@@ -401,11 +402,13 @@ def load_xlsx(path: str | Path) -> Workbook:
     """Load the xlsx subset: cells, formulas, dimension, styles, names, widths.
 
     Cached formula strings are used verbatim; stored results are ignored.
-    A shared formula's copy class is interned once, at its master, and each
-    member, the master too, is stored as a copy of it: no tree or text is
-    built until one is read (see ``CellContent``). A group with a range
-    that has ``$`` on one corner of an axis only is the exception: each
-    member's tree is built and its ranges ordered, as Excel shows them.
+    A shared formula's master is read like any formula text
+    (``_set_formula_text``), and each member is stored as a copy of the
+    master's class: no tree or text is built until one is read (see
+    ``CellContent``). A group with a range that has ``$`` on one corner of
+    an axis only is the exception: each member is parsed from the master's
+    tokens shifted to its cell, so the parser orders its ranges as Excel
+    shows them.
     Each defined name is kept as its parsed formula (``_defined_names``).
     Charts, pivots and other unsupported parts are ignored with a notice on
     the workbook.
@@ -503,10 +506,12 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
             for c in range(lo, hi + 1):
                 sheet.column_widths[c] = width
 
-    # si -> (the group's copy class, whether a range has '$' on one corner
-    # of an axis only, the offsets of its relative coordinates)
-    shared: dict[str, tuple[CopyClass, bool, tuple[int, int, int, int]]] = {}
-    copies: dict[tuple, CopyClass] = {}  # the plain formulas' classes, by token key
+    # si -> (the group's copy class, the master's tokens when a range has '$'
+    # on one corner of an axis only, the master's cell, the offsets of its
+    # relative coordinates)
+    shared: dict[str, tuple[CopyClass, list | None, CellAddress,
+                            tuple[int, int, int, int]]] = {}
+    copies: dict[tuple, CopyClass] = {}  # the sheet's classes, by token key
     data = root.find(_tag("sheetData"))
     if data is None:
         _set_declared_extent(sheet, declared)
@@ -533,45 +538,31 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
             content = None
             if f_el is not None:
                 ftext = f_el.text or ""
-                if f_el.get("t") != "shared":
-                    try:
-                        _set_formula_text(sheet, addr.row, addr.col, ftext, fmt, copies)
-                    except FormulaParseError as exc:
-                        raise LoadError(path, 0, 0, f"cell {ref}: bad formula: {exc}")
-                    continue
+                is_shared = f_el.get("t") == "shared"
                 si = f_el.get("si", "")
-                if ftext:
+                if ftext or not is_shared:
                     try:
-                        written = parse_formula("=" + ftext, ordered=False)
+                        cls, tokens = _set_formula_text(sheet, addr.row, addr.col,
+                                                        ftext, fmt, copies)
                     except FormulaParseError as exc:
                         raise LoadError(path, 0, 0, f"cell {ref}: bad formula: {exc}")
-                    copy_class = sheet.set_formula(addr.row, addr.col, order_ranges(written), fmt)
-                    one_sided = any(
-                        isinstance(r, RangeRef)
-                        and (r.start.row_abs != r.end.row_abs
-                             or r.start.col_abs != r.end.col_abs)
-                        for r in copy_class.facts.refs)
-                    shared[si] = (copy_class,
-                                  translate(written, -addr.row, -addr.col)
-                                  if one_sided else None,
-                                  _offsets(copy_class.facts.refs))
+                    if is_shared:
+                        shared[si] = (cls, tokens, addr, _offsets(cls.facts.refs))
                     continue
                 if si not in shared:
                     raise LoadError(path, 0, 0, f"cell {ref}: shared formula "
                                                 f"{si!r} has no master")
-                copy_class, written, (top, bottom, left, right) = shared[si]
+                copy_class, tokens, master, (top, bottom, left, right) = shared[si]
                 if not (1 <= addr.row + top and addr.row + bottom <= MAX_ROW
                         and 1 <= addr.col + left and addr.col + right <= MAX_COL):
                     notices.append(f"cell {addr.qualified()} left out: its shared "
                                    f"formula moves a reference off the grid")
-                elif written is not None:
+                elif tokens is not None:
                     # a relative corner that passes an absolute one turns the
-                    # range inside out; store it ordered, as Excel shows it,
-                    # and class it by its own form (the group's class where
-                    # it is the same). The corners shift as written, then are
-                    # ordered: ordering first loses which corner had which '$'.
-                    sheet.set_formula(addr.row, addr.col, order_ranges(
-                        translate(written, addr.row, addr.col)), fmt)
+                    # range inside out: the written corners move, then the
+                    # parser orders them, as Excel shows them
+                    sheet.set_formula(addr.row, addr.col, parse_tokens(shift_tokens(
+                        tokens, addr.row - master.row, addr.col - master.col)), fmt)
                     continue
                 else:
                     content = CellContent.copy_of(copy_class, addr.row, addr.col)

@@ -653,14 +653,12 @@ def _r23_formula_refs(ctx: Analysis, sheets) -> list[Diagnostic]:
     # spells it.
     out = []
     graph = ctx.graph
-    nodes = graph.nodes
     total: Counter[str] = Counter()
     into_formulas: Counter[str] = Counter()
     for d, precedents in graph.formula_precedents.items():
         total[d.sheet] += sum(box_area(piece) for link in graph.links[d]
                               for piece in link.parts)
-        into_formulas[d.sheet] += sum(1 for p in precedents
-                                      if nodes[p].kind is CellKind.FORMULA)
+        into_formulas[d.sheet] += len(precedents)
     for sheet in ctx.workbook.sheets:
         name = sheet.name
         if total[name] and into_formulas[name]:
@@ -686,19 +684,19 @@ def _r24_ref_order(ctx: Analysis, sheets) -> list[Diagnostic]:
     out = []
     verdicts: dict[CopyClass, bool] = {}
     for addr, content, cls in chain.from_iterable(s.classed_formulas() for s in sheets):
-        disordered = verdicts.get(cls)
-        if disordered is False:
+        out_of_order = verdicts.get(cls)
+        if out_of_order is False:
             continue
         refs = content.facts.refs
         corners = [(r.start.sheet, *r.box[:2]) if isinstance(r, RangeRef)
                    else (r.sheet, r.row, r.col) for r in refs]
-        if disordered is None:
+        if out_of_order is None:
             keys = [(ctx.graph.sheet_index(sheet if sheet is not None else addr.sheet),
                      row, col) for sheet, row, col in corners]
-            disordered = any(b < a for a, b in zip(keys, keys[1:]))
+            out_of_order = any(b < a for a, b in zip(keys, keys[1:]))
             if not any(map(_anchored, refs)):
-                verdicts[cls] = disordered
-        if disordered:
+                verdicts[cls] = out_of_order
+        if out_of_order:
             listed = ", ".join(f"{col_letters(col)}{row}" for _, row, col in corners[:6])
             out.append(ctx.emit(
                 "R24", addr.sheet, addr,

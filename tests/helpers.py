@@ -23,6 +23,7 @@ from sheetlint.formula import (
     parse_formula,
     print_formula,
 )
+from sheetlint.graph import box_cells
 from sheetlint.model import (CellAddress, CellContent, CellKind, Workbook, col_letters,
                              parse_a1)
 
@@ -74,7 +75,7 @@ def gen_ast(rng: random.Random, depth: int = 3, text_ops: bool = False) -> objec
     if roll < 0.34:
         return OpRun((gen_ast(rng, depth - 1),), ("%",))
     if roll < 0.42:
-        return Paren(gen_ast(rng, depth - 1), explicit=True)
+        return Paren(gen_ast(rng, depth - 1))
     if roll < 0.50:
         # keep exponents tiny integers so evaluation stays in-domain
         power = rng.randint(0, 3)
@@ -437,10 +438,43 @@ def gen_linked_workbook(rng: random.Random) -> Workbook:
     return wb
 
 
+def precedents_of(graph, addr: CellAddress) -> dict:
+    """Precedents of ``addr`` in ``graph``, its links expanded cell by cell
+    in the order first linked, each cell mapped to its link's origin."""
+    out: dict = {}
+    for link in graph.links.get(addr, ()):
+        for cell in box_cells(link.sheet, link.box):
+            out.setdefault(cell, link.origin)
+    return out
+
+
+def arc_chebyshev(a: CellAddress, b: CellAddress) -> int | None:
+    """Chebyshev distance between two graph nodes; None across sheets.
+
+    Takes nodes of a graph from ``build_graph``, whose sheet names are
+    spelled as the workbook spells them, so the names compare exactly.
+    """
+    if a.sheet != b.sheet:
+        return None
+    return max(abs(a.row - b.row), abs(a.col - b.col))
+
+
+def is_backward(precedent: CellAddress, dependent: CellAddress) -> bool:
+    """True when the precedent does not come earlier in row-major reading order.
+
+    Takes nodes of a graph from ``build_graph``, like ``arc_chebyshev``.
+    """
+    if precedent.sheet != dependent.sheet:
+        return False  # cross-sheet arcs are a different defect, not a flow one
+    if precedent.row != dependent.row:
+        return precedent.row > dependent.row
+    return precedent.col >= dependent.col
+
+
 def expanded_precedents(graph, dependent: CellAddress, content) -> dict:
     """``dependent``'s precedents from its formula's references, expanded
     cell by cell in link order, each cell keeping the first origin: what
-    ``DependencyGraph.precedents_of`` must give. ``content`` is the cell's
+    ``precedents_of`` must give. ``content`` is the cell's
     formula; unresolvable references are skipped as the graph skips them."""
     out: dict = {}
 
@@ -471,14 +505,13 @@ def grouped_precedents(graph, dependent):
     """Precedents of ``dependent`` grouped by origin, each group in the order
     ``precedents_of`` gives them."""
     groups = {}
-    for p, origin in graph.precedents_of(dependent).items():
+    for p, origin in precedents_of(graph, dependent).items():
         groups.setdefault(origin, []).append(p)
     return groups
 
 
 def reference_r01(ctx, sheets):
     """R01 as it was written per arc, reading the expanding views."""
-    from sheetlint.graph import is_backward
     from sheetlint.rules import _addr_list
     out = []
     exempt = {cell for _, cells in ctx.flow_exempt for cell in cells}
@@ -510,12 +543,11 @@ def reference_r01(ctx, sheets):
 
 
 def reference_r02(ctx, sheets):
-    from sheetlint.graph import arc_chebyshev
     out = []
     limit = ctx.config.long_arc_distance
     for addr in ctx.graph.formula_cells():
         worst = None
-        precedents = ctx.graph.precedents_of(addr)
+        precedents = precedents_of(ctx.graph, addr)
         for p in precedents:
             d = arc_chebyshev(p, addr)
             if d is None or d <= limit:
@@ -540,7 +572,7 @@ def reference_r03(ctx, sheets):
     out = []
     for addr in ctx.graph.formula_cells():
         offenders = sorted(
-            {p for p in ctx.graph.precedents_of(addr) if p.sheet != addr.sheet},
+            {p for p in precedents_of(ctx.graph, addr) if p.sheet != addr.sheet},
             key=ctx.graph.addr_key)
         if offenders:
             out.append(ctx.emit(
@@ -582,7 +614,7 @@ def reference_r23(ctx, sheets):
     nodes = ctx.graph.nodes
     total, into_formulas = Counter(), Counter()
     for d in nodes:
-        precedents = ctx.graph.precedents_of(d)
+        precedents = precedents_of(ctx.graph, d)
         if precedents:
             total[d.sheet] += len(precedents)
             into_formulas[d.sheet] += sum(
@@ -634,7 +666,7 @@ def reference_find_cycles(graph):
                     comp.append(w)
                     if w == v:
                         break
-                if len(comp) > 1 or v in graph.precedents_of(v):
+                if len(comp) > 1 or v in precedents_of(graph, v):
                     comp.sort(key=graph.addr_key)
                     sccs.append(comp)
     sccs.sort(key=lambda c: graph.addr_key(c[0]))
@@ -659,7 +691,7 @@ def reference_coverage_bottom_line(graph, config) -> set[CellAddress]:
         frontier = [addr]
         while frontier:
             current = frontier.pop()
-            for p in graph.precedents_of(current):
+            for p in precedents_of(graph, current):
                 if p not in seen:
                     seen.add(p)
                     frontier.append(p)

@@ -58,7 +58,7 @@ def to_binary(node: FormulaAst) -> FormulaAst:
     if isinstance(node, UnaryOp):
         return UnaryOp(node.op, to_binary(node.operand))
     if isinstance(node, Paren):
-        return Paren(to_binary(node.inner), node.explicit)
+        return Paren(to_binary(node.inner))
     return node
 
 # --- verbatim from sheetlint.formula ---------------------------------------------------
@@ -188,7 +188,7 @@ class _Parser:
             inner = self.expr()
             self.expect(")", "')'")
             self.depth -= 1
-            return Paren(inner, explicit=True)
+            return Paren(inner)
         if tok.kind == "qsheet":
             self.advance()
             sheet = tok.text[1:-1].replace("''", "'")

@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import fixture_path
 from helpers import (
+    arc_chebyshev,
     assert_valid_dot,
     brute_force_classify,
     build_xlsx,
     gen_workbook,
     grouped_precedents,
+    is_backward,
+    precedents_of,
     unused_inputs_by_forward_search,
 )
 
@@ -24,13 +27,11 @@ from sheetlint import graph as graph_module
 from sheetlint.config import AuditConfig, ConfigError
 from sheetlint.graph import (
     _dot_id,
-    arc_chebyshev,
     build_graph,
     classify_graph,
     explicit_bottom_line,
     export_dot,
     find_cycles,
-    is_backward,
     resolve_bottom_line,
 )
 from sheetlint.loaders import load_text, load_text_string, load_xlsx
@@ -55,7 +56,7 @@ def test_range_expansion_arc_count():
     lines.append("D49 formula =SUM(D3:D48)")
     graph = build_graph(wb_from("\n".join(lines)))
     expected = 48 - 3 + 1  # brute-force range size
-    assert len(graph.precedents_of(addr("S", "D49"))) == expected
+    assert len(precedents_of(graph, addr("S", "D49"))) == expected
     origin = graph.range_origin[(addr("S", "D3"), addr("S", "D49"))]
     assert origin == "D3:D48"
 
@@ -278,8 +279,8 @@ def test_defined_names_bound_to_cell_and_range_link_and_resolve():
     wb.defined_names["Rate"] = formula.parse_formula("s!A1")
     wb.defined_names["Span"] = formula.parse_formula("s!A2:A3")
     graph = build_graph(wb)
-    assert graph.precedents_of(addr("S", "B1")) == {addr("S", "A1"): "Rate"}
-    assert graph.precedents_of(addr("S", "B2")) == {
+    assert precedents_of(graph, addr("S", "B1")) == {addr("S", "A1"): "Rate"}
+    assert precedents_of(graph, addr("S", "B2")) == {
         addr("S", "A2"): "Span", addr("S", "A3"): "Span"}
     assert graph.blank_nodes() == []
     assert resolve_bottom_line(graph, AuditConfig(bottom_line=("Rate",))) == {
@@ -397,7 +398,7 @@ def test_range_and_name_sheet_case_use_workbook_spelling():
     wb.defined_names["Rate"] = formula.parse_formula("data!A1")
     wb.defined_names["Span"] = formula.parse_formula("DATA!A1:A2")
     graph = build_graph(wb)
-    assert set(graph.precedents_of(addr("Calc", "A1"))) == {
+    assert set(precedents_of(graph, addr("Calc", "A1"))) == {
         addr("Data", "A1"), addr("Data", "A2")}
     assert graph.blank_nodes() == []
     assert graph.named_cells("rate") == {addr("Data", "A1")}
@@ -498,7 +499,7 @@ def test_arc_views_and_origin_groups_agree(seed):
     assert set(origins) == graph.arcs
     assert graph.cycles == find_cycles(graph)
     for dependent in graph.nodes:
-        precedents = list(graph.precedents_of(dependent))
+        precedents = list(precedents_of(graph, dependent))
         groups = grouped_precedents(graph, dependent)
         assert sum(len(g) for g in groups.values()) == len(precedents)
         for origin, group in groups.items():
@@ -586,7 +587,7 @@ def test_cycles_do_not_depend_on_insertion_order(seed):
     rng = random.Random(seed)
     wb, _ = gen_workbook(rng)
     built = build_graph(wb)
-    precedents = {a: list(built.precedents_of(a)) for a in built.formula_cells()}
+    precedents = {a: list(precedents_of(built, a)) for a in built.formula_cells()}
     formulas = list(precedents)
     extra = rng.randint(0, 6) if formulas else 0
     for _ in range(extra):  # extra arcs between formulas close cycles
@@ -640,7 +641,7 @@ def test_defined_name_on_missing_sheet_is_cross_sheet_only():
     wb.defined_names["Gone"] = formula.parse_formula("Elsewhere!CL90")
     graph = build_graph(wb)
     far = CellAddress("Elsewhere", 90, 90)
-    assert graph.precedents_of(addr("Model", "B2")) == {far: "Gone", addr("Model", "A1"): None}
+    assert precedents_of(graph, addr("Model", "B2")) == {far: "Gone", addr("Model", "A1"): None}
     assert not is_backward(far, addr("Model", "B2"))
     assert arc_chebyshev(far, addr("Model", "B2")) is None
     config = AuditConfig(enabled_rules=frozenset(("R01", "R02", "R03", "R23")),
@@ -660,9 +661,9 @@ def test_translated_range_read_from_its_ordered_box(tmp_path):
     cells.update({f"B{row}": {"fs": (0, None, None)} for row in range(2, 6)})
     wb = load_xlsx(build_xlsx(tmp_path / "t.xlsx", {"S": cells}))
     graph = build_graph(wb)
-    assert [len(graph.precedents_of(addr("S", f"B{row}"))) for row in range(1, 6)] \
+    assert [len(precedents_of(graph, addr("S", f"B{row}"))) for row in range(1, 6)] \
         == [3, 2, 1, 2, 3]
-    assert sorted(a.row for a in graph.precedents_of(addr("S", "B4"))) == [3, 4]
+    assert sorted(a.row for a in precedents_of(graph, addr("S", "B4"))) == [3, 4]
     ref = formula.unwrap(wb.sheets[0].content_at(5, 2).ast).args[0]
     assert (ref.start.row, ref.end.row) == (3, 5)  # the loader orders the corners
     assert ref.box == (3, 1, 5, 1) and ref.shape == (3, 1) and ref.size == 3
@@ -705,9 +706,9 @@ def test_defined_name_range_read_from_its_ordered_corners(tmp_path):
     wb = load_xlsx(build_xlsx(tmp_path / "t.xlsx", {"S": cells},
                               defined_names={"Up": "S!$A$3:$A$1", "Down": "S!$A$1:$A$3"}))
     graph = build_graph(wb)
-    assert sorted(a.row for a in graph.precedents_of(addr("S", "B1"))) == [1, 2, 3]
-    assert graph.precedents_of(addr("S", "B1")) == {
-        a: "Up" for a in graph.precedents_of(addr("S", "B2"))}
+    assert sorted(a.row for a in precedents_of(graph, addr("S", "B1"))) == [1, 2, 3]
+    assert precedents_of(graph, addr("S", "B1")) == {
+        a: "Up" for a in precedents_of(graph, addr("S", "B2"))}
 
 
 
@@ -728,7 +729,7 @@ def test_name_on_a_sheet_with_a_dollar_in_its_name(tmp_path):
     result = audit_workbook(load_xlsx(path),
                             AuditConfig(enabled_rules=frozenset({"R03", "R06"})))
     assert result.report.diagnostics == []
-    assert result.graph.precedents_of(addr("Q$1", "B1")) == {addr("Q$1", "A1"): "Rate"}
+    assert precedents_of(result.graph, addr("Q$1", "B1")) == {addr("Q$1", "A1"): "Rate"}
 
 
 _NAME_SHEETS = ("Main", "Data", "My Sheet", "Q$1", "O'Neil")
@@ -767,8 +768,8 @@ def test_a_name_links_what_its_reference_written_inline_links(ref):
     named, inline = results
     dependent = addr("Main", "E1")
     assert named.graph.unresolved == inline.graph.unresolved == {}
-    assert set(named.graph.precedents_of(dependent)) == set(inline.graph.precedents_of(dependent))
-    assert set(named.graph.precedents_of(dependent).values()) == {"Name"}
+    assert set(precedents_of(named.graph, dependent)) == set(precedents_of(inline.graph, dependent))
+    assert set(precedents_of(named.graph, dependent).values()) == {"Name"}
     assert [(d.rule, d.cell, d.message) for d in named.report.diagnostics] == [
         (d.rule, d.cell, d.message) for d in inline.report.diagnostics]
 
@@ -802,8 +803,8 @@ def test_ranges_past_the_audit_budget_are_refused_in_reading_order(tmp_path, mon
         ("S!B3", "unresolvable reference: range too large to expand "
                  "(10 cells; 5 of the audit's 25 left)")]
     graph = result.graph
-    assert list(graph.precedents_of(addr("S", "B2"))) == [addr("S", "A1")]
-    assert len(graph.precedents_of(addr("S", "B4"))) == 5
-    assert len(graph.precedents_of(addr("S", "C1"))) == 10
+    assert list(precedents_of(graph, addr("S", "B2"))) == [addr("S", "A1")]
+    assert len(precedents_of(graph, addr("S", "B4"))) == 5
+    assert len(precedents_of(graph, addr("S", "C1"))) == 10
     monkeypatch.setattr(graph_module, "MAX_EXPANDED_CELLS", 45)
     assert build_graph(load_xlsx(path)).unresolved == {}

@@ -13,6 +13,7 @@ from helpers import (
     build_xlsx,
     built_trees,
     load_text_per_cell,
+    precedents_of,
 )
 from test_simplify_workbook import ONE_SIDED, copy_workbooks
 
@@ -259,8 +260,8 @@ def test_xlsx_names_are_read_as_formulas(tmp_path):
         ("S!B2", "unresolvable reference: unknown name 'Col'"),
         ("S!B4", "unresolvable reference: unknown name 'Chain'")]
     # a constant links nothing; a formula's references link with the name as origin
-    assert result.graph.precedents_of(CellAddress("S", 1, 2)) == {CellAddress("S", 1, 1): None}
-    assert result.graph.precedents_of(CellAddress("S", 3, 2)) == {
+    assert precedents_of(result.graph, CellAddress("S", 1, 2)) == {CellAddress("S", 1, 1): None}
+    assert precedents_of(result.graph, CellAddress("S", 3, 2)) == {
         CellAddress("S", 1, 1): "Twice"}
 
 
@@ -521,20 +522,18 @@ def test_copy_class_keys_cost_one_translate_per_group(tmp_path, monkeypatch):
             return real(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(loaders, "translate")
     counting(model_module, "translate")
     wb = load_xlsx(path)
-    groups = sum(len(g) for g in _SHARED_GROUPS.values())
-    # one host-relative form per group, made as set_formula stores its
-    # master, and one per plain formula; a member is stored as a copy of its
-    # group's class, so loading builds no member's tree
-    assert calls["sheetlint.loaders", "translate"] == 0
-    plain = sum(map(len, _PLAIN.values()))
-    assert calls["sheetlint.model", "translate"] == groups + plain
+    # one host-relative form per token key, made as set_formula stores the
+    # first formula with it: each group's master, and H1. A member, and B7,
+    # which has group 0's key, are stored as copies of a class, so loading
+    # builds no tree for them
+    keys = sum(len(g) for g in _SHARED_GROUPS.values()) + 1
+    assert calls["sheetlint.model", "translate"] == keys
     table = _classes(wb)
     counting(formula_module, "r1c1_form")
     audit_workbook(wb)
-    assert calls["sheetlint.model", "translate"] == groups + plain  # the audit classes nothing
+    assert calls["sheetlint.model", "translate"] == keys  # the audit classes nothing
     printed = [n for key, n in calls.items() if key[0] == "printed"]
     # each class is printed once, by the copy-run scan or, for H1's, which
     # lies in no run, by the simplifier, which starts from the class's text
@@ -574,7 +573,7 @@ def test_a_shared_group_loads_and_audits_without_building_member_trees(tmp_path,
     assert [(d.rule, d.location()) for d in result.report.diagnostics] == [("R13", "S!C1")]
     # the simplifier rewrites the class's host-relative form: no member's tree
     assert trees == []
-    assert result.graph.precedents_of(CellAddress("S", 50, 2)) == {
+    assert precedents_of(result.graph, CellAddress("S", 50, 2)) == {
         CellAddress("S", 50, 1): None, CellAddress("S", 1, 1): None}
 
 
@@ -702,3 +701,32 @@ def test_one_parse_per_token_key(tmp_path, monkeypatch):
     # S!B7, a copy of group 0 on its own, and one for H1
     load_xlsx(_copy_model_xlsx(tmp_path / "plain.xlsx", False))
     assert parsed["parses"] == sum(map(len, _SHARED_GROUPS.values())) + 1
+
+
+@pytest.mark.parametrize("master_row", [1, 2])
+def test_a_shared_master_and_a_plain_copy_parse_once(tmp_path, monkeypatch, master_row):
+    # a shared formula's master and a plain formula with one token key, the
+    # plain one before the master's group (master_row 2) or after it: the
+    # loader parses one of them and stores every cell as a copy of its class
+    parsed = Counter()
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            parsed["parses"] += 1
+            return real(*args, **kwargs)
+        return wrapper
+    for name in ("parse_tokens", "parse_formula"):
+        monkeypatch.setattr(loaders, name, counting(getattr(loaders, name)))
+    plain_row = 4 if master_row == 1 else 1
+    cells = {f"A{r}": {"n": str(r)} for r in range(1, 5)}
+    cells[f"B{plain_row}"] = {"f": f"A{plain_row}*2+$A$1"}
+    cells[f"B{master_row}"] = {"fs": (0, f"A{master_row}*2+$A$1",
+                                      f"B{master_row}:B{master_row + 2}")}
+    cells.update({f"B{r}": {"fs": (0, None, None)}
+                  for r in range(master_row + 1, master_row + 3)})
+    wb = load_xlsx(build_xlsx(tmp_path / "m.xlsx", {"S": cells}))
+    assert parsed["parses"] == 1
+    assert len(set(_classes(wb).values())) == 1
+    assert built_trees(wb) == []
+    assert [content.formula_text for _, content in wb.formulas()] == [
+        f"=A{r}*2+$A$1" for r in range(1, 5)]

@@ -32,7 +32,7 @@ def _structure(node):
     if isinstance(node, UnaryOp):
         return ("sign", node.op, _structure(node.operand))
     if isinstance(node, Paren):
-        return ("paren", node.explicit, _structure(node.inner))
+        return ("paren", _structure(node.inner))
     return node
 
 
