@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
@@ -11,7 +13,7 @@ from typing import Iterable, Iterator
 from . import __version__
 from .config import AuditConfig, Severity
 from .graph import CellGraphClass, DependencyGraph, export_dot
-from .model import CellAddress, NumericCellClass, Workbook
+from .model import CellAddress, NumericCellClass, Workbook, quote_sheet
 from .rules import Analysis, Diagnostic, SkippedRule
 
 
@@ -71,9 +73,8 @@ def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,
             stacking=layout.stacking.stacking.value,
         ))
 
-    counts = {sev.label(): 0 for sev in Severity}
-    for diag in diagnostics:
-        counts[diag.severity.label()] += 1
+    tally = Counter(diag.severity for diag in diagnostics)
+    counts = {sev.label(): tally[sev] for sev in Severity}
 
     report = Report(
         tool="sheetlint",
@@ -145,6 +146,24 @@ def _sheet_json(s: SheetSummary) -> str:
                   " " * 6, "{}")
 
 
+@lru_cache(maxsize=1024)
+def _rule_json(rule: str, severity: Severity, guideline: str | None) -> tuple[str, str]:
+    """The text of a diagnostic before its ``"sheet"`` and after its
+    ``"suggestion"``, which only its rule, severity and guideline set."""
+    return (f'{{\n        "rule": {_str(rule)},\n'
+            f'        "severity": {_str(severity.label())},\n',
+            f',\n        "guideline": {_opt(guideline)}\n      }}')
+
+
+@lru_cache(maxsize=1024)
+def _where_json(sheet: str | None, cell_sheet: str) -> tuple[str, str]:
+    """The text of a diagnostic with a cell up to the cell's A1 text, and from
+    there up to the A1 text in its location: an A1 text needs no escape."""
+    location = _str(f"{quote_sheet(cell_sheet)}!" if cell_sheet else "")[:-1]
+    return (f'        "sheet": {_opt(sheet)},\n        "cell": "',
+            f'",\n        "location": {location}')
+
+
 def _diagnostic_json(d: Diagnostic) -> str:
     s = d.suggestion
     if s is None:
@@ -157,19 +176,20 @@ def _diagnostic_json(d: Diagnostic) -> str:
                              f'"verified": {"true" if s.verified else "false"}',
                              f'"char_delta": {s.char_delta}'],
                             " " * 8, "{}")
-    related = _block([_str(r.qualified()) for r in d.related], " " * 8)
-    cell = "null" if d.cell is None else _str(d.cell.a1())
-    return ("{\n"
-            f'        "rule": {_str(d.rule)},\n'
-            f'        "severity": {_str(d.severity.label())},\n'
-            f'        "sheet": {_opt(d.sheet)},\n'
-            f'        "cell": {cell},\n'
-            f'        "location": {_str(d.location())},\n'
+    related = _block([_str(r.qualified()) for r in d.related], " " * 8) if d.related else "[]"
+    head, tail = _rule_json(d.rule, d.severity, d.guideline)
+    cell = d.cell
+    if cell is None:
+        where = (f'        "sheet": {_opt(d.sheet)},\n        "cell": null,\n'
+                 f'        "location": {_str(d.location())}')
+    else:
+        to_cell, to_location = _where_json(d.sheet, cell.sheet)
+        a1 = cell.a1()
+        where = f'{to_cell}{a1}{to_location}{a1}"'
+    return (f'{head}{where},\n'
             f'        "message": {_str(d.message)},\n'
             f'        "related": {related},\n'
-            f'        "suggestion": {suggestion},\n'
-            f'        "guideline": {_opt(d.guideline)}\n'
-            "      }")
+            f'        "suggestion": {suggestion}{tail}')
 
 
 def report_json_parts(report: Report) -> Iterator[str]:

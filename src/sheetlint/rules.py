@@ -163,9 +163,11 @@ class Analysis:
                            for sheet in unformatted)
             if formatted:
                 diagnostics.extend(info.check(self, formatted))
+        index: dict[str | None, int] = {None: -1}
+        index.update((sheet.name, self.sheet_index(sheet.name)) for sheet in self.workbook.sheets)
         diagnostics.sort(key=lambda d: (
-            self.sheet_index(d.sheet), d.cell.row if d.cell else 0,
-            d.cell.col if d.cell else 0, d.rule, d.message))
+            index[d.sheet] if d.sheet in index else self.sheet_index(d.sheet),
+            d.cell.row if d.cell else 0, d.cell.col if d.cell else 0, d.rule, d.message))
         return diagnostics, skipped
 
     def sheet_index(self, name: str | None) -> int:
@@ -669,34 +671,50 @@ def _r23_formula_refs(ctx: Analysis, sheets) -> list[Diagnostic]:
     return out
 
 
-def _anchored(ref) -> bool:
-    """Whether a cell reference, or either corner of a range, has a `$`."""
-    if isinstance(ref, RangeRef):
-        return _anchored(ref.start) or _anchored(ref.end)
-    return ref.row_abs or ref.col_abs
+def _r24_plan(graph: DependencyGraph, cls: CopyClass, sheet: str) -> tuple[list, bool | None]:
+    """Per reference of ``cls``: its sheet's index, then each corner's
+    relative row and whether a member's row is added to it (no `$`), and
+    the same for the column. With it, whether the references are out of
+    order, or None when a `$` makes that depend on the member."""
+    plan = []  # lists: CPython keeps up to 2,000 freed tuples of each length
+    anchored = False
+    for ref in cls.facts.refs:
+        start, end = (ref.start, ref.end) if isinstance(ref, RangeRef) else (ref, ref)
+        plan.append([graph.sheet_index(start.sheet if start.sheet is not None else sheet),
+                     start.row, not start.row_abs, end.row, not end.row_abs,
+                     start.col, not start.col_abs, end.col, not end.col_abs])
+        anchored = anchored or start.row_abs or start.col_abs or end.row_abs or end.col_abs
+    return plan, None if anchored else _out_of_order(_corners(plan, 0, 0))
+
+
+def _corners(plan: list, row: int, col: int) -> list[tuple[int, int, int]]:
+    """``(sheet index, top, left)`` of each reference's box at ``(row, col)``."""
+    return [(i, min(r1 + row * dr1, r2 + row * dr2), min(c1 + col * dc1, c2 + col * dc2))
+            for i, r1, dr1, r2, dr2, c1, dc1, c2, dc2 in plan]
+
+
+def _out_of_order(corners: list[tuple[int, int, int]]) -> bool:
+    return any(b < a for a, b in zip(corners, corners[1:]))
 
 
 def _r24_ref_order(ctx: Analysis, sheets) -> list[Diagnostic]:
-    # A range is read from the top-left corner of its box: translated, it
-    # can name its bottom corner first. Shifting every reference alike
-    # keeps their order, so a copy class without a `$` is checked once;
-    # one with a `$` is checked per cell.
+    # A range is read from the top-left corner of its box. A member's
+    # corners are its class's relative corners with the member's row and
+    # column added where there is no `$`, so no member builds references of
+    # its own. Shifting every reference alike keeps their order, so a class
+    # without a `$` is checked once, on its relative corners; one with a `$`
+    # is checked per member, whose box can turn with its cell.
     out = []
-    verdicts: dict[CopyClass, bool] = {}
-    for addr, content, cls in chain.from_iterable(s.classed_formulas() for s in sheets):
-        out_of_order = verdicts.get(cls)
-        if out_of_order is False:
+    plans: dict[CopyClass, tuple[list, bool | None]] = {}
+    for addr, _, cls in chain.from_iterable(s.classed_formulas() for s in sheets):
+        plan = plans.get(cls)
+        if plan is None:
+            plan = plans[cls] = _r24_plan(ctx.graph, cls, addr.sheet)
+        refs, verdict = plan
+        if verdict is False:
             continue
-        refs = content.facts.refs
-        corners = [(r.start.sheet, *r.box[:2]) if isinstance(r, RangeRef)
-                   else (r.sheet, r.row, r.col) for r in refs]
-        if out_of_order is None:
-            keys = [(ctx.graph.sheet_index(sheet if sheet is not None else addr.sheet),
-                     row, col) for sheet, row, col in corners]
-            out_of_order = any(b < a for a, b in zip(keys, keys[1:]))
-            if not any(map(_anchored, refs)):
-                verdicts[cls] = out_of_order
-        if out_of_order:
+        corners = _corners(refs, addr.row, addr.col)
+        if verdict or _out_of_order(corners):
             listed = ", ".join(f"{col_letters(col)}{row}" for _, row, col in corners[:6])
             out.append(ctx.emit(
                 "R24", addr.sheet, addr,

@@ -149,3 +149,30 @@ def test_special_values_match_reference():
         report = Report("sheetlint", "0", "中.wb", [], [diag], [], score, {})
         assert render_json([report]) == reference([report])
     assert '"kinds": [\n            "CommonFactor",' in render_json([report])
+
+
+def test_repeated_rules_and_sheets_match_reference_with_warm_caches():
+    # the rule, severity and guideline text and each sheet's prefixes are
+    # rendered once and reused, so a second rendering reads them warm
+    suggestion = RewriteSuggestion(CellAddress("S", 2, 3), "=A1+A1", "=2*A1",
+                                   frozenset((RewriteKind.COMMON_FACTOR,)), True, -1)
+    diagnostics = []
+    for sheet in ("S", "Q1 'Plan'", "Café", "中", ""):
+        for rule, severity, guideline in (("R07", Severity.WARNING, "G1 \"keep\""),
+                                          ("R24", Severity.INFO, None)):
+            for row in (1, 12):
+                diagnostics.append(Diagnostic(
+                    rule, severity, sheet, CellAddress(sheet, row, 28), f"{rule} at {row}",
+                    (CellAddress(sheet, 1, 1), CellAddress("Other", 2, 2)) if row == 1 else (),
+                    suggestion if row == 12 else None, guideline))
+        diagnostics.append(Diagnostic("R22", Severity.INFO, sheet, None, "blank"))
+    diagnostics += [
+        Diagnostic("R24", Severity.INFO, None, CellAddress("S", 3, 1), "no sheet"),
+        Diagnostic("R07", Severity.WARNING, "S", CellAddress("Café", 4, 2), "other sheet",
+                   guideline="G1 \"keep\""),
+        Diagnostic("R25", Severity.INFO, None, None, "workbook"),
+    ]
+    report = Report("sheetlint", "0", "book.xlsx", [], diagnostics, [], 50.0,
+                    {"error": 0, "warning": 11, "info": 17})
+    for _ in range(2):
+        assert render_json([report]) == reference([report])

@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,7 @@ from sheetlint.layout import CopyRun, analyze_sheet, copy_pattern_breaks
 from sheetlint.loaders import load_text_string, load_xlsx
 from sheetlint.model import CellAddress, CellContent, CellFormat, CellKind, Workbook
 from sheetlint.report import audit_workbook, render_json
-from sheetlint.rules import SimplifierResults, run_rules
+from sheetlint.rules import Analysis, SimplifierResults, run_rules
 from sheetlint.simplify import simplify, simplify_workbook
 
 SHEETS = ("S", "T")
@@ -386,14 +387,51 @@ def _r07_r24_per_cell(wb, graph, config):
     return sorted(out, key=lambda d: (graph.addr_key(d[1]), d[0]))
 
 
-@settings(max_examples=60)
-@given(copy_workbooks())
-def test_r07_and_r24_per_class_match_per_cell(wb):
+def _assert_r07_r24_match_per_cell(wb):
     graph = build_graph(wb)
     config = AuditConfig(enabled_rules=frozenset(("R07", "R24")))
     expected = _r07_r24_per_cell(wb, graph, config)
     diagnostics, _ = run_rules(wb, graph, {}, SimplifierResults(), config)
     assert [(d.rule, d.cell, d.message) for d in diagnostics] == expected
+    return diagnostics
+
+
+@settings(max_examples=60)
+@given(st.one_of(copy_workbooks(), copy_workbooks(ONE_SIDED)))
+def test_r07_and_r24_per_class_match_per_cell(wb):
+    # a one-sided range's box corner changes with the member
+    _assert_r07_r24_match_per_cell(wb)
+
+
+@pytest.mark.parametrize("text", ["=s!B1+A1", "=Missing!A2+A1"])
+def test_r24_on_other_sheet_spellings_matches_per_cell(text):
+    # a sheet named in another case is the workbook's sheet; one the
+    # workbook lacks sorts after every sheet it has
+    wb = Workbook()
+    sheet = wb.add_sheet("S")
+    template = parse_formula(text)
+    for row in (1, 2, 3):
+        sheet.set_formula(row, 5, translate(template, row - 1, 0))
+    diagnostics = _assert_r07_r24_match_per_cell(wb)
+    assert [(d.rule, d.cell.a1()) for d in diagnostics] == [("R24", f"E{row}")
+                                                             for row in (1, 2, 3)]
+
+
+def test_r24_builds_no_member_facts():
+    # R24 reads each class's relative references and shifts their integers
+    # per member, so no member builds or keeps shifted references
+    lines = ["[sheet S]"]
+    for row in range(1, 7):
+        lines += [f"A{row} num {row}", f"B{row} num {row * 2}",
+                  f"C{row} formula =B$3+A{row}", f"D{row} formula =A{row}+B{row}",
+                  f"E{row} formula =B{row}+A{row}", f"F{row} formula =SUM(A{row}:A$3)+B1"]
+    book = load_text_string("\n".join(lines) + "\n")
+    config = AuditConfig(enabled_rules=frozenset(("R24",)))
+    diagnostics, _ = Analysis(book, config).run_rules()
+    assert {d.cell.a1() for d in diagnostics} >= {"C1", "E1", "E6", "F6"}
+    contents = [content for _, content in book.formulas()]
+    assert len(contents) == 24
+    assert not [c for c in contents if "facts" in vars(c)]
 
 
 def test_r24_class_with_absolute_reference_checked_per_cell():
