@@ -6,7 +6,10 @@ Usage: python scripts/snapshot_outputs.py OUTDIR
 For every bundled fixture except corrupt.wb, and for the perfbench workloads
 model_xlsx, range_web and batch_small generated at seeds 1 and 4242, runs
 ``python -m sheetlint --format json|dot|text`` with this checkout's ``src``
-and writes stdout to ``OUTDIR/<case>.<format>``. The exit codes go to
+and writes stdout to ``OUTDIR/<case>.<format>``. Each fixture also runs
+with a config that overrides the severity of several rules (case
+``fixture-<name>-severities``) and with a ``--rules`` subset (case
+``fixture-<name>-rules``). The exit codes go to
 ``OUTDIR/exit_codes.txt``. Inputs are passed by relative path from their own
 directory, so the output does not depend on where the checkout lives. A
 change that should keep behaviour is checked with
@@ -31,6 +34,11 @@ SKIP = {"corrupt.wb"}  # a load error, not a report
 WORKLOADS = ("model_xlsx", "range_web", "batch_small")
 SEEDS = (1, 4242)
 FORMATS = ("json", "dot", "text")
+# graph, format and label rules that the fixtures report
+SEVERITIES = ("severity_R01=info\nseverity_R02=error\nseverity_R03=warning\n"
+              "severity_R05=error\nseverity_R12=error\nseverity_R13=info\n"
+              "severity_R24=warning\n")
+RULE_SUBSET = "R01,R02,R12,R13,R20"
 
 
 def _load_gen():
@@ -60,10 +68,16 @@ def main(argv: list[str]) -> int:
     outdir = Path(argv[0])
     outdir.mkdir(parents=True, exist_ok=True)
     exit_codes: list[str] = []
-    for fixture in sorted(FIXTURES.glob("*.wb")):
-        if fixture.name not in SKIP:
-            _run(f"fixture-{fixture.stem}", FIXTURES, [fixture.name],
-                 outdir, exit_codes)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "severities.cfg"
+        config.write_text(SEVERITIES)
+        variants = (("", []), ("-severities", ["--config", str(config)]),
+                    ("-rules", ["--rules", RULE_SUBSET]))
+        for fixture in sorted(FIXTURES.glob("*.wb")):
+            if fixture.name not in SKIP:
+                for suffix, options in variants:
+                    _run(f"fixture-{fixture.stem}{suffix}", FIXTURES,
+                         [*options, fixture.name], outdir, exit_codes)
     gen = _load_gen()
     for workload in WORKLOADS:
         for seed in SEEDS:

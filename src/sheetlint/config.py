@@ -79,10 +79,8 @@ class AuditConfig:
                                   f"address") from None
 
     def severity_for(self, rule: str, default: Severity) -> Severity:
-        for r, sev in self.severity_overrides:
-            if r == rule:
-                return sev
-        return default
+        """The last override of ``rule``, else ``default``."""
+        return dict(self.severity_overrides).get(rule, default)
 
 
 _INT_KEYS = ("long_arc_distance", "max_font_sizes", "max_colors",
@@ -104,7 +102,8 @@ def load_config(path: str | Path) -> AuditConfig:
     """Read a flat ``key=value`` file; keys mirror AuditConfig field names.
 
     Severity overrides use keys like ``severity_R04=info``. Lists are
-    comma-separated. Blank lines and ``#`` comment lines are ignored.
+    comma-separated. A repeated key keeps its last value. Blank lines and
+    ``#`` comment lines are ignored.
     """
     values: dict[str, object] = {}
     overrides: list[tuple[str, Severity]] = []

@@ -1,4 +1,12 @@
-"""The rule catalog (R01-R25), diagnostic records and the readability score."""
+"""The rule catalog (R01-R25), diagnostic records and the readability score.
+
+A rule's check reads the facts of an ``Analysis`` and yields findings:
+tuples ``(sheet, cell, message)``, optionally followed by the ``related``
+cells and then a ``suggestion``, as the ``Diagnostic`` fields of those names
+take them. A finding names no rule: ``Analysis.run_rules`` stamps each with
+the id and guideline of the ``CATALOG`` row whose check yielded it and with
+that rule's severity, resolved once per rule and audit.
+"""
 
 from __future__ import annotations
 
@@ -23,8 +31,8 @@ class EmptyWorkbookError(ValueError):
 
 
 class Diagnostic(NamedTuple):
-    """One finding. A named tuple, which is built in half the time of a
-    frozen dataclass: one audit can emit tens of thousands."""
+    """One finding stamped with its rule. A named tuple, which is built in
+    half the time of a frozen dataclass: one audit can emit tens of thousands."""
 
     rule: str
     severity: Severity
@@ -154,41 +162,26 @@ class Analysis:
         for sheet in self.workbook.sheets:
             (formatted if sheet.has_format_data() else unformatted).append(sheet)
         for info in CATALOG.values():
-            if info.rule not in self.config.enabled_rules:
+            rule = info.rule
+            if rule not in self.config.enabled_rules:
                 continue
-            if not info.needs_format_data:
-                diagnostics.extend(info.check(self, self.workbook.sheets))
-                continue
-            skipped.extend(SkippedRule(info.rule, sheet.name, "no format data in this sheet")
-                           for sheet in unformatted)
-            if formatted:
-                diagnostics.extend(info.check(self, formatted))
-        index: dict[str | None, int] = {None: -1}
-        index.update((sheet.name, self.sheet_index(sheet.name)) for sheet in self.workbook.sheets)
+            sheets = self.workbook.sheets
+            if info.needs_format_data:
+                skipped.extend(SkippedRule(rule, sheet.name, "no format data in this sheet")
+                               for sheet in unformatted)
+                if not formatted:
+                    continue
+                sheets = formatted
+            severity, guideline = self.config.severity_for(rule, info.severity), info.guideline
+            diagnostics.extend(Diagnostic(rule, severity, *finding, guideline=guideline)
+                               for finding in info.check(self, sheets))
+        graph = self.graph
+        index = {None: -1} | {sheet.name: graph.sheet_index(sheet.name)
+                              for sheet in self.workbook.sheets}
         diagnostics.sort(key=lambda d: (
-            index[d.sheet] if d.sheet in index else self.sheet_index(d.sheet),
+            index[d.sheet] if d.sheet in index else graph.sheet_index(d.sheet),
             d.cell.row if d.cell else 0, d.cell.col if d.cell else 0, d.rule, d.message))
         return diagnostics, skipped
-
-    def sheet_index(self, name: str | None) -> int:
-        if name is None:
-            return -1
-        return self.graph.sheet_index(name)
-
-    def emit(self, rule: str, sheet: str | None, cell: CellAddress | None,
-             message: str, related: tuple[CellAddress, ...] = (),
-             suggestion: RewriteSuggestion | None = None) -> Diagnostic:
-        info = CATALOG[rule]
-        return Diagnostic(
-            rule=rule,
-            severity=self.config.severity_for(rule, info.severity),
-            sheet=sheet,
-            cell=cell,
-            message=message,
-            related=related,
-            suggestion=suggestion,
-            guideline=info.guideline,
-        )
 
 
 def _addr_list(cells, limit: int = 4) -> str:
@@ -209,10 +202,9 @@ def _backward_cells(host: CellAddress, sheet: str, box: Box) -> Iterator[CellAdd
                 yield CellAddress(sheet, row, col)
 
 
-def _r01_backward(ctx: Analysis, sheets) -> list[Diagnostic]:
+def _r01_backward(ctx: Analysis, sheets) -> Iterator[tuple]:
     # A direct reference's cell is an offender; of a range or name, only the
     # first backward cell in reading order, so messages stay readable.
-    out = []
     classes = ctx.classes
     exempt = set().union(*(cells for _, cells in ctx.flow_exempt))
     for addr in ctx.graph.formula_cells():
@@ -238,12 +230,10 @@ def _r01_backward(ctx: Analysis, sheets) -> list[Diagnostic]:
             continue
         offenders = sorted(set(offenders), key=ctx.graph.addr_key)
         via = f" (via {', '.join(sorted(firsts))})" if firsts else ""
-        out.append(ctx.emit(
-            "R01", addr.sheet, addr,
-            f"backward reference: depends on {_addr_list(offenders)}"
-            f"{via}, later in reading order",
-            related=tuple(offenders)))
-    return out
+        yield (addr.sheet, addr,
+               f"backward reference: depends on {_addr_list(offenders)}"
+               f"{via}, later in reading order",
+               tuple(offenders))
 
 
 def _farthest(host: CellAddress, box: Box) -> tuple[int, int, int]:
@@ -258,10 +248,9 @@ def _farthest(host: CellAddress, box: Box) -> tuple[int, int, int]:
     return distance, top, left if abs(top - host.row) == distance else cols[0]
 
 
-def _r02_long_arc(ctx: Analysis, sheets) -> list[Diagnostic]:
+def _r02_long_arc(ctx: Analysis, sheets) -> Iterator[tuple]:
     # The first link to reach the greatest distance wins, and within a link
     # the first such cell in reading order.
-    out = []
     limit = ctx.config.long_arc_distance
     for addr in ctx.graph.formula_cells():
         worst: tuple[int, CellAddress, str | None] | None = None
@@ -280,41 +269,33 @@ def _r02_long_arc(ctx: Analysis, sheets) -> list[Diagnostic]:
             continue
         distance, p, origin = worst
         source = origin if origin else p.qualified()
-        out.append(ctx.emit(
-            "R02", addr.sheet, addr,
-            f"long precedence arc: {source} is {distance} cells away "
-            f"(limit {limit})",
-            related=(p,)))
-    return out
+        yield (addr.sheet, addr,
+               f"long precedence arc: {source} is {distance} cells away "
+               f"(limit {limit})",
+               (p,))
 
 
-def _r03_cross_sheet(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r03_cross_sheet(ctx: Analysis, sheets) -> Iterator[tuple]:
     for addr in ctx.graph.formula_cells():
         offenders = sorted(
             (p for link in ctx.graph.links.get(addr, ()) if link.sheet != addr.sheet
              for piece in link.parts for p in box_cells(link.sheet, piece)),
             key=ctx.graph.addr_key)
         if offenders:
-            out.append(ctx.emit(
-                "R03", addr.sheet, addr,
-                f"cross-sheet reference: depends on {_addr_list(offenders)}",
-                related=tuple(offenders)))
-    return out
+            yield (addr.sheet, addr,
+                   f"cross-sheet reference: depends on {_addr_list(offenders)}",
+                   tuple(offenders))
 
 
-def _r04_spurious(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r04_spurious(ctx: Analysis, sheets) -> Iterator[tuple]:
     for addr, cls in ctx.classes.items():
         if not cls.spurious:
             continue
         target = ctx.graph.nodes[addr].bare_ref
         assert target is not None
-        out.append(ctx.emit(
-            "R04", addr.sheet, addr,
-            f"spurious cell: bare reference to {target.qualified()}",
-            related=(target,)))
-    return out
+        yield (addr.sheet, addr,
+               f"spurious cell: bare reference to {target.qualified()}",
+               (target,))
 
 
 _DANGLING_NOTES = {
@@ -324,22 +305,18 @@ _DANGLING_NOTES = {
 }
 
 
-def _r05_dangling(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r05_dangling(ctx: Analysis, sheets) -> Iterator[tuple]:
     for addr, cls in ctx.classes.items():
         if not cls.dangling:
             continue
         note = _DANGLING_NOTES.get(cls.dangling_kind or "intermediate")
-        out.append(ctx.emit(
-            "R05", addr.sheet, addr,
-            f"dangling cell ({cls.dangling_kind}): {note}"))
-    return out
+        yield (addr.sheet, addr,
+               f"dangling cell ({cls.dangling_kind}): {note}")
 
 
-def _r06_perverse(ctx: Analysis, sheets) -> list[Diagnostic]:
+def _r06_perverse(ctx: Analysis, sheets) -> Iterator[tuple]:
     # The cells of one origin are judged together: a range or name that is
     # partly blank is conventional, not perverse.
-    out = []
     graph = ctx.graph
     for addr in graph.formula_cells():
         links = graph.links.get(addr, ())
@@ -357,21 +334,17 @@ def _r06_perverse(ctx: Analysis, sheets) -> list[Diagnostic]:
                                   if graph.nodes[p].blank)
         if blanks:
             blanks.sort(key=graph.addr_key)
-            out.append(ctx.emit(
-                "R06", addr.sheet, addr,
-                f"perverse reference: depends on blank {_addr_list(blanks)}",
-                related=tuple(blanks)))
+            yield (addr.sheet, addr,
+                   f"perverse reference: depends on blank {_addr_list(blanks)}",
+                   tuple(blanks))
         for problem in graph.unresolved.get(addr, ()):
-            out.append(ctx.emit(
-                "R06", addr.sheet, addr,
-                f"unresolvable reference: {problem}"))
-    return out
+            yield (addr.sheet, addr,
+                   f"unresolvable reference: {problem}")
 
 
-def _r07_constants(ctx: Analysis, sheets) -> list[Diagnostic]:
+def _r07_constants(ctx: Analysis, sheets) -> Iterator[tuple]:
     # Whether a formula has references, and its numbers, are the same in
     # every copy, so the message is built once per copy class.
-    out = []
     allow = ctx.config.constant_allowlist
     messages: dict[CopyClass, str | None] = {}
     for addr, _, cls in chain.from_iterable(s.classed_formulas() for s in sheets):
@@ -387,12 +360,10 @@ def _r07_constants(ctx: Analysis, sheets) -> list[Diagnostic]:
                                f"move it to its own cell")
             messages[cls] = message
         if message is not None:
-            out.append(ctx.emit("R07", addr.sheet, addr, message))
-    return out
+            yield (addr.sheet, addr, message)
 
 
-def _r08_relics(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r08_relics(ctx: Analysis, sheets) -> Iterator[tuple]:
     for sheet in sheets:
         layout = ctx.layouts[sheet.name]
         scan = layout.relics
@@ -411,61 +382,49 @@ def _r08_relics(ctx: Analysis, sheets) -> list[Diagnostic]:
         if scan.relic_rows:
             rows = ", ".join(str(r) for r in scan.relic_rows[:4])
             parts.append(f"empty formatted row(s) {rows}")
-        out.append(ctx.emit(
-            "R08", sheet.name, None,
-            "relic extent: " + "; ".join(parts),
-            related=tuple(scan.relic_cells[:8])))
-    return out
+        yield (sheet.name, None,
+               "relic extent: " + "; ".join(parts),
+               tuple(scan.relic_cells[:8]))
 
 
-def _r09_cycles(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r09_cycles(ctx: Analysis, sheets) -> Iterator[tuple]:
     for cycle in ctx.graph.cycles:
         path = " -> ".join(c.qualified() for c in cycle + [cycle[0]])
-        out.append(ctx.emit(
-            "R09", cycle[0].sheet, cycle[0],
-            f"circular reference: {path}",
-            related=tuple(cycle)))
-    return out
+        yield (cycle[0].sheet, cycle[0],
+               f"circular reference: {path}",
+               tuple(cycle))
 
 
 # --- format rules ----------------------------------------------------------------
 
-def _r10_hidden(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r10_hidden(ctx: Analysis, sheets) -> Iterator[tuple]:
     for sheet in ctx.workbook.sheets:
         populated = list(sheet.populated())
         if sheet.hidden and populated:
-            out.append(ctx.emit(
-                "R10", sheet.name, None,
-                f"hidden sheet bearing {len(populated)} populated cell(s)"))
+            yield (sheet.name, None,
+                   f"hidden sheet bearing {len(populated)} populated cell(s)")
         for addr, cell in populated:
             if cell.fmt.hidden:
                 locked = " and locked" if cell.fmt.locked else ""
-                out.append(ctx.emit(
-                    "R10", sheet.name, addr,
-                    f"hidden{locked} cell bearing content"))
+                yield (sheet.name, addr,
+                       f"hidden{locked} cell bearing content")
         hidden_cols = {col for col, width in sheet.column_widths.items()
                        if width == 0}
         hidden_rows = {row for row, height in sheet.row_heights.items()
                        if height == 0}
         for addr, _ in populated:
             if addr.col in hidden_cols:
-                out.append(ctx.emit(
-                    "R10", sheet.name, addr,
-                    f"content in hidden column {col_letters(addr.col)}"))
+                yield (sheet.name, addr,
+                       f"content in hidden column {col_letters(addr.col)}")
             if addr.row in hidden_rows:
-                out.append(ctx.emit(
-                    "R10", sheet.name, addr,
-                    f"content in hidden row {addr.row}"))
-    return out
+                yield (sheet.name, addr,
+                       f"content in hidden row {addr.row}")
 
 
 _DEFAULT_FONT_SIZE = 11.0
 
 
-def _r11_decoration(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r11_decoration(ctx: Analysis, sheets) -> Iterator[tuple]:
     for sheet in sheets:
         sizes = set()
         colors = set()
@@ -477,19 +436,15 @@ def _r11_decoration(ctx: Analysis, sheets) -> list[Diagnostic]:
                 colors.add(cell.fmt.background_color)
         if len(sizes) > ctx.config.max_font_sizes:
             listed = ", ".join(f"{s:g}" for s in sorted(sizes))
-            out.append(ctx.emit(
-                "R11", sheet.name, None,
-                f"{len(sizes)} font sizes in use ({listed}); "
-                f"limit is {ctx.config.max_font_sizes}"))
+            yield (sheet.name, None,
+                   f"{len(sizes)} font sizes in use ({listed}); "
+                   f"limit is {ctx.config.max_font_sizes}")
         if len(colors) > ctx.config.max_colors:
-            out.append(ctx.emit(
-                "R11", sheet.name, None,
-                f"{len(colors)} colors in use; limit is {ctx.config.max_colors}"))
-    return out
+            yield (sheet.name, None,
+                   f"{len(colors)} colors in use; limit is {ctx.config.max_colors}")
 
 
-def _r12_indistinct(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r12_indistinct(ctx: Analysis, sheets) -> Iterator[tuple]:
     for sheet in sheets:
         constants = []
         formulas = []
@@ -504,15 +459,12 @@ def _r12_indistinct(ctx: Analysis, sheets) -> list[Diagnostic]:
         # no attribute whose values for constants and formulas are disjoint
         if all({getattr(f, attr) for f in constants} & {getattr(f, attr) for f in formulas}
                for attr in ("background_color", "bold", "border", "font_color", "italic")):
-            out.append(ctx.emit(
-                "R12", sheet.name, None,
-                "constants and formulas share identical formatting; no "
-                "attribute tells them apart"))
-    return out
+            yield (sheet.name, None,
+                   "constants and formulas share identical formatting; no "
+                   "attribute tells them apart")
 
 
-def _r13_all_caps(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r13_all_caps(ctx: Analysis, sheets) -> Iterator[tuple]:
     min_len = ctx.config.all_caps_min_len
     for sheet in ctx.workbook.sheets:
         for addr, cell in sheet.populated():
@@ -520,14 +472,11 @@ def _r13_all_caps(ctx: Analysis, sheets) -> list[Diagnostic]:
                 continue
             letters = [ch for ch in cell.content.text if ch.isalpha()]
             if len(letters) >= min_len and all(ch.isupper() for ch in letters):
-                out.append(ctx.emit(
-                    "R13", sheet.name, addr,
-                    f"all-caps label {cell.content.text.strip()!r}"))
-    return out
+                yield (sheet.name, addr,
+                       f"all-caps label {cell.content.text.strip()!r}")
 
 
-def _r14_leading_space(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r14_leading_space(ctx: Analysis, sheets) -> Iterator[tuple]:
     for sheet in ctx.workbook.sheets:
         for addr, cell in sheet.populated():
             if cell.content.kind is not CellKind.LABEL or cell.content.text is None:
@@ -535,28 +484,22 @@ def _r14_leading_space(ctx: Analysis, sheets) -> list[Diagnostic]:
             text = cell.content.text
             if text and text[0] == " " and text.strip():
                 pad = len(text) - len(text.lstrip(" "))
-                out.append(ctx.emit(
-                    "R14", sheet.name, addr,
-                    f"label positioned with {pad} leading space(s); move it to "
-                    f"the right cell instead"))
-    return out
+                yield (sheet.name, addr,
+                       f"label positioned with {pad} leading space(s); move it to "
+                       f"the right cell instead")
 
 
-def _r15_overlap(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r15_overlap(ctx: Analysis, sheets) -> Iterator[tuple]:
     for sheet in sheets:
         for spill in ctx.layouts[sheet.name].overflows:
-            out.append(ctx.emit(
-                "R15", sheet.name, spill.cell,
-                f"label of ~{spill.text_width} characters overflows column "
-                f"width {spill.column_width:g} onto {spill.neighbour_state} "
-                f"neighbour {spill.neighbour.a1()}",
-                related=(spill.neighbour,)))
-    return out
+            yield (sheet.name, spill.cell,
+                   f"label of ~{spill.text_width} characters overflows column "
+                   f"width {spill.column_width:g} onto {spill.neighbour_state} "
+                   f"neighbour {spill.neighbour.a1()}",
+                   (spill.neighbour,))
 
 
-def _r16_widths(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r16_widths(ctx: Analysis, sheets) -> Iterator[tuple]:
     for sheet in sheets:
         widths = {col: w for col, w in sheet.column_widths.items()
                   if col > 1 and w > 0}
@@ -564,17 +507,14 @@ def _r16_widths(ctx: Analysis, sheets) -> list[Diagnostic]:
             continue
         low, high = min(widths.values()), max(widths.values())
         if high - low > ctx.config.width_tolerance:
-            out.append(ctx.emit(
-                "R16", sheet.name, None,
-                f"column widths vary from {low:g} to {high:g} outside column A "
-                f"(tolerance {ctx.config.width_tolerance:g})"))
-    return out
+            yield (sheet.name, None,
+                   f"column widths vary from {low:g} to {high:g} outside column A "
+                   f"(tolerance {ctx.config.width_tolerance:g})")
 
 
 # --- layout rules ----------------------------------------------------------------
 
-def _r17_bulletin(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r17_bulletin(ctx: Analysis, sheets) -> Iterator[tuple]:
     for sheet in ctx.workbook.sheets:
         report = ctx.layouts[sheet.name].stacking
         if report.stacking is not Stacking.BULLETIN_BOARD:
@@ -584,76 +524,58 @@ def _r17_bulletin(ctx: Analysis, sheets) -> list[Diagnostic]:
         if pair:
             detail = (f": blocks {pair[0].box_a1()} and {pair[1].box_a1()} "
                       f"align neither by row nor by column")
-        out.append(ctx.emit(
-            "R17", sheet.name, None,
-            f"bulletin-board layout{detail}"))
-    return out
+        yield (sheet.name, None,
+               f"bulletin-board layout{detail}")
 
 
-def _r18_copy_breaks(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r18_copy_breaks(ctx: Analysis, sheets) -> Iterator[tuple]:
     for sheet in ctx.workbook.sheets:
         for run in ctx.layouts[sheet.name].copy_runs:
             if not run.breaks:
                 continue
             first, last = run.cells[0], run.cells[-1]
-            out.append(ctx.emit(
-                "R18", sheet.name, run.breaks[0],
-                f"formula breaks the copy pattern of {first.a1()}:{last.a1()} "
-                f"({len(run.breaks)} of {len(run.cells)} differ)",
-                related=tuple(run.breaks)))
-    return out
+            yield (sheet.name, run.breaks[0],
+                   f"formula breaks the copy pattern of {first.a1()}:{last.a1()} "
+                   f"({len(run.breaks)} of {len(run.cells)} differ)",
+                   tuple(run.breaks))
 
 
-def _r19_inline(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r19_inline(ctx: Analysis, sheets) -> Iterator[tuple]:
     for cand in ctx.nest:
-        out.append(ctx.emit(
-            "R19", cand.source.sheet, cand.source,
-            f"single-dependent formula could be nested into "
-            f"{cand.target.qualified()} and erased",
-            related=(cand.target,)))
-    return out
+        yield (cand.source.sheet, cand.source,
+               f"single-dependent formula could be nested into "
+               f"{cand.target.qualified()} and erased",
+               (cand.target,))
 
 
-def _r20_simplifiable(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r20_simplifiable(ctx: Analysis, sheets) -> Iterator[tuple]:
     for addr in sorted(ctx.suggestions, key=ctx.graph.addr_key):
         suggestion = ctx.suggestions[addr]
         kinds = ", ".join(sorted(k.value for k in suggestion.kinds))
-        out.append(ctx.emit(
-            "R20", addr.sheet, addr,
-            f"formula can be simplified to {suggestion.suggested} ({kinds})",
-            suggestion=suggestion))
-    return out
+        yield (addr.sheet, addr,
+               f"formula can be simplified to {suggestion.suggested} ({kinds})",
+               (), suggestion)
 
 
-def _r21_label_formula(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r21_label_formula(ctx: Analysis, sheets) -> Iterator[tuple]:
     for addr, _, cls in chain.from_iterable(s.classed_formulas() for s in ctx.workbook.sheets):
         if cls.produces_text:
-            out.append(ctx.emit(
-                "R21", addr.sheet, addr,
-                "formula produces text used as a label; prefer constant text"))
-    return out
+            yield (addr.sheet, addr,
+                   "formula produces text used as a label; prefer constant text")
 
 
-def _r22_blank_space(ctx: Analysis, sheets) -> list[Diagnostic]:
-    out = []
+def _r22_blank_space(ctx: Analysis, sheets) -> Iterator[tuple]:
     for sheet in ctx.workbook.sheets:
         ratio = ctx.layouts[sheet.name].blank_ratio
         if ratio is not None and ratio > ctx.config.blank_ratio_warn:
-            out.append(ctx.emit(
-                "R22", sheet.name, None,
-                f"{ratio:.0%} of the content area is blank "
-                f"(threshold {ctx.config.blank_ratio_warn:.0%})"))
-    return out
+            yield (sheet.name, None,
+                   f"{ratio:.0%} of the content area is blank "
+                   f"(threshold {ctx.config.blank_ratio_warn:.0%})")
 
 
-def _r23_formula_refs(ctx: Analysis, sheets) -> list[Diagnostic]:
+def _r23_formula_refs(ctx: Analysis, sheets) -> Iterator[tuple]:
     # A dependent is a formula, so its sheet is spelled as the workbook
     # spells it.
-    out = []
     graph = ctx.graph
     total: Counter[str] = Counter()
     into_formulas: Counter[str] = Counter()
@@ -664,11 +586,9 @@ def _r23_formula_refs(ctx: Analysis, sheets) -> list[Diagnostic]:
     for sheet in ctx.workbook.sheets:
         name = sheet.name
         if total[name] and into_formulas[name]:
-            out.append(ctx.emit(
-                "R23", name, None,
-                f"{into_formulas[name] / total[name]:.0%} of references target formula "
-                f"cells rather than constants"))
-    return out
+            yield (name, None,
+                   f"{into_formulas[name] / total[name]:.0%} of references target formula "
+                   f"cells rather than constants")
 
 
 def _r24_plan(graph: DependencyGraph, cls: CopyClass, sheet: str) -> tuple[list, bool | None]:
@@ -697,14 +617,13 @@ def _out_of_order(corners: list[tuple[int, int, int]]) -> bool:
     return any(b < a for a, b in zip(corners, corners[1:]))
 
 
-def _r24_ref_order(ctx: Analysis, sheets) -> list[Diagnostic]:
+def _r24_ref_order(ctx: Analysis, sheets) -> Iterator[tuple]:
     # A range is read from the top-left corner of its box. A member's
     # corners are its class's relative corners with the member's row and
     # column added where there is no `$`, so no member builds references of
     # its own. Shifting every reference alike keeps their order, so a class
     # without a `$` is checked once, on its relative corners; one with a `$`
     # is checked per member, whose box can turn with its cell.
-    out = []
     plans: dict[CopyClass, tuple[list, bool | None]] = {}
     for addr, _, cls in chain.from_iterable(s.classed_formulas() for s in sheets):
         plan = plans.get(cls)
@@ -716,28 +635,24 @@ def _r24_ref_order(ctx: Analysis, sheets) -> list[Diagnostic]:
         corners = _corners(refs, addr.row, addr.col)
         if verdict or _out_of_order(corners):
             listed = ", ".join(f"{col_letters(col)}{row}" for _, row, col in corners[:6])
-            out.append(ctx.emit(
-                "R24", addr.sheet, addr,
-                f"references are not in reading order: {listed}"))
-    return out
+            yield (addr.sheet, addr,
+                   f"references are not in reading order: {listed}")
 
 
-def _r25_sheet_count(ctx: Analysis, sheets) -> list[Diagnostic]:
+def _r25_sheet_count(ctx: Analysis, sheets) -> Iterator[tuple]:
     populated = [s.name for s in ctx.workbook.sheets
                  if any(True for _ in s.populated())]
     if len(populated) > 1:
-        return [ctx.emit(
-            "R25", None, None,
-            f"workbook has {len(populated)} populated sheets "
-            f"({', '.join(populated)})")]
-    return []
+        yield (None, None,
+               f"workbook has {len(populated)} populated sheets "
+               f"({', '.join(populated)})")
 
 
 @dataclass(frozen=True)
 class RuleInfo:
     rule: str
     severity: Severity
-    check: Callable[[Analysis, list[Sheet]], list[Diagnostic]]
+    check: Callable[[Analysis, list[Sheet]], Iterator[tuple]]
     guideline: str
     needs_format_data: bool = False
 

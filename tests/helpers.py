@@ -513,7 +513,6 @@ def grouped_precedents(graph, dependent):
 def reference_r01(ctx, sheets):
     """R01 as it was written per arc, reading the expanding views."""
     from sheetlint.rules import _addr_list
-    out = []
     exempt = {cell for _, cells in ctx.flow_exempt for cell in cells}
     for addr in ctx.graph.formula_cells():
         if addr in exempt or ctx.classes[addr].on_cycle:
@@ -534,16 +533,13 @@ def reference_r01(ctx, sheets):
             continue
         offenders = sorted(set(offenders), key=ctx.graph.addr_key)
         via = f" (via {', '.join(sorted(origins))})" if origins else ""
-        out.append(ctx.emit(
-            "R01", addr.sheet, addr,
-            f"backward reference: depends on {_addr_list(offenders)}"
-            f"{via}, later in reading order",
-            related=tuple(offenders)))
-    return out
+        yield (addr.sheet, addr,
+               f"backward reference: depends on {_addr_list(offenders)}"
+               f"{via}, later in reading order",
+               tuple(offenders))
 
 
 def reference_r02(ctx, sheets):
-    out = []
     limit = ctx.config.long_arc_distance
     for addr in ctx.graph.formula_cells():
         worst = None
@@ -559,32 +555,26 @@ def reference_r02(ctx, sheets):
         distance, p = worst
         origin = precedents[p]
         source = origin if origin else p.qualified()
-        out.append(ctx.emit(
-            "R02", addr.sheet, addr,
-            f"long precedence arc: {source} is {distance} cells away "
-            f"(limit {limit})",
-            related=(p,)))
-    return out
+        yield (addr.sheet, addr,
+               f"long precedence arc: {source} is {distance} cells away "
+               f"(limit {limit})",
+               (p,))
 
 
 def reference_r03(ctx, sheets):
     from sheetlint.rules import _addr_list
-    out = []
     for addr in ctx.graph.formula_cells():
         offenders = sorted(
             {p for p in precedents_of(ctx.graph, addr) if p.sheet != addr.sheet},
             key=ctx.graph.addr_key)
         if offenders:
-            out.append(ctx.emit(
-                "R03", addr.sheet, addr,
-                f"cross-sheet reference: depends on {_addr_list(offenders)}",
-                related=tuple(offenders)))
-    return out
+            yield (addr.sheet, addr,
+                   f"cross-sheet reference: depends on {_addr_list(offenders)}",
+                   tuple(offenders))
 
 
 def reference_r06(ctx, sheets):
     from sheetlint.rules import _addr_list
-    out = []
     for addr in ctx.graph.formula_cells():
         blanks = []
         for origin, precedents in grouped_precedents(ctx.graph, addr).items():
@@ -597,20 +587,16 @@ def reference_r06(ctx, sheets):
             blanks.extend(blank)
         if blanks:
             blanks = sorted(set(blanks), key=ctx.graph.addr_key)
-            out.append(ctx.emit(
-                "R06", addr.sheet, addr,
-                f"perverse reference: depends on blank {_addr_list(blanks)}",
-                related=tuple(blanks)))
+            yield (addr.sheet, addr,
+                   f"perverse reference: depends on blank {_addr_list(blanks)}",
+                   tuple(blanks))
         for problem in ctx.graph.unresolved.get(addr, ()):
-            out.append(ctx.emit(
-                "R06", addr.sheet, addr,
-                f"unresolvable reference: {problem}"))
-    return out
+            yield (addr.sheet, addr,
+                   f"unresolvable reference: {problem}")
 
 
 def reference_r23(ctx, sheets):
     from collections import Counter
-    out = []
     nodes = ctx.graph.nodes
     total, into_formulas = Counter(), Counter()
     for d in nodes:
@@ -622,11 +608,9 @@ def reference_r23(ctx, sheets):
     for sheet in ctx.workbook.sheets:
         name = sheet.name
         if total[name] and into_formulas[name]:
-            out.append(ctx.emit(
-                "R23", name, None,
-                f"{into_formulas[name] / total[name]:.0%} of references target formula "
-                f"cells rather than constants"))
-    return out
+            yield (name, None,
+                   f"{into_formulas[name] / total[name]:.0%} of references target formula "
+                   f"cells rather than constants")
 
 
 def reference_find_cycles(graph):

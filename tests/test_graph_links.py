@@ -66,7 +66,7 @@ def test_links_give_what_the_per_arc_bodies_gave(seed, coverage, limit):
     ctx = Analysis(wb, config)
     ctx.graph = graph
     for rule, reference in _RULES:
-        assert rule(ctx, wb.sheets) == reference(ctx, wb.sheets), rule.__name__
+        assert list(rule(ctx, wb.sheets)) == list(reference(ctx, wb.sheets)), rule.__name__
     unused = {a for a, cls in ctx.classes.items() if cls.dangling_kind == "unused-input"}
     assert unused == unused_inputs_by_forward_search(graph, ctx.classes)
     referenced = graph.referenced

@@ -570,6 +570,60 @@ def test_config_round_trip(tmp_path):
         == [(d.rule, d.severity) for d in diags(text, reloaded)]
 
 
+def test_a_repeated_severity_key_keeps_its_last_value(tmp_path):
+    # as every other repeated key does
+    path = tmp_path / "audit.cfg"
+    path.write_text("severity_R13=error\nseverity_R13=info\nmax_colors=3\nmax_colors=5\n")
+    loaded = load_config(path)
+    assert loaded.max_colors == 5
+    direct = AuditConfig(severity_overrides=(("R13", Severity.ERROR), ("R13", Severity.INFO)))
+    text = "[sheet S]\nA1 label TOTAL\n"
+    for config in (loaded, direct):
+        assert [d.severity for d in diags(text, config, rule="R13")] == [Severity.INFO]
+    save_config(loaded, path)
+    assert load_config(path) == loaded
+
+
+def test_severity_is_resolved_once_per_enabled_rule(monkeypatch):
+    calls = Counter()
+    severity_for = AuditConfig.severity_for
+
+    def counted(config, rule, default):
+        calls[rule] += 1
+        return severity_for(config, rule, default)
+
+    monkeypatch.setattr(AuditConfig, "severity_for", counted)
+    config = AuditConfig(severity_overrides=(("R05", Severity.INFO),))
+    report = audit_workbook(load_text(fixture_path("assign_v2.wb")), config).report
+    assert len(report.diagnostics) > len(ALL_RULE_IDS)
+    assert sum(calls.values()) <= len(config.enabled_rules)
+    assert max(calls.values()) == 1
+
+
+def test_format_rules_and_overrides_on_a_half_formatted_book():
+    # F carries format data and U none; a format rule (R11) and a graph rule
+    # (R01) are overridden, and both have findings on F, R01 on U as well
+    text = """[sheet F]
+A1 label Big title
+A1 fmt size=18
+A2 num 1
+B2 formula =A3
+A3 num 2
+[sheet U]
+A1 formula =A2
+A2 num 1
+"""
+    config = AuditConfig(severity_overrides=(("R11", Severity.ERROR), ("R01", Severity.INFO)))
+    report = audit_workbook(load_text_string(text), config).report
+    assert {d.sheet for d in report.diagnostics if d.rule == "R11"} == {"F"}
+    assert {d.sheet for d in report.diagnostics if d.rule == "R01"} == {"F", "U"}
+    assert [s.sheet for s in report.skipped if s.rule == "R11"] == ["U"]
+    overrides = dict(config.severity_overrides)
+    for d in report.diagnostics:
+        assert d.severity is overrides.get(d.rule, rules.CATALOG[d.rule].severity), d
+    assert {d.rule for d in report.diagnostics} - set(overrides)  # other rules report too
+
+
 def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("no_such_option=1\n")
