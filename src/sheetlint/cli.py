@@ -49,10 +49,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _assemble_config(args: argparse.Namespace) -> AuditConfig:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = AuditConfig()
+    config = load_config(args.config) if args.config else AuditConfig()
     overrides = {}
     if args.rules:
         overrides["enabled_rules"] = parse_rule_list(args.rules)

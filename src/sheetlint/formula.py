@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import repeat
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Container, Iterator, NamedTuple
 
 from .model import (CELL_PATTERN, MAX_COL, MAX_ROW, CellAddress, col_letters,
                     col_number, quote_sheet)
@@ -102,8 +102,7 @@ class RangeRef:
 
     @property
     def size(self) -> int:
-        rows, cols = self.shape
-        return rows * cols
+        return math.prod(self.shape)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -233,10 +232,16 @@ class _Token(NamedTuple):
     ref: tuple[int, int, bool, bool] | None = None
 
 
-def tokenize(text: str, row: int = 0, col: int = 0) -> tuple[list[_Token], tuple | None]:
+# builds a _Token without the Python-level __new__ of a NamedTuple, in half the time
+_new_token = tuple.__new__
+
+
+def tokenize(text: str, row: int = 0, col: int = 0,
+             known: Container[tuple] = ()) -> tuple[list[_Token] | None, tuple | None]:
     """The tokens of formula text without its '=', whitespace dropped, then
     an ``eof`` token; and the formula's token key, as if written at
-    ``(row, col)``. Each ``ref`` token is decoded once, here.
+    ``(row, col)``. One pass over the text builds the key; only a key not in
+    ``known`` builds tokens (else they are None), from the matches kept.
 
     The key is the tokens' texts, except that each in-bounds cell reference
     is its row and column, each an offset from the host where it is
@@ -247,35 +252,45 @@ def tokenize(text: str, row: int = 0, col: int = 0) -> tuple[list[_Token], tuple
     The key is None when a range's corners differ in '$' on an axis:
     ``normalize_range`` orders such a range by where it lies.
     """
-    tokens: list[_Token] = []
+    matches: list[re.Match] = []
+    entries: list = []  # each ref match's key entry; None out of bounds
     key: list = []
-    one_sided = False
-    pos = 0
+    one_sided, word, pos = False, "", 0
+    last = corner = None  # the entries of the last two tokens, if in-bounds refs
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise FormulaParseError(pos, "a token", text[pos])
-        kind, word = m.lastgroup, m.group()
+        pos, kind = m.end(), m.lastgroup
+        if kind == "ws":
+            continue
+        previous, word, entry = word, m.group(), None
         if kind == "ref":
             cabs, letters, rabs, digits = m.group("cabs", "col", "rabs", "row")
             r, c = int(digits), col_number(letters)
-            ref, entry = None, word
             if 1 <= r <= MAX_ROW and c <= MAX_COL:
-                ref = (r, c, rabs == "$", cabs == "$")
                 entry = (r if rabs else r - row, c if cabs else c - col, rabs, cabs)
-                if len(tokens) > 1 and tokens[-1].text == ":":
-                    corner = tokens[-2].ref
-                    one_sided = one_sided or corner is not None and corner[2:] != ref[2:]
-            key.append(entry)
-            tokens.append(_Token(kind, word, pos, ref))
-        elif kind != "ws":
-            if (word == "(" or word == "!") and tokens and tokens[-1].ref is not None:
-                key[-1] = tokens[-1].text  # a function or sheet name
-            key.append(word)
-            tokens.append(_Token(kind, word, pos))
-        pos = m.end()
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens, None if one_sided else tuple(key)
+                one_sided = one_sided or (previous == ":" and corner is not None
+                                          and corner[2:] != entry[2:])
+            entries.append(entry)
+        elif (word == "(" or word == "!") and last is not None:
+            key[-1] = previous  # a function or sheet name
+        corner, last = last, entry
+        key.append(entry or word)
+        matches.append(m)
+    frozen = None if one_sided else tuple(key)
+    if frozen is not None and frozen in known:
+        return None, frozen
+    decoded = iter(entries)
+    tokens = []
+    for m in matches:
+        kind, ref = m.lastgroup, None
+        if kind == "ref" and (ref := next(decoded)) is not None:
+            r, c, rabs, cabs = ref
+            ref = (r if rabs else r + row, c if cabs else c + col, rabs == "$", cabs == "$")
+        tokens.append(_new_token(_Token, (kind, m.group(), m.start(), ref)))
+    tokens.append(_new_token(_Token, ("eof", "", len(text), None)))
+    return tokens, frozen
 
 
 _ATOM_PREC = 8
@@ -481,10 +496,18 @@ def _prec(node: FormulaAst) -> int:
     return _PREC["u"] if isinstance(node, UnaryOp) else _ATOM_PREC
 
 
+def _sheet_prefix(sheet: str | None) -> str:
+    return "" if sheet is None else quote_sheet(sheet) + "!"
+
+
+def _a1(prefix: str, row: int, row_moves: bool, col: int, col_moves: bool) -> str:
+    """A corner's A1 text after ``prefix``, with '$' on what does not move."""
+    return (f"{prefix}{'' if col_moves else '$'}{col_letters(col)}"
+            f"{'' if row_moves else '$'}{row}")
+
+
 def ref_a1_text(ref: CellRef) -> str:
-    sheet = "" if ref.sheet is None else quote_sheet(ref.sheet) + "!"
-    return (f"{sheet}{'$' if ref.col_abs else ''}{col_letters(ref.col)}"
-            f"{'$' if ref.row_abs else ''}{ref.row}")
+    return _a1(_sheet_prefix(ref.sheet), ref.row, not ref.row_abs, ref.col, not ref.col_abs)
 
 
 def print_formula(ast: FormulaAst, leading_eq: bool = True,
@@ -671,6 +694,88 @@ def r1c1_form(ast: FormulaAst, host_row: int, host_col: int) -> str:
 
 # --- copy classes ------------------------------------------------------------
 
+class RefPlan:
+    """The references of a host-relative tree as integers: what its copy at
+    ``(row, col)`` refers to, and its text there, with no reference built.
+
+    ``refs`` holds a list per reference, in source order: the sheet as
+    written (None for the host's); the start corner's relative row, whether
+    a copy's row moves it (no '$'), its column and whether a copy's column
+    moves it; the same for the end corner (a cell reference's own again);
+    then each corner's A1 sheet prefix, the end's None for a cell reference.
+    """
+
+    __slots__ = ("refs", "_bounds", "_tree", "_template")
+
+    def __init__(self, tree: FormulaAst,
+                 refs: tuple[CellRef | RangeRef, ...] | None = None) -> None:
+        self.refs: list[list] = []
+        for ref in formula_facts(tree).refs if refs is None else refs:
+            start, end = (ref.start, ref.end) if isinstance(ref, RangeRef) else (ref, ref)
+            self.refs.append([start.sheet, start.row, not start.row_abs, start.col,
+                              not start.col_abs, end.row, not end.row_abs, end.col,
+                              not end.col_abs, _sheet_prefix(start.sheet),
+                              None if end is start else _sheet_prefix(end.sheet)])
+        self._bounds: tuple[bool, int, int, int, int] | None = None
+        self._tree = tree
+        self._template: list[str] | None = None
+
+    @property
+    def anchored(self) -> bool:
+        """Whether a '$' fixes any coordinate."""
+        return not all(ref[2] and ref[4] and ref[6] and ref[8] for ref in self.refs)
+
+    def boxes(self, row: int, col: int) -> list[tuple[int, int, int, int]]:
+        """Each reference's ordered box ``(top, left, bottom, right)`` in the
+        copy at ``(row, col)``: ``translate`` can leave a range's corners
+        inside out (``A1:A$3`` filled down to row 4 is ``A4:A$3``)."""
+        out = []
+        for _, r1, dr1, c1, dc1, r2, dr2, c2, dc2, _, _ in self.refs:
+            r1, c1, r2, c2 = r1 + row * dr1, c1 + col * dc1, r2 + row * dr2, c2 + col * dc2
+            out.append((r1, c1, r2, c2) if r1 <= r2 and c1 <= c2 else
+                       (min(r1, r2), min(c1, c2), max(r1, r2), max(c1, c2)))
+        return out
+
+    def in_grid(self, row: int, col: int) -> bool:
+        """True when every corner of the copy at ``(row, col)`` lies in
+        A1:XFD1048576; the copy's own cell must. A moving corner does when
+        the least and greatest offsets of its axis do."""
+        if self._bounds is None:
+            corners = [ref[1:5] for ref in self.refs] + [ref[5:9] for ref in self.refs]
+            rows = [r for r, moves, _, _ in corners if moves] or [0]
+            cols = [c for _, _, c, moves in corners if moves] or [0]
+            fixed = all((moves_row or 1 <= r <= MAX_ROW) and (moves_col or 1 <= c <= MAX_COL)
+                        for r, moves_row, c, moves_col in corners)
+            self._bounds = fixed, min(rows), max(rows), min(cols), max(cols)
+        fixed, low_row, high_row, low_col, high_col = self._bounds
+        return (fixed and 1 <= row + low_row and row + high_row <= MAX_ROW
+                and 1 <= col + low_col and col + high_col <= MAX_COL)
+
+    def ref_text(self, ref: list, row: int, col: int) -> str:
+        """The A1 text of ``ref``, one of ``refs``, in the copy at ``(row,
+        col)``: ``print_formula`` of it, a range's corners as written."""
+        _, r1, dr1, c1, dc1, r2, dr2, c2, dc2, prefix1, prefix2 = ref
+        text = _a1(prefix1, r1 + row * dr1, dr1, c1 + col * dc1, dc1)
+        return text if prefix2 is None else \
+            f"{text}:{_a1(prefix2, r2 + row * dr2, dr2, c2 + col * dc2, dc2)}"
+
+    def text(self, row: int, col: int) -> str:
+        """``print_formula`` of the tree translated to ``(row, col)``: its
+        print template, cut at each corner, filled with each reference's text."""
+        if self._template is None:  # cut at a mark that no string literal holds
+            literals = "".join(n.value for n in iter_nodes(self._tree)
+                               if isinstance(n, StringLit))
+            mark = next(ch for ch in map(chr, range(0x110000)) if ch not in literals)
+            self._template = print_formula(self._tree, ref_printer=lambda ref: mark).split(mark)
+        parts = iter(self._template)
+        out = [next(parts)]
+        for ref in self.refs:
+            if ref[10] is not None:
+                next(parts)  # the ':' between a range's corners, which ref_text prints
+            out += (self.ref_text(ref, row, col), next(parts))
+        return "".join(out)
+
+
 class CopyClass:
     """The formulas of one sheet that are equal once made host-relative.
 
@@ -681,12 +786,12 @@ class CopyClass:
     (``Sheet.set_formula``), so a class hashes by identity and serves as a
     dict key at the cost of a pointer. What no translation changes is kept
     here once for every member: the top node under outer parentheses,
-    whether the formula produces text, and, from first use, the R1C1 text
-    and the facts (a member's references are these shifted by its cell:
-    ``facts_at``).
+    whether the formula produces text, and, from first use, the R1C1 text,
+    the facts and the ``plan``, which gives each member's boxes, grid check
+    and A1 texts by integer arithmetic.
     """
 
-    __slots__ = ("relative", "sheet", "top", "produces_text", "_r1c1", "_facts")
+    __slots__ = ("relative", "sheet", "top", "produces_text", "_r1c1", "_facts", "_plan")
 
     def __init__(self, relative: FormulaAst, sheet: str) -> None:
         self.relative = relative
@@ -695,6 +800,7 @@ class CopyClass:
         self.produces_text = produces_text(relative)
         self._r1c1: str | None = None
         self._facts: FormulaFacts | None = None
+        self._plan: RefPlan | None = None
 
     @property
     def r1c1(self) -> str:
@@ -710,14 +816,16 @@ class CopyClass:
             self._facts = formula_facts(self.relative)
         return self._facts
 
+    @property
+    def plan(self) -> RefPlan:
+        """The ``RefPlan`` of ``relative``, built on first use."""
+        if self._plan is None:
+            self._plan = RefPlan(self.relative, self.facts.refs)
+        return self._plan
+
     def ast_at(self, row: int, col: int) -> FormulaAst:
         """The tree of the member at ``(row, col)``."""
         return translate(self.relative, row, col)
-
-    def facts_at(self, row: int, col: int) -> FormulaFacts:
-        """``formula_facts`` of the member at ``(row, col)``, with no tree built."""
-        facts = self.facts
-        return facts._replace(refs=tuple(shift_ref(ref, row, col) for ref in facts.refs))
 
 
 # --- numeric evaluation ------------------------------------------------------

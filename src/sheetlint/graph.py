@@ -10,14 +10,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .config import AuditConfig, ConfigError
-from .formula import (
-    CellRef,
-    FunctionCall,
-    RangeRef,
-    formula_facts,
-    print_formula,
-    shift_ref,
-)
+from .formula import CellRef, CopyClass, FunctionCall, RangeRef, formula_facts
 from .model import MAX_ROW, AddressParseError, CellAddress, CellKind, Workbook, parse_a1
 
 MAX_RANGE_CELLS = 100_000  # refuse to expand anything larger
@@ -202,7 +195,8 @@ class _Columns:
 class DependencyGraph:
     """Directed graph of precedence, kept as each dependent's reference links.
 
-    ``build_graph`` fills ``nodes``, ``links`` and ``unresolved`` once;
+    ``build_graph`` fills ``nodes``, ``links``, ``unresolved`` and
+    ``partly_blank`` (the dependents with a link to a blank cell) once;
     nothing changes them after. ``links`` maps each dependent to its
     ``Link``s in the order they were linked: a formula's own references in
     formula order, then those of the defined names it uses. A range stays
@@ -227,6 +221,7 @@ class DependencyGraph:
         self.nodes: dict[CellAddress, NodeInfo] = {}
         self.links: dict[CellAddress, list[Link]] = {}
         self.unresolved: dict[CellAddress, list[str]] = {}
+        self.partly_blank: set[CellAddress] = set()
 
     @property
     def arcs(self) -> set[tuple[CellAddress, CellAddress]]:
@@ -431,12 +426,15 @@ class DependencyGraph:
 def build_graph(workbook: Workbook) -> DependencyGraph:
     """Link every formula's references, one link per cell or range reference.
 
-    References to cells that hold nothing become flagged blank nodes;
+    A formula's boxes and range origins come from its class's ``RefPlan``
+    at its cell, with each class's sheets resolved once; a defined name's
+    from its parsed references. References to cells that hold nothing
+    become flagged blank nodes, their dependents ``partly_blank``;
     references that cannot be resolved at all (missing sheets, unknown
     names, oversized ranges, ranges past the ``MAX_EXPANDED_CELLS`` that
-    one audit expands) are recorded per formula, never raised.
-    Sheet names in references match case-insensitively; every node carries
-    the workbook's own spelling of its sheet name.
+    one audit expands) are recorded per formula, never raised. Sheet names
+    in references match case-insensitively; every node carries the
+    workbook's own spelling of its sheet name.
     """
     graph = DependencyGraph([s.name for s in workbook.sheets],
                             {name: formula_facts(ast).refs
@@ -451,64 +449,68 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                     info.top_function = top.name
                     info.interpreted_output_shape = (  # the punch-line repeater
                         top.name == "IF" and cls.produces_text and bool(cls.facts.refs))
-                elif isinstance(top, CellRef):
-                    top = shift_ref(top, addr.row, addr.col)
+                elif isinstance(top, CellRef):  # the plan's one reference
+                    row, col, _, _ = cls.plan.boxes(addr.row, addr.col)[0]
                     home = graph.spelling(addr.sheet if top.sheet is None else top.sheet)
-                    if home and (target := CellAddress(home, top.row, top.col)) != addr:
+                    if home and (target := CellAddress(home, row, col)) != addr:
                         info.bare_ref = target
             graph.nodes[addr] = info
 
     budget = MAX_EXPANDED_CELLS  # spent in reading order, so the refusals are deterministic
 
-    def resolve(refs: tuple[CellRef | RangeRef, ...], dependent: CellAddress,
-                name: str | None, problems: list[str], found: list[Link]) -> None:
-        """Add the references of the formula at ``dependent``, its copy
-        class's shifted to its cell, or the defined name ``name``'s (the
-        links' origin), to ``found``, with a blank node for each cell that
-        holds nothing."""
+    def link(dependent: CellAddress, sheet: str, box: Box, origin: str | None,
+             is_range: bool, problems: list[str], found: list[Link]) -> None:
+        """Add the link of one reference of ``dependent`` to ``found``, with a
+        blank node for each cell of ``box`` that holds nothing."""
         nonlocal budget
-        drow, dcol = (0, 0) if name else (dependent.row, dependent.col)
-        for ref in refs:
-            ref = shift_ref(ref, drow, dcol)
-            first = ref.start if isinstance(ref, RangeRef) else ref
-            ref_sheet = first.sheet if first.sheet is not None else dependent.sheet
-            # a name may point at a sheet the workbook lacks: its links go
-            # there, and so are cross-sheet only
-            sheet = graph.spelling(ref_sheet) or (name and ref_sheet)
-            if not sheet:
-                problems.append(f"unknown sheet {ref_sheet!r}")
-                continue
-            if isinstance(ref, CellRef):
-                box, origin = (ref.row, ref.col, ref.row, ref.col), name
-            else:
-                box = ref.box
-                size = box_area(box)
-                if size > MAX_RANGE_CELLS:
-                    problems.append(f"range too large to expand ({size} cells)")
-                    continue
-                if size > budget:
-                    problems.append(f"range too large to expand ({size} cells; {budget} of "
-                                    f"the audit's {MAX_EXPANDED_CELLS} left)")
-                    continue
-                budget -= size
-                origin = name or print_formula(ref, leading_eq=False)
-            if graph.populated_count(sheet, box) < box_area(box):  # else no cell to visit
-                for cell in box_cells(sheet, box):
-                    if cell not in graph.nodes:
-                        graph.nodes[cell] = NodeInfo(kind=CellKind.EMPTY, blank=True)
-            found.append(Link(origin, sheet, box))
+        size = box_area(box)
+        if is_range:
+            if size > MAX_RANGE_CELLS:
+                problems.append(f"range too large to expand ({size} cells)")
+                return
+            if size > budget:
+                problems.append(f"range too large to expand ({size} cells; {budget} of "
+                                f"the audit's {MAX_EXPANDED_CELLS} left)")
+                return
+            budget -= size
+        if graph.populated_count(sheet, box) < size:  # else no cell to visit
+            graph.partly_blank.add(dependent)
+            for cell in box_cells(sheet, box):
+                if cell not in graph.nodes:
+                    graph.nodes[cell] = NodeInfo(kind=CellKind.EMPTY, blank=True)
+        found.append(Link(origin, sheet, box))
 
+    sheets: dict[CopyClass, list[str | None]] = {}  # per class, each reference's sheet
     for addr, content in workbook.formulas():
+        cls, row, col = content.copy
+        plan = cls.plan
+        resolved = sheets.get(cls)
+        if resolved is None:
+            resolved = sheets[cls] = [graph.spelling(addr.sheet if ref[0] is None else ref[0])
+                                      for ref in plan.refs]
         problems: list[str] = []
         found: list[Link] = []
-        facts = content.copy[0].facts  # the class's, shifted by resolve
-        resolve(facts.refs, addr, None, problems, found)
-        for node in facts.names:  # after the formula's own, in budget order
+        for ref, sheet, box in zip(plan.refs, resolved, plan.boxes(row, col)):
+            if sheet is None:
+                problems.append(f"unknown sheet {ref[0]!r}")
+            elif ref[10] is None:  # a cell reference: no end corner
+                link(addr, sheet, box, None, False, problems, found)
+            else:
+                link(addr, sheet, box, plan.ref_text(ref, row, col), True, problems, found)
+        for node in cls.facts.names:  # after the formula's own, in budget order
             refs = graph.defined_names.get(node.name.upper())
             if refs is None:
                 problems.append(f"unknown name {node.name!r}")
-            else:
-                resolve(refs, addr, node.name, problems, found)
+                continue
+            for ref in refs:
+                is_range = isinstance(ref, RangeRef)
+                first = ref.start if is_range else ref
+                ref_sheet = first.sheet if first.sheet is not None else addr.sheet
+                # a name may point at a sheet the workbook lacks: its links
+                # go there, and so are cross-sheet only
+                link(addr, graph.spelling(ref_sheet) or ref_sheet,
+                     ref.box if is_range else (ref.row, ref.col, ref.row, ref.col),
+                     node.name, is_range, problems, found)
         if found:
             graph.links[addr] = disjoint_links(found)
         if problems:

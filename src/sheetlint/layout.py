@@ -65,14 +65,9 @@ def detect_blocks(sheet: Sheet) -> list[Block]:
                     seen.add(nxt)
                     member.append(nxt)
                     frontier.append(nxt)
-        member.sort()
-        blocks.append(Block(
-            top=min(r for r, _ in member),
-            left=min(c for _, c in member),
-            bottom=max(r for r, _ in member),
-            right=max(c for _, c in member),
-            cells=member,
-        ))
+        member.sort()  # so its first and last cells are on its top and bottom rows
+        cols = [c for _, c in member]
+        blocks.append(Block(member[0][0], min(cols), member[-1][0], max(cols), member))
     blocks.sort(key=lambda b: (b.top, b.left))
     return blocks
 

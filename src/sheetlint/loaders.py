@@ -11,21 +11,10 @@ from pathlib import Path
 from posixpath import normpath
 from xml.etree import ElementTree
 
-from .formula import (CopyClass, FormulaAst, FormulaParseError, RangeRef,
-                      formula_facts, parse_formula, parse_tokens, shift_tokens, tokenize)
-from .model import (
-    MAX_COL,
-    MAX_ROW,
-    CellAddress,
-    CellContent,
-    CellFormat,
-    Sheet,
-    Workbook,
-    col_number,
-    full_extent,
-    parse_a1,
-    AddressParseError,
-)
+from .formula import (CopyClass, FormulaAst, FormulaParseError, formula_facts,
+                      parse_formula, parse_tokens, shift_tokens, tokenize)
+from .model import (MAX_COL, AddressParseError, CellAddress, CellContent, CellFormat, Sheet,
+                    Workbook, col_number, full_extent, parse_a1)
 
 
 class LoadError(ValueError):
@@ -110,13 +99,14 @@ def _set_formula_text(sheet: Sheet, row: int, col: int, body: str, fmt: CellForm
 
     ``copies`` maps each token key (``tokenize``) met so far on ``sheet``
     to its copy class. A formula whose key is there is stored as a copy of
-    that class, with no parse; any other is parsed from the same tokens and
-    interned by ``Sheet.set_formula``, which alone decides the classes.
+    that class, with no tokens and no parse; any other is parsed from its
+    tokens and interned by ``Sheet.set_formula``, which alone decides the
+    classes.
     Raises FormulaParseError, at an offset into ``body``.
     """
-    tokens, key = tokenize(body, row, col)
-    cls = None if key is None else copies.get(key)
-    if cls is not None:
+    tokens, key = tokenize(body, row, col, copies)
+    if tokens is None:
+        cls = copies[key]
         sheet.set_cell(row, col, CellContent.copy_of(cls, row, col), fmt)
         return cls, None
     cls = sheet.set_formula(row, col, parse_tokens(tokens), fmt)
@@ -458,18 +448,6 @@ def load_xlsx(path: str | Path) -> Workbook:
     return workbook
 
 
-def _offsets(refs) -> tuple[int, int, int, int]:
-    """The least and greatest row, then column, offset among the relative
-    coordinates of host-relative references; 0 where there is none. A copy
-    at ``(row, col)`` stays on the grid when ``row`` plus each row offset and
-    ``col`` plus each column offset do; fixed coordinates are parsed ones."""
-    corners = [c for ref in refs
-               for c in ((ref.start, ref.end) if isinstance(ref, RangeRef) else (ref,))]
-    rows = [c.row for c in corners if not c.row_abs] or [0]
-    cols = [c.col for c in corners if not c.col_abs] or [0]
-    return min(rows), max(rows), min(cols), max(cols)
-
-
 def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                      strings: list[str], formats: list[CellFormat],
                      path: str, notices: list[str]) -> bool:
@@ -507,16 +485,11 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                 sheet.column_widths[c] = width
 
     # si -> (the group's copy class, the master's tokens when a range has '$'
-    # on one corner of an axis only, the master's cell, the offsets of its
-    # relative coordinates)
-    shared: dict[str, tuple[CopyClass, list | None, CellAddress,
-                            tuple[int, int, int, int]]] = {}
+    # on one corner of an axis only, the master's cell)
+    shared: dict[str, tuple[CopyClass, list | None, CellAddress]] = {}
     copies: dict[tuple, CopyClass] = {}  # the sheet's classes, by token key
     data = root.find(_tag("sheetData"))
-    if data is None:
-        _set_declared_extent(sheet, declared)
-        return protected
-    for row_el in data.findall(_tag("row")):
+    for row_el in () if data is None else data.findall(_tag("row")):
         hidden = row_el.get("hidden") in ("1", "true")
         if hidden or row_el.get("ht"):
             row = number(int, row_el.get("r") or "0", "row number")
@@ -547,14 +520,13 @@ def _load_sheet_part(archive: zipfile.ZipFile, part: str, sheet: Sheet,
                     except FormulaParseError as exc:
                         raise LoadError(path, 0, 0, f"cell {ref}: bad formula: {exc}")
                     if is_shared:
-                        shared[si] = (cls, tokens, addr, _offsets(cls.facts.refs))
+                        shared[si] = (cls, tokens, addr)
                     continue
                 if si not in shared:
                     raise LoadError(path, 0, 0, f"cell {ref}: shared formula "
                                                 f"{si!r} has no master")
-                copy_class, tokens, master, (top, bottom, left, right) = shared[si]
-                if not (1 <= addr.row + top and addr.row + bottom <= MAX_ROW
-                        and 1 <= addr.col + left and addr.col + right <= MAX_COL):
+                copy_class, tokens, master = shared[si]
+                if not copy_class.plan.in_grid(addr.row, addr.col):
                     notices.append(f"cell {addr.qualified()} left out: its shared "
                                    f"formula moves a reference off the grid")
                 elif tokens is not None:

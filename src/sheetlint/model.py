@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
-    from .formula import FormulaAst, FormulaFacts
+    from .formula import FormulaAst
     from .graph import DependencyGraph
 
 MAX_ROW = 1_048_576
@@ -118,11 +118,11 @@ class CellContent:
 
     A formula is a copy: its cell's ``CopyClass`` and its ``(row, col)`` in
     ``copy``, made by ``copy_of`` (``Sheet.set_formula`` interns the class).
-    Its ``ast`` is ``copy_class.ast_at(row, col)`` and its ``formula_text``
-    that tree printed, each made on first read and kept; its ``facts`` come
-    from the class, with no tree. ``ast`` and ``formula_text`` are None for
-    every other kind. Equality and hash read the fields, so two copies are
-    equal when they are one class at one cell.
+    Its ``ast`` is ``copy_class.ast_at(row, col)``, and its ``formula_text``
+    that tree printed, filled in from the class's ``plan`` with no tree
+    built; each is made on first read and kept, and is None for every other
+    kind. Equality and hash read the fields, so two copies are equal when
+    they are one class at one cell.
     """
 
     kind: CellKind
@@ -169,13 +169,7 @@ class CellContent:
 
     @cached_property
     def formula_text(self) -> str | None:
-        return None if self.copy is None else print_formula(self.ast)
-
-    @cached_property
-    def facts(self) -> "FormulaFacts":
-        """A formula's ``formula_facts``, from its class, with no tree built."""
-        copy_class, row, col = self.copy
-        return copy_class.facts_at(row, col)
+        return None if self.copy is None else self.copy[0].plan.text(*self.copy[1:])
 
 
 @dataclass(frozen=True)
@@ -338,24 +332,17 @@ def content_extent(sheet: Sheet) -> CellAddress | None:
     Format-only cells are excluded: they allocate space without holding
     anything, which is exactly the gap the relic scan measures.
     """
-    max_row = max_col = 0
-    for (row, col), cell in sheet.cells.items():
-        if cell.content.is_empty:
-            continue
-        max_row = max(max_row, row)
-        max_col = max(max_col, col)
-    if max_row == 0:
+    populated = [key for key, cell in sheet.cells.items() if not cell.content.is_empty]
+    if not populated:
         return None
-    return sheet.address(max_row, max_col)
+    return sheet.address(max(row for row, _ in populated), max(col for _, col in populated))
 
 
 def full_extent(sheet: Sheet) -> CellAddress | None:
     """Bottom-right corner over every stored cell, format-only ones included."""
     if not sheet.cells:
         return None
-    max_row = max(row for row, _ in sheet.cells)
-    max_col = max(col for _, col in sheet.cells)
-    return sheet.address(max_row, max_col)
+    return sheet.address(max(row for row, _ in sheet.cells), max(col for _, col in sheet.cells))
 
 
 class NumericCellClass(Enum):
@@ -398,4 +385,4 @@ def classify_cells(workbook: Workbook,
 
 
 # formula imports this module, so its names are bound once this one is complete
-from .formula import CopyClass, print_formula, translate  # noqa: E402
+from .formula import CopyClass, translate  # noqa: E402

@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 from .config import ALL_RULE_IDS, AuditConfig, Severity
-from .formula import CopyClass, RangeRef
+from .formula import CopyClass
 from .graph import (Box, CellGraphClass, DependencyGraph, box_area, box_cells, build_graph,
                     classify_graph, explicit_bottom_line)
 from .layout import SheetLayout, Stacking, analyze_sheet
@@ -316,15 +316,14 @@ def _r05_dangling(ctx: Analysis, sheets) -> Iterator[tuple]:
 
 def _r06_perverse(ctx: Analysis, sheets) -> Iterator[tuple]:
     # The cells of one origin are judged together: a range or name that is
-    # partly blank is conventional, not perverse.
+    # partly blank is conventional, not perverse. Only the formulas that
+    # build_graph found reading a blank cell are judged.
     graph = ctx.graph
     for addr in graph.formula_cells():
-        links = graph.links.get(addr, ())
         blanks: list[CellAddress] = []
-        if any(graph.populated_count(link.sheet, link.box) < box_area(link.box)
-               for link in links):
+        if addr in graph.partly_blank:
             groups: dict[str | None, list[tuple[str, Box]]] = {}
-            for link in links:
+            for link in graph.links[addr]:
                 groups.setdefault(link.origin, []).extend((link.sheet, p) for p in link.parts)
             for origin, pieces in groups.items():
                 size = sum(box_area(box) for _, box in pieces)
@@ -591,50 +590,35 @@ def _r23_formula_refs(ctx: Analysis, sheets) -> Iterator[tuple]:
                    f"cells rather than constants")
 
 
-def _r24_plan(graph: DependencyGraph, cls: CopyClass, sheet: str) -> tuple[list, bool | None]:
-    """Per reference of ``cls``: its sheet's index, then each corner's
-    relative row and whether a member's row is added to it (no `$`), and
-    the same for the column. With it, whether the references are out of
-    order, or None when a `$` makes that depend on the member."""
-    plan = []  # lists: CPython keeps up to 2,000 freed tuples of each length
-    anchored = False
-    for ref in cls.facts.refs:
-        start, end = (ref.start, ref.end) if isinstance(ref, RangeRef) else (ref, ref)
-        plan.append([graph.sheet_index(start.sheet if start.sheet is not None else sheet),
-                     start.row, not start.row_abs, end.row, not end.row_abs,
-                     start.col, not start.col_abs, end.col, not end.col_abs])
-        anchored = anchored or start.row_abs or start.col_abs or end.row_abs or end.col_abs
-    return plan, None if anchored else _out_of_order(_corners(plan, 0, 0))
-
-
-def _corners(plan: list, row: int, col: int) -> list[tuple[int, int, int]]:
-    """``(sheet index, top, left)`` of each reference's box at ``(row, col)``."""
-    return [(i, min(r1 + row * dr1, r2 + row * dr2), min(c1 + col * dc1, c2 + col * dc2))
-            for i, r1, dr1, r2, dr2, c1, dc1, c2, dc2 in plan]
-
-
-def _out_of_order(corners: list[tuple[int, int, int]]) -> bool:
-    return any(b < a for a, b in zip(corners, corners[1:]))
+def _out_of_order(indexes: list[int], boxes: list[tuple[int, int, int, int]]) -> bool:
+    """Whether the references, by sheet index and then their boxes' top-left
+    cells, are out of reading order."""
+    keys = [(i, top, left) for i, (top, left, _, _) in zip(indexes, boxes)]
+    return any(b < a for a, b in zip(keys, keys[1:]))
 
 
 def _r24_ref_order(ctx: Analysis, sheets) -> Iterator[tuple]:
-    # A range is read from the top-left corner of its box. A member's
-    # corners are its class's relative corners with the member's row and
-    # column added where there is no `$`, so no member builds references of
+    # A range is read from the top-left corner of its box, which its class's
+    # plan gives at each member's cell, so no member builds references of
     # its own. Shifting every reference alike keeps their order, so a class
-    # without a `$` is checked once, on its relative corners; one with a `$`
+    # without a `$` is checked once, on its relative boxes; one with a `$`
     # is checked per member, whose box can turn with its cell.
-    plans: dict[CopyClass, tuple[list, bool | None]] = {}
+    graph = ctx.graph
+    verdicts: dict[CopyClass, tuple[list[int], bool | None]] = {}
     for addr, _, cls in chain.from_iterable(s.classed_formulas() for s in sheets):
-        plan = plans.get(cls)
-        if plan is None:
-            plan = plans[cls] = _r24_plan(ctx.graph, cls, addr.sheet)
-        refs, verdict = plan
+        plan = cls.plan
+        entry = verdicts.get(cls)
+        if entry is None:
+            indexes = [graph.sheet_index(addr.sheet if ref[0] is None else ref[0])
+                       for ref in plan.refs]
+            entry = verdicts[cls] = indexes, (
+                None if plan.anchored else _out_of_order(indexes, plan.boxes(0, 0)))
+        indexes, verdict = entry
         if verdict is False:
             continue
-        corners = _corners(refs, addr.row, addr.col)
-        if verdict or _out_of_order(corners):
-            listed = ", ".join(f"{col_letters(col)}{row}" for _, row, col in corners[:6])
+        boxes = plan.boxes(addr.row, addr.col)
+        if verdict or _out_of_order(indexes, boxes):
+            listed = ", ".join(f"{col_letters(left)}{top}" for top, left, _, _ in boxes[:6])
             yield (addr.sheet, addr,
                    f"references are not in reading order: {listed}")
 

@@ -7,10 +7,10 @@ Every emitted suggestion is checked by random evaluation before it leaves
 this module; files are never modified.
 
 ``simplify_workbook`` rewrites, prints and re-parses once per copy class
-(formulas equal up to translation). A member shifts the re-parse's
-references to its cell, is printed from the class's relative trees and is
-verified once per new alias pattern of its class, which gives every copy
-the verdict it would get on its own.
+(formulas equal up to translation). A member reads its grid check, alias
+pattern and texts from the reference plans of its class, the rewrite and
+the re-parse, and is verified once per new alias pattern of its class,
+which gives every copy the verdict it would get on its own.
 """
 
 from __future__ import annotations
@@ -22,39 +22,13 @@ from enum import Enum
 from itertools import chain, combinations
 from typing import Callable, Iterable
 
-from .formula import (
-    _PREC,
-    CellRef,
-    CopyClass,
-    FormulaAst,
-    FormulaParseError,
-    FunctionCall,
-    NumberLit,
-    OpRun,
-    Paren,
-    RangeRef,
-    UnaryOp,
-    EvalDomainError,
-    EvalUnsupported,
-    ast_equal,
-    children,
-    evaluate,
-    formula_facts,
-    iter_nodes,
-    map_refs,
-    parse_formula,
-    print_formula,
-    r1c1_form,
-    rebuild,
-    ref_a1_text,
-    referenced_cells,
-    shift_ref,
-    strip_parens,
-    translate,
-    unwrap,
-)
+from .formula import (_PREC, CellRef, CopyClass, EvalDomainError, EvalUnsupported, FormulaAst,
+                      FormulaParseError, FunctionCall, NumberLit, OpRun, Paren, RangeRef,
+                      RefPlan, UnaryOp, ast_equal, children, evaluate, iter_nodes, map_refs,
+                      parse_formula, print_formula, r1c1_form, rebuild, referenced_cells,
+                      strip_parens, translate, unwrap)
 from .graph import DependencyGraph
-from .model import MAX_COL, MAX_ROW, CellAddress, CellContent, Workbook
+from .model import CellAddress, Workbook
 
 
 class RewriteKind(str, Enum):
@@ -311,82 +285,74 @@ def _rewrite(cls: CopyClass) -> tuple[FormulaAst, frozenset[RewriteKind]]:
     return current, frozenset(kinds)
 
 
-def _alias_pattern(refs: Iterable[CellRef | RangeRef], sheet: str) -> tuple:
-    """Which reference slots name the same cell, and the range shapes.
+def _alias_pattern(plans: Iterable[RefPlan], row: int, col: int, sheet: str) -> tuple:
+    """Which reference slots name the same cell, and the range shapes, in
+    the copies at ``(row, col)`` on ``sheet`` of the trees of ``plans``.
 
-    The slots are the cells of ``refs``, the original's then the rewrite's,
-    ranges expanded, in the order ``verify_equivalence`` assigns them values;
-    each slot maps to the index of the first slot naming the same cell. Two
-    translated copies of one formula pair with equal patterns get the same
-    random values in corresponding cells, so they get the same verdict.
+    The slots are the cells of the references, the original's then the
+    rewrite's, ranges expanded, in the order ``verify_equivalence`` gives
+    them values; each maps to the index of the first slot naming its cell.
+    Copies of one formula pair with equal patterns get the same values in
+    corresponding cells, so they get the same verdict.
     """
-    first: dict[CellAddress, int] = {}
+    first: dict[tuple[str, int, int], int] = {}
     slots: list[int] = []
     shapes: list[tuple[int, int]] = []
-    for ref in refs:
-        if isinstance(ref, RangeRef):
-            shapes.append(ref.shape)
-            cells = ref.cells(sheet)
-        else:
-            cells = (ref.resolve(sheet),)
-        for addr in cells:
-            slots.append(first.setdefault(addr, len(slots)))
+    for plan in plans:
+        for ref, (top, left, bottom, right) in zip(plan.refs, plan.boxes(row, col)):
+            where = sheet if ref[0] is None else ref[0]
+            if ref[10] is not None:  # a range: it has an end corner
+                shapes.append((bottom - top + 1, right - left + 1))
+            for r in range(top, bottom + 1):
+                for c in range(left, right + 1):
+                    slots.append(first.setdefault((where, r, c), len(slots)))
     return tuple(slots), tuple(shapes)
 
 
-def _in_grid(refs: Iterable[CellRef | RangeRef]) -> bool:
-    """True when every cell and range corner of ``refs`` lies in A1:XFD1048576."""
-    return all(1 <= cell.row <= MAX_ROW and 1 <= cell.col <= MAX_COL for ref in refs
-               for cell in ((ref.start, ref.end) if isinstance(ref, RangeRef) else (ref,)))
-
-
 def _class_rewrite(cls: CopyClass, row: int, col: int) -> tuple | None:
-    """``(rewrite, re-parse, re-parse's refs, kinds, verdicts)`` for ``cls``,
-    the re-parse printed at its member ``(row, col)``, each tree
-    host-relative; None when nothing fires or the printed rewrite does not
-    parse."""
+    """``(rewrite's plan, re-parse, re-parse's plan, kinds, verdicts)`` for
+    ``cls``, the rewrite printed and re-parsed at its member ``(row, col)``,
+    each tree host-relative; None when nothing fires or the printed rewrite
+    does not parse."""
     rewritten, kinds = _rewrite(cls)
     if not kinds:
         return None
+    after = RefPlan(rewritten)
     try:
-        printed = parse_formula(print_formula(translate(rewritten, row, col)))
+        printed = parse_formula(after.text(row, col))
     except FormulaParseError:
         return None
     printed = translate(printed, -row, -col)
-    return rewritten, printed, formula_facts(printed).refs, kinds, {}
+    return after, printed, RefPlan(printed), kinds, {}
 
 
-def _simplify_copies(members: Iterable[tuple[CellAddress, CellContent, CopyClass]],
+def _simplify_copies(members: Iterable[tuple[CellAddress, object, CopyClass]],
                      trials: int = 100) -> dict[CellAddress, RewriteSuggestion]:
     """``simplify_workbook`` over ``(host, content, copy class)`` members."""
     rewrites: dict[CopyClass, tuple | None] = {}
     out: dict[CellAddress, RewriteSuggestion] = {}
-    for host, content, cls in members:
+    for host, _, cls in members:
         row, col = host.row, host.col
+        plan = cls.plan
         # a member off the grid gets no suggestion and cannot stand for its class
-        if cls not in rewrites and _in_grid(content.facts.refs):
+        if cls not in rewrites and plan.in_grid(row, col):
             rewrites[cls] = _class_rewrite(cls, row, col)
         entry = rewrites.get(cls)
         if entry is None:
             continue
-        rewritten, printed, printed_refs, kinds, verdicts = entry
-        shifted = tuple(shift_ref(ref, row, col) for ref in printed_refs)
-        if not _in_grid(shifted):
+        after, printed, reparsed, kinds, verdicts = entry
+        if not reparsed.in_grid(row, col):
             continue  # its own re-parse names other cells, or fails
-        pattern = _alias_pattern(chain(content.facts.refs, shifted), host.sheet)
+        pattern = _alias_pattern((plan, reparsed), row, col, host.sheet)
         verified = verdicts.get(pattern)
         if verified is None:
             verified = verdicts[pattern] = verify_equivalence(
                 cls.ast_at(row, col), translate(printed, row, col),
                 trials=trials, sheet=host.sheet)
         if verified:
-            def ref_text(ref: CellRef) -> str:
-                return ref_a1_text(shift_ref(ref, row, col))
-
-            before = print_formula(cls.relative, ref_printer=ref_text)
-            after = print_formula(rewritten, ref_printer=ref_text)
-            out[host] = RewriteSuggestion(host, before, after, kinds, True,
-                                          len(after) - len(before))
+            before, suggested = plan.text(row, col), after.text(row, col)
+            out[host] = RewriteSuggestion(host, before, suggested, kinds, True,
+                                          len(suggested) - len(before))
     return out
 
 
@@ -400,8 +366,7 @@ def simplify(ast: FormulaAst, host: CellAddress,
     identical). This is ``simplify_workbook`` on one cell.
     """
     cls = CopyClass(translate(ast, -host.row, -host.col), host.sheet)
-    return _simplify_copies([(host, CellContent.copy_of(cls, host.row, host.col), cls)],
-                            trials).get(host)
+    return _simplify_copies([(host, None, cls)], trials).get(host)
 
 
 def simplify_workbook(workbook: Workbook) -> dict[CellAddress, RewriteSuggestion]:
@@ -409,12 +374,13 @@ def simplify_workbook(workbook: Workbook) -> dict[CellAddress, RewriteSuggestion
 
     Per copy class, its host-relative form is rewritten, and the rewrite
     printed and re-parsed at its first member in reading order whose
-    references lie in the grid; all three trees are kept host-relative. Per member, the re-parse's
-    references are shifted to its cell: off the grid, the member gets no
-    suggestion, as its own re-parse would fail or name other cells. With
-    its own references they give its alias pattern, and only a pattern new
-    to its class builds the member's tree, to verify it. Both texts are
-    printed from the relative trees, each reference shifted as printed.
+    references lie in the grid; all three trees are kept host-relative.
+    Per member, the re-parse's ``RefPlan`` says whether its references lie
+    in the grid: off it, the member gets no suggestion, as its own re-parse
+    would fail or name other cells. With the class's plan it gives the
+    member's alias pattern, and only a pattern new to its class builds the
+    member's tree, to verify it. Both texts fill the print templates of the
+    class's and the rewrite's plans with the member's corners.
     """
     return _simplify_copies(chain.from_iterable(
         sheet.classed_formulas() for sheet in workbook.sheets))
@@ -523,20 +489,19 @@ def _fuse(terms: list[FormulaAst]) -> list[FormulaAst]:
             return terms
 
 
-def _nested_text(source: CellAddress, target: CellAddress, target_refs: tuple,
-                 ast_of: Callable[[CellAddress], FormulaAst], max_len: int,
-                 tidy: bool = False) -> str | None:
+def _nested_text(source: CellAddress, target: CellAddress, plan: RefPlan,
+                 shift: tuple[int, int], ast_of: Callable[[CellAddress], FormulaAst],
+                 max_len: int, tidy: bool = False) -> str | None:
     """``target``'s tree with ``source``'s for each direct reference to it, tidied
-    by ``merge_sumproducts`` if asked, as text; None when a range of ``target_refs``
-    covers ``source`` (checked before ``ast_of`` is read: a copy member builds its
-    tree on first read), or the text is over ``max_len`` or does not parse."""
-    for ref in target_refs:
-        if isinstance(ref, RangeRef):
-            top, left, bottom, right = ref.box
-            sheet = ref.start.sheet if ref.start.sheet is not None else target.sheet
-            if (sheet.lower() == source.sheet.lower()
-                    and top <= source.row <= bottom and left <= source.col <= right):
-                return None
+    by ``merge_sumproducts`` if asked, as text; None when a range of ``plan``,
+    ``target``'s tree shifted by ``shift``, covers ``source`` (checked before
+    ``ast_of`` is read: a copy member builds its tree on first read), or the
+    text is over ``max_len`` or does not parse."""
+    for ref, (top, left, bottom, right) in zip(plan.refs, plan.boxes(*shift)):
+        sheet = target.sheet if ref[0] is None else ref[0]
+        if (ref[10] is not None and sheet.lower() == source.sheet.lower()
+                and top <= source.row <= bottom and left <= source.col <= right):
+            return None  # a range covers it
     combined = _substitute(ast_of(target), target.sheet, source, ast_of(source))
     text = print_formula(merge_sumproducts(combined) if tidy else combined)
     if len(text) > max_len:
@@ -569,8 +534,9 @@ def nest_candidates(graph: DependencyGraph, workbook: Workbook,
             continue
         if target == source or target not in contents or source not in contents:
             continue
-        text = _nested_text(source, target, contents[target].facts.refs,
-                            lambda cell: contents[cell].ast, max_len)
+        text = _nested_text(source, target, contents[target].copy[0].plan,
+                            (target.row, target.col), lambda cell: contents[cell].ast,
+                            max_len)
         if text is not None:
             out.append(NestCandidate(source, target, text))
     return out
@@ -612,7 +578,7 @@ def plan_nesting(workbook: Workbook, graph: DependencyGraph,
             target = next(iter(dependents))
             if target not in asts:
                 continue
-            text = _nested_text(source, target, formula_facts(asts[target]).refs,
+            text = _nested_text(source, target, RefPlan(asts[target]), (0, 0),
                                 asts.__getitem__, max_len, tidy=True)
             if text is None:
                 continue

@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 import re
 import zipfile
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 from xml.sax.saxutils import escape
+
+from hypothesis import strategies as st
 
 from sheetlint.formula import (
     BoolLit,
@@ -20,8 +23,11 @@ from sheetlint.formula import (
     RangeRef,
     StringLit,
     UnaryOp,
+    map_refs,
     parse_formula,
     print_formula,
+    shift_ref,
+    translate,
 )
 from sheetlint.graph import box_cells
 from sheetlint.model import (CellAddress, CellContent, CellKind, Workbook, col_letters,
@@ -108,6 +114,72 @@ def gen_env(rng: random.Random, cells: list[CellAddress]) -> dict[CellAddress, f
                 env[addr] = v
                 break
     return env
+
+
+# --- copy blocks -------------------------------------------------------------
+
+SHEETS = ("S", "T")
+
+# Written at the block's anchor cell, then copied down rows or across columns.
+TEMPLATES = (
+    "=$A1+A1",
+    "=A$1*B1",
+    "=$A1*2+A1*2",
+    "=S!A1+A1",
+    "=S!A1*3+A1*3",
+    "=B2*1.05+$A2*1.05",
+    "=(A1+A2+A3)*2",
+    "=(A1+B1)*C1",
+    "=(C1/A2)*A1",
+    "=(B1/(A1-$A1))*C1",
+    "=C3*(A1)+A2*C3+((C3*A3))",
+    "=SUM(A1:B3)*2+SUM(B2:C4)*2",
+    "=SUM($A$1:B2)*(A1+A2+A3)",
+    "=A1*$B$2+$B$2*A2",
+)
+
+
+def anchor_refs(ast, rng: random.Random):
+    """Give each cell reference random $ flags and, sometimes, a sheet."""
+
+    def cell(ref: CellRef, may_qualify: bool) -> CellRef:
+        sheet = rng.choice(SHEETS) if may_qualify and rng.random() < 0.2 else ref.sheet
+        return replace(ref, sheet=sheet, row_abs=rng.random() < 0.3,
+                       col_abs=rng.random() < 0.3)
+
+    def fn(ref):
+        if isinstance(ref, RangeRef):
+            return RangeRef(cell(ref.start, True), cell(ref.end, False))
+        return cell(ref, True)
+
+    return map_refs(ast, fn)
+
+
+@st.composite
+def copy_workbooks(draw, extra: tuple = ()):
+    """A workbook of copy blocks on sheets S and T: each template of
+    ``TEMPLATES``, ``extra`` or a random tree, written at a block's anchor
+    cell and copied down rows or across columns."""
+    templates = list(TEMPLATES + extra)
+    for seed in draw(st.lists(st.integers(0, 10**6), max_size=3)):
+        rng = random.Random(seed)
+        templates.append(print_formula(anchor_refs(gen_ast(rng), rng)))
+    wb = Workbook()
+    for name in SHEETS:
+        sheet = wb.add_sheet(name)
+        for _ in range(draw(st.integers(1, 4))):
+            template = parse_formula(draw(st.sampled_from(templates)))
+            row, col = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+            down = draw(st.booleans())
+            for k in range(draw(st.integers(1, 6))):
+                drow, dcol = (k, 0) if down else (0, k)
+                sheet.set_formula(row + drow, col + dcol,
+                                  translate(template, row - 1 + drow, col - 1 + dcol))
+    return wb
+
+
+# a relative corner that passes the absolute one turns the range inside out
+ONE_SIDED = ("=SUM(A1:A$3)*2+A1", "=SUM(B1:$C2)+SUM($A1:A$2)")
 
 
 # --- random workbooks with ground-truth arcs ----------------------------------
@@ -492,13 +564,21 @@ def expanded_precedents(graph, dependent: CellAddress, content) -> dict:
             else:
                 out.setdefault(CellAddress(sheet, ref.row, ref.col), name)
 
-    facts = content.facts
+    facts = member_facts(content)
     add(facts.refs, None)
     for node in facts.names:
         refs = graph.defined_names.get(node.name.upper())
         if refs is not None:
             add(refs, node.name)
     return out
+
+
+def member_facts(content):
+    """``formula_facts`` of a copy member, its class's references shifted to
+    its cell one by one, with no tree built: the per-member path that a
+    class's ``RefPlan`` stands for."""
+    cls, row, col = content.copy
+    return cls.facts._replace(refs=tuple(shift_ref(ref, row, col) for ref in cls.facts.refs))
 
 
 def grouped_precedents(graph, dependent):

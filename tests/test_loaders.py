@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from conftest import fixture_path
 from helpers import (
+    ONE_SIDED,
     XLSX_STYLE_BIGFONT,
     XLSX_STYLE_GREY,
     XLSX_STYLE_HIDDEN,
@@ -13,9 +14,9 @@ from helpers import (
     build_xlsx,
     built_trees,
     load_text_per_cell,
+    copy_workbooks,
     precedents_of,
 )
-from test_simplify_workbook import ONE_SIDED, copy_workbooks
 
 from sheetlint import formula as formula_module
 from sheetlint import loaders
@@ -634,6 +635,22 @@ def _assert_classes_as_parsed_per_cell(text: str) -> None:
 @given(copy_workbooks(ONE_SIDED))
 def test_token_keys_class_as_parsing_each_formula(wb):
     _assert_classes_as_parsed_per_cell(as_text(wb))
+
+
+def test_repeated_copies_build_tokens_once_per_key(monkeypatch):
+    # a formula whose token key is known is stored as a copy from the key
+    # alone, so a book of repeated copies builds one formula's tokens per key
+    expected = sum(len(formula_module.tokenize(text)[0])
+                   for text in ("A1*2+SUM(A1:C1)", "$B$1-B1 / 4"))
+    built = []
+    real = formula_module._new_token
+    monkeypatch.setattr(formula_module, "_new_token",
+                        lambda cls, fields: built.append(fields) or real(cls, fields))
+    book = load_text_string("[sheet S]\n" + "".join(
+        f"B{r} formula =A{r}*2+SUM(A{r}:C{r})\nD{r} formula =$B$1-B{r} / 4\n"
+        for r in range(1, 41)))
+    assert len(list(book.formulas())) == 80
+    assert len(built) == expected
 
 
 @pytest.mark.parametrize("template", [

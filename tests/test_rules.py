@@ -18,7 +18,7 @@ from sheetlint import rules
 from sheetlint.config import ALL_RULE_IDS, AuditConfig, ConfigError, Severity, load_config, save_config
 from sheetlint.formula import parse_formula, print_formula, translate
 from sheetlint.loaders import load_text, load_text_string, load_xlsx
-from sheetlint.model import Sheet
+from sheetlint.model import Sheet, parse_a1
 from sheetlint.report import audit_workbook
 from sheetlint.rules import Diagnostic, EmptyWorkbookError, readability_score
 
@@ -164,6 +164,23 @@ def test_r06_fully_blank_range_flagged():
 def test_r06_missing_sheet_reported():
     found = diags("[sheet S]\nB1 formula =Nowhere!A1\n", rule="R06")
     assert found and "unresolvable" in found[0].message
+
+
+def test_r06_judges_only_the_formulas_that_read_a_blank_cell(monkeypatch):
+    # build_graph records the formulas with a link to a blank cell, so an
+    # R06-only run counts no populated cells for a formula whose are all there
+    book = load_text_string("[sheet S]\nA1 num 1\nA2 num 2\nB1 formula =A1+SUM(A1:A2)\n"
+                            "B2 formula =A2*2\nC1 formula =A9+A1\n")
+    analysis = rules.Analysis(book, AuditConfig(enabled_rules=frozenset({"R06"})))
+    graph = analysis.graph
+    assert graph.partly_blank == {parse_a1("S!C1")}
+    calls = []
+    real = graph.populated_count
+    monkeypatch.setattr(graph, "populated_count",
+                        lambda sheet, box: calls.append(box) or real(sheet, box))
+    diagnostics, _ = analysis.run_rules()
+    assert [d.cell.a1() for d in diagnostics] == ["C1"]
+    assert sorted(calls) == [(1, 1, 1, 1), (9, 1, 9, 1)]  # C1's links only
 
 
 def test_r07_flags_embedded_constant():

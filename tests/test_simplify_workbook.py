@@ -3,14 +3,14 @@
 import random
 import tempfile
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import as_text, build_xlsx, gen_ast
+from helpers import (ONE_SIDED, SHEETS, TEMPLATES, anchor_refs, as_text, build_xlsx,
+                     copy_workbooks, gen_ast, member_facts)
 
 import sheetlint.formula as formula_module
 import sheetlint.simplify as simplify_module
@@ -34,62 +34,6 @@ from sheetlint.model import CellAddress, CellContent, CellFormat, CellKind, Work
 from sheetlint.report import audit_workbook, render_json
 from sheetlint.rules import Analysis, SimplifierResults, run_rules
 from sheetlint.simplify import simplify, simplify_workbook
-
-SHEETS = ("S", "T")
-
-# Written at the block's anchor cell, then copied down rows or across columns.
-TEMPLATES = (
-    "=$A1+A1",
-    "=A$1*B1",
-    "=$A1*2+A1*2",
-    "=S!A1+A1",
-    "=S!A1*3+A1*3",
-    "=B2*1.05+$A2*1.05",
-    "=(A1+A2+A3)*2",
-    "=(A1+B1)*C1",
-    "=(C1/A2)*A1",
-    "=(B1/(A1-$A1))*C1",
-    "=C3*(A1)+A2*C3+((C3*A3))",
-    "=SUM(A1:B3)*2+SUM(B2:C4)*2",
-    "=SUM($A$1:B2)*(A1+A2+A3)",
-    "=A1*$B$2+$B$2*A2",
-)
-
-
-def _anchor_refs(ast, rng: random.Random):
-    """Give each cell reference random $ flags and, sometimes, a sheet."""
-
-    def cell(ref: CellRef, may_qualify: bool) -> CellRef:
-        sheet = rng.choice(SHEETS) if may_qualify and rng.random() < 0.2 else ref.sheet
-        return replace(ref, sheet=sheet, row_abs=rng.random() < 0.3,
-                       col_abs=rng.random() < 0.3)
-
-    def fn(ref):
-        if isinstance(ref, RangeRef):
-            return RangeRef(cell(ref.start, True), cell(ref.end, False))
-        return cell(ref, True)
-
-    return map_refs(ast, fn)
-
-
-@st.composite
-def copy_workbooks(draw, extra: tuple = ()):
-    templates = list(TEMPLATES + extra)
-    for seed in draw(st.lists(st.integers(0, 10**6), max_size=3)):
-        rng = random.Random(seed)
-        templates.append(print_formula(_anchor_refs(gen_ast(rng), rng)))
-    wb = Workbook()
-    for name in SHEETS:
-        sheet = wb.add_sheet(name)
-        for _ in range(draw(st.integers(1, 4))):
-            template = parse_formula(draw(st.sampled_from(templates)))
-            row, col = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-            down = draw(st.booleans())
-            for k in range(draw(st.integers(1, 6))):
-                drow, dcol = (k, 0) if down else (0, k)
-                sheet.set_formula(row + drow, col + dcol,
-                                  translate(template, row - 1 + drow, col - 1 + dcol))
-    return wb
 
 
 def per_cell(wb: Workbook) -> dict:
@@ -243,9 +187,6 @@ def test_classes_follow_writes_after_each_loader(wb, steps):
             _assert_classes_match_per_cell_keys(book)
 
 
-# a relative corner that passes the absolute one turns the range inside out
-ONE_SIDED = ("=SUM(A1:A$3)*2+A1", "=SUM(B1:$C2)+SUM($A1:A$2)")
-
 _constants = st.lists(st.tuples(st.sampled_from(SHEETS), st.integers(1, 8), st.integers(1, 8),
                                 st.integers(-9, 99)), max_size=8)
 
@@ -281,7 +222,7 @@ def test_shared_members_read_as_the_formulas_written_out(wb):
     assert len(pairs) == len(list(wb.formulas()))
     for (addr, lazy), (plain_addr, eager) in pairs:
         assert addr == plain_addr
-        assert lazy.facts == formula_facts(eager.ast)  # before the tree is built
+        assert member_facts(lazy) == formula_facts(eager.ast)  # before the tree is built
         assert lazy.ast == eager.ast
         assert lazy.formula_text == print_formula(eager.ast)
     assert any(lazy.copy is not None for (_, lazy), _ in pairs)
@@ -295,7 +236,7 @@ def test_member_shifts_the_written_corners_before_ordering(tmp_path):
                                                   "A4": {"fs": (0, None, None)}}})
     member = dict(load_xlsx(path).formulas())[CellAddress("T", 4, 1)]
     written = parse_formula("=SUM(B4:$C5)+SUM($A4:A$2)")
-    assert member.facts == formula_facts(written)
+    assert member_facts(member) == formula_facts(written)
     assert member.ast == written
     assert member.formula_text == "=SUM(B4:$C5)+SUM(A$2:$A4)"
 
@@ -371,14 +312,15 @@ def _r07_r24_per_cell(wb, graph, config):
     """R07 and R24 messages computed cell by cell, as before the table."""
     out = []
     for addr, content in wb.formulas():
-        literals = [n for n in content.facts.numbers if n.value not in config.constant_allowlist]
-        if content.facts.refs and literals:
+        facts = member_facts(content)
+        literals = [n for n in facts.numbers if n.value not in config.constant_allowlist]
+        if facts.refs and literals:
             shown = ", ".join(lit.text for lit in literals[:4])
             out.append(("R07", addr, f"constant {shown} embedded in formula; "
                                      f"move it to its own cell"))
         # a range is read from its box's top-left cell, whichever corner names it
         starts = [CellRef(*r.box[:2], r.start.sheet) if isinstance(r, RangeRef) else r
-                  for r in content.facts.refs]
+                  for r in facts.refs]
         keys = [(graph.sheet_index(s.sheet if s.sheet is not None else addr.sheet),
                  s.row, s.col) for s in starts]
         if any(b < a for a, b in zip(keys, keys[1:])):
@@ -525,7 +467,7 @@ def test_rewrite_of_the_relative_form_is_the_rewrite_at_each_cell(seed, drow, dc
     # host-relative form: every stage commutes with translation
     rng = random.Random(seed)
     template = parse_formula(rng.choice(TEMPLATES)) if rng.random() < 0.3 else gen_ast(rng)
-    tree = translate(_anchor_refs(template, rng), drow, dcol)
+    tree = translate(anchor_refs(template, rng), drow, dcol)
     rewritten, kinds = simplify_module._rewrite(CopyClass(translate(tree, -row, -col), "S"))
     assert (print_formula(translate(rewritten, row, col)), kinds) == _rewrite_at(tree)
 
@@ -550,7 +492,7 @@ def test_reparse_commutes_with_translation(seed, drow, dcol):
     # cells (as every member's are), a re-parse of a copy is the copy of the
     # re-parse
     rng = random.Random(seed)
-    tree = _anchor_refs(gen_ast(rng, text_ops=True), rng)
+    tree = anchor_refs(gen_ast(rng, text_ops=True), rng)
     moved = translate(tree, drow, dcol)
     assume(_in_grid(moved) and _parser_ordered(tree) and _parser_ordered(moved))
     assert parse_formula(print_formula(moved)) == \
