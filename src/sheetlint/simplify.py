@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from enum import Enum
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Callable, Iterable
 
 from .formula import (_PREC, CellRef, CopyClass, EvalDomainError, EvalUnsupported, FormulaAst,
@@ -326,12 +326,12 @@ def _class_rewrite(cls: CopyClass, row: int, col: int) -> tuple | None:
     return after, printed, RefPlan(printed), kinds, {}
 
 
-def _simplify_copies(members: Iterable[tuple[CellAddress, object, CopyClass]],
+def _simplify_copies(members: Iterable[tuple[CellAddress, CopyClass]],
                      trials: int = 100) -> dict[CellAddress, RewriteSuggestion]:
-    """``simplify_workbook`` over ``(host, content, copy class)`` members."""
+    """``simplify_workbook`` over ``(host, copy class)`` members."""
     rewrites: dict[CopyClass, tuple | None] = {}
     out: dict[CellAddress, RewriteSuggestion] = {}
-    for host, _, cls in members:
+    for host, cls in members:
         row, col = host.row, host.col
         plan = cls.plan
         # a member off the grid gets no suggestion and cannot stand for its class
@@ -366,7 +366,7 @@ def simplify(ast: FormulaAst, host: CellAddress,
     identical). This is ``simplify_workbook`` on one cell.
     """
     cls = CopyClass(translate(ast, -host.row, -host.col), host.sheet)
-    return _simplify_copies([(host, None, cls)], trials).get(host)
+    return _simplify_copies([(host, cls)], trials).get(host)
 
 
 def simplify_workbook(workbook: Workbook) -> dict[CellAddress, RewriteSuggestion]:
@@ -382,8 +382,8 @@ def simplify_workbook(workbook: Workbook) -> dict[CellAddress, RewriteSuggestion
     member's tree, to verify it. Both texts fill the print templates of the
     class's and the rewrite's plans with the member's corners.
     """
-    return _simplify_copies(chain.from_iterable(
-        sheet.classed_formulas() for sheet in workbook.sheets))
+    return _simplify_copies((host, cls) for sheet in workbook.sheets
+                            for host, _, cls in sheet.classed_formulas())
 
 
 # --- nesting -------------------------------------------------------------------
