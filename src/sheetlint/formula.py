@@ -698,24 +698,25 @@ class RefPlan:
     """The references of a host-relative tree as integers: what its copy at
     ``(row, col)`` refers to, and its text there, with no reference built.
 
-    ``refs`` holds a list per reference, in source order: the sheet as
-    written (None for the host's); the start corner's relative row, whether
-    a copy's row moves it (no '$'), its column and whether a copy's column
-    moves it; the same for the end corner (a cell reference's own again);
-    then each corner's A1 sheet prefix, the end's None for a cell reference.
+    ``refs`` holds a tuple per reference, in source order, whose fields only
+    this class reads: the sheet as written (None for the host's); the start
+    corner's relative row, whether a copy's row moves it (no '$'), its
+    column and whether a copy's column moves it; the same for the end
+    corner (a cell reference's own again); then each corner's A1 sheet
+    prefix, the end's None for a cell reference.
     """
 
     __slots__ = ("refs", "_bounds", "_tree", "_template")
 
     def __init__(self, tree: FormulaAst,
                  refs: tuple[CellRef | RangeRef, ...] | None = None) -> None:
-        self.refs: list[list] = []
+        self.refs: list[tuple] = []
         for ref in formula_facts(tree).refs if refs is None else refs:
             start, end = (ref.start, ref.end) if isinstance(ref, RangeRef) else (ref, ref)
-            self.refs.append([start.sheet, start.row, not start.row_abs, start.col,
+            self.refs.append((start.sheet, start.row, not start.row_abs, start.col,
                               not start.col_abs, end.row, not end.row_abs, end.col,
                               not end.col_abs, _sheet_prefix(start.sheet),
-                              None if end is start else _sheet_prefix(end.sheet)])
+                              None if end is start else _sheet_prefix(end.sheet)))
         self._bounds: tuple[bool, int, int, int, int] | None = None
         self._tree = tree
         self._template: list[str] | None = None
@@ -726,14 +727,24 @@ class RefPlan:
         return not all(ref[2] and ref[4] and ref[6] and ref[8] for ref in self.refs)
 
     def boxes(self, row: int, col: int) -> list[tuple[int, int, int, int]]:
-        """Each reference's ordered box ``(top, left, bottom, right)`` in the
-        copy at ``(row, col)``: ``translate`` can leave a range's corners
-        inside out (``A1:A$3`` filled down to row 4 is ``A4:A$3``)."""
+        """Each reference's box in the copy at ``(row, col)``, as ``placed`` gives it."""
+        return [box for _, box, _ in self.placed("", row, col)]
+
+    def placed(self, host: str, row: int,
+               col: int) -> list[tuple[str, tuple[int, int, int, int], tuple | None]]:
+        """Each reference of the copy at ``(row, col)`` on sheet ``host``: its
+        sheet as written, else ``host``; its ordered box ``(top, left, bottom,
+        right)``, as ``translate`` can leave a range's corners inside out
+        (``A1:A$3`` filled down to row 4 is ``A4:A$3``); and, for a range, its
+        entry of ``refs``, which ``ref_text`` prints, else None."""
         out = []
-        for _, r1, dr1, c1, dc1, r2, dr2, c2, dc2, _, _ in self.refs:
+        for ref in self.refs:
+            sheet, r1, dr1, c1, dc1, r2, dr2, c2, dc2, _, end = ref
             r1, c1, r2, c2 = r1 + row * dr1, c1 + col * dc1, r2 + row * dr2, c2 + col * dc2
-            out.append((r1, c1, r2, c2) if r1 <= r2 and c1 <= c2 else
-                       (min(r1, r2), min(c1, c2), max(r1, r2), max(c1, c2)))
+            out.append((host if sheet is None else sheet,
+                        (r1, c1, r2, c2) if r1 <= r2 and c1 <= c2 else
+                        (min(r1, r2), min(c1, c2), max(r1, r2), max(c1, c2)),
+                        None if end is None else ref))
         return out
 
     def in_grid(self, row: int, col: int) -> bool:
@@ -751,7 +762,7 @@ class RefPlan:
         return (fixed and 1 <= row + low_row and row + high_row <= MAX_ROW
                 and 1 <= col + low_col and col + high_col <= MAX_COL)
 
-    def ref_text(self, ref: list, row: int, col: int) -> str:
+    def ref_text(self, ref: tuple, row: int, col: int) -> str:
         """The A1 text of ``ref``, one of ``refs``, in the copy at ``(row,
         col)``: ``print_formula`` of it, a range's corners as written."""
         _, r1, dr1, c1, dc1, r2, dr2, c2, dc2, prefix1, prefix2 = ref

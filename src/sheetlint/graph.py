@@ -10,7 +10,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .config import AuditConfig, ConfigError
-from .formula import CellRef, CopyClass, FunctionCall, RangeRef, formula_facts
+from .formula import CellRef, FunctionCall, RefPlan
 from .model import MAX_ROW, AddressParseError, CellAddress, CellKind, Workbook, parse_a1
 
 MAX_RANGE_CELLS = 100_000  # refuse to expand anything larger
@@ -25,7 +25,6 @@ _CONSTANT_KINDS = (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR)
 @dataclass(slots=True)
 class NodeInfo:
     kind: CellKind
-    blank: bool = False
     bare_ref: CellAddress | None = None
     top_function: str | None = None
     interpreted_output_shape: bool = False
@@ -195,24 +194,25 @@ class _Columns:
 class DependencyGraph:
     """Directed graph of precedence, kept as each dependent's reference links.
 
-    ``build_graph`` fills ``nodes``, ``links``, ``unresolved`` and
-    ``partly_blank`` (the dependents with a link to a blank cell) once;
-    nothing changes them after. ``links`` maps each dependent to its
-    ``Link``s in the order they were linked: a formula's own references in
-    formula order, then those of the defined names it uses. A range stays
-    one link, and every cell of its box is a node; ``disjoint_links`` keeps
-    the ``parts`` of one dependent's links disjoint. ``defined_names`` maps
-    each upper-cased name to the references of its formula.
+    ``build_graph`` fills ``nodes`` (the populated cells), ``links``,
+    ``unresolved`` and ``partly_blank`` (the dependents with a link to a
+    blank cell) once; nothing changes them after. ``links`` maps each
+    dependent to its ``Link``s in the order they were linked: a formula's
+    own references in formula order, then those of the defined names it
+    uses. A range stays one link; ``disjoint_links`` keeps the ``parts`` of
+    one dependent's links disjoint. The cells of a link that hold nothing
+    are no nodes: ``blank`` derives them from the links. ``defined_names``
+    maps each upper-cased name to the ``RefPlan`` of its formula.
 
     ``arcs``, ``range_origin`` and ``dependents_of`` expand the links into
     cell arcs on each read; the audit reads the links.
-    What it derives from links and nodes (the cycles, the cells something
-    depends on, the arcs between formulas, per-column indexes) is a cached
-    property, computed on first read and never invalidated.
+    What it derives from links and nodes (the blank cells, the cycles, the
+    cells something depends on, the arcs between formulas, per-column
+    indexes) is a cached property, computed on first read and never
+    invalidated.
     """
 
-    def __init__(self, sheet_order: list[str],
-                 defined_names: dict[str, tuple[CellRef | RangeRef, ...]]) -> None:
+    def __init__(self, sheet_order: list[str], defined_names: dict[str, RefPlan]) -> None:
         self.sheet_order = sheet_order
         self._sheet_index: dict[str, int] = {}
         for i, name in enumerate(sheet_order):
@@ -248,19 +248,20 @@ class DependencyGraph:
         its formula's first reference, or none if it has no reference; else
         the entry must be an A1 address (AddressParseError if not). With a
         sheet, matched case-insensitively, that is one cell; without, that
-        cell on every sheet where it is a node."""
-        refs = self.defined_names.get(entry.upper())
-        if refs is None:
+        cell on every sheet where it is a node or ``blank``."""
+        plan = self.defined_names.get(entry.upper())
+        if plan is None:
             addr = parse_a1(entry)
-        elif not refs:
+        elif not plan.refs:
             return set()
-        else:  # the parser orders a range's corners, so its start is top-left
-            first = refs[0].start if isinstance(refs[0], RangeRef) else refs[0]
-            addr = CellAddress(first.sheet or "", first.row, first.col)
+        else:
+            sheet, (top, left, _, _), _ = plan.placed("", 0, 0)[0]
+            addr = CellAddress(sheet, top, left)
         if addr.sheet:
             return {CellAddress(self.spelling(addr.sheet) or addr.sheet, addr.row, addr.col)}
         return {cell for sheet in self.sheet_order
-                if (cell := CellAddress(sheet, addr.row, addr.col)) in self.nodes}
+                if (cell := CellAddress(sheet, addr.row, addr.col)) in self.nodes
+                or cell in self.blank}
 
     def addr_key(self, addr: CellAddress) -> tuple[int, int, int]:
         return (self.sheet_index(addr.sheet), addr.row, addr.col)
@@ -297,18 +298,20 @@ class DependencyGraph:
                  if bottom >= row}
         return [found[seq] for seq in sorted(found)]
 
-    @cached_property
-    def _populated(self) -> _Columns:
-        """The nodes that are not blank, which ``build_graph`` reads before it adds blank ones."""
-        return _Columns(a for a, info in self.nodes.items() if not info.blank)
-
     def populated_count(self, sheet: str, box: Box) -> int:
-        """How many cells of ``box`` on ``sheet`` are nodes that are not blank."""
+        """How many cells of ``box`` on ``sheet`` are nodes."""
         top, left, bottom, right = box
         if top == bottom and left == right:
-            info = self.nodes.get((sheet, top, left))  # type: ignore[call-overload]
-            return int(info is not None and not info.blank)
-        return sum(j - i for _, i, j in self._populated.slices(sheet, box))
+            return int((sheet, top, left) in self.nodes)
+        return sum(j - i for _, i, j in self._node_columns.slices(sheet, box))
+
+    @cached_property
+    def blank(self) -> set[CellAddress]:
+        """The cells that a link covers and that hold nothing, found in the
+        links of ``partly_blank`` dependents; read it, do not change it."""
+        return {cell for d in self.partly_blank for link in self.links[d] for piece in link.parts
+                if self.populated_count(link.sheet, piece) < box_area(piece)
+                for cell in box_cells(link.sheet, piece) if cell not in self.nodes}
 
     @cached_property
     def _own(self) -> dict[CellAddress, CellAddress]:
@@ -321,15 +324,15 @@ class DependencyGraph:
 
     @cached_property
     def referenced(self) -> set[CellAddress]:
-        """The cells that something depends on, as ``covered_by`` gives them;
+        """The nodes that something depends on, as ``covered_by`` gives them;
         read it, do not change it."""
         return self.covered_by(self.links)
 
     def covered_by(self, dependents: Iterable[CellAddress]) -> set[CellAddress]:
-        """The nodes that a link of one of ``dependents`` covers. Boxes of
-        more than one cell are merged per column first, so each node is
-        visited once, and the set holds the nodes' own addresses, so it
-        makes no new objects."""
+        """The nodes that a link of one of ``dependents`` covers; blank cells
+        are no nodes. Boxes of more than one cell are merged per column
+        first, so each node is visited once, and the set holds the nodes'
+        own addresses, so it makes no new objects."""
         own = self._own
         spans: dict[tuple[str, int], list[int]] = {}  # per sheet and column, see _runs
         out: set[CellAddress] = set()
@@ -338,7 +341,8 @@ class DependencyGraph:
                 sheet = link.sheet
                 top, left, bottom, right = link.box
                 if top == bottom and left == right:
-                    out.add(own[sheet, top, left])  # type: ignore[index]
+                    if cell := own.get((sheet, top, left)):  # type: ignore[call-overload]
+                        out.add(cell)
                     continue
                 span = top << _SPAN | bottom
                 for col in range(left, right + 1):
@@ -413,8 +417,8 @@ class DependencyGraph:
         return list(self._formula_order)
 
     def blank_nodes(self) -> list[CellAddress]:
-        return sorted((a for a, n in self.nodes.items() if n.blank),
-                      key=self.addr_key)
+        """``blank`` in workbook reading order."""
+        return sorted(self.blank, key=self.addr_key)
 
     def numeric_cells(self) -> set[CellAddress]:
         """Formulas plus constants that something depends on."""
@@ -424,21 +428,21 @@ class DependencyGraph:
 
 
 def build_graph(workbook: Workbook) -> DependencyGraph:
-    """Link every formula's references, one link per cell or range reference.
+    """Make a node of every populated cell and link every formula's
+    references, one link per cell or range reference.
 
     A formula's boxes and range origins come from its class's ``RefPlan``
-    at its cell, with each class's sheets resolved once; a defined name's
-    from its parsed references. References to cells that hold nothing
-    become flagged blank nodes, their dependents ``partly_blank``;
-    references that cannot be resolved at all (missing sheets, unknown
-    names, oversized ranges, ranges past the ``MAX_EXPANDED_CELLS`` that
-    one audit expands) are recorded per formula, never raised. Sheet names
-    in references match case-insensitively; every node carries the
-    workbook's own spelling of its sheet name.
+    at its cell, then those of each defined name it uses from the name's
+    plan, with the name as origin. A formula that reads a cell holding
+    nothing is ``partly_blank``; references that cannot be resolved at all
+    (missing sheets, unknown names, oversized ranges, ranges past the
+    ``MAX_EXPANDED_CELLS`` that one audit expands) are recorded per
+    formula, never raised. Sheet names in references match
+    case-insensitively; every link carries the workbook's own spelling of
+    its sheet name, or a name's spelling of a sheet the workbook lacks.
     """
     graph = DependencyGraph([s.name for s in workbook.sheets],
-                            {name: formula_facts(ast).refs
-                             for name, ast in workbook.defined_names.items()})
+                            {name: RefPlan(ast) for name, ast in workbook.defined_names.items()})
     for sheet in workbook.sheets:
         for addr, cell in sheet.populated():
             info = NodeInfo(kind=cell.content.kind)
@@ -450,67 +454,54 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                     info.interpreted_output_shape = (  # the punch-line repeater
                         top.name == "IF" and cls.produces_text and bool(cls.facts.refs))
                 elif isinstance(top, CellRef):  # the plan's one reference
-                    row, col, _, _ = cls.plan.boxes(addr.row, addr.col)[0]
-                    home = graph.spelling(addr.sheet if top.sheet is None else top.sheet)
+                    ref_sheet, (row, col, _, _), _ = cls.plan.placed(*addr)[0]
+                    home = graph.spelling(ref_sheet)
                     if home and (target := CellAddress(home, row, col)) != addr:
                         info.bare_ref = target
             graph.nodes[addr] = info
 
     budget = MAX_EXPANDED_CELLS  # spent in reading order, so the refusals are deterministic
 
-    def link(dependent: CellAddress, sheet: str, box: Box, origin: str | None,
-             is_range: bool, problems: list[str], found: list[Link]) -> None:
-        """Add the link of one reference of ``dependent`` to ``found``, with a
-        blank node for each cell of ``box`` that holds nothing."""
+    def link(dependent: CellAddress, plan: RefPlan, row: int, col: int, name: str | None,
+             problems: list[str], found: list[Link]) -> None:
+        """Add to ``found`` the link of each reference of ``plan`` in its copy
+        at ``(row, col)``: a formula's own at its cell, a defined name's at
+        ``(0, 0)`` with ``name`` as origin."""
         nonlocal budget
-        size = box_area(box)
-        if is_range:
-            if size > MAX_RANGE_CELLS:
-                problems.append(f"range too large to expand ({size} cells)")
-                return
-            if size > budget:
-                problems.append(f"range too large to expand ({size} cells; {budget} of "
-                                f"the audit's {MAX_EXPANDED_CELLS} left)")
-                return
-            budget -= size
-        if graph.populated_count(sheet, box) < size:  # else no cell to visit
-            graph.partly_blank.add(dependent)
-            for cell in box_cells(sheet, box):
-                if cell not in graph.nodes:
-                    graph.nodes[cell] = NodeInfo(kind=CellKind.EMPTY, blank=True)
-        found.append(Link(origin, sheet, box))
-
-    sheets: dict[CopyClass, list[str | None]] = {}  # per class, each reference's sheet
-    for addr, content in workbook.formulas():
-        cls, row, col = content.copy
-        plan = cls.plan
-        resolved = sheets.get(cls)
-        if resolved is None:
-            resolved = sheets[cls] = [graph.spelling(addr.sheet if ref[0] is None else ref[0])
-                                      for ref in plan.refs]
-        problems: list[str] = []
-        found: list[Link] = []
-        for ref, sheet, box in zip(plan.refs, resolved, plan.boxes(row, col)):
-            if sheet is None:
-                problems.append(f"unknown sheet {ref[0]!r}")
-            elif ref[10] is None:  # a cell reference: no end corner
-                link(addr, sheet, box, None, False, problems, found)
-            else:
-                link(addr, sheet, box, plan.ref_text(ref, row, col), True, problems, found)
-        for node in cls.facts.names:  # after the formula's own, in budget order
-            refs = graph.defined_names.get(node.name.upper())
-            if refs is None:
-                problems.append(f"unknown name {node.name!r}")
-                continue
-            for ref in refs:
-                is_range = isinstance(ref, RangeRef)
-                first = ref.start if is_range else ref
-                ref_sheet = first.sheet if first.sheet is not None else addr.sheet
+        for sheet, box, entry in plan.placed(dependent.sheet, row, col):
+            home = graph.spelling(sheet)
+            if home is None:
+                if name is None:
+                    problems.append(f"unknown sheet {sheet!r}")
+                    continue
                 # a name may point at a sheet the workbook lacks: its links
                 # go there, and so are cross-sheet only
-                link(addr, graph.spelling(ref_sheet) or ref_sheet,
-                     ref.box if is_range else (ref.row, ref.col, ref.row, ref.col),
-                     node.name, is_range, problems, found)
+                home = sheet
+            size = box_area(box)
+            if entry is not None:  # a range
+                if size > MAX_RANGE_CELLS:
+                    problems.append(f"range too large to expand ({size} cells)")
+                    continue
+                if size > budget:
+                    problems.append(f"range too large to expand ({size} cells; {budget} of "
+                                    f"the audit's {MAX_EXPANDED_CELLS} left)")
+                    continue
+                budget -= size
+            if graph.populated_count(home, box) < size:
+                graph.partly_blank.add(dependent)
+            found.append(Link(name or (entry and plan.ref_text(entry, row, col)), home, box))
+
+    for addr, content in workbook.formulas():
+        cls, row, col = content.copy
+        problems: list[str] = []
+        found: list[Link] = []
+        link(addr, cls.plan, row, col, None, problems, found)
+        for node in cls.facts.names:  # after the formula's own, in budget order
+            plan = graph.defined_names.get(node.name.upper())
+            if plan is None:
+                problems.append(f"unknown name {node.name!r}")
+            else:
+                link(addr, plan, 0, 0, node.name, problems, found)
         if found:
             graph.links[addr] = disjoint_links(found)
         if problems:
@@ -660,15 +651,14 @@ def resolve_bottom_line(graph: DependencyGraph,
     """Resolve the configured bottom line, or fall back to conventions.
 
     Order: explicit addresses and defined names from the config (see
-    ``explicit_bottom_line``); then solver-objective names (WBMAX/WBMIN);
-    then any sink formula whose precedence tree covers at least half of the
-    numeric cells.
+    ``explicit_bottom_line``), which turn the fallbacks off even when they
+    name no cell; then solver-objective names (WBMAX/WBMIN); then any sink
+    formula whose precedence tree covers at least half of the numeric cells.
     """
     resolved: set[CellAddress] = set()
-    for cells in explicit_bottom_line(graph, config).values():
-        resolved |= cells
-    if resolved:
-        return resolved
+    explicit = explicit_bottom_line(graph, config)
+    if explicit:
+        return resolved.union(*explicit.values())
 
     for objective_name in ("WBMAX", "WBMIN"):
         if objective_name in graph.defined_names:
@@ -694,13 +684,15 @@ def resolve_bottom_line(graph: DependencyGraph,
 
 def classify_graph(graph: DependencyGraph,
                    config: AuditConfig) -> dict[CellAddress, CellGraphClass]:
-    """Set the per-node flags: spurious, dangling, perverse target, cycle, bottom line.
+    """Set the flags of each node and blank cell: spurious, dangling,
+    perverse target, cycle, bottom line. Every blank cell is a perverse target.
 
     Solver-constraint calls (default: WB) are never dangling; the solver
     reads them even though no cell does. Referenced constants whose every
     dependent is a dangling formula are flagged as unused input.
     """
     classes = {addr: CellGraphClass() for addr in graph.nodes}
+    classes.update((addr, CellGraphClass(perverse_target=True)) for addr in graph.blank)
 
     for cycle in graph.cycles:
         for addr in cycle:
@@ -713,8 +705,6 @@ def classify_graph(graph: DependencyGraph,
 
     referenced = graph.referenced
     for addr, info in graph.nodes.items():
-        if info.blank and addr in referenced:
-            classes[addr].perverse_target = True
         if info.kind is not CellKind.FORMULA:
             continue
         # self-references never set bare_ref, so 1-cycles stay unflagged here
@@ -765,8 +755,7 @@ def export_dot(graph: DependencyGraph,
     ``\\`` and ``"`` with a backslash.
     """
     classes = classes or {}
-    participating = set(graph.links)
-    participating.update(graph.referenced)
+    participating = {*graph.links, *graph.referenced, *graph.blank}
     participating.update(addr for addr, cls in classes.items() if cls.any_flag)
     # The sheet name only orders cells on sheets the workbook lacks, which
     # defined names can point at; they all share one sheet index.
@@ -793,7 +782,7 @@ def export_dot(graph: DependencyGraph,
                 attrs.append('color="orange"')
             if cls.dangling:
                 attrs.append('color="red"')
-            if cls.perverse_target or (addr in graph.nodes and graph.nodes[addr].blank):
+            if cls.perverse_target:
                 attrs.append('style="dashed"')
                 attrs.append('color="grey"')
             if cls.bottom_line:
@@ -820,5 +809,5 @@ def export_dot(graph: DependencyGraph,
         # within a sheet the ranks follow reading order, so d <= p is backward
         lines.extend([f'{head}{ids[d]}"{_DASHED if d <= p and order[d].sheet == sheet else ""};'
                       for d in ds])
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)

@@ -128,7 +128,7 @@ class Analysis:
         named += [("flow_exempt", entry, cells) for entry, cells in self.flow_exempt]
         return self.workbook.load_notices + [
             f"{what} {entry!r} resolves to no cell" for what, entry, cells in named
-            if not any(addr in self.graph.nodes for addr in cells)]
+            if not any(addr in self.graph.nodes or addr in self.graph.blank for addr in cells)]
 
     @cached_property
     def class_counts(self) -> dict[str, Counter[NumericCellClass]]:
@@ -330,7 +330,7 @@ def _r06_perverse(ctx: Analysis, sheets) -> Iterator[tuple]:
                 blank = size - sum(graph.populated_count(sheet, box) for sheet, box in pieces)
                 if blank and (origin is None or blank == size):
                     blanks.extend(p for sheet, box in pieces for p in box_cells(sheet, box)
-                                  if graph.nodes[p].blank)
+                                  if p not in graph.nodes)
         if blanks:
             blanks.sort(key=graph.addr_key)
             yield (addr.sheet, addr,
@@ -609,8 +609,7 @@ def _r24_ref_order(ctx: Analysis, sheets) -> Iterator[tuple]:
         plan = cls.plan
         entry = verdicts.get(cls)
         if entry is None:
-            indexes = [graph.sheet_index(addr.sheet if ref[0] is None else ref[0])
-                       for ref in plan.refs]
+            indexes = [graph.sheet_index(sheet) for sheet, _, _ in plan.placed(addr.sheet, 0, 0)]
             entry = verdicts[cls] = indexes, (
                 None if plan.anchored else _out_of_order(indexes, plan.boxes(0, 0)))
         indexes, verdict = entry

@@ -299,9 +299,8 @@ def _alias_pattern(plans: Iterable[RefPlan], row: int, col: int, sheet: str) -> 
     slots: list[int] = []
     shapes: list[tuple[int, int]] = []
     for plan in plans:
-        for ref, (top, left, bottom, right) in zip(plan.refs, plan.boxes(row, col)):
-            where = sheet if ref[0] is None else ref[0]
-            if ref[10] is not None:  # a range: it has an end corner
+        for where, (top, left, bottom, right), entry in plan.placed(sheet, row, col):
+            if entry is not None:  # a range
                 shapes.append((bottom - top + 1, right - left + 1))
             for r in range(top, bottom + 1):
                 for c in range(left, right + 1):
@@ -497,9 +496,8 @@ def _nested_text(source: CellAddress, target: CellAddress, plan: RefPlan,
     ``target``'s tree shifted by ``shift``, covers ``source`` (checked before
     ``ast_of`` is read: a copy member builds its tree on first read), or the
     text is over ``max_len`` or does not parse."""
-    for ref, (top, left, bottom, right) in zip(plan.refs, plan.boxes(*shift)):
-        sheet = target.sheet if ref[0] is None else ref[0]
-        if (ref[10] is not None and sheet.lower() == source.sheet.lower()
+    for sheet, (top, left, bottom, right), entry in plan.placed(target.sheet, *shift):
+        if (entry is not None and sheet.lower() == source.sheet.lower()
                 and top <= source.row <= bottom and left <= source.col <= right):
             return None  # a range covers it
     combined = _substitute(ast_of(target), target.sheet, source, ast_of(source))

@@ -23,6 +23,7 @@ from sheetlint.formula import (
     RangeRef,
     StringLit,
     UnaryOp,
+    formula_facts,
     map_refs,
     parse_formula,
     print_formula,
@@ -543,11 +544,12 @@ def is_backward(precedent: CellAddress, dependent: CellAddress) -> bool:
     return precedent.col >= dependent.col
 
 
-def expanded_precedents(graph, dependent: CellAddress, content) -> dict:
+def expanded_precedents(graph, dependent: CellAddress, content, defined_names) -> dict:
     """``dependent``'s precedents from its formula's references, expanded
     cell by cell in link order, each cell keeping the first origin: what
-    ``precedents_of`` must give. ``content`` is the cell's
-    formula; unresolvable references are skipped as the graph skips them."""
+    ``precedents_of`` must give. ``content`` is the cell's formula and
+    ``defined_names`` the workbook's, each name's references read from its
+    tree; unresolvable references are skipped as the graph skips them."""
     out: dict = {}
 
     def add(refs, name):
@@ -566,8 +568,9 @@ def expanded_precedents(graph, dependent: CellAddress, content) -> dict:
 
     facts = member_facts(content)
     add(facts.refs, None)
+    names = {name.upper(): formula_facts(ast).refs for name, ast in defined_names.items()}
     for node in facts.names:
-        refs = graph.defined_names.get(node.name.upper())
+        refs = names.get(node.name.upper())
         if refs is not None:
             add(refs, node.name)
     return out
@@ -658,8 +661,7 @@ def reference_r06(ctx, sheets):
     for addr in ctx.graph.formula_cells():
         blanks = []
         for origin, precedents in grouped_precedents(ctx.graph, addr).items():
-            blank = [p for p in precedents
-                     if p in ctx.graph.nodes and ctx.graph.nodes[p].blank]
+            blank = [p for p in precedents if p not in ctx.graph.nodes]
             if not blank:
                 continue
             if origin is not None and len(blank) < len(precedents):
@@ -684,7 +686,7 @@ def reference_r23(ctx, sheets):
         if precedents:
             total[d.sheet] += len(precedents)
             into_formulas[d.sheet] += sum(
-                1 for p in precedents if nodes[p].kind is CellKind.FORMULA)
+                1 for p in precedents if p in nodes and nodes[p].kind is CellKind.FORMULA)
     for sheet in ctx.workbook.sheets:
         name = sheet.name
         if total[name] and into_formulas[name]:

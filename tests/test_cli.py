@@ -210,6 +210,26 @@ def test_bottom_line_on_a_constant_name_gives_a_notice(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)[0]["notices"] == [
         "bottom line 'Rate' resolves to no cell"]
 
+
+def test_bottom_line_on_no_cell_turns_the_fallbacks_off(tmp_path, capsys):
+    # Each entry names no cell, with a sheet, without one, or as a constant
+    # name, yet it is an explicit bottom line: the coverage fallback does
+    # not pick B1, so B1 dangles and nothing live reads A1 or A2.
+    text = tmp_path / "model.wb"
+    text.write_text("[sheet S]\nA1 num 1\nA2 num 2\nB1 formula =A1+A2\n", encoding="utf-8")
+    xlsx = build_xlsx(tmp_path / "model.xlsx",
+                      {"S": {"A1": {"n": "1"}, "A2": {"n": "2"}, "B1": {"f": "A1+A2"}}},
+                      defined_names={"Rate": "0.05"})
+    for path, entry in ((text, "S!Z99"), (text, "Z99"), (xlsx, "Rate")):
+        main([str(path), "--bottom-line", entry, "--format", "json"])
+        report = json.loads(capsys.readouterr().out)[0]
+        assert report["notices"] == [f"bottom line '{entry}' resolves to no cell"], entry
+        assert [(d["cell"], d["message"].split(":")[0]) for d in report["diagnostics"]
+                if d["rule"] == "R05"] == [("A1", "dangling cell (unused-input)"),
+                                           ("B1", "dangling cell (intermediate)"),
+                                           ("A2", "dangling cell (unused-input)")], entry
+
+
 def _audit_with_flow_exempt(tmp_path, entry, *args):
     path = tmp_path / "model.wb"
     path.write_text("[sheet Model]\nA1 formula =B2\nB2 num 1\n", encoding="utf-8")

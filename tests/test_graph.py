@@ -254,9 +254,22 @@ def test_blank_reference_becomes_perverse_node():
     text = "[sheet S]\nB1 formula =A1*2\n"
     graph = build_graph(wb_from(text))
     blank = addr("S", "A1")
-    assert blank in graph.nodes and graph.nodes[blank].blank
+    assert blank not in graph.nodes and graph.blank == {blank}
     classes = classify_graph(graph, AuditConfig())
     assert classes[blank].perverse_target
+
+
+def test_entries_without_a_sheet_name_a_referenced_blank_cell():
+    # A1 holds nothing but B1 reads it: as a bottom line and as a flow
+    # exemption, "A1" names S!A1, which is no node but a blank cell
+    wb = wb_from("[sheet S]\nB1 formula =A1*2\n")
+    result = audit_workbook(wb, AuditConfig(bottom_line=("A1",), flow_exempt=("A1",)))
+    blank = addr("S", "A1")
+    assert result.graph.named_cells("A1") == {blank}
+    assert result.report.notices == []
+    assert result.graph_classes[blank].bottom_line
+    assert ('  "S_A1" [label="S!A1", style="dashed", color="grey", shape="doubleoctagon"];'
+            in export_dot(result.graph, result.graph_classes).splitlines())
 
 
 def test_unknown_sheet_recorded_not_raised():
@@ -428,7 +441,7 @@ def _reference_export_dot(graph, classes=None):
                 attrs.append('color="orange"')
             if cls.dangling:
                 attrs.append('color="red"')
-            if cls.perverse_target or (a in graph.nodes and graph.nodes[a].blank):
+            if cls.perverse_target or a in graph.blank:
                 attrs.append('style="dashed"')
                 attrs.append('color="grey"')
             if cls.bottom_line:
@@ -592,24 +605,24 @@ def test_cycles_do_not_depend_on_insertion_order(seed):
     extra = rng.randint(0, 6) if formulas else 0
     for _ in range(extra):  # extra arcs between formulas close cycles
         precedents[rng.choice(formulas)].append(rng.choice(formulas))
-    cells = list(built.nodes)
+    cells = list(built.nodes) + built.blank_nodes()
     moved = cells[:]
     rng.shuffle(moved)
 
     def rebuilt(place, order):
-        # every node at place[node], each formula one direct reference per
-        # precedent, in order(list); build_graph then visits the nodes and
-        # links in the order of the places
+        # every node and blank cell at place[cell], each formula one direct
+        # reference per precedent, in order(list); build_graph then visits
+        # the nodes and links in the order of the places
         book = Workbook()
         sheet = book.add_sheet("S")
-        for cell, info in built.nodes.items():
+        for cell in built.nodes:
             row, col = place[cell].row, place[cell].col
             if cell in precedents:
                 refs = [place[p].a1() for p in precedents[cell]]
                 order(refs)
                 text = "=" + "+".join(refs)
                 sheet.set_formula(row, col, formula.parse_formula(text))
-            elif not info.blank:
+            else:
                 sheet.set_cell(row, col, wb.sheets[0].content_at(cell.row, cell.col))
         return build_graph(book)
 

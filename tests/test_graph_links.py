@@ -27,8 +27,10 @@ from helpers import (
 
 from sheetlint.config import AuditConfig
 from sheetlint.graph import (
+    CellGraphClass,
     DependencyGraph,
     build_graph,
+    classify_graph,
     export_dot,
     find_cycles,
     resolve_bottom_line,
@@ -57,7 +59,7 @@ def test_links_give_what_the_per_arc_bodies_gave(seed, coverage, limit):
     wb = gen_linked_workbook(random.Random(seed))
     graph = build_graph(wb)
     for addr, content in wb.formulas():
-        expected = expanded_precedents(graph, addr, content)
+        expected = expanded_precedents(graph, addr, content, wb.defined_names)
         assert list(precedents_of(graph, addr).items()) == list(expected.items()), addr
     assert graph.cycles == find_cycles(graph) == reference_find_cycles(graph)
     config = AuditConfig(bottom_line_coverage=coverage, long_arc_distance=limit,
@@ -77,6 +79,22 @@ def test_links_give_what_the_per_arc_bodies_gave(seed, coverage, limit):
         assert (addr in referenced) == bool(dependents)
     edges = [line for line in export_dot(graph, ctx.classes).splitlines() if " -> " in line]
     assert len(edges) == len(graph.arcs)
+
+
+@given(st.integers(min_value=0, max_value=1_000_000))
+@settings(max_examples=100, deadline=None)
+def test_nodes_are_the_populated_cells_and_blank_cells_come_from_the_links(seed):
+    wb = gen_linked_workbook(random.Random(seed))
+    graph = build_graph(wb)
+    populated = {addr for sheet in wb.sheets for addr, _ in sheet.populated()}
+    assert set(graph.nodes) == populated
+    read = {cell for addr, content in wb.formulas()
+            for cell in expanded_precedents(graph, addr, content, wb.defined_names)}
+    assert graph.blank == read - populated
+    assert graph.blank_nodes() == sorted(graph.blank, key=graph.addr_key)
+    classes = classify_graph(graph, AuditConfig())
+    for cell in graph.blank:
+        assert classes[cell] == CellGraphClass(perverse_target=True), cell
 
 
 def test_a_range_over_a_direct_reference_keeps_the_first_origin():

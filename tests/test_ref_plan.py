@@ -38,6 +38,10 @@ def _assert_plan_is_per_member(cls, row: int, col: int) -> None:
     plan = cls.plan
     shifted = [shift_ref(ref, row, col) for ref in cls.facts.refs]
     assert plan.boxes(row, col) == [_box(ref) for ref in shifted]
+    # each reference's sheet as written, else the host's, and whether it is a range
+    assert [(sheet, entry is not None) for sheet, _, entry in plan.placed("Host", row, col)] == [
+        ((ref.start if isinstance(ref, RangeRef) else ref).sheet or "Host",
+         isinstance(ref, RangeRef)) for ref in shifted]
     assert plan.in_grid(row, col) == _in_grid(shifted)
     if _in_grid(shifted):  # a member off the grid is never printed
         assert plan.text(row, col) == print_formula(cls.ast_at(row, col))
