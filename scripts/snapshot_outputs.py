@@ -8,8 +8,11 @@ model_xlsx, range_web and batch_small generated at seeds 1 and 4242, runs
 ``python -m sheetlint --format json|dot|text`` with this checkout's ``src``
 and writes stdout to ``OUTDIR/<case>.<format>``. Each fixture also runs
 with a config that overrides the severity of several rules (case
-``fixture-<name>-severities``) and with a ``--rules`` subset (case
-``fixture-<name>-rules``). The exit codes go to
+``fixture-<name>-severities``), with a ``--rules`` subset (case
+``fixture-<name>-rules``) and with an explicit bottom line of two
+addresses, one that names no cell (case ``fixture-<name>-bottom-line``:
+the fallbacks off, the "resolves to no cell" notice, DOT's bottom-line
+shape). The exit codes go to
 ``OUTDIR/exit_codes.txt``. Inputs are passed by relative path from their own
 directory, so the output does not depend on where the checkout lives. A
 change that should keep behaviour is checked with
@@ -39,6 +42,7 @@ SEVERITIES = ("severity_R01=info\nseverity_R02=error\nseverity_R03=warning\n"
               "severity_R05=error\nseverity_R12=error\nseverity_R13=info\n"
               "severity_R24=warning\n")
 RULE_SUBSET = "R01,R02,R12,R13,R20"
+BOTTOM_LINE = "A1,Z99"  # A1 on every sheet that holds or reads it; Z99 on none
 
 
 def _load_gen():
@@ -72,7 +76,8 @@ def main(argv: list[str]) -> int:
         config = Path(tmp) / "severities.cfg"
         config.write_text(SEVERITIES)
         variants = (("", []), ("-severities", ["--config", str(config)]),
-                    ("-rules", ["--rules", RULE_SUBSET]))
+                    ("-rules", ["--rules", RULE_SUBSET]),
+                    ("-bottom-line", ["--bottom-line", BOTTOM_LINE]))
         for fixture in sorted(FIXTURES.glob("*.wb")):
             if fixture.name not in SKIP:
                 for suffix, options in variants:

@@ -30,19 +30,14 @@ class NodeInfo:
     interpreted_output_shape: bool = False
 
 
-@dataclass(slots=True)
-class CellGraphClass:
-    spurious: bool = False
-    dangling: bool = False
-    dangling_kind: str | None = None
-    perverse_target: bool = False
-    on_cycle: bool = False
-    bottom_line: bool = False
+class GraphClasses(NamedTuple):
+    """What ``classify_graph`` decides. ``bottom_line`` holds the bottom-line
+    cells that are a node or ``blank``; ``dangling`` maps each dangling cell
+    to its kind. Cycles, spurious cells and blank targets are read from the
+    graph: ``cycles``, ``NodeInfo.bare_ref`` and ``blank``."""
 
-    @property
-    def any_flag(self) -> bool:
-        return (self.spurious or self.dangling or self.perverse_target
-                or self.on_cycle or self.bottom_line)
+    bottom_line: set[CellAddress]
+    dangling: dict[CellAddress, str]
 
 
 class Link(NamedTuple):
@@ -222,6 +217,7 @@ class DependencyGraph:
         self.links: dict[CellAddress, list[Link]] = {}
         self.unresolved: dict[CellAddress, list[str]] = {}
         self.partly_blank: set[CellAddress] = set()
+        self._named: dict[str, frozenset[CellAddress]] = {}  # named_cells' answers
 
     @property
     def arcs(self) -> set[tuple[CellAddress, CellAddress]]:
@@ -243,25 +239,34 @@ class DependencyGraph:
         i = self._sheet_index.get(sheet.lower())
         return None if i is None else self.sheet_order[i]
 
-    def named_cells(self, entry: str) -> set[CellAddress]:
-        """The cells an entry names. A defined name names the top-left cell of
-        its formula's first reference, or none if it has no reference; else
-        the entry must be an A1 address (AddressParseError if not). With a
-        sheet, matched case-insensitively, that is one cell; without, that
-        cell on every sheet where it is a node or ``blank``."""
+    def named_cells(self, entry: str) -> frozenset[CellAddress]:
+        """The cells an entry names, found once per entry. A defined name
+        names the top-left cell of its formula's first reference, or none if
+        it has no reference; else the entry must be an A1 address
+        (AddressParseError if not). With a sheet, matched case-insensitively,
+        that is one cell; without, that cell on every sheet where it is a
+        node or ``blank``."""
+        cells = self._named.get(entry)
+        if cells is not None:
+            return cells
         plan = self.defined_names.get(entry.upper())
         if plan is None:
             addr = parse_a1(entry)
         elif not plan.refs:
-            return set()
+            addr = None
         else:
             sheet, (top, left, _, _), _ = plan.placed("", 0, 0)[0]
             addr = CellAddress(sheet, top, left)
-        if addr.sheet:
-            return {CellAddress(self.spelling(addr.sheet) or addr.sheet, addr.row, addr.col)}
-        return {cell for sheet in self.sheet_order
-                if (cell := CellAddress(sheet, addr.row, addr.col)) in self.nodes
-                or cell in self.blank}
+        if addr is None:
+            found: Iterable[CellAddress] = ()
+        elif addr.sheet:
+            found = (CellAddress(self.spelling(addr.sheet) or addr.sheet, addr.row, addr.col),)
+        else:
+            found = (cell for sheet in self.sheet_order
+                     if (cell := CellAddress(sheet, addr.row, addr.col)) in self.nodes
+                     or cell in self.blank)
+        cells = self._named[entry] = frozenset(found)
+        return cells
 
     def addr_key(self, addr: CellAddress) -> tuple[int, int, int]:
         return (self.sheet_index(addr.sheet), addr.row, addr.col)
@@ -682,44 +687,20 @@ def resolve_bottom_line(graph: DependencyGraph,
     return resolved
 
 
-def classify_graph(graph: DependencyGraph,
-                   config: AuditConfig) -> dict[CellAddress, CellGraphClass]:
-    """Set the flags of each node and blank cell: spurious, dangling,
-    perverse target, cycle, bottom line. Every blank cell is a perverse target.
+def classify_graph(graph: DependencyGraph, config: AuditConfig) -> GraphClasses:
+    """The bottom line and the dangling cells, each with its kind.
 
     Solver-constraint calls (default: WB) are never dangling; the solver
     reads them even though no cell does. Referenced constants whose every
-    dependent is a dangling formula are flagged as unused input.
+    dependent is a dangling formula are flagged as unused input, after the
+    dangling formulas.
     """
-    classes = {addr: CellGraphClass() for addr in graph.nodes}
-    classes.update((addr, CellGraphClass(perverse_target=True)) for addr in graph.blank)
-
-    for cycle in graph.cycles:
-        for addr in cycle:
-            classes[addr].on_cycle = True
-
     bottom = resolve_bottom_line(graph, config)
-    for addr in bottom:
-        if addr in classes:
-            classes[addr].bottom_line = True
-
     referenced = graph.referenced
-    for addr, info in graph.nodes.items():
-        if info.kind is not CellKind.FORMULA:
-            continue
-        # self-references never set bare_ref, so 1-cycles stay unflagged here
-        if info.bare_ref is not None:
-            classes[addr].spurious = True
-        if addr in referenced:
-            continue
-        if addr in bottom:
-            continue
-        if info.top_function in config.solver_functions:
-            continue
-        classes[addr].dangling = True
-        classes[addr].dangling_kind = ("interpreted-output"
-                                       if info.interpreted_output_shape
-                                       else "intermediate")
+    dangling = {addr: "interpreted-output" if info.interpreted_output_shape else "intermediate"
+                for addr, info in graph.nodes.items()
+                if info.kind is CellKind.FORMULA and addr not in referenced
+                and addr not in bottom and info.top_function not in config.solver_functions}
 
     # Unused inputs: a dangling formula has no dependents, so a constant's
     # dependents are as far forward as any of its paths goes, and it is
@@ -727,12 +708,10 @@ def classify_graph(graph: DependencyGraph,
     unused = [addr for addr, info in graph.nodes.items()
               if info.kind in _CONSTANT_KINDS and addr in referenced]
     if unused:
-        live = graph.covered_by(d for d in graph.links if not classes[d].dangling)
-        for addr in unused:
-            if addr not in live:
-                classes[addr].dangling = True
-                classes[addr].dangling_kind = "unused-input"
-    return classes
+        live = graph.covered_by(d for d in graph.links if d not in dangling)
+        dangling.update((addr, "unused-input") for addr in unused if addr not in live)
+    return GraphClasses({addr for addr in bottom if addr in graph.nodes or addr in graph.blank},
+                        dangling)
 
 
 _DASHED = ' [style="dashed"]'
@@ -743,20 +722,19 @@ def _dot_id(addr: CellAddress) -> str:
     return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in raw)
 
 
-def export_dot(graph: DependencyGraph,
-               classes: dict[CellAddress, CellGraphClass] | None = None) -> str:
+def export_dot(graph: DependencyGraph, classes: GraphClasses) -> str:
     """Render the precedence graph in DOT, one edge per cell of each link.
 
-    Only cells on at least one arc plus flagged cells appear. Spurious cells
-    are orange, dangling red, blank targets grey dashed; backward arcs are
-    dashed. Nodes come in workbook order (sheet, row, column) and arcs by
-    precedent then dependent in that order. A node whose id is already taken
-    by an earlier node gets the suffix ``_2``, ``_3``, ... Labels escape
-    ``\\`` and ``"`` with a backslash.
+    Only cells on at least one arc plus dangling and bottom-line cells
+    appear. Spurious cells are orange, dangling red, blank targets grey
+    dashed; backward arcs are dashed. Nodes come in workbook order (sheet,
+    row, column) and arcs by precedent then dependent in that order. A node
+    whose id is already taken by an earlier node gets the suffix ``_2``,
+    ``_3``, ... Labels escape ``\\`` and ``"`` with a backslash.
     """
-    classes = classes or {}
-    participating = {*graph.links, *graph.referenced, *graph.blank}
-    participating.update(addr for addr, cls in classes.items() if cls.any_flag)
+    # a spurious cell or one on a cycle has links, so it is in already
+    participating = {*graph.links, *graph.referenced, *graph.blank, *classes.dangling,
+                     *classes.bottom_line}
     # The sheet name only orders cells on sheets the workbook lacks, which
     # defined names can point at; they all share one sheet index.
     order = sorted(participating,
@@ -776,17 +754,16 @@ def export_dot(graph: DependencyGraph,
         label = f"{addr.sheet}!{addr.a1()}" if addr.sheet else addr.a1()
         label = label.replace("\\", "\\\\").replace('"', '\\"')
         attrs = [f'label="{label}"']
-        cls = classes.get(addr)
-        if cls is not None:
-            if cls.spurious:
-                attrs.append('color="orange"')
-            if cls.dangling:
-                attrs.append('color="red"')
-            if cls.perverse_target:
-                attrs.append('style="dashed"')
-                attrs.append('color="grey"')
-            if cls.bottom_line:
-                attrs.append('shape="doubleoctagon"')
+        info = graph.nodes.get(addr)
+        if info is not None and info.bare_ref is not None:
+            attrs.append('color="orange"')
+        if addr in classes.dangling:
+            attrs.append('color="red"')
+        if addr in graph.blank:
+            attrs.append('style="dashed"')
+            attrs.append('color="grey"')
+        if addr in classes.bottom_line:
+            attrs.append('shape="doubleoctagon"')
         lines.append(f'  "{node_id}" [{", ".join(attrs)}];')
     # Every cell of a link is a node here, so one column of a piece is one
     # slice of the column's ranks. The pieces of one dependent's links are

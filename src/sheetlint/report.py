@@ -12,8 +12,8 @@ from typing import Iterable, Iterator
 
 from . import __version__
 from .config import AuditConfig, Severity
-from .graph import CellGraphClass, DependencyGraph, export_dot
-from .model import CellAddress, NumericCellClass, Workbook, quote_sheet
+from .graph import DependencyGraph, GraphClasses, export_dot
+from .model import NumericCellClass, Workbook, quote_sheet
 from .rules import Analysis, Diagnostic, SkippedRule
 
 
@@ -47,7 +47,7 @@ class Report:
 class AuditResult:
     report: Report
     graph: DependencyGraph
-    graph_classes: dict[CellAddress, CellGraphClass]
+    graph_classes: GraphClasses
 
 
 def audit_workbook(workbook: Workbook, config: AuditConfig | None = None,

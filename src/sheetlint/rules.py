@@ -18,7 +18,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .config import ALL_RULE_IDS, AuditConfig, Severity
 from .formula import CopyClass
-from .graph import (Box, CellGraphClass, DependencyGraph, box_area, box_cells, build_graph,
+from .graph import (Box, DependencyGraph, GraphClasses, box_area, box_cells, build_graph,
                     classify_graph, explicit_bottom_line)
 from .layout import SheetLayout, Stacking, analyze_sheet
 from .model import (CellAddress, CellKind, NumericCellClass, Sheet, Workbook, classify_cells,
@@ -99,7 +99,7 @@ class Analysis:
                 for sheet in self.workbook.sheets}
 
     @cached_property
-    def classes(self) -> dict[CellAddress, CellGraphClass]:
+    def classes(self) -> GraphClasses:
         return classify_graph(self.graph, self.config)
 
     @cached_property
@@ -205,10 +205,10 @@ def _backward_cells(host: CellAddress, sheet: str, box: Box) -> Iterator[CellAdd
 def _r01_backward(ctx: Analysis, sheets) -> Iterator[tuple]:
     # A direct reference's cell is an offender; of a range or name, only the
     # first backward cell in reading order, so messages stay readable.
-    classes = ctx.classes
+    cyclic = {addr for cycle in ctx.graph.cycles for addr in cycle}
     exempt = set().union(*(cells for _, cells in ctx.flow_exempt))
     for addr in ctx.graph.formula_cells():
-        if addr in exempt or classes[addr].on_cycle:
+        if addr in exempt or addr in cyclic:
             continue
         offenders: list[CellAddress] = []
         firsts: dict[str, CellAddress] = {}
@@ -218,8 +218,7 @@ def _r01_backward(ctx: Analysis, sheets) -> Iterator[tuple]:
                     or bottom < addr.row or (bottom == addr.row and right < addr.col)):
                 continue
             for piece in link.parts:
-                bad = (p for p in _backward_cells(addr, link.sheet, piece)
-                       if not classes[p].on_cycle)
+                bad = (p for p in _backward_cells(addr, link.sheet, piece) if p not in cyclic)
                 if link.origin is None:
                     offenders.extend(bad)
                 elif (first := next(bad, None)) is not None:
@@ -288,14 +287,11 @@ def _r03_cross_sheet(ctx: Analysis, sheets) -> Iterator[tuple]:
 
 
 def _r04_spurious(ctx: Analysis, sheets) -> Iterator[tuple]:
-    for addr, cls in ctx.classes.items():
-        if not cls.spurious:
-            continue
-        target = ctx.graph.nodes[addr].bare_ref
-        assert target is not None
-        yield (addr.sheet, addr,
-               f"spurious cell: bare reference to {target.qualified()}",
-               (target,))
+    for addr, info in ctx.graph.nodes.items():
+        if (target := info.bare_ref) is not None:
+            yield (addr.sheet, addr,
+                   f"spurious cell: bare reference to {target.qualified()}",
+                   (target,))
 
 
 _DANGLING_NOTES = {
@@ -306,12 +302,8 @@ _DANGLING_NOTES = {
 
 
 def _r05_dangling(ctx: Analysis, sheets) -> Iterator[tuple]:
-    for addr, cls in ctx.classes.items():
-        if not cls.dangling:
-            continue
-        note = _DANGLING_NOTES.get(cls.dangling_kind or "intermediate")
-        yield (addr.sheet, addr,
-               f"dangling cell ({cls.dangling_kind}): {note}")
+    for addr, kind in ctx.classes.dangling.items():
+        yield (addr.sheet, addr, f"dangling cell ({kind}): {_DANGLING_NOTES[kind]}")
 
 
 def _r06_perverse(ctx: Analysis, sheets) -> Iterator[tuple]:

@@ -406,7 +406,7 @@ def unused_inputs_by_forward_search(graph, classes) -> set[CellAddress]:
     Only the formulas' dangling flags are read from ``classes``.
     """
     alive = {addr for addr, info in graph.nodes.items()
-             if info.kind is CellKind.FORMULA and not classes[addr].dangling}
+             if info.kind is CellKind.FORMULA and addr not in classes.dangling}
     unused = set()
     for addr, info in graph.nodes.items():
         if info.kind not in (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR):
@@ -597,14 +597,15 @@ def reference_r01(ctx, sheets):
     """R01 as it was written per arc, reading the expanding views."""
     from sheetlint.rules import _addr_list
     exempt = {cell for _, cells in ctx.flow_exempt for cell in cells}
+    cyclic = {cell for cycle in ctx.graph.cycles for cell in cycle}
     for addr in ctx.graph.formula_cells():
-        if addr in exempt or ctx.classes[addr].on_cycle:
+        if addr in exempt or addr in cyclic:
             continue
         offenders = []
         origins = set()
         for origin, precedents in grouped_precedents(ctx.graph, addr).items():
             bad = [p for p in precedents
-                   if p != addr and is_backward(p, addr) and not ctx.classes[p].on_cycle]
+                   if p != addr and is_backward(p, addr) and p not in cyclic]
             if not bad:
                 continue
             if origin is not None:

@@ -88,22 +88,19 @@ def test_same_row_left_is_forward_right_is_backward():
 def test_spurious_bare_reference():
     text = "[sheet S]\nA10 num 5\nB25 formula =A10\n"
     graph = build_graph(wb_from(text))
-    classes = classify_graph(graph, AuditConfig())
-    assert classes[addr("S", "B25")].spurious
     assert graph.nodes[addr("S", "B25")].bare_ref == addr("S", "A10")
 
 
 def test_double_reference_not_spurious():
     text = "[sheet S]\nA10 num 5\nB25 formula =A10+A10\n"
     graph = build_graph(wb_from(text))
-    classes = classify_graph(graph, AuditConfig())
-    assert not classes[addr("S", "B25")].spurious
+    assert graph.nodes[addr("S", "B25")].bare_ref is None
 
 
 def test_parenthesized_bare_reference_is_spurious():
     text = "[sheet S]\nA10 num 5\nB25 formula =(A10)\n"
     graph = build_graph(wb_from(text))
-    assert classify_graph(graph, AuditConfig())[addr("S", "B25")].spurious
+    assert graph.nodes[addr("S", "B25")].bare_ref == addr("S", "A10")
 
 
 def test_dangling_and_bottom_line():
@@ -116,9 +113,9 @@ C1 formula =A1*2
     graph = build_graph(wb_from(text))
     # explicit bottom line: C1 stays dangling, B1 is protected
     classes = classify_graph(graph, AuditConfig(bottom_line=("S!B1",)))
-    assert not classes[addr("S", "B1")].dangling
-    assert classes[addr("S", "C1")].dangling
-    assert classes[addr("S", "B1")].bottom_line
+    assert addr("S", "B1") not in classes.dangling
+    assert addr("S", "C1") in classes.dangling
+    assert addr("S", "B1") in classes.bottom_line
 
 
 def test_bottom_line_heuristic_covers_majority_sink():
@@ -130,8 +127,8 @@ B1 formula =SUM(A1:A3)
 """
     graph = build_graph(wb_from(text))
     classes = classify_graph(graph, AuditConfig())
-    assert classes[addr("S", "B1")].bottom_line
-    assert not classes[addr("S", "B1")].dangling
+    assert addr("S", "B1") in classes.bottom_line
+    assert addr("S", "B1") not in classes.dangling
 
 
 def test_solver_constraint_cells_not_dangling():
@@ -141,7 +138,7 @@ B1 formula =WB(A1,"<=",1)
 """
     graph = build_graph(wb_from(text))
     classes = classify_graph(graph, AuditConfig())
-    assert not classes[addr("S", "B1")].dangling
+    assert addr("S", "B1") not in classes.dangling
 
 
 def test_solver_function_names_match_in_any_case():
@@ -152,7 +149,7 @@ def test_solver_function_names_match_in_any_case():
     upper = AuditConfig(solver_functions=frozenset({"WB"}))
     assert lower == upper
     assert classify_graph(graph, lower) == classify_graph(graph, upper)
-    assert not classify_graph(graph, lower)[addr("S", "B1")].bottom_line
+    assert addr("S", "B1") not in classify_graph(graph, lower).bottom_line
 
 
 def test_unused_input_subcode():
@@ -167,9 +164,8 @@ C1 formula =B2*2
     # but a constant feeding only B1 would not.
     graph = build_graph(wb_from(text))
     classes = classify_graph(graph, AuditConfig(bottom_line=("S!C1",)))
-    assert classes[addr("S", "B1")].dangling
-    assert classes[addr("S", "B1")].dangling_kind == "intermediate"
-    assert not classes[addr("S", "A1")].dangling  # reaches C1 through B2
+    assert classes.dangling[addr("S", "B1")] == "intermediate"
+    assert addr("S", "A1") not in classes.dangling  # reaches C1 through B2
 
 
 def test_unused_input_constant_flagged():
@@ -181,9 +177,8 @@ B9 formula =A9*2
 """
     graph = build_graph(wb_from(text))
     classes = classify_graph(graph, AuditConfig(bottom_line=("S!B1",)))
-    assert classes[addr("S", "B9")].dangling
-    assert classes[addr("S", "A9")].dangling
-    assert classes[addr("S", "A9")].dangling_kind == "unused-input"
+    assert addr("S", "B9") in classes.dangling
+    assert classes.dangling[addr("S", "A9")] == "unused-input"
 
 
 # F1, the bottom line in most cases below, reads E1 and nothing A1 feeds
@@ -204,9 +199,9 @@ _UNUSED_BASE = "[sheet S]\nA1 num 1\nE1 num 5\nF1 formula =E1*2\n"
 def test_unused_input_is_one_step(cells, bottom, unused):
     graph = build_graph(wb_from(_UNUSED_BASE + cells))
     classes = classify_graph(graph, AuditConfig(bottom_line=(bottom,)))
-    a1 = classes[addr("S", "A1")]
-    assert (a1.dangling_kind == "unused-input") is unused
-    assert a1.dangling is unused
+    a1 = addr("S", "A1")
+    assert (classes.dangling.get(a1) == "unused-input") is unused
+    assert (a1 in classes.dangling) is unused
 
 
 @given(st.integers(min_value=0, max_value=100_000), st.booleans())
@@ -219,7 +214,7 @@ def test_unused_inputs_match_forward_search(seed, explicit_bottom):
     if explicit_bottom and graph.formula_cells():
         config = AuditConfig(bottom_line=(rng.choice(graph.formula_cells()).qualified(),))
     classes = classify_graph(graph, config)
-    flagged = {a for a, cls in classes.items() if cls.dangling_kind == "unused-input"}
+    flagged = {a for a, kind in classes.dangling.items() if kind == "unused-input"}
     assert flagged == unused_inputs_by_forward_search(graph, classes)
 
 
@@ -231,17 +226,16 @@ D3 num 1
 """
     graph = build_graph(wb_from(text))
     classes = classify_graph(graph, AuditConfig(bottom_line=("S!D49",)))
-    assert classes[addr("S", "D50")].dangling
-    assert classes[addr("S", "D50")].dangling_kind == "interpreted-output"
+    assert classes.dangling[addr("S", "D50")] == "interpreted-output"
 
 
 def test_bottom_line_address_sheet_case_uses_workbook_spelling():
     text = "[sheet Model]\nA1 num 1\nB1 formula =A1*2\nC1 formula =A1*3\n"
     graph = build_graph(wb_from(text))
     classes = classify_graph(graph, AuditConfig(bottom_line=("model!B1",)))
-    assert classes[addr("Model", "B1")].bottom_line
-    assert not classes[addr("Model", "B1")].dangling
-    assert classes[addr("Model", "C1")].dangling
+    assert addr("Model", "B1") in classes.bottom_line
+    assert addr("Model", "B1") not in classes.dangling
+    assert addr("Model", "C1") in classes.dangling
 
 
 def test_bottom_line_neither_name_nor_address_is_config_error():
@@ -256,7 +250,9 @@ def test_blank_reference_becomes_perverse_node():
     blank = addr("S", "A1")
     assert blank not in graph.nodes and graph.blank == {blank}
     classes = classify_graph(graph, AuditConfig())
-    assert classes[blank].perverse_target
+    assert blank in graph.blank and blank not in classes.dangling
+    assert ('  "S_A1" [label="S!A1", style="dashed", color="grey"];'
+            in export_dot(graph, classes).splitlines())
 
 
 def test_entries_without_a_sheet_name_a_referenced_blank_cell():
@@ -267,7 +263,7 @@ def test_entries_without_a_sheet_name_a_referenced_blank_cell():
     blank = addr("S", "A1")
     assert result.graph.named_cells("A1") == {blank}
     assert result.report.notices == []
-    assert result.graph_classes[blank].bottom_line
+    assert result.graph_classes.bottom_line == {blank}
     assert ('  "S_A1" [label="S!A1", style="dashed", color="grey", shape="doubleoctagon"];'
             in export_dot(result.graph, result.graph_classes).splitlines())
 
@@ -307,7 +303,7 @@ def test_self_reference_is_cycle_not_spurious():
     graph = build_graph(wb_from(text))
     cycles = find_cycles(graph)
     assert cycles == [[addr("S", "A1")]]
-    assert not classify_graph(graph, AuditConfig())[addr("S", "A1")].spurious
+    assert graph.nodes[addr("S", "A1")].bare_ref is None
 
 
 def test_two_cycle():
@@ -352,7 +348,8 @@ def test_export_dot_backward_arcs_dashed():
 
 
 def test_export_dot_empty_graph():
-    dot = export_dot(build_graph(Workbook()), {})
+    graph = build_graph(Workbook())
+    dot = export_dot(graph, classify_graph(graph, AuditConfig()))
     assert dot == "digraph sheetlint {\n}\n"
     assert_valid_dot(dot)
 
@@ -373,7 +370,8 @@ def test_export_dot_colliding_ids_get_suffixes():
 def test_export_dot_third_collision_counts_on():
     text = "".join(f"[sheet {name}]\nA1 num 1\nB1 formula =A1\n"
                    for name in ("a b", "a-b", "a_b"))
-    dot = export_dot(build_graph(wb_from(text)), {})
+    graph = build_graph(wb_from(text))
+    dot = export_dot(graph, classify_graph(graph, AuditConfig()))
     ids = [line.split('"')[1] for line in dot.splitlines() if "label=" in line]
     assert ids == ["a_b_A1", "a_b_B1", "a_b_A1_2", "a_b_B1_2", "a_b_A1_3", "a_b_B1_3"]
 
@@ -386,13 +384,15 @@ _DOT_LINE_RE = re.compile(
 def test_export_dot_escapes_quotes_and_backslashes_in_labels():
     wb = wb_from('[sheet Q1 "draft"]\nA1 num 1\nB1 formula =A1*2\n'
                  "[sheet back\\slash]\nA1 formula ='Q1 \"draft\"'!B1+1\n")
-    dot = export_dot(build_graph(wb))
+    graph = build_graph(wb)
+    dot = export_dot(graph, classify_graph(graph, AuditConfig()))
     lines = dot.splitlines()
     assert lines[0] == "digraph sheetlint {" and lines[-1] == "}"
     for line in lines[1:-1]:
         assert _DOT_LINE_RE.fullmatch(line), line
     assert '[label="Q1 \\"draft\\"!A1"]' in dot
-    assert '[label="back\\\\slash!A1"]' in dot
+    # the one sink reads every numeric cell, so it is the bottom line
+    assert '[label="back\\\\slash!A1", shape="doubleoctagon"]' in dot
 
 
 def test_reference_sheet_case_uses_workbook_spelling():
@@ -423,29 +423,29 @@ def test_bare_reference_sheet_case_is_self_reference():
     assert graph.nodes[addr("S", "A1")].bare_ref is None
 
 
-def _reference_export_dot(graph, classes=None):
+def _reference_export_dot(graph, classes):
     """The exporter as it was before the one-pass rewrite: one ``_dot_id`` per
-    arc end, arcs sorted by the ``addr_key`` of both ends."""
-    classes = classes or {}
+    arc end, arcs sorted by the ``addr_key`` of both ends. Each flag is read
+    from where it lives: spurious from ``bare_ref``, blank from the graph,
+    dangling and bottom line from ``classes``. A flagged cell appears even
+    when it is on no arc."""
     arcs = graph.arcs
+    spurious = {a for a, info in graph.nodes.items() if info.bare_ref is not None}
     participating = {a for arc in arcs for a in arc}
-    for a, cls in classes.items():
-        if cls.any_flag:
-            participating.add(a)
+    participating |= spurious | graph.blank | set(classes.dangling) | classes.bottom_line
+    participating.update(a for cycle in graph.cycles for a in cycle)
     lines = ["digraph sheetlint {"]
     for a in sorted(participating, key=graph.addr_key):
         attrs = [f'label="{a.sheet}!{a.a1()}"' if a.sheet else f'label="{a.a1()}"']
-        cls = classes.get(a)
-        if cls is not None:
-            if cls.spurious:
-                attrs.append('color="orange"')
-            if cls.dangling:
-                attrs.append('color="red"')
-            if cls.perverse_target or a in graph.blank:
-                attrs.append('style="dashed"')
-                attrs.append('color="grey"')
-            if cls.bottom_line:
-                attrs.append('shape="doubleoctagon"')
+        if a in spurious:
+            attrs.append('color="orange"')
+        if a in classes.dangling:
+            attrs.append('color="red"')
+        if a in graph.blank:
+            attrs.append('style="dashed"')
+            attrs.append('color="grey"')
+        if a in classes.bottom_line:
+            attrs.append('shape="doubleoctagon"')
         lines.append(f'  "{_dot_id(a)}" [{", ".join(attrs)}];')
     for p, d in sorted(arcs, key=lambda pd: (graph.addr_key(pd[0]),
                                              graph.addr_key(pd[1]))):
@@ -459,11 +459,12 @@ def test_export_dot_orders_arcs_added_out_of_order():
     # C3 links its precedents last to first, after A2 and B2 link A1
     graph = build_graph(wb_from("[sheet S]\nA1 num 1\nA2 formula =A1\nB2 formula =A1\n"
                                 "C3 formula =B2+A2+A1\n"))
-    edges = [line for line in export_dot(graph).splitlines() if "->" in line]
+    classes = classify_graph(graph, AuditConfig())
+    edges = [line for line in export_dot(graph, classes).splitlines() if "->" in line]
     assert edges == ['  "S_A1" -> "S_A2";', '  "S_A1" -> "S_B2";',
                      '  "S_A1" -> "S_C3";', '  "S_A2" -> "S_C3";',
                      '  "S_B2" -> "S_C3";']
-    assert export_dot(graph) == _reference_export_dot(graph)
+    assert export_dot(graph, classes) == _reference_export_dot(graph, classes)
 
 
 @given(st.integers(min_value=0, max_value=100_000))
@@ -473,7 +474,14 @@ def test_export_dot_matches_per_arc_reference(seed):
     graph = build_graph(wb)
     classes = classify_graph(graph, AuditConfig())
     assert export_dot(graph, classes) == _reference_export_dot(graph, classes)
-    assert export_dot(graph) == _reference_export_dot(graph)
+    # an explicit bottom line naming a node and, where there is one, a
+    # referenced blank cell
+    named = [next(iter(graph.nodes))] if graph.nodes else []
+    named += graph.blank_nodes()[:1]
+    config = AuditConfig(bottom_line=tuple(a.qualified() for a in named))
+    classes = classify_graph(graph, config)
+    assert classes.bottom_line == set(named)
+    assert export_dot(graph, classes) == _reference_export_dot(graph, classes)
 
 
 # --- randomized equivalence against ground truth -----------------------------------
@@ -496,9 +504,9 @@ def test_classification_matches_brute_force(seed):
     classes = classify_graph(graph, AuditConfig())
     flags, perverse = brute_force_classify(wb)
     for (row, col), expected in flags.items():
-        got = classes[CellAddress("S", row, col)]
-        assert got.spurious == expected["spurious"], (row, col)
-        assert got.dangling == expected["dangling"], (row, col)
+        cell = CellAddress("S", row, col)
+        assert (graph.nodes[cell].bare_ref is not None) == expected["spurious"], (row, col)
+        assert (cell in classes.dangling) == expected["dangling"], (row, col)
     blanks = {(a.row, a.col) for a in graph.blank_nodes()}
     assert blanks == perverse
 
@@ -536,6 +544,25 @@ def test_audit_finds_cycles_once(monkeypatch):
     assert sum(d.rule == "R09" for d in result.report.diagnostics) == 2
 
 
+def test_audit_resolves_each_bottom_line_entry_once(monkeypatch):
+    # the bottom line and the notices both read the entry; the graph keeps
+    # its answer, so the address is parsed once
+    calls = []
+    real = graph_module.parse_a1
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(graph_module, "parse_a1", counting)
+    wb = load_text(fixture_path("assign_v4.wb"))
+    result = audit_workbook(wb, AuditConfig(bottom_line=("C5",)))
+    assert calls == ["C5"]
+    cells = result.graph.named_cells("C5")
+    assert isinstance(cells, frozenset) and result.graph.named_cells("C5") is cells
+    assert calls == ["C5"]
+
+
 def test_audit_gathers_formula_facts_once_per_copy_class(monkeypatch):
     calls = []
     real = formula.formula_facts
@@ -565,11 +592,10 @@ def test_spurious_and_dangling_conjunction():
     text = "[sheet S]\nA10 num 5\nA11 num 6\nB25 formula =A10\nC1 formula =A10+A11\n"
     graph = build_graph(wb_from(text))
     classes = classify_graph(graph, AuditConfig(bottom_line=("S!C1",)))
-    b25 = classes[addr("S", "B25")]
-    assert b25.spurious and b25.dangling
-    for cell, cls in classes.items():
-        if cls.spurious and cls.dangling:
-            assert graph.nodes[cell].bare_ref is not None
+    b25 = addr("S", "B25")
+    assert graph.nodes[b25].bare_ref is not None and b25 in classes.dangling
+    for cell in classes.dangling:
+        if graph.nodes[cell].bare_ref is not None:
             assert not graph.dependents_of(cell)
 
 

@@ -27,7 +27,6 @@ from helpers import (
 
 from sheetlint.config import AuditConfig
 from sheetlint.graph import (
-    CellGraphClass,
     DependencyGraph,
     build_graph,
     classify_graph,
@@ -69,7 +68,7 @@ def test_links_give_what_the_per_arc_bodies_gave(seed, coverage, limit):
     ctx.graph = graph
     for rule, reference in _RULES:
         assert list(rule(ctx, wb.sheets)) == list(reference(ctx, wb.sheets)), rule.__name__
-    unused = {a for a, cls in ctx.classes.items() if cls.dangling_kind == "unused-input"}
+    unused = {a for a, kind in ctx.classes.dangling.items() if kind == "unused-input"}
     assert unused == unused_inputs_by_forward_search(graph, ctx.classes)
     referenced = graph.referenced
     precedents = {d: precedents_of(graph, d) for d in graph.links}
@@ -94,7 +93,9 @@ def test_nodes_are_the_populated_cells_and_blank_cells_come_from_the_links(seed)
     assert graph.blank_nodes() == sorted(graph.blank, key=graph.addr_key)
     classes = classify_graph(graph, AuditConfig())
     for cell in graph.blank:
-        assert classes[cell] == CellGraphClass(perverse_target=True), cell
+        # no node, so neither spurious nor on a cycle
+        assert cell not in graph.nodes, cell
+        assert cell not in classes.dangling and cell not in classes.bottom_line, cell
 
 
 def test_a_range_over_a_direct_reference_keeps_the_first_origin():

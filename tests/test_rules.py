@@ -540,9 +540,11 @@ def test_r04_r05_agree_with_graph_flags():
     wb = load_text(fixture_path("assign_v4.wb"))
     config = AuditConfig(bottom_line=("Model!C51",))
     report = audit_workbook(wb, config).report
-    classes = classify_graph(build_graph(wb), config)
-    flagged_spurious = {c.qualified() for c, cls in classes.items() if cls.spurious}
-    flagged_dangling = {c.qualified() for c, cls in classes.items() if cls.dangling}
+    graph = build_graph(wb)
+    classes = classify_graph(graph, config)
+    flagged_spurious = {c.qualified() for c, info in graph.nodes.items()
+                        if info.bare_ref is not None}
+    flagged_dangling = {c.qualified() for c in classes.dangling}
     assert {d.cell.qualified() for d in report.diagnostics
             if d.rule == "R04"} == flagged_spurious
     assert {d.cell.qualified() for d in report.diagnostics
