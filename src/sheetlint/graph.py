@@ -240,33 +240,31 @@ class DependencyGraph:
         return None if i is None else self.sheet_order[i]
 
     def named_cells(self, entry: str) -> frozenset[CellAddress]:
-        """The cells an entry names, found once per entry. A defined name
-        names the top-left cell of its formula's first reference, or none if
-        it has no reference; else the entry must be an A1 address
+        """The cells an entry names, found on the first call and kept. A
+        defined name names the top-left cell of its formula's first reference,
+        or none if it has no reference; else the entry must be an A1 address
         (AddressParseError if not). With a sheet, matched case-insensitively,
-        that is one cell; without, that cell on every sheet where it is a
-        node or ``blank``."""
+        that is one cell; without, that cell on every sheet where it is a node
+        or ``blank``."""
         cells = self._named.get(entry)
-        if cells is not None:
-            return cells
+        if cells is None:
+            cells = self._named[entry] = frozenset(self._find_named(entry))
+        return cells
+
+    def _find_named(self, entry: str) -> set[CellAddress]:
         plan = self.defined_names.get(entry.upper())
         if plan is None:
             addr = parse_a1(entry)
         elif not plan.refs:
-            addr = None
+            return set()
         else:
             sheet, (top, left, _, _), _ = plan.placed("", 0, 0)[0]
             addr = CellAddress(sheet, top, left)
-        if addr is None:
-            found: Iterable[CellAddress] = ()
-        elif addr.sheet:
-            found = (CellAddress(self.spelling(addr.sheet) or addr.sheet, addr.row, addr.col),)
-        else:
-            found = (cell for sheet in self.sheet_order
-                     if (cell := CellAddress(sheet, addr.row, addr.col)) in self.nodes
-                     or cell in self.blank)
-        cells = self._named[entry] = frozenset(found)
-        return cells
+        if addr.sheet:
+            return {CellAddress(self.spelling(addr.sheet) or addr.sheet, addr.row, addr.col)}
+        return {cell for sheet in self.sheet_order
+                if (cell := CellAddress(sheet, addr.row, addr.col)) in self.nodes
+                or cell in self.blank}
 
     def addr_key(self, addr: CellAddress) -> tuple[int, int, int]:
         return (self.sheet_index(addr.sheet), addr.row, addr.col)
