@@ -10,7 +10,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .config import AuditConfig, ConfigError
-from .formula import CellRef, FunctionCall, RefPlan
+from .formula import CellRef, CopyClass, FunctionCall, RefPlan
 from .model import MAX_ROW, AddressParseError, CellAddress, CellKind, Workbook, parse_a1
 
 MAX_RANGE_CELLS = 100_000  # refuse to expand anything larger
@@ -22,8 +22,12 @@ _SPAN_MASK = (1 << _SPAN) - 1
 _CONSTANT_KINDS = (CellKind.NUMBER, CellKind.BOOL, CellKind.ERROR)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class NodeInfo:
+    """What the graph keeps of a node. ``build_graph`` shares one record
+    among the cells that are no formula of one kind, and among the members
+    of one copy class, save a member with a ``bare_ref`` of its own."""
+
     kind: CellKind
     bare_ref: CellAddress | None = None
     top_function: str | None = None
@@ -366,15 +370,15 @@ class DependencyGraph:
         return out
 
     @cached_property
-    def formula_precedents(self) -> dict[CellAddress, list[CellAddress]]:
+    def formula_precedents(self) -> dict[CellAddress, tuple[CellAddress, ...]]:
         """Each dependent's precedents that are formulas: the arcs that chains
-        and cycles of formulas run along; read it, do not change it."""
+        and cycles of formulas run along."""
         # each vertex keyed by itself, so a plain tuple finds the address
         vertices = {a: a for a, info in self.nodes.items() if info.kind is CellKind.FORMULA}
         index = _Columns(vertices)
-        out: dict[CellAddress, list[CellAddress]] = {}
+        out: dict[CellAddress, tuple[CellAddress, ...]] = {}
         for d, links in self.links.items():
-            found = out[d] = []
+            found: list[CellAddress] = []
             for link in links:
                 top, left, bottom, right = link.box
                 if top == bottom and left == right:
@@ -384,6 +388,7 @@ class DependencyGraph:
                 else:
                     for piece in link.parts:
                         found += index.cells(link.sheet, piece)
+            out[d] = tuple(found)
         return out
 
     @cached_property
@@ -430,6 +435,16 @@ class DependencyGraph:
                 or (info.kind in _CONSTANT_KINDS and addr in self.referenced)}
 
 
+def _class_info(cls: CopyClass) -> NodeInfo:
+    """The ``NodeInfo`` that the members of ``cls`` share."""
+    top = cls.top
+    if not isinstance(top, FunctionCall):
+        return NodeInfo(CellKind.FORMULA)
+    return NodeInfo(CellKind.FORMULA, top_function=top.name,
+                    interpreted_output_shape=(  # the punch-line repeater
+                        top.name == "IF" and cls.produces_text and bool(cls.facts.refs)))
+
+
 def build_graph(workbook: Workbook) -> DependencyGraph:
     """Make a node of every populated cell and link every formula's
     references, one link per cell or range reference.
@@ -446,21 +461,22 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     """
     graph = DependencyGraph([s.name for s in workbook.sheets],
                             {name: RefPlan(ast) for name, ast in workbook.defined_names.items()})
+    shared: dict[CellKind | CopyClass, NodeInfo] = {}
     for sheet in workbook.sheets:
         for addr, cell in sheet.populated():
-            info = NodeInfo(kind=cell.content.kind)
-            if cell.content.copy is not None:
-                cls = cell.content.copy[0]
-                top = cls.top
-                if isinstance(top, FunctionCall):
-                    info.top_function = top.name
-                    info.interpreted_output_shape = (  # the punch-line repeater
-                        top.name == "IF" and cls.produces_text and bool(cls.facts.refs))
-                elif isinstance(top, CellRef):  # the plan's one reference
+            copy = cell.content.copy
+            if copy is None:
+                kind = cell.content.kind
+                info = shared.get(kind) or shared.setdefault(kind, NodeInfo(kind))
+            else:
+                cls = copy[0]
+                if isinstance(cls.top, CellRef):  # the plan's one reference
                     ref_sheet, (row, col, _, _), _ = cls.plan.placed(*addr)[0]
                     home = graph.spelling(ref_sheet)
                     if home and (target := CellAddress(home, row, col)) != addr:
-                        info.bare_ref = target
+                        graph.nodes[addr] = NodeInfo(CellKind.FORMULA, bare_ref=target)
+                        continue
+                info = shared.get(cls) or shared.setdefault(cls, _class_info(cls))
             graph.nodes[addr] = info
 
     budget = MAX_EXPANDED_CELLS  # spent in reading order, so the refusals are deterministic
@@ -494,6 +510,11 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                 graph.partly_blank.add(dependent)
             found.append(Link(name or (entry and plan.ref_text(entry, row, col)), home, box))
 
+    # A class with no '$' and no name moves all its boxes alike, so when its
+    # first linked member's links are disjoint, so are every later member's:
+    # the budget only shrinks, so a later member keeps a subset of its
+    # references. Each class maps to whether that holds, from its first member.
+    disjoint: dict[CopyClass, bool] = {}
     for addr, content in workbook.formulas():
         cls, row, col = content.copy
         problems: list[str] = []
@@ -506,14 +527,21 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             else:
                 link(addr, plan, 0, 0, node.name, problems, found)
         if found:
-            graph.links[addr] = disjoint_links(found)
+            if disjoint.get(cls):
+                graph.links[addr] = found
+            else:
+                kept = graph.links[addr] = disjoint_links(found)
+                if cls not in disjoint:
+                    disjoint[cls] = (kept == found and not cls.facts.names
+                                     and not cls.plan.anchored)
         if problems:
             graph.unresolved[addr] = problems
     graph.cycles  # found here, so that build_graph's time holds the cycle search
     return graph
 
 
-def _components(succ: dict[CellAddress, list[CellAddress]]) -> Iterator[list[CellAddress]]:
+def _components(succ: dict[CellAddress, tuple[CellAddress, ...]]
+                ) -> Iterator[list[CellAddress]]:
     """Strongly connected components of the arcs ``v -> succ[v]`` (iterative
     Tarjan), each given after every component it reaches."""
     index: dict[CellAddress, int] = {}

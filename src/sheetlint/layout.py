@@ -153,7 +153,11 @@ def relic_scan(sheet: Sheet) -> RelicScan:
 
 @dataclass
 class CopyRun:
-    cells: list[CellAddress]
+    """A run of ``size`` adjacent formula cells from ``first`` to ``last``."""
+
+    first: CellAddress
+    last: CellAddress
+    size: int
     orientation: str  # 'h' or 'v'
     majority_form: str
     breaks: list[CellAddress]
@@ -165,39 +169,37 @@ def copy_pattern_breaks(sheet: Sheet, min_run: int = 3) -> list[CopyRun]:
     A run is at least ``min_run`` consecutive formula cells in one row or one
     column; cells whose relative form differs from the run's majority are
     breaks. Forms are R1C1 texts, printed once per copy class of the sheet.
+    Every address is the sheet's own, so a run makes none.
     """
-    formulas = {(addr.row, addr.col): cls
-                for addr, _, cls in sheet.classed_formulas()}
+    formulas = {addr: cls for addr, _, cls in sheet.classed_formulas()}
     runs: list[CopyRun] = []
 
-    def scan(positions: list[tuple[int, int]], orientation: str) -> None:
-        if len(positions) < min_run:
+    def scan(cells: list[CellAddress], orientation: str) -> None:
+        if len(cells) < min_run:
             return
-        forms = [formulas[pos].r1c1 for pos in positions]
+        forms = [formulas[addr].r1c1 for addr in cells]
         counts = Counter(forms)
         top_count = counts.most_common(1)[0][1]
         majority = next(f for f in forms if counts[f] == top_count)
-        breaks = [sheet.address(*pos) for pos, form in zip(positions, forms)
-                  if form != majority]
-        runs.append(CopyRun([sheet.address(*pos) for pos in positions],
-                            orientation, majority, breaks))
+        breaks = [addr for addr, form in zip(cells, forms) if form != majority]
+        runs.append(CopyRun(cells[0], cells[-1], len(cells), orientation, majority, breaks))
 
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    by_col: dict[int, list[tuple[int, int]]] = {}
-    for pos in formulas:  # row-major, so each list comes sorted
-        by_row.setdefault(pos[0], []).append(pos)
-        by_col.setdefault(pos[1], []).append(pos)
-    # a row's streaks step along axis 1 (columns), a column's along axis 0
-    lines = [(cells, 1, "h") for cells in by_row.values()]
-    lines += [(by_col[col], 0, "v") for col in sorted(by_col)]
+    by_row: dict[int, list[CellAddress]] = {}
+    by_col: dict[int, list[CellAddress]] = {}
+    for addr in formulas:  # row-major, so each list comes sorted
+        by_row.setdefault(addr.row, []).append(addr)
+        by_col.setdefault(addr.col, []).append(addr)
+    # a row's streaks step along its columns (field 2), a column's along its rows (field 1)
+    lines = [(cells, 2, "h") for cells in by_row.values()]
+    lines += [(by_col[col], 1, "v") for col in sorted(by_col)]
     for cells, axis, orientation in lines:
         streak = [cells[0]]
-        for pos in cells[1:]:
-            if pos[axis] == streak[-1][axis] + 1:
-                streak.append(pos)
+        for addr in cells[1:]:
+            if addr[axis] == streak[-1][axis] + 1:
+                streak.append(addr)
             else:
                 scan(streak, orientation)
-                streak = [pos]
+                streak = [addr]
         scan(streak, orientation)
     return runs
 

@@ -197,7 +197,7 @@ class CellFormat:
 DEFAULT_FORMAT = CellFormat()
 
 
-@dataclass
+@dataclass(slots=True)
 class Cell:
     content: CellContent
     fmt: CellFormat = DEFAULT_FORMAT
@@ -208,9 +208,10 @@ class Sheet:
     """A sparse grid of cells plus sheet-level geometry.
 
     A formula is stored as a copy of its class (``set_formula``), interned
-    per sheet by its host-relative form. The reading order is built on first
-    use and dropped when a cell is added; change ``cells`` through
-    ``set_cell``, ``set_formula`` and ``merge_format`` only.
+    per sheet by its host-relative form. The reading order, one list of
+    addresses and one of cells, is built on first use and dropped when a
+    cell is added; change ``cells`` through ``set_cell``, ``set_formula`` and
+    ``merge_format`` only.
     """
 
     name: str
@@ -219,7 +220,7 @@ class Sheet:
     row_heights: dict[int, float] = field(default_factory=dict)
     declared_extent: CellAddress | None = None
     hidden: bool = False
-    _order: list[tuple[CellAddress, Cell]] | None = field(
+    _order: tuple[list[CellAddress], list[Cell]] | None = field(
         default=None, init=False, repr=False, compare=False)
     _classes: dict[FormulaAst, CopyClass] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -262,13 +263,15 @@ class Sheet:
         cell = self.cells.get((row, col))
         return cell.fmt if cell else DEFAULT_FORMAT
 
-    def _reading_order(self) -> list[tuple[CellAddress, Cell]]:
-        """Every stored cell in row-major order; the sheet's own list."""
+    def _reading_order(self) -> Iterator[tuple[CellAddress, Cell]]:
+        """Every stored cell in row-major order, each with the sheet's own
+        address of it, made once per reading order."""
         if self._order is None:
             name = self.name
-            self._order = [(CellAddress(name, row, col), cell)
-                           for (row, col), cell in sorted(self.cells.items())]
-        return self._order
+            keys = sorted(self.cells)
+            self._order = ([CellAddress(name, row, col) for row, col in keys],
+                           [self.cells[key] for key in keys])
+        return zip(*self._order)
 
     def populated(self) -> Iterator[tuple[CellAddress, Cell]]:
         """Cells bearing content, in row-major order."""
@@ -355,7 +358,8 @@ class NumericCellClass(Enum):
 
 def classify_cells(workbook: Workbook,
                    graph: "DependencyGraph") -> dict[CellAddress, NumericCellClass]:
-    """Classify every stored cell.
+    """Classify every stored cell, keyed by the sheet's own address of it
+    (the graph's node keys), in reading order.
 
     A formula is always a numeric formula. A constant is numeric only when at
     least one formula depends on it; otherwise it is a label, numbers
@@ -365,8 +369,7 @@ def classify_cells(workbook: Workbook,
     out: dict[CellAddress, NumericCellClass] = {}
     referenced = graph.referenced
     for sheet in workbook.sheets:
-        for (row, col), cell in sheet.cells.items():
-            addr = sheet.address(row, col)
+        for addr, cell in sheet._reading_order():
             kind = cell.content.kind
             if kind is CellKind.FORMULA:
                 out[addr] = NumericCellClass.NUMERIC_FORMULA

@@ -524,10 +524,9 @@ def _r18_copy_breaks(ctx: Analysis, sheets) -> Iterator[tuple]:
         for run in ctx.layouts[sheet.name].copy_runs:
             if not run.breaks:
                 continue
-            first, last = run.cells[0], run.cells[-1]
             yield (sheet.name, run.breaks[0],
-                   f"formula breaks the copy pattern of {first.a1()}:{last.a1()} "
-                   f"({len(run.breaks)} of {len(run.cells)} differ)",
+                   f"formula breaks the copy pattern of {run.first.a1()}:{run.last.a1()} "
+                   f"({len(run.breaks)} of {run.size} differ)",
                    tuple(run.breaks))
 
 

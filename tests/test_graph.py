@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import sys
@@ -585,6 +586,54 @@ def test_audit_gathers_formula_facts_once_per_copy_class(monkeypatch):
     calls.clear()
     audit_workbook(wb)
     assert calls == []
+
+
+def test_copy_class_members_share_one_frozen_node_info():
+    rows = range(1, 6)
+    text = "[sheet S]\n" + "".join(
+        f"A{r} num {r}\nB{r} formula =SUM(A{r}:A{r + 1})\nC{r} formula =A{r}\n"
+        for r in rows)
+    graph = build_graph(wb_from(text))
+    sums = {id(graph.nodes[addr("S", f"B{r}")]) for r in rows}
+    numbers = {id(graph.nodes[addr("S", f"A{r}")]) for r in rows}
+    assert len(sums) == 1 and len(numbers) == 1
+    info = graph.nodes[addr("S", "B1")]
+    assert info.top_function == "SUM" and info.bare_ref is None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        info.top_function = "MAX"
+    # a bare reference's target is the member's own, so it keeps its own record
+    bare = [graph.nodes[addr("S", f"C{r}")] for r in rows]
+    assert [info.bare_ref for info in bare] == [addr("S", f"A{r}") for r in rows]
+    assert len({id(info) for info in bare}) == len(bare)
+
+
+def test_disjoint_links_runs_once_per_unanchored_class_with_disjoint_links(monkeypatch):
+    calls = []
+    real = graph_module.disjoint_links
+
+    def counting(links):
+        calls.append(links)
+        return real(links)
+
+    monkeypatch.setattr(graph_module, "disjoint_links", counting)
+    rows = range(1, 7)
+    text = "[sheet S]\nF1 num 1\n" + "".join(
+        f"A{r} num {r}\n"
+        f"B{r} formula =A{r}+SUM(C{r}:D{r})\n"   # disjoint and no '$': one call
+        f"E{r} formula =$F$1+A{r}\n"             # a '$': a call per member
+        f"G{r} formula =A{r}+SUM(A{r}:A{r + 1})\n"  # overlapping: a call per member
+        f"H{r} formula =A{r}*Two\n"              # a name: a call per member
+        for r in rows)
+    book = wb_from(text)
+    book.defined_names["Two"] = formula.parse_formula("=S!$F$1")
+    graph = build_graph(book)
+    assert len(calls) == 1 + 3 * len(rows)
+    for r in rows:
+        member = graph.links[addr("S", f"B{r}")]
+        assert [link.box for link in member] == [(r, 1, r, 1), (r, 3, r, 4)]
+        assert real(member) == member
+        assert [link.box for link in graph.links[addr("S", f"G{r}")]] \
+            == [(r, 1, r, 1), (r, 1, r + 1, 1)]
 
 
 def test_spurious_and_dangling_conjunction():

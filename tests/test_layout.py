@@ -11,6 +11,7 @@ from sheetlint.formula import parse_formula, translate
 from sheetlint.layout import (
     EmptySheetError,
     Stacking,
+    analyze_sheet,
     blank_space_ratio,
     bulletin_board_score,
     copy_pattern_breaks,
@@ -20,7 +21,7 @@ from sheetlint.layout import (
     relic_scan,
 )
 from sheetlint.loaders import load_text, load_text_string
-from sheetlint.model import CellContent, CellFormat, Workbook
+from sheetlint.model import CellContent, CellFormat, Sheet, Workbook
 
 
 def sheet_of(cells, widths=None):
@@ -192,6 +193,32 @@ def test_copy_runs_print_each_class_once(monkeypatch):
     assert sorted(r.orientation for r in runs) == ["h"] * 3 + ["v"] * 3
     assert all(r.breaks == [] and r.majority_form == "R[-1]C[-1]*2" for r in runs)
     assert printed == ["R[-1]C[-1]*2"]
+
+
+def test_copy_runs_make_no_address_per_cell(monkeypatch):
+    # a 4x4 block of copies with one break: eight runs of four cells
+    wb = Workbook()
+    sheet = wb.add_sheet("S")
+    for row in range(2, 6):
+        for col in range(2, 6):
+            text = "=A1*3" if (row, col) == (3, 3) else "=A1*2"
+            sheet.set_formula(row, col, translate(parse_formula(text), row - 2, col - 2))
+    made = []
+    real = Sheet.address
+
+    def counting(self, row, col):
+        made.append((row, col))
+        return real(self, row, col)
+
+    monkeypatch.setattr(Sheet, "address", counting)
+    runs = analyze_sheet(sheet).copy_runs
+    breaks = [b for run in runs for b in run.breaks]
+    assert [b.a1() for b in breaks] == ["C3", "C3"]
+    assert len(made) <= len(breaks) + 2 * len(runs)
+    assert [(run.first.a1(), run.last.a1(), run.size) for run in runs if run.orientation == "h"] \
+        == [(f"B{row}", f"E{row}", 4) for row in range(2, 6)]
+    own = {addr: addr for addr, _ in sheet.populated()}
+    assert all(run.first is own[run.first] and run.last is own[run.last] for run in runs)
 
 
 def test_constants_do_not_form_runs():

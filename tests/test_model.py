@@ -249,6 +249,20 @@ def test_classify_partitions_every_populated_cell():
     assert all(isinstance(c, NumericCellClass) for c in classes.values())
 
 
+def test_classify_cells_keys_are_the_graph_node_keys():
+    wb, sheet = _sheet_with({
+        (1, 1): CellContent.of_number(1),
+        (1, 2): CellContent.label("x"),
+        (2, 1): parse_formula("=A1*2"),
+    })
+    sheet.merge_format(5, 5, CellFormat(bold=True))
+    graph = build_graph(wb)
+    classes = classify_cells(wb, graph)
+    keys = {key: key for key in classes}
+    assert len(graph.nodes) == 3 and len(classes) == 4
+    assert all(keys[node] is node for node in graph.nodes)
+
+
 def test_default_format_compares_equal():
     assert CellFormat() == CellFormat()
     assert CellFormat().is_default()

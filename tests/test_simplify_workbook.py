@@ -281,9 +281,10 @@ def _copy_runs_per_cell(sheet, min_run):
         counts = Counter(forms)
         top = counts.most_common(1)[0][1]
         majority = next(f for f in forms if counts[f] == top)
-        runs.append(CopyRun([sheet.address(*pos) for pos in positions], orientation,
-                            majority, [sheet.address(*pos) for pos, form
-                                       in zip(positions, forms) if form != majority]))
+        runs.append(CopyRun(sheet.address(*positions[0]), sheet.address(*positions[-1]),
+                            len(positions), orientation, majority,
+                            [sheet.address(*pos) for pos, form
+                             in zip(positions, forms) if form != majority]))
 
     for orientation, key in (("h", lambda p: (p[0], p[1])), ("v", lambda p: (p[1], p[0]))):
         lines: dict = {}
